@@ -8,11 +8,18 @@
 // simple — it exists to generate realistic LPA patterns (creates,
 // appends, in-place overwrites, deletes) for the workload generators and
 // the VerTrace study, not to be a POSIX file system.
+//
+// The request path allocates nothing per request: the allocator appends
+// straight into the file's extent list (amortised growth only), requests
+// are emitted by walking that list run by run, and a file's liveness is a
+// field on the File rather than a table probe.
 package filesys
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/blockio"
 	"repro/internal/sim"
@@ -51,8 +58,10 @@ type Observer interface {
 // File is an open file's metadata.
 type File struct {
 	ID       uint64
-	Name     string
+	Name     string // "" for a file made by CreateAnon
 	Insecure bool
+	// fs is the file system the file lives in; nil once deleted.
+	fs *FS
 	// extents holds the logical pages backing the file, in file order.
 	extents []int64
 }
@@ -66,12 +75,23 @@ type FS struct {
 	pageBytes int
 	total     int64
 	freePages int64
-	bitmap    []uint64 // 1 = used
+	bitmap    []uint64 // 1 = used; bits at and beyond total stay set
 	scan      int64    // next-fit cursor
-	files     map[uint64]*File
-	byName    map[string]uint64
-	nextID    uint64
-	observer  Observer
+	// byID is the ID table. IDs are issued densely from 1, so it is an
+	// array in idPage-sized pieces rather than a hash map: entry (id-1)
+	// holds the file, nil once deleted.
+	byID     [][]*File
+	live     int
+	byName   map[string]*File
+	nextID   uint64
+	observer Observer
+}
+
+const idPage = 1024
+
+// slot returns the ID table entry of an ID that has been issued.
+func (fs *FS) slot(id uint64) **File {
+	return &fs.byID[(id-1)/idPage][(id-1)%idPage]
 }
 
 // SetObserver installs a lifecycle observer (nil to remove).
@@ -82,16 +102,21 @@ func New(dev Device, totalPages int64, pageBytes int) (*FS, error) {
 	if dev == nil || totalPages <= 0 || pageBytes <= 0 {
 		return nil, fmt.Errorf("filesys: bad parameters dev=%v pages=%d size=%d", dev, totalPages, pageBytes)
 	}
-	return &FS{
+	fs := &FS{
 		dev:       dev,
 		pageBytes: pageBytes,
 		total:     totalPages,
 		freePages: totalPages,
 		bitmap:    make([]uint64, (totalPages+63)/64),
-		files:     map[uint64]*File{},
-		byName:    map[string]uint64{},
+		byName:    map[string]*File{},
 		nextID:    1,
-	}, nil
+	}
+	if tail := uint(totalPages % 64); tail != 0 {
+		// Pages past the capacity in the last word are never free, so the
+		// allocator's word scan needs no end-of-device mask.
+		fs.bitmap[len(fs.bitmap)-1] = ^uint64(0) << tail
+	}
+	return fs, nil
 }
 
 // FreePages returns the unallocated logical pages.
@@ -101,21 +126,21 @@ func (fs *FS) FreePages() int64 { return fs.freePages }
 func (fs *FS) TotalPages() int64 { return fs.total }
 
 // Files returns the number of live files.
-func (fs *FS) Files() int { return len(fs.files) }
+func (fs *FS) Files() int { return fs.live }
 
 // Lookup finds a file by name.
 func (fs *FS) Lookup(name string) (*File, bool) {
-	id, ok := fs.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return fs.files[id], true
+	f, ok := fs.byName[name]
+	return f, ok
 }
 
 // Get returns a file by ID.
 func (fs *FS) Get(id uint64) (*File, bool) {
-	f, ok := fs.files[id]
-	return f, ok
+	if id == 0 || id >= fs.nextID {
+		return nil, false
+	}
+	f := *fs.slot(id)
+	return f, f != nil
 }
 
 // Create makes an empty file. Flags control its security requirement.
@@ -123,40 +148,59 @@ func (fs *FS) Create(name string, flags OpenFlag) (*File, error) {
 	if _, exists := fs.byName[name]; exists {
 		return nil, fmt.Errorf("filesys: %q already exists", name)
 	}
+	f := fs.newFile(name, flags)
+	fs.byName[name] = f
+	return f, nil
+}
+
+// CreateAnon makes an empty file with no name, the way O_TMPFILE does:
+// it takes the next ID, is found by Get and counted by Files, but has no
+// directory entry, so Lookup never returns it and it cannot collide. The
+// workload generators, which only ever use the handle, create their
+// population this way.
+func (fs *FS) CreateAnon(flags OpenFlag) *File {
+	return fs.newFile("", flags)
+}
+
+func (fs *FS) newFile(name string, flags OpenFlag) *File {
 	f := &File{
 		ID:       fs.nextID,
 		Name:     name,
 		Insecure: flags&OInsec != 0,
+		fs:       fs,
 	}
 	fs.nextID++
-	fs.files[f.ID] = f
-	fs.byName[name] = f.ID
+	if (f.ID-1)%idPage == 0 {
+		fs.byID = append(fs.byID, make([]*File, idPage))
+	}
+	*fs.slot(f.ID) = f
+	fs.live++
 	if fs.observer != nil {
 		fs.observer.FileCreated(f.ID, f.Insecure)
 	}
-	return f, nil
+	return f
 }
 
 // Append extends the file by n pages and writes them.
 func (fs *FS) Append(f *File, n int) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
 	if n <= 0 {
 		return nil
 	}
-	extents, err := fs.alloc(n)
-	if err != nil {
+	before := len(f.extents)
+	var err error
+	if f.extents, err = fs.alloc(f.extents, n); err != nil {
 		return err
 	}
-	f.extents = append(f.extents, extents...)
-	return fs.writeExtents(f, extents)
+	return fs.submitRuns(f.writeRequest(), f.extents[before:])
 }
 
 // Overwrite rewrites n pages of the file starting at page offset off
 // (in-place at the file-system level; the FTL makes it out-of-place).
 func (fs *FS) Overwrite(f *File, off, n int) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
 	if off < 0 || n < 0 || off+n > len(f.extents) {
@@ -165,44 +209,39 @@ func (fs *FS) Overwrite(f *File, off, n int) error {
 	if fs.observer != nil && n > 0 {
 		fs.observer.FileOverwritten(f.ID)
 	}
-	return fs.writeExtents(f, f.extents[off:off+n])
+	return fs.submitRuns(f.writeRequest(), f.extents[off:off+n])
 }
 
 // Read reads n pages of the file starting at page offset off.
 func (fs *FS) Read(f *File, off, n int) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
 	if off < 0 || n < 0 || off+n > len(f.extents) {
 		return fmt.Errorf("filesys: read [%d,%d) outside %q (%d pages)", off, off+n, f.Name, len(f.extents))
 	}
-	for _, run := range contiguousRuns(f.extents[off : off+n]) {
-		if _, err := fs.dev.Submit(blockio.Request{
-			Op: blockio.OpRead, LPA: run.start, Pages: run.n, FileID: f.ID,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fs.submitRuns(blockio.Request{Op: blockio.OpRead, FileID: f.ID}, f.extents[off:off+n])
 }
 
 // Delete unlinks the file and trims its pages — the paper's deletion
 // flow: the trim tells the device which LPAs hold stale data.
 func (fs *FS) Delete(f *File) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
-	delete(fs.files, f.ID)
-	delete(fs.byName, f.Name)
+	f.fs = nil
+	*fs.slot(f.ID) = nil
+	fs.live--
+	// Only the directory entry that points at f: an anonymous file must
+	// not unlink a file that was Created as "".
+	if fs.byName[f.Name] == f {
+		delete(fs.byName, f.Name)
+	}
 	if fs.observer != nil {
 		fs.observer.FileDeleted(f.ID)
 	}
-	for _, run := range contiguousRuns(f.extents) {
-		if _, err := fs.dev.Submit(blockio.Request{
-			Op: blockio.OpTrim, LPA: run.start, Pages: run.n, Insecure: f.Insecure, FileID: f.ID,
-		}); err != nil {
-			return err
-		}
+	if err := fs.submitRuns(f.trimRequest(), f.extents); err != nil {
+		return err
 	}
 	fs.free(f.extents)
 	f.extents = nil
@@ -211,7 +250,7 @@ func (fs *FS) Delete(f *File) error {
 
 // Truncate cuts the file to n pages, trimming the removed tail.
 func (fs *FS) Truncate(f *File, n int) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
 	if n < 0 || n > len(f.extents) {
@@ -222,91 +261,87 @@ func (fs *FS) Truncate(f *File, n int) error {
 		fs.observer.FileOverwritten(f.ID)
 	}
 	tail := f.extents[n:]
-	for _, run := range contiguousRuns(tail) {
-		if _, err := fs.dev.Submit(blockio.Request{
-			Op: blockio.OpTrim, LPA: run.start, Pages: run.n, Insecure: f.Insecure, FileID: f.ID,
-		}); err != nil {
-			return err
-		}
+	if err := fs.submitRuns(f.trimRequest(), tail); err != nil {
+		return err
 	}
 	fs.free(tail)
 	f.extents = f.extents[:n]
 	return nil
 }
 
-func (fs *FS) writeExtents(f *File, extents []int64) error {
-	for _, run := range contiguousRuns(extents) {
-		if _, err := fs.dev.Submit(blockio.Request{
-			Op:       blockio.OpWrite,
-			LPA:      run.start,
-			Pages:    run.n,
-			Insecure: f.Insecure,
-			FileID:   f.ID,
-		}); err != nil {
+// writeRequest and trimRequest are the per-file request templates
+// submitRuns stamps an extent onto.
+func (f *File) writeRequest() blockio.Request {
+	return blockio.Request{Op: blockio.OpWrite, Insecure: f.Insecure, FileID: f.ID}
+}
+
+func (f *File) trimRequest() blockio.Request {
+	return blockio.Request{Op: blockio.OpTrim, Insecure: f.Insecure, FileID: f.ID}
+}
+
+// submitRuns coalesces pages into maximal contiguous extents, the way a
+// block layer merges bios, and submits req once per extent.
+func (fs *FS) submitRuns(req blockio.Request, pages []int64) error {
+	for len(pages) > 0 {
+		n := runLen(pages)
+		req.LPA, req.Pages = pages[0], int32(n)
+		if _, err := fs.dev.Submit(req); err != nil {
 			return err
 		}
+		pages = pages[n:]
 	}
 	return nil
 }
 
-type run struct {
-	start int64
-	n     int32
-}
-
-// contiguousRuns coalesces a page list into maximal contiguous extents,
-// the way a block layer merges bios.
-func contiguousRuns(pages []int64) []run {
-	var out []run
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		out = append(out, run{start: pages[i], n: int32(j - i)})
-		i = j
+// runLen returns the length of the contiguous run that starts pages,
+// which must not be empty.
+func runLen(pages []int64) int {
+	n := 1
+	for n < len(pages) && pages[n] == pages[n-1]+1 {
+		n++
 	}
-	return out
+	return n
 }
 
-// alloc reserves n logical pages, preferring contiguity via next-fit.
-func (fs *FS) alloc(n int) ([]int64, error) {
+// alloc reserves n logical pages, preferring contiguity via next-fit, and
+// appends them to dst in allocation order. It takes every free page from
+// the cursor on, wrapping at the end of the device, and skips used pages a
+// bitmap word at a time.
+func (fs *FS) alloc(dst []int64, n int) ([]int64, error) {
 	if int64(n) > fs.freePages {
-		return nil, ErrNoSpace
+		return dst, ErrNoSpace
 	}
-	out := make([]int64, 0, n)
+	dst = slices.Grow(dst, n)
 	cursor := fs.scan
-	for len(out) < n {
-		if !fs.used(cursor) {
-			fs.setUsed(cursor, true)
-			out = append(out, cursor)
+	for need := n; need > 0; {
+		w := cursor / 64
+		free := ^fs.bitmap[w] &^ (1<<uint(cursor%64) - 1)
+		for ; free != 0 && need > 0; need-- {
+			b := bits.TrailingZeros64(free)
+			free &^= 1 << uint(b)
+			fs.bitmap[w] |= 1 << uint(b)
+			cursor = w*64 + int64(b)
+			dst = append(dst, cursor)
+			cursor++
 		}
-		cursor++
+		if need > 0 {
+			cursor = (w + 1) * 64
+		}
 		if cursor >= fs.total {
 			cursor = 0
 		}
 	}
 	fs.scan = cursor
 	fs.freePages -= int64(n)
-	return out, nil
+	return dst, nil
 }
 
 func (fs *FS) free(pages []int64) {
 	for _, p := range pages {
-		if fs.used(p) {
-			fs.setUsed(p, false)
+		if bit := uint64(1) << uint(p%64); fs.bitmap[p/64]&bit != 0 {
+			fs.bitmap[p/64] &^= bit
 			fs.freePages++
 		}
-	}
-}
-
-func (fs *FS) used(p int64) bool { return fs.bitmap[p/64]&(1<<uint(p%64)) != 0 }
-
-func (fs *FS) setUsed(p int64, v bool) {
-	if v {
-		fs.bitmap[p/64] |= 1 << uint(p%64)
-	} else {
-		fs.bitmap[p/64] &^= 1 << uint(p%64)
 	}
 }
 
@@ -327,57 +362,40 @@ func (f *File) Extents() []int64 {
 // AppendData extends the file with real content, page by page. The data
 // is padded to whole pages.
 func (fs *FS) AppendData(f *File, data []byte) error {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return ErrNotFound
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	n := (len(data) + fs.pageBytes - 1) / fs.pageBytes
-	extents, err := fs.alloc(n)
-	if err != nil {
+	before := len(f.extents)
+	var err error
+	if f.extents, err = fs.alloc(f.extents, (len(data)+fs.pageBytes-1)/fs.pageBytes); err != nil {
 		return err
 	}
-	f.extents = append(f.extents, extents...)
-	for i, run := range contiguousRuns(extents) {
-		_ = i
-		lo := pageOffsetOf(extents, run.start) * fs.pageBytes
-		hi := lo + int(run.n)*fs.pageBytes
-		if hi > len(data) {
-			padded := make([]byte, int(run.n)*fs.pageBytes)
-			copy(padded, data[lo:])
-			if _, err := fs.dev.Submit(blockio.Request{
-				Op: blockio.OpWrite, LPA: run.start, Pages: run.n,
-				Insecure: f.Insecure, FileID: f.ID, Data: padded,
-			}); err != nil {
-				return err
-			}
-			continue
+	req := f.writeRequest()
+	for pages := f.extents[before:]; len(pages) > 0; {
+		n := runLen(pages)
+		size := n * fs.pageBytes
+		if size <= len(data) {
+			req.Data, data = data[:size], data[size:]
+		} else {
+			req.Data = make([]byte, size)
+			copy(req.Data, data)
 		}
-		if _, err := fs.dev.Submit(blockio.Request{
-			Op: blockio.OpWrite, LPA: run.start, Pages: run.n,
-			Insecure: f.Insecure, FileID: f.ID, Data: data[lo:hi],
-		}); err != nil {
+		req.LPA, req.Pages = pages[0], int32(n)
+		if _, err := fs.dev.Submit(req); err != nil {
 			return err
 		}
+		pages = pages[n:]
 	}
 	return nil
-}
-
-// pageOffsetOf returns the index within extents where lpa appears.
-func pageOffsetOf(extents []int64, lpa int64) int {
-	for i, e := range extents {
-		if e == lpa {
-			return i
-		}
-	}
-	return 0
 }
 
 // ReadAll returns the file's full content. The device must implement
 // DataDevice.
 func (fs *FS) ReadAll(f *File) ([]byte, error) {
-	if _, ok := fs.files[f.ID]; !ok {
+	if f.fs != fs {
 		return nil, ErrNotFound
 	}
 	dd, ok := fs.dev.(DataDevice)

@@ -1,8 +1,10 @@
 package filesys
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,16 +260,60 @@ func TestReuseAfterDeleteFragmentsGracefully(t *testing.T) {
 
 func name(i int) string { return string(rune('a'+i)) + ".dat" }
 
+// refAllocator is the allocator as it was before it learned to skip
+// bitmap words: next-fit, testing one page per step. It lives on here as
+// the specification the word-skipping FS.alloc is compared with.
+type refAllocator struct {
+	used   []bool
+	cursor int64
+	free   int64
+}
+
+func newRefAllocator(total int64) *refAllocator {
+	return &refAllocator{used: make([]bool, total), free: total}
+}
+
+func (r *refAllocator) alloc(n int) []int64 {
+	if int64(n) > r.free {
+		return nil
+	}
+	out := make([]int64, 0, n)
+	for len(out) < n {
+		if !r.used[r.cursor] {
+			r.used[r.cursor] = true
+			out = append(out, r.cursor)
+		}
+		r.cursor++
+		if r.cursor >= int64(len(r.used)) {
+			r.cursor = 0
+		}
+	}
+	r.free -= int64(n)
+	return out
+}
+
+func (r *refAllocator) release(pages []int64) {
+	for _, p := range pages {
+		r.used[p] = false
+	}
+	r.free += int64(len(pages))
+}
+
 // Property: allocation never hands out a page twice, frees return
-// exactly what was taken, and free-page accounting is exact.
+// exactly what was taken, free-page accounting is exact, and every
+// allocation is page for page the one the bit-at-a-time reference makes —
+// across wrap-around at the end of the device, on capacities that do and
+// do not fill their last bitmap word.
 func TestAllocatorConsistencyProperty(t *testing.T) {
-	fn := func(seed int64, steps uint8) bool {
+	fn := func(seed int64, steps uint8, capacity uint8) bool {
+		total := []int64{256, 200, 64, 65, 130, 7}[int(capacity)%6]
 		dev := &recordingDev{}
-		fs, _ := New(dev, 256, 4096)
+		fs, _ := New(dev, total, 4096)
+		ref := newRefAllocator(total)
 		rng := rand.New(rand.NewSource(seed))
 		owned := map[int64]uint64{} // page -> file
 		var files []*File
-		for s := 0; s < int(steps); s++ {
+		for s := 0; s < 3*int(steps); s++ {
 			switch rng.Intn(3) {
 			case 0:
 				f, err := fs.Create(randName(rng), 0)
@@ -280,16 +326,20 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 				}
 				f := files[rng.Intn(len(files))]
 				before := f.Pages()
-				if err := fs.Append(f, rng.Intn(20)+1); err != nil {
-					if !errors.Is(err, ErrNoSpace) && !errors.Is(err, ErrNotFound) {
+				n := rng.Intn(20) + 1
+				want := ref.alloc(n)
+				if err := fs.Append(f, n); err != nil {
+					if !errors.Is(err, ErrNoSpace) || want != nil {
 						return false
 					}
 					continue
 				}
+				if !slices.Equal(f.extents[before:], want) {
+					return false // diverged from the reference
+				}
 				for _, p := range f.extents[before:] {
-					if other, taken := owned[p]; taken {
-						_ = other
-						return false // double allocation
+					if _, taken := owned[p]; taken || p >= total {
+						return false // double or out-of-range allocation
 					}
 					owned[p] = f.ID
 				}
@@ -302,16 +352,113 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 				for _, p := range f.extents {
 					delete(owned, p)
 				}
-				if err := fs.Delete(f); err != nil && !errors.Is(err, ErrNotFound) {
+				ref.release(f.extents)
+				if err := fs.Delete(f); err != nil {
 					return false
 				}
 				files = append(files[:i], files[i+1:]...)
 			}
+			if fs.FreePages() != ref.free || fs.scan != ref.cursor {
+				return false
+			}
 		}
 		return fs.FreePages() == fs.TotalPages()-int64(len(owned))
 	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nullDev accepts every request and keeps nothing.
+type nullDev struct{ requests int }
+
+func (d *nullDev) Submit(blockio.Request) (sim.Micros, error) {
+	d.requests++
+	return 0, nil
+}
+
+// fragmentedFS returns a file system over a null device whose free space
+// is single-page holes, so that everything allocated next is one request
+// per page.
+func fragmentedFS(t *testing.T, total int64) (*FS, *nullDev) {
+	t.Helper()
+	dev := &nullDev{}
+	fs, err := New(dev, total, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < total; i++ {
+		f := fs.CreateAnon(0)
+		if err := fs.Append(f, 1); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := fs.Delete(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return fs, dev
+}
+
+// The request path allocates nothing per request: reading, overwriting
+// and deleting an existing file only walk its extent list, and appending
+// pays for the growth of that list alone.
+func TestRequestPathDoesNotAllocate(t *testing.T) {
+	const runs = 50
+	fs, dev := fragmentedFS(t, 4096)
+	f := fs.CreateAnon(0)
+	if err := fs.Append(f, 64); err != nil {
+		t.Fatal(err)
+	}
+	victims := make([]*File, runs+1) // AllocsPerRun calls once to warm up
+	for i := range victims {
+		victims[i] = fs.CreateAnon(0)
+		if err := fs.Append(victims[i], 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dev.requests
+	next := 0
+	for _, c := range []struct {
+		name     string
+		requests int
+		op       func() error
+	}{
+		{"Read", 48, func() error { return fs.Read(f, 8, 48) }},
+		{"Overwrite", 48, func() error { return fs.Overwrite(f, 8, 48) }},
+		{"Delete", 8, func() error { next++; return fs.Delete(victims[next-1]) }},
+	} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call", c.name, allocs)
+		}
+		if got := dev.requests - before; got != c.requests*(runs+1) {
+			t.Errorf("%s: %d requests, want %d fragmented ones per call", c.name, got/(runs+1), c.requests)
+		}
+		before = dev.requests
+	}
+
+	// One page at a time onto one file: the only allocations are the
+	// extent list's amortised doublings.
+	const appends = 1000
+	g := fs.CreateAnon(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < appends/2; i++ {
+			if err := fs.Append(g, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("%d one-page appends allocated %.0f times; want amortised growth only", appends/2, allocs)
+	}
+	if g.Pages() != appends {
+		t.Fatalf("file has %d pages, want %d", g.Pages(), appends)
 	}
 }
 
@@ -381,6 +528,60 @@ func TestAppendDataAndReadAll(t *testing.T) {
 	if err := fs.AppendData(f, nil); err != nil {
 		t.Fatal("empty append should be a no-op")
 	}
+	t.Run("fragmented", testAppendDataFragmented)
+}
+
+// A fragmented append splits the payload over many extents; each must
+// carry its own slice of the data, and only the last is padded.
+func testAppendDataFragmented(t *testing.T) {
+	dev := &dataDev{pages: map[int64][]byte{}}
+	fs, _ := New(dev, 64, 512)
+	// Free runs of 1, 2, 3, 1, 2, 3, ... pages between kept pages.
+	var holes []*File
+	for i := 0; i < 8; i++ {
+		keep, _ := fs.Create(name(i)+".keep", 0)
+		fs.Append(keep, 1)
+		hole, _ := fs.Create(name(i)+".hole", 0)
+		fs.Append(hole, 1+i%3)
+		holes = append(holes, hole)
+	}
+	for _, hole := range holes {
+		fs.Delete(hole)
+	}
+	fs.scan = 0
+	dev.reqs = nil
+	f, _ := fs.Create("blob", 0)
+	payload := make([]byte, 9*512+100) // 10 pages, the last one short
+	rand.New(rand.NewSource(1)).Read(payload)
+	if err := fs.AppendData(f, payload); err != nil {
+		t.Fatal(err)
+	}
+	if f.Pages() != 10 {
+		t.Fatalf("file has %d pages, want 10", f.Pages())
+	}
+	if len(dev.reqs) < 5 {
+		t.Fatalf("append went out as %d requests; the free space was meant to be fragmented", len(dev.reqs))
+	}
+	var sent int
+	for _, r := range dev.reqs {
+		if len(r.Data) != int(r.Pages)*512 {
+			t.Fatalf("request of %d pages carries %d bytes", r.Pages, len(r.Data))
+		}
+		sent += len(r.Data)
+	}
+	if sent != 10*512 {
+		t.Fatalf("requests carry %d bytes, want %d", sent, 10*512)
+	}
+	got, err := fs.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(payload)], payload) {
+		t.Fatal("fragmented append did not read back")
+	}
+	if !bytes.Equal(got[len(payload):], make([]byte, 10*512-len(payload))) {
+		t.Fatal("padding not zeroed")
+	}
 }
 
 func TestReadAllRequiresDataDevice(t *testing.T) {
@@ -436,6 +637,78 @@ func TestLookupGetFiles(t *testing.T) {
 	}
 	if fs.Files() != 1 {
 		t.Fatalf("Files() = %d", fs.Files())
+	}
+}
+
+// Anonymous files have an ID and no directory entry.
+func TestCreateAnon(t *testing.T) {
+	fs, _ := newFS(t)
+	empty, err := fs.Create("", 0) // a file whose name is the empty string
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := fs.CreateAnon(0), fs.CreateAnon(OInsec)
+	if a.ID == b.ID || a.ID == empty.ID || !b.Insecure || a.Insecure {
+		t.Fatalf("anonymous files %+v %+v", a, b)
+	}
+	if got, ok := fs.Get(a.ID); !ok || got != a {
+		t.Fatal("Get misses an anonymous file")
+	}
+	if got, ok := fs.Lookup(""); !ok || got != empty {
+		t.Fatal("an anonymous file shadowed the file named \"\"")
+	}
+	if fs.Files() != 3 {
+		t.Fatalf("Files() = %d, want 3", fs.Files())
+	}
+	if err := fs.Append(a, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fs.Get(a.ID); ok {
+		t.Fatal("deleted anonymous file still found by ID")
+	}
+	if _, ok := fs.Lookup(""); !ok {
+		t.Fatal("deleting an anonymous file unlinked the file named \"\"")
+	}
+	if err := fs.Read(a, 0, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of a deleted file: %v", err)
+	}
+	if fs.Files() != 2 {
+		t.Fatalf("Files() = %d, want 2", fs.Files())
+	}
+}
+
+// Get resolves IDs on both sides of an ID-table page boundary, and a file
+// of another file system is not this one's.
+func TestGetAcrossIDPages(t *testing.T) {
+	fs, _ := newFS(t)
+	var files []*File
+	for i := 0; i < 2*idPage+3; i++ {
+		files = append(files, fs.CreateAnon(0))
+	}
+	for _, i := range []int{0, idPage - 1, idPage, 2*idPage + 2} {
+		if got, ok := fs.Get(files[i].ID); !ok || got != files[i] {
+			t.Fatalf("Get(%d) failed", files[i].ID)
+		}
+	}
+	fs.Delete(files[idPage])
+	if _, ok := fs.Get(files[idPage].ID); ok {
+		t.Fatal("Get found a deleted file")
+	}
+	if _, ok := fs.Get(0); ok {
+		t.Fatal("Get(0) found a file")
+	}
+	if _, ok := fs.Get(uint64(len(files)) + 1); ok {
+		t.Fatal("Get found an ID never issued")
+	}
+	if fs.Files() != len(files)-1 {
+		t.Fatalf("Files() = %d", fs.Files())
+	}
+	other, _ := newFS(t)
+	if err := other.Append(files[0], 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("append to another file system's file: %v", err)
 	}
 }
 

@@ -127,9 +127,7 @@ type Generator struct {
 	SecureFraction float64
 
 	pageBytes int
-	files     []*filesys.File
-	protected map[uint64]bool
-	seq       uint64
+	files     *fileSet
 
 	// Counters for ratio verification.
 	Reads, Writes, Deletes uint64
@@ -155,7 +153,7 @@ func NewGenerator(prof Profile, fs *filesys.FS, pageBytes int, seed int64) *Gene
 		rng:            rand.New(rand.NewSource(seed)),
 		SecureFraction: 1.0,
 		pageBytes:      pageBytes,
-		protected:      map[uint64]bool{},
+		files:          newFileSet(prof.MaxFiles),
 	}
 }
 
@@ -181,7 +179,7 @@ func (g *Generator) Step() (int, error) {
 	// Space governor: force deletes above the utilization target so the
 	// device reaches a GC steady state instead of running out of space.
 	util := 1 - float64(g.fs.FreePages())/float64(g.fs.TotalPages())
-	if util > g.prof.TargetUtilization && len(g.files) > 0 {
+	if util > g.prof.TargetUtilization && g.files.Len() > 0 {
 		return 0, g.deleteOne()
 	}
 
@@ -212,7 +210,7 @@ func (g *Generator) Fill(utilization float64) error {
 			return nil
 		}
 		var err error
-		if len(g.files) < g.prof.MaxFiles && g.rng.Intn(3) > 0 {
+		if g.files.Len() < g.prof.MaxFiles && g.rng.Intn(3) > 0 {
 			_, err = g.createOne()
 		} else {
 			_, err = g.appendOne()
@@ -237,10 +235,11 @@ func (g *Generator) RunPages(pages uint64) error {
 }
 
 func (g *Generator) pick() *filesys.File {
-	if len(g.files) == 0 {
+	if g.files.Len() == 0 {
 		return nil
 	}
-	return g.files[g.rng.Intn(len(g.files))]
+	f, _ := g.files.at(g.rng.Intn(g.files.Len()))
+	return f
 }
 
 func (g *Generator) readOne() error {
@@ -261,7 +260,7 @@ func (g *Generator) readOne() error {
 }
 
 func (g *Generator) createOne() (int, error) {
-	if len(g.files) >= g.prof.MaxFiles {
+	if g.files.Len() >= g.prof.MaxFiles {
 		return g.appendOne()
 	}
 	if g.prof.PairedCreates > 0 && g.rng.Float64() < g.prof.PairedCreates {
@@ -271,11 +270,7 @@ func (g *Generator) createOne() (int, error) {
 	if int64(pages) > g.fs.FreePages() {
 		return 0, g.deleteOne()
 	}
-	f, err := g.newFile()
-	if err != nil {
-		return 0, err
-	}
-	if err := g.fs.Append(f, pages); err != nil {
+	if err := g.fs.Append(g.newFile(), pages); err != nil {
 		return 0, err
 	}
 	g.Writes++
@@ -285,21 +280,15 @@ func (g *Generator) createOne() (int, error) {
 
 // newFile creates and registers an empty file with the profile's flag
 // and protection draws.
-func (g *Generator) newFile() (*filesys.File, error) {
-	g.seq++
+func (g *Generator) newFile() *filesys.File {
 	var flags filesys.OpenFlag
 	if g.rng.Float64() >= g.SecureFraction {
 		flags |= filesys.OInsec
 	}
-	f, err := g.fs.Create(fmt.Sprintf("%s-%08d", g.prof.Name, g.seq), flags)
-	if err != nil {
-		return nil, err
-	}
-	g.files = append(g.files, f)
-	if g.prof.KeepFraction > 0 && g.rng.Float64() < g.prof.KeepFraction {
-		g.protected[f.ID] = true
-	}
-	return f, nil
+	f := g.fs.CreateAnon(flags)
+	keep := g.prof.KeepFraction > 0 && g.rng.Float64() < g.prof.KeepFraction
+	g.files.push(f, keep)
+	return f
 }
 
 // createPair writes two new files in alternating 8-page chunks so their
@@ -310,14 +299,7 @@ func (g *Generator) createPair() (int, error) {
 	if int64(sizes[0]+sizes[1]) > g.fs.FreePages() {
 		return 0, g.deleteOne()
 	}
-	var fs [2]*filesys.File
-	for i := range fs {
-		f, err := g.newFile()
-		if err != nil {
-			return 0, err
-		}
-		fs[i] = f
-	}
+	fs := [2]*filesys.File{g.newFile(), g.newFile()}
 	total := 0
 	remaining := sizes
 	for remaining[0] > 0 || remaining[1] > 0 {
@@ -380,19 +362,18 @@ func (g *Generator) overwriteOne() (int, error) {
 }
 
 func (g *Generator) deleteOne() error {
-	if len(g.files) == 0 {
+	if g.files.Len() == 0 {
 		return nil
 	}
 	// Try a few draws to find a non-protected victim; keep-forever files
 	// are spared unless nothing else exists.
 	for attempt := 0; attempt < 8; attempt++ {
-		i := g.rng.Intn(len(g.files))
-		f := g.files[i]
-		if g.protected[f.ID] && attempt < 7 {
+		i := g.rng.Intn(g.files.Len())
+		f, keep := g.files.at(i)
+		if keep && attempt < 7 {
 			continue
 		}
-		g.files = append(g.files[:i], g.files[i+1:]...)
-		delete(g.protected, f.ID)
+		g.files.remove(i)
 		g.Deletes++
 		return g.fs.Delete(f)
 	}

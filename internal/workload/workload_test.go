@@ -2,6 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"testing"
 
 	"repro/internal/blockio"
@@ -248,3 +252,103 @@ func TestRecordProducesValidTrace(t *testing.T) {
 		t.Fatal("trace round trip lost requests")
 	}
 }
+
+// streamHasher is a null device that folds every field of every request
+// it is handed into a SHA-256, so a golden digest pins the emitted stream
+// byte for byte.
+type streamHasher struct {
+	h hash.Hash
+	n int
+}
+
+func newStreamHasher() *streamHasher { return &streamHasher{h: sha256.New()} }
+
+func (s *streamHasher) Submit(req blockio.Request) (sim.Micros, error) {
+	var b [1 + 8 + 4 + 1 + 8 + 8]byte
+	b[0] = byte(req.Op)
+	binary.LittleEndian.PutUint64(b[1:], uint64(req.LPA))
+	binary.LittleEndian.PutUint32(b[9:], uint32(req.Pages))
+	if req.Insecure {
+		b[13] = 1
+	}
+	binary.LittleEndian.PutUint64(b[14:], req.FileID)
+	binary.LittleEndian.PutUint64(b[22:], uint64(len(req.Data)))
+	s.h.Write(b[:])
+	s.h.Write(req.Data)
+	s.n++
+	return 0, nil
+}
+
+func (s *streamHasher) sum() string { return hex.EncodeToString(s.h.Sum(nil)) }
+
+// Golden request streams. These digests were taken from the slice-backed
+// generator and bit-at-a-time allocator that preceded the order-statistic
+// file set; any change to an RNG draw, a victim choice, an allocated LPA
+// or a request boundary moves them. They are what lets a faster host path
+// claim the simulation below it is untouched.
+func TestGoldenRequestStreams(t *testing.T) {
+	const (
+		logicalPages = 190_000
+		studyPages   = 300_000
+		seed         = 7
+	)
+	recorded := []struct {
+		prof     Profile
+		secure   float64
+		requests int
+		sha      string
+	}{
+		{MailServer(), 1.0, goldenMailN, goldenMail},
+		{DBServer(), 1.0, goldenDBN, goldenDB},
+		{FileServer(), 1.0, goldenFileN, goldenFile},
+		{Mobile(), 1.0, goldenMobileN, goldenMobile},
+		{MailServer(), 0.5, goldenMailHalfN, goldenMailHalf},
+	}
+	for _, c := range recorded {
+		trace, err := Record(c.prof, logicalPages, pageBytes, studyPages, c.secure, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newStreamHasher()
+		for _, r := range trace.Requests {
+			s.Submit(r)
+		}
+		if s.n != c.requests || s.sum() != c.sha {
+			t.Errorf("%s secure=%.1f: %d requests sha %s, want %d %s",
+				c.prof.Name, c.secure, s.n, s.sum(), c.requests, c.sha)
+		}
+	}
+
+	// The experiment shape: prefill to 75 % through Fill, then RunPages,
+	// on the profile that exercises paired creates and protected files.
+	s := newStreamHasher()
+	fs, err := filesys.New(s, logicalPages, pageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(Mobile(), fs, pageBytes, seed)
+	if err := g.Fill(0.75); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RunPages(studyPages); err != nil {
+		t.Fatal(err)
+	}
+	if s.n != goldenFillRunN || s.sum() != goldenFillRun {
+		t.Errorf("Mobile fill+run: %d requests sha %s, want %d %s", s.n, s.sum(), goldenFillRunN, goldenFillRun)
+	}
+}
+
+const (
+	goldenMailN     = 433551
+	goldenMail      = "b1d4bb5476fa6be8d1a67c5a183a100fb020f9b401fc0725b997cfcfc4b56236"
+	goldenDBN       = 61433
+	goldenDB        = "ba92a702346df95fe54861c38f0acc25c949ec3389bb2e647f770f37001346cc"
+	goldenFileN     = 161577
+	goldenFile      = "ede54cbbf4be160bf555824ead14104a276bff33aee2e0d0d17d6ac49d708bd7"
+	goldenMobileN   = 31742
+	goldenMobile    = "05f0d119a7688a3ef2e02e6ddbdfca38d33580aab415106311bc90ebc0a11d2e"
+	goldenMailHalfN = 433551
+	goldenMailHalf  = "e853f38294cbbf4591b1a989573828b0886e222d7bd6557feab58fd0fd958c39"
+	goldenFillRunN  = 65223
+	goldenFillRun   = "4675ab8874dfc2a197485726bd4bb32502913640c65299ea7e73edf06c7d86f4"
+)
