@@ -405,6 +405,37 @@ func BenchmarkFlashOps(b *testing.B) {
 			}
 		}
 	})
+	// One secured single-page overwrite through the whole device: scrSSD
+	// moves the wordline's two siblings and scrubs, erSSD evacuates and
+	// erases the block. allocs/op is the request-level hand-off to the
+	// policy; the page copies themselves are allocation-free
+	// (ssd.TestSanitizeCopiesDoNotAllocate pins the count).
+	overwrite := func(b *testing.B, policy ftl.Policy) {
+		s, err := ssd.New(ssd.Config{
+			Channels: 2, ChipsPerChannel: 2,
+			Chip: nand.Geometry{
+				Blocks: 24, WLsPerBlock: 16, CellKind: vth.TLC,
+				PageBytes: 4096, FlagCells: 9, EnduranceCycles: 1000,
+			},
+			OverProvision: 0.25, GCFreeBlocksLow: 2, QueueDepth: 16,
+			Policy: policy, Seed: 3,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Prefill(0.85, true); err != nil {
+			b.Fatal(err)
+		}
+		logical := int64(s.LogicalPages())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i) * 7 % logical, Pages: 1})
+		}
+		b.ReportMetric(float64(s.FTL().Stats().SanitizeCopies)/float64(b.N), "copies/op")
+	}
+	b.Run("scrSSD-overwrite", func(b *testing.B) { overwrite(b, sanitize.ScrSSD()) })
+	b.Run("erSSD-evacuation", func(b *testing.B) { overwrite(b, sanitize.ErSSD()) })
 }
 
 func benchName(prefix string, v int) string {

@@ -301,11 +301,8 @@ func (d *Device) VerifySanitization() error {
 		if f.Status(ppa).Live() || f.Status(ppa) == ftl.PageFree {
 			continue
 		}
-		chip := d.ssd.Chips()[g.ChipOf(ppa)]
-		res, err := chip.Read(nand.PageAddr{
-			Block: g.BlockInChip(g.BlockOf(ppa)),
-			Page:  g.PageInBlock(ppa),
-		}, 0)
+		chip, block, page := g.Locate(ppa)
+		res, err := d.ssd.Chips()[chip].Read(nand.PageAddr{Block: block, Page: page}, 0)
 		if err != nil {
 			continue // locked or unreadable: sanitized
 		}

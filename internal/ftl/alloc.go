@@ -5,10 +5,8 @@ import "fmt"
 // allocate returns the next free physical page, striping host writes
 // across chips round-robin for channel parallelism.
 func (f *FTL) allocate() (PPA, error) {
-	n := len(f.chips)
-	for i := 0; i < n; i++ {
-		chip := (f.rr() + i) % n
-		if p, err := f.allocateOnChip(chip); err == nil {
+	for i := range f.chips {
+		if p, err := f.allocateOnChip(f.rrChip(i)); err == nil {
 			return p, nil
 		}
 	}
@@ -24,10 +22,23 @@ func (f *FTL) allocate() (PPA, error) {
 		retired, f.geo.TotalBlocks(), f.FreeBlocks(), f.stats.ProgramFailures)
 }
 
-// rr advances the round-robin cursor.
-func (f *FTL) rr() int {
-	f.chips[0].rrOffset++
-	return f.chips[0].rrOffset
+// rrChip advances the round-robin cursor and returns the chip i places
+// past it, for the i-th probe of one allocation. (Every probe advances
+// the cursor and adds its own index, so the probes of a failing
+// allocation step by two; the chip order is simulated behaviour and
+// stays as it is.) The cursor is kept in [0, chips) so neither step
+// needs a division.
+func (f *FTL) rrChip(i int) int {
+	n := len(f.chips)
+	cur := &f.chips[0].rrOffset
+	if *cur++; *cur == n {
+		*cur = 0
+	}
+	chip := *cur + i
+	if chip >= n {
+		chip -= n
+	}
+	return chip
 }
 
 // mustAllocate is allocate for internal relocation paths where failure
@@ -40,6 +51,20 @@ func (f *FTL) mustAllocate() PPA {
 	return p
 }
 
+// allocateNear takes a relocation's destination page: on the source's
+// chip while it has room — which is what lets the move be a copyback —
+// and on any chip otherwise (running truly out of space is a
+// configuration error surfaced by mustAllocate's panic). sameChip
+// reports which of the two happened.
+func (f *FTL) allocateNear(chip int) (p PPA, sameChip bool) {
+	p, err := f.allocateOnChip(chip)
+	if err == nil {
+		return p, true
+	}
+	p = f.mustAllocate()
+	return p, f.geo.ChipOf(p) == chip
+}
+
 // allocateOnChip takes the next page of one of the chip's active blocks,
 // rotating across planes so multi-plane devices keep every plane's
 // frontier warm. With a single plane it reduces to the classic
@@ -47,11 +72,14 @@ func (f *FTL) mustAllocate() PPA {
 func (f *FTL) allocateOnChip(chip int) (PPA, error) {
 	cs := &f.chips[chip]
 	var lastErr error
+	pl := cs.planeCursor
 	for i := 0; i < f.planes; i++ {
-		pl := (cs.planeCursor + i) % f.planes
 		p, err := f.allocateOnPlane(chip, pl)
+		if pl++; pl == f.planes {
+			pl = 0
+		}
 		if err == nil {
-			cs.planeCursor = (pl + 1) % f.planes
+			cs.planeCursor = pl
 			return p, nil
 		}
 		lastErr = err
@@ -82,10 +110,9 @@ func (f *FTL) allocateOnPlane(chip, plane int) (PPA, error) {
 // space. The returned slice is a scratch buffer valid until the next
 // allocateStripe call.
 func (f *FTL) allocateStripe(want int) []PPA {
-	n := len(f.chips)
 	stripe := f.stripeScratch[:0]
-	for i := 0; i < n; i++ {
-		chip := (f.rr() + i) % n
+	for i := range f.chips {
+		chip := f.rrChip(i)
 		for pl := 0; pl < f.planes && len(stripe) < want; pl++ {
 			if p, err := f.allocateOnPlane(chip, pl); err == nil {
 				stripe = append(stripe, p)

@@ -153,7 +153,12 @@ func New(cfg Config, target Target, policy Policy) (*FTL, error) {
 	if target == nil || policy == nil {
 		return nil, fmt.Errorf("ftl: target and policy are required")
 	}
-	g := cfg.Geometry
+	// Resolved from the dimensions here, whatever the caller attached: the
+	// FTL's address arithmetic never trusts a resolver it did not build.
+	g, err := cfg.Geometry.Resolved()
+	if err != nil {
+		return nil, err
+	}
 	f := &FTL{
 		cfg:          cfg,
 		geo:          g,
@@ -771,17 +776,17 @@ func (f *FTL) IssueBLock(block int, pages []PPA) {
 func (f *FTL) IssueScrub(p PPA) {
 	f.stats.Scrubs++
 	done := f.target.Scrub(p, f.reqStart)
-	siblings := f.geo.WLSiblings(p)
+	first := f.geo.WLStart(p)
 	block := f.geo.BlockOf(p)
 	cs := &f.chips[f.geo.ChipOfBlock(block)]
 	pl := f.geo.PlaneOfBlock(block)
-	wlStart := int(siblings[0]) - int(f.geo.FirstPPA(block))
-	wlEnd := wlStart + len(siblings)
+	wlStart := int(first - f.geo.FirstPPA(block))
+	wlEnd := wlStart + f.geo.PagesPerWL
 	if cs.active[pl] == block && cs.frontier[pl] > wlStart && cs.frontier[pl] < wlEnd {
 		f.usedInBlock[block] += int32(wlEnd - cs.frontier[pl])
 		cs.frontier[pl] = wlEnd
 	}
-	for _, s := range siblings {
+	for s := first; s < first+PPA(f.geo.PagesPerWL); s++ {
 		if s != p && f.status[s].Live() {
 			panic(fmt.Sprintf("ftl: scrubbing wordline of page %d would destroy live page %d", p, s))
 		}
@@ -891,7 +896,8 @@ func (f *FTL) RelocateLive(block int) int {
 // the number moved.
 func (f *FTL) RelocateWLSiblings(p PPA) int {
 	moved := 0
-	for _, s := range f.geo.WLSiblings(p) {
+	first := f.geo.WLStart(p)
+	for s := first; s < first+PPA(f.geo.PagesPerWL); s++ {
 		if s == p || !f.status[s].Live() {
 			continue
 		}
@@ -909,13 +915,10 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 	lpa := f.p2l[p]
 	st := f.status[p]
 	file := f.fileOf[p]
+	block := f.geo.BlockOf(p)
+	chip := f.geo.ChipOfBlock(block)
 
-	np, err := f.allocateOnChip(f.geo.ChipOf(p))
-	if err != nil {
-		// Fall back to any chip; running truly out of space is a
-		// configuration error surfaced by allocate's panic path.
-		np = f.mustAllocate()
-	}
+	np, sameChip := f.allocateNear(chip)
 	var progDone sim.Micros
 	retries := 0
 	for {
@@ -923,7 +926,7 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 		f.stats.FlashPrograms++
 		f.stats.GCCopies++
 		var perr error
-		if !f.cfg.NoCopyback && f.geo.ChipOf(np) == f.geo.ChipOf(p) {
+		if !f.cfg.NoCopyback && sameChip {
 			// Same-chip move: the copyback command skips the bus transfers.
 			f.stats.Copybacks++
 			progDone, perr = f.target.Copyback(p, np, f.reqClock)
@@ -946,10 +949,7 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 		if progDone > f.reqClock {
 			f.reqClock = progDone
 		}
-		np, err = f.allocateOnChip(f.geo.ChipOf(p))
-		if err != nil {
-			np = f.mustAllocate()
-		}
+		np, sameChip = f.allocateNear(chip)
 	}
 	if retries > 0 {
 		f.retryDepth.Add(float64(retries))
@@ -980,7 +980,7 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 	}
 
 	// Retire the old copy.
-	f.liveInBlock[f.geo.BlockOf(p)]--
+	f.liveInBlock[block]--
 	f.p2l[p] = -1
 	if f.hooks.Invalidated != nil {
 		f.hooks.Invalidated(p, f.fileOf[p])

@@ -38,12 +38,26 @@ type Geometry struct {
 	// b mod Planes); with Planes > 1 the allocator keeps one active block
 	// per plane and the write path issues multi-plane program groups.
 	Planes int
+
+	// The address arithmetic of the layout (address.go): PPAOf, Locate,
+	// BlockOf, ChipOf, WLStart and the rest are methods of the embedded
+	// resolver, called on the Geometry itself. Nil until Resolved attaches
+	// it — a bare literal has dimensions and totals only.
+	*resolver
 }
 
 // Validate checks the geometry.
 func (g Geometry) Validate() error {
 	if g.Chips <= 0 || g.BlocksPerChip <= 0 || g.PagesPerBlock <= 0 || g.PagesPerWL <= 0 {
-		return fmt.Errorf("ftl: non-positive geometry %+v", g)
+		return fmt.Errorf("ftl: non-positive geometry: %d chips × %d blocks × %d pages, %d pages per wordline",
+			g.Chips, g.BlocksPerChip, g.PagesPerBlock, g.PagesPerWL)
+	}
+	// Judged factor by factor, so an absurd dimension cannot overflow the
+	// product first.
+	if uint64(g.Chips) > MaxPages/uint64(g.BlocksPerChip) ||
+		uint64(g.TotalBlocks()) > MaxPages/uint64(g.PagesPerBlock) {
+		return fmt.Errorf("ftl: %d chips × %d blocks × %d pages exceeds the %d pages a 32-bit PPA can address",
+			g.Chips, g.BlocksPerChip, g.PagesPerBlock, uint64(MaxPages))
 	}
 	if g.PagesPerBlock%g.PagesPerWL != 0 {
 		return fmt.Errorf("ftl: PagesPerBlock %d not a multiple of PagesPerWL %d",
@@ -66,65 +80,14 @@ func (g Geometry) PlaneCount() int {
 	return g.Planes
 }
 
-// PlaneOfBlock returns the plane a device-global block belongs to.
-func (g Geometry) PlaneOfBlock(block int) int {
-	return g.BlockInChip(block) % g.PlaneCount()
-}
-
 // TotalBlocks returns the device-global block count.
 func (g Geometry) TotalBlocks() int { return g.Chips * g.BlocksPerChip }
 
 // TotalPages returns the device-global physical page count.
 func (g Geometry) TotalPages() int { return g.TotalBlocks() * g.PagesPerBlock }
 
-// PPAOf composes a physical page address.
-func (g Geometry) PPAOf(chip, blockInChip, page int) PPA {
-	return PPA((chip*g.BlocksPerChip+blockInChip)*g.PagesPerBlock + page)
-}
-
-// BlockOf returns the device-global block index of a page.
-func (g Geometry) BlockOf(p PPA) int { return int(p) / g.PagesPerBlock }
-
-// ChipOf returns the chip that holds a page.
-func (g Geometry) ChipOf(p PPA) int { return g.BlockOf(p) / g.BlocksPerChip }
-
-// ChipOfBlock returns the chip that holds a device-global block.
-func (g Geometry) ChipOfBlock(block int) int { return block / g.BlocksPerChip }
-
-// BlockInChip converts a device-global block index to a chip-local one.
-func (g Geometry) BlockInChip(block int) int { return block % g.BlocksPerChip }
-
-// PageInBlock returns the page offset of p within its block.
-func (g Geometry) PageInBlock(p PPA) int { return int(p) % g.PagesPerBlock }
-
-// FirstPPA returns the first page of a device-global block.
-func (g Geometry) FirstPPA(block int) PPA { return PPA(block * g.PagesPerBlock) }
-
-// WLStart returns the first page of p's wordline without allocating (the
-// hot-path form of WLSiblings(p)[0]).
-func (g Geometry) WLStart(p PPA) PPA {
-	pib := g.PageInBlock(p)
-	return PPA(int(p) - pib + (pib/g.PagesPerWL)*g.PagesPerWL)
-}
-
-// WLIndex returns the device-global wordline index of a page (the lock
-// manager's coalescing key).
-func (g Geometry) WLIndex(p PPA) int { return int(p) / g.PagesPerWL }
-
 // TotalWLs returns the device-global wordline count.
 func (g Geometry) TotalWLs() int { return g.TotalPages() / g.PagesPerWL }
-
-// WLSiblings returns the physical pages sharing p's wordline (including p
-// itself).
-func (g Geometry) WLSiblings(p PPA) []PPA {
-	pib := g.PageInBlock(p)
-	wlStart := int(p) - pib + (pib/g.PagesPerWL)*g.PagesPerWL
-	out := make([]PPA, g.PagesPerWL)
-	for i := range out {
-		out[i] = PPA(wlStart + i)
-	}
-	return out
-}
 
 // PageStatus is the extended page state of §6.
 type PageStatus uint8

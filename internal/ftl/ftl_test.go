@@ -45,18 +45,13 @@ func TestGeometryHelpers(t *testing.T) {
 	if g.PageInBlock(p) != 5 {
 		t.Fatalf("PageInBlock = %d", g.PageInBlock(p))
 	}
-	sibs := g.WLSiblings(p)
-	if len(sibs) != 3 {
-		t.Fatalf("WLSiblings len %d", len(sibs))
+	// Page 5 is the last slot of WL1 (pages 3,4,5).
+	wl := g.WLStart(p)
+	if g.PageInBlock(wl) != 3 || g.WLSlot(p) != 2 || g.BlockOf(wl) != g.BlockOf(p) {
+		t.Fatalf("WLStart = page %d of block %d, slot %d", g.PageInBlock(wl), g.BlockOf(wl), g.WLSlot(p))
 	}
-	// Page 5 is in WL1 (pages 3,4,5).
-	if g.PageInBlock(sibs[0]) != 3 || g.PageInBlock(sibs[2]) != 5 {
-		t.Fatalf("WLSiblings = %v", sibs)
-	}
-	for _, s := range sibs {
-		if g.BlockOf(s) != g.BlockOf(p) {
-			t.Fatal("sibling crossed a block boundary")
-		}
+	if chip, block, page := g.Locate(p); chip != 1 || block != 2 || page != 5 {
+		t.Fatalf("Locate = (%d, %d, %d)", chip, block, page)
 	}
 }
 
@@ -460,7 +455,8 @@ func TestScrubOpenWordlineSkipsFrontier(t *testing.T) {
 		t.Fatal("expected a scrub")
 	}
 	// The two sibling slots must now be invalid (wasted), not free.
-	for _, s := range f.Geometry().WLSiblings(used) {
+	wl := f.Geometry().WLStart(used)
+	for s := wl; s < wl+ftl.PPA(f.Geometry().PagesPerWL); s++ {
 		if f.Status(s) != ftl.PageInvalid {
 			t.Fatalf("page %d status %v after open-WL scrub, want invalid", s, f.Status(s))
 		}

@@ -47,6 +47,10 @@ type CountingTarget struct {
 
 // New creates a counting target for the geometry.
 func New(geo ftl.Geometry) *CountingTarget {
+	geo, err := geo.Resolved()
+	if err != nil {
+		panic("ftltest: " + err.Error())
+	}
 	return &CountingTarget{
 		Geo:      geo,
 		Timing:   nand.DefaultTiming(),
@@ -67,11 +71,8 @@ func (t *CountingTarget) exec(chip int, d sim.Micros, dep sim.Micros) sim.Micros
 }
 
 func (t *CountingTarget) addr(p ftl.PPA) (int, nand.PageAddr) {
-	chip := t.Geo.ChipOf(p)
-	return chip, nand.PageAddr{
-		Block: t.Geo.BlockInChip(t.Geo.BlockOf(p)),
-		Page:  t.Geo.PageInBlock(p),
-	}
+	chip, block, page := t.Geo.Locate(p)
+	return chip, nand.PageAddr{Block: block, Page: page}
 }
 
 // Read implements ftl.Target.
@@ -215,7 +216,7 @@ func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros)
 	if t.Chips != nil {
 		slots := make([]int, len(pages))
 		for i, p := range pages {
-			slots[i] = t.Geo.PageInBlock(p) % t.Geo.PagesPerWL
+			slots[i] = t.Geo.WLSlot(p)
 		}
 		if _, err := t.Chips[chip].PLockWL(t.Geo.BlockInChip(block), wl, slots, dep); err != nil {
 			panic("ftltest: " + err.Error())
@@ -305,13 +306,17 @@ func kindFor(pagesPerWL int) vth.CellKind {
 // SmallGeometry returns a compact geometry for fast tests: 2 chips × 8
 // blocks × 12 pages (4 TLC wordlines).
 func SmallGeometry() ftl.Geometry {
-	return ftl.Geometry{
+	geo, err := ftl.Geometry{
 		Chips:         2,
 		BlocksPerChip: 8,
 		PagesPerBlock: 12,
 		PagesPerWL:    3,
 		PageBytes:     4096,
+	}.Resolved()
+	if err != nil {
+		panic("ftltest: " + err.Error())
 	}
+	return geo
 }
 
 // SmallConfig returns a matching FTL config with ~25% over-provisioning.

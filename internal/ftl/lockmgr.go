@@ -142,7 +142,7 @@ func (f *FTL) issueLockGroup(gi int) bool {
 	}
 	f.stats.PLockBatches++
 	f.stats.PLockBatchedPages += uint64(len(live))
-	wlInBlock := g.wl - g.block*(f.geo.PagesPerBlock/f.geo.PagesPerWL)
+	wlInBlock := g.wl - f.geo.WLIndex(f.geo.FirstPPA(g.block))
 	done, err := f.batchTarget.PLockWL(g.block, wlInBlock, live, f.reqStart)
 	if err != nil {
 		// The failed pulse left every flag cell unprogrammed (the per-WL

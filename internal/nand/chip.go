@@ -241,6 +241,13 @@ type Chip struct {
 	timing Timing
 	blocks []block
 
+	// Address arithmetic hoisted out of the per-op path at New:
+	// Geometry.PagesPerBlock and PagesPerWL evaluate a CellKind switch, and
+	// page → wordline is a division by a non-power-of-two.
+	pagesPerBlock int
+	pagesPerWL    int
+	wlOfPage      []int32 // page index -> wordline
+
 	model     *vth.Model    // data-cell model (reliability queries)
 	flagModel vth.FlagModel // pAP flag cells
 	sslModel  vth.SSLModel  // bAP / SSL cells
@@ -372,8 +379,15 @@ func New(geo Geometry, opts ...Option) (*Chip, error) {
 		eccLimit: model.ECCLimitRBER,
 		readBuf:  make([]byte, geo.PageBytes),
 		agedBuf:  make([]float64, geo.FlagCells),
+
+		pagesPerBlock: geo.PagesPerBlock(),
+		pagesPerWL:    geo.PagesPerWL(),
 	}
-	ppb := geo.PagesPerBlock()
+	ppb := c.pagesPerBlock
+	c.wlOfPage = make([]int32, ppb)
+	for page := range c.wlOfPage {
+		c.wlOfPage[page] = int32(page / c.pagesPerWL)
+	}
 	for b := range c.blocks {
 		blk := &c.blocks[b]
 		blk.pages = make([][]byte, ppb)
@@ -432,8 +446,8 @@ func (c *Chip) nowDays(now sim.Micros) float64 {
 // 0..bits-1, WL1 the next bits, etc., matching the paper's Fig. 8 layout
 // where the LSB/CSB/MSB pages of a WL have adjacent page numbers.
 func (c *Chip) wlOf(page int) (wl, slot int) {
-	bits := c.geo.PagesPerWL()
-	return page / bits, page % bits
+	wl = int(c.wlOfPage[page])
+	return wl, page - wl*c.pagesPerWL
 }
 
 // PageKindOf returns which page of its wordline (LSB/CSB/MSB) a page
@@ -444,7 +458,8 @@ func (c *Chip) PageKindOf(page int) vth.PageKind {
 }
 
 func (c *Chip) checkAddr(a PageAddr) error {
-	if a.Block < 0 || a.Block >= c.geo.Blocks || a.Page < 0 || a.Page >= c.geo.PagesPerBlock() {
+	// Unsigned compares fold the negative cases into the upper bounds.
+	if uint(a.Block) >= uint(len(c.blocks)) || uint(a.Page) >= uint(c.pagesPerBlock) {
 		return fmt.Errorf("%w: %v", ErrBadAddress, a)
 	}
 	return nil

@@ -407,7 +407,7 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 	if wl < 0 || wl >= c.geo.WLsPerBlock {
 		return 0, fmt.Errorf("%w: wordline %d", ErrBadAddress, wl)
 	}
-	bits := c.geo.PagesPerWL()
+	bits := c.pagesPerWL
 	for _, s := range slots {
 		if s < 0 || s >= bits {
 			return 0, fmt.Errorf("%w: WL slot %d", ErrBadAddress, s)
@@ -469,7 +469,7 @@ func (c *Chip) ApplyPLockWLFail(blockIdx, wl int, slots []int) error {
 	if wl < 0 || wl >= c.geo.WLsPerBlock {
 		return fmt.Errorf("%w: wordline %d", ErrBadAddress, wl)
 	}
-	bits := c.geo.PagesPerWL()
+	bits := c.pagesPerWL
 	for _, s := range slots {
 		if s < 0 || s >= bits {
 			return fmt.Errorf("%w: WL slot %d", ErrBadAddress, s)
@@ -594,7 +594,7 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 		panic(PowerLoss{Op: OpScrub, Addr: a, At: now})
 	}
 	wl, _ := c.wlOf(a.Page)
-	bits := c.geo.PagesPerWL()
+	bits := c.pagesPerWL
 	for slot := 0; slot < bits; slot++ {
 		page := wl*bits + slot
 		if blk.pages[page] != nil {
@@ -743,7 +743,7 @@ func (c *Chip) WritePointer(blockIdx int) int {
 // dump is a pure function of media state, identical in serial and
 // sharded fault modes, and it never perturbs the fault schedule.
 func (c *Chip) ForensicDump(blockIdx int, now sim.Micros) [][]byte {
-	out := make([][]byte, c.geo.PagesPerBlock())
+	out := make([][]byte, c.pagesPerBlock)
 	prev := c.noInject
 	c.noInject = true
 	defer func() { c.noInject = prev }()

@@ -1,0 +1,242 @@
+package ssd
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math/rand"
+	"testing"
+
+	"repro/internal/blockio"
+	"repro/internal/fault"
+	"repro/internal/ftl"
+	"repro/internal/nand"
+	"repro/internal/nand/vth"
+	"repro/internal/sanitize"
+)
+
+// goldenCell is one device configuration of the golden device-state
+// matrix: the experiment package's SmallScale device (2 channels × 4
+// chips, 24 blocks of 16 TLC wordlines, 4-KiB pages) under one policy.
+type goldenCell struct {
+	name       string
+	policy     func() ftl.Policy
+	planes     int
+	faultRate  float64
+	noCopyback bool
+}
+
+func (c goldenCell) config() Config {
+	const (
+		channels, chipsPerChannel = 2, 4
+		blocks, wls, gcLow        = 24, 16, 3
+	)
+	// experiment.buildDevice's over-provisioning rule: the FTL's absolute
+	// per-chip reserve plus a margin.
+	op := float64(gcLow+1)/float64(blocks) + 0.02
+	return Config{
+		Channels:        channels,
+		ChipsPerChannel: chipsPerChannel,
+		Chip: nand.Geometry{
+			Blocks:          blocks,
+			WLsPerBlock:     wls,
+			CellKind:        vth.TLC,
+			PageBytes:       4096,
+			FlagCells:       9,
+			EnduranceCycles: 1000,
+		},
+		OverProvision:   op,
+		GCFreeBlocksLow: gcLow,
+		QueueDepth:      32,
+		Policy:          c.policy(),
+		Seed:            7,
+		Fault:           fault.Uniform(c.faultRate, 7),
+		Planes:          c.planes,
+		NoCopyback:      c.noCopyback,
+	}
+}
+
+// goldenWorkload prefills the device with secured data, then drives a
+// deterministic mix of payload-carrying and timing-only writes, reads
+// and trims — enough invalidations that erSSD evacuates blocks, scrSSD
+// moves wordline siblings and secSSD locks pages and blocks.
+func goldenWorkload(t *testing.T, s *SSD, pageBytes int) {
+	t.Helper()
+	if err := s.Prefill(0.75, true); err != nil {
+		t.Fatal(err)
+	}
+	s.Mark()
+	rng := rand.New(rand.NewSource(4242))
+	logical := int64(s.LogicalPages())
+	payload := make([]byte, 3*pageBytes)
+	for i := 0; i < 5000; i++ {
+		lpa := rng.Int63n(logical - 4)
+		n := int32(1 + rng.Intn(3))
+		switch rng.Intn(10) {
+		case 0, 1:
+			s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: n})
+		case 2, 3:
+			s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: lpa, Pages: n})
+		case 4, 5, 6:
+			rng.Read(payload[:int(n)*pageBytes])
+			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n,
+				Data: payload[:int(n)*pageBytes], FileID: uint64(1 + i%5)})
+		case 7:
+			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, Insecure: true})
+		default:
+			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, FileID: 9})
+		}
+	}
+	s.FlushLocks()
+}
+
+func hashBytes(h hash.Hash, b []byte) {
+	var n [8]byte
+	if b == nil {
+		binary.LittleEndian.PutUint64(n[:], ^uint64(0)) // nil ≠ empty
+	} else {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+	}
+	h.Write(n[:])
+	h.Write(b)
+}
+
+// deviceDigest hashes everything the device exposes after a run: the
+// report, the FTL counters, the fault census, every logical page, and
+// every chip's lock state, write pointers, wear, forensic dump and OOB
+// stamps.
+func deviceDigest(t *testing.T, s *SSD) string {
+	t.Helper()
+	h := sha256.New()
+	rep := s.Report()
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rep, s.FTL().Stats(), s.FaultCounts())
+	for lpa := int64(0); lpa < int64(s.LogicalPages()); lpa++ {
+		data, err := s.ReadLogical(lpa)
+		if err != nil {
+			fmt.Fprintf(h, "lpa %d: %v\n", lpa, err)
+		}
+		hashBytes(h, data)
+	}
+	now := rep.Elapsed
+	geo := s.Geometry()
+	for ci, c := range s.Chips() {
+		for b := 0; b < geo.BlocksPerChip; b++ {
+			locked, err := c.IsBlockLocked(b, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "chip %d block %d: %v %d %d\n", ci, b, locked, c.WritePointer(b), c.PECycles(b))
+			for _, page := range c.ForensicDump(b, now) {
+				hashBytes(h, page)
+			}
+			for pg := 0; pg < geo.PagesPerBlock; pg++ {
+				pr, err := c.ProbePage(nand.PageAddr{Block: b, Page: pg}, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%+v\n", pr)
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// goldenDigests pins the device state each cell ends in. The constants
+// were taken on the commit before the address-resolution rewrite (PPA →
+// chip/block/page by reciprocal multiply instead of division); a change
+// to how addresses are computed must leave every one of them unchanged.
+var goldenDigests = map[string]string{
+	"baseline/planes1/fault0":         "5136cac910543b810b10174155c889078bdc511fd9c0bde7e247c5848c50bb42",
+	"baseline/planes1/fault0.001":     "ba88830efdcf8cd51cf77decee2ceb733b542315a4904b5fefd21d13a6b1b868",
+	"baseline/planes2/fault0":         "ea2b1d4b4d782978680dca9a43f935f46865f43dcba1b89a123e3f1b3bbe4ab0",
+	"baseline/planes2/fault0.001":     "b1ae98b4cec737efabdc2d6c838bebdc67cfb18d3912c3a70821ca4a887a6add",
+	"erSSD/planes1/fault0":            "b13e9ff34bfdb97cba67ff1393cb53139759447da5fe673ff83c6c53ccc6c710",
+	"erSSD/planes1/fault0.001":        "af314ef464dfee4ee264e4d84e858507a68bcf4a74a55478099137d529ec7318",
+	"erSSD/planes2/fault0":            "937f3fab6360fbd5906efe45653d55f0b0199995cf9ecc7082bef0f743b538a9",
+	"erSSD/planes2/fault0.001":        "230f9af86f9754f172fb261438d6ce07afbd5ef543a5cf36597ab69050530d26",
+	"scrSSD/planes1/fault0":           "04f21b1abdc873ccc31e34b754b89d70e726d365d7ea3750dd5ed6dd98ed11aa",
+	"scrSSD/planes1/fault0.001":       "0deedb2ac6157c04f08b3584545ccbeaeabcf06b1751615e17f289208af17195",
+	"scrSSD/planes2/fault0":           "b17d96ae4d2fd31961758affeb893215961c1a365942425267a13605d3625a5a",
+	"scrSSD/planes2/fault0.001":       "9fbd8acc72e8c0b005d15979eff5b89bce58099901385f37bb05efe44e75c27a",
+	"secSSD/planes1/fault0":           "cc62c90ac1ee4884a67502a52905ea37b3a4df5bcd77685fa3c10a97131289ae",
+	"secSSD/planes1/fault0.001":       "99ad2650bbedae81df4af5719dd76e21778d82071d4d60f4796e971e40f89b40",
+	"secSSD/planes2/fault0":           "8500393cabab44cdff75bb018c7f6208619b26a20c5450fbf739eddc0f84397b",
+	"secSSD/planes2/fault0.001":       "ac3d272fe30f499bcedb21415b502f368574515346ef5279bce6bb5d84c80f9a",
+	"erSSD/planes1/fault0/nocopyback": "7445ba38a9a21b2c0e7f100c4aec4e206715bc9556f59c1585fe33e9e0d660d9",
+}
+
+func goldenCells() []goldenCell {
+	policies := []struct {
+		name string
+		mk   func() ftl.Policy
+	}{
+		{"baseline", sanitize.Baseline},
+		{"erSSD", sanitize.ErSSD},
+		{"scrSSD", sanitize.ScrSSD},
+		{"secSSD", sanitize.SecSSD},
+	}
+	var cells []goldenCell
+	for _, p := range policies {
+		for _, planes := range []int{1, 2} {
+			for _, rate := range []float64{0, 1e-3} {
+				cells = append(cells, goldenCell{
+					name:   fmt.Sprintf("%s/planes%d/fault%g", p.name, planes, rate),
+					policy: p.mk, planes: planes, faultRate: rate,
+				})
+			}
+		}
+	}
+	return append(cells, goldenCell{
+		name: "erSSD/planes1/fault0/nocopyback", policy: sanitize.ErSSD, planes: 1, noCopyback: true,
+	})
+}
+
+// TestGoldenDeviceState runs every cell serially and compares the
+// resulting device digest with its pinned constant.
+func TestGoldenDeviceState(t *testing.T) {
+	runGoldenCells(t, 0, func(goldenCell) bool { return true })
+}
+
+// TestGoldenDeviceStateSharded reruns, with deferred channel-sharded
+// execution and against the same constants, the cells where that mode
+// does address arithmetic of its own: multi-plane groups ship packed
+// page ids to the lanes, and fault injection indexes the oracle's page
+// mirror.
+func TestGoldenDeviceStateSharded(t *testing.T) {
+	runGoldenCells(t, 2, func(c goldenCell) bool { return c.planes == 2 && c.faultRate > 0 })
+}
+
+func runGoldenCells(t *testing.T, shardChannels int, want func(goldenCell) bool) {
+	for _, cell := range goldenCells() {
+		if !want(cell) {
+			continue
+		}
+		t.Run(cell.name, func(t *testing.T) {
+			cfg := cell.config()
+			cfg.ShardChannels = shardChannels
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			goldenWorkload(t, s, cfg.Chip.PageBytes)
+			st := s.FTL().Stats()
+			switch {
+			case st.Erases == 0,
+				// erSSD frees blocks by evacuating them; GC never has to run.
+				cell.policy().Name() != "erSSD" && st.GCRuns == 0,
+				cell.policy().Name() == "erSSD" && st.SanitizeCopies == 0,
+				cell.policy().Name() == "scrSSD" && (st.SanitizeCopies == 0 || st.Scrubs == 0),
+				cell.policy().Name() == "secSSD" && (st.PLocks == 0 || st.BLocks == 0),
+				cell.noCopyback != (st.Copybacks == 0),
+				(cell.faultRate > 0) != (s.FaultCounts().OpFails() > 0):
+				t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
+			}
+			got := deviceDigest(t, s)
+			if want := goldenDigests[cell.name]; got != want {
+				t.Errorf("device digest\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+}

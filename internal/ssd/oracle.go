@@ -37,10 +37,9 @@ import (
 type faultOracle struct {
 	inj       []*fault.Injector
 	endurance int
-	ppb       int
+	geo       ftl.Geometry
 
-	// Mirrors, indexed [chip][chip-local block] or [chip][chip-local
-	// block*ppb+page].
+	// Mirrors, indexed [chip][chip-local block] or [chip][pageIndex].
 	peCycles [][]int32
 	pageLen  [][]int32
 	flagged  [][]bool
@@ -55,7 +54,7 @@ func newFaultOracle(cfg Config, geo ftl.Geometry) *faultOracle {
 	o := &faultOracle{
 		inj:       make([]*fault.Injector, nChips),
 		endurance: cfg.Chip.EnduranceCycles,
-		ppb:       geo.PagesPerBlock,
+		geo:       geo,
 		peCycles:  make([][]int32, nChips),
 		pageLen:   make([][]int32, nChips),
 		flagged:   make([][]bool, nChips),
@@ -83,7 +82,9 @@ func (o *faultOracle) counts() fault.Counts {
 	return c
 }
 
-func (o *faultOracle) pageIndex(a nand.PageAddr) int { return a.Block*o.ppb + a.Page }
+// pageIndex numbers a page within its chip — the PPA the same address
+// has on chip 0.
+func (o *faultOracle) pageIndex(a nand.PageAddr) int { return int(o.geo.PPAOf(0, a.Block, a.Page)) }
 
 // program draws the verdict for a deferred single-page program. stored
 // is the pooled payload copy the record will carry; on a failure verdict
@@ -146,8 +147,8 @@ func (o *faultOracle) erase(chip, block int) bool {
 		return true
 	}
 	o.peCycles[chip][block]++
-	base := block * o.ppb
-	for i := base; i < base+o.ppb; i++ {
+	base := o.pageIndex(nand.PageAddr{Block: block})
+	for i := base; i < base+o.geo.PagesPerBlock; i++ {
 		o.pageLen[chip][i] = 0
 		o.flagged[chip][i] = false
 	}
@@ -173,8 +174,8 @@ func (o *faultOracle) plock(chip int, a nand.PageAddr) bool {
 // plockWL draws the verdict for a deferred batched pLock pulse: one draw
 // if any requested slot is still unflagged, none otherwise. A success
 // flags every requested slot (all-or-none pulse).
-func (o *faultOracle) plockWL(chip, block, wl int, slots []int32, pagesPerWL int) bool {
-	base := block*o.ppb + wl*pagesPerWL
+func (o *faultOracle) plockWL(chip, block, wl int, slots []int32) bool {
+	base := o.pageIndex(nand.PageAddr{Block: block, Page: wl * o.geo.PagesPerWL})
 	need := false
 	for _, s := range slots {
 		if !o.flagged[chip][base+int(s)] {
@@ -315,10 +316,11 @@ func (o *faultOracle) rebuild(chips []*nand.Chip) {
 		for b := range o.bLocked[ci] {
 			o.peCycles[ci][b] = int32(c.PECycles(b))
 			o.bLocked[ci][b] = c.SSLProgrammed(b)
-			for p := 0; p < o.ppb; p++ {
+			for p := 0; p < o.geo.PagesPerBlock; p++ {
 				a := nand.PageAddr{Block: b, Page: p}
-				o.pageLen[ci][b*o.ppb+p] = int32(c.PageLen(a))
-				o.flagged[ci][b*o.ppb+p] = c.FlagProgrammed(a)
+				pi := o.pageIndex(a)
+				o.pageLen[ci][pi] = int32(c.PageLen(a))
+				o.flagged[ci][pi] = c.FlagProgrammed(a)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ const (
 const laneDepth = 256
 
 // attemptShift packs a deferred group read's per-page retry count into
-// the high bits of its packed page id (ids are block*pagesPerBlock+page,
+// the high bits of its packed page id (ids are chip-local page numbers,
 // < 2^24 for every modeled geometry; retry counts are < 4).
 const (
 	attemptShift = 24
@@ -263,16 +263,15 @@ func (x *shardExec) exec(lane int, r sim.Record) {
 	}
 }
 
-// unpack decodes packed chip-local page ids (block*pagesPerBlock+page,
-// low attemptShift bits; the high bits may carry retry counts) into the
-// lane's address scratch, plus a matching all-nil datas slice.
+// unpack decodes packed chip-local page ids (see pack; low attemptShift
+// bits — the high bits may carry retry counts) into the lane's address
+// scratch, plus a matching all-nil datas slice.
 func (x *shardExec) unpack(lane int, packed []int32) ([]nand.PageAddr, [][]byte) {
-	ppb := x.s.geo.PagesPerBlock
 	addrs := x.addrs[lane][:0]
 	datas := x.datas[lane][:0]
 	for _, id := range packed {
-		id &= pageIdMask
-		addrs = append(addrs, nand.PageAddr{Block: int(id) / ppb, Page: int(id) % ppb})
+		_, block, page := x.s.geo.Locate(ftl.PPA(id & pageIdMask))
+		addrs = append(addrs, nand.PageAddr{Block: block, Page: page})
 		datas = append(datas, nil)
 	}
 	x.addrs[lane] = addrs
@@ -286,9 +285,10 @@ func must(err error, op string, a nand.PageAddr) {
 	}
 }
 
-// pack encodes a chip-local address as one int32 page id.
+// pack encodes a chip-local address as one int32 page id: the page's
+// number within its chip, which is the PPA the same address has on chip 0.
 func (x *shardExec) pack(a nand.PageAddr) int32 {
-	return int32(a.Block*x.s.geo.PagesPerBlock + a.Page)
+	return int32(x.s.geo.PPAOf(0, a.Block, a.Page))
 }
 
 // Drain blocks until every deferred chip operation has executed. It is

@@ -133,6 +133,7 @@ type SSD struct {
 
 	chipTL []sim.Timeline // one per chip
 	busTL  []sim.Timeline // one per channel
+	chanOf []int          // chip -> channel (chips are channel-major)
 
 	// Closed-loop completion window.
 	window []sim.Micros
@@ -205,6 +206,7 @@ func New(cfg Config) (*SSD, error) {
 		chips:        make([]*nand.Chip, nChips),
 		chipTL:       make([]sim.Timeline, nChips),
 		busTL:        make([]sim.Timeline, cfg.Channels),
+		chanOf:       make([]int, nChips),
 		window:       make([]sim.Micros, cfg.QueueDepth),
 		markChipBusy: make([]sim.Micros, nChips),
 		markChanBusy: make([]sim.Micros, cfg.Channels),
@@ -217,6 +219,7 @@ func New(cfg Config) (*SSD, error) {
 	}
 	s.traceOn = s.tr.Enabled()
 	for i := range s.chips {
+		s.chanOf[i] = i / cfg.ChipsPerChannel
 		opts := []nand.Option{nand.WithSeed(cfg.Seed + int64(i)), nand.WithTiming(cfg.Timing),
 			nand.WithPowerCut(s.cut)}
 		if cfg.Fault.Enabled() && cfg.ShardChannels <= 0 {
@@ -234,14 +237,18 @@ func New(cfg Config) (*SSD, error) {
 		}
 		s.chips[i] = chip
 	}
-	s.geo = ftl.Geometry{
+	geo, err := ftl.Geometry{
 		Chips:         nChips,
 		BlocksPerChip: cfg.Chip.Blocks,
 		PagesPerBlock: cfg.Chip.PagesPerBlock(),
 		PagesPerWL:    cfg.Chip.PagesPerWL(),
 		PageBytes:     cfg.Chip.PageBytes,
 		Planes:        cfg.Chip.PlaneCount(),
+	}.Resolved()
+	if err != nil {
+		return nil, err
 	}
+	s.geo = geo
 	f, err := ftl.New(s.ftlConfig(), s, cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -292,16 +299,13 @@ func (s *SSD) Geometry() ftl.Geometry { return s.geo }
 // LogicalPages returns the exported capacity in pages.
 func (s *SSD) LogicalPages() int { return s.ftl.LogicalPages() }
 
-// channelOf maps a chip to its channel (chips are channel-major).
-func (s *SSD) channelOf(chip int) int { return chip / s.cfg.ChipsPerChannel }
+// channelOf maps a chip to its channel.
+func (s *SSD) channelOf(chip int) int { return s.chanOf[chip] }
 
 // addr converts a device PPA to chip coordinates.
 func (s *SSD) addr(p ftl.PPA) (int, nand.PageAddr) {
-	chip := s.geo.ChipOf(p)
-	return chip, nand.PageAddr{
-		Block: s.geo.BlockInChip(s.geo.BlockOf(p)),
-		Page:  s.geo.PageInBlock(p),
-	}
+	chip, block, page := s.geo.Locate(p)
+	return chip, nand.PageAddr{Block: block, Page: page}
 }
 
 // --- ftl.Target implementation ------------------------------------------
@@ -476,17 +480,17 @@ func (s *SSD) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 
 // Erase implements ftl.Target.
 func (s *SSD) Erase(block int, dep sim.Micros) (sim.Micros, error) {
-	chip := s.geo.ChipOfBlock(block)
+	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
 	var err error
 	if s.shard != nil {
 		var fail int32
-		if s.oracle != nil && s.oracle.erase(chip, s.geo.BlockInChip(block)) {
+		if s.oracle != nil && s.oracle.erase(chip, local) {
 			fail = 1
 			err = nand.ErrEraseFailed
 		}
-		s.shard.post(chip, sim.Record{Kind: opErase, Block: int32(s.geo.BlockInChip(block)), Page2: fail, Aux: int64(dep)})
+		s.shard.post(chip, sim.Record{Kind: opErase, Block: int32(local), Page2: fail, Aux: int64(dep)})
 	} else {
-		_, err = s.chips[chip].Erase(s.geo.BlockInChip(block), dep)
+		_, err = s.chips[chip].Erase(local, dep)
 		if err != nil && !errors.Is(err, nand.ErrEraseFailed) {
 			panic(fmt.Sprintf("ssd: erase failed: %v", err))
 		}
@@ -527,17 +531,17 @@ func (s *SSD) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 
 // BLock implements ftl.Target.
 func (s *SSD) BLock(block int, dep sim.Micros) (sim.Micros, error) {
-	chip := s.geo.ChipOfBlock(block)
+	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
 	var err error
 	if s.shard != nil {
 		var fail int32
-		if s.oracle != nil && s.oracle.block(chip, s.geo.BlockInChip(block)) {
+		if s.oracle != nil && s.oracle.block(chip, local) {
 			fail = 1
 			err = nand.ErrBLockFailed
 		}
-		s.shard.post(chip, sim.Record{Kind: opBLock, Block: int32(s.geo.BlockInChip(block)), Page2: fail, Aux: int64(dep)})
+		s.shard.post(chip, sim.Record{Kind: opBLock, Block: int32(local), Page2: fail, Aux: int64(dep)})
 	} else {
-		_, err = s.chips[chip].BLock(s.geo.BlockInChip(block), dep)
+		_, err = s.chips[chip].BLock(local, dep)
 		if err != nil && !errors.Is(err, nand.ErrBLockFailed) {
 			panic(fmt.Sprintf("ssd: bLock failed: %v", err))
 		}
@@ -573,29 +577,29 @@ func (s *SSD) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 // pAP flags of every given page of the wordline in a single tpLock of
 // chip occupancy (§5).
 func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micros, error) {
-	chip := s.geo.ChipOfBlock(block)
+	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
 	var err error
 	if s.shard != nil {
 		vec := s.shard.slots.Get()
 		for _, p := range pages {
-			vec = append(vec, int32(s.geo.PageInBlock(p)%s.geo.PagesPerWL))
+			vec = append(vec, int32(s.geo.WLSlot(p)))
 		}
 		var fail int32
-		if s.oracle != nil && s.oracle.plockWL(chip, s.geo.BlockInChip(block), wl, vec, s.geo.PagesPerWL) {
+		if s.oracle != nil && s.oracle.plockWL(chip, local, wl, vec) {
 			fail = 1
 			err = nand.ErrPLockFailed
 		}
 		s.shard.post(chip, sim.Record{
-			Kind: opPLockWL, Block: int32(s.geo.BlockInChip(block)), Page: int32(wl),
+			Kind: opPLockWL, Block: int32(local), Page: int32(wl),
 			Page2: fail, Aux: int64(dep), Slots: vec,
 		})
 	} else {
 		slots := s.slotScratch[:0]
 		for _, p := range pages {
-			slots = append(slots, s.geo.PageInBlock(p)%s.geo.PagesPerWL)
+			slots = append(slots, s.geo.WLSlot(p))
 		}
 		s.slotScratch = slots
-		_, err = s.chips[chip].PLockWL(s.geo.BlockInChip(block), wl, slots, dep)
+		_, err = s.chips[chip].PLockWL(local, wl, slots, dep)
 		if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
 			panic(fmt.Sprintf("ssd: batched pLock failed: %v", err))
 		}
@@ -829,7 +833,9 @@ func (s *SSD) Submit(req blockio.Request) (sim.Micros, error) {
 		return done, err
 	}
 	s.window[s.wIdx] = done
-	s.wIdx = (s.wIdx + 1) % len(s.window)
+	if s.wIdx++; s.wIdx == len(s.window) {
+		s.wIdx = 0
+	}
 	if done > s.makespan {
 		s.makespan = done
 	}
