@@ -8,8 +8,7 @@
 // Usage:
 //
 //	benchguard -baseline ci/bench_baseline.json -fresh BENCH_parallel.json
-//	           [-batching BENCH_batching.json] [-engine BENCH_engine.json]
-//	           [-threshold 0.20] [-smoke-sec SECONDS]
+//	           [-batching BENCH_batching.json] [-threshold 0.20]
 //
 // Guarded quantities, each against its own baseline value: serial
 // campaign throughput, 4-worker campaign throughput (both in grid-cells
@@ -22,21 +21,12 @@
 // Pass -batching "" to skip the batching report (e.g. for historical
 // baselines).
 //
-// From BENCH_engine.json, the event-kernel gates: a dispatch-rate floor
-// on the ladder/record path (events per second against the baseline),
-// the 0-allocs/op canary for the steady-state loop, and the sharded
-// speedup floors — one per shard count (2/4/8), each enforced only on
-// runners with at least that many CPUs. Speedups are keyed off the
-// reports' skip notes, not a zero value: a single-CPU runner records
-// "skipped_single_cpu" and omits the numbers (that would only measure
-// goroutine-scheduling noise), and benchguard skips those floors. A
-// MULTI-CPU runner that fails to measure a gated speedup is a
-// regression, not a skip — the silent-skip-forever failure mode is the
-// thing this gate exists to prevent. Pass -engine "" to skip.
-//
-// -smoke-sec feeds the CI wall-clock smoke gate: the measured seconds of
-// the reduced default-scale secssd-bench run, compared against the
-// baseline's smoke_budget_sec with a fixed 25% allowance.
+// The parallel speedup is keyed off the report's skip note, not a zero
+// value: a single-CPU runner records "skipped_single_cpu" and omits the
+// number (that would only measure goroutine-scheduling noise), and
+// benchguard skips the floor. A MULTI-CPU runner that fails to measure
+// it is a regression, not a skip — the silent-skip-forever failure mode
+// is the thing this gate exists to prevent.
 package main
 
 import (
@@ -66,32 +56,6 @@ type report struct {
 	BatchingDisabledIOPS float64 `json:"batching_disabled_iops,omitempty"`
 	BatchingEnabledIOPS  float64 `json:"batching_enabled_iops,omitempty"`
 	BatchingMinSpeedup   float64 `json:"batching_min_speedup,omitempty"`
-	// Baseline-only: event-kernel gates for BENCH_engine.json (see
-	// engineReport). EngineAllocsPerOp is expected to stay exactly 0.
-	// The sharded floors gate per cell, each only on runners with at
-	// least that many CPUs.
-	EngineEventsPerSec       float64 `json:"engine_events_per_sec,omitempty"`
-	EngineAllocsPerOp        float64 `json:"engine_allocs_per_op"`
-	EngineMinShardedSpeedup  float64 `json:"engine_min_sharded_speedup,omitempty"`
-	EngineMinSharded4Speedup float64 `json:"engine_min_sharded_speedup_4,omitempty"`
-	EngineMinSharded8Speedup float64 `json:"engine_min_sharded_speedup_8,omitempty"`
-	// Baseline-only: wall-clock budget (seconds) for the CI smoke run of
-	// the reduced default-scale campaign, gated via -smoke-sec.
-	SmokeBudgetSec float64 `json:"smoke_budget_sec,omitempty"`
-}
-
-// engineReport mirrors the BENCH_engine.json schema written by
-// BenchmarkEventKernel (engine_bench_test.go). The speedup pointers
-// follow the same not-measured-vs-zero discipline as report.Speedup.
-type engineReport struct {
-	NumCPU             int      `json:"num_cpu"`
-	EventsPerSecHeap   float64  `json:"events_per_sec_heap"`
-	EventsPerSecLadder float64  `json:"events_per_sec_ladder"`
-	EngineAllocsPerOp  float64  `json:"engine_allocs_per_op"`
-	ShardedSpeedup     *float64 `json:"sharded_speedup,omitempty"`
-	Sharded4Speedup    *float64 `json:"sharded4_speedup,omitempty"`
-	Sharded8Speedup    *float64 `json:"sharded8_speedup,omitempty"`
-	ShardedNote        string   `json:"sharded_note"`
 }
 
 // batchingReport mirrors the BENCH_batching.json schema written by
@@ -167,83 +131,6 @@ func compare(baseline, fresh report, threshold float64) []string {
 	return bad
 }
 
-// compareEngine guards the event-kernel dispatch rate and its
-// 0-allocs/op canary. The sharded-speedup floor is honored only when
-// the fresh report measured one (multi-CPU runner, no skip note).
-func compareEngine(baseline report, fresh engineReport, threshold float64) []string {
-	var bad []string
-	if base := baseline.EngineEventsPerSec; base > 0 {
-		status := "ok"
-		if fresh.EventsPerSecLadder < base*(1-threshold) {
-			status = "REGRESSED"
-			bad = append(bad, fmt.Sprintf("engine events/sec: baseline %.0f, fresh %.0f (%.0f%% worse)",
-				base, fresh.EventsPerSecLadder, (base/fresh.EventsPerSecLadder-1)*100))
-		}
-		fmt.Printf("%-28s baseline %10.0f   fresh %10.0f   %s\n",
-			"engine events/sec", base, fresh.EventsPerSecLadder, status)
-	}
-	// Zero-alloc canary: the baseline guarantee is exact, not a ratio.
-	status := "ok"
-	if fresh.EngineAllocsPerOp > baseline.EngineAllocsPerOp+0.5 {
-		status = "REGRESSED"
-		bad = append(bad, fmt.Sprintf("engine allocs/op: baseline %.3f, fresh %.3f",
-			baseline.EngineAllocsPerOp, fresh.EngineAllocsPerOp))
-	}
-	fmt.Printf("%-28s baseline %10.3f   fresh %10.3f   %s\n",
-		"engine allocs/op", baseline.EngineAllocsPerOp, fresh.EngineAllocsPerOp, status)
-	// Per-cell sharded speedup floors. Each cell gates only on runners
-	// with at least that many CPUs — a smaller machine skips it honestly.
-	// On a runner big enough to gate, the number must exist: a skip note
-	// or a missing speedup there would let the floor silently never fire
-	// again, so it fails instead.
-	cell := func(name string, floor float64, cpus int, sp *float64) {
-		if floor <= 0 {
-			return
-		}
-		if fresh.NumCPU < cpus {
-			fmt.Printf("%-28s skipped (num_cpu %d < %d)\n", name, fresh.NumCPU, cpus)
-			return
-		}
-		if fresh.ShardedNote != "" || sp == nil {
-			bad = append(bad, fmt.Sprintf("%s: not measured on a %d-CPU runner (note=%q)",
-				name, fresh.NumCPU, fresh.ShardedNote))
-			fmt.Printf("%-28s fresh not measured on %d CPUs   REGRESSED\n", name, fresh.NumCPU)
-			return
-		}
-		status := "ok"
-		if *sp < floor {
-			status = "REGRESSED"
-			bad = append(bad, fmt.Sprintf("%s floor: need >= %.2fx, fresh %.2fx", name, floor, *sp))
-		}
-		fmt.Printf("%-28s floor    %10.3f   fresh %10.3f   %s\n", name, floor, *sp, status)
-	}
-	cell("engine sharded-2 speedup", baseline.EngineMinShardedSpeedup, 2, fresh.ShardedSpeedup)
-	cell("engine sharded-4 speedup", baseline.EngineMinSharded4Speedup, 4, fresh.Sharded4Speedup)
-	cell("engine sharded-8 speedup", baseline.EngineMinSharded8Speedup, 8, fresh.Sharded8Speedup)
-	return bad
-}
-
-// compareSmoke gates the CI wall-clock smoke: the measured seconds of
-// the reduced default-scale run against the baseline budget, with a
-// fixed 25% allowance for runner noise.
-func compareSmoke(baseline report, smokeSec float64) []string {
-	const allowance = 0.25
-	if baseline.SmokeBudgetSec <= 0 {
-		fmt.Printf("%-28s skipped (no smoke_budget_sec in baseline)\n", "smoke wall-clock")
-		return nil
-	}
-	limit := baseline.SmokeBudgetSec * (1 + allowance)
-	status := "ok"
-	var bad []string
-	if smokeSec > limit {
-		status = "REGRESSED"
-		bad = append(bad, fmt.Sprintf("smoke wall-clock: budget %.1fs (+%d%% = %.1fs), measured %.1fs",
-			baseline.SmokeBudgetSec, int(allowance*100), limit, smokeSec))
-	}
-	fmt.Printf("%-28s budget   %10.3f   fresh %10.3f   %s\n", "smoke wall-clock", limit, smokeSec, status)
-	return bad
-}
-
 // compareBatching guards the amortization metrics. Simulated IOPS is
 // deterministic, so the threshold only absorbs intentional model
 // changes, and the speedup floor is an absolute acceptance bar rather
@@ -292,9 +179,7 @@ func main() {
 	baselinePath := flag.String("baseline", "ci/bench_baseline.json", "committed baseline report")
 	freshPath := flag.String("fresh", "BENCH_parallel.json", "freshly generated report")
 	batchingPath := flag.String("batching", "BENCH_batching.json", "freshly generated batching report ('' skips)")
-	enginePath := flag.String("engine", "BENCH_engine.json", "freshly generated event-kernel report ('' skips)")
 	threshold := flag.Float64("threshold", 0.20, "allowed regression fraction")
-	smokeSec := flag.Float64("smoke-sec", 0, "measured smoke-run wall clock in seconds (0 skips)")
 	flag.Parse()
 
 	baseline, err := load(*baselinePath)
@@ -319,21 +204,6 @@ func main() {
 			os.Exit(2)
 		}
 		bad = append(bad, compareBatching(baseline, batching, *threshold)...)
-	}
-	if *enginePath != "" {
-		var engine engineReport
-		data, err := os.ReadFile(*enginePath)
-		if err == nil {
-			err = json.Unmarshal(data, &engine)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard:", err)
-			os.Exit(2)
-		}
-		bad = append(bad, compareEngine(baseline, engine, *threshold)...)
-	}
-	if *smokeSec > 0 {
-		bad = append(bad, compareSmoke(baseline, *smokeSec)...)
 	}
 	if len(bad) > 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: throughput regression beyond threshold:")

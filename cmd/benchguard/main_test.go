@@ -101,46 +101,6 @@ func TestCompareSpeedupGate(t *testing.T) {
 	}
 }
 
-func TestCompareEngineCells(t *testing.T) {
-	base := report{
-		EngineMinShardedSpeedup:  1.1,
-		EngineMinSharded4Speedup: 2.0,
-		EngineMinSharded8Speedup: 4.0,
-	}
-	cases := []struct {
-		name  string
-		fresh engineReport
-		bad   int
-	}{
-		{"single cpu skips all cells", engineReport{NumCPU: 1, ShardedNote: "skipped_single_cpu"}, 0},
-		{"4 cpus gates 2 and 4 only", engineReport{NumCPU: 4, ShardedSpeedup: fp(1.3), Sharded4Speedup: fp(2.4)}, 0},
-		{"4 cpus unmeasured", engineReport{NumCPU: 4, ShardedNote: "skipped_single_cpu"}, 2},
-		{"8 cpus healthy", engineReport{NumCPU: 8, ShardedSpeedup: fp(1.3), Sharded4Speedup: fp(2.4), Sharded8Speedup: fp(4.5)}, 0},
-		{"8 cpus below 8-shard floor", engineReport{NumCPU: 8, ShardedSpeedup: fp(1.3), Sharded4Speedup: fp(2.4), Sharded8Speedup: fp(3.2)}, 1},
-		{"8 cpus missing 8-shard cell", engineReport{NumCPU: 8, ShardedSpeedup: fp(1.3), Sharded4Speedup: fp(2.4)}, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := compareEngine(base, tc.fresh, 0.20); len(got) != tc.bad {
-				t.Fatalf("compareEngine flagged %d regressions (%v), want %d", len(got), got, tc.bad)
-			}
-		})
-	}
-}
-
-func TestCompareSmoke(t *testing.T) {
-	base := report{SmokeBudgetSec: 30}
-	if got := compareSmoke(base, 35); len(got) != 0 {
-		t.Fatalf("within-allowance smoke flagged %v", got)
-	}
-	if got := compareSmoke(base, 40); len(got) != 1 {
-		t.Fatalf("over-budget smoke flagged %v, want 1", got)
-	}
-	if got := compareSmoke(report{}, 40); len(got) != 0 {
-		t.Fatalf("budget-less baseline flagged %v", got)
-	}
-}
-
 func TestCompareBatching(t *testing.T) {
 	base := report{
 		BatchingDisabledIOPS: 355,

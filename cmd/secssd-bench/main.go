@@ -10,10 +10,8 @@
 //	             [-workloads MailServer,DBServer,FileServer,Mobile]
 //	             [-planes N] [-no-cache-pipeline]
 //	             [-batch] [-batch-deadline US] [-batch-threshold N]
-//	             [-shard-channels N] [-shard-stats lanes.json]
 //	             [-fault-rate R] [-fault-seed S] [-study-pages N]
 //	             [-csv] [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	             [-mutexprofile mutex.prof] [-blockprofile block.prof]
 //
 // -planes stripes writes over N planes per chip with shared-pulse
 // multi-plane commands; -batch enables wordline-aware pLock batching
@@ -31,19 +29,8 @@
 //
 // -parallel runs the independent workload×policy simulations on N
 // workers (default: one per CPU); results are bit-identical to serial.
-//
-// -shard-channels parallelizes WITHIN each simulated device: chip-state
-// mutation is deferred onto N worker lanes (chips partitioned channel-
-// major) while the coordinator computes the timing model. Output is
-// bit-identical to -shard-channels 0, and it composes with -fault-rate:
-// the coordinator's fault oracle pre-decides every verdict in serial
-// call order, so the injected schedule is bit-identical too.
-// -shard-stats (requires -shard-channels > 0) runs a single
-// workload×policy cell and writes the per-lane utilization counters and
-// chip→lane map as JSON — the first thing to inspect when a sharded run
-// fails to scale. -study-pages overrides the scale's measured write
-// volume (the CI wall-clock smoke uses it to time a reduced
-// default-scale run).
+// Each simulated device runs on one goroutine. -study-pages overrides
+// the scale's measured write volume.
 //
 // Tracing mode (runs ONE workload×policy instead of the figure sweep):
 //
@@ -96,7 +83,6 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -111,8 +97,6 @@ func main() {
 	batch := flag.Bool("batch", false, "enable wordline-aware pLock batching")
 	batchDeadline := flag.Int64("batch-deadline", 0, "µs a partial wordline group may defer (0: flush per request)")
 	batchThreshold := flag.Int("batch-threshold", 0, "force-flush the lock queue at N pages (0: none)")
-	shardChannels := flag.Int("shard-channels", 0, "chip-execution worker lanes per device (0: serial; bit-identical)")
-	shardStats := flag.String("shard-stats", "", "run one cell and write per-lane utilization JSON here (needs -shard-channels)")
 	studyPages := flag.Int("study-pages", 0, "override the scale's measured write volume (0: scale default)")
 	csv := flag.Bool("csv", false, "emit CSV")
 	traceFile := flag.String("trace", "", "capture one traced run and write Chrome trace_event JSON here")
@@ -131,14 +115,9 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 0, "fault-schedule seed (0: use the run seed)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here on exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile here on exit")
-	blockprofile := flag.String("blockprofile", "", "write a blocking profile here on exit")
 	flag.Parse()
 
-	stopProf, err := prof.StartAll(prof.Options{
-		CPU: *cpuprofile, Mem: *memprofile,
-		Mutex: *mutexprofile, Block: *blockprofile,
-	})
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "secssd-bench:", err)
 		os.Exit(1)
@@ -165,16 +144,11 @@ func main() {
 	sc.FaultSeed = *faultSeed
 	sc.Planes = *planes
 	sc.NoCachePipeline = *noCachePipe
-	sc.ShardChannels = *shardChannels
 	if *studyPages > 0 {
 		sc.StudyPages = uint64(*studyPages)
 		if sc.SlowPolicyStudyPages > sc.StudyPages {
 			sc.SlowPolicyStudyPages = sc.StudyPages
 		}
-	}
-	if *shardStats != "" && sc.ShardChannels <= 0 {
-		fmt.Fprintln(os.Stderr, "secssd-bench: -shard-stats requires -shard-channels > 0")
-		die(2)
 	}
 	if *batch {
 		sc.LockBatch = ftl.LockBatchConfig{
@@ -220,14 +194,6 @@ func main() {
 			}
 			profiles = append(profiles, p)
 		}
-	}
-
-	if *shardStats != "" {
-		if err := runShardStats(sc, profiles, *tracePolicy, *shardStats); err != nil {
-			fmt.Fprintln(os.Stderr, "secssd-bench:", err)
-			die(1)
-		}
-		return
 	}
 
 	if *traceFile != "" || *traceJSONL != "" || *statsJSON != "" ||
@@ -311,8 +277,8 @@ func printDeviceConfig(sc experiment.Scale, scaleName string) {
 	}
 	fmt.Printf("# device: %d channels x %d chips, %d blocks/chip, %d WLs/block (TLC), %d B pages\n",
 		experiment.Channels, experiment.ChipsPerChannel, sc.BlocksPerChip, sc.WLsPerBlock, sc.PageBytes)
-	fmt.Printf("# parallelism: planes=%d cache-pipeline=%s queue-depth=32 plock-batching=%s shard-channels=%d\n",
-		planes, pipeline, batching, sc.ShardChannels)
+	fmt.Printf("# parallelism: planes=%d cache-pipeline=%s queue-depth=32 plock-batching=%s\n",
+		planes, pipeline, batching)
 }
 
 // printAblation prints the amortization ladder's absolute and
@@ -407,73 +373,6 @@ func runAttack(seed int64, powerCut uint64, jsonPath string, workers int) (bool,
 		fmt.Printf("attack scores written to %s\n", jsonPath)
 	}
 	return verdict.Pass, nil
-}
-
-// shardStatsReport is the -shard-stats document: one cell's identity
-// plus the lane utilization snapshot.
-type shardStatsReport struct {
-	Workload      string         `json:"workload"`
-	Policy        string         `json:"policy"`
-	ShardChannels int            `json:"shard_channels"`
-	Requests      uint64         `json:"requests"`
-	Stats         ssd.ShardStats `json:"stats"`
-}
-
-// runShardStats executes one workload×policy cell with sharding on and
-// writes the per-lane utilization counters — how evenly the deferred
-// chip work spread over the worker lanes.
-func runShardStats(sc experiment.Scale, profiles []workload.Profile, policyName, path string) error {
-	policy, err := experiment.PolicyByName(policyName)
-	if err != nil {
-		return err
-	}
-	wl := workload.MailServer()
-	if len(profiles) > 0 {
-		wl = profiles[0]
-	}
-	run, stats, err := experiment.ExecuteShardStats(wl, policy, 1.0, sc, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shard stats: %s × %s — %d lanes\n", run.Workload, run.Policy, stats.Lanes)
-	var total uint64
-	for _, n := range stats.Posted {
-		total += n
-	}
-	for lane, n := range stats.Posted {
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(n) / float64(total)
-		}
-		var chips []int
-		for chip, l := range stats.LaneOf {
-			if l == lane {
-				chips = append(chips, chip)
-			}
-		}
-		fmt.Printf("  lane %2d: %9d ops (%5.1f%%)  chips %v\n", lane, n, share, chips)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(shardStatsReport{
-		Workload:      run.Workload,
-		Policy:        run.Policy,
-		ShardChannels: sc.ShardChannels,
-		Requests:      run.Report.Requests,
-		Stats:         stats,
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shard stats written to %s\n", path)
-	return nil
 }
 
 // traceArtifacts names the output files of one traced run.

@@ -40,8 +40,10 @@ func runSecvet(t *testing.T, bin, dir string) (int, string) {
 }
 
 // The acceptance check from the issue: reintroducing the DrainPending
-// map-range bug or leaking ReadResult.Data into a struct field must
-// make secvet exit nonzero, naming the violated rule.
+// map-range bug, leaking ReadResult.Data into a struct field, or firing
+// a destruction hook without its ledger event (a dataflow rule, through
+// the real loader) must make secvet exit nonzero, naming the violated
+// rule.
 func TestSecvetFailsOnBadModule(t *testing.T) {
 	bin := buildSecvet(t)
 	code, out := runSecvet(t, bin, filepath.Join("testdata", "badmodule"))
@@ -51,7 +53,7 @@ func TestSecvetFailsOnBadModule(t *testing.T) {
 	for _, want := range []string{
 		"determinism: map iteration order feeds append",
 		"aliasing: nand.ReadResult.Data stored outside the read's statement block",
-		"poolcheck: buf used after Put",
+		"auditcheck: hooks.Destroyed fires without an audit.KindDestroy event",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -93,7 +95,7 @@ func TestSecvetJSONOutput(t *testing.T) {
 		}
 		rules[f.Rule] = true
 	}
-	for _, want := range []string{"determinism", "aliasing", "poolcheck"} {
+	for _, want := range []string{"determinism", "aliasing", "auditcheck"} {
 		if !rules[want] {
 			t.Errorf("no %s finding in JSON output:\n%s", want, stdout.String())
 		}

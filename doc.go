@@ -15,7 +15,7 @@
 //     (extended page status table, lock manager) and the five evaluated
 //     sanitization configurations;
 //   - internal/ssd — the SecureSSD device model (channels × chips,
-//     discrete timing, closed-loop IOPS measurement);
+//     per-chip and per-bus timelines, closed-loop IOPS measurement);
 //   - internal/filesys, internal/workload — the host stack: an
 //     ext4-like file layer with the O_INSEC interface and the four
 //     Table 2 workload generators;

@@ -3,8 +3,7 @@ package analysis
 // All returns the full secvet suite in its canonical order: the v1
 // AST walkers first, then the v2 dataflow analyzers.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Aliasing, Lockcheck, Tracecheck,
-		Poolcheck, Shardcheck, Auditcheck}
+	return []*Analyzer{Determinism, Aliasing, Lockcheck, Tracecheck, Auditcheck}
 }
 
 // ByName returns the analyzer with the given rule name, or nil.

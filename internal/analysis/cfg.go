@@ -1,8 +1,8 @@
 package analysis
 
 // Control-flow graph construction over go/ast, the substrate of the v2
-// dataflow analyzers (poolcheck, shardcheck, auditcheck). The graph is
-// intraprocedural and deliberately simple: basic blocks hold "simple"
+// dataflow analyzer (auditcheck). The graph is intraprocedural and
+// deliberately simple: basic blocks hold "simple"
 // statements and the expressions of branch conditions, in evaluation
 // order; compound statements (if/for/range/switch/select) contribute
 // edges, not nodes. Function literals are NOT inlined — each FuncLit

@@ -1,9 +1,7 @@
 package analysis
 
-// Forward dataflow iteration over a CFG. The three v2 analyzers share
-// this loop: poolcheck runs a lifetime lattice over pooled payloads,
-// shardcheck a config-combination lattice, auditcheck an obligation
-// lattice. States are opaque to the iterator; the analysis supplies
+// Forward dataflow iteration over a CFG; auditcheck runs an obligation
+// lattice on it. States are opaque to the iterator; the analysis supplies
 // transfer, join, and equality. Termination is guaranteed for monotone
 // finite lattices; a visit budget bounds the loop for everything else
 // (the fuzz target in dataflow_test.go hunts for shapes that exhaust

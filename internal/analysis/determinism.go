@@ -36,12 +36,7 @@ var globalRandFuncs = map[string]bool{
 //   - in simulation packages, `for range` over a map whose body appends
 //     to a slice, sends on a channel, or feeds the trace/metrics layer —
 //     the exact shape of the ftl.DrainPending bug PR 2 fixed, where map
-//     iteration order leaked into the simulated command schedule, and
-//   - in simulation packages, `for range` over a map whose body schedules
-//     through the event kernel (sim.At/After/AtRecord/AfterRecord, the
-//     sharded engine's Send/SendEvent, or a Lanes.Post) — event sequence
-//     numbers are assigned at scheduling time, so map order would decide
-//     FIFO tiebreaks and shard-merge order.
+//     iteration order leaked into the simulated command schedule.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag wall-clock reads, global math/rand, and order-sensitive map iteration " +
@@ -65,17 +60,6 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// schedulingSinks are the sim-package entry points that assign event
-// ordering at call time: same-timestamp events fire in scheduling order
-// (seq), staged cross-shard sends merge by per-source sequence, and
-// Lanes.Post enqueues into a FIFO worker. Reaching any of them from a
-// map range makes the map's iteration order part of the simulated
-// schedule.
-var schedulingSinks = map[string]bool{
-	"At": true, "After": true, "AtRecord": true, "AfterRecord": true,
-	"Send": true, "SendEvent": true, "Post": true,
 }
 
 // sortFuncs are the sort/slices entry points that normalize order.
@@ -177,13 +161,6 @@ func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 					pass.Reportf(rng.For,
 						"map iteration order feeds %s.%s at %s: trace/metrics streams must be "+
 							"deterministic across runs", name, fn.Name(), pass.Fset.Position(n.Pos()))
-					return false
-				}
-				if fn.Pkg().Name() == "sim" && schedulingSinks[fn.Name()] {
-					pass.Reportf(rng.For,
-						"map iteration order feeds the event queue via sim.%s at %s: event sequence "+
-							"numbers are assigned at scheduling time, so iterate a sorted key slice",
-						fn.Name(), pass.Fset.Position(n.Pos()))
 					return false
 				}
 			}

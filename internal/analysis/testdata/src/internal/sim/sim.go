@@ -63,30 +63,3 @@ func sliceRange(pages []int, ch chan int) {
 		ch <- p
 	}
 }
-
-// engine mimics the event kernel's scheduling surface: same-timestamp
-// events fire in scheduling (seq) order, so reaching these sinks from a
-// map range bakes the map's iteration order into the simulated schedule.
-type engine struct{}
-
-func (e *engine) AtRecord(t int64, r int) {}
-func (e *engine) After(d int64, f func()) {}
-func (e *engine) Post(lane int, r int)    {}
-
-func mapSchedule(m map[int]int, e *engine) {
-	for k := range m { // want `map iteration order feeds the event queue via sim.AtRecord`
-		e.AtRecord(int64(k), k)
-	}
-}
-
-func mapPost(m map[int]int, e *engine) {
-	for k := range m { // want `map iteration order feeds the event queue via sim.Post`
-		e.Post(0, k)
-	}
-}
-
-func sliceSchedule(keys []int, e *engine) {
-	for _, k := range keys { // ok: slice iteration is ordered
-		e.AtRecord(int64(k), k)
-	}
-}

@@ -82,7 +82,6 @@ func ExecuteAudited(prof workload.Profile, policy ftl.Policy, secureFraction flo
 	if err != nil {
 		return Run{}, err
 	}
-	defer dev.Close()
 	fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
 	if err != nil {
 		return Run{}, err

@@ -60,13 +60,6 @@ type Scale struct {
 	Planes          int
 	NoCachePipeline bool
 	LockBatch       ftl.LockBatchConfig
-	// ShardChannels enables the device's deferred channel-sharded
-	// execution (ssd.Config.ShardChannels): chip-state mutation runs on
-	// this many parallel lanes while the coordinator computes the timing
-	// model. Results are bit-identical to serial runs, including with
-	// FaultRate > 0: the coordinator's fault oracle pre-decides every
-	// verdict in serial call order, so the two compose.
-	ShardChannels int
 }
 
 // FaultConfig returns the scale's fault-injection configuration (the
@@ -174,23 +167,13 @@ func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 // trace covers the prefill phase too — use the recorded horizon and the
 // host events to separate phases if needed.
 func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, error) {
-	run, _, err := ExecuteShardStats(prof, policy, secureFraction, sc, tr)
-	return run, err
-}
-
-// ExecuteShardStats is ExecuteTraced plus a snapshot of the sharded
-// execution machinery's lane-utilization counters, captured after the
-// run settles and before the device closes. The stats are the zero value
-// when sc.ShardChannels == 0.
-func ExecuteShardStats(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, ssd.ShardStats, error) {
 	dev, err := buildDevice(policy, sc, tr)
 	if err != nil {
-		return Run{}, ssd.ShardStats{}, err
+		return Run{}, err
 	}
-	defer dev.Close()
 	fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
 	if err != nil {
-		return Run{}, ssd.ShardStats{}, err
+		return Run{}, err
 	}
 	gen := workload.NewGenerator(prof, fs, sc.PageBytes, sc.Seed)
 	gen.SecureFraction = secureFraction
@@ -198,19 +181,18 @@ func ExecuteShardStats(prof workload.Profile, policy ftl.Policy, secureFraction 
 	// Prefill through the generator (creates/appends only) so steady
 	// state starts from the workload's own file population, then measure.
 	if err := gen.Fill(sc.PrefillFraction); err != nil {
-		return Run{}, ssd.ShardStats{}, fmt.Errorf("experiment: prefill: %w", err)
+		return Run{}, fmt.Errorf("experiment: prefill: %w", err)
 	}
 	dev.Mark()
 	if err := gen.RunPages(sc.studyPagesFor(policy.Name())); err != nil {
-		return Run{}, ssd.ShardStats{}, fmt.Errorf("experiment: study: %w", err)
+		return Run{}, fmt.Errorf("experiment: study: %w", err)
 	}
-	run := Run{
+	return Run{
 		Workload:       prof.Name,
 		Policy:         policy.Name(),
 		SecureFraction: secureFraction,
 		Report:         dev.Report(),
-	}
-	return run, dev.ShardStatsSnapshot(), nil
+	}, nil
 }
 
 func buildDevice(policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, error) {
@@ -249,7 +231,6 @@ func buildDevice(policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, err
 		Planes:          sc.Planes,
 		NoCachePipeline: sc.NoCachePipeline,
 		LockBatch:       sc.LockBatch,
-		ShardChannels:   sc.ShardChannels,
 	})
 }
 

@@ -266,23 +266,6 @@ func (in *Injector) FlipBits(data []byte, n int) {
 	}
 }
 
-// SkipFlips consumes exactly the stream draws FlipBits(data, n) would
-// make for a payload of bits data bits, without needing the payload. The
-// sharded coordinator uses it for deferred discard reads: the serial
-// path corrupts the (discarded) transfer buffer, so the draws must be
-// burned to keep the stream aligned even though no bytes exist to flip.
-func (in *Injector) SkipFlips(bits, n int) {
-	if bits == 0 {
-		return
-	}
-	if n > bits {
-		n = bits
-	}
-	for i := 0; i < n; i++ {
-		in.next()
-	}
-}
-
 // CorruptTail mangles the suffix of a partially-programmed page: the
 // one-shot program charged the leading cells before failing, so a prefix
 // of the payload may remain intact and readable — which is exactly why

@@ -71,26 +71,13 @@ type FTL struct {
 	// it enables multi-plane read/program grouping and batched SBPI lock
 	// pulses.
 	batchTarget BatchTarget
-	// discardReader is non-nil when the Target also implements
-	// DiscardReader: host reads (payload discarded above the FTL) then
-	// skip the data round-trip, which lets sharded targets keep the chip
-	// work deferred.
-	discardReader DiscardReader
 	// metaWriter is non-nil when the Target also implements MetaWriter:
 	// every committed program is then stamped with remount metadata
 	// (LPA, write sequence, security class) in the page's spare area.
 	metaWriter MetaWriter
-	// groupMetaWriter is non-nil when the MetaWriter also implements
-	// GroupMetaWriter: a fully-committed multi-plane stripe is then
-	// stamped with one call instead of one per page (the coordinator
-	// fast path for deferred targets).
-	groupMetaWriter GroupMetaWriter
 	// writeSeq is the device-wide monotone write sequence number behind
 	// those stamps; Restore resumes it past the highest surviving stamp.
 	writeSeq uint64
-	// stampSuppressed disables stampMeta inside commitWrite while a
-	// stripe's stamps are being issued as one group.
-	stampSuppressed bool
 
 	// pendingPages collects secured invalidations per global block between
 	// Flush calls (nil = nothing queued for the block); pendingList holds
@@ -183,9 +170,7 @@ func New(cfg Config, target Target, policy Policy) (*FTL, error) {
 	}
 	f.traceOn = f.tracer.Enabled()
 	f.batchTarget, _ = target.(BatchTarget)
-	f.discardReader, _ = target.(DiscardReader)
 	f.metaWriter, _ = target.(MetaWriter)
-	f.groupMetaWriter, _ = target.(GroupMetaWriter)
 	if cfg.LockBatch.Enabled && f.batchTarget != nil {
 		f.lockBatching = true
 		f.lockq.groupIdx = make([]int32, g.TotalWLs())
@@ -292,7 +277,7 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 			f.stats.HostReadPages++
 			if p := f.l2p[req.LPA+i]; p != NoPPA {
 				f.stats.FlashReads++
-				if t := f.hostRead(p, dep); t > done {
+				if _, t := f.target.Read(p, dep); t > done {
 					done = t
 				}
 			}
@@ -424,7 +409,7 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 // are stamped: quarantined and power-cut-torn pages keep no stamp,
 // which is how the remount scan tells a torn write from committed data.
 func (f *FTL) stampMeta(p PPA, lpa int64, secure bool) {
-	if f.metaWriter == nil || f.stampSuppressed {
+	if f.metaWriter == nil {
 		return
 	}
 	f.writeSeq++
@@ -487,17 +472,6 @@ func (f *FTL) readGrouped(req blockio.Request, dep sim.Micros) sim.Micros {
 	return done
 }
 
-// hostRead issues one host-path read. The payload never leaves the FTL
-// on this path, so DiscardReader targets serve it without the data
-// round-trip (identical timing); plain targets fall back to Target.Read.
-func (f *FTL) hostRead(p PPA, dep sim.Micros) sim.Micros {
-	if f.discardReader != nil {
-		return f.discardReader.ReadDiscard(p, dep)
-	}
-	_, t := f.target.Read(p, dep)
-	return t
-}
-
 // flushReadGroup issues one accumulated read group (single-page groups
 // fall back to a plain read) and folds its completion into done.
 func (f *FTL) flushReadGroup(group []PPA, dep, done sim.Micros) sim.Micros {
@@ -505,7 +479,7 @@ func (f *FTL) flushReadGroup(group []PPA, dep, done sim.Micros) sim.Micros {
 	case len(group) == 0:
 	case len(group) == 1:
 		f.stats.FlashReads++
-		if t := f.hostRead(group[0], dep); t > done {
+		if _, t := f.target.Read(group[0], dep); t > done {
 			done = t
 		}
 	default:
@@ -594,25 +568,6 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 		// visible atomically with respect to fault handling (a reentrant
 		// flush must never observe a chip-programmed page that the mapping
 		// tables still call free — bLock escalation would seal it).
-		// Coordinator fast path: a fully-successful stripe is stamped as
-		// one group — the sequence numbers are pre-assigned in stripe
-		// order, value-for-value what the per-page stamps inside
-		// commitWrite would have written, but a deferred target posts one
-		// record per stripe instead of one per page. Any per-page failure
-		// falls back to the per-page stamps.
-		allOK := true
-		for k := range stripe {
-			if errs[k] != nil {
-				allOK = false
-				break
-			}
-		}
-		if allOK && f.groupMetaWriter != nil {
-			seq0 := f.writeSeq + 1
-			f.writeSeq += uint64(len(stripe))
-			f.groupMetaWriter.WriteMetaGroup(stripe, req.LPA+int64(i), seq0, secure)
-			f.stampSuppressed = true
-		}
 		olds := f.stripeOlds[:0]
 		for k, p := range stripe {
 			lpa := req.LPA + int64(i+k)
@@ -621,7 +576,6 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 				f.commitWrite(p, lpa, secure, req.FileID)
 			}
 		}
-		f.stampSuppressed = false
 		f.stripeOlds = olds
 		for k, p := range stripe {
 			lpa := req.LPA + int64(i+k)

@@ -195,18 +195,6 @@ type BatchTarget interface {
 	ReadGroup(pages []PPA, dep sim.Micros) sim.Micros
 }
 
-// DiscardReader is an optional Target extension for reads whose payload
-// the FTL discards — the host read path (payloads stop at the block
-// layer; only GC relocation consumes them). The FTL detects it with a
-// type assertion at construction, like BatchTarget. Implementations must
-// charge exactly the timing and tracing of a fault-free Target.Read;
-// deferring or skipping the data movement is the point (the SSD's
-// channel-sharded mode posts the chip work to a lane instead of waiting
-// for it).
-type DiscardReader interface {
-	ReadDiscard(p PPA, dep sim.Micros) sim.Micros
-}
-
 // MetaWriter is an optional Target extension for targets that model a
 // per-page spare (out-of-band) area. After every successful program the
 // FTL stamps the page with the metadata real controllers persist there
@@ -216,23 +204,9 @@ type DiscardReader interface {
 // stamp rides the program pulse: it costs no latency, draws no fault
 // decision, and a power cut that tears the program leaves the page
 // stamp-less. Detected with a type assertion at construction, like
-// BatchTarget and DiscardReader.
+// BatchTarget.
 type MetaWriter interface {
 	WriteMeta(p PPA, lpa int64, seq uint64, secure bool)
-}
-
-// GroupMetaWriter is an optional MetaWriter extension: one call stamps a
-// fully-committed multi-plane stripe — consecutive logical pages
-// lpa0..lpa0+len(pages)-1 with consecutive sequence numbers
-// seq0..seq0+len(pages)-1, one page per plane on a single chip. The
-// stamps are value-for-value what len(pages) WriteMeta calls would have
-// written; the point is the coordinator fast path: a target that defers
-// chip work can turn the stripe's stamps into a single deferred record
-// per barrier window instead of one round-trip per page. Detected with a
-// type assertion at construction, like the other extensions.
-type GroupMetaWriter interface {
-	MetaWriter
-	WriteMetaGroup(pages []PPA, lpa0 int64, seq0 uint64, secure bool)
 }
 
 // Policy is a sanitization strategy (§7 compares five of them). The FTL

@@ -370,23 +370,6 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	return c.timing.PLock, nil
 }
 
-// ApplyPLockFail applies a pre-decided pLock failure without consuming
-// any fault-stream draws: the coordinator drew the verdict (sharded
-// fault mode, see internal/ssd) and the chip replays only its state
-// effects — the op count and the wordline's program disturb.
-func (c *Chip) ApplyPLockFail(a PageAddr) error {
-	if err := c.checkAddr(a); err != nil {
-		return err
-	}
-	c.opCount[OpPLock]++
-	blk := &c.blocks[a.Block]
-	if blk.flags[a.Page] == nil {
-		wl, _ := c.wlOf(a.Page)
-		blk.wlDisturbs[wl]++
-	}
-	return nil
-}
-
 // PLockWL disables several pages of one wordline with a single SBPI
 // pulse. §5 programs pAP flags selectively per wordline: the one-shot
 // program voltage is applied to the WL while the data cells and the
@@ -456,35 +439,6 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 	// flag groups it programs (Fig. 9(b)).
 	blk.wlDisturbs[wl]++
 	return c.timing.PLock, nil
-}
-
-// ApplyPLockWLFail applies a pre-decided batched-pLock failure without
-// consuming fault-stream draws (sharded fault mode): the all-or-none
-// pulse left every requested flag unprogrammed, charging only the op
-// count and — when the pulse actually fired — the WL disturb.
-func (c *Chip) ApplyPLockWLFail(blockIdx, wl int, slots []int) error {
-	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
-		return fmt.Errorf("%w: block %d", ErrBadAddress, blockIdx)
-	}
-	if wl < 0 || wl >= c.geo.WLsPerBlock {
-		return fmt.Errorf("%w: wordline %d", ErrBadAddress, wl)
-	}
-	bits := c.pagesPerWL
-	for _, s := range slots {
-		if s < 0 || s >= bits {
-			return fmt.Errorf("%w: WL slot %d", ErrBadAddress, s)
-		}
-	}
-	c.opCount[OpPLockWL]++
-	blk := &c.blocks[blockIdx]
-	base := wl * bits
-	for _, s := range slots {
-		if blk.flags[base+s] == nil {
-			blk.wlDisturbs[wl]++
-			break
-		}
-	}
-	return nil
 }
 
 // checkPlanes validates a multi-plane address vector: at most one page
@@ -657,61 +611,6 @@ func (c *Chip) IsPageLocked(a PageAddr, now sim.Micros) (bool, error) {
 	return c.pageLockedAt(&c.blocks[a.Block], a.Page, c.nowDays(now)), nil
 }
 
-// ApplyBLockFail applies a pre-decided bLock failure (sharded fault
-// mode): a failed SSL program changes nothing beyond the op count.
-func (c *Chip) ApplyBLockFail(blockIdx int) error {
-	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
-		return fmt.Errorf("%w: block %d", ErrBadAddress, blockIdx)
-	}
-	c.opCount[OpBLock]++
-	return nil
-}
-
-// ApplyEraseFail applies a pre-decided erase failure (sharded fault
-// mode): the block burns its tBERS but keeps data, flags, SSL state and
-// its P/E count — only the op count advances.
-func (c *Chip) ApplyEraseFail(blockIdx int) error {
-	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
-		return fmt.Errorf("%w: block %d", ErrBadAddress, blockIdx)
-	}
-	c.opCount[OpErase]++
-	return nil
-}
-
-// CorruptStoredTail runs the injector's partial-program corruption over a
-// page's stored payload in place. The sharded coordinator uses it on the
-// rare failed-copyback path: the verdict and the corruption draws come
-// from the coordinator's injector — the same stream, in the same order,
-// the serial chip would have consumed — while the bytes land on the chip.
-func (c *Chip) CorruptStoredTail(a PageAddr, inj *fault.Injector) error {
-	if err := c.checkAddr(a); err != nil {
-		return err
-	}
-	inj.CorruptTail(c.blocks[a.Block].pages[a.Page])
-	return nil
-}
-
-// PageLen reports the stored payload length of a page (0 for erased or
-// zero-length pages). The sharded fault oracle mirrors it to gate read
-// error draws.
-func (c *Chip) PageLen(a PageAddr) int {
-	return len(c.blocks[a.Block].pages[a.Page])
-}
-
-// FlagProgrammed reports whether the page's pAP flag cells have been
-// programmed (successfully pulsed, whether or not the majority circuit
-// currently reads them as disabled).
-func (c *Chip) FlagProgrammed(a PageAddr) bool {
-	return c.blocks[a.Block].flags[a.Page] != nil
-}
-
-// SSLProgrammed reports whether the block's SSL cells were bLock-
-// programmed since the last erase (distinct from IsBlockLocked, which
-// evaluates the retention-decayed read outcome).
-func (c *Chip) SSLProgrammed(blockIdx int) bool {
-	return c.blocks[blockIdx].sslCenter != 0
-}
-
 // IsBlockLocked reports the current bAP state of a block.
 func (c *Chip) IsBlockLocked(blockIdx int, now sim.Micros) (bool, error) {
 	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
@@ -740,8 +639,8 @@ func (c *Chip) WritePointer(blockIdx int) int {
 // The dump bypasses the controller's read path entirely, so it draws no
 // decisions from the controller-side fault injector (the transfer-error
 // model covers the controller↔chip bus, not the attacker's reader): the
-// dump is a pure function of media state, identical in serial and
-// sharded fault modes, and it never perturbs the fault schedule.
+// dump is a pure function of media state and never perturbs the fault
+// schedule.
 func (c *Chip) ForensicDump(blockIdx int, now sim.Micros) [][]byte {
 	out := make([][]byte, c.pagesPerBlock)
 	prev := c.noInject

@@ -30,9 +30,9 @@ import (
 //	           survives intact.
 //
 // Everything the controller held in RAM is lost with the rail: the
-// panic unwinds through the FTL, and the coordinator that recovers it
-// (ssd.CapturePowerLoss) marks the device dead until Remount rebuilds
-// the mapping state from the surviving media.
+// panic unwinds through the FTL, and ssd.CapturePowerLoss, which
+// recovers it, marks the device dead until Remount rebuilds the mapping
+// state from the surviving media.
 type PowerLoss struct {
 	// Op is the interrupted operation.
 	Op OpKind

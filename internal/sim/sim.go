@@ -1,33 +1,19 @@
-// Package sim provides a small deterministic discrete-event simulation
-// kernel used by the SSD emulator and the experiment harnesses.
+// Package sim holds the simulated clock of the SSD emulator: a time unit
+// and a busy-until resource. There is no event queue — the device model
+// is closed-loop, and every chip operation computes its own completion
+// time from the timelines it occupies.
 //
 // Time is measured in microseconds (Micros) because every NAND flash
 // operation latency in the paper is specified in µs (tREAD = 80µs,
 // tPROG = 700µs, tBERS = 3500µs, tpLock = 100µs, tbLock = 300µs).
 //
-// The kernel offers these building blocks:
-//
-//   - Engine: an event queue with a monotonically advancing clock,
-//     scheduled on a ladder/calendar queue (ladder.go) with a binary-heap
-//     fallback. Events scheduled at the same timestamp fire in FIFO order
-//     of scheduling, which keeps runs reproducible. Events are either
-//     closures (At/After) or typed records dispatched through a jump
-//     table with zero allocation (AtRecord/AfterRecord, record.go).
-//   - ShardedEngine: N Engines stepped under a conservative lookahead
-//     barrier with deterministic cross-shard merging (sharded.go), so a
-//     sharded run is bit-identical to a serial one.
-//   - Lanes: per-lane worker executors for deferring independent record
-//     work off the coordinating goroutine (lanes.go).
-//   - Timeline: a busy-until accumulator for a serially-reusable resource
-//     (a flash chip or a channel bus). Reserving k µs on a timeline returns
-//     the interval actually occupied, starting no earlier than the request
-//     time and no earlier than the end of the previously reserved interval.
+// Timeline is a busy-until accumulator for a serially-reusable resource
+// (a flash chip or a channel bus). Reserving k µs on a timeline returns
+// the interval actually occupied, starting no earlier than the request
+// time and no earlier than the end of the previously reserved interval.
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Micros is a simulated timestamp or duration in microseconds.
 type Micros int64
@@ -53,207 +39,6 @@ func (m Micros) String() string {
 		return fmt.Sprintf("%.3fms", m.Millis())
 	default:
 		return fmt.Sprintf("%dµs", int64(m))
-	}
-}
-
-// Event is a callback scheduled on the Engine. The callback receives the
-// engine so it may schedule further events.
-type Event func(*Engine)
-
-// scheduledEvent is one queue entry. Exactly one of call / rec.Kind is
-// live: closure events carry call, typed record events (see record.go)
-// carry rec by value and dispatch through the engine's jump table with
-// no per-event allocation.
-type scheduledEvent struct {
-	at   Micros
-	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	call Event
-	rec  Record
-}
-
-// eventQueue is a binary min-heap ordered by (at, seq), stored by value
-// in a plain slice. Scheduling an event costs no allocation beyond
-// amortized slice growth: container/heap would box each element through
-// `any` and force a per-push *scheduledEvent allocation, which dominated
-// the kernel's profile. It survives as the ladder queue's fallback mode
-// for pathological timestamp distributions (see ladder.go) and as the
-// reference scheduler for equivalence tests (NewHeapEngine).
-type eventQueue []scheduledEvent
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev scheduledEvent) {
-	h := append(*q, ev)
-	*q = h
-	// Sift up.
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() scheduledEvent {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = scheduledEvent{} // release the Event closure to the GC
-	h = h[:n]
-	*q = h
-	// Sift down.
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < n && h.less(l, small) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
-}
-
-// Engine is a discrete-event simulator. The zero value is ready to use
-// and schedules on the ladder queue (ladder.go).
-type Engine struct {
-	now   Micros
-	seq   uint64
-	queue ladderQueue
-	// handlers is the typed-record jump table, indexed by OpKind
-	// (record.go). A nil slot for a dispatched kind is a programming
-	// error and panics.
-	handlers [MaxOpKinds]Handler
-	// Stats
-	fired   uint64
-	clamped uint64
-	// OnClamp, when set, is called whenever At clamps a past-time event
-	// to "now" (with the requested time). The telemetry layer uses it to
-	// emit a clamp-warning marker; leaving it nil costs nothing.
-	OnClamp func(requested, now Micros)
-}
-
-// NewEngine returns an Engine starting at time zero.
-func NewEngine() *Engine { return &Engine{} }
-
-// NewHeapEngine returns an Engine whose scheduler is pinned to the
-// binary-heap fallback instead of the ladder queue. Dispatch order is
-// identical by construction; the variant exists as the reference
-// implementation for equivalence tests and A/B benchmarking.
-func NewHeapEngine() *Engine {
-	e := &Engine{}
-	e.queue.heaped = true
-	return e
-}
-
-// Now returns the current simulated time.
-func (e *Engine) Now() Micros { return e.now }
-
-// Fired reports how many events have been dispatched so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.len() }
-
-// Clamped reports how many events were scheduled in the past and clamped
-// forward to the then-current time. A nonzero count means some caller's
-// timing arithmetic ran backwards — worth investigating even though the
-// clock stayed monotonic.
-func (e *Engine) Clamped() uint64 { return e.clamped }
-
-// At schedules ev to fire at absolute time t. Scheduling in the past is an
-// error in the caller's logic; the event is clamped to fire "now" so that
-// time never runs backwards. Each clamp is counted (Clamped) and reported
-// through OnClamp when set.
-func (e *Engine) At(t Micros, ev Event) {
-	if t < e.now {
-		e.clamped++
-		if e.OnClamp != nil {
-			e.OnClamp(t, e.now)
-		}
-		t = e.now
-	}
-	e.seq++
-	e.queue.push(scheduledEvent{at: t, seq: e.seq, call: ev})
-}
-
-// After schedules ev to fire d microseconds from now.
-func (e *Engine) After(d Micros, ev Event) { e.At(e.now+d, ev) }
-
-// Step dispatches the single earliest event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
-func (e *Engine) Step() bool {
-	ev, ok := e.queue.pop()
-	if !ok {
-		return false
-	}
-	e.now = ev.at
-	e.fired++
-	if ev.call != nil {
-		ev.call(e)
-		return true
-	}
-	h := e.handlers[ev.rec.Kind]
-	if h == nil {
-		panic(fmt.Sprintf("sim: no handler registered for op kind %d", ev.rec.Kind))
-	}
-	h(e, ev.rec)
-	return true
-}
-
-// Run dispatches events until the queue drains.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// ErrRunLimit is wrapped by the error RunLimit returns when the event
-// budget is exhausted with events still pending.
-var ErrRunLimit = errors.New("sim: event budget exhausted")
-
-// RunLimit dispatches events until the queue drains, like Run, but gives
-// up after maxEvents dispatches. It is the safety valve against a buggy
-// event that endlessly reschedules itself at the current time: instead
-// of spinning forever the kernel returns an error (wrapping ErrRunLimit)
-// describing where the run was stuck.
-func (e *Engine) RunLimit(maxEvents uint64) error {
-	for dispatched := uint64(0); ; dispatched++ {
-		if e.queue.len() == 0 {
-			return nil
-		}
-		if dispatched >= maxEvents {
-			return fmt.Errorf("%w: %d events dispatched, %d still pending at t=%v",
-				ErrRunLimit, dispatched, e.queue.len(), e.now)
-		}
-		e.Step()
-	}
-}
-
-// RunUntil dispatches events whose timestamp is <= deadline, then advances
-// the clock to the deadline (if the simulation has not already passed it).
-func (e *Engine) RunUntil(deadline Micros) {
-	for {
-		at, ok := e.queue.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

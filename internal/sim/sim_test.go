@@ -6,131 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestEngineStartsAtZero(t *testing.T) {
-	e := NewEngine()
-	if e.Now() != 0 {
-		t.Fatalf("Now() = %v, want 0", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
-	}
-}
-
-func TestEngineFiresInTimestampOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(30, func(*Engine) { order = append(order, 3) })
-	e.At(10, func(*Engine) { order = append(order, 1) })
-	e.At(20, func(*Engine) { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("fired order %v, want [1 2 3]", order)
-	}
-	if e.Now() != 30 {
-		t.Fatalf("Now() = %v, want 30", e.Now())
-	}
-}
-
-func TestEngineFIFOAmongEqualTimestamps(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5, func(*Engine) { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-timestamp order %v not FIFO", order)
-		}
-	}
-}
-
-func TestEngineAfterSchedulesRelative(t *testing.T) {
-	e := NewEngine()
-	var at Micros
-	e.At(100, func(e *Engine) {
-		e.After(50, func(e *Engine) { at = e.Now() })
-	})
-	e.Run()
-	if at != 150 {
-		t.Fatalf("relative event fired at %v, want 150", at)
-	}
-}
-
-func TestEngineClampsPastEvents(t *testing.T) {
-	e := NewEngine()
-	var at Micros
-	e.At(100, func(e *Engine) {
-		// Scheduling "in the past" must not rewind the clock.
-		e.At(10, func(e *Engine) { at = e.Now() })
-	})
-	e.Run()
-	if at != 100 {
-		t.Fatalf("past event fired at %v, want clamped to 100", at)
-	}
-}
-
-func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step() on empty queue returned true")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Micros
-	for _, at := range []Micros{10, 20, 30, 40} {
-		at := at
-		e.At(at, func(e *Engine) { fired = append(fired, at) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
-	}
-	if e.Now() != 25 {
-		t.Fatalf("Now() = %v, want 25 after RunUntil", e.Now())
-	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("RunUntil(100) total fired %d, want 4", len(fired))
-	}
-}
-
-func TestEngineFiredCounter(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 7; i++ {
-		e.At(Micros(i), func(*Engine) {})
-	}
-	e.Run()
-	if e.Fired() != 7 {
-		t.Fatalf("Fired() = %d, want 7", e.Fired())
-	}
-}
-
-func TestEngineCascade(t *testing.T) {
-	// An event chain that schedules its successor; verifies the clock
-	// advances monotonically through a long cascade.
-	e := NewEngine()
-	var steps int
-	var chain func(*Engine)
-	chain = func(e *Engine) {
-		steps++
-		if steps < 1000 {
-			e.After(3, chain)
-		}
-	}
-	e.After(3, chain)
-	e.Run()
-	if steps != 1000 {
-		t.Fatalf("cascade ran %d steps, want 1000", steps)
-	}
-	if e.Now() != 3000 {
-		t.Fatalf("Now() = %v, want 3000", e.Now())
-	}
-}
-
 func TestTimelineSequentialReservations(t *testing.T) {
 	var tl Timeline
 	s1, e1 := tl.Reserve(0, 100)
@@ -215,28 +90,36 @@ func TestTimelineNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: the engine dispatches every scheduled event exactly once, in
-// non-decreasing timestamp order.
-func TestEngineOrderProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		e := NewEngine()
-		var fired []Micros
-		for _, at := range times {
-			at := Micros(at)
-			e.At(at, func(e *Engine) { fired = append(fired, e.Now()) })
-		}
-		e.Run()
-		if len(fired) != len(times) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return true
+func TestTimelineWaitBackToBack(t *testing.T) {
+	var tl Timeline
+	// Three back-to-back requests all arriving at t=0: the second waits
+	// 100, the third 200.
+	tl.Reserve(0, 100)
+	tl.Reserve(0, 100)
+	tl.Reserve(0, 100)
+	if tl.WaitTotal() != 300 {
+		t.Fatalf("WaitTotal = %v, want 300", tl.WaitTotal())
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if got := tl.Utilization(300); got != 1.0 {
+		t.Fatalf("Utilization(300) = %v, want 1.0 (fully busy)", got)
+	}
+}
+
+func TestTimelineWaitGapped(t *testing.T) {
+	var tl Timeline
+	// Gapped arrivals that never contend accumulate zero wait.
+	tl.Reserve(0, 50)
+	tl.Reserve(100, 50)
+	tl.Reserve(1000, 50)
+	if tl.WaitTotal() != 0 {
+		t.Fatalf("WaitTotal = %v, want 0 for gapped arrivals", tl.WaitTotal())
+	}
+	if got := tl.Utilization(1050); got != 150.0/1050.0 {
+		t.Fatalf("Utilization = %v, want %v", got, 150.0/1050.0)
+	}
+	// One late-but-contending arrival: busy until 1050, request at 1040.
+	tl.Reserve(1040, 10)
+	if tl.WaitTotal() != 10 {
+		t.Fatalf("WaitTotal = %v after contended arrival, want 10", tl.WaitTotal())
 	}
 }

@@ -192,34 +192,16 @@ func goldenCells() []goldenCell {
 	})
 }
 
-// TestGoldenDeviceState runs every cell serially and compares the
-// resulting device digest with its pinned constant.
+// TestGoldenDeviceState runs every cell and compares the resulting
+// device digest with its pinned constant.
 func TestGoldenDeviceState(t *testing.T) {
-	runGoldenCells(t, 0, func(goldenCell) bool { return true })
-}
-
-// TestGoldenDeviceStateSharded reruns, with deferred channel-sharded
-// execution and against the same constants, the cells where that mode
-// does address arithmetic of its own: multi-plane groups ship packed
-// page ids to the lanes, and fault injection indexes the oracle's page
-// mirror.
-func TestGoldenDeviceStateSharded(t *testing.T) {
-	runGoldenCells(t, 2, func(c goldenCell) bool { return c.planes == 2 && c.faultRate > 0 })
-}
-
-func runGoldenCells(t *testing.T, shardChannels int, want func(goldenCell) bool) {
 	for _, cell := range goldenCells() {
-		if !want(cell) {
-			continue
-		}
 		t.Run(cell.name, func(t *testing.T) {
 			cfg := cell.config()
-			cfg.ShardChannels = shardChannels
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
 			goldenWorkload(t, s, cfg.Chip.PageBytes)
 			st := s.FTL().Stats()
 			switch {

@@ -24,64 +24,12 @@ var ErrPowerLost = errors.New("ssd: power lost, remount required")
 
 // WriteMeta implements ftl.MetaWriter: the FTL stamps every committed
 // write's spare area with (lpa, seq, secure). The stamp rides the program
-// pulse it describes — zero latency, no fault draw — and in sharded mode
-// it is deferred onto the owning chip's lane right behind that program,
-// preserving per-chip op order.
+// pulse it describes — zero latency, no fault draw.
 func (s *SSD) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool) {
 	chip, a := s.addr(p)
-	if s.shard != nil {
-		// lpa is a logical page index (≥ 0), so lpa<<1|secure is lossless;
-		// Block2/Page2 carry the sequence's high and low halves.
-		s.shard.post(chip, sim.Record{
-			Kind: opStampMeta, Block: int32(a.Block), Page: int32(a.Page),
-			Block2: int32(uint32(seq >> 32)), Page2: int32(uint32(seq)),
-			Aux: lpa<<1 | boolBit(secure),
-		})
-		return
-	}
 	if err := s.chips[chip].StampOOB(a, nand.OOBMeta{LPA: lpa, Seq: seq, Secure: secure}); err != nil {
 		panic(fmt.Sprintf("ssd: OOB stamp at %v: %v", a, err))
 	}
-}
-
-// WriteMetaGroup implements ftl.GroupMetaWriter: the stamps of one
-// fully-committed multi-plane stripe (consecutive LPAs and sequence
-// numbers, one chip) in a single call. Serially it is just the loop of
-// stamps; in sharded mode the whole stripe becomes ONE deferred record
-// on the owning chip's lane — the coordinator fast path that replaces
-// per-page stamp round-trips per barrier window.
-func (s *SSD) WriteMetaGroup(pages []ftl.PPA, lpa0 int64, seq0 uint64, secure bool) {
-	if s.shard != nil {
-		chip, _ := s.addr(pages[0])
-		ids := s.shard.slots.Get()
-		for _, p := range pages {
-			_, a := s.addr(p)
-			ids = append(ids, s.shard.pack(a))
-		}
-		s.shard.post(chip, sim.Record{
-			Kind:   opStampMetaGroup,
-			Block2: int32(uint32(seq0 >> 32)), Page2: int32(uint32(seq0)),
-			Aux:   lpa0<<1 | boolBit(secure),
-			Slots: ids,
-		})
-		return
-	}
-	for i, p := range pages {
-		chip, a := s.addr(p)
-		err := s.chips[chip].StampOOB(a, nand.OOBMeta{
-			LPA: lpa0 + int64(i), Seq: seq0 + uint64(i), Secure: secure,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("ssd: OOB stamp at %v: %v", a, err))
-		}
-	}
-}
-
-func boolBit(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ArmPowerCut schedules a deterministic power loss: the cut fires on the
@@ -89,13 +37,8 @@ func boolBit(b bool) int64 {
 // fault.CutSpec), interrupting it per the partial-write semantics
 // documented in internal/nand. Wrap the workload in CapturePowerLoss to
 // observe the cut, then Remount to recover. Re-arming after a remount
-// schedules the next cut. Sharded devices are rejected: the loss must
-// interrupt the op stream synchronously, which deferred execution cannot
-// honor.
+// schedules the next cut.
 func (s *SSD) ArmPowerCut(spec fault.CutSpec) error {
-	if s.shard != nil {
-		return fmt.Errorf("ssd: power-cut injection requires serial execution (ShardChannels=0)")
-	}
 	if !spec.Armed() {
 		return fmt.Errorf("ssd: power-cut spec needs AfterOps > 0")
 	}
@@ -152,15 +95,6 @@ func (s *SSD) CapturePowerLoss(fn func() error) (loss *nand.PowerLoss, err error
 // trace collector: physical page ids are stable, so T_insecure windows
 // opened before the cut close when the recovery pass destroys the data.
 func (s *SSD) Remount(at sim.Micros) error {
-	s.Drain()
-	if s.oracle != nil {
-		// Resynchronize the fault oracle's draw-gating mirror from the
-		// settled media before the scan: the mirror is maintained
-		// incrementally and should already agree, but remount is the
-		// natural re-anchoring point — a real controller rebuilds all
-		// RAM state here.
-		s.oracle.rebuild(s.chips)
-	}
 	if at < s.makespan {
 		at = s.makespan
 	}

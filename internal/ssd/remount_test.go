@@ -120,6 +120,9 @@ func snapshot(t *testing.T, s *SSD) mediaState {
 func TestRemountIdempotentAfterPLockCut(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
 	want := writeRange(t, s, 0, 48, 0x10)
+	if err := s.ArmPowerCut(fault.CutSpec{}); err == nil {
+		t.Fatal("disarmed spec accepted")
+	}
 	if err := s.ArmPowerCut(fault.CutSpec{AfterOps: 2, Op: fault.CutPLock}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,22 +317,5 @@ func TestHealthyRemountPreservesData(t *testing.T) {
 			}
 		}
 		assertNoReadableStale(t, s)
-	}
-}
-
-// ArmPowerCut composes with sharded execution only by refusing it.
-func TestArmPowerCutRejectsSharded(t *testing.T) {
-	cfg := smallConfig(sanitize.SecSSD())
-	cfg.ShardChannels = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.ArmPowerCut(fault.CutSpec{AfterOps: 1}); err == nil {
-		t.Fatal("sharded device accepted a power-cut schedule")
-	}
-	if err := s.ArmPowerCut(fault.CutSpec{}); err == nil {
-		t.Fatal("disarmed spec accepted")
 	}
 }

@@ -62,18 +62,6 @@ type Config struct {
 	// lock manager (§5 SBPI): pending pLocks on one wordline coalesce
 	// into a single tpLock pulse.
 	LockBatch ftl.LockBatchConfig
-	// ShardChannels enables deferred channel-sharded chip-op execution:
-	// chip mutations run on this many parallel FIFO lanes (chips of one
-	// channel grouped onto the same lane) while the coordinator keeps
-	// computing the timing model, with flush barriers wherever chip
-	// state is consumed. Zero keeps the historical fully-serial
-	// execution. Sharded runs are bit-identical to serial ones (see
-	// shard.go), including with fault injection enabled: fault verdicts
-	// are then drawn on the coordinator by a per-chip oracle (oracle.go)
-	// that keeps each chip's splitmix64 stream draw-for-draw identical
-	// to the serial schedule while feeding the recovery ladder
-	// synchronously.
-	ShardChannels int
 	// Seed drives the chips' RNGs.
 	Seed int64
 	// Fault configures deterministic fault injection (see internal/fault).
@@ -170,21 +158,11 @@ type SSD struct {
 	slotScratch []int
 	addrScratch []nand.PageAddr
 
-	// shard is non-nil when deferred channel-sharded execution is active
-	// (Config.ShardChannels > 0); see shard.go.
-	shard *shardExec
-	// oracle is non-nil in sharded fault mode (ShardChannels > 0 and
-	// Fault enabled): the coordinator-side injector streams and their
-	// draw-gating mirror of chip state; see oracle.go.
-	oracle *faultOracle
 	// cut is the device-wide power-loss schedule shared by every chip
 	// (see ArmPowerCut); dead marks the device unusable after a cut
 	// until Remount rebuilds the FTL from media.
 	cut  *fault.CutState
 	dead bool
-	// errsScratch is the all-nil per-page error vector ProgramGroup
-	// returns in sharded mode (chip errors are impossible there).
-	errsScratch []error
 }
 
 // New builds the device.
@@ -222,13 +200,11 @@ func New(cfg Config) (*SSD, error) {
 		s.chanOf[i] = i / cfg.ChipsPerChannel
 		opts := []nand.Option{nand.WithSeed(cfg.Seed + int64(i)), nand.WithTiming(cfg.Timing),
 			nand.WithPowerCut(s.cut)}
-		if cfg.Fault.Enabled() && cfg.ShardChannels <= 0 {
+		if cfg.Fault.Enabled() {
 			// One injector per chip, stream-indexed: chip operations are
 			// serialized per chip, so each stream's draw order — and with
 			// it the whole fault schedule — is a pure function of the
-			// seed and the workload. In sharded mode the same streams
-			// live on the coordinator's fault oracle instead (the chips
-			// run draw-free and replay pre-decided verdicts).
+			// seed and the workload.
 			opts = append(opts, nand.WithFaults(fault.New(cfg.Fault, uint64(i))))
 		}
 		chip, err := nand.New(cfg.Chip, opts...)
@@ -254,13 +230,6 @@ func New(cfg Config) (*SSD, error) {
 		return nil, err
 	}
 	s.ftl = f
-	if cfg.ShardChannels > 0 {
-		s.shard = newShardExec(s, cfg.ShardChannels)
-		s.errsScratch = make([]error, s.geo.Planes)
-		if cfg.Fault.Enabled() {
-			s.oracle = newFaultOracle(cfg, s.geo)
-		}
-	}
 	return s, nil
 }
 
@@ -286,12 +255,8 @@ func (s *SSD) ftlConfig() ftl.Config {
 func (s *SSD) FTL() *ftl.FTL { return s.ftl }
 
 // Chips exposes the raw chips — the attacker's entry point in the threat
-// model, and the verification hook for tests. In sharded mode it drains
-// the deferred-op lanes first, so callers always observe settled state.
-func (s *SSD) Chips() []*nand.Chip {
-	s.Drain()
-	return s.chips
-}
+// model, and the verification hook for tests.
+func (s *SSD) Chips() []*nand.Chip { return s.chips }
 
 // Geometry returns the device-global geometry.
 func (s *SSD) Geometry() ftl.Geometry { return s.geo }
@@ -333,12 +298,7 @@ const maxReadAttempts = 3
 // relocation moves (damaged) data rather than silently dropping the page.
 func (s *SSD) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	chip, a := s.addr(p)
-	if s.shard != nil {
-		// The caller consumes the payload (GC relocation): the chip's
-		// deferred ops must land before we read it synchronously.
-		s.shard.flushChip(chip)
-	}
-	res, err := s.chipRead(chip, a, dep)
+	res, err := s.chips[chip].Read(a, dep)
 	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
 	if s.traceOn {
 		s.emitChip(trace.OpRead, chip, p, dep, cellStart, cellDone)
@@ -346,7 +306,7 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	for attempt := 1; err != nil && errors.Is(err, nand.ErrUncorrectable) &&
 		attempt < maxReadAttempts; attempt++ {
 		s.readRetries++
-		res, err = s.chipRead(chip, a, cellDone)
+		res, err = s.chips[chip].Read(a, cellDone)
 		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
 		if s.traceOn {
 			s.emitChip(trace.OpReadRetry, chip, p, cellDone, retryStart, retryDone)
@@ -374,49 +334,15 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	return data, busDone
 }
 
-// chipRead is a synchronous chip read with the sharded fault oracle's
-// transfer-error overlay: the chip runs draw-free in sharded fault mode,
-// so the oracle draws the serial read-error schedule against the actual
-// payload bytes. In serial mode (oracle nil) the chip draws internally
-// and the overlay is a no-op.
-func (s *SSD) chipRead(chip int, a nand.PageAddr, now sim.Micros) (nand.ReadResult, error) {
-	res, err := s.chips[chip].Read(a, now)
-	if s.oracle != nil && err == nil {
-		err = s.oracle.readPayload(chip, a, res.Data)
-	}
-	return res, err
-}
-
 // Program implements ftl.Target: page transfer on the bus, then tPROG on
 // the chip. An injected program failure still burned the bus and the full
 // tPROG (the chip reported status FAIL only at the end), so the timeline
 // reservation and trace events are identical to a success.
 func (s *SSD) Program(p ftl.PPA, data []byte, dep sim.Micros) (sim.Micros, error) {
 	chip, a := s.addr(p)
-	var err error
-	if s.shard != nil {
-		// The caller may reuse data's backing array after we return, so
-		// the deferred record carries a pooled copy (nil stays nil — the
-		// workload runs are timing-only).
-		var copied []byte
-		if data != nil {
-			copied = append(s.shard.bufs.Get(), data...)
-		}
-		if s.oracle != nil {
-			// Verdict drawn at the post site; a failure corrupts the
-			// pooled copy's tail before it ships, so the chip stores the
-			// exact bytes the serial corrupt-after-store would leave.
-			err = s.oracle.program(chip, a, copied)
-		}
-		s.shard.post(chip, sim.Record{
-			Kind: opProgram, Block: int32(a.Block), Page: int32(a.Page),
-			Aux: int64(dep), Data: copied,
-		})
-	} else {
-		_, err = s.chips[chip].Program(a, data, dep)
-		if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
-			panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", a, err))
-		}
+	_, err := s.chips[chip].Program(a, data, dep)
+	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
+		panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", a, err))
 	}
 	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(dep, s.cfg.Timing.Xfer)
 	var progStart, done sim.Micros
@@ -442,31 +368,9 @@ func (s *SSD) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	if chipS != chipD {
 		panic("ssd: copyback across chips")
 	}
-	var err error
-	if s.shard != nil {
-		if s.oracle != nil && s.oracle.copyback(chipS, aSrc, aDst) {
-			// Rare failed-copyback path: run the move synchronously so
-			// the corruption draws land right after the verdict draw, in
-			// the serial stream order, against the stored bytes.
-			s.shard.flushChip(chipS)
-			if _, cbErr := s.chips[chipS].Copyback(aSrc, aDst, dep); cbErr != nil {
-				panic(fmt.Sprintf("ssd: copyback failed: %v", cbErr))
-			}
-			if cErr := s.chips[chipS].CorruptStoredTail(aDst, s.oracle.inj[chipS]); cErr != nil {
-				panic(fmt.Sprintf("ssd: copyback corrupt failed: %v", cErr))
-			}
-			err = nand.ErrProgramFailed
-		} else {
-			s.shard.post(chipS, sim.Record{
-				Kind: opCopyback, Block: int32(aSrc.Block), Page: int32(aSrc.Page),
-				Block2: int32(aDst.Block), Page2: int32(aDst.Page), Aux: int64(dep),
-			})
-		}
-	} else {
-		_, err = s.chips[chipS].Copyback(aSrc, aDst, dep)
-		if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
-			panic(fmt.Sprintf("ssd: copyback failed: %v", err))
-		}
+	_, err := s.chips[chipS].Copyback(aSrc, aDst, dep)
+	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
+		panic(fmt.Sprintf("ssd: copyback failed: %v", err))
 	}
 	readStart, readDone := s.chipTL[chipS].Reserve(dep, s.cfg.Timing.Read)
 	_, done := s.chipTL[chipS].Reserve(readDone, s.cfg.Timing.Prog)
@@ -481,19 +385,9 @@ func (s *SSD) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 // Erase implements ftl.Target.
 func (s *SSD) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
-	var err error
-	if s.shard != nil {
-		var fail int32
-		if s.oracle != nil && s.oracle.erase(chip, local) {
-			fail = 1
-			err = nand.ErrEraseFailed
-		}
-		s.shard.post(chip, sim.Record{Kind: opErase, Block: int32(local), Page2: fail, Aux: int64(dep)})
-	} else {
-		_, err = s.chips[chip].Erase(local, dep)
-		if err != nil && !errors.Is(err, nand.ErrEraseFailed) {
-			panic(fmt.Sprintf("ssd: erase failed: %v", err))
-		}
+	_, err := s.chips[chip].Erase(local, dep)
+	if err != nil && !errors.Is(err, nand.ErrEraseFailed) {
+		panic(fmt.Sprintf("ssd: erase failed: %v", err))
 	}
 	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Erase)
 	if s.traceOn {
@@ -508,19 +402,9 @@ func (s *SSD) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 // PLock implements ftl.Target.
 func (s *SSD) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	chip, a := s.addr(p)
-	var err error
-	if s.shard != nil {
-		var fail int32
-		if s.oracle != nil && s.oracle.plock(chip, a) {
-			fail = 1
-			err = nand.ErrPLockFailed
-		}
-		s.shard.post(chip, sim.Record{Kind: opPLock, Block: int32(a.Block), Page: int32(a.Page), Page2: fail, Aux: int64(dep)})
-	} else {
-		_, err = s.chips[chip].PLock(a, dep)
-		if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
-			panic(fmt.Sprintf("ssd: pLock failed: %v", err))
-		}
+	_, err := s.chips[chip].PLock(a, dep)
+	if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
+		panic(fmt.Sprintf("ssd: pLock failed: %v", err))
 	}
 	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.PLock)
 	if s.traceOn {
@@ -532,19 +416,9 @@ func (s *SSD) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 // BLock implements ftl.Target.
 func (s *SSD) BLock(block int, dep sim.Micros) (sim.Micros, error) {
 	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
-	var err error
-	if s.shard != nil {
-		var fail int32
-		if s.oracle != nil && s.oracle.block(chip, local) {
-			fail = 1
-			err = nand.ErrBLockFailed
-		}
-		s.shard.post(chip, sim.Record{Kind: opBLock, Block: int32(local), Page2: fail, Aux: int64(dep)})
-	} else {
-		_, err = s.chips[chip].BLock(local, dep)
-		if err != nil && !errors.Is(err, nand.ErrBLockFailed) {
-			panic(fmt.Sprintf("ssd: bLock failed: %v", err))
-		}
+	_, err := s.chips[chip].BLock(local, dep)
+	if err != nil && !errors.Is(err, nand.ErrBLockFailed) {
+		panic(fmt.Sprintf("ssd: bLock failed: %v", err))
 	}
 	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.BLock)
 	if s.traceOn {
@@ -559,9 +433,7 @@ func (s *SSD) BLock(block int, dep sim.Micros) (sim.Micros, error) {
 // Scrub implements ftl.Target.
 func (s *SSD) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 	chip, a := s.addr(p)
-	if s.shard != nil {
-		s.shard.post(chip, sim.Record{Kind: opScrub, Block: int32(a.Block), Page: int32(a.Page), Aux: int64(dep)})
-	} else if _, err := s.chips[chip].Scrub(a, dep); err != nil {
+	if _, err := s.chips[chip].Scrub(a, dep); err != nil {
 		panic(fmt.Sprintf("ssd: scrub failed: %v", err))
 	}
 	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Scrub)
@@ -578,31 +450,14 @@ func (s *SSD) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 // chip occupancy (§5).
 func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	chip, local := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
-	var err error
-	if s.shard != nil {
-		vec := s.shard.slots.Get()
-		for _, p := range pages {
-			vec = append(vec, int32(s.geo.WLSlot(p)))
-		}
-		var fail int32
-		if s.oracle != nil && s.oracle.plockWL(chip, local, wl, vec) {
-			fail = 1
-			err = nand.ErrPLockFailed
-		}
-		s.shard.post(chip, sim.Record{
-			Kind: opPLockWL, Block: int32(local), Page: int32(wl),
-			Page2: fail, Aux: int64(dep), Slots: vec,
-		})
-	} else {
-		slots := s.slotScratch[:0]
-		for _, p := range pages {
-			slots = append(slots, s.geo.WLSlot(p))
-		}
-		s.slotScratch = slots
-		_, err = s.chips[chip].PLockWL(local, wl, slots, dep)
-		if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
-			panic(fmt.Sprintf("ssd: batched pLock failed: %v", err))
-		}
+	slots := s.slotScratch[:0]
+	for _, p := range pages {
+		slots = append(slots, s.geo.WLSlot(p))
+	}
+	s.slotScratch = slots
+	_, err := s.chips[chip].PLockWL(local, wl, slots, dep)
+	if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
+		panic(fmt.Sprintf("ssd: batched pLock failed: %v", err))
 	}
 	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.PLock)
 	if s.traceOn {
@@ -620,67 +475,19 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 // tPROG covers every plane's cell activity.
 func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error) {
 	chip := s.geo.ChipOf(pages[0])
-	var errs []error
-	deferred := s.shard != nil
-	if deferred {
-		// Deferred multi-plane programs carry packed addresses only; a
-		// stripe with real payloads (rare outside timing-only runs) falls
-		// back to synchronous execution behind a lane flush.
-		for _, d := range datas {
-			if d != nil {
-				deferred = false
-				s.shard.flushChip(chip)
-				break
-			}
-		}
+	addrs := s.addrScratch[:0]
+	for _, p := range pages {
+		_, a := s.addr(p)
+		addrs = append(addrs, a)
 	}
-	if deferred {
-		vec := s.shard.slots.Get()
-		addrs := s.addrScratch[:0]
-		for _, p := range pages {
-			_, a := s.addr(p)
-			vec = append(vec, s.shard.pack(a))
-			addrs = append(addrs, a)
-		}
-		s.addrScratch = addrs
-		errs = s.errsScratch[:len(pages)]
-		for i := range errs {
-			errs[i] = nil
-		}
-		if s.oracle != nil {
-			// Per-page verdicts in plane order, exactly ProgramMulti's
-			// draw order. The lane replay needs no verdicts: a deferred
-			// group carries only nil payloads, and corrupting a
-			// zero-length stored page is a no-op.
-			s.oracle.programGroup(chip, addrs, errs)
-		}
-		s.shard.post(chip, sim.Record{Kind: opProgramMulti, Aux: int64(dep), Slots: vec})
-	} else {
-		addrs := s.addrScratch[:0]
-		for _, p := range pages {
-			_, a := s.addr(p)
-			addrs = append(addrs, a)
-		}
-		s.addrScratch = addrs
-		var fatal error
-		_, errs, fatal = s.chips[chip].ProgramMulti(addrs, datas, dep)
-		if fatal != nil {
-			panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
-		}
-		for i, err := range errs {
-			if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
-				panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", addrs[i], err))
-			}
-		}
-		if s.oracle != nil {
-			// Payload fallback behind a lane flush: the chip programmed
-			// draw-free, so draw each page's verdict now (and corrupt its
-			// stored tail on failure) in the serial per-page order.
-			for i, a := range addrs {
-				if e := s.oracle.programStored(chip, a, s.chips[chip]); e != nil {
-					errs[i] = e
-				}
-			}
+	s.addrScratch = addrs
+	_, errs, fatal := s.chips[chip].ProgramMulti(addrs, datas, dep)
+	if fatal != nil {
+		panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
+	}
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
+			panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", addrs[i], err))
 		}
 	}
 	bus := &s.busTL[s.channelOf(chip)]
@@ -719,43 +526,15 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim
 // path). Timing-only: the host read path discards payloads.
 func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	chip := s.geo.ChipOf(pages[0])
-	var errs []error
-	var groupAttempts []int
-	var groupFailed uint64
-	if s.shard != nil {
-		vec := s.shard.slots.Get()
-		addrs := s.addrScratch[:0]
-		for _, p := range pages {
-			_, a := s.addr(p)
-			vec = append(vec, s.shard.pack(a))
-			addrs = append(addrs, a)
-		}
-		s.addrScratch = addrs
-		if s.oracle != nil {
-			// The oracle replays the serial draw order (per-page reads,
-			// then per-page retry loops); the lane replay learns each
-			// page's attempt count from the slot vector's high bits.
-			groupAttempts, groupFailed = s.oracle.readGroup(chip, addrs)
-			for i, n := range groupAttempts {
-				vec[i] |= int32(n-1) << attemptShift
-			}
-		}
-		s.shard.post(chip, sim.Record{Kind: opReadMulti, Aux: int64(dep), Slots: vec})
-		// errs stays nil: chip-side read faults are impossible (chips run
-		// draw-free in sharded mode), so the serial retry loop below sees
-		// no work; the sharded retry loop keys off groupAttempts instead.
-	} else {
-		addrs := s.addrScratch[:0]
-		for _, p := range pages {
-			_, a := s.addr(p)
-			addrs = append(addrs, a)
-		}
-		s.addrScratch = addrs
-		var fatal error
-		_, errs, fatal = s.chips[chip].ReadMulti(addrs, dep)
-		if fatal != nil {
-			panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
-		}
+	addrs := s.addrScratch[:0]
+	for _, p := range pages {
+		_, a := s.addr(p)
+		addrs = append(addrs, a)
+	}
+	s.addrScratch = addrs
+	_, errs, fatal := s.chips[chip].ReadMulti(addrs, dep)
+	if fatal != nil {
+		panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
 	}
 	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
 	if s.traceOn {
@@ -770,9 +549,7 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 		for attempt := 1; err != nil && errors.Is(err, nand.ErrUncorrectable) &&
 			attempt < maxReadAttempts; attempt++ {
 			s.readRetries++
-			// errs is only non-nil on the serial path, where addrScratch
-			// holds this group's chip addresses.
-			_, err = s.chips[chip].Read(s.addrScratch[i], cellDone)
+			_, err = s.chips[chip].Read(addrs[i], cellDone)
 			retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
 			if s.traceOn {
 				s.emitChip(trace.OpReadRetry, chip, pages[i], cellDone, retryStart, retryDone)
@@ -780,22 +557,6 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 			cellDone = retryDone
 		}
 		if err != nil && errors.Is(err, nand.ErrUncorrectable) {
-			s.readFailures++
-		}
-	}
-	for i, n := range groupAttempts {
-		// Sharded fault mode: replay the retry timing the oracle decided,
-		// page by page in plane order — the serial loop's reservations and
-		// trace events, bit for bit.
-		for k := 1; k < n; k++ {
-			s.readRetries++
-			retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
-			if s.traceOn {
-				s.emitChip(trace.OpReadRetry, chip, pages[i], cellDone, retryStart, retryDone)
-			}
-			cellDone = retryDone
-		}
-		if groupFailed&(1<<uint(i)) != 0 {
 			s.readFailures++
 		}
 	}
@@ -813,6 +574,11 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	}
 	return end
 }
+
+// Close releases nothing: the device owns no goroutine, file or pool. It
+// stays because bench/probes.go calls it and bench/ is frozen by
+// BENCHMARK.json; the next benchmark-only change should drop both.
+func (s *SSD) Close() {}
 
 // FlushLocks force-drains the FTL's wordline batching queue. Deferred-
 // deadline configurations (LockBatch.Deadline > 0) use it as the
@@ -877,9 +643,8 @@ func (s *SSD) ReadLogical(lpa int64) ([]byte, error) {
 	if p == ftl.NoPPA {
 		return nil, nil
 	}
-	s.Drain()
 	chip, a := s.addr(p)
-	res, err := s.chipRead(chip, a, s.makespan)
+	res, err := s.chips[chip].Read(a, s.makespan)
 	if err != nil {
 		return nil, err
 	}
@@ -1018,12 +783,6 @@ func deltaStats(a, b ftl.Stats) ftl.Stats {
 // layer actually did over the whole run (the campaign artifact and the
 // golden determinism tests read this).
 func (s *SSD) FaultCounts() fault.Counts {
-	s.Drain()
-	if s.oracle != nil {
-		// Sharded fault mode: the streams live on the coordinator's
-		// oracle; the chips are draw-free and count nothing.
-		return s.oracle.counts()
-	}
 	var c fault.Counts
 	for _, chip := range s.chips {
 		c.Add(chip.FaultCounts())

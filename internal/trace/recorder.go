@@ -112,7 +112,7 @@ func (r *Recorder) Op(ev Event) {
 		}
 	case OpGC, OpHostRead, OpHostWrite, OpHostTrim,
 		OpProgramFail, OpEraseFail, OpPLockFail, OpBLockFail, OpRetire,
-		OpPLockBatchFail, OpClampWarn:
+		OpPLockBatchFail:
 		// FTL/host-level spans and fault/recovery markers overlap chip
 		// occupancy (the underlying chip op already counted); not busy
 		// time. OpReadRetry IS busy time: each failed attempt burned

@@ -84,9 +84,6 @@ const (
 	// OpReadMulti is a multi-plane read: one shared tREAD covering one
 	// page per plane.
 	OpReadMulti
-	// OpClampWarn marks a simulation-engine event scheduled in the past
-	// and clamped to the current time (zero-width diagnostic marker).
-	OpClampWarn
 	numOpClasses
 )
 
@@ -139,8 +136,6 @@ func (c OpClass) String() string {
 		return "program_multi"
 	case OpReadMulti:
 		return "read_multi"
-	case OpClampWarn:
-		return "clamp_warn"
 	default:
 		return fmt.Sprintf("OpClass(%d)", uint8(c))
 	}
@@ -164,19 +159,6 @@ type Event struct {
 
 // Dur returns the event's service duration.
 func (e Event) Dur() sim.Micros { return e.End - e.Start }
-
-// ClampWarner adapts a Collector into a sim.Engine OnClamp hook: each
-// past-time scheduling clamp emits an OpClampWarn marker (Start = the
-// requested time, End = the clock it was clamped to) so scheduling bugs
-// show up in the Perfetto export instead of silently reordering.
-func ClampWarner(c Collector) func(requested, now sim.Micros) {
-	if !c.Enabled() {
-		return nil
-	}
-	return func(requested, now sim.Micros) {
-		c.Op(Event{Class: OpClampWarn, Start: requested, End: now, Chip: -1, Channel: -1, LPA: -1})
-	}
-}
 
 // GaugeKind labels a sampled device-level quantity.
 type GaugeKind uint8

@@ -29,7 +29,6 @@ func TestOpClassStrings(t *testing.T) {
 		OpReadRetry: "read_retry", OpRetire: "retire",
 		OpPLockBatch: "plock_batch", OpPLockBatchFail: "plock_batch_fail",
 		OpProgramMulti: "program_multi", OpReadMulti: "read_multi",
-		OpClampWarn: "clamp_warn",
 	}
 	if len(want) != NumOpClasses {
 		t.Fatalf("test covers %d classes, enum has %d", len(want), NumOpClasses)
@@ -208,20 +207,5 @@ func TestEventDur(t *testing.T) {
 	ev := Event{Start: 100, End: 180}
 	if ev.Dur() != 80 {
 		t.Fatalf("Dur = %v, want 80", ev.Dur())
-	}
-}
-
-func TestClampWarner(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
-	hook := ClampWarner(r)
-	if hook == nil {
-		t.Fatal("enabled collector must yield a hook")
-	}
-	hook(10, 100)
-	if r.Count(OpClampWarn) != 1 {
-		t.Fatalf("Count(OpClampWarn) = %d, want 1", r.Count(OpClampWarn))
-	}
-	if ClampWarner(Nop{}) != nil {
-		t.Fatal("disabled collector must yield a nil hook (no per-clamp overhead)")
 	}
 }
