@@ -351,7 +351,10 @@ func BenchmarkAblationLazyErase(b *testing.B) {
 // "recorder" attaches a full trace.Recorder. The disabled case is the
 // <5%-regression acceptance bar for the telemetry layer.
 func BenchmarkTraceOverhead(b *testing.B) {
-	run := func(b *testing.B, tr trace.Collector) {
+	// newCollector is called once per simulated device: a Recorder shared
+	// across iterations would hit its event cap and fold several devices'
+	// physical pages into one audit ledger.
+	run := func(b *testing.B, newCollector func() trace.Collector) {
 		for i := 0; i < b.N; i++ {
 			s, err := ssd.New(ssd.Config{
 				Channels: 2, ChipsPerChannel: 2,
@@ -360,7 +363,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 					PageBytes: 4096, FlagCells: 9, EnduranceCycles: 1000,
 				},
 				OverProvision: 0.25, GCFreeBlocksLow: 2, QueueDepth: 16,
-				Policy: sanitize.SecSSD(), Seed: 3, Trace: tr,
+				Policy: sanitize.SecSSD(), Seed: 3, Trace: newCollector(),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -375,9 +378,11 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
+	b.Run("disabled", func(b *testing.B) { run(b, func() trace.Collector { return nil }) })
 	b.Run("recorder", func(b *testing.B) {
-		run(b, trace.NewRecorder(trace.RecorderConfig{Chips: 4, Channels: 2}))
+		run(b, func() trace.Collector {
+			return trace.NewRecorder(trace.RecorderConfig{Chips: 4, Channels: 2})
+		})
 	})
 }
 

@@ -2,6 +2,8 @@ package main_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,16 +11,23 @@ import (
 	"testing"
 )
 
+// buildBench compiles the command into the test's temp dir.
+func buildBench(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "secssd-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestFig14aCSVGolden runs the built binary and compares its stdout
 // byte for byte with what commit 46eb9b3 printed for the same command
 // (less the " shard-channels=0" that ended its "# parallelism:" header
 // line; the flag is gone). The fault cell pins the per-chip injector
 // wiring in ssd.New.
 func TestFig14aCSVGolden(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "secssd-bench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildBench(t)
 	base := []string{"-scale", "small", "-fig", "14a", "-parallel", "1", "-csv"}
 	for _, tc := range []struct {
 		golden string
@@ -43,5 +52,39 @@ func TestFig14aCSVGolden(t *testing.T) {
 				t.Errorf("%v: stdout differs from testdata/%s\n got:\n%s\nwant:\n%s", cmd.Args, tc.golden, got, want)
 			}
 		})
+	}
+}
+
+// TestTracedExportsGolden runs one traced cell with every exporter on and
+// compares the SHA-256 of each file with what commit 39e5f0d wrote for
+// the same command (~49 k events, so the event log, the gauges and the
+// latency samples all span many storage chunks).
+func TestTracedExportsGolden(t *testing.T) {
+	bin := buildBench(t)
+	dir := t.TempDir()
+	golden := []struct{ flag, file, sha string }{
+		{"-trace-jsonl", "run.jsonl", "73cc814241757e59517420ab9281eb25809ed98410d6b3c1e9e75907db91c73e"},
+		{"-trace", "run.trace.json", "28934b95089aab4545936963980726ff8d6e296feeb1a435241c771f76c9ca5d"},
+		{"-stats-json", "run.stats.json", "d790bfd2e3306b0e44a3ecd2a5978b15658eaa9a99e1edd82a48d25c73adb928"},
+		{"-stats-stream", "run.stream.jsonl", "fbbcf29672f37f9bd5aaa1b48eff9507d336a69d75543908503bef8de485bdcc"},
+		{"-openmetrics", "run.om", "cc4c9b1b9cae5bdc1c9177e2f32ffd07d7368690118818df7616c02ea422b233"},
+		{"-audit-json", "run.audit.json", "ab6367018b43a98878f990cd3df67f8d679a00b1acff4c24154539a2870cbbec"},
+	}
+	args := []string{"-scale", "small", "-trace-policy", "secSSD", "-workloads", "MailServer", "-stats-interval", "10000"}
+	for _, g := range golden {
+		args = append(args, g.flag, filepath.Join(dir, g.file))
+	}
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
+	}
+	for _, g := range golden {
+		data, err := os.ReadFile(filepath.Join(dir, g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != g.sha {
+			t.Errorf("%s %s: sha256 %s, want %s", g.flag, g.file, got, g.sha)
+		}
 	}
 }

@@ -40,7 +40,7 @@ package audit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -209,12 +209,19 @@ type Event struct {
 	Ladder bool
 }
 
-// copyState is one registered physical copy.
+// copyState is the ledger's entry for one physical page. The zero value
+// is a page holding no registered copy.
 type copyState struct {
 	secret int32
-	stale  bool
+	state  uint8      // copyNone, copyLive or copyStale
 	openAt sim.Micros // valid when stale: per-copy window open time
 }
+
+const (
+	copyNone  uint8 = iota
+	copyLive        // registered, still the current version
+	copyStale       // invalidated, not yet destroyed: exposed
+)
 
 // secret is one generation of secured data and its window accounting.
 type secret struct {
@@ -235,14 +242,15 @@ type secret struct {
 // use; like the trace Recorder it belongs to exactly one simulated
 // device.
 type Ledger struct {
-	copies  map[uint32]copyState
-	secrets []secret
+	copies  []copyState // indexed by physical page, grown on demand
+	secrets metrics.Log[secret]
 
 	tInsec    metrics.Sample // per-copy windows (legacy semantics)
 	tInsecSum sim.Micros     // running total of the per-copy windows
 	windows   metrics.Sample // per-secret closed windows
 
 	openCopies   int
+	openSecrets  int // secrets with exposed > 0
 	originCounts [NumOrigins]uint64
 	causeCounts  [NumCauses]uint64
 	phaseTotals  [NumPhases]sim.Micros
@@ -257,14 +265,21 @@ type Ledger struct {
 }
 
 // NewLedger builds an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{copies: make(map[uint32]copyState)}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
 // newSecret appends a secret and returns its index.
 func (l *Ledger) newSecret(lpa int64, origin Origin) int32 {
-	l.secrets = append(l.secrets, secret{lpa: lpa, origin: origin})
-	return int32(len(l.secrets) - 1)
+	l.secrets.Append(secret{lpa: lpa, origin: origin})
+	return int32(l.secrets.Len() - 1)
+}
+
+// copyAt returns the entry of a physical page, growing the index to
+// cover it.
+func (l *Ledger) copyAt(page uint32) *copyState {
+	if n := int(page) + 1; n > len(l.copies) {
+		l.copies = slices.Grow(l.copies, n-len(l.copies))[:n]
+	}
+	return &l.copies[page]
 }
 
 // Record applies one event and reports whether the exposed-copy count
@@ -293,49 +308,49 @@ func (l *Ledger) Invalidated(page uint32, at sim.Micros) bool {
 }
 
 func (l *Ledger) register(ev Event) {
-	if old, ok := l.copies[ev.Page]; ok {
+	c := l.copyAt(ev.Page)
+	if c.state != copyNone {
 		// A physical page can only be reprogrammed after an erase, and an
 		// erase destroys (and deregisters) every copy on the block first —
 		// so a collision means a producer skipped the destruction. Retire
 		// the stale entry as an unattributed destruction to keep the
 		// per-secret books balanced.
-		_ = old
 		l.destroy(Event{Kind: KindDestroy, Page: ev.Page, Cause: CauseUnspecified, Dep: ev.At, At: ev.At})
 	}
 	idx := int32(-1)
 	switch ev.Origin {
 	case OriginGC, OriginEvacuate:
-		if src, ok := l.copies[ev.Src]; ok && ev.Src != NoSrc {
-			idx = src.secret
+		if ev.Src != NoSrc && int(ev.Src) < len(l.copies) && l.copies[ev.Src].state != copyNone {
+			idx = l.copies[ev.Src].secret
 		}
 	}
 	if idx < 0 {
 		idx = l.newSecret(ev.LPA, ev.Origin)
 	}
-	l.copies[ev.Page] = copyState{secret: idx}
-	l.secrets[idx].copies++
+	*c = copyState{secret: idx, state: copyLive}
+	l.secrets.At(int(idx)).copies++
 	l.originCounts[ev.Origin]++
 	l.registered++
 }
 
 func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
-	c, ok := l.copies[page]
-	if !ok {
-		c = copyState{secret: l.newSecret(-1, OriginUnknown)}
+	c := l.copyAt(page)
+	switch c.state {
+	case copyStale:
+		return false
+	case copyNone:
+		c.secret = l.newSecret(-1, OriginUnknown)
 		l.originCounts[OriginUnknown]++
 		l.registered++
-		l.secrets[c.secret].copies++
+		l.secrets.At(int(c.secret)).copies++
 	}
-	if c.stale {
-		return false
-	}
-	c.stale = true
+	c.state = copyStale
 	c.openAt = at
-	l.copies[page] = c
 	l.openCopies++
-	s := &l.secrets[c.secret]
+	s := l.secrets.At(int(c.secret))
 	s.exposed++
 	if s.exposed == 1 {
+		l.openSecrets++
 		s.openedAt = at
 		s.reopened = s.windows > 0
 		s.ladderHit = false
@@ -344,13 +359,13 @@ func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
 }
 
 func (l *Ledger) destroy(ev Event) bool {
-	c, ok := l.copies[ev.Page]
-	if !ok || !c.stale {
+	if int(ev.Page) >= len(l.copies) || l.copies[ev.Page].state != copyStale {
 		// Destroying a page with no open window is a no-op (recovery
 		// paths may report the same destruction twice), and live copies
 		// are never destroyed (erase requires a fully stale block).
 		return false
 	}
+	c := &l.copies[ev.Page]
 	d := ev.At - c.openAt
 	if d < 0 {
 		// A GC relocation can advance the invalidation clock past the
@@ -363,7 +378,7 @@ func (l *Ledger) destroy(ev Event) bool {
 	l.openCopies--
 	l.causeCounts[ev.Cause]++
 	l.destroyed++
-	s := &l.secrets[c.secret]
+	s := l.secrets.At(int(c.secret))
 	s.destroyed++
 	s.copies--
 	s.exposed--
@@ -372,9 +387,10 @@ func (l *Ledger) destroy(ev Event) bool {
 		s.ladderHit = true
 	}
 	if s.exposed == 0 {
+		l.openSecrets--
 		l.closeWindow(s, ev)
 	}
-	delete(l.copies, ev.Page)
+	*c = copyState{}
 	return true
 }
 
@@ -446,14 +462,14 @@ func (l *Ledger) Windows() *metrics.Sample { return &l.windows }
 func (l *Ledger) OpenCopies() int { return l.openCopies }
 
 // OldestOpen returns the earliest open-window start among exposed
-// copies; ok is false when none is open. Map iteration order does not
-// matter: min is commutative.
+// copies; ok is false when none is open.
 func (l *Ledger) OldestOpen() (at sim.Micros, ok bool) {
-	for _, c := range l.copies {
-		if !c.stale {
-			continue
-		}
-		if !ok || c.openAt < at {
+	if l.openCopies == 0 {
+		return 0, false
+	}
+	for i := range l.copies {
+		c := &l.copies[i]
+		if c.state == copyStale && (!ok || c.openAt < at) {
 			at, ok = c.openAt, true
 		}
 	}
@@ -532,10 +548,13 @@ type Stats struct {
 }
 
 // Stats summarizes the ledger at the given horizon (OldestOpenUs is the
-// age of the oldest still-open window relative to it).
+// age of the oldest still-open window relative to it). Every field but
+// OldestOpenUs is a running counter, so a periodic emitter pays O(1) per
+// call while no copy is exposed and one walk of the page index otherwise.
 func (l *Ledger) Stats(horizon sim.Micros) Stats {
 	st := Stats{
-		Secrets:          len(l.secrets),
+		Secrets:          l.secrets.Len(),
+		OpenSecrets:      l.openSecrets,
 		ExposedCopies:    l.openCopies,
 		CopiesRegistered: l.registered,
 		CopiesDestroyed:  l.destroyed,
@@ -560,12 +579,6 @@ func (l *Ledger) Stats(horizon sim.Micros) Stats {
 		LadderDestroys:  l.ladderDestroys,
 		WindowSumUs:     int64(l.windowSum),
 		Phases:          breakdown(l.phaseTotals),
-	}
-	for i := range l.secrets {
-		s := &l.secrets[i]
-		if s.exposed > 0 {
-			st.OpenSecrets++
-		}
 	}
 	st.LiveCopies = int(int64(l.registered) - int64(l.destroyed) - int64(l.openCopies))
 	if at, ok := l.OldestOpen(); ok {
@@ -612,11 +625,11 @@ func (r VerifyReport) Err() error {
 // Verify checks the end-of-run security and accounting invariants: no
 // secret may retain a live unlocked (exposed) copy, and every secret's
 // phase slices must sum exactly to its accumulated exposure. The open
-// list is sorted by page so the report is deterministic.
+// list is in page order.
 func (l *Ledger) Verify(horizon sim.Micros) VerifyReport {
-	rep := VerifyReport{Secrets: len(l.secrets), ExposedCopies: l.openCopies}
-	for i := range l.secrets {
-		s := &l.secrets[i]
+	rep := VerifyReport{Secrets: l.secrets.Len(), ExposedCopies: l.openCopies}
+	for i := 0; i < l.secrets.Len(); i++ {
+		s := l.secrets.At(i)
 		if s.exposed > 0 {
 			rep.OpenSecrets++
 		}
@@ -628,16 +641,16 @@ func (l *Ledger) Verify(horizon sim.Micros) VerifyReport {
 			rep.PhaseSumErrors++
 		}
 	}
-	for page, c := range l.copies {
-		if !c.stale {
+	for page := range l.copies {
+		c := &l.copies[page]
+		if c.state != copyStale {
 			continue
 		}
-		s := &l.secrets[c.secret]
+		s := l.secrets.At(int(c.secret))
 		rep.Open = append(rep.Open, OpenCopy{
-			Page: page, LPA: s.lpa, Origin: s.origin.String(), OpenedUs: int64(c.openAt),
+			Page: uint32(page), LPA: s.lpa, Origin: s.origin.String(), OpenedUs: int64(c.openAt),
 		})
 	}
-	sort.Slice(rep.Open, func(i, j int) bool { return rep.Open[i].Page < rep.Open[j].Page })
 	if at, ok := l.OldestOpen(); ok {
 		if age := horizon - at; age > 0 {
 			rep.OldestOpenUs = int64(age)

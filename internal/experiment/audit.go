@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/filesys"
 	"repro/internal/ftl"
 	"repro/internal/parallel"
 	"repro/internal/sanitize"
@@ -78,28 +77,5 @@ func AuditSweep(sc Scale, workers int) ([]AuditCell, error) {
 // windows as still open. Use this variant whenever the recorder's audit
 // ledger will be verified afterwards.
 func ExecuteAudited(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, rec *trace.Recorder) (Run, error) {
-	dev, err := buildDevice(policy, sc, rec)
-	if err != nil {
-		return Run{}, err
-	}
-	fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
-	if err != nil {
-		return Run{}, err
-	}
-	gen := workload.NewGenerator(prof, fs, sc.PageBytes, sc.Seed)
-	gen.SecureFraction = secureFraction
-	if err := gen.Fill(sc.PrefillFraction); err != nil {
-		return Run{}, fmt.Errorf("experiment: prefill: %w", err)
-	}
-	dev.Mark()
-	if err := gen.RunPages(sc.studyPagesFor(policy.Name())); err != nil {
-		return Run{}, fmt.Errorf("experiment: study: %w", err)
-	}
-	dev.FlushLocks()
-	return Run{
-		Workload:       prof.Name,
-		Policy:         policy.Name(),
-		SecureFraction: secureFraction,
-		Report:         dev.Report(),
-	}, nil
+	return execute(prof, policy, secureFraction, sc, rec, true)
 }

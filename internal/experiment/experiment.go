@@ -167,6 +167,13 @@ func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 // trace covers the prefill phase too — use the recorded horizon and the
 // host events to separate phases if needed.
 func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, error) {
+	return execute(prof, policy, secureFraction, sc, tr, false)
+}
+
+// execute is the one body behind Execute, ExecuteTraced and
+// ExecuteAudited; drainLocks flushes the lock manager after the last
+// host request.
+func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool) (Run, error) {
 	dev, err := buildDevice(policy, sc, tr)
 	if err != nil {
 		return Run{}, err
@@ -186,6 +193,9 @@ func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction floa
 	dev.Mark()
 	if err := gen.RunPages(sc.studyPagesFor(policy.Name())); err != nil {
 		return Run{}, fmt.Errorf("experiment: study: %w", err)
+	}
+	if drainLocks {
+		dev.FlushLocks()
 	}
 	return Run{
 		Workload:       prof.Name,

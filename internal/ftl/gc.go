@@ -46,7 +46,7 @@ func (f *FTL) gcOnce(chip int) bool {
 	if f.traceOn {
 		f.tracer.Op(trace.Event{
 			Class: trace.OpGC, Start: gcStart, End: f.reqClock, Queued: gcStart,
-			Chip: chip, Channel: -1, Block: victim, Page: -1, LPA: -1,
+			Chip: int16(chip), Channel: -1, Block: int32(victim), Page: -1, LPA: -1,
 		})
 	}
 

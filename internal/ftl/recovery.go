@@ -34,7 +34,7 @@ func (f *FTL) markFault(class trace.OpClass, block, page int, at sim.Micros) {
 	}
 	f.tracer.Op(trace.Event{
 		Class: class, Start: at, End: at, Queued: at,
-		Chip: f.geo.ChipOfBlock(block), Channel: -1, Block: block, Page: page, LPA: -1,
+		Chip: int16(f.geo.ChipOfBlock(block)), Channel: -1, Block: int32(block), Page: int32(page), LPA: -1,
 	})
 }
 

@@ -71,38 +71,57 @@ func (s *Summary) String() string {
 
 // Sample retains all values so that exact order statistics can be computed.
 // It is used for the box-plot figures where the paper reports distributions
-// over thousands of wordlines.
+// over thousands of wordlines, and for the per-request and per-op latency
+// distributions of whole simulated runs. A small or Reserve-sized sample
+// is one flat slice; past that, Adds go to a chunked Log instead of
+// regrowing the slice, and the two are flattened into one slice when an
+// order statistic is first asked for.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs     []float64    // the first values; all of them once flattened
+	tail   Log[float64] // values added after xs filled up
+	sorted bool         // xs is ascending and tail is empty
 }
 
 // Add appends one value.
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
 	s.sorted = false
+	if s.tail.Len() == 0 && (len(s.xs) < cap(s.xs) || len(s.xs) < LogChunk) {
+		s.xs = append(s.xs, x)
+		return
+	}
+	s.tail.Append(x)
 }
 
 // AddAll appends many values.
 func (s *Sample) AddAll(xs ...float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
+	for _, x := range xs {
+		s.Add(x)
+	}
 }
 
 // Reserve grows the backing storage so at least n further Adds proceed
 // without reallocation. It never shrinks and does not change N(). The
 // Monte-Carlo campaigns size their samples up front with it.
 func (s *Sample) Reserve(n int) {
-	if cap(s.xs)-len(s.xs) >= n {
+	if s.tail.Len() == 0 && cap(s.xs)-len(s.xs) >= n {
 		return
 	}
-	xs := make([]float64, len(s.xs), len(s.xs)+n)
+	s.xs, s.tail = s.flat(n), Log[float64]{}
+}
+
+// flat copies every value, in insertion order, into one new slice with
+// room for spare more.
+func (s *Sample) flat(spare int) []float64 {
+	xs := make([]float64, len(s.xs), s.N()+spare)
 	copy(xs, s.xs)
-	s.xs = xs
+	for _, c := range s.tail.chunks {
+		xs = append(xs, c...)
+	}
+	return xs
 }
 
 // N returns the number of values.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return len(s.xs) + s.tail.Len() }
 
 // Values returns the values in sorted order.
 //
@@ -121,23 +140,26 @@ func (s *Sample) Values() []float64 {
 // storage, so the copy stays valid (and stays sorted) no matter what is
 // added to the Sample afterwards.
 func (s *Sample) Sorted() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
+	out := s.flat(0)
 	sort.Float64s(out)
 	return out
 }
 
 func (s *Sample) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if s.sorted {
+		return
 	}
+	if s.tail.Len() > 0 {
+		s.xs, s.tail = s.flat(0), Log[float64]{}
+	}
+	sort.Float64s(s.xs)
+	s.sorted = true
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear interpolation
 // between closest ranks. It returns NaN for an empty sample.
 func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return math.NaN()
 	}
 	s.ensureSorted()
@@ -159,14 +181,19 @@ func (s *Sample) Quantile(q float64) float64 {
 
 // Mean returns the arithmetic mean (NaN when empty).
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return math.NaN()
 	}
 	var sum float64
 	for _, x := range s.xs {
 		sum += x
 	}
-	return sum / float64(len(s.xs))
+	for _, c := range s.tail.chunks {
+		for _, x := range c {
+			sum += x
+		}
+	}
+	return sum / float64(s.N())
 }
 
 // Max returns the largest value (NaN when empty).
@@ -179,7 +206,7 @@ func (s *Sample) Min() float64 { return s.Quantile(0) }
 // The paper uses this to report, e.g., "7.4% of RBER values exceed the ECC
 // limit".
 func (s *Sample) FractionAbove(limit float64) float64 {
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
 	s.ensureSorted()
@@ -325,10 +352,12 @@ type Point struct {
 
 // Series is an append-only time series keyed by a logical clock. It is used
 // for the Fig. 4 N_valid/N_invalid(f, t) plots, where t is the logical time
-// that advances by one per 4 KiB host write.
+// that advances by one per 4 KiB host write, and for the device gauges of
+// a traced run.
 type Series struct {
 	Name   string
-	points []Point
+	points Log[Point]
+	last   Point // copy of the newest point, so Record never reads the log back
 }
 
 // NewSeries creates a named series.
@@ -337,32 +366,28 @@ func NewSeries(name string) *Series { return &Series{Name: name} }
 // Record appends an observation. Observations must be recorded with
 // non-decreasing timestamps; violating timestamps are clamped.
 func (s *Series) Record(t int64, v float64) {
-	if n := len(s.points); n > 0 && t < s.points[n-1].T {
-		t = s.points[n-1].T
+	if s.points.Len() > 0 && t < s.last.T {
+		t = s.last.T
 	}
-	s.points = append(s.points, Point{T: t, V: v})
+	s.last = Point{T: t, V: v}
+	s.points.Append(s.last)
 }
 
 // Len returns the number of points.
-func (s *Series) Len() int { return len(s.points) }
+func (s *Series) Len() int { return s.points.Len() }
 
-// Points returns the raw points. Callers must not modify the slice.
-func (s *Series) Points() []Point { return s.points }
+// At returns the i-th recorded point.
+func (s *Series) At(i int) Point { return *s.points.At(i) }
 
 // Last returns the most recent point (zero Point when empty).
-func (s *Series) Last() Point {
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
-}
+func (s *Series) Last() Point { return s.last }
 
 // MaxValue returns the maximum observed value (0 when empty).
 func (s *Series) MaxValue() float64 {
-	var max float64
-	for i, p := range s.points {
-		if i == 0 || p.V > max {
-			max = p.V
+	max := s.last.V
+	for i := 0; i < s.Len(); i++ {
+		if v := s.points.At(i).V; v > max {
+			max = v
 		}
 	}
 	return max
@@ -373,13 +398,15 @@ func (s *Series) MaxValue() float64 {
 // and last points are always preserved. It is used to emit plot-friendly
 // series from multi-million-point runs.
 func (s *Series) Downsample(n int) []Point {
-	if n <= 0 || len(s.points) <= n {
-		out := make([]Point, len(s.points))
-		copy(out, s.points)
+	if n <= 0 || s.Len() <= n {
+		out := make([]Point, s.Len())
+		for i := range out {
+			out[i] = s.At(i)
+		}
 		return out
 	}
-	first := s.points[0]
-	last := s.points[len(s.points)-1]
+	first := s.At(0)
+	last := s.last
 	span := last.T - first.T
 	if span <= 0 {
 		return []Point{first, last}
@@ -387,7 +414,8 @@ func (s *Series) Downsample(n int) []Point {
 	out := make([]Point, 0, n+2)
 	out = append(out, first)
 	bucket := -1 // the preserved first point is never overwritten
-	for _, p := range s.points[1:] {
+	for i := 1; i < s.Len(); i++ {
+		p := s.At(i)
 		b := int(float64(p.T-first.T) / float64(span+1) * float64(n))
 		if b != bucket {
 			out = append(out, p)

@@ -182,9 +182,8 @@ func TestSeriesRecordAndClamp(t *testing.T) {
 	s := NewSeries("valid")
 	s.Record(10, 1)
 	s.Record(5, 2) // out of order: clamped to t=10
-	pts := s.Points()
-	if len(pts) != 2 || pts[1].T != 10 {
-		t.Fatalf("points = %v, want second point clamped to T=10", pts)
+	if s.Len() != 2 || s.At(1).T != 10 {
+		t.Fatalf("%d points, second %v, want second point clamped to T=10", s.Len(), s.At(1))
 	}
 	if s.Last().V != 2 {
 		t.Fatalf("Last().V = %v, want 2", s.Last().V)
@@ -448,7 +447,7 @@ func TestSeriesDownsampleExactlyNPoints(t *testing.T) {
 	}
 	// The copy must be caller-owned.
 	ds[0].V = 99
-	if s.Points()[0].V != 0 {
+	if s.At(0).V != 0 {
 		t.Fatal("Downsample leaked internal storage")
 	}
 }

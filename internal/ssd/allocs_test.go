@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/ftl"
+	"repro/internal/metrics"
 	"repro/internal/sanitize"
+	"repro/internal/trace"
 )
 
 // TestSanitizeCopiesDoNotAllocate is the zero-alloc canary of the
@@ -51,5 +53,80 @@ func TestSanitizeCopiesDoNotAllocate(t *testing.T) {
 					allocs, copies/runs, c.maxAllocs)
 			}
 		})
+	}
+}
+
+// TestRecorderAllocsPerRun is the steady-state allocation canary of the
+// traced path. Everything a Recorder retains per event — the event, its
+// latency, the gauge points, the ledger's secrets and window samples —
+// goes to a metrics.Log, so against the same overwrites on an untraced
+// device a traced one may allocate only chunk refills: one allocation per
+// metrics.LogChunk retained records, plus a part-filled chunk and the
+// chunk-list regrowths of each log. Once MaxEvents is reached the event
+// log itself allocates nothing more.
+func TestRecorderAllocsPerRun(t *testing.T) {
+	const overwrites = 4000
+	// batch returns the allocations of one batch of secured single-page
+	// overwrites in steady state and what the recorder retained for it.
+	batch := func(rec *trace.Recorder) (allocs float64, events, records uint64) {
+		cfg := goldenCell{policy: sanitize.SecSSD, planes: 1}.config()
+		if rec != nil {
+			cfg.Trace = rec
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Prefill(0.75, true); err != nil {
+			t.Fatal(err)
+		}
+		retained := func() (events, records uint64) {
+			if rec == nil {
+				return 0, 0
+			}
+			st := rec.AuditLedger().Stats(rec.Horizon())
+			events = rec.TotalEvents()
+			records = 2*events - rec.Dropped() + uint64(st.Secrets) + st.Windows + uint64(rec.TInsecure().N())
+			for k := 0; k < trace.NumGaugeKinds; k++ {
+				records += uint64(rec.GaugeSeries(trace.GaugeKind(k)).Len())
+			}
+			return events, records
+		}
+		lpa, logical := int64(0), int64(s.LogicalPages())
+		var ev0, rec0 uint64
+		allocs = testing.AllocsPerRun(1, func() { // runs the batch twice; the second is measured
+			ev0, rec0 = retained()
+			for i := 0; i < overwrites; i++ {
+				s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+				lpa = (lpa + 7) % logical
+			}
+		})
+		ev1, rec1 := retained()
+		return allocs, ev1 - ev0, rec1 - rec0
+	}
+
+	untraced, _, _ := batch(nil)
+	// Part-filled chunks and chunk-list regrowths: a few per log, and a
+	// batch touches some forty logs (per-class latencies, gauges, ledger).
+	const slack = 96
+	for _, tc := range []struct {
+		name      string
+		maxEvents int
+	}{
+		{"uncapped", 0},
+		{"capped", 1000}, // reached during Prefill
+	} {
+		rec := trace.NewRecorder(trace.RecorderConfig{Chips: 8, Channels: 2, MaxEvents: tc.maxEvents})
+		allocs, events, records := batch(rec)
+		if events < 5*overwrites {
+			t.Fatalf("%s: %d events over %d overwrites: the traced path was not exercised", tc.name, events, overwrites)
+		}
+		if tc.maxEvents > 0 && rec.Dropped() < events {
+			t.Fatalf("%s: the cap was not reached before the measured batch", tc.name)
+		}
+		if extra, limit := allocs-untraced, float64(records/metrics.LogChunk+slack); extra > limit {
+			t.Errorf("%s: %.0f allocations more than untraced for %d events (%d retained records), want at most %.0f",
+				tc.name, extra, events, records, limit)
+		}
 	}
 }

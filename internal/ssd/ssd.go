@@ -12,6 +12,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/blockio"
 	"repro/internal/fault"
@@ -172,6 +173,10 @@ func New(cfg Config) (*SSD, error) {
 		return nil, fmt.Errorf("ssd: need at least one channel and chip, got %d×%d",
 			cfg.Channels, cfg.ChipsPerChannel)
 	}
+	if cfg.Channels > math.MaxInt8 || cfg.Channels*cfg.ChipsPerChannel > math.MaxInt16 {
+		return nil, fmt.Errorf("ssd: %d channels × %d chips per channel exceeds the %d channels / %d chips a trace.Event addresses",
+			cfg.Channels, cfg.ChipsPerChannel, math.MaxInt8, math.MaxInt16)
+	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("ssd: a sanitization policy is required (use sanitize.Baseline() for none)")
 	}
@@ -279,8 +284,8 @@ func (s *SSD) addr(p ftl.PPA) (int, nand.PageAddr) {
 func (s *SSD) emitChip(class trace.OpClass, chip int, p ftl.PPA, queued, start, end sim.Micros) {
 	s.tr.Op(trace.Event{
 		Class: class, Start: start, End: end, Queued: queued,
-		Chip: chip, Channel: s.channelOf(chip),
-		Block: s.geo.BlockOf(p), Page: s.geo.PageInBlock(p), LPA: -1,
+		Chip: int16(chip), Channel: int8(s.channelOf(chip)),
+		Block: int32(s.geo.BlockOf(p)), Page: int32(s.geo.PageInBlock(p)), LPA: -1,
 	})
 }
 
@@ -393,7 +398,7 @@ func (s *SSD) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpErase, Start: start, End: done, Queued: dep,
-			Chip: chip, Channel: s.channelOf(chip), Block: block, Page: -1, LPA: -1,
+			Chip: int16(chip), Channel: int8(s.channelOf(chip)), Block: int32(block), Page: -1, LPA: -1,
 		})
 	}
 	return done, err
@@ -424,7 +429,7 @@ func (s *SSD) BLock(block int, dep sim.Micros) (sim.Micros, error) {
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpBLock, Start: start, End: done, Queued: dep,
-			Chip: chip, Channel: s.channelOf(chip), Block: block, Page: -1, LPA: -1,
+			Chip: int16(chip), Channel: int8(s.channelOf(chip)), Block: int32(block), Page: -1, LPA: -1,
 		})
 	}
 	return done, err
@@ -463,8 +468,8 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpPLockBatch, Start: start, End: done, Queued: dep,
-			Chip: chip, Channel: s.channelOf(chip), Block: block,
-			Page: wl * s.geo.PagesPerWL, LPA: -1, Pages: len(pages),
+			Chip: int16(chip), Channel: int8(s.channelOf(chip)), Block: int32(block),
+			Page: int32(wl * s.geo.PagesPerWL), LPA: -1, Pages: int32(len(pages)),
 		})
 	}
 	return done, err
@@ -512,9 +517,9 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpProgramMulti, Start: progStart, End: done, Queued: dep,
-			Chip: chip, Channel: s.channelOf(chip),
-			Block: s.geo.BlockOf(pages[0]), Page: s.geo.PageInBlock(pages[0]),
-			LPA: -1, Pages: len(pages),
+			Chip: int16(chip), Channel: int8(s.channelOf(chip)),
+			Block: int32(s.geo.BlockOf(pages[0])), Page: int32(s.geo.PageInBlock(pages[0])),
+			LPA: -1, Pages: int32(len(pages)),
 		})
 	}
 	return done, errs
@@ -540,9 +545,9 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpReadMulti, Start: cellStart, End: cellDone, Queued: dep,
-			Chip: chip, Channel: s.channelOf(chip),
-			Block: s.geo.BlockOf(pages[0]), Page: s.geo.PageInBlock(pages[0]),
-			LPA: -1, Pages: len(pages),
+			Chip: int16(chip), Channel: int8(s.channelOf(chip)),
+			Block: int32(s.geo.BlockOf(pages[0])), Page: int32(s.geo.PageInBlock(pages[0])),
+			LPA: -1, Pages: int32(len(pages)),
 		})
 	}
 	for i, err := range errs {
@@ -620,7 +625,7 @@ func (s *SSD) Submit(req blockio.Request) (sim.Micros, error) {
 		s.tr.Op(trace.Event{
 			Class: class, Start: start, End: done, Queued: start,
 			Chip: -1, Channel: -1, Block: -1, Page: -1,
-			LPA: req.LPA, Pages: int(req.Pages),
+			LPA: req.LPA, Pages: req.Pages,
 		})
 	}
 	return done, nil

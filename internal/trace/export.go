@@ -18,12 +18,12 @@ type jsonlEvent struct {
 	StartUs int64  `json:"start_us"`
 	EndUs   int64  `json:"end_us"`
 	QueueUs int64  `json:"queued_us"`
-	Chip    int    `json:"chip"`
-	Channel int    `json:"channel"`
-	Block   int    `json:"block"`
-	Page    int    `json:"page"`
+	Chip    int16  `json:"chip"`
+	Channel int8   `json:"channel"`
+	Block   int32  `json:"block"`
+	Page    int32  `json:"page"`
 	LPA     int64  `json:"lpa"`
-	Pages   int    `json:"pages"`
+	Pages   int32  `json:"pages"`
 }
 
 // WriteJSONL writes the retained events as one JSON object per line, in
@@ -31,7 +31,8 @@ type jsonlEvent struct {
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range r.events {
+	for i := 0; i < r.events.Len(); i++ {
+		ev := r.events.At(i)
 		if err := enc.Encode(jsonlEvent{
 			Op:      ev.Class.String(),
 			StartUs: int64(ev.Start),
@@ -72,20 +73,20 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func chromeTrack(ev Event) (pid, tid int) {
+func chromeTrack(ev *Event) (pid, tid int) {
 	switch ev.Class {
 	case OpHostRead, OpHostWrite, OpHostTrim:
 		return chromePidHost, 0
 	case OpGC:
-		return chromePidFTL, ev.Chip
+		return chromePidFTL, int(ev.Chip)
 	case OpXfer:
-		return chromePidChan + ev.Channel, 0
+		return chromePidChan + int(ev.Channel), 0
 	default:
-		return chromePidChan + ev.Channel, 1 + ev.Chip
+		return chromePidChan + int(ev.Channel), 1 + int(ev.Chip)
 	}
 }
 
-func chromeCat(ev Event) string {
+func chromeCat(ev *Event) string {
 	switch ev.Class {
 	case OpHostRead, OpHostWrite, OpHostTrim:
 		return "host"
@@ -108,7 +109,7 @@ const chromeGaugePoints = 2000
 // chip and per channel bus; gauges become counter ("C") tracks. Events
 // are sorted by start time, so every track's timestamps are monotone.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	evs := make([]chromeEvent, 0, len(r.events)+32)
+	evs := make([]chromeEvent, 0, r.events.Len()+32)
 
 	// Track-naming metadata.
 	meta := func(pid, tid int, kind, name string) {
@@ -133,8 +134,9 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		meta(chromePidFTL, chip, "thread_name", fmt.Sprintf("gc chip %d", chip))
 	}
 
-	body := make([]chromeEvent, 0, len(r.events))
-	for _, ev := range r.events {
+	body := make([]chromeEvent, 0, r.events.Len())
+	for i := 0; i < r.events.Len(); i++ {
+		ev := r.events.At(i)
 		pid, tid := chromeTrack(ev)
 		ce := chromeEvent{
 			Name: ev.Class.String(),
@@ -286,7 +288,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	aud := r.ledger.Stats(r.horizon)
 	sn := Snapshot{
 		HorizonUs:          int64(r.horizon),
-		Events:             len(r.events),
+		Events:             r.events.Len(),
 		DroppedEvents:      r.dropped,
 		Ops:                make(map[string]OpStats),
 		ChipUtil:           r.ChipUtilization(),

@@ -6,9 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultMaxEvents caps the retained event log (≈64 B/event). Statistics
-// keep accumulating past the cap; only the raw event list stops growing,
-// and Dropped() reports how many events it lost.
+// DefaultMaxEvents caps the retained event log (48 B/event, so 48 MiB at
+// the cap). Statistics keep accumulating past the cap; only the raw event
+// list stops growing, and Dropped() reports how many events it lost.
 const DefaultMaxEvents = 1 << 20
 
 // latencyHistBins configures the per-class latency histograms: 40 bins
@@ -38,7 +38,7 @@ type RecorderConfig struct {
 type Recorder struct {
 	cfg RecorderConfig
 
-	events  []Event
+	events  metrics.Log[Event]
 	dropped uint64
 	horizon sim.Micros // latest End seen
 
@@ -87,8 +87,8 @@ func (r *Recorder) Enabled() bool { return true }
 
 // Op implements Collector.
 func (r *Recorder) Op(ev Event) {
-	if r.cfg.MaxEvents < 0 || len(r.events) < r.cfg.MaxEvents {
-		r.events = append(r.events, ev)
+	if r.cfg.MaxEvents < 0 || r.events.Len() < r.cfg.MaxEvents {
+		r.events.Append(ev)
 	} else {
 		r.dropped++
 	}
@@ -104,7 +104,7 @@ func (r *Recorder) Op(ev Event) {
 	}
 	switch ev.Class {
 	case OpXfer:
-		if ev.Channel >= 0 && ev.Channel < len(r.chanBusy) {
+		if ev.Channel >= 0 && int(ev.Channel) < len(r.chanBusy) {
 			r.chanBusy[ev.Channel] += ev.Dur()
 		} else {
 			r.unattrBusy += ev.Dur()
@@ -118,7 +118,7 @@ func (r *Recorder) Op(ev Event) {
 		// time. OpReadRetry IS busy time: each failed attempt burned
 		// tREAD on the chip, so it falls through to the default case.
 	default:
-		if ev.Chip >= 0 && ev.Chip < len(r.chipBusy) {
+		if ev.Chip >= 0 && int(ev.Chip) < len(r.chipBusy) {
 			r.chipBusy[ev.Chip] += ev.Dur()
 		} else {
 			// A chip op with out-of-range coordinates would silently
@@ -163,9 +163,6 @@ func (r *Recorder) Audit(ev audit.Event) {
 		r.Gauge(GaugeInsecureWindows, ev.At, float64(r.ledger.OpenCopies()))
 	}
 }
-
-// Events returns the retained events. The slice is owned by the Recorder.
-func (r *Recorder) Events() []Event { return r.events }
 
 // TotalEvents reports every operation observed, retained or dropped.
 func (r *Recorder) TotalEvents() uint64 {

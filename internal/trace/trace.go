@@ -143,18 +143,20 @@ func (c OpClass) String() string {
 
 // Event is one completed simulated operation. Coordinate fields not
 // meaningful for the class are -1 (e.g. a host request has no chip, a
-// bus transfer no block). Block is the device-global block index.
+// bus transfer no block). Block is the device-global block index. The
+// fields are ordered and sized to pack into 48 bytes: a Recorder retains
+// up to a million of these and every producer passes one by value.
 type Event struct {
-	Class   OpClass
 	Start   sim.Micros // when the resource began serving the operation
 	End     sim.Micros // completion time
 	Queued  sim.Micros // when the operation was issued (Start-Queued = queueing delay)
-	Chip    int
-	Channel int
-	Block   int
-	Page    int
-	LPA     int64 // logical page of a host request (-1 otherwise)
-	Pages   int   // host request length in pages (0 otherwise)
+	LPA     int64      // logical page of a host request (-1 otherwise)
+	Block   int32
+	Page    int32
+	Pages   int32 // host request length in pages (0 otherwise)
+	Chip    int16
+	Channel int8
+	Class   OpClass
 }
 
 // Dur returns the event's service duration.

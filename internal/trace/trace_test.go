@@ -2,7 +2,9 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -107,23 +109,40 @@ func TestRecorderBusyAttribution(t *testing.T) {
 	}
 }
 
+// TestRecorderMaxEventsDrops puts the retention cap inside the first
+// chunk of the event log, in the middle of a later chunk and exactly on
+// a chunk edge.
 func TestRecorderMaxEventsDrops(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1, MaxEvents: 2})
-	for i := 0; i < 5; i++ {
-		r.Op(Event{Class: OpRead, Start: sim.Micros(i * 100), End: sim.Micros(i*100 + 80), Chip: 0})
-	}
-	if len(r.Events()) != 2 {
-		t.Fatalf("retained %d events, want 2", len(r.Events()))
-	}
-	if r.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", r.Dropped())
-	}
-	// Statistics must keep accumulating past the cap.
-	if r.Count(OpRead) != 5 {
-		t.Fatalf("Count = %d, want 5", r.Count(OpRead))
-	}
-	if r.TotalEvents() != 5 {
-		t.Fatalf("TotalEvents = %d, want 5", r.TotalEvents())
+	const c = metrics.LogChunk
+	for _, tc := range []struct{ cap, ops int }{
+		{2, 5}, {c + c/2, 2*c + 3}, {c, c + 1}, {2 * c, 2*c + 7}, {3 * c, 3 * c},
+	} {
+		r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1, MaxEvents: tc.cap})
+		for i := 0; i < tc.ops; i++ {
+			r.Op(Event{Class: OpRead, Start: sim.Micros(i * 100), End: sim.Micros(i*100 + 80), Chip: 0})
+		}
+		if r.events.Len() != tc.cap {
+			t.Fatalf("cap %d: retained %d events", tc.cap, r.events.Len())
+		}
+		if got := r.Dropped(); got != uint64(tc.ops-tc.cap) {
+			t.Fatalf("cap %d: Dropped = %d, want %d", tc.cap, got, tc.ops-tc.cap)
+		}
+		// The retained events are the first cap ones, in order.
+		for i := 0; i < tc.cap; i++ {
+			if ev := r.events.At(i); ev.Start != sim.Micros(i*100) {
+				t.Fatalf("cap %d: event %d starts at %v", tc.cap, i, ev.Start)
+			}
+		}
+		// Statistics must keep accumulating past the cap.
+		if r.Count(OpRead) != uint64(tc.ops) || r.TotalEvents() != uint64(tc.ops) {
+			t.Fatalf("cap %d: Count = %d, TotalEvents = %d, want %d", tc.cap, r.Count(OpRead), r.TotalEvents(), tc.ops)
+		}
+		if got := r.Latencies(OpRead).N(); got != tc.ops {
+			t.Fatalf("cap %d: %d latencies, want %d", tc.cap, got, tc.ops)
+		}
+		if sn := r.Snapshot(); sn.Events != tc.cap || sn.DroppedEvents != r.Dropped() {
+			t.Fatalf("cap %d: snapshot events %d dropped %d", tc.cap, sn.Events, sn.DroppedEvents)
+		}
 	}
 }
 
@@ -132,8 +151,16 @@ func TestRecorderUnlimitedEvents(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 0})
 	}
-	if len(r.Events()) != 100 || r.Dropped() != 0 {
-		t.Fatalf("retained %d dropped %d, want 100/0", len(r.Events()), r.Dropped())
+	if r.events.Len() != 100 || r.Dropped() != 0 {
+		t.Fatalf("retained %d dropped %d, want 100/0", r.events.Len(), r.Dropped())
+	}
+}
+
+// TestEventSizeof pins the packed event: DefaultMaxEvents, DESIGN §5b
+// and the README quote 48 bytes per retained event.
+func TestEventSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 48", got)
 	}
 }
 
@@ -194,12 +221,12 @@ func TestRecorderGauges(t *testing.T) {
 	r.Invalidated(1, true, 300)
 	r.Invalidated(2, true, 400)
 	r.Destroyed(1, 500)
-	pts := r.GaugeSeries(GaugeInsecureWindows).Points()
-	if len(pts) != 3 {
-		t.Fatalf("insecure_windows points = %d, want 3", len(pts))
+	g := r.GaugeSeries(GaugeInsecureWindows)
+	if g.Len() != 3 {
+		t.Fatalf("insecure_windows points = %d, want 3", g.Len())
 	}
-	if pts[1].V != 2 || pts[2].V != 1 {
-		t.Fatalf("insecure_windows values = %v, want rise to 2 then fall to 1", pts)
+	if g.At(1).V != 2 || g.At(2).V != 1 {
+		t.Fatalf("insecure_windows values = %v %v, want rise to 2 then fall to 1", g.At(1), g.At(2))
 	}
 }
 
