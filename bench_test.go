@@ -412,9 +412,9 @@ func BenchmarkFlashOps(b *testing.B) {
 	})
 	// One secured single-page overwrite through the whole device: scrSSD
 	// moves the wordline's two siblings and scrubs, erSSD evacuates and
-	// erases the block. allocs/op is the request-level hand-off to the
-	// policy; the page copies themselves are allocation-free
-	// (ssd.TestSanitizeCopiesDoNotAllocate pins the count).
+	// erases the block. Neither the page copies nor the request-level
+	// hand-off to the policy allocate once the sanitize queue's free
+	// lists are warm (ssd.TestSanitizeCopiesDoNotAllocate pins 0).
 	overwrite := func(b *testing.B, policy ftl.Policy) {
 		s, err := ssd.New(ssd.Config{
 			Channels: 2, ChipsPerChannel: 2,

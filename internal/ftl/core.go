@@ -88,6 +88,11 @@ type FTL struct {
 	pendingPages [][]PPA
 	pendingList  []int
 	pendingCount int
+	// pendingFree and drainFree hold the per-block page slices and the
+	// drain results policies handed back through ReleasePending, emptied,
+	// for PendSanitize and DrainPending to reuse.
+	pendingFree [][]PPA
+	drainFree   [][]PendingBlock
 
 	// lockq coalesces pending pLocks per wordline into batched SBPI pulses
 	// (lockmgr.go); lockBatching gates the whole path.
@@ -764,6 +769,10 @@ func (f *FTL) PendSanitize(p PPA) {
 		// that cancelled the block's queue); DrainPending dedupes on the
 		// nil check, so appending again is harmless.
 		f.pendingList = append(f.pendingList, b)
+		if n := len(f.pendingFree); n > 0 {
+			f.pendingPages[b] = f.pendingFree[n-1]
+			f.pendingFree = f.pendingFree[:n-1]
+		}
 	}
 	f.pendingPages[b] = append(f.pendingPages[b], p)
 	f.pendingCount++
@@ -776,6 +785,7 @@ func (f *FTL) clearPending(block int) {
 	if ps := f.pendingPages[block]; ps != nil {
 		f.pendingCount -= len(ps)
 		f.pendingPages[block] = nil
+		f.pendingFree = append(f.pendingFree, ps[:0])
 	}
 }
 
@@ -788,16 +798,22 @@ type PendingBlock struct {
 // DrainPending returns and clears the pending sanitize sets, ordered by
 // block index. The deterministic order matters: policies issue lock and
 // erase commands while iterating, and unordered iteration would make
-// simulated timing vary run to run. Ownership of each Pages slice moves
-// to the caller; the drain must allocate a fresh result because policies
-// iterate it while relocations can reentrantly queue and drain more work.
+// simulated timing vary run to run. Ownership of the result and of each
+// Pages slice moves to the caller until it hands them back with
+// ReleasePending: policies iterate the result while relocations can
+// reentrantly queue and drain more work, and a reentrant drain never
+// sees a slice that is still out.
 func (f *FTL) DrainPending() []PendingBlock {
 	if f.pendingCount == 0 {
 		f.pendingList = f.pendingList[:0]
 		return nil
 	}
 	slices.Sort(f.pendingList)
-	out := make([]PendingBlock, 0, len(f.pendingList))
+	var out []PendingBlock
+	if n := len(f.drainFree); n > 0 {
+		out = f.drainFree[n-1]
+		f.drainFree = f.drainFree[:n-1]
+	}
 	for _, b := range f.pendingList {
 		pages := f.pendingPages[b]
 		if pages == nil {
@@ -810,6 +826,21 @@ func (f *FTL) DrainPending() []PendingBlock {
 	f.pendingList = f.pendingList[:0]
 	f.pendingCount = 0
 	return out
+}
+
+// ReleasePending hands a DrainPending result back for reuse once the
+// policy has finished iterating it; the result and its Pages slices must
+// not be used afterwards. A flush that unwinds without releasing (a
+// power cut) only costs the next drain an allocation.
+func (f *FTL) ReleasePending(drained []PendingBlock) {
+	if drained == nil {
+		return
+	}
+	for _, pb := range drained {
+		f.pendingFree = append(f.pendingFree, pb.Pages[:0])
+	}
+	clear(drained)
+	f.drainFree = append(f.drainFree, drained[:0])
 }
 
 // BlockFullyStale reports whether no live pages remain in the block and

@@ -560,3 +560,33 @@ func TestGeometryValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushAllocsPerRun is the canary of the recycled sanitize queue: a
+// secured single-page overwrite pends the stale copy, and the policy's
+// flush drains, locks and hands the drain result back, so once the free
+// lists are warm neither PendSanitize nor DrainPending allocates — on
+// real chips the pLocks reuse the flag cells garbage collection's
+// erases retire.
+func TestFlushAllocsPerRun(t *testing.T) {
+	for _, policy := range []func() ftl.Policy{sanitize.SecSSD, sanitize.SecSSDNoBLock, sanitize.ErSSD} {
+		f, _ := newFTLWithChips(t, policy())
+		logical := int64(f.LogicalPages())
+		lpa := int64(0)
+		overwrite := func() {
+			write(t, f, lpa, 1, false)
+			lpa = (lpa + 7) % logical
+		}
+		for i := int64(0); i < 4*logical; i++ {
+			overwrite()
+		}
+		before := f.Stats()
+		allocs := testing.AllocsPerRun(200, overwrite)
+		after := f.Stats()
+		if after.PLocks+after.Erases == before.PLocks+before.Erases {
+			t.Fatalf("%s: no lock or erase over 200 secured overwrites: the flush path was not exercised", f.PolicyName())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per secured overwrite once warm, want 0", f.PolicyName(), allocs)
+		}
+	}
+}

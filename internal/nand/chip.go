@@ -205,34 +205,61 @@ type PageAddr struct {
 
 func (a PageAddr) String() string { return fmt.Sprintf("pb%d/pp%d", a.Block, a.Page) }
 
-// block is one erase unit. The per-wordline operating history and the
-// per-page pAP flags are stored as parallel arrays (SoA layout) rather
-// than an array of wordline structs: the read path touches exactly one
-// field of up to three wordlines per operation (disturb bookkeeping), so
-// packing each field contiguously keeps the hot cache lines dense.
+// pageRec is everything the chip keeps per physical page besides the
+// payload: the spare-area stamp (see OOBMeta) and, in what would be the
+// stamp's padding, where the page's pAP flag cells live. One record per
+// page sits in Chip.recs at block*pagesPerBlock+page, so Read, Program,
+// StampOOB and the lock check touch one 24-byte entry. Whether the page
+// is programmed is not stored: it is page < block.writePtr.
+type pageRec struct {
+	lpa int64
+	seq uint64
+	// flag is the 1-based slot of the page's k flag cells in the chip's
+	// flag-cell arena; 0 means the pAP flag was never programmed (enabled).
+	flag   uint32
+	secure bool
+	valid  bool
+}
+
+// block is one erase unit. Per-page state lives in the chip-wide record
+// table (pageRec) and flag-cell arena; the block itself holds only the
+// per-wordline operating history, as parallel arrays (the read path
+// touches one field of up to three wordlines per operation), and the
+// payload store, which a timing-only run never creates.
 type block struct {
-	pages    [][]byte // payload per page; nil = free
-	pageBits []int    // logical payload length in bytes (tracks partial writes)
-	// flags[page] holds the sampled Vth values of the k pAP flag cells
-	// backing the page; nil means never programmed (enabled). flagDay is
-	// the simulated day the flag was programmed (retention decay).
-	flags   [][]float64
-	flagDay []float64
+	// data holds the stored payload bytes per page. It is created by the
+	// block's first non-empty Program and kept across erases; a nil entry
+	// below writePtr is a page programmed with a zero-length payload.
+	data [][]byte
 	// Per-wordline history, indexed by wordline:
 	wlDisturbs   []int32   // pLock pulses applied while data cells were inhibited
 	wlReads      []int32   // disturb events from reads of neighbouring WLs
 	wlProgDay    []float64 // when the data cells were programmed (sim days)
 	wlProgrammed []bool
 	writePtr     int // next page to program (append-only discipline)
-	peCycles     int
-	erasedDay    float64 // when the block was last erased (for open interval)
-	everErased   bool
+	// flagEnd is one past the highest page whose pAP flag is programmed.
+	// The FTL only locks programmed pages, but the raw command set does not
+	// stop a pLock beyond writePtr, so Erase clears records up to whichever
+	// of the two is higher.
+	flagEnd    int
+	peCycles   int
+	erasedDay  float64 // when the block was last erased (for open interval)
+	everErased bool
 	// sslCenter > 0 means bLock programmed the SSL to that center Vth.
 	sslCenter  float64
 	sslLockDay float64
-	// meta holds the per-page spare-area stamps (see OOBMeta). Cleared
-	// by Erase and, per wordline, by Scrub.
-	meta []OOBMeta
+}
+
+// payload returns the page's stored bytes: nil when erased, zero-length
+// when programmed without data.
+func (blk *block) payload(page int) []byte {
+	if page >= blk.writePtr {
+		return nil
+	}
+	if blk.data == nil || blk.data[page] == nil {
+		return emptyPage
+	}
+	return blk.data[page]
 }
 
 // Chip is one emulated NAND die.
@@ -240,6 +267,15 @@ type Chip struct {
 	geo    Geometry
 	timing Timing
 	blocks []block
+	recs   []pageRec // one per page, block-major
+
+	// The pAP flag of a locked page is k spare cells (§5.3); only locked
+	// pages have any. A slot is k sampled Vths followed by the simulated
+	// day the flag was programmed (retention decay), carved from fixed-size
+	// chunks that are never moved; Erase returns slots to flagFree.
+	flagChunks [][]float64
+	flagSlots  uint32   // slots handed out from flagChunks so far
+	flagFree   []uint32 // retired slots, reused before the arena grows
 
 	// Address arithmetic hoisted out of the per-op path at New:
 	// Geometry.PagesPerBlock and PagesPerWL evaluate a CellKind switch, and
@@ -284,10 +320,56 @@ type Chip struct {
 	// Hot-path scratch and recycle pools. A chip is driven by one
 	// goroutine at a time (the device model serializes operations per
 	// chip), so a single scratch buffer per chip suffices.
-	readBuf  []byte      // backs ReadResult.Data — see Read's aliasing rule
-	agedBuf  []float64   // pageLockedAt's decayed-flag scratch
-	pagePool [][]byte    // retired page payload buffers, refilled by Erase
-	flagPool [][]float64 // retired pAP flag-cell slices, refilled by Erase
+	readBuf  []byte    // backs ReadResult.Data — see Read's aliasing rule
+	agedBuf  []float64 // pageLockedAt's decayed-flag scratch
+	pagePool [][]byte  // retired page payload buffers, refilled by Erase
+}
+
+// flagChunkSlots is how many flag slots one arena chunk holds (20 KiB at
+// k = 9): small enough that a lightly locked chip stays small, large
+// enough that growing costs one allocation per 256 locks.
+const flagChunkSlots = 256
+
+// rec returns the page's record; the address must have passed checkAddr.
+func (c *Chip) rec(a PageAddr) *pageRec {
+	return &c.recs[a.Block*c.pagesPerBlock+a.Page]
+}
+
+// blockRecs returns the records of a block's first n pages.
+func (c *Chip) blockRecs(blockIdx, n int) []pageRec {
+	first := blockIdx * c.pagesPerBlock
+	return c.recs[first : first+n]
+}
+
+// flagSlot returns a programmed flag's arena slot: k cell Vths, then the
+// lock day.
+func (c *Chip) flagSlot(idx uint32) []float64 {
+	stride := c.geo.FlagCells + 1
+	i := int(idx - 1)
+	off := i % flagChunkSlots * stride
+	return c.flagChunks[i/flagChunkSlots][off : off+stride]
+}
+
+// programFlag programs the page's k pAP flag cells at day: it takes an
+// arena slot and samples the cells from the chip's RNG.
+func (c *Chip) programFlag(blk *block, page int, rec *pageRec, day float64) {
+	if n := len(c.flagFree); n > 0 {
+		rec.flag = c.flagFree[n-1]
+		c.flagFree = c.flagFree[:n-1]
+	} else {
+		if int(c.flagSlots) == len(c.flagChunks)*flagChunkSlots {
+			c.flagChunks = append(c.flagChunks, make([]float64, flagChunkSlots*(c.geo.FlagCells+1)))
+		}
+		c.flagSlots++
+		rec.flag = c.flagSlots
+	}
+	slot := c.flagSlot(rec.flag)
+	k := c.geo.FlagCells
+	c.flagModel.SampleCells(slot[:k], c.plockV, c.plockT, 0, blk.peCycles, c.rng)
+	slot[k] = day
+	if page >= blk.flagEnd {
+		blk.flagEnd = page + 1
+	}
 }
 
 // emptyPage marks a programmed page with a zero-length payload (distinct
@@ -308,17 +390,6 @@ func (c *Chip) takePage(n int) []byte {
 	}
 	// Full page capacity so the buffer is reusable for any later payload.
 	return make([]byte, n, c.geo.PageBytes)
-}
-
-// takeFlags returns a flag-cell slice of length k = FlagCells.
-func (c *Chip) takeFlags() []float64 {
-	if k := len(c.flagPool); k > 0 {
-		cells := c.flagPool[k-1]
-		c.flagPool[k-1] = nil
-		c.flagPool = c.flagPool[:k-1]
-		return cells
-	}
-	return make([]float64, c.geo.FlagCells)
 }
 
 // Option configures a Chip.
@@ -366,6 +437,7 @@ func New(geo Geometry, opts ...Option) (*Chip, error) {
 		geo:       geo,
 		timing:    DefaultTiming(),
 		blocks:    make([]block, geo.Blocks),
+		recs:      make([]pageRec, geo.TotalPages()),
 		model:     model,
 		flagModel: vth.DefaultFlagModel(),
 		sslModel:  vth.DefaultSSLModel(),
@@ -383,18 +455,12 @@ func New(geo Geometry, opts ...Option) (*Chip, error) {
 		pagesPerBlock: geo.PagesPerBlock(),
 		pagesPerWL:    geo.PagesPerWL(),
 	}
-	ppb := c.pagesPerBlock
-	c.wlOfPage = make([]int32, ppb)
+	c.wlOfPage = make([]int32, c.pagesPerBlock)
 	for page := range c.wlOfPage {
 		c.wlOfPage[page] = int32(page / c.pagesPerWL)
 	}
 	for b := range c.blocks {
 		blk := &c.blocks[b]
-		blk.pages = make([][]byte, ppb)
-		blk.pageBits = make([]int, ppb)
-		blk.meta = make([]OOBMeta, ppb)
-		blk.flags = make([][]float64, ppb)
-		blk.flagDay = make([]float64, ppb)
 		blk.wlDisturbs = make([]int32, geo.WLsPerBlock)
 		blk.wlReads = make([]int32, geo.WLsPerBlock)
 		blk.wlProgDay = make([]float64, geo.WLsPerBlock)

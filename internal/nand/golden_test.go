@@ -1,0 +1,251 @@
+package nand
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"hash"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/nand/vth"
+	"repro/internal/sim"
+)
+
+// mediaHash folds everything a chip-off adversary, the remount scan or
+// the lock decision can observe into one digest — plus the stored
+// flag-cell Vths and lock days behind those decisions, so a storage
+// change that kept every vote but perturbed a cell would still move it.
+type mediaHash struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (m *mediaHash) u64(v uint64) {
+	binary.LittleEndian.PutUint64(m.buf[:], v)
+	m.h.Write(m.buf[:])
+}
+
+func (m *mediaHash) f64(v float64) { m.u64(math.Float64bits(v)) }
+
+func (m *mediaHash) flag(b bool) {
+	if b {
+		m.u64(1)
+	} else {
+		m.u64(0)
+	}
+}
+
+// bytes distinguishes nil (erased / unreadable) from a zero-length
+// payload.
+func (m *mediaHash) bytes(b []byte) {
+	if b == nil {
+		m.u64(math.MaxUint64)
+		return
+	}
+	m.u64(uint64(len(b)))
+	m.h.Write(b)
+}
+
+// err folds which sentinel an error wraps, not its text.
+func (m *mediaHash) err(e error) {
+	for i, s := range []error{ErrBadAddress, ErrNotErased, ErrOutOfOrder, ErrPageLocked, ErrBlockLocked,
+		ErrUncorrectable, ErrProgramFailed, ErrEraseFailed, ErrPLockFailed, ErrBLockFailed} {
+		if errors.Is(e, s) {
+			m.u64(uint64(i + 1))
+			return
+		}
+	}
+	if e != nil {
+		m.h.Write([]byte(e.Error()))
+		return
+	}
+	m.u64(0)
+}
+
+func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
+	t.Helper()
+	geo := c.Geometry()
+	for b := 0; b < geo.Blocks; b++ {
+		m.u64(uint64(c.WritePointer(b)))
+		m.u64(uint64(c.PECycles(b)))
+		bl, err := c.IsBlockLocked(b, now)
+		m.err(err)
+		m.flag(bl)
+		for _, page := range c.ForensicDump(b, now) {
+			m.bytes(page)
+		}
+		for p := 0; p < geo.PagesPerBlock(); p++ {
+			a := PageAddr{Block: b, Page: p}
+			pr, err := c.ProbePage(a, now)
+			m.err(err)
+			m.flag(pr.Programmed)
+			m.flag(pr.Locked)
+			m.flag(pr.NonZero)
+			m.u64(uint64(pr.Meta.LPA))
+			m.u64(pr.Meta.Seq)
+			m.flag(pr.Meta.Secure)
+			m.flag(pr.Meta.Valid)
+			locked, err := c.IsPageLocked(a, now)
+			m.err(err)
+			m.flag(locked)
+			cells, day := c.flagCells(a)
+			m.u64(uint64(len(cells)))
+			for _, v := range cells {
+				m.f64(v)
+			}
+			m.f64(day)
+		}
+	}
+	for k := OpKind(0); k < opKinds; k++ {
+		m.u64(c.OpCount(k))
+	}
+}
+
+// runMediaScript drives one seeded random command script against a
+// small chip with faults, Monte-Carlo read errors and one armed power
+// cut, folding the full media state into the digest every 50 commands.
+func runMediaScript(t *testing.T, planes int, seed int64) string {
+	t.Helper()
+	geo := Geometry{
+		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64,
+		FlagCells: 9, EnduranceCycles: 1000, Planes: planes,
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cs := fault.NewCutState()
+	cs.Arm(fault.CutSpec{AfterOps: uint64(200 + rng.Intn(600)), Op: fault.CutAny})
+	c, err := New(geo, WithSeed(seed), WithErrorInjection(), WithPowerCut(cs),
+		WithFaults(fault.New(fault.Config{
+			ProgramFail: 0.03, EraseFail: 0.03, PLockFail: 0.05, BLockFail: 0.05,
+			ReadBER: 1e-4, WearWeight: 2, Seed: seed,
+		}, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &mediaHash{h: sha256.New()}
+	ppb, bits := geo.PagesPerBlock(), geo.PagesPerWL()
+	var now sim.Micros
+	var seq uint64
+	randAddr := func() PageAddr { return PageAddr{Block: rng.Intn(geo.Blocks), Page: rng.Intn(ppb)} }
+	for step := 0; step < 2500; step++ {
+		now += sim.Micros(rng.Intn(900))
+		pl := catchLoss(func() {
+			var lat sim.Micros
+			var err error
+			switch op := rng.Intn(100); {
+			case op < 40: // program at a write frontier: nil, empty or real payload
+				a := PageAddr{Block: rng.Intn(geo.Blocks)}
+				a.Page = c.WritePointer(a.Block)
+				var data []byte
+				switch rng.Intn(4) {
+				case 0:
+				case 1:
+					data = []byte{}
+				default:
+					data = make([]byte, 1+rng.Intn(geo.PageBytes))
+					rng.Read(data)
+				}
+				lat, err = c.Program(a, data, now)
+				if err == nil && rng.Intn(4) != 0 {
+					seq++
+					m.err(c.StampOOB(a, OOBMeta{LPA: int64(rng.Intn(1000)), Seq: seq, Secure: rng.Intn(2) == 0}))
+				}
+			case op < 45: // program or stamp anywhere: mostly rejected
+				a := randAddr()
+				lat, err = c.Program(a, []byte{byte(step)}, now)
+				m.err(c.StampOOB(randAddr(), OOBMeta{LPA: int64(step), Seq: seq}))
+			case op < 58: // pLock anywhere, erased pages included
+				lat, err = c.PLock(randAddr(), now)
+			case op < 66:
+				slots := make([]int, 0, bits)
+				for s := 0; s < bits; s++ {
+					if rng.Intn(2) == 0 {
+						slots = append(slots, s)
+					}
+				}
+				lat, err = c.PLockWL(rng.Intn(geo.Blocks), rng.Intn(geo.WLsPerBlock), slots, now)
+			case op < 69:
+				lat, err = c.BLock(rng.Intn(geo.Blocks), now)
+			case op < 75:
+				lat, err = c.Scrub(randAddr(), now)
+			case op < 83:
+				src := randAddr()
+				dst := PageAddr{Block: src.Block ^ 1}
+				dst.Page = c.WritePointer(dst.Block)
+				lat, err = c.Copyback(src, dst, now)
+			case op < 90:
+				lat, err = c.Erase(rng.Intn(geo.Blocks), now)
+			case op < 93:
+				// Log-uniform, hours to centuries: the long tail ages some
+				// locks past the point where the majority vote flips.
+				c.AdvanceDays(math.Pow(10, 6.5*rng.Float64()) / 10)
+			case op < 96: // one page per plane, programmed then read back
+				base := rng.Intn(geo.Blocks/planes) * planes
+				addrs := make([]PageAddr, planes)
+				datas := make([][]byte, planes)
+				for i := range addrs {
+					addrs[i] = PageAddr{Block: base + i, Page: c.WritePointer(base + i)}
+					datas[i] = []byte{byte(step), byte(i)}
+				}
+				var errs []error
+				lat, errs, err = c.ProgramMulti(addrs, datas, now)
+				for _, e := range errs {
+					m.err(e)
+				}
+				if err == nil {
+					_, errs, err = c.ReadMulti(addrs, now)
+					for _, e := range errs {
+						m.err(e)
+					}
+				}
+			default:
+				var res ReadResult
+				res, err = c.Read(randAddr(), now)
+				m.bytes(res.Data)
+				m.u64(uint64(res.CorrectedBits))
+			}
+			m.u64(uint64(lat))
+			m.err(err)
+		})
+		if pl != nil {
+			m.h.Write([]byte(pl.String()))
+		}
+		if step%50 == 49 {
+			m.chip(t, c, now)
+		}
+	}
+	if !cs.Struck() {
+		t.Fatalf("planes %d seed %d: the armed power cut never struck", planes, seed)
+	}
+	m.chip(t, c, now)
+	return hex.EncodeToString(m.h.Sum(nil))
+}
+
+// TestChipMediaGolden pins the chip's observable media state and its
+// stored flag cells over seeded command scripts. The digests were
+// recorded with the five-slice block layout this package had before the
+// packed page record and flag-cell arena, so any storage change that
+// moves an RNG draw, a flag-cell Vth, a lock day, a stamp or a payload
+// byte fails here.
+func TestChipMediaGolden(t *testing.T) {
+	golden := []struct {
+		planes int
+		seed   int64
+		want   string
+	}{
+		{1, 1, "bfa4e2e898eb0226298aa782308fcf1fee67e2269c25c55c0bfaada09c42039f"},
+		{1, 2, "ca4d2ab9266ecae751811825a17d888051fb1b88bd487a6e1c28d48f700c0e52"},
+		{1, 3, "fa87b7f1c916292141192b73dd1662938309068141d103525d492abd6e0b79d6"},
+		{2, 4, "7f1d1cac07ec2ee9d36597dd4ca63df888c2c5e6ff5cebd934fcd2646eb1fc52"},
+		{2, 5, "b66d47f91213a994e5a5e2ea91d140b11a4c462522dc1c5efe09c5d4d99ae03d"},
+		{2, 6, "bc0e637deffedcfeb16ae3842addc35813ed9b8c0ce375a96dc58ea411916dcb"},
+	}
+	for _, g := range golden {
+		if got := runMediaScript(t, g.planes, g.seed); got != g.want {
+			t.Errorf("planes %d seed %d: media digest %s, want %s", g.planes, g.seed, got, g.want)
+		}
+	}
+}

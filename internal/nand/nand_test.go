@@ -476,7 +476,11 @@ func TestChipSeedDeterminism(t *testing.T) {
 		c := newTestChip(t, WithSeed(42))
 		mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
 		mustPLock(t, c, PageAddr{0, 0})
-		return c.blocks[0].flags[:c.geo.PagesPerWL()]
+		cells := make([][]float64, c.geo.PagesPerWL())
+		for p := range cells {
+			cells[p], _ = c.flagCells(PageAddr{0, p})
+		}
+		return cells
 	}
 	a, b := run(), run()
 	for i := range a {

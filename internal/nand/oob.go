@@ -40,8 +40,8 @@ func (c *Chip) StampOOB(a PageAddr, m OOBMeta) error {
 	if a.Page >= blk.writePtr {
 		return ErrNotErased
 	}
-	m.Valid = true
-	blk.meta[a.Page] = m
+	rec := c.rec(a)
+	rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
 	return nil
 }
 
@@ -76,19 +76,20 @@ func (c *Chip) ProbePage(a PageAddr, now sim.Micros) (PageProbe, error) {
 	blk := &c.blocks[a.Block]
 	pr := PageProbe{Programmed: a.Page < blk.writePtr}
 	day := c.nowDays(now)
-	if c.blockLockedAt(blk, day) || c.pageLockedAt(blk, a.Page, day) {
+	rec := c.rec(a)
+	if c.blockLockedAt(blk, day) || c.pageLockedAt(rec, day) {
 		pr.Locked = true
 		return pr, nil
 	}
 	if !pr.Programmed {
 		return pr, nil
 	}
-	for _, b := range blk.pages[a.Page] {
+	for _, b := range blk.payload(a.Page) {
 		if b != 0 {
 			pr.NonZero = true
 			break
 		}
 	}
-	pr.Meta = blk.meta[a.Page]
+	pr.Meta = OOBMeta{LPA: rec.lpa, Seq: rec.seq, Secure: rec.secure, Valid: rec.valid}
 	return pr, nil
 }

@@ -57,16 +57,17 @@ func (c *Chip) Read(a PageAddr, now sim.Micros) (ReadResult, error) {
 	res := ReadResult{Latency: c.timing.Read}
 	blk := &c.blocks[a.Block]
 	day := c.nowDays(now)
+	stored := blk.payload(a.Page)
 
 	// bAP check first (Fig. 7(b)): a disabled block blocks every page.
 	if c.blockLockedAt(blk, day) {
-		res.Data = c.zeroScratch(c.zeroLenFor(blk, a.Page))
+		res.Data = c.zeroScratch(len(stored))
 		return res, ErrBlockLocked
 	}
 	// pAP check (Fig. 7(a)): the flag is read from the spare area
 	// concurrently with the data, decided by the k-cell majority circuit.
-	if c.pageLockedAt(blk, a.Page, day) {
-		res.Data = c.zeroScratch(c.zeroLenFor(blk, a.Page))
+	if c.pageLockedAt(c.rec(a), day) {
+		res.Data = c.zeroScratch(len(stored))
 		return res, ErrPageLocked
 	}
 
@@ -80,13 +81,13 @@ func (c *Chip) Read(a PageAddr, now sim.Micros) (ReadResult, error) {
 		blk.wlReads[wlIdx+1]++
 	}
 
-	if blk.pages[a.Page] == nil {
+	if stored == nil {
 		// Erased flash reads as all ones.
 		res.Data = nil
 		return res, nil
 	}
-	data := c.readBuf[:len(blk.pages[a.Page])]
-	copy(data, blk.pages[a.Page])
+	data := c.readBuf[:len(stored)]
+	copy(data, stored)
 
 	if c.injectErrors {
 		corrected, err := c.injectReadErrors(blk, a, data, day)
@@ -110,14 +111,6 @@ func (c *Chip) Read(a PageAddr, now sim.Micros) (ReadResult, error) {
 	return res, nil
 }
 
-// zeroLenFor sizes the all-zero buffer a locked read returns.
-func (c *Chip) zeroLenFor(blk *block, page int) int {
-	if blk.pages[page] != nil {
-		return len(blk.pages[page])
-	}
-	return 0
-}
-
 // zeroScratch returns the first n bytes of the read scratch, zeroed.
 func (c *Chip) zeroScratch(n int) []byte {
 	buf := c.readBuf[:n]
@@ -133,6 +126,11 @@ func (c *Chip) blockLockedAt(blk *block, day float64) bool {
 		return false
 	}
 	elapsed := day - blk.sslLockDay
+	if elapsed <= 0 {
+		// No retention yet: CenterAfter is ProgrammedCenter, the decay
+		// below is exactly 0.
+		return blk.sslCenter >= c.sslModel.DisableThreshold
+	}
 	center := blk.sslCenter - (c.sslModel.ProgrammedCenter(c.blockV, c.blockT) -
 		c.sslModel.CenterAfter(c.blockV, c.blockT, elapsed))
 	return center >= c.sslModel.DisableThreshold
@@ -140,14 +138,18 @@ func (c *Chip) blockLockedAt(blk *block, day float64) bool {
 
 // pageLockedAt evaluates the pAP flag via the k-cell majority circuit,
 // applying flag-cell retention decay since the lock.
-func (c *Chip) pageLockedAt(blk *block, page int, day float64) bool {
-	cells := blk.flags[page]
-	if cells == nil {
+func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
+	if rec.flag == 0 {
 		return false
 	}
-	elapsed := day - blk.flagDay[page]
-	if elapsed < 0 {
-		elapsed = 0
+	slot := c.flagSlot(rec.flag)
+	k := c.geo.FlagCells
+	cells := slot[:k]
+	elapsed := day - slot[k]
+	if elapsed <= 0 {
+		// No retention yet: MeanAfter is ProgrammedMean, the decay below
+		// is exactly 0 and the cells vote as programmed.
+		return c.flagModel.MajorityReadsDisabled(cells)
 	}
 	decay := c.flagModel.ProgrammedMean(c.plockV, c.plockT) -
 		c.flagModel.MeanAfter(c.plockV, c.plockT, elapsed, 0)
@@ -246,10 +248,15 @@ func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros) (sim.Micros, err
 		return 0, fmt.Errorf("%w: page %d before pointer %d", ErrOutOfOrder, a.Page, blk.writePtr)
 	}
 	c.opCount[OpProgram]++
-	stored := c.takePage(len(data))
-	copy(stored, data)
-	blk.pages[a.Page] = stored
-	blk.pageBits[a.Page] = len(data)
+	var stored []byte
+	if len(data) > 0 {
+		if blk.data == nil {
+			blk.data = make([][]byte, c.pagesPerBlock)
+		}
+		stored = c.takePage(len(data))
+		copy(stored, data)
+		blk.data[a.Page] = stored
+	}
 	blk.writePtr++
 
 	wl, slot := c.wlOf(a.Page)
@@ -299,21 +306,24 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	if c.faults != nil && c.faults.FailErase(blk.peCycles, c.geo.EnduranceCycles) {
 		return c.timing.Erase, ErrEraseFailed
 	}
-	for i := range blk.pages {
-		// Retire payload buffers into the recycle pool for later
-		// Program/Scrub calls instead of dropping them on the GC.
-		if cap(blk.pages[i]) > 0 {
-			c.pagePool = append(c.pagePool, blk.pages[i][:0])
+	if blk.data != nil {
+		// Retire payload buffers into the recycle pool for later Program
+		// calls instead of dropping them on the GC.
+		for i, stored := range blk.data[:blk.writePtr] {
+			if stored != nil {
+				c.pagePool = append(c.pagePool, stored[:0])
+				blk.data[i] = nil
+			}
 		}
-		blk.pages[i] = nil
-		blk.pageBits[i] = 0
-		blk.meta[i] = OOBMeta{}
-		if blk.flags[i] != nil {
-			c.flagPool = append(c.flagPool, blk.flags[i])
-			blk.flags[i] = nil
-		}
-		blk.flagDay[i] = 0
 	}
+	recs := c.blockRecs(blockIdx, max(blk.writePtr, blk.flagEnd))
+	for i := range recs {
+		if recs[i].flag != 0 {
+			c.flagFree = append(c.flagFree, recs[i].flag)
+		}
+	}
+	clear(recs)
+	blk.flagEnd = 0
 	for w := range blk.wlDisturbs {
 		blk.wlDisturbs[w] = 0
 		blk.wlReads[w] = 0
@@ -339,16 +349,17 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	}
 	c.opCount[OpPLock]++
 	blk := &c.blocks[a.Block]
+	rec := c.rec(a)
 	wl, _ := c.wlOf(a.Page)
 	// A cut mid-pulse leaves the flag cells short of the majority
 	// threshold: the page stays readable, the WL took the disturb.
 	if c.strike(fault.CutPLock) {
-		if blk.flags[a.Page] == nil {
+		if rec.flag == 0 {
 			blk.wlDisturbs[wl]++
 		}
 		panic(PowerLoss{Op: OpPLock, Addr: a, At: now})
 	}
-	if blk.flags[a.Page] == nil {
+	if rec.flag == 0 {
 		// A failed one-shot flag program leaves the page readable (the
 		// majority circuit still sees the flag enabled) but its pulse
 		// disturbed the WL all the same. pLock cannot be retried on the
@@ -357,12 +368,7 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 			blk.wlDisturbs[wl]++
 			return c.timing.PLock, ErrPLockFailed
 		}
-		cells := c.takeFlags()
-		for i := range cells {
-			cells[i] = c.flagModel.SampleCellVth(c.plockV, c.plockT, 0, blk.peCycles, c.rng)
-		}
-		blk.flags[a.Page] = cells
-		blk.flagDay[a.Page] = c.nowDays(now)
+		c.programFlag(blk, a.Page, rec, c.nowDays(now))
 		// The high program voltage on the WL disturbs the inhibited data
 		// cells (Fig. 9(b)).
 		blk.wlDisturbs[wl]++
@@ -399,9 +405,10 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 	c.opCount[OpPLockWL]++
 	blk := &c.blocks[blockIdx]
 	base := wl * bits
+	recs := c.blockRecs(blockIdx, c.pagesPerBlock)
 	need := false
 	for _, s := range slots {
-		if blk.flags[base+s] == nil {
+		if recs[base+s].flag == 0 {
 			need = true
 			break
 		}
@@ -425,15 +432,9 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 		return c.timing.PLock, ErrPLockFailed
 	}
 	for _, s := range slots {
-		if blk.flags[base+s] != nil {
-			continue
+		if rec := &recs[base+s]; rec.flag == 0 {
+			c.programFlag(blk, base+s, rec, c.nowDays(now))
 		}
-		cells := c.takeFlags()
-		for i := range cells {
-			cells[i] = c.flagModel.SampleCellVth(c.plockV, c.plockT, 0, blk.peCycles, c.rng)
-		}
-		blk.flags[base+s] = cells
-		blk.flagDay[base+s] = c.nowDays(now)
 	}
 	// A single pulse stresses the inhibited data cells once, however many
 	// flag groups it programs (Fig. 9(b)).
@@ -549,23 +550,21 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	}
 	wl, _ := c.wlOf(a.Page)
 	bits := c.pagesPerWL
+	recs := c.blockRecs(a.Block, c.pagesPerBlock)
 	for slot := 0; slot < bits; slot++ {
 		page := wl*bits + slot
-		if blk.pages[page] != nil {
-			clear(blk.pages[page]) // reads as zeros; buffers are chip-private
+		if blk.data != nil {
+			clear(blk.data[page]) // reads as zeros; a nil entry already does
 		}
-		// The WL reprogram destroys the spare area with the data.
-		blk.meta[page] = OOBMeta{}
+		// The WL reprogram destroys the spare area with the data; the pAP
+		// flag cells are inhibited and keep their state.
+		recs[page] = pageRec{flag: recs[page].flag}
 	}
 	// Scrubbing programs every cell of the wordline, so any not-yet-
 	// written page slots on it are consumed: the write pointer skips to
 	// the end of the WL (the pages read as zeros, not as erased).
 	wlEnd := (wl + 1) * bits
 	if blk.writePtr > wl*bits && blk.writePtr < wlEnd {
-		for page := blk.writePtr; page < wlEnd; page++ {
-			blk.pages[page] = emptyPage
-			blk.pageBits[page] = 0
-		}
 		blk.writePtr = wlEnd
 	}
 	blk.wlDisturbs[wl] += 3 // scrubbing stresses neighbouring WLs too
@@ -608,7 +607,7 @@ func (c *Chip) IsPageLocked(a PageAddr, now sim.Micros) (bool, error) {
 	if err := c.checkAddr(a); err != nil {
 		return false, err
 	}
-	return c.pageLockedAt(&c.blocks[a.Block], a.Page, c.nowDays(now)), nil
+	return c.pageLockedAt(c.rec(a), c.nowDays(now)), nil
 }
 
 // IsBlockLocked reports the current bAP state of a block.

@@ -100,6 +100,16 @@ func (f FlagModel) SampleCellVth(v, t, days float64, peCycles int, rng *rand.Ran
 	return f.MeanAfter(v, t, days, peCycles) + rng.NormFloat64()*f.Sigma
 }
 
+// SampleCells fills dst with the Vths of the cells one flag program
+// charges — the draws SampleCellVth would make one by one, with the
+// mean, which the cells share, evaluated once.
+func (f FlagModel) SampleCells(dst []float64, v, t, days float64, peCycles int, rng *rand.Rand) {
+	mean := f.MeanAfter(v, t, days, peCycles)
+	for i := range dst {
+		dst[i] = mean + rng.NormFloat64()*f.Sigma
+	}
+}
+
 // MajorityReadsDisabled reports whether a k-cell majority circuit reads
 // the flag as disabled, given the sampled cell Vth values.
 func (f FlagModel) MajorityReadsDisabled(vths []float64) bool {

@@ -53,7 +53,8 @@ func (e erSSD) Invalidate(f *ftl.FTL, p ftl.PPA, secured bool) {
 }
 
 func (e erSSD) Flush(f *ftl.FTL) {
-	for _, pb := range f.DrainPending() {
+	pending := f.DrainPending()
+	for _, pb := range pending {
 		// The block may already have been erased (GC, or a reentrant
 		// flush from a relocation-triggered GC); skip unless some queued
 		// page still holds stale data.
@@ -74,6 +75,7 @@ func (e erSSD) Flush(f *ftl.FTL) {
 		}
 		f.EraseNow(pb.Block)
 	}
+	f.ReleasePending(pending)
 }
 
 func anyStillInvalid(f *ftl.FTL, pages []ftl.PPA) bool {
@@ -100,8 +102,12 @@ func (s scrSSD) Invalidate(f *ftl.FTL, p ftl.PPA, secured bool) {
 }
 
 func (s scrSSD) Flush(f *ftl.FTL) {
-	var seenWL []ftl.PPA
-	for _, pb := range f.DrainPending() {
+	// A block queues at most a handful of wordlines per flush, so the
+	// dedupe list normally stays in this stack array.
+	var wlBuf [16]ftl.PPA
+	seenWL := wlBuf[:0]
+	pending := f.DrainPending()
+	for _, pb := range pending {
 		// Group the block's queued pages by wordline: one scrub per WL,
 		// relocating the WL's still-live siblings first (two extra reads
 		// + two extra writes in the worst case, §4). A linear scan over
@@ -134,6 +140,7 @@ func (s scrSSD) Flush(f *ftl.FTL) {
 			f.IssueScrub(p)
 		}
 	}
+	f.ReleasePending(pending)
 }
 
 // SecSSDNoBLock returns Evanesco without block-level locking, the
@@ -189,4 +196,5 @@ func (s secSSD) Flush(f *ftl.FTL) {
 			f.LockPage(p)
 		}
 	}
+	f.ReleasePending(pending)
 }
