@@ -78,12 +78,10 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/audit"
 	"repro/internal/experiment"
 	"repro/internal/ftl"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -128,16 +126,9 @@ func main() {
 		os.Exit(code)
 	}
 
-	var sc experiment.Scale
-	switch *scaleName {
-	case "small":
-		sc = experiment.SmallScale()
-	case "default":
-		sc = experiment.DefaultScale()
-	case "paper":
-		sc = experiment.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "secssd-bench: unknown scale %q\n", *scaleName)
+	sc, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "secssd-bench:", err)
 		die(2)
 	}
 	sc.FaultRate = *faultRate
@@ -199,17 +190,28 @@ func main() {
 	if *traceFile != "" || *traceJSONL != "" || *statsJSON != "" ||
 		*openMetrics != "" || *auditJSON != "" || *statsStream != "" ||
 		*auditVerify {
-		art := traceArtifacts{
-			chrome:      *traceFile,
-			jsonl:       *traceJSONL,
-			stats:       *statsJSON,
-			openMetrics: *openMetrics,
-			audit:       *auditJSON,
-			stream:      *statsStream,
-			interval:    *statsInterval,
-			verify:      *auditVerify,
+		policy, err := experiment.PolicyByName(*tracePolicy)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "secssd-bench:", err)
+			die(1)
 		}
-		if err := runTraced(sc, profiles, *tracePolicy, art); err != nil {
+		prof := workload.MailServer()
+		if len(profiles) > 0 {
+			prof = profiles[0]
+		}
+		rep, err := experiment.TracedRun(prof, policy, sc, experiment.TracedFiles{
+			Chrome:         *traceFile,
+			JSONL:          *traceJSONL,
+			Stats:          *statsJSON,
+			OpenMetrics:    *openMetrics,
+			Audit:          *auditJSON,
+			Stream:         *statsStream,
+			StreamInterval: *statsInterval,
+		}, os.Stdout)
+		if err == nil && *auditVerify && !rep.Clean() {
+			err = fmt.Errorf("audit verification failed: %v", rep.Err())
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "secssd-bench:", err)
 			die(1)
 		}
@@ -373,122 +375,6 @@ func runAttack(seed int64, powerCut uint64, jsonPath string, workers int) (bool,
 		fmt.Printf("attack scores written to %s\n", jsonPath)
 	}
 	return verdict.Pass, nil
-}
-
-// traceArtifacts names the output files of one traced run.
-type traceArtifacts struct {
-	chrome      string
-	jsonl       string
-	stats       string
-	openMetrics string
-	audit       string
-	stream      string
-	interval    int64 // µs between streamed samples
-	verify      bool  // fail the run if the audit verifier is unclean
-}
-
-// runTraced executes one workload×policy run with a trace.Recorder
-// attached and writes the requested artifacts.
-func runTraced(sc experiment.Scale, profiles []workload.Profile, policyName string, art traceArtifacts) error {
-	policy, err := experiment.PolicyByName(policyName)
-	if err != nil {
-		return err
-	}
-	prof := workload.MailServer()
-	if len(profiles) > 0 {
-		prof = profiles[0]
-	}
-	rec := trace.NewRecorder(trace.RecorderConfig{
-		Chips:    experiment.Channels * experiment.ChipsPerChannel,
-		Channels: experiment.Channels,
-	})
-	var closeStream func() error
-	if art.stream != "" {
-		closeStream, err = rec.StreamToFile(art.stream, art.interval)
-		if err != nil {
-			return err
-		}
-	}
-	run, err := experiment.ExecuteAudited(prof, policy, 1.0, sc, rec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("traced run: %s × %s — %d requests, %d events (%d dropped), horizon %v\n",
-		run.Workload, run.Policy, run.Report.Requests, rec.TotalEvents(), rec.Dropped(), rec.Horizon())
-	if closeStream != nil {
-		if err := closeStream(); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry stream written to %s (every %d µs simulated)\n", art.stream, art.interval)
-	}
-	if art.chrome != "" {
-		if err := rec.WriteChromeFile(art.chrome); err != nil {
-			return err
-		}
-		fmt.Printf("chrome trace written to %s (open at ui.perfetto.dev)\n", art.chrome)
-	}
-	if art.jsonl != "" {
-		if err := rec.WriteJSONLFile(art.jsonl); err != nil {
-			return err
-		}
-		fmt.Printf("event log written to %s\n", art.jsonl)
-	}
-	if art.stats != "" {
-		if err := rec.WriteStatsFile(art.stats); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", art.stats)
-	}
-	if art.openMetrics != "" {
-		if err := rec.WriteOpenMetricsFile(art.openMetrics); err != nil {
-			return err
-		}
-		fmt.Printf("openmetrics exposition written to %s\n", art.openMetrics)
-	}
-	if art.audit != "" {
-		if err := writeAuditReport(art.audit, rec); err != nil {
-			return err
-		}
-		fmt.Printf("audit report written to %s\n", art.audit)
-	}
-	ledger := rec.AuditLedger()
-	rep := ledger.Verify(rec.Horizon())
-	if rep.Clean() {
-		fmt.Printf("audit: %d secrets, %d windows closed, zero live unlocked copies\n",
-			rep.Secrets, ledger.Stats(rec.Horizon()).Windows)
-	} else {
-		fmt.Printf("audit: WARNING — %v\n", rep.Err())
-		if art.verify {
-			return fmt.Errorf("audit verification failed: %v", rep.Err())
-		}
-	}
-	return nil
-}
-
-// auditReport is the -audit-json document: the ledger's counter
-// snapshot plus the end-of-run verification.
-type auditReport struct {
-	Horizon int64              `json:"horizon_us"`
-	Stats   audit.Stats        `json:"stats"`
-	Verify  audit.VerifyReport `json:"verify"`
-}
-
-func writeAuditReport(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(auditReport{
-		Horizon: int64(rec.Horizon()),
-		Stats:   rec.AuditLedger().Stats(rec.Horizon()),
-		Verify:  rec.AuditLedger().Verify(rec.Horizon()),
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 var policyOrder = []string{"erSSD", "scrSSD", "secSSD_nobLock", "secSSD"}

@@ -1,6 +1,7 @@
 // Command secvet runs the simulator's custom invariant checkers (the
-// internal/analysis suite): the v1 AST rules (determinism, aliasing,
-// lockcheck, tracecheck) and the v2 dataflow rule (auditcheck). It is a
+// internal/analysis suite): determinism, aliasing, lockcheck,
+// tracecheck and auditcheck (lifecycle reports go through the three ftl
+// reporters; post-bLock destruction is reported block-wide). It is a
 // multichecker in the x/tools mold, runnable two ways:
 //
 // Standalone over package patterns (exit 2 when findings exist):

@@ -41,9 +41,8 @@ func runSecvet(t *testing.T, bin, dir string) (int, string) {
 
 // The acceptance check from the issue: reintroducing the DrainPending
 // map-range bug, leaking ReadResult.Data into a struct field, or firing
-// a destruction hook without its ledger event (a dataflow rule, through
-// the real loader) must make secvet exit nonzero, naming the violated
-// rule.
+// a destruction hook outside its reporter (so without its ledger event)
+// must make secvet exit nonzero, naming the violated rule.
 func TestSecvetFailsOnBadModule(t *testing.T) {
 	bin := buildSecvet(t)
 	code, out := runSecvet(t, bin, filepath.Join("testdata", "badmodule"))
@@ -53,7 +52,7 @@ func TestSecvetFailsOnBadModule(t *testing.T) {
 	for _, want := range []string{
 		"determinism: map iteration order feeds append",
 		"aliasing: nand.ReadResult.Data stored outside the read's statement block",
-		"auditcheck: hooks.Destroyed fires without an audit.KindDestroy event",
+		"auditcheck: hooks.Destroyed called outside noteDestroyed/noteInvalidated/noteCopy",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -1,7 +1,7 @@
 // Package ftl reintroduces the accounting bug the audit ledger exists
-// to catch: a physical destruction that fires its lifecycle hook and
-// never reports to the ledger, so the copy's T_insecure window stays
-// open forever.
+// to catch: a physical destruction that fires its lifecycle hook by
+// hand instead of through the noteDestroyed reporter and never reports
+// to the ledger, so the copy's T_insecure window stays open forever.
 package ftl
 
 // PPA is a physical page address.

@@ -1,7 +1,6 @@
 package analysis
 
-// All returns the full secvet suite in its canonical order: the v1
-// AST walkers first, then the v2 dataflow analyzers.
+// All returns the full secvet suite in its canonical order.
 func All() []*Analyzer {
 	return []*Analyzer{Determinism, Aliasing, Lockcheck, Tracecheck, Auditcheck}
 }

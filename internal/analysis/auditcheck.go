@@ -5,26 +5,15 @@ package analysis
 // performs is *reported*: a destruction fires Hooks.Destroyed and (when
 // tracing) an audit.KindDestroy event, an invalidation fires
 // Hooks.Invalidated and trace.Invalidated, a new physical copy fires
-// Hooks.Programmed and (for secured pages) audit.KindCopy. The runtime
-// ledger verifier catches a missing report only on workloads that reach
-// the broken path; this analyzer demands the pairing on every path of
-// every function in a package named ftl.
+// Hooks.Programmed and (for secured pages) audit.KindCopy. The real FTL
+// makes that pairing hold by construction: three reporter methods —
+// noteDestroyed, noteInvalidated, noteCopy — each call one hook and emit
+// its record, and every transition site calls a reporter. What is left
+// to police is that nothing reports around them.
 //
-// Rule 1 (obligations): a call through an ftl.Hooks field creates an
-// obligation — destroy for Destroyed, invalidate for Invalidated, copy
-// for Programmed — that must be discharged before function exit on
-// every path, by a matching emission: tracer.Audit with the matching
-// audit.Kind* literal (an Audit whose kind is not statically visible
-// discharges everything), or tracer.Invalidated for invalidations.
-// Paths on which tracing is off are exempt: crossing a branch edge
-// whose condition implies !traceOn (structural polarity of a traceOn
-// identifier/field, through !, && and ||) clears all pending
-// obligations — that is exactly the `if f.traceOn { emit }` /
-// `if !f.traceOn { return }` discipline of the real code. Known false
-// negatives: the exemption clears *all* pending obligations, including
-// ones whose own guard did not mention traceOn; and obligations
-// discharged by a callee (no real site does this today) would need a
-// waiver.
+// Rule 1 (call sites): in a package named ftl, a call through an
+// ftl.Hooks field, or to a trace collector's Audit or Invalidated,
+// anywhere but inside one of the three reporters is a finding.
 //
 // Rule 2 (block-wide reporting, the PR 6 regression): after a
 // Target.BLock call the whole block's stale data is gone, so reporting
@@ -32,7 +21,7 @@ package analysis
 // (the pended subset) under-reports — evacuation-stale copies die with
 // the block too, and their hook/audit windows never close. The fixed
 // idiom iterates the block's page span (destroyStale); the analyzer
-// flags a parameter-tainted range that fires Hooks.Destroyed reachable
+// flags a parameter-tainted range that calls noteDestroyed reachable
 // after a BLock call.
 
 import (
@@ -41,280 +30,72 @@ import (
 	"go/types"
 )
 
-// Auditcheck verifies that every FTL lifecycle hook is paired with its
-// audit/trace emission on every traced path, and that post-bLock
-// destruction is reported block-wide.
+// Auditcheck verifies that FTL lifecycle transitions are reported only
+// through the three reporters, and that post-bLock destruction is
+// reported block-wide.
 var Auditcheck = &Analyzer{
 	Name: "auditcheck",
-	Doc: "require every ftl page/block state transition (Hooks.Destroyed/Invalidated/Programmed) " +
-		"to emit its matching audit event on every traced path, block-wide after a bLock",
+	Doc: "require every ftl page/block state transition to be reported through " +
+		"noteDestroyed/noteInvalidated/noteCopy (the only callers of Hooks.* and the " +
+		"audit/trace emitters), block-wide after a bLock",
 	Run: runAuditcheck,
 }
 
-type obKind uint8
-
-const (
-	obDestroy obKind = iota
-	obInvalidate
-	obCopy
-)
-
-func (k obKind) String() string {
-	switch k {
-	case obDestroy:
-		return "Destroyed"
-	case obInvalidate:
-		return "Invalidated"
-	default:
-		return "Programmed"
-	}
-}
-
-// emission names the discharge each obligation kind expects, for the
-// diagnostic text.
-func (k obKind) emission() string {
-	switch k {
-	case obDestroy:
-		return "an audit.KindDestroy event"
-	case obInvalidate:
-		return "a trace Invalidated record (or audit.KindInvalidate)"
-	default:
-		return "an audit.KindCopy event"
-	}
-}
-
-var hookKinds = map[string]obKind{
-	"Destroyed":   obDestroy,
-	"Invalidated": obInvalidate,
-	"Programmed":  obCopy,
-}
+// reporters are the ftl methods allowed to call a lifecycle hook or
+// emit its audit/trace record.
+var reporters = map[string]bool{"noteDestroyed": true, "noteInvalidated": true, "noteCopy": true}
 
 func runAuditcheck(pass *Pass) error {
 	if pass.Pkg.Name() != "ftl" {
 		return nil
 	}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					auditFlowBody(pass, n.Body)
-					checkBlockwide(pass, n)
-				}
-			case *ast.FuncLit:
-				auditFlowBody(pass, n.Body)
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			if fn == nil || !reporters[fn.Name.Name] {
+				checkReportSites(pass, decl)
 			}
-			return true
-		})
+			if fn != nil && fn.Body != nil {
+				checkBlockwide(pass, fn)
+			}
+		}
 	}
 	return nil
 }
 
-// hookCall resolves a call through an ftl.Hooks field, if n is one.
-func hookCall(pass *Pass, n ast.Node) (obKind, *ast.CallExpr, bool) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return 0, nil, false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, nil, false
-	}
-	kind, ok := hookKinds[sel.Sel.Name]
-	if !ok {
-		return 0, nil, false
-	}
-	t := pass.TypeOf(sel.X)
-	if t == nil || !IsNamed(t, "ftl", "Hooks") {
-		return 0, nil, false
-	}
-	return kind, call, true
-}
-
-// discharge resolves an emission call to the obligation kinds it
-// discharges. nil means the node is not an emission.
-func discharge(pass *Pass, call *ast.CallExpr) []obKind {
-	fn := Callee(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "trace" {
-		return nil
-	}
-	switch fn.Name() {
-	case "Invalidated":
-		return []obKind{obInvalidate}
-	case "Audit":
-		if len(call.Args) != 1 {
-			return nil
-		}
-		if lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit); ok {
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Kind" {
-					continue
-				}
-				name := ""
-				switch v := ast.Unparen(kv.Value).(type) {
-				case *ast.SelectorExpr:
-					name = v.Sel.Name
-				case *ast.Ident:
-					name = v.Name
-				}
-				switch name {
-				case "KindDestroy":
-					return []obKind{obDestroy}
-				case "KindCopy":
-					return []obKind{obCopy}
-				case "KindInvalidate":
-					return []obKind{obInvalidate}
-				}
-			}
-		}
-		// Kind not statically visible: assume it discharges everything.
-		return []obKind{obDestroy, obInvalidate, obCopy}
-	}
-	return nil
-}
-
-// obligations is the dataflow state: pending hook-call sites. Union
-// join (pending on any path is pending), so a one-branch emission does
-// not satisfy the other branch.
-type obligations map[token.Pos]obKind
-
-type auditFlow struct {
-	pass *Pass
-}
-
-func (af *auditFlow) Entry() any { return obligations{} }
-
-func (af *auditFlow) Clone(state any) any {
-	src := state.(obligations)
-	dst := make(obligations, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
-}
-
-func (af *auditFlow) Equal(a, b any) bool {
-	am, bm := a.(obligations), b.(obligations)
-	if len(am) != len(bm) {
-		return false
-	}
-	for k, v := range am {
-		if w, ok := bm[k]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
-func (af *auditFlow) Join(dst, src any) any {
-	dm := dst.(obligations)
-	for k, v := range src.(obligations) {
-		dm[k] = v
-	}
-	return dm
-}
-
-func (af *auditFlow) Transfer(state any, n ast.Node) any {
-	s := state.(obligations)
-	InspectShallow(n, func(m ast.Node) bool {
-		if kind, call, ok := hookCall(af.pass, m); ok {
-			s[call.Pos()] = kind
+// checkReportSites flags every direct lifecycle report under n.
+func checkReportSites(pass *Pass, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
 		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			for _, kind := range discharge(af.pass, call) {
-				for pos, pending := range s {
-					if pending == kind {
-						delete(s, pos)
-					}
-				}
-			}
+		if name, ok := lifecycleReport(pass, call); ok {
+			pass.Reportf(call.Pos(),
+				"%s called outside noteDestroyed/noteInvalidated/noteCopy: lifecycle transitions "+
+					"are reported only through the reporters, which pair each hook with its audit record",
+				name)
 		}
 		return true
 	})
-	return s
 }
 
-// EdgeTransfer exempts untraced paths: crossing an edge that implies
-// traceOn is false clears every pending obligation.
-func (af *auditFlow) EdgeTransfer(state any, e *Edge) any {
-	if e.Cond == nil {
-		return state
+// lifecycleReport names the hook call or audit/trace emission call is,
+// if it is one.
+func lifecycleReport(pass *Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
 	}
-	switch pol := traceOnPolarity(e.Cond); {
-	case pol > 0 && e.Negated, pol < 0 && !e.Negated:
-		return obligations{}
+	if IsNamed(pass.TypeOf(sel.X), "ftl", "Hooks") {
+		return "hooks." + sel.Sel.Name, true
 	}
-	return state
-}
-
-// traceOnPolarity reports how a traceOn reference participates in the
-// condition: +1 bare, -1 negated, 0 absent. && and || propagate the
-// first side that mentions it.
-func traceOnPolarity(e ast.Expr) int {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if e.Name == "traceOn" {
-			return 1
-		}
-	case *ast.SelectorExpr:
-		if e.Sel.Name == "traceOn" {
-			return 1
-		}
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return -traceOnPolarity(e.X)
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.LAND || e.Op == token.LOR {
-			if p := traceOnPolarity(e.X); p != 0 {
-				return p
-			}
-			return traceOnPolarity(e.Y)
+	if name := sel.Sel.Name; name == "Audit" || name == "Invalidated" {
+		if fn := Callee(pass.Info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "trace" {
+			return "tracer." + name, true
 		}
 	}
-	return 0
-}
-
-func auditFlowBody(pass *Pass, body *ast.BlockStmt) {
-	cfg := BuildCFG(body, pass.Info)
-	af := &auditFlow{pass: pass}
-	in, converged := cfg.Forward(af)
-	if !converged {
-		return
-	}
-	exit := cfg.Exit()
-	if in[exit.ID] == nil {
-		return // exit unreachable (infinite loop)
-	}
-	state := af.Clone(in[exit.ID]).(obligations)
-	for _, n := range exit.Nodes {
-		state = af.Transfer(state, n).(obligations)
-	}
-	// Report each still-pending hook site once, in position order for
-	// deterministic output.
-	sites := make([]token.Pos, 0, len(state))
-	for pos := range state {
-		sites = append(sites, pos)
-	}
-	for i := range sites {
-		for j := i + 1; j < len(sites); j++ {
-			if sites[j] < sites[i] {
-				sites[i], sites[j] = sites[j], sites[i]
-			}
-		}
-	}
-	for _, pos := range sites {
-		kind := state[pos]
-		pass.Reportf(pos,
-			"hooks.%s fires without %s on some traced path: the audit ledger under-reports "+
-				"this transition (the static form of the ledger verifier)",
-			kind, kind.emission())
-	}
+	return "", false
 }
 
 // --- rule 2: block-wide reporting after a bLock ------------------------
@@ -352,15 +133,16 @@ func checkBlockwide(pass *Pass, fn *ast.FuncDecl) {
 		if !mentionsTainted(pass, rng.X, tainted) {
 			return true
 		}
-		firesDestroy := false
+		reportsDestroy := false
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			if kind, _, ok := hookCall(pass, m); ok && kind == obDestroy {
-				firesDestroy = true
-				return false
+			if call, ok := m.(*ast.CallExpr); ok {
+				if fn := Callee(pass.Info, call); fn != nil && fn.Name() == "noteDestroyed" {
+					reportsDestroy = true
+				}
 			}
-			return true
+			return !reportsDestroy
 		})
-		if firesDestroy {
+		if reportsDestroy {
 			pass.Reportf(rng.For,
 				"destruction after a block-wide bLock is reported only for the pended subset "+
 					"(range over a parameter-derived slice): evacuation-stale copies die with the "+

@@ -1,9 +1,8 @@
-// Package auditftl exercises the auditcheck analyzer: lifecycle hooks
-// that skip their audit emission on some traced path, and the PR 6
-// regression shape (subset-only destruction reporting after a
-// block-wide bLock) — next to the real code's clean gating idioms.
-// The package clause says ftl because auditcheck scopes by package
-// name.
+// Package auditftl exercises the auditcheck analyzer: lifecycle reports
+// made around the three reporters, and the PR 6 regression shape
+// (subset-only destruction reporting after a block-wide bLock) — next
+// to the real code's reporter idiom. The package clause says ftl because
+// auditcheck scopes by package name.
 package ftl
 
 import (
@@ -40,52 +39,59 @@ type FTL struct {
 
 const pageStale = 1
 
+// --- the reporters: the only place a hook or emitter may be called ---
+
+func (f *FTL) noteDestroyed(p PPA, cause audit.Cause, at int64) {
+	if f.hooks.Destroyed != nil {
+		f.hooks.Destroyed(p, f.fileOf[p])
+	}
+	if f.traceOn {
+		f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Cause: cause, At: at})
+	}
+}
+
+func (f *FTL) noteInvalidated(p PPA, secured bool, at int64) {
+	if f.hooks.Invalidated != nil {
+		f.hooks.Invalidated(p, f.fileOf[p])
+	}
+	if f.traceOn {
+		f.tracer.Invalidated(uint32(p), secured, at)
+	}
+}
+
+func (f *FTL) noteCopy(p PPA, lpa int64, secured bool) {
+	if f.hooks.Programmed != nil {
+		f.hooks.Programmed(p, lpa, f.fileOf[p])
+	}
+	if secured && f.traceOn {
+		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(p), LPA: lpa, Src: audit.NoSrc})
+	}
+}
+
 // --- violations -------------------------------------------------------
 
-// destroyNoAudit fires the hook and never tells the ledger.
-func (f *FTL) destroyNoAudit(p PPA) {
+// destroyHookOnly fires the hook itself and never tells the ledger.
+func (f *FTL) destroyHookOnly(p PPA) {
 	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p]) // want `auditcheck: hooks.Destroyed fires without an audit.KindDestroy event on some traced path`
+		f.hooks.Destroyed(p, f.fileOf[p]) // want `auditcheck: hooks.Destroyed called outside noteDestroyed/noteInvalidated/noteCopy`
 	}
 }
 
-// destroyAuditOneBranch audits only under a non-tracing condition: the
-// deep=false path leaks the obligation.
-func (f *FTL) destroyAuditOneBranch(p PPA, deep bool) {
-	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p]) // want `auditcheck: hooks.Destroyed fires without an audit.KindDestroy event on some traced path`
-	}
-	if deep {
-		f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p)})
-	}
-}
-
-// destroyWrongKind emits a copy event for a destruction: the kind
-// mismatch leaves the destroy obligation pending on the traced path.
-func (f *FTL) destroyWrongKind(p PPA) {
-	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p]) // want `auditcheck: hooks.Destroyed fires without an audit.KindDestroy event on some traced path`
-	}
+// destroyLedgerOnly tells the ledger itself and never fires the hook.
+func (f *FTL) destroyLedgerOnly(p PPA) {
 	if f.traceOn {
-		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(p)})
+		f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p)}) // want `auditcheck: tracer.Audit called outside noteDestroyed/noteInvalidated/noteCopy`
 	}
 }
 
-// invalidateSilently drops the invalidation record entirely.
-func (f *FTL) invalidateSilently(p PPA) {
+// invalidateByHand pairs both halves correctly — and is still a second
+// copy of noteInvalidated to keep in step.
+func (f *FTL) invalidateByHand(p PPA) {
 	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, f.fileOf[p]) // want `auditcheck: hooks.Invalidated fires without a trace Invalidated record`
-	}
-}
-
-// programNoCopyEvent reports the new physical copy to hooks but not to
-// the ledger, even when tracing.
-func (f *FTL) programNoCopyEvent(p PPA, lpa int64) {
-	if f.hooks.Programmed != nil {
-		f.hooks.Programmed(p, lpa, f.fileOf[p]) // want `auditcheck: hooks.Programmed fires without an audit.KindCopy event on some traced path`
+		f.hooks.Invalidated(p, f.fileOf[p]) // want `auditcheck: hooks.Invalidated called outside`
 	}
 	if f.traceOn {
-		f.tracer.Event("program", uint32(p))
+		f.tracer.Invalidated(uint32(p), true, f.reqStart) // want `auditcheck: tracer.Invalidated called outside`
 	}
 }
 
@@ -104,54 +110,30 @@ func (f *FTL) issueBLockSubset(block int, pages []PPA) error {
 		return err
 	}
 	for _, p := range stale { // want `auditcheck: destruction after a block-wide bLock is reported only for the pended subset`
-		if f.hooks.Destroyed != nil {
-			f.hooks.Destroyed(p, f.fileOf[p])
-		}
-		if f.traceOn {
-			f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), At: done})
-		}
+		f.noteDestroyed(p, audit.CauseBLock, done)
 	}
 	return nil
 }
 
 // --- legitimate idioms: none of these may be reported -----------------
 
-// commitWrite pairs the program hook with a secure-gated copy event,
-// the real commit path's shape.
+// commitWrite reports the new copy through its reporter; other trace
+// traffic (events, gauges) is not lifecycle reporting.
 func (f *FTL) commitWrite(p PPA, lpa int64, secure bool) {
-	if f.hooks.Programmed != nil {
-		f.hooks.Programmed(p, lpa, f.fileOf[p])
-	}
-	if secure && f.traceOn {
-		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(p), LPA: lpa, Src: audit.NoSrc})
+	f.noteCopy(p, lpa, secure)
+	if f.traceOn {
+		f.tracer.Event("program", uint32(p))
 	}
 }
 
-// gatedEarlyOut uses the markFault idiom: bail before reporting when
-// tracing is off.
-func (f *FTL) gatedEarlyOut(p PPA) {
-	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, f.fileOf[p])
-	}
-	if !f.traceOn {
-		return
-	}
-	f.tracer.Invalidated(uint32(p), true, f.reqStart)
-}
-
-// issuePLock is the single-page sanitize path: hook plus traceOn-gated
-// destroy event.
+// issuePLock is the single-page sanitize path.
 func (f *FTL) issuePLock(p PPA) error {
 	done, err := f.target.PLock(p, f.reqStart)
 	if err != nil {
 		return err
 	}
-	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p])
-	}
-	if f.traceOn {
-		f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Cause: audit.CausePLock, At: done})
-	}
+	f.noteInvalidated(p, true, f.reqStart)
+	f.noteDestroyed(p, audit.CausePLock, done)
 	return nil
 }
 
@@ -175,25 +157,6 @@ func (f *FTL) destroyStale(block int, done int64) {
 		if f.status[p] != pageStale {
 			continue
 		}
-		if f.hooks.Destroyed != nil {
-			f.hooks.Destroyed(p, f.fileOf[p])
-		}
-		if f.traceOn {
-			f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Cause: audit.CauseBLock, At: done})
-		}
-	}
-}
-
-// opaqueKind passes a computed event: an Audit whose kind is not
-// statically visible discharges every obligation.
-func (f *FTL) opaqueKind(p PPA, ev audit.Event) {
-	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p])
-	}
-	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, f.fileOf[p])
-	}
-	if f.traceOn {
-		f.tracer.Audit(ev)
+		f.noteDestroyed(p, audit.CauseBLock, done)
 	}
 }

@@ -119,6 +119,19 @@ func PaperScale() Scale {
 	}
 }
 
+// ScaleByName resolves a CLI -scale value: small, default or paper.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return SmallScale(), nil
+	case "default":
+		return DefaultScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	}
+	return Scale{}, fmt.Errorf("experiment: unknown scale %q (want small, default or paper)", name)
+}
+
 // Policies returns the §7 device configurations in Fig. 14 order.
 func Policies() []ftl.Policy {
 	return []ftl.Policy{

@@ -1,0 +1,106 @@
+package experiment
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+
+	"repro/internal/audit"
+	"repro/internal/ftl"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// TracedFiles names the artifacts of one traced run. Empty paths are
+// skipped.
+type TracedFiles struct {
+	Chrome      string // Chrome trace_event JSON (Perfetto-loadable)
+	JSONL       string // raw event log
+	Stats       string // telemetry snapshot JSON
+	OpenMetrics string // OpenMetrics text exposition
+	Audit       string // sanitization audit report JSON
+	Stream      string // periodic telemetry samples, JSONL
+	// StreamInterval is the simulated µs between streamed samples.
+	StreamInterval int64
+}
+
+// TracedRun executes one workload × policy cell under a trace.Recorder
+// sized to the device, drains the lock manager (ExecuteAudited), writes
+// the requested files and logs one line per step to log. It returns the
+// audit ledger's end-of-run verification; an unclean report is not an
+// error here — the caller decides whether it fails the run.
+func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedFiles, log io.Writer) (audit.VerifyReport, error) {
+	rec := trace.NewRecorder(trace.RecorderConfig{
+		Chips:    Channels * ChipsPerChannel,
+		Channels: Channels,
+	})
+	var closeStream func() error
+	if files.Stream != "" {
+		var err error
+		closeStream, err = rec.StreamToFile(files.Stream, files.StreamInterval)
+		if err != nil {
+			return audit.VerifyReport{}, err
+		}
+	}
+	run, err := ExecuteAudited(prof, policy, 1.0, sc, rec)
+	if err != nil {
+		return audit.VerifyReport{}, err
+	}
+	fmt.Fprintf(log, "traced run: %s × %s — %d requests, %d events (%d dropped), horizon %v\n",
+		run.Workload, run.Policy, run.Report.Requests, rec.TotalEvents(), rec.Dropped(), rec.Horizon())
+	if closeStream != nil {
+		if err := closeStream(); err != nil {
+			return audit.VerifyReport{}, err
+		}
+		fmt.Fprintf(log, "telemetry stream written to %s (every %d µs simulated)\n", files.Stream, files.StreamInterval)
+	}
+	horizon := rec.Horizon()
+	stats := rec.AuditLedger().Stats(horizon)
+	rep := rec.AuditLedger().Verify(horizon)
+	for _, out := range []struct {
+		path, what, hint string
+		write            func(string) error
+	}{
+		{files.Chrome, "chrome trace", " (open at ui.perfetto.dev)", rec.WriteChromeFile},
+		{files.JSONL, "event log", "", rec.WriteJSONLFile},
+		{files.Stats, "telemetry snapshot", "", rec.WriteStatsFile},
+		{files.OpenMetrics, "openmetrics exposition", "", rec.WriteOpenMetricsFile},
+		{files.Audit, "audit report", "", func(path string) error {
+			return writeJSONFile(path, struct {
+				Horizon int64              `json:"horizon_us"`
+				Stats   audit.Stats        `json:"stats"`
+				Verify  audit.VerifyReport `json:"verify"`
+			}{int64(horizon), stats, rep})
+		}},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if err := out.write(out.path); err != nil {
+			return audit.VerifyReport{}, err
+		}
+		fmt.Fprintf(log, "%s written to %s%s\n", out.what, out.path, out.hint)
+	}
+	if rep.Clean() {
+		fmt.Fprintf(log, "audit: %d secrets, %d windows closed, zero live unlocked copies\n", rep.Secrets, stats.Windows)
+	} else {
+		fmt.Fprintf(log, "audit: WARNING — %v\n", rep.Err())
+	}
+	return rep, nil
+}
+
+// writeJSONFile writes v to path as indented JSON.
+func writeJSONFile(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(v)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -433,15 +433,9 @@ func (f *FTL) commitWrite(p PPA, lpa int64, secure bool, file uint64) {
 		f.setStatus(p, PageValid)
 	}
 	f.liveInBlock[f.geo.BlockOf(p)]++
-	if f.hooks.Programmed != nil {
-		f.hooks.Programmed(p, lpa, file)
-	}
-	if secure && f.traceOn {
-		// Register the initial physical copy of the secret with the audit
-		// ledger (GC and ladder relocations register further copies).
-		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(p), Src: audit.NoSrc,
-			LPA: lpa, Origin: audit.OriginHost, At: f.reqStart})
-	}
+	// The initial physical copy of the secret (GC and ladder relocations
+	// register further copies).
+	f.noteCopy(p, audit.NoSrc, lpa, file, secure, audit.OriginHost, f.reqStart)
 }
 
 // readGrouped serves a host read with multi-plane grouping: consecutive
@@ -625,12 +619,7 @@ func (f *FTL) invalidate(p PPA) {
 	}
 	f.liveInBlock[f.geo.BlockOf(p)]--
 	f.p2l[p] = -1
-	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, f.fileOf[p])
-	}
-	if f.traceOn {
-		f.tracer.Invalidated(uint32(p), st == PageSecured, f.reqStart)
-	}
+	f.noteInvalidated(p, st == PageSecured, f.reqStart)
 	f.policy.Invalidate(f, p, st == PageSecured)
 }
 
@@ -670,13 +659,7 @@ func (f *FTL) IssuePLock(p PPA) {
 		return
 	}
 	f.setStatus(p, PageInvalid)
-	if f.hooks.Destroyed != nil {
-		f.hooks.Destroyed(p, f.fileOf[p])
-	}
-	if f.traceOn {
-		f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Src: audit.NoSrc,
-			LPA: -1, Cause: audit.CausePLock, Dep: f.reqStart, At: done, Ladder: f.ladderDepth > 0})
-	}
+	f.noteDestroyed(p, audit.CausePLock, f.reqStart, done)
 }
 
 // IssueBLock emits a bLock covering every stale page of the block; the
@@ -750,13 +733,7 @@ func (f *FTL) IssueScrub(p PPA) {
 			panic(fmt.Sprintf("ftl: scrubbing wordline of page %d would destroy live page %d", p, s))
 		}
 		f.setStatus(s, PageInvalid)
-		if f.hooks.Destroyed != nil {
-			f.hooks.Destroyed(s, f.fileOf[s])
-		}
-		if f.traceOn {
-			f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(s), Src: audit.NoSrc,
-				LPA: -1, Cause: audit.CauseScrub, Dep: f.reqStart, At: done, Ladder: f.ladderDepth > 0})
-		}
+		f.noteDestroyed(s, audit.CauseScrub, f.reqStart, done)
 	}
 }
 
@@ -952,27 +929,16 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 	f.fileOf[np] = file
 	f.setStatus(np, st)
 	f.liveInBlock[f.geo.BlockOf(np)]++
-	if f.hooks.Programmed != nil {
-		f.hooks.Programmed(np, lpa, file)
+	origin := audit.OriginEvacuate
+	if sanitizeOld {
+		origin = audit.OriginGC
 	}
-	if st == PageSecured && f.traceOn {
-		origin := audit.OriginEvacuate
-		if sanitizeOld {
-			origin = audit.OriginGC
-		}
-		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(np), Src: uint32(p),
-			LPA: lpa, Origin: origin, At: f.reqClock})
-	}
+	f.noteCopy(np, uint32(p), lpa, file, st == PageSecured, origin, f.reqClock)
 
 	// Retire the old copy.
 	f.liveInBlock[block]--
 	f.p2l[p] = -1
-	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, f.fileOf[p])
-	}
-	if f.traceOn {
-		f.tracer.Invalidated(uint32(p), st == PageSecured, f.reqClock)
-	}
+	f.noteInvalidated(p, st == PageSecured, f.reqClock)
 	if sanitizeOld {
 		f.policy.Invalidate(f, p, st == PageSecured)
 	} else {
@@ -1037,13 +1003,7 @@ func (f *FTL) eraseBlock(block int) bool {
 			panic(fmt.Sprintf("ftl: erasing block %d with live page %d", block, p))
 		}
 		if f.status[p] == PageInvalid {
-			if f.hooks.Destroyed != nil {
-				f.hooks.Destroyed(p, f.fileOf[p])
-			}
-			if f.traceOn {
-				f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Src: audit.NoSrc,
-					LPA: -1, Cause: audit.CauseErase, Dep: issued, At: eraseDone, Ladder: f.ladderDepth > 0})
-			}
+			f.noteDestroyed(p, audit.CauseErase, issued, eraseDone)
 		}
 		f.setStatus(p, PageFree)
 		f.p2l[p] = -1

@@ -158,13 +158,7 @@ func (f *FTL) issueLockGroup(gi int) bool {
 		return true
 	}
 	for _, p := range live {
-		if f.hooks.Destroyed != nil {
-			f.hooks.Destroyed(p, f.fileOf[p])
-		}
-		if f.traceOn {
-			f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Src: audit.NoSrc,
-				LPA: -1, Cause: audit.CausePLockBatch, Dep: f.reqStart, At: done, Ladder: f.ladderDepth > 0})
-		}
+		f.noteDestroyed(p, audit.CausePLockBatch, f.reqStart, done)
 	}
 	q.recycle(pages)
 	return true

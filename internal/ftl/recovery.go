@@ -48,19 +48,8 @@ func (f *FTL) quarantineFailedProgram(p PPA, secure bool, file uint64, at sim.Mi
 	f.stats.ProgramFailures++
 	f.markFault(trace.OpProgramFail, f.geo.BlockOf(p), f.geo.PageInBlock(p), at)
 	f.fileOf[p] = file
-	if f.hooks.Programmed != nil {
-		f.hooks.Programmed(p, -1, file)
-	}
-	if f.hooks.Invalidated != nil {
-		f.hooks.Invalidated(p, file)
-	}
-	if secure && f.traceOn {
-		f.tracer.Audit(audit.Event{Kind: audit.KindCopy, Page: uint32(p), Src: audit.NoSrc,
-			LPA: -1, Origin: audit.OriginQuarantine, At: at})
-	}
-	if f.traceOn {
-		f.tracer.Invalidated(uint32(p), secure, at)
-	}
+	f.noteCopy(p, audit.NoSrc, -1, file, secure, audit.OriginQuarantine, at)
+	f.noteInvalidated(p, secure, at)
 	f.policy.Invalidate(f, p, secure)
 }
 
@@ -217,12 +206,6 @@ func (f *FTL) destroyStale(block int, done sim.Micros, cause audit.Cause, dep si
 		if f.status[p] != PageInvalid {
 			continue
 		}
-		if f.hooks.Destroyed != nil {
-			f.hooks.Destroyed(p, f.fileOf[p])
-		}
-		if f.traceOn {
-			f.tracer.Audit(audit.Event{Kind: audit.KindDestroy, Page: uint32(p), Src: audit.NoSrc,
-				LPA: -1, Cause: cause, Dep: dep, At: done, Ladder: f.ladderDepth > 0})
-		}
+		f.noteDestroyed(p, cause, dep, done)
 	}
 }

@@ -186,9 +186,7 @@ func Restore(cfg Config, target Target, policy Policy, scan MediaScan, at sim.Mi
 	// audit ledger; torn writes were never registered and get adopted
 	// as single-copy secrets.
 	for _, s := range stales {
-		if f.traceOn {
-			f.tracer.Invalidated(uint32(s.p), s.secure, at)
-		}
+		f.noteInvalidated(s.p, s.secure, at)
 		f.policy.Invalidate(f, s.p, s.secure)
 	}
 	f.policy.Flush(f)

@@ -795,10 +795,10 @@ func (s *SSD) FaultCounts() fault.Counts {
 	return c
 }
 
-// Prefill sequentially writes the first fraction of the logical space
-// (insecure, so no sanitization cost is incurred for later overwrites of
-// the fill pattern is not desired — pass secure=true to prefill with
-// secured data as the paper's steady-state runs do).
+// Prefill sequentially writes the first fraction of the logical space.
+// With secure=false the fill pattern is insecure data, so later
+// overwrites of it incur no sanitization cost; pass secure=true to
+// prefill with secured data, as the paper's steady-state runs do.
 func (s *SSD) Prefill(fraction float64, secure bool) error {
 	if fraction < 0 || fraction > 1 {
 		return fmt.Errorf("ssd: prefill fraction %v out of [0,1]", fraction)
