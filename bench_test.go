@@ -149,12 +149,12 @@ func benchScale() experiment.Scale {
 }
 
 // BenchmarkFigure14a reports normalized IOPS per configuration on the
-// MailServer workload (run `cmd/secssd-bench` for all four workloads).
+// MailServer workload (run `reproduce -fig 14a` for all four workloads).
 func BenchmarkFigure14a(b *testing.B) {
 	var rows []experiment.Fig14Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiment.Figure14(benchScale(), []workload.Profile{workload.MailServer()})
+		rows, err = experiment.Figure14Parallel(benchScale(), []workload.Profile{workload.MailServer()}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func BenchmarkFigure14b(b *testing.B) {
 	var rows []experiment.Fig14Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiment.Figure14(benchScale(), []workload.Profile{workload.MailServer()})
+		rows, err = experiment.Figure14Parallel(benchScale(), []workload.Profile{workload.MailServer()}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,8 +186,8 @@ func BenchmarkFigure14c(b *testing.B) {
 	var pts []experiment.Fig14cPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiment.Figure14c(benchScale(),
-			[]workload.Profile{workload.MailServer()}, []float64{0.6, 1.0})
+		pts, err = experiment.Figure14cParallel(benchScale(),
+			[]workload.Profile{workload.MailServer()}, []float64{0.6, 1.0}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,8 +200,8 @@ func BenchmarkFigure14c(b *testing.B) {
 func BenchmarkHeadline(b *testing.B) {
 	var h experiment.Headline
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Figure14(benchScale(),
-			[]workload.Profile{workload.MailServer(), workload.Mobile()})
+		rows, err := experiment.Figure14Parallel(benchScale(),
+			[]workload.Profile{workload.MailServer(), workload.Mobile()}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

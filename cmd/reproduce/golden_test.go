@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-// buildBench compiles the command into the test's temp dir.
-func buildBench(t *testing.T) string {
+// buildReproduce compiles the command into the test's temp dir.
+func buildReproduce(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "secssd-bench")
+	bin := filepath.Join(t.TempDir(), "reproduce")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -22,13 +22,15 @@ func buildBench(t *testing.T) string {
 }
 
 // TestFig14aCSVGolden runs the built binary and compares its stdout
-// byte for byte with what commit 46eb9b3 printed for the same command
-// (less the " shard-channels=0" that ended its "# parallelism:" header
-// line; the flag is gone). The fault cell pins the per-chip injector
-// wiring in ssd.New.
+// byte for byte with the golden files. Their first three "#" header
+// lines and every "fig14a," record are what the Fig. 14 CLI of commit
+// 46eb9b3 printed (less the " shard-channels=0" that ended its
+// "# parallelism:" line; the flag is gone); the study, title and paper
+// lines are this renderer's "#" comments. The fault cell pins the
+// per-chip injector wiring in ssd.New.
 func TestFig14aCSVGolden(t *testing.T) {
-	bin := buildBench(t)
-	base := []string{"-scale", "small", "-fig", "14a", "-parallel", "1", "-csv"}
+	bin := buildReproduce(t)
+	base := []string{"-scale", "small", "-fig", "14a", "-parallel", "1", "-format", "csv", "-out", "-"}
 	for _, tc := range []struct {
 		golden string
 		extra  []string
@@ -60,7 +62,7 @@ func TestFig14aCSVGolden(t *testing.T) {
 // the same command (~49 k events, so the event log, the gauges and the
 // latency samples all span many storage chunks).
 func TestTracedExportsGolden(t *testing.T) {
-	bin := buildBench(t)
+	bin := buildReproduce(t)
 	dir := t.TempDir()
 	golden := []struct{ flag, file, sha string }{
 		{"-trace-jsonl", "run.jsonl", "73cc814241757e59517420ab9281eb25809ed98410d6b3c1e9e75907db91c73e"},

@@ -1,462 +1,278 @@
-// Command reproduce regenerates every artifact of the paper in one run
-// and writes a consolidated markdown report: Table 1, Figures 4, 6, 9,
-// 10, 11(b), 12, 14(a)(b)(c), the §1 headline aggregates and the §5.5
-// overhead summary.
+// Command reproduce regenerates every artifact of the paper's evaluation
+// — Table 1, Figures 4, 6, 9, 10, 11(b), 12, 14(a)(b)(c), the §1 headline
+// and the §5.5 overhead — plus this repository's extensions (temperature
+// durability, amortization ablation, T_insecure phase breakdown, attack
+// matrix). It is the only artifact CLI: each artifact has one builder in
+// the registry (figures.go) and renders as markdown or CSV (table.go).
+// Three modes share one flag set (-h lists it):
 //
-// Usage:
+//	reproduce [-fig all|<id>] [-scale small|default|paper] [-format md|csv]
+//	          [-out report.md] [-parallel N] [-workloads A,B] [device knobs]
+//	reproduce -trace run.trace.json [five more exporters] [-audit-verify]
+//	          [-trace-policy secSSD] [-workloads MailServer] [device knobs]
+//	reproduce -attack-verify [-attack-json scores.json] [-power-cut N]
 //
-//	reproduce [-out report.md] [-fig all|tinsec]
-//	          [-scale small|default|paper] [-parallel N]
-//	          [-fault-rate R] [-fault-seed S]
-//	          [-trace run.trace.json] [-stats-json run.stats.json]
-//	          [-openmetrics run.om] [-audit-json run.audit.json]
-//	          [-cpuprofile cpu.prof] [-memprofile mem.prof]
+// Figures: -scale sizes every figure from one place — the simulated SSD
+// (experiment.Scale) and, in newEnv, the wordlines sampled per chip
+// scenario and the §3 study's device; small takes about a second,
+// default about ten. -format csv writes one record per cell (tag, row,
+// column, value) under "#" comment lines: the effective configuration,
+// each table's title and its paper reference. The device knobs (-planes,
+// -no-cache-pipeline, -batch, -batch-deadline, -batch-threshold,
+// -study-pages, -fault-rate, -fault-seed) apply to every simulated SSD;
+// output is byte-identical for any -parallel.
 //
-// -fig tinsec writes only the sanitization-audit figure: the T_insecure
-// phase breakdown (host-queue wait, batching delay, pulse execution,
-// ladder recovery, relocation reopening) across the amortization
-// ablation ladder, with the audit verifier's end-of-run result.
+// Traced run: ONE workload × policy cell under a trace.Recorder instead
+// of figures (so no -fig), written through any of -trace (Chrome
+// trace_event JSON, open at ui.perfetto.dev), -trace-jsonl, -stats-json,
+// -stats-stream with -stats-interval, -openmetrics and -audit-json;
+// -audit-verify exits 1 if a secured copy is still readable at the end.
 //
-// -fig attack writes only the adversarial forensics matrix: the §5.1
-// attacker (raw chip dump, retention-aided read, power-cut-then-dump)
-// against every policy, scoring recoverable secured bytes, with the
-// gate verdict (see internal/attack and DESIGN.md §12).
+// Attack gate: implies -fig attack. -power-cut N keeps only power-cut
+// cells, cutting the Nth sanitize operation of the delete; -attack-verify
+// exits 1 unless every sanitizing policy leaks nothing AND the baseline
+// control leaks (a toothless control fails too).
 //
-// -fault-rate runs the system-level experiments under deterministic
-// fault injection (see internal/fault); the schedule is reproducible
-// from -fault-seed (default: the run seed).
-//
-// The small scale finishes in about a second and default in about six
-// (5.7 s wall / 9.9 s user on a 2-CPU host; erSSD's write amplification
-// is the cost being demonstrated).
-// -parallel fans the independent simulations across N workers (default:
-// one per CPU) with bit-identical output to -parallel 1. -trace /
-// -stats-json additionally capture one representative traced run
-// (MailServer × secSSD at the chosen scale) and write a Chrome
-// trace_event file (Perfetto-loadable) and/or a telemetry snapshot.
+// Exit codes: 2 for usage errors (an unknown -fig, -scale, -format,
+// -workloads or -trace-policy value, or flags of two modes combined),
+// 1 for a failed experiment, export or gate.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"time"
+	"slices"
+	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/chipchar"
 	"repro/internal/experiment"
+	"repro/internal/ftl"
 	"repro/internal/prof"
 	"repro/internal/sanitize"
-	"repro/internal/vertrace"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:]))
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main with an exit code, so deferred cleanup (the profiles) runs
 // before the process exits on every path.
 func run(args []string) int {
 	fs := flag.NewFlagSet("reproduce", flag.ExitOnError)
-	out := fs.String("out", "report.md", "markdown report path ('-' for stdout)")
-	fig := fs.String("fig", "all", "all, tinsec (T_insecure phase breakdown alone), or attack (forensics matrix alone)")
+	fig := fs.String("fig", "all", "all, or one of: "+figureIDs())
 	scaleName := fs.String("scale", "small", "small, default, or paper")
+	format := fs.String("format", "md", "md (markdown) or csv")
+	out := fs.String("out", "report.md", "report path ('-' for stdout)")
 	parallelN := fs.Int("parallel", 0, "worker count for independent simulations (<=0: one per CPU)")
+	workloads := fs.String("workloads", "", "comma-separated subset of workloads (default: each figure's own set)")
+	planes := fs.Int("planes", 0, "planes per chip (0/1: single-plane)")
+	noCachePipe := fs.Bool("no-cache-pipeline", false, "disable cache-mode transfer/array overlap")
+	batch := fs.Bool("batch", false, "enable wordline-aware pLock batching")
+	batchDeadline := fs.Int64("batch-deadline", 0, "µs a partial wordline group may defer (0: flush per request)")
+	batchThreshold := fs.Int("batch-threshold", 0, "force-flush the lock queue at N pages (0: none)")
+	studyPages := fs.Uint64("study-pages", 0, "override the scale's measured write volume (0: scale default)")
 	faultRate := fs.Float64("fault-rate", 0, "per-operation fault-injection probability (0 disables)")
 	faultSeed := fs.Int64("fault-seed", 0, "fault-schedule seed (0: use the run seed)")
-	traceFile := fs.String("trace", "", "write a Chrome trace of a MailServer×secSSD run here")
-	statsJSON := fs.String("stats-json", "", "write the traced run's telemetry snapshot JSON here")
-	openMetrics := fs.String("openmetrics", "", "write the traced run's OpenMetrics exposition here")
-	auditJSON := fs.String("audit-json", "", "write the traced run's sanitization audit report here")
+	var files experiment.TracedFiles
+	fs.StringVar(&files.Chrome, "trace", "", "traced run: write Chrome trace_event JSON here")
+	fs.StringVar(&files.JSONL, "trace-jsonl", "", "traced run: write the raw event log as JSONL here")
+	fs.StringVar(&files.Stats, "stats-json", "", "traced run: write the telemetry snapshot JSON here")
+	fs.StringVar(&files.OpenMetrics, "openmetrics", "", "traced run: write the OpenMetrics text exposition here")
+	fs.StringVar(&files.Audit, "audit-json", "", "traced run: write the sanitization audit report JSON here")
+	fs.StringVar(&files.Stream, "stats-stream", "", "traced run: stream periodic telemetry samples (JSONL) here")
+	fs.Int64Var(&files.StreamInterval, "stats-interval", 10_000, "simulated µs between streamed samples")
+	auditVerify := fs.Bool("audit-verify", false, "traced run: exit 1 if the end-of-run audit verifier finds a live unlocked copy")
+	tracePolicy := fs.String("trace-policy", "secSSD", "policy for the traced run")
+	attackJSON := fs.String("attack-json", "", "attack gate: write the attack-score matrix and verdict JSON here")
+	attackVerify := fs.Bool("attack-verify", false, "attack gate: exit 1 unless sanitizers leak nothing and the control leaks")
+	powerCut := fs.Uint64("power-cut", 0, "attack gate: power-cut cells only, cutting the Nth sanitize op of the delete")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := fs.String("memprofile", "", "write a heap profile here on exit")
 	fs.Parse(args)
 
-	fail := func(err error) int {
+	exit := func(code int, err error) int {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		return 1
+		return code
 	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		return fail(err)
+
+	// Which mode the flags select; two at once is an error, not a winner.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	anySet := func(names ...string) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return set[n] })
 	}
-	defer stopProf()
+	traced := anySet("trace", "trace-jsonl", "stats-json", "openmetrics", "audit-json", "stats-stream", "audit-verify")
+	gate := anySet("attack-json", "attack-verify", "power-cut")
+	switch {
+	case traced && gate:
+		return exit(2, errors.New("traced-run flags and attack-gate flags select different runs; give one set"))
+	case traced && set["fig"]:
+		return exit(2, errors.New("traced-run flags capture one workload × policy run, not a figure; drop -fig"))
+	case gate && set["fig"] && *fig != "attack":
+		return exit(2, fmt.Errorf("attack-gate flags apply to -fig attack, not -fig %s", *fig))
+	case gate:
+		*fig = "attack"
+	}
 
 	sc, err := experiment.ScaleByName(*scaleName)
 	if err != nil {
-		return fail(err)
+		return exit(2, err)
 	}
-	sc.FaultRate = *faultRate
-	sc.FaultSeed = *faultSeed
+	sc.FaultRate, sc.FaultSeed = *faultRate, *faultSeed
+	sc.Planes, sc.NoCachePipeline = *planes, *noCachePipe
+	if *studyPages > 0 {
+		sc.StudyPages = *studyPages
+		sc.SlowPolicyStudyPages = min(sc.SlowPolicyStudyPages, sc.StudyPages)
+	}
+	if *batch {
+		sc.LockBatch = ftl.LockBatchConfig{Enabled: true, Deadline: sim.Micros(*batchDeadline), Threshold: *batchThreshold}
+	}
+	render, ok := renderers[*format]
+	if !ok {
+		return exit(2, fmt.Errorf("unknown format %q (want md or csv)", *format))
+	}
+	var profiles []workload.Profile
+	if *workloads != "" {
+		for _, name := range strings.Split(*workloads, ",") {
+			p, err := workload.ByName(strings.TrimSpace(name))
+			if err != nil {
+				return exit(2, err)
+			}
+			profiles = append(profiles, p)
+		}
+	}
+	policy, err := sanitize.ByName(*tracePolicy)
+	if err != nil {
+		return exit(2, err)
+	}
+	figs := registry
+	if *fig != "all" {
+		i := slices.IndexFunc(registry, func(f figure) bool { return f.id == *fig })
+		if i < 0 {
+			return exit(2, fmt.Errorf("unknown figure %q (want all, or one of: %s)", *fig, figureIDs()))
+		}
+		figs = registry[i : i+1]
+	}
 
-	var w io.Writer = os.Stdout
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return exit(1, err)
+	}
+	defer stopProf()
+	header := headerLines(*scaleName, sc)
+
+	if traced {
+		csvHeader(os.Stdout, header)
+		cell := workload.MailServer()
+		if len(profiles) > 0 {
+			cell = profiles[0]
+		}
+		rep, err := experiment.TracedRun(cell, policy, sc, files, os.Stdout)
+		if err == nil && *auditVerify && !rep.Clean() {
+			err = fmt.Errorf("audit verification failed: %v", rep.Err())
+		}
+		if err != nil {
+			return exit(1, err)
+		}
+		return 0
+	}
+
+	w, closeOut := io.Writer(os.Stdout), func() error { return nil }
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			return fail(err)
+			return exit(1, err)
 		}
-		defer f.Close()
-		w = f
+		defer f.Close() // error paths; the success path checks closeOut
+		w, closeOut = f, f.Close
 	}
-
-	//secvet:allow determinism -- wall-clock measures how long the report took to generate, not simulation state
-	start := time.Now()
-	fmt.Fprintf(w, "# Evanesco reproduction report\n\ngenerated by `cmd/reproduce -scale %s`\n\n", *scaleName)
-	// Effective seeds: the report is reproducible from this line alone.
-	if sc.FaultRate > 0 {
-		fmt.Fprintf(w, "seeds: run=%d fault-rate=%g fault-seed=%d\n\n", sc.Seed, sc.FaultRate, sc.FaultConfig().Seed)
-	} else {
-		fmt.Fprintf(w, "seeds: run=%d fault-rate=0\n\n", sc.Seed)
+	e := newEnv(*scaleName, sc, *parallelN, profiles, *powerCut)
+	render.header(w, header)
+	err = writeFigures(w, render, figs, e)
+	if err == nil {
+		err = closeOut()
 	}
-	if err := writeReport(w, *fig, sc, *parallelN); err != nil {
-		return fail(err)
+	if err != nil {
+		return exit(1, err)
 	}
-	fmt.Fprintf(w, "\n---\nwall-clock: %s\n", time.Since(start).Round(time.Second))
 	if *out != "-" {
-		fmt.Printf("report written to %s (%s)\n", *out, time.Since(start).Round(time.Second))
+		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
-
-	if *traceFile != "" || *statsJSON != "" || *openMetrics != "" || *auditJSON != "" {
-		// One representative traced run at the chosen scale.
-		_, err := experiment.TracedRun(workload.MailServer(), sanitize.SecSSD(), sc, experiment.TracedFiles{
-			Chrome:      *traceFile,
-			Stats:       *statsJSON,
-			OpenMetrics: *openMetrics,
-			Audit:       *auditJSON,
-		}, os.Stdout)
-		if err != nil {
-			return fail(err)
+	if gate {
+		if err := attackGate(e, *attackJSON, *attackVerify); err != nil {
+			return exit(1, err)
 		}
 	}
 	return 0
 }
 
-// writeReport writes the selected figures; the first experiment that
-// fails ends the report with its error.
-func writeReport(w io.Writer, fig string, sc experiment.Scale, workers int) error {
-	switch fig {
-	case "tinsec":
-		writeDeviceConfig(w, sc)
-		return writeTInsecFigure(w, sc, workers)
-	case "attack":
-		return writeAttackFigure(w, sc.Seed, workers)
-	case "all":
-		writeDeviceConfig(w, sc)
-		if err := writeTable1(w, workers); err != nil {
-			return err
+// writeFigures builds, checks and renders figs in order; the first one
+// that fails ends the report with its error, before any of it is written.
+func writeFigures(w io.Writer, r renderer, figs []figure, e *env) error {
+	for _, f := range figs {
+		t, err := f.build(e)
+		if err == nil {
+			err = t.check()
 		}
-		writeChipFigures(w, workers)
-		if err := writeFigure14(w, sc, workers); err != nil {
-			return err
+		if err == nil {
+			err = r.table(w, f.id, t)
 		}
-		if err := writeBatchingAblation(w, sc, workers); err != nil {
-			return err
-		}
-		if err := writeTInsecFigure(w, sc, workers); err != nil {
-			return err
-		}
-		return writeAttackFigure(w, sc.Seed, workers)
-	}
-	return fmt.Errorf("unknown figure %q (want all, tinsec or attack)", fig)
-}
-
-// writeTInsecFigure reports where T_insecure time goes: the audit
-// ledger's per-secret windows across the amortization ladder, broken
-// down by phase, plus the end-of-run verifier result.
-func writeTInsecFigure(w io.Writer, sc experiment.Scale, workers int) error {
-	cells, err := experiment.AuditSweep(sc, workers)
-	if err != nil {
-		return fmt.Errorf("T_insecure audit sweep: %w", err)
-	}
-	fmt.Fprintf(w, "\n## T_insecure phase breakdown — Mobile × secSSD\n\n")
-	fmt.Fprintf(w, "Each closed per-secret window (first exposure of any copy to destruction\n")
-	fmt.Fprintf(w, "of the last) is attributed to phases that sum exactly to the window.\n\n")
-	fmt.Fprintf(w, "| cell | windows | reopened | ladder | mean window | queue wait | batch wait | reopen | pulse | ladder |\n")
-	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, c := range cells {
-		st := c.Audit
-		mean := 0.0
-		if st.Windows > 0 {
-			mean = float64(st.WindowSumUs) / float64(st.Windows)
-		}
-		pct := func(v int64) string {
-			if st.WindowSumUs == 0 {
-				return "—"
-			}
-			return fmt.Sprintf("%.1f%%", 100*float64(v)/float64(st.WindowSumUs))
-		}
-		fmt.Fprintf(w, "| %s | %d | %d | %d | %.0f µs | %s | %s | %s | %s | %s |\n",
-			c.Label, st.Windows, st.ReopenedWindows, st.LadderWindows, mean,
-			pct(st.Phases.QueueWait), pct(st.Phases.BatchWait), pct(st.Phases.Reopen),
-			pct(st.Phases.Pulse), pct(st.Phases.Ladder))
-	}
-	fmt.Fprintf(w, "\nProvenance: ")
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprintf(w, "; ")
-		}
-		fmt.Fprintf(w, "%s: %d host + %d GC + %d evacuated + %d quarantined copies",
-			c.Label, c.Audit.Copies.Host, c.Audit.Copies.GC, c.Audit.Copies.Evacuate, c.Audit.Copies.Quarantine)
-	}
-	fmt.Fprintf(w, "\n\nVerifier: ")
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprintf(w, "; ")
-		}
-		if c.Verify.Clean() {
-			fmt.Fprintf(w, "%s clean", c.Label)
-		} else {
-			fmt.Fprintf(w, "%s — %v", c.Label, c.Verify.Err())
+		if err != nil {
+			return fmt.Errorf("-fig %s: %w", f.id, err)
 		}
 	}
-	fmt.Fprintf(w, "\n")
 	return nil
 }
 
-// writeAttackFigure runs the adversarial forensics matrix — the §5.1
-// attacker against every policy — and reports recoverable secured bytes
-// per cell, cross-checked against the audit ledger, with the gate
-// verdict at the bottom.
-func writeAttackFigure(w io.Writer, seed int64, workers int) error {
-	scores, err := attack.Matrix(attack.DefaultCells(seed), workers)
+// headerLines is the effective configuration: a run is reproducible
+// from these lines alone.
+func headerLines(scale string, sc experiment.Scale) []string {
+	faults := "fault-rate=0"
+	if sc.FaultRate > 0 {
+		faults = fmt.Sprintf("fault-rate=%g fault-seed=%d", sc.FaultRate, sc.FaultConfig().Seed)
+	}
+	batching := "off"
+	if sc.LockBatch.Enabled {
+		batching = fmt.Sprintf("on deadline=%v threshold=%d", sc.LockBatch.Deadline, sc.LockBatch.Threshold)
+	}
+	return []string{
+		fmt.Sprintf("scale=%s seed=%d %s", scale, sc.Seed, faults),
+		fmt.Sprintf("device: %d channels x %d chips, %d blocks/chip, %d WLs/block (TLC), %d B pages",
+			experiment.Channels, experiment.ChipsPerChannel, sc.BlocksPerChip, sc.WLsPerBlock, sc.PageBytes),
+		fmt.Sprintf("parallelism: planes=%d cache-pipeline=%s queue-depth=32 plock-batching=%s",
+			max(sc.Planes, 1), pick(sc.NoCachePipeline, "off", "on"), batching),
+		fmt.Sprintf("study: %d pages after %.0f%% prefill", sc.StudyPages, 100*sc.PrefillFraction),
+	}
+}
+
+// attackGate writes the -attack-json document (every cell's score plus
+// the verdict) and, under -attack-verify, fails on a failed verdict.
+func attackGate(e *env, jsonPath string, verify bool) error {
+	scores, err := e.attack()
 	if err != nil {
-		return fmt.Errorf("attack matrix: %w", err)
+		return err
 	}
 	verdict := attack.Verify(scores)
-	fmt.Fprintf(w, "\n## Attack matrix — §5.1 adversary vs. every policy\n\n")
-	fmt.Fprintf(w, "Each cell plants marker-filled secrets, churns so GC scatters copies,\n")
-	fmt.Fprintf(w, "deletes them, then dumps the raw chips — optionally after a retention\n")
-	fmt.Fprintf(w, "bake or a power cut followed by remount and journal replay. Recovered\n")
-	fmt.Fprintf(w, "is the attacker's haul; audit open is the ledger's count of secured\n")
-	fmt.Fprintf(w, "copies with open T_insecure windows, which must agree.\n\n")
-	fmt.Fprintf(w, "| cell | recovered | pages | cut fired | remounted | live intact | audit open | audit clean |\n")
-	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|\n")
-	for _, s := range scores {
-		recovered := fmt.Sprintf("%d / %d B", s.RecoverableBytes, s.SecretBytes)
-		cut := "—"
-		if s.Scenario == string(attack.ScenarioPowerCut) {
-			cut = yesNo(s.CutFired)
-			if s.CutFired {
-				cut = fmt.Sprintf("yes (%s)", s.CutOp)
-			}
+	if jsonPath != "" {
+		doc, err := json.MarshalIndent(struct {
+			Seed    int64          `json:"seed"`
+			Scores  []attack.Score `json:"scores"`
+			Verdict attack.Verdict `json:"verdict"`
+		}{e.sc.Seed, scores, verdict}, "", "  ")
+		if err != nil {
+			return err
 		}
-		remounted := "—"
-		if s.Scenario == string(attack.ScenarioPowerCut) {
-			remounted = yesNo(s.Remounted)
+		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "| %s | %s | %d | %s | %s | %s | %d | %s |\n",
-			s.Label, recovered, s.HitPages, cut, remounted,
-			yesNo(s.LiveIntact), s.OpenAuditCopies, yesNo(s.AuditClean))
+		fmt.Fprintf(os.Stderr, "attack scores written to %s\n", jsonPath)
 	}
-	if verdict.Pass {
-		fmt.Fprintf(w, "\nVerdict: **PASS** — %d cells, %d baseline control leaks (the attack has teeth), zero recoverable secured bytes under every sanitizing policy.\n",
-			verdict.Cells, verdict.ControlLeaks)
-	} else {
-		fmt.Fprintf(w, "\nVerdict: **FAIL** — %d cells:\n\n", verdict.Cells)
-		for _, f := range verdict.Failures {
-			fmt.Fprintf(w, "- %s\n", f)
-		}
+	if verify && !verdict.Pass {
+		return fmt.Errorf("attack verification failed: %s", strings.Join(verdict.Failures, "; "))
 	}
-	return nil
-}
-
-func yesNo(b bool) string {
-	if b {
-		return "yes"
-	}
-	return "no"
-}
-
-// writeDeviceConfig prints the full effective device configuration the
-// system-level experiments run against, so a report is interpretable
-// without consulting the source.
-func writeDeviceConfig(w io.Writer, sc experiment.Scale) {
-	planes := sc.Planes
-	if planes < 1 {
-		planes = 1
-	}
-	fmt.Fprintf(w, "## Device configuration\n\n")
-	fmt.Fprintf(w, "- geometry: %d channels × %d chips, %d blocks/chip, %d WLs/block (TLC), %d B pages\n",
-		experiment.Channels, experiment.ChipsPerChannel, sc.BlocksPerChip, sc.WLsPerBlock, sc.PageBytes)
-	fmt.Fprintf(w, "- parallelism: %d plane(s)/chip, cache-mode pipelining %s, queue depth 32\n",
-		planes, onOff(!sc.NoCachePipeline))
-	if sc.LockBatch.Enabled {
-		fmt.Fprintf(w, "- pLock batching: on (deadline %v, threshold %d)\n", sc.LockBatch.Deadline, sc.LockBatch.Threshold)
-	} else {
-		fmt.Fprintf(w, "- pLock batching: off (one pulse per page)\n")
-	}
-	fmt.Fprintf(w, "- study volume: %d pages after %.0f%% prefill\n\n", sc.StudyPages, 100*sc.PrefillFraction)
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// writeBatchingAblation runs the amortization ladder (single-plane, no
-// pipelining → two-plane pipelined → + wordline pLock batching) on the
-// sanitization-heavy Mobile workload and reports absolute and
-// normalized throughput.
-func writeBatchingAblation(w io.Writer, sc experiment.Scale, workers int) error {
-	cells, err := experiment.BatchingAblation(sc, workers)
-	if err != nil {
-		return fmt.Errorf("batching ablation: %w", err)
-	}
-	fmt.Fprintf(w, "\n## Amortization ablation — Mobile × secSSD\n\n")
-	fmt.Fprintf(w, "| cell | planes | cache pipeline | batching | IOPS | ×disabled | WAF | pLocks | batched pulses (pages) | bLocks |\n")
-	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
-	base := cells[0].Run.IOPS()
-	for _, c := range cells {
-		s := c.Run.Report.Stats
-		norm := 0.0
-		if base > 0 {
-			norm = c.Run.IOPS() / base
-		}
-		batching := "off"
-		if c.LockBatch.Enabled {
-			batching = fmt.Sprintf("on (%v/%d)", c.LockBatch.Deadline, c.LockBatch.Threshold)
-		}
-		planes := c.Planes
-		if planes < 1 {
-			planes = 1
-		}
-		fmt.Fprintf(w, "| %s | %d | %s | %s | %.0f | %.2f× | %.2f | %d | %d (%d) | %d |\n",
-			c.Label, planes, onOff(!c.NoCachePipeline), batching,
-			c.Run.IOPS(), norm, c.Run.WAF(), s.PLocks, s.PLockBatches, s.PLockBatchedPages, s.BLocks)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func writeTable1(w io.Writer, workers int) error {
-	fmt.Fprintf(w, "## Table 1 — data versioning\n\n")
-	fmt.Fprintf(w, "| workload | UV VAF avg/max | UV T_insec avg/max | MV VAF avg/max | MV T_insec avg/max |\n")
-	fmt.Fprintf(w, "|---|---|---|---|---|\n")
-	profiles := []workload.Profile{workload.Mobile(), workload.MailServer(), workload.DBServer()}
-	cfgs := make([]vertrace.StudyConfig, len(profiles))
-	for i, prof := range profiles {
-		cfgs[i] = vertrace.StudyConfig{
-			Workload:      prof,
-			CapacityPages: 32 * 1024,
-			PageBytes:     4096,
-			FillFraction:  0.75,
-			StudyPages:    96 * 1024,
-			Seed:          11,
-		}
-	}
-	results, err := vertrace.RunStudies(cfgs, workers)
-	if err != nil {
-		return fmt.Errorf("table 1: %w", err)
-	}
-	for _, res := range results {
-		r := res.Row
-		fmt.Fprintf(w, "| %s | %.2f / %.2f | %.2f / %.2f | %.2f / %.2f | %.2f / %.2f |\n",
-			r.Workload, r.UV.VAFAvg, r.UV.VAFMax, r.UV.TInsecAvg, r.UV.TInsecMax,
-			r.MV.VAFAvg, r.MV.VAFMax, r.MV.TInsecAvg, r.MV.TInsecMax)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func writeChipFigures(w io.Writer, workers int) {
-	cfg := chipchar.Config{WLs: 10000, Seed: 1, Workers: workers}
-
-	f6 := chipchar.Figure6(cfg)
-	fmt.Fprintf(w, "## Figure 6 — OSR reliability\n\n")
-	fmt.Fprintf(w, "| tech | condition | median (×limit) | %% beyond limit |\n|---|---|---|---|\n")
-	for _, b := range f6.MLC {
-		fmt.Fprintf(w, "| MLC | %s | %.3f | %.1f%% |\n", b.Label, b.Box.Median, 100*b.FracAboveLimit)
-	}
-	for _, b := range f6.TLC {
-		fmt.Fprintf(w, "| TLC | %s | %.3f | %.1f%% |\n", b.Label, b.Box.Median, 100*b.FracAboveLimit)
-	}
-
-	f9 := chipchar.Figure9(cfg)
-	fmt.Fprintf(w, "\n## Figure 9 — pLock design space\n\n")
-	fmt.Fprintf(w, "chosen operating point: **(%.1f V, %.0f µs)** (paper: (Vp4, 100 µs))\n\n", f9.Chosen.V, f9.Chosen.T)
-
-	f10 := chipchar.Figure10(cfg)
-	growth := f10.NoPE[len(f10.NoPE)-1]/f10.NoPE[0] - 1
-	fmt.Fprintf(w, "## Figure 10 — open interval\n\nzero→very-long RBER growth: **%.0f%%** (paper ≈ 30%%)\n\n", 100*growth)
-
-	f11 := chipchar.Figure11(cfg)
-	fmt.Fprintf(w, "## Figure 11(b) — SSL cutoff\n\nread-failure cutoff: **%.2f V** (paper: 3 V)\n\n", f11.Cutoff)
-
-	f12 := chipchar.Figure12(cfg)
-	fmt.Fprintf(w, "## Figure 12 — bLock design space\n\nchosen operating point: **(%.0f V, %.0f µs)** (paper: (Vb6, 300 µs))\n\n", f12.Chosen.V, f12.Chosen.T)
-
-	o := chipchar.ComputeOverhead(9)
-	fmt.Fprintf(w, "## §5.5 overhead\n\n%d flag cells/WL (%.2f%% of spare), ~%d+%d transistors, tpLock/tPROG %.1f%%, tbLock/tBERS %.1f%%\n\n",
-		o.FlagCellsPerWL, 100*o.SpareFraction, o.MajorityTransistors, o.BridgeTransistors,
-		100*o.TpLockOverTprog, 100*o.TbLockOverTbers)
-}
-
-func writeFigure14(w io.Writer, sc experiment.Scale, workers int) error {
-	rows, err := experiment.Figure14Parallel(sc, nil, workers)
-	if err != nil {
-		return fmt.Errorf("figure 14: %w", err)
-	}
-	policies := []string{"erSSD", "scrSSD", "secSSD_nobLock", "secSSD"}
-
-	fmt.Fprintf(w, "## Figure 14(a) — normalized IOPS\n\n| workload |")
-	for _, p := range policies {
-		fmt.Fprintf(w, " %s |", p)
-	}
-	fmt.Fprintf(w, "\n|---|---|---|---|---|\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "| %s |", r.Workload)
-		for _, p := range policies {
-			fmt.Fprintf(w, " %.3f |", r.IOPS[p])
-		}
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintf(w, "\n## Figure 14(b) — normalized WAF\n\n| workload |")
-	for _, p := range policies {
-		fmt.Fprintf(w, " %s |", p)
-	}
-	fmt.Fprintf(w, "\n|---|---|---|---|---|\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "| %s |", r.Workload)
-		for _, p := range policies {
-			fmt.Fprintf(w, " %.3f |", r.WAF[p])
-		}
-		fmt.Fprintln(w)
-	}
-
-	pts, err := experiment.Figure14cParallel(sc, nil, nil, workers)
-	if err != nil {
-		return fmt.Errorf("figure 14(c): %w", err)
-	}
-	fmt.Fprintf(w, "\n## Figure 14(c) — secSSD IOPS vs. secured fraction\n\n")
-	byW := map[string][]experiment.Fig14cPoint{}
-	var names []string
-	for _, p := range pts {
-		if _, ok := byW[p.Workload]; !ok {
-			names = append(names, p.Workload)
-		}
-		byW[p.Workload] = append(byW[p.Workload], p)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "| workload | 60%% | 70%% | 80%% | 90%% | 100%% |\n|---|---|---|---|---|---|\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "| %s |", n)
-		for _, p := range byW[n] {
-			fmt.Fprintf(w, " %.3f |", p.NormIOPS)
-		}
-		fmt.Fprintln(w)
-	}
-
-	h := experiment.ComputeHeadline(rows)
-	fmt.Fprintf(w, "\n## Headline (§1)\n\n")
-	fmt.Fprintf(w, "- secSSD vs scrSSD IOPS: up to %.1f×, avg %.1f× (paper 4.8× / 2.9×)\n", h.IOPSSpeedupMax, h.IOPSSpeedupAvg)
-	fmt.Fprintf(w, "- erase reduction: up to %.0f%%, avg %.0f%% (paper 79%% / 62%%)\n", 100*h.EraseReductionMax, 100*h.EraseReductionAvg)
-	fmt.Fprintf(w, "- pLock reduction from bLock: up to %.0f%%, avg %.0f%% (paper 57%% / 28%%)\n", 100*h.PLockReductionMax, 100*h.PLockReductionAvg)
-	fmt.Fprintf(w, "- IOPS gain from bLock: up to %.1f%%, avg %.1f%% (paper 5.4%% / 3.1%%)\n", 100*h.BLockIOPSGainMax, 100*h.BLockIOPSGainAvg)
 	return nil
 }

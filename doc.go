@@ -25,7 +25,7 @@
 //   - internal/core — the public facade assembling everything.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; the cmd/ tools print them as human-readable
-// tables. See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// the paper's evaluation; cmd/reproduce renders each as a markdown or
+// CSV table. See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
 package repro

@@ -160,16 +160,3 @@ func ReceiverNamed(fn *types.Func) *types.Named {
 	}
 	return NamedType(sig.Recv().Type())
 }
-
-// MethodOn reports whether fn is a method named methodName on the type
-// pkgName.typeName (value or pointer receiver, or interface method).
-func MethodOn(fn *types.Func, pkgName, typeName, methodName string) bool {
-	if fn == nil || fn.Name() != methodName {
-		return false
-	}
-	n := ReceiverNamed(fn)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Name() == pkgName && n.Obj().Name() == typeName
-}

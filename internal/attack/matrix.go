@@ -5,17 +5,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/sanitize"
 )
 
 // Policies lists the §7 configurations the matrix sweeps, control first.
 func Policies() []core.PolicyName {
-	return []core.PolicyName{
-		core.PolicyBaseline,
-		core.PolicyErase,
-		core.PolicyScrub,
-		core.PolicySecNoBLock,
-		core.PolicyEvanesco,
+	var names []core.PolicyName
+	for _, p := range sanitize.Policies() {
+		names = append(names, core.PolicyName(p.Name()))
 	}
+	return names
 }
 
 // DefaultCells builds the standard attack matrix: every policy against

@@ -50,22 +50,13 @@ const (
 	PolicyEvanesco   PolicyName = "secSSD"
 )
 
-// policyFor maps names to implementations.
+// policyFor resolves a name through sanitize.ByName; the zero value
+// selects the full Evanesco device.
 func policyFor(name PolicyName) (ftl.Policy, error) {
-	switch name {
-	case PolicyBaseline:
-		return sanitize.Baseline(), nil
-	case PolicyErase:
-		return sanitize.ErSSD(), nil
-	case PolicyScrub:
-		return sanitize.ScrSSD(), nil
-	case PolicySecNoBLock:
-		return sanitize.SecSSDNoBLock(), nil
-	case PolicyEvanesco, "":
-		return sanitize.SecSSD(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown policy %q", name)
+	if name == "" {
+		name = PolicyEvanesco
 	}
+	return sanitize.ByName(string(name))
 }
 
 // Options configures a Device. The zero value builds a compact Evanesco

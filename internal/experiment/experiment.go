@@ -133,25 +133,10 @@ func ScaleByName(name string) (Scale, error) {
 }
 
 // Policies returns the §7 device configurations in Fig. 14 order.
-func Policies() []ftl.Policy {
-	return []ftl.Policy{
-		sanitize.Baseline(),
-		sanitize.ErSSD(),
-		sanitize.ScrSSD(),
-		sanitize.SecSSDNoBLock(),
-		sanitize.SecSSD(),
-	}
-}
+func Policies() []ftl.Policy { return sanitize.Policies() }
 
 // PolicyByName resolves one of the five configuration names.
-func PolicyByName(name string) (ftl.Policy, error) {
-	for _, p := range Policies() {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("experiment: unknown policy %q", name)
-}
+func PolicyByName(name string) (ftl.Policy, error) { return sanitize.ByName(name) }
 
 // Run is one (workload, policy, secure-fraction) measurement.
 type Run struct {
@@ -267,16 +252,12 @@ type Fig14Row struct {
 	Runs map[string]Run
 }
 
-// Figure14 runs all four workloads over all five configurations.
-func Figure14(sc Scale, profiles []workload.Profile) ([]Fig14Row, error) {
-	return Figure14Parallel(sc, profiles, 1)
-}
-
-// Figure14Parallel fans the (workload × policy) grid across up to
+// Figure14Parallel runs all four workloads over all five
+// configurations, the (workload × policy) grid fanned across up to
 // workers goroutines (<= 0: one per CPU). Every cell is an independent
 // seeded simulation — its own device, chips, and RNGs — and results are
-// gathered in grid order, so the rows are bit-identical to the serial
-// path for any worker count.
+// gathered in grid order, so the rows are bit-identical for any worker
+// count.
 func Figure14Parallel(sc Scale, profiles []workload.Profile, workers int) ([]Fig14Row, error) {
 	if profiles == nil {
 		profiles = workload.Profiles()
@@ -333,14 +314,10 @@ type Fig14cPoint struct {
 	NormIOPS float64
 }
 
-// Figure14c sweeps the secured-data fraction for secSSD.
-func Figure14c(sc Scale, profiles []workload.Profile, fractions []float64) ([]Fig14cPoint, error) {
-	return Figure14cParallel(sc, profiles, fractions, 1)
-}
-
-// Figure14cParallel is Figure14c with the (workload × fraction) grid —
-// plus each workload's baseline run — fanned across up to workers
-// goroutines, bit-identical to the serial sweep.
+// Figure14cParallel sweeps the secured-data fraction for secSSD: the
+// (workload × fraction) grid — plus each workload's baseline run —
+// fanned across up to workers goroutines, bit-identical for any worker
+// count.
 func Figure14cParallel(sc Scale, profiles []workload.Profile, fractions []float64, workers int) ([]Fig14cPoint, error) {
 	if profiles == nil {
 		profiles = workload.Profiles()

@@ -56,7 +56,7 @@ func TestFigure14Shape(t *testing.T) {
 		t.Skip("multi-config run")
 	}
 	profiles := []workload.Profile{workload.MailServer(), workload.Mobile()}
-	rows, err := Figure14(SmallScale(), profiles)
+	rows, err := Figure14Parallel(SmallScale(), profiles, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestFigure14cMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run")
 	}
-	pts, err := Figure14c(SmallScale(), []workload.Profile{workload.MailServer()},
-		[]float64{0.6, 1.0})
+	pts, err := Figure14cParallel(SmallScale(), []workload.Profile{workload.MailServer()},
+		[]float64{0.6, 1.0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestComputeHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config run")
 	}
-	rows, err := Figure14(SmallScale(), []workload.Profile{workload.Mobile()})
+	rows, err := Figure14Parallel(SmallScale(), []workload.Profile{workload.Mobile()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

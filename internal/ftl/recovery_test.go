@@ -22,7 +22,6 @@ func (c *capture) Enabled() bool                              { return true }
 func (c *capture) Op(ev trace.Event)                          { c.events = append(c.events, ev) }
 func (c *capture) Gauge(trace.GaugeKind, sim.Micros, float64) {}
 func (c *capture) Invalidated(uint32, bool, sim.Micros)       {}
-func (c *capture) Destroyed(uint32, sim.Micros)               {}
 func (c *capture) Audit(audit.Event)                          {}
 
 func (c *capture) count(class trace.OpClass) int {

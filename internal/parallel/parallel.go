@@ -88,11 +88,3 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// ForEach is Map for jobs that produce no result.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

@@ -129,25 +129,3 @@ func TestMapDrainsCleanly(t *testing.T) {
 		t.Errorf("job started after Map returned (%d -> %d)", s, late)
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(3, 50, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 49*50/2 {
-		t.Errorf("sum = %d, want %d", sum.Load(), 49*50/2)
-	}
-	boom := errors.New("boom")
-	if err := ForEach(3, 50, func(i int) error {
-		if i == 5 {
-			return boom
-		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Errorf("ForEach error = %v, want %v", err, boom)
-	}
-}

@@ -16,7 +16,34 @@
 // longer readable. Only Baseline leaves stale data exposed.
 package sanitize
 
-import "repro/internal/ftl"
+import (
+	"fmt"
+
+	"repro/internal/ftl"
+)
+
+// Policies returns fresh instances of the five §7 configurations in
+// Fig. 14 order, the baseline (the normalization target and the attack
+// matrix's control) first. It is the only enumeration of them: every
+// by-name lookup and every figure's column order derives from it.
+func Policies() []ftl.Policy {
+	return []ftl.Policy{Baseline(), ErSSD(), ScrSSD(), SecSSDNoBLock(), SecSSD()}
+}
+
+// ByName resolves one of the Policies by its Name.
+func ByName(name string) (ftl.Policy, error) {
+	all := Policies()
+	for _, p := range all {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	names := make([]string, len(all))
+	for i, p := range all {
+		names[i] = p.Name()
+	}
+	return nil, fmt.Errorf("sanitize: unknown policy %q (want one of %v)", name, names)
+}
 
 // Baseline returns the no-sanitization policy (the normalization target
 // of Fig. 14).

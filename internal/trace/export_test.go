@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"repro/internal/audit"
 )
 
 // goldenRecorder replays a small fixed event sequence.
@@ -154,7 +156,7 @@ func TestSnapshot(t *testing.T) {
 	r := goldenRecorder()
 	r.Gauge(GaugeLockQueue, 50, 4)
 	r.Invalidated(1, true, 100)
-	r.Destroyed(1, 400)
+	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 400, At: 400})
 
 	sn := r.Snapshot()
 	if sn.Events != 3 || sn.DroppedEvents != 0 {

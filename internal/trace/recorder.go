@@ -148,13 +148,6 @@ func (r *Recorder) Invalidated(page uint32, secured bool, at sim.Micros) {
 	r.Audit(audit.Event{Kind: audit.KindInvalidate, Page: page, Src: audit.NoSrc, LPA: -1, At: at})
 }
 
-// Destroyed implements Collector. It forwards to the audit ledger as an
-// unattributed destruction; the FTL's instrumented destroy sites call
-// Audit directly with the cause, issue time, and ladder flag instead.
-func (r *Recorder) Destroyed(page uint32, at sim.Micros) {
-	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: page, Src: audit.NoSrc, LPA: -1, Dep: at, At: at})
-}
-
 // Audit implements Collector: events feed the provenance ledger, and
 // exposure changes keep the insecure-windows gauge exactly as the
 // legacy per-page tracker emitted it.

@@ -228,12 +228,6 @@ type Collector interface {
 	// Invalidated reports that a live physical page became stale at the
 	// given simulated time. Secured pages open a T_insecure window.
 	Invalidated(page uint32, secured bool, at sim.Micros)
-	// Destroyed reports that a stale page's data physically ceased to be
-	// readable (lock, scrub, or erase completion), closing any open
-	// T_insecure window on the page. It is shorthand for an Audit
-	// destruction with no cause attribution; producers use one or the
-	// other for a given destruction, never both.
-	Destroyed(page uint32, at sim.Micros)
 	// Audit records one sanitization-provenance event (see package
 	// audit): copy registrations of secured data and cause-attributed
 	// destructions. Like Op, the Event is passed on the stack; producers
@@ -255,9 +249,6 @@ func (Nop) Gauge(GaugeKind, sim.Micros, float64) {}
 
 // Invalidated implements Collector.
 func (Nop) Invalidated(uint32, bool, sim.Micros) {}
-
-// Destroyed implements Collector.
-func (Nop) Destroyed(uint32, sim.Micros) {}
 
 // Audit implements Collector.
 func (Nop) Audit(audit.Event) {}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -17,7 +18,7 @@ func TestNopCollectorIsDisabled(t *testing.T) {
 	n.Op(Event{Class: OpRead, Start: 0, End: 80})
 	n.Gauge(GaugeFreeBlocks, 0, 1)
 	n.Invalidated(1, true, 0)
-	n.Destroyed(1, 10)
+	n.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 10, At: 10})
 }
 
 func TestOpClassStrings(t *testing.T) {
@@ -178,7 +179,7 @@ func TestTInsecureWindowPairing(t *testing.T) {
 	}
 	// Re-invalidating the same page must not reset the window start.
 	r.Invalidated(1, true, 1500)
-	r.Destroyed(1, 2000)
+	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 2000, At: 2000})
 	if r.OpenInsecure() != 0 {
 		t.Fatalf("OpenInsecure = %d after close, want 0", r.OpenInsecure())
 	}
@@ -186,7 +187,7 @@ func TestTInsecureWindowPairing(t *testing.T) {
 		t.Fatalf("T_insecure = %v, want 1000 (from the FIRST invalidation)", got)
 	}
 	// Destroying a page with no open window is a no-op.
-	r.Destroyed(42, 5000)
+	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 42, Src: audit.NoSrc, LPA: -1, Dep: 5000, At: 5000})
 	if r.TInsecure().N() != 1 {
 		t.Fatalf("TInsecure N = %d, want 1", r.TInsecure().N())
 	}
@@ -197,7 +198,7 @@ func TestTInsecureNegativeClampsToZero(t *testing.T) {
 	// A GC relocation can record the invalidation (at the post-copy
 	// clock) after the lock (anchored at the request start) completed.
 	r.Invalidated(3, true, 900)
-	r.Destroyed(3, 500)
+	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 3, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
 	if got := r.TInsecure().Max(); got != 0 {
 		t.Fatalf("negative window = %v, want clamp to 0", got)
 	}
@@ -220,7 +221,7 @@ func TestRecorderGauges(t *testing.T) {
 	// The insecure-window gauge tracks open windows automatically.
 	r.Invalidated(1, true, 300)
 	r.Invalidated(2, true, 400)
-	r.Destroyed(1, 500)
+	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
 	g := r.GaugeSeries(GaugeInsecureWindows)
 	if g.Len() != 3 {
 		t.Fatalf("insecure_windows points = %d, want 3", g.Len())

@@ -109,12 +109,17 @@ func Profiles() []Profile {
 
 // ByName resolves a profile by its Table 2 name.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
+	all := Profiles()
+	for _, p := range all {
 		if p.Name == name {
 			return p, nil
 		}
 	}
-	return Profile{}, fmt.Errorf("workload: unknown profile %q", name)
+	names := make([]string, len(all))
+	for i, p := range all {
+		names[i] = p.Name
+	}
+	return Profile{}, fmt.Errorf("workload: unknown profile %q (want one of %v)", name, names)
 }
 
 // Generator drives a file system with a profile's operation mixture.
