@@ -183,11 +183,18 @@ func (p Phase) String() string {
 // quarantine).
 const NoSrc = ^uint32(0)
 
-// Event is one ledger observation. It is passed by value on the stack —
-// producers must not allocate to build one (enforced by secvet's
-// tracecheck).
+// Event is one page-lifecycle observation: the FTL reports every copy,
+// invalidation and destruction, of secured and unsecured pages alike,
+// and each consumer keeps what it tracks (the ledger only secured
+// copies). It is passed by value on the stack — producers must not
+// allocate to build one (the AllocsPerRun guards in ssd and ftl fail if
+// they do).
 type Event struct {
 	Kind Kind
+	// Secured says the page holds secured data (KindCopy,
+	// KindInvalidate). The ledger must never see an unsecured copy or
+	// invalidation: it would adopt the page as a secret.
+	Secured bool
 	// Page is the physical page the event concerns.
 	Page uint32
 	// Src is the physical page the data was copied from (KindCopy of a
@@ -195,6 +202,9 @@ type Event struct {
 	Src uint32
 	// LPA is the logical page (KindCopy; -1 when unknown/none).
 	LPA int64
+	// File is the owning file's annotation (0 when the write carried
+	// none).
+	File uint64
 	// Origin classifies a KindCopy registration.
 	Origin Origin
 	// Cause classifies a KindDestroy destruction.
@@ -299,14 +309,6 @@ func (l *Ledger) Record(ev Event) bool {
 	}
 }
 
-// Invalidated marks the copy on page stale at the given time, adopting
-// unregistered pages as single-copy secrets. It reports whether a new
-// per-copy window opened (re-invalidating an already stale copy is a
-// no-op: the first invalidation wins).
-func (l *Ledger) Invalidated(page uint32, at sim.Micros) bool {
-	return l.invalidate(page, at)
-}
-
 func (l *Ledger) register(ev Event) {
 	c := l.copyAt(ev.Page)
 	if c.state != copyNone {
@@ -333,6 +335,9 @@ func (l *Ledger) register(ev Event) {
 	l.registered++
 }
 
+// invalidate marks the copy on page stale, adopting an unregistered page
+// as a single-copy secret. Re-invalidating an already stale copy is a
+// no-op: the first invalidation wins.
 func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
 	c := l.copyAt(page)
 	switch c.state {

@@ -17,7 +17,7 @@ func TestDefaultScaleBaselineRuns(t *testing.T) {
 	}
 	sc := DefaultScale()
 	sc.StudyPages = 5000
-	//secvet:allow determinism -- wall-clock bounds this long test's runtime; results come from sim.Micros
+	// Wall-clock bounds this long test's runtime; results come from sim.Micros.
 	start := time.Now()
 	run, err := Execute(workload.MailServer(), sanitize.Baseline(), 1.0, sc)
 	if err != nil {

@@ -11,27 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Hooks receive FTL lifecycle events; the vertrace package uses them to
-// track per-file valid/invalid page populations. All hooks are optional.
-type Hooks struct {
-	// Programmed fires when a host or GC write lands on a physical page.
-	Programmed func(p PPA, lpa int64, file uint64)
-	// Invalidated fires when a live page becomes stale. Its old data is
-	// still physically present at this point. file is the page's
-	// annotation from the write that stored it.
-	Invalidated func(p PPA, file uint64)
-	// Destroyed fires when stale data physically ceases to be readable:
-	// block erase, pLock, bLock, or scrub.
-	Destroyed func(p PPA, file uint64)
-}
-
 // FTL is the Evanesco-aware flash translation layer.
 type FTL struct {
 	cfg    Config
 	geo    Geometry
 	target Target
 	policy Policy
-	hooks  Hooks
 
 	tracer  trace.Collector
 	traceOn bool
@@ -205,9 +190,6 @@ func New(cfg Config, target Target, policy Policy) (*FTL, error) {
 	return f, nil
 }
 
-// SetHooks installs lifecycle hooks (nil fields are ignored).
-func (f *FTL) SetHooks(h Hooks) { f.hooks = h }
-
 // Stats returns a copy of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
 
@@ -282,7 +264,7 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 			f.stats.HostReadPages++
 			if p := f.l2p[req.LPA+i]; p != NoPPA {
 				f.stats.FlashReads++
-				if _, t := f.target.Read(p, dep); t > done {
+				if t := f.target.Read(p, dep); t > done {
 					done = t
 				}
 			}
@@ -478,7 +460,7 @@ func (f *FTL) flushReadGroup(group []PPA, dep, done sim.Micros) sim.Micros {
 	case len(group) == 0:
 	case len(group) == 1:
 		f.stats.FlashReads++
-		if _, t := f.target.Read(group[0], dep); t > done {
+		if t := f.target.Read(group[0], dep); t > done {
 			done = t
 		}
 	default:
@@ -703,8 +685,8 @@ func (f *FTL) IssueBLock(block int, pages []PPA) {
 	// The bLock disables the whole block, not just the pages this batch
 	// asked for: evacuation-stale copies (relocatePage with sanitizeOld
 	// off marks them invalid without pending them) die with it too, so
-	// destruction is reported block-wide — otherwise their hooks and
-	// audit windows would never close.
+	// destruction is reported block-wide — otherwise their audit windows
+	// and per-file stale counts would never close.
 	f.destroyStale(block, done, audit.CauseBLock, f.reqStart)
 }
 
@@ -837,7 +819,7 @@ func (f *FTL) LockTiming() LockTiming { return f.cfg.Timing }
 // RelocateLive moves every live page out of the block (read + program
 // elsewhere), remapping L2P. The old copies are NOT routed through the
 // sanitization policy — callers destroy the whole block right after
-// (erSSD) — but are reported stale to hooks. Returns the number moved.
+// (erSSD) — but are reported stale. Returns the number moved.
 func (f *FTL) RelocateLive(block int) int {
 	moved := 0
 	first := f.geo.FirstPPA(block)
@@ -893,8 +875,7 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 			f.stats.Copybacks++
 			progDone, perr = f.target.Copyback(p, np, f.reqClock)
 		} else {
-			data, readDone := f.target.Read(p, f.reqClock)
-			progDone, perr = f.target.Program(np, data, readDone)
+			progDone, perr = f.target.Move(p, np, f.reqClock)
 		}
 		if perr == nil {
 			break

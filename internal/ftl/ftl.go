@@ -139,26 +139,32 @@ func (s PageStatus) Live() bool { return s == PageValid || s == PageSecured }
 // not start before its dependency time (e.g. a GC program depends on its
 // read). The first return value is the operation's completion time.
 //
-// The fallible operations (Program, Copyback, Erase, PLock, BLock)
+// The fallible operations (Program, Copyback, Move, Erase, PLock, BLock)
 // additionally report injected operation failures (see internal/fault).
 // A non-nil error means the operation burned its full latency and failed:
-// a failed Program/Copyback consumed its destination page (the write
+// a failed Program/Copyback/Move consumed its destination page (the write
 // pointer advanced, a partial payload may be readable there), a failed
 // Erase/PLock/BLock left the target's state unchanged. The FTL's
 // recovery ladder — retry, escalate, retire — handles each case; fault-
 // free targets simply always return nil.
 type Target interface {
-	// Read returns the stored payload (nil for timing-only targets) and
-	// the completion time. Read-path faults (injected bit errors) are
-	// absorbed by the implementation via bounded retries; after
-	// exhaustion it returns the corrupted payload rather than failing.
-	Read(p PPA, dep sim.Micros) ([]byte, sim.Micros)
+	// Read returns the completion time only: chip bytes never cross this
+	// seam, so the FTL cannot hold a view of a chip's read scratch.
+	// Read-path faults (injected bit errors) are absorbed by the
+	// implementation via bounded retries.
+	Read(p PPA, dep sim.Micros) sim.Micros
 	// Program stores data (which may be nil for timing-only runs).
 	Program(p PPA, data []byte, dep sim.Micros) (sim.Micros, error)
 	// Copyback moves src to dst without a bus transfer; implementations
 	// fall back to read+program semantics for the data while charging
 	// only on-chip time. src and dst are always on the same chip.
 	Copyback(src, dst PPA, dep sim.Micros) (sim.Micros, error)
+	// Move copies src to dst over the channel bus, inside the device: a
+	// Read of src, then a Program of what it returned (after read-retry
+	// exhaustion, the corrupted payload — a relocation moves damaged
+	// data rather than dropping the page) that depends on the read's
+	// completion. The failure contract is Program's.
+	Move(src, dst PPA, dep sim.Micros) (sim.Micros, error)
 	Erase(block int, dep sim.Micros) (sim.Micros, error)
 	PLock(p PPA, dep sim.Micros) (sim.Micros, error)
 	BLock(block int, dep sim.Micros) (sim.Micros, error)
@@ -260,10 +266,10 @@ type Config struct {
 	// LockBatch tunes the wordline-aware pLock batching of the lock
 	// manager (requires a BatchTarget; silently ignored otherwise).
 	LockBatch LockBatchConfig
-	// Tracer receives FTL telemetry: secured-page invalidation and
-	// destruction times (the T_insecure window), GC pass spans, and the
-	// lock-queue / page-status / free-block gauges. Nil disables tracing
-	// at the cost of one predictable branch per site.
+	// Tracer receives FTL telemetry: every page copy, invalidation and
+	// destruction (report.go), GC pass spans, and the lock-queue /
+	// page-status / free-block gauges. Nil disables tracing at the cost
+	// of one predictable branch per site.
 	Tracer trace.Collector
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/audit"
 	"repro/internal/blockio"
 	"repro/internal/ftl"
 	"repro/internal/ftl/ftltest"
@@ -374,14 +375,22 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			seen[p] = true
 			mapped++
 		}
-		// Every live physical page must be mapped by someone.
+		// Every live physical page must be mapped by someone, and the
+		// per-status population counters must equal a recount of the
+		// status table: a status write that bypasses setStatus skews them.
 		live := 0
+		var tally [ftl.NumPageStatus]int64
 		for p := 0; p < f.Geometry().TotalPages(); p++ {
-			if f.Status(ftl.PPA(p)).Live() {
+			st := f.Status(ftl.PPA(p))
+			tally[st]++
+			if st.Live() {
 				live++
 			}
 		}
-		return live == mapped
+		free, valid, secured, invalid := f.PageStatusCounts()
+		counted := [ftl.NumPageStatus]int64{ftl.PageFree: free, ftl.PageValid: valid,
+			ftl.PageSecured: secured, ftl.PageInvalid: invalid, ftl.PageRetired: f.RetiredPages()}
+		return live == mapped && tally == counted
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -527,21 +536,16 @@ func TestVictimFIFOStillReclaims(t *testing.T) {
 	}
 }
 
-func TestHooksAndPolicyName(t *testing.T) {
-	f, _ := newFTL(t, sanitize.SecSSD())
+func TestLifecycleEventsAndPolicyName(t *testing.T) {
+	f, _, cap := newRecoveryFTL(t, sanitize.SecSSD())
 	if f.PolicyName() != "secSSD" {
 		t.Fatalf("PolicyName = %q", f.PolicyName())
 	}
-	var programmed, invalidated, destroyed int
-	f.SetHooks(ftl.Hooks{
-		Programmed:  func(ftl.PPA, int64, uint64) { programmed++ },
-		Invalidated: func(ftl.PPA, uint64) { invalidated++ },
-		Destroyed:   func(ftl.PPA, uint64) { destroyed++ },
-	})
 	write(t, f, 0, 1, false)
 	write(t, f, 0, 1, false) // overwrite: invalidate + pLock (destroy)
-	if programmed != 2 || invalidated != 1 || destroyed != 1 {
-		t.Fatalf("hooks: prog=%d inval=%d destr=%d", programmed, invalidated, destroyed)
+	if cap.audits != [3]int{audit.KindCopy: 2, audit.KindInvalidate: 1, audit.KindDestroy: 1} {
+		t.Fatalf("lifecycle events: copy=%d invalidate=%d destroy=%d",
+			cap.audits[audit.KindCopy], cap.audits[audit.KindInvalidate], cap.audits[audit.KindDestroy])
 	}
 	// Out-of-range lookups are safe.
 	if f.Lookup(-1) != ftl.NoPPA || f.Lookup(1<<40) != ftl.NoPPA {

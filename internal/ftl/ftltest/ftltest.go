@@ -76,15 +76,26 @@ func (t *CountingTarget) addr(p ftl.PPA) (int, nand.PageAddr) {
 }
 
 // Read implements ftl.Target.
-func (t *CountingTarget) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
+func (t *CountingTarget) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
+	_, done := t.read(p, dep)
+	return done
+}
+
+// Move implements ftl.Target: it counts one read and one program.
+func (t *CountingTarget) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
+	data, readDone := t.read(src, dep)
+	return t.Program(dst, data, readDone)
+}
+
+// read returns the mirrored chip's payload (nil without chips or for an
+// unreadable page), valid until the next operation on that chip.
+func (t *CountingTarget) read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	t.Reads++
 	chip, a := t.addr(p)
 	var data []byte
 	if t.Chips != nil {
 		if res, err := t.Chips[chip].Read(a, dep); err == nil {
-			// Copy: the returned slice outlives this read (the scratch
-			// aliasing rule), and a test fake has no hot path to protect.
-			data = res.CloneData()
+			data = res.Data
 		}
 	}
 	return data, t.exec(chip, t.Timing.Read, dep)

@@ -12,17 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// capture is a trace.Collector recording every op event, so tests can
-// assert the fault-marker classes the recovery ladder emits.
+// capture is a trace.Collector recording every op and lifecycle event,
+// so tests can assert the fault-marker classes the recovery ladder emits
+// and the copies, invalidations and destructions the FTL reports.
 type capture struct {
 	events []trace.Event
+	audits [3]int // per audit.Kind
 }
 
 func (c *capture) Enabled() bool                              { return true }
 func (c *capture) Op(ev trace.Event)                          { c.events = append(c.events, ev) }
 func (c *capture) Gauge(trace.GaugeKind, sim.Micros, float64) {}
-func (c *capture) Invalidated(uint32, bool, sim.Micros)       {}
-func (c *capture) Audit(audit.Event)                          {}
+func (c *capture) Audit(ev audit.Event)                       { c.audits[ev.Kind]++ }
 
 func (c *capture) count(class trace.OpClass) int {
 	n := 0

@@ -32,8 +32,8 @@ func newTestChip(t *testing.T, opts ...Option) *Chip {
 }
 
 // The must* helpers assert chip ops whose outcome is setup, not the
-// point of the test: secvet's lockcheck rule forbids discarding a chip
-// op's error, because that error carries the pAP/bAP lock state.
+// point of the test: TestInvariants forbids discarding a chip op's
+// error, because that error carries the pAP/bAP lock state.
 func mustProgram(t *testing.T, c *Chip, a PageAddr, data []byte) {
 	t.Helper()
 	if _, err := c.Program(a, data, 0); err != nil {

@@ -33,8 +33,8 @@ type ReadResult struct {
 
 // CloneData returns a caller-owned copy of Data (nil stays nil). It is
 // the documented copy helper for holding page contents across later
-// operations on the same chip; secvet's aliasing rule flags any other
-// way of letting Data escape the read's statement block.
+// operations on the same chip; ssd.ReadLogical hands pages to the host
+// through it.
 func (r ReadResult) CloneData() []byte {
 	if r.Data == nil {
 		return nil

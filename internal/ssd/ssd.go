@@ -295,13 +295,29 @@ func (s *SSD) emitChip(class trace.OpClass, chip int, p ftl.PPA, queued, start, 
 // usually recovers within the budget.
 const maxReadAttempts = 3
 
-// Read implements ftl.Target: tREAD on the chip, then the page transfer
-// on the channel bus. An uncorrectable read (injected bit errors beyond
-// the ECC limit) is retried on the chip up to maxReadAttempts; each retry
-// occupies the chip for another tREAD and is traced as OpReadRetry. After
-// exhaustion the corrupted payload is returned as-is — never nil, so a GC
-// relocation moves (damaged) data rather than silently dropping the page.
-func (s *SSD) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
+// Read implements ftl.Target: the timing of readPage.
+func (s *SSD) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
+	_, done := s.readPage(p, dep)
+	return done
+}
+
+// Move implements ftl.Target: the cross-chip (or copyback-disabled)
+// relocation leg. The payload readPage returns is a view of the source
+// chip's read scratch; it goes straight into Program, which copies it,
+// and never leaves the device.
+func (s *SSD) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
+	data, readDone := s.readPage(src, dep)
+	return s.Program(dst, data, readDone)
+}
+
+// readPage is tREAD on the chip, then the page transfer on the channel
+// bus. An uncorrectable read (injected bit errors beyond the ECC limit)
+// is retried on the chip up to maxReadAttempts; each retry occupies the
+// chip for another tREAD and is traced as OpReadRetry. After exhaustion
+// the corrupted payload is returned as-is — never nil, so a GC
+// relocation moves (damaged) data rather than silently dropping the
+// page. The payload is only valid until the next operation on the chip.
+func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	chip, a := s.addr(p)
 	res, err := s.chips[chip].Read(a, dep)
 	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
@@ -335,7 +351,6 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	if s.traceOn {
 		s.emitChip(trace.OpXfer, chip, p, cellDone, busStart, busDone)
 	}
-	//secvet:allow aliasing -- Target.Read contract: the FTL consumes the page before the next op on this chip (Program copies); a copy here would undo the zero-alloc hot path
 	return data, busDone
 }
 

@@ -155,7 +155,7 @@ func TestWriteChromeTraceReportsDrops(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := goldenRecorder()
 	r.Gauge(GaugeLockQueue, 50, 4)
-	r.Invalidated(1, true, 100)
+	r.Audit(invalidate(1, true, 100))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 400, At: 400})
 
 	sn := r.Snapshot()

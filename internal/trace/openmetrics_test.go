@@ -20,9 +20,9 @@ func loadedRecorder() *Recorder {
 	r.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 99, Channel: 0}) // unattributed
 	r.Gauge(GaugeFreeBlocks, 100, 12)
 	r.Gauge(GaugeFreeBlocks, 700, 11)
-	r.Audit(audit.Event{Kind: audit.KindCopy, Page: 7, Src: audit.NoSrc, LPA: 3,
+	r.Audit(audit.Event{Kind: audit.KindCopy, Secured: true, Page: 7, Src: audit.NoSrc, LPA: 3,
 		Origin: audit.OriginHost, At: 10})
-	r.Audit(audit.Event{Kind: audit.KindInvalidate, Page: 7, Src: audit.NoSrc, LPA: -1, At: 100})
+	r.Audit(audit.Event{Kind: audit.KindInvalidate, Secured: true, Page: 7, Src: audit.NoSrc, LPA: -1, At: 100})
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 7, Src: audit.NoSrc, LPA: -1,
 		Cause: audit.CausePLock, Dep: 130, At: 400})
 	return r

@@ -140,18 +140,16 @@ func (r *Recorder) Gauge(kind GaugeKind, at sim.Micros, v float64) {
 	}
 }
 
-// Invalidated implements Collector.
-func (r *Recorder) Invalidated(page uint32, secured bool, at sim.Micros) {
-	if !secured {
-		return
-	}
-	r.Audit(audit.Event{Kind: audit.KindInvalidate, Page: page, Src: audit.NoSrc, LPA: -1, At: at})
-}
-
 // Audit implements Collector: events feed the provenance ledger, and
 // exposure changes keep the insecure-windows gauge exactly as the
-// legacy per-page tracker emitted it.
+// legacy per-page tracker emitted it. Unsecured copies and invalidations
+// stop here — the ledger adopts an unregistered invalidated page as a
+// secret. Their destructions pass: destroying a page the ledger never
+// registered is a no-op.
 func (r *Recorder) Audit(ev audit.Event) {
+	if !ev.Secured && ev.Kind != audit.KindDestroy {
+		return
+	}
 	if r.ledger.Record(ev) {
 		r.Gauge(GaugeInsecureWindows, ev.At, float64(r.ledger.OpenCopies()))
 	}

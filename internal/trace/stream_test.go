@@ -69,9 +69,9 @@ func TestStreamCarriesAuditState(t *testing.T) {
 	var buf bytes.Buffer
 	r.StreamTo(&buf, 1000)
 
-	r.Audit(audit.Event{Kind: audit.KindCopy, Page: 1, Src: audit.NoSrc, LPA: 4,
+	r.Audit(audit.Event{Kind: audit.KindCopy, Secured: true, Page: 1, Src: audit.NoSrc, LPA: 4,
 		Origin: audit.OriginHost, At: 10})
-	r.Audit(audit.Event{Kind: audit.KindInvalidate, Page: 1, Src: audit.NoSrc, LPA: -1, At: 200})
+	r.Audit(audit.Event{Kind: audit.KindInvalidate, Secured: true, Page: 1, Src: audit.NoSrc, LPA: -1, At: 200})
 	r.Op(Event{Class: OpRead, Start: 900, End: 1100, Chip: 0}) // boundary: window still open
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1,
 		Cause: audit.CausePLock, Dep: 230, At: 1500})

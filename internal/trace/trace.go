@@ -225,13 +225,10 @@ type Collector interface {
 	Op(ev Event)
 	// Gauge records one sample of a device-level quantity.
 	Gauge(kind GaugeKind, at sim.Micros, v float64)
-	// Invalidated reports that a live physical page became stale at the
-	// given simulated time. Secured pages open a T_insecure window.
-	Invalidated(page uint32, secured bool, at sim.Micros)
-	// Audit records one sanitization-provenance event (see package
-	// audit): copy registrations of secured data and cause-attributed
-	// destructions. Like Op, the Event is passed on the stack; producers
-	// must not allocate to build one.
+	// Audit records one page-lifecycle event (see package audit): a
+	// copy, an invalidation or a cause-attributed destruction, of a
+	// secured or an unsecured page. Like Op, the Event is passed on the
+	// stack; producers must not allocate to build one.
 	Audit(ev audit.Event)
 }
 
@@ -246,9 +243,6 @@ func (Nop) Op(Event) {}
 
 // Gauge implements Collector.
 func (Nop) Gauge(GaugeKind, sim.Micros, float64) {}
-
-// Invalidated implements Collector.
-func (Nop) Invalidated(uint32, bool, sim.Micros) {}
 
 // Audit implements Collector.
 func (Nop) Audit(audit.Event) {}

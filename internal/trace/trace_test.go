@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -8,6 +10,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
+
+// invalidate builds the event the FTL reports when a live page goes
+// stale.
+func invalidate(page uint32, secured bool, at sim.Micros) audit.Event {
+	return audit.Event{Kind: audit.KindInvalidate, Secured: secured, Page: page,
+		Src: audit.NoSrc, LPA: -1, At: at}
+}
 
 func TestNopCollectorIsDisabled(t *testing.T) {
 	var n Nop
@@ -17,7 +26,7 @@ func TestNopCollectorIsDisabled(t *testing.T) {
 	// The no-op methods must be callable without effect.
 	n.Op(Event{Class: OpRead, Start: 0, End: 80})
 	n.Gauge(GaugeFreeBlocks, 0, 1)
-	n.Invalidated(1, true, 0)
+	n.Audit(invalidate(1, true, 0))
 	n.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 10, At: 10})
 }
 
@@ -168,17 +177,17 @@ func TestEventSizeof(t *testing.T) {
 func TestTInsecureWindowPairing(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
 	// Insecure (non-secured) invalidations never open a window.
-	r.Invalidated(7, false, 100)
+	r.Audit(invalidate(7, false, 100))
 	if r.OpenInsecure() != 0 {
 		t.Fatal("non-secured invalidation opened a window")
 	}
 	// Secured invalidation opens, lock completion closes.
-	r.Invalidated(1, true, 1000)
+	r.Audit(invalidate(1, true, 1000))
 	if r.OpenInsecure() != 1 {
 		t.Fatalf("OpenInsecure = %d, want 1", r.OpenInsecure())
 	}
 	// Re-invalidating the same page must not reset the window start.
-	r.Invalidated(1, true, 1500)
+	r.Audit(invalidate(1, true, 1500))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 2000, At: 2000})
 	if r.OpenInsecure() != 0 {
 		t.Fatalf("OpenInsecure = %d after close, want 0", r.OpenInsecure())
@@ -193,11 +202,66 @@ func TestTInsecureWindowPairing(t *testing.T) {
 	}
 }
 
+// TestUnsecuredLifecyclesNeverReachLedger: the FTL reports every page's
+// lifecycle, and the ledger adopts any invalidated page it has no copy
+// of as a secret — so the Recorder must stop unsecured copies AND
+// invalidations. A stream with unsecured lifecycles interleaved (some
+// starting at the invalidation, as after a remount) must leave the same
+// ledger and insecure-windows gauge as the secured events alone.
+func TestUnsecuredLifecyclesNeverReachLedger(t *testing.T) {
+	mixed := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
+	securedOnly := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
+	type pageState struct {
+		next    audit.Kind // the page's next lifecycle event
+		secured bool
+	}
+	var pages [64]pageState
+	rng := rand.New(rand.NewSource(5))
+	var now sim.Micros
+	for i := 0; i < 20_000; i++ {
+		now += sim.Micros(rng.Intn(40))
+		p := rng.Intn(len(pages))
+		st := &pages[p]
+		if st.next == audit.KindCopy {
+			st.secured = rng.Intn(2) == 0
+			if !st.secured && rng.Intn(4) == 0 {
+				st.next = audit.KindInvalidate
+			}
+		}
+		ev := audit.Event{Kind: st.next, Secured: st.secured && st.next != audit.KindDestroy, Page: uint32(p),
+			Src: audit.NoSrc, LPA: -1, File: 9, Cause: audit.CauseErase, Dep: now, At: now}
+		mixed.Audit(ev)
+		if st.secured {
+			securedOnly.Audit(ev)
+		}
+		st.next = (st.next + 1) % 3
+	}
+	got, want := mixed.AuditLedger(), securedOnly.AuditLedger()
+	if want.Stats(now).Windows == 0 || want.OpenCopies() == 0 {
+		t.Fatalf("script closed %d windows and left %d open: too tame", want.Stats(now).Windows, want.OpenCopies())
+	}
+	if got.Stats(now) != want.Stats(now) {
+		t.Fatalf("Stats with unsecured events interleaved:\n got %+v\nwant %+v", got.Stats(now), want.Stats(now))
+	}
+	if !reflect.DeepEqual(got.Verify(now), want.Verify(now)) {
+		t.Fatalf("Verify differs: got %+v, want %+v", got.Verify(now), want.Verify(now))
+	}
+	g, w := mixed.GaugeSeries(GaugeInsecureWindows), securedOnly.GaugeSeries(GaugeInsecureWindows)
+	if g.Len() != w.Len() {
+		t.Fatalf("insecure-windows gauge has %d points, want %d", g.Len(), w.Len())
+	}
+	for i := 0; i < w.Len(); i++ {
+		if g.At(i) != w.At(i) {
+			t.Fatalf("insecure-windows point %d = %v, want %v", i, g.At(i), w.At(i))
+		}
+	}
+}
+
 func TestTInsecureNegativeClampsToZero(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
 	// A GC relocation can record the invalidation (at the post-copy
 	// clock) after the lock (anchored at the request start) completed.
-	r.Invalidated(3, true, 900)
+	r.Audit(invalidate(3, true, 900))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 3, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
 	if got := r.TInsecure().Max(); got != 0 {
 		t.Fatalf("negative window = %v, want clamp to 0", got)
@@ -219,8 +283,8 @@ func TestRecorderGauges(t *testing.T) {
 		t.Fatalf("lock_queue series len = %d, want 1", got)
 	}
 	// The insecure-window gauge tracks open windows automatically.
-	r.Invalidated(1, true, 300)
-	r.Invalidated(2, true, 400)
+	r.Audit(invalidate(1, true, 300))
+	r.Audit(invalidate(2, true, 400))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
 	g := r.GaugeSeries(GaugeInsecureWindows)
 	if g.Len() != 3 {

@@ -72,8 +72,9 @@ func (d *tickDevice) Submit(req blockio.Request) (sim.Micros, error) {
 }
 
 // buildStudyDevice sizes a baseline (no-sanitization) SSD whose logical
-// capacity covers the file-system capacity with GC headroom.
-func buildStudyDevice(capacityPages int64, pageBytes int, seed int64) (*ssd.SSD, error) {
+// capacity covers the file-system capacity with GC headroom and whose
+// page-lifecycle events go to tracker.
+func buildStudyDevice(capacityPages int64, pageBytes int, seed int64, tracker *Tracker) (*ssd.SSD, error) {
 	const (
 		chips = 4
 		wls   = 64
@@ -105,6 +106,7 @@ func buildStudyDevice(capacityPages int64, pageBytes int, seed int64) (*ssd.SSD,
 		QueueDepth:      32,
 		Policy:          sanitize.Baseline(),
 		Seed:            seed,
+		Trace:           tracker,
 	}
 	dev, err := ssd.New(cfg)
 	if err != nil {
@@ -134,16 +136,15 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dev, err := buildStudyDevice(cfg.CapacityPages, cfg.PageBytes, cfg.Seed)
+	tracker := NewTracker()
+	dev, err := buildStudyDevice(cfg.CapacityPages, cfg.PageBytes, cfg.Seed, tracker)
 	if err != nil {
 		return nil, err
 	}
-	tracker := NewTracker()
 	var watched []*WatchSeries
 	for _, id := range cfg.WatchIDs {
 		watched = append(watched, tracker.Watch(id))
 	}
-	dev.FTL().SetHooks(tracker.Hooks())
 
 	td := &tickDevice{dev: dev, tracker: tracker, tickUnit: float64(cfg.PageBytes) / 4096.0}
 	fs, err := filesys.New(td, cfg.CapacityPages, cfg.PageBytes)

@@ -15,8 +15,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ftl"
+	"repro/internal/audit"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // fileState is the per-file tracking record.
@@ -31,8 +32,12 @@ type fileState struct {
 	everSeen       bool
 }
 
-// Tracker consumes FTL hooks and file-system observer events.
+// Tracker consumes the FTL's page-lifecycle events (it is the study
+// device's trace.Collector; operations and gauges fall through to the
+// embedded Nop) and file-system observer events.
 type Tracker struct {
+	trace.Nop
+
 	// Tick is the logical clock: callers advance it by one per 4-KiB
 	// host write (use AdvanceTicks from the device wrapper).
 	tick int64
@@ -41,7 +46,7 @@ type Tracker struct {
 	// staleFile remembers which file each physically-present stale page
 	// belongs to, so Destroyed events can be deduplicated (a page locked
 	// by pLock is later erased too).
-	staleFile map[ftl.PPA]uint64
+	staleFile map[uint32]uint64
 
 	// watch holds the files whose N_valid/N_invalid time plots are
 	// recorded (Fig. 4).
@@ -59,7 +64,7 @@ type WatchSeries struct {
 func NewTracker() *Tracker {
 	return &Tracker{
 		files:     map[uint64]*fileState{},
-		staleFile: map[ftl.PPA]uint64{},
+		staleFile: map[uint32]uint64{},
 		watch:     map[uint64]*WatchSeries{},
 	}
 }
@@ -106,18 +111,25 @@ func (t *Tracker) FileOverwritten(id uint64) { t.state(id).mv = true }
 // multi-version per the §3 definition.
 func (t *Tracker) FileDeleted(id uint64) { t.state(id).mv = true }
 
-// --- ftl.Hooks ------------------------------------------------------------
+// --- trace.Collector -------------------------------------------------------
 
-// Hooks returns the ftl.Hooks wired to this tracker.
-func (t *Tracker) Hooks() ftl.Hooks {
-	return ftl.Hooks{
-		Programmed:  t.programmed,
-		Invalidated: t.invalidated,
-		Destroyed:   t.destroyed,
+// Enabled implements trace.Collector.
+func (t *Tracker) Enabled() bool { return true }
+
+// Audit implements trace.Collector: every copy, invalidation and
+// destruction the FTL reports, secured or not.
+func (t *Tracker) Audit(ev audit.Event) {
+	switch ev.Kind {
+	case audit.KindCopy:
+		t.programmed(ev.File)
+	case audit.KindInvalidate:
+		t.invalidated(ev.Page, ev.File)
+	case audit.KindDestroy:
+		t.destroyed(ev.Page)
 	}
 }
 
-func (t *Tracker) programmed(p ftl.PPA, lpa int64, file uint64) {
+func (t *Tracker) programmed(file uint64) {
 	if file == 0 {
 		return
 	}
@@ -129,7 +141,7 @@ func (t *Tracker) programmed(p ftl.PPA, lpa int64, file uint64) {
 	t.record(file, st)
 }
 
-func (t *Tracker) invalidated(p ftl.PPA, file uint64) {
+func (t *Tracker) invalidated(p uint32, file uint64) {
 	if file == 0 {
 		return
 	}
@@ -146,7 +158,7 @@ func (t *Tracker) invalidated(p ftl.PPA, file uint64) {
 	t.record(file, st)
 }
 
-func (t *Tracker) destroyed(p ftl.PPA, file uint64) {
+func (t *Tracker) destroyed(p uint32) {
 	owner, present := t.staleFile[p]
 	if !present {
 		return // already destroyed (e.g. locked, then erased)

@@ -3,7 +3,6 @@ package vertrace
 import (
 	"testing"
 
-	"repro/internal/ftl"
 	"repro/internal/workload"
 )
 
@@ -11,23 +10,23 @@ func TestTrackerCountsLifecycle(t *testing.T) {
 	tr := NewTracker()
 	tr.FileCreated(1, false)
 	// Three pages written.
-	tr.programmed(10, 0, 1)
-	tr.programmed(11, 1, 1)
-	tr.programmed(12, 2, 1)
+	tr.programmed(1)
+	tr.programmed(1)
+	tr.programmed(1)
 	st := tr.files[1]
 	if st.valid != 3 || st.maxValid != 3 {
 		t.Fatalf("valid=%d max=%d", st.valid, st.maxValid)
 	}
 	// Overwrite one page: new program + invalidation of the old copy.
 	tr.AdvanceTicks(5)
-	tr.programmed(13, 0, 1)
+	tr.programmed(1)
 	tr.invalidated(10, 1)
 	if st.valid != 3 || st.invalid != 1 || st.maxInvalid != 1 {
 		t.Fatalf("after overwrite: valid=%d invalid=%d", st.valid, st.invalid)
 	}
 	// Destroy the stale copy.
 	tr.AdvanceTicks(7)
-	tr.destroyed(10, 1)
+	tr.destroyed(10)
 	if st.invalid != 0 {
 		t.Fatalf("invalid=%d after destroy", st.invalid)
 	}
@@ -38,10 +37,10 @@ func TestTrackerCountsLifecycle(t *testing.T) {
 
 func TestTrackerDestroyDeduplicates(t *testing.T) {
 	tr := NewTracker()
-	tr.programmed(5, 0, 2)
+	tr.programmed(2)
 	tr.invalidated(5, 2)
-	tr.destroyed(5, 2)
-	tr.destroyed(5, 2) // e.g. pLock then later block erase
+	tr.destroyed(5)
+	tr.destroyed(5) // e.g. pLock then later block erase
 	if got := tr.files[2].invalid; got != 0 {
 		t.Fatalf("invalid=%d after duplicate destroy, want 0", got)
 	}
@@ -49,9 +48,9 @@ func TestTrackerDestroyDeduplicates(t *testing.T) {
 
 func TestTrackerIgnoresUnannotated(t *testing.T) {
 	tr := NewTracker()
-	tr.programmed(1, 0, 0)
+	tr.programmed(0)
 	tr.invalidated(1, 0)
-	tr.destroyed(1, 0)
+	tr.destroyed(1)
 	if len(tr.files) != 0 {
 		t.Fatal("file 0 (unannotated) must not be tracked")
 	}
@@ -60,10 +59,10 @@ func TestTrackerIgnoresUnannotated(t *testing.T) {
 func TestFinishMetrics(t *testing.T) {
 	tr := NewTracker()
 	tr.FileCreated(1, false)
-	tr.programmed(10, 0, 1)
-	tr.programmed(11, 1, 1)
+	tr.programmed(1)
+	tr.programmed(1)
 	tr.AdvanceTicks(10)
-	tr.programmed(12, 0, 1)
+	tr.programmed(1)
 	tr.invalidated(10, 1)
 	tr.AdvanceTicks(40)
 	// Still insecure at Finish: the open interval must be closed.
@@ -85,7 +84,7 @@ func TestFinishMetrics(t *testing.T) {
 func TestFinishSkipsInsecureFiles(t *testing.T) {
 	tr := NewTracker()
 	tr.FileCreated(1, true) // O_INSEC
-	tr.programmed(10, 0, 1)
+	tr.programmed(1)
 	if got := tr.Finish(10); len(got) != 0 {
 		t.Fatalf("insecure files must be excluded, got %d", len(got))
 	}
@@ -105,9 +104,9 @@ func TestMVClassification(t *testing.T) {
 	tr.FileCreated(1, false)
 	tr.FileCreated(2, false)
 	tr.FileCreated(3, false)
-	tr.programmed(1, 0, 1)
-	tr.programmed(2, 0, 2)
-	tr.programmed(3, 0, 3)
+	tr.programmed(1)
+	tr.programmed(2)
+	tr.programmed(3)
 	tr.FileOverwritten(2)
 	tr.FileDeleted(3)
 	files := tr.Finish(10)
@@ -160,9 +159,9 @@ func TestTopFiles(t *testing.T) {
 func TestWatchRecordsSeries(t *testing.T) {
 	tr := NewTracker()
 	ws := tr.Watch(7)
-	tr.programmed(1, 0, 7)
+	tr.programmed(7)
 	tr.AdvanceTicks(3)
-	tr.programmed(2, 1, 7)
+	tr.programmed(7)
 	tr.invalidated(1, 7)
 	if ws.Valid.Len() == 0 || ws.Invalid.Len() == 0 {
 		t.Fatal("watch recorded nothing")
@@ -259,5 +258,3 @@ func TestStudyWatchedSeries(t *testing.T) {
 		t.Fatal("no watched file recorded any points")
 	}
 }
-
-var _ ftl.Hooks = NewTracker().Hooks() // interface-shape check at compile time
