@@ -42,6 +42,7 @@ type AuditCell struct {
 func AuditSweep(sc Scale, workers int) ([]AuditCell, error) {
 	cells := BatchingCells()
 	prof := workload.Mobile()
+	h := newHandover(workers)
 	out, err := parallel.Map(workers, len(cells), func(i int) (AuditCell, error) {
 		cs := sc
 		cs.Planes = cells[i].Planes
@@ -51,7 +52,7 @@ func AuditSweep(sc Scale, workers int) ([]AuditCell, error) {
 			Chips:    Channels * ChipsPerChannel,
 			Channels: Channels,
 		})
-		run, err := ExecuteAudited(prof, sanitize.SecSSD(), 1.0, cs, rec)
+		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, rec, true, h)
 		if err != nil {
 			return AuditCell{}, fmt.Errorf("audit/%s: %w", cells[i].Label, err)
 		}
@@ -77,5 +78,5 @@ func AuditSweep(sc Scale, workers int) ([]AuditCell, error) {
 // windows as still open. Use this variant whenever the recorder's audit
 // ledger will be verified afterwards.
 func ExecuteAudited(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, rec *trace.Recorder) (Run, error) {
-	return execute(prof, policy, secureFraction, sc, rec, true)
+	return execute(prof, policy, secureFraction, sc, rec, true, nil)
 }

@@ -28,6 +28,22 @@ func TestAuditSweepWorkerInvariance(t *testing.T) {
 		t.Fatalf("audit sweep differs by worker count:\nserial: %+v\nfanned: %+v", serial, fanned)
 	}
 
+	// The sweep hands each cell's device on to the next; every cell must
+	// still be the run ExecuteAudited makes on a device of its own.
+	for i, bc := range BatchingCells() {
+		cs := sc
+		cs.Planes, cs.NoCachePipeline, cs.LockBatch = bc.Planes, bc.NoCachePipeline, bc.LockBatch
+		rec := trace.NewRecorder(trace.RecorderConfig{Chips: Channels * ChipsPerChannel, Channels: Channels})
+		run, err := ExecuteAudited(workload.Mobile(), sanitize.SecSSD(), 1.0, cs, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.AuditLedger().Stats(rec.Horizon()); !reflect.DeepEqual(serial[i].Run, run) || !reflect.DeepEqual(serial[i].Audit, got) {
+			t.Errorf("%s: sweep cell differs from ExecuteAudited on its own device:\nsweep: %+v %+v\nalone: %+v %+v",
+				bc.Label, serial[i].Run, serial[i].Audit, run, got)
+		}
+	}
+
 	labels := map[string]bool{}
 	for _, cell := range serial {
 		labels[cell.Label] = true

@@ -154,7 +154,7 @@ func (r Run) IOPS() float64 { return r.Report.IOPS }
 // WAF is shorthand for the run's write amplification.
 func (r Run) WAF() float64 { return r.Report.WAF }
 
-// Execute runs one configuration to completion.
+// Execute runs one configuration to completion on a device of its own.
 func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale) (Run, error) {
 	return ExecuteTraced(prof, policy, secureFraction, sc, nil)
 }
@@ -165,14 +165,46 @@ func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 // trace covers the prefill phase too — use the recorded horizon and the
 // host events to separate phases if needed.
 func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, error) {
-	return execute(prof, policy, secureFraction, sc, tr, false)
+	return execute(prof, policy, secureFraction, sc, tr, false, nil)
 }
 
-// execute is the one body behind Execute, ExecuteTraced and
-// ExecuteAudited; drainLocks flushes the lock manager after the last
-// host request.
-func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool) (Run, error) {
-	dev, err := buildDevice(policy, sc, tr)
+// handover passes the devices of a grid's finished cells to the cells
+// that start next, which build theirs on the retired one's storage
+// (ssd.NewFrom) instead of allocating the same tables again. One is made
+// per grid call, buffered for as many devices as the call has workers —
+// no more can be between cells at once — and dropped at return. The nil
+// handover of a single Execute retires nothing and offers nothing.
+type handover chan *ssd.SSD
+
+func newHandover(workers int) handover {
+	return make(handover, parallel.Workers(workers))
+}
+
+// take returns a retired device, or nil when none is waiting.
+func (h handover) take() *ssd.SSD {
+	select {
+	case dev := <-h:
+		return dev
+	default:
+		return nil
+	}
+}
+
+// retire offers a finished cell's device to the cells still to run.
+func (h handover) retire(dev *ssd.SSD) {
+	select {
+	case h <- dev:
+	default:
+	}
+}
+
+// execute is the one body behind Execute, ExecuteTraced, ExecuteAudited
+// and the grid cells; drainLocks flushes the lock manager after the last
+// host request. The device is built from one h offers, if any, and handed
+// back to h once the run has completed: a cell that fails or panics
+// retires nothing.
+func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool, h handover) (Run, error) {
+	dev, err := buildDevice(h.take(), policy, sc, tr)
 	if err != nil {
 		return Run{}, err
 	}
@@ -195,15 +227,19 @@ func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 	if drainLocks {
 		dev.FlushLocks()
 	}
-	return Run{
+	run := Run{
 		Workload:       prof.Name,
 		Policy:         policy.Name(),
 		SecureFraction: secureFraction,
 		Report:         dev.Report(),
-	}, nil
+	}
+	h.retire(dev)
+	return run, nil
 }
 
-func buildDevice(policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, error) {
+// buildDevice assembles the §7 device at the given scale, on the storage
+// of a retired one when old is not nil.
+func buildDevice(old *ssd.SSD, policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, error) {
 	const (
 		channels        = Channels
 		chipsPerChannel = ChipsPerChannel
@@ -218,7 +254,7 @@ func buildDevice(policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, err
 	if minOP := float64(chips*(gcLow+1)*sc.WLsPerBlock*3)/float64(physical) + 0.02; minOP > op {
 		op = minOP
 	}
-	return ssd.New(ssd.Config{
+	return ssd.NewFrom(old, ssd.Config{
 		Channels:        channels,
 		ChipsPerChannel: chipsPerChannel,
 		Chip: nand.Geometry{
@@ -255,20 +291,22 @@ type Fig14Row struct {
 // Figure14Parallel runs all four workloads over all five
 // configurations, the (workload × policy) grid fanned across up to
 // workers goroutines (<= 0: one per CPU). Every cell is an independent
-// seeded simulation — its own device, chips, and RNGs — and results are
-// gathered in grid order, so the rows are bit-identical for any worker
-// count.
+// seeded simulation — its own device, chips, and RNGs, built on the
+// storage of a cell that finished earlier (see handover), which changes
+// nothing a run can observe — and results are gathered in grid order, so
+// the rows are bit-identical for any worker count.
 func Figure14Parallel(sc Scale, profiles []workload.Profile, workers int) ([]Fig14Row, error) {
 	if profiles == nil {
 		profiles = workload.Profiles()
 	}
 	nPol := len(Policies())
+	h := newHandover(workers)
 	runs, err := parallel.Map(workers, len(profiles)*nPol, func(i int) (Run, error) {
 		prof := profiles[i/nPol]
 		// Fresh policy instances per cell: a policy must never be shared
 		// between concurrently running devices.
 		policy := Policies()[i%nPol]
-		run, err := Execute(prof, policy, 1.0, sc)
+		run, err := execute(prof, policy, 1.0, sc, nil, false, h)
 		if err != nil {
 			return Run{}, fmt.Errorf("%s/%s: %w", prof.Name, policy.Name(), err)
 		}
@@ -328,12 +366,13 @@ func Figure14cParallel(sc Scale, profiles []workload.Profile, fractions []float6
 	// Per profile: one baseline cell followed by the fraction sweep, in
 	// the same order the serial loop ran them.
 	per := 1 + len(fractions)
+	h := newHandover(workers)
 	runs, err := parallel.Map(workers, len(profiles)*per, func(i int) (Run, error) {
 		prof := profiles[i/per]
 		if k := i % per; k > 0 {
-			return Execute(prof, sanitize.SecSSD(), fractions[k-1], sc)
+			return execute(prof, sanitize.SecSSD(), fractions[k-1], sc, nil, false, h)
 		}
-		return Execute(prof, sanitize.Baseline(), 1.0, sc)
+		return execute(prof, sanitize.Baseline(), 1.0, sc, nil, false, h)
 	})
 	if err != nil {
 		return nil, err
@@ -465,12 +504,13 @@ func BatchingCells() []BatchingCell {
 func BatchingAblation(sc Scale, workers int) ([]BatchingCell, error) {
 	cells := BatchingCells()
 	prof := workload.Mobile()
+	h := newHandover(workers)
 	runs, err := parallel.Map(workers, len(cells), func(i int) (Run, error) {
 		cs := sc
 		cs.Planes = cells[i].Planes
 		cs.NoCachePipeline = cells[i].NoCachePipeline
 		cs.LockBatch = cells[i].LockBatch
-		run, err := Execute(prof, sanitize.SecSSD(), 1.0, cs)
+		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, nil, false, h)
 		if err != nil {
 			return Run{}, fmt.Errorf("batching/%s: %w", cells[i].Label, err)
 		}

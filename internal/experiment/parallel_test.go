@@ -2,8 +2,15 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/blockio"
+	"repro/internal/filesys"
+	"repro/internal/ftl"
+	"repro/internal/sanitize"
+	"repro/internal/ssd"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -15,21 +22,139 @@ func parTestScale() Scale {
 	return sc
 }
 
+// gridCell is one (workload, policy) cell of the Fig. 14 grid.
+type gridCell struct {
+	prof   workload.Profile
+	policy string
+}
+
+// gridCells lists the 20 cells in grid order.
+func gridCells() []gridCell {
+	var cells []gridCell
+	for _, prof := range workload.Profiles() {
+		for _, pol := range Policies() {
+			cells = append(cells, gridCell{prof, pol.Name()})
+		}
+	}
+	return cells
+}
+
+// executeCell runs a cell through execute with the given hand-over (nil:
+// on a device of its own, which is Execute).
+func executeCell(t *testing.T, c gridCell, sc Scale, h handover) Run {
+	t.Helper()
+	policy, err := PolicyByName(c.policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := execute(c.prof, policy, 1.0, sc, nil, false, h)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", c.prof.Name, c.policy, err)
+	}
+	return run
+}
+
 // TestFigure14WorkerInvariant is the golden determinism check for the
-// system-level grid: -parallel 4 must reproduce the serial rows exactly
-// (reflect.DeepEqual down to every latency percentile in the reports).
+// system-level grid, with Execute on a device of its own as the
+// reference for every one of the 20 cells: the grid at 1 and at 3
+// workers, and the cells pushed one after another through a single
+// hand-over in reversed and in interleaved order — so every cell is built
+// on the storage some other workload × policy cell used up — must
+// reproduce it exactly (reflect.DeepEqual down to every latency
+// percentile in the reports).
 func TestFigure14WorkerInvariant(t *testing.T) {
-	profiles := []workload.Profile{workload.MailServer()}
-	serial, err := Figure14Parallel(parTestScale(), profiles, 1)
-	if err != nil {
-		t.Fatal(err)
+	sc := parTestScale()
+	cells := gridCells()
+	want := make([]Run, len(cells))
+	for i, c := range cells {
+		want[i] = executeCell(t, c, sc, nil)
 	}
-	par, err := Figure14Parallel(parTestScale(), profiles, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 3} {
+		rows, err := Figure14Parallel(sc, nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			if got := rows[i/len(Policies())].Runs[c.policy]; !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%d workers: cell %s/%s differs from Execute:\ngrid:    %+v\nExecute: %+v",
+					workers, c.prof.Name, c.policy, got, want[i])
+			}
+		}
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("Figure14 differs between 1 and 4 workers:\nserial: %+v\nparallel: %+v", serial, par)
+	orders := map[string]func(k int) int{
+		"reversed":    func(k int) int { return len(cells) - 1 - k },
+		"interleaved": func(k int) int { return k * 7 % len(cells) }, // 7 and 20 are coprime
+	}
+	for name, order := range orders {
+		h := newHandover(1)
+		for k := range cells {
+			i := order(k)
+			if got := executeCell(t, cells[i], sc, h); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s order, step %d: cell %s/%s on an adopted device differs from Execute:\nadopted: %+v\nExecute: %+v",
+					name, k, cells[i].prof.Name, cells[i].policy, got, want[i])
+			}
+			if k > 0 && len(h) != 1 {
+				t.Fatalf("%s order, step %d: %d devices waiting in the hand-over, want the one just retired", name, k, len(h))
+			}
+		}
+	}
+}
+
+// failingCollector panics on its n-th operation: a cell that dies mid-run.
+type failingCollector struct {
+	trace.Nop
+	left int
+}
+
+func (c *failingCollector) Enabled() bool { return true }
+
+func (c *failingCollector) Op(trace.Event) {
+	if c.left--; c.left == 0 {
+		panic("collector gave up")
+	}
+}
+
+// TestHandoverRetiresOnlyCompletedRuns: a cell that fails to build, or
+// panics half way, takes a waiting device and hands nothing on; and the
+// hand-over never holds more devices than it was made for.
+func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
+	sc := parTestScale()
+	c := gridCell{workload.Mobile(), "secSSD"}
+	policy := func() ftl.Policy { p, _ := PolicyByName(c.policy); return p }
+	h := newHandover(2)
+
+	executeCell(t, c, sc, h)
+	bad := sc
+	bad.BlocksPerChip = 0
+	if _, err := execute(c.prof, policy(), 1.0, bad, nil, false, h); err == nil {
+		t.Error("a zero-block device was built")
+	}
+	if len(h) != 0 {
+		t.Errorf("%d devices waiting after a cell that could not build took the only one", len(h))
+	}
+
+	executeCell(t, c, sc, h)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the collector's panic did not reach the caller")
+			}
+		}()
+		_, _ = execute(c.prof, policy(), 1.0, sc, &failingCollector{left: 500}, false, h)
+	}()
+	if len(h) != 0 {
+		t.Errorf("%d devices waiting after a cell that panicked took the only one", len(h))
+	}
+
+	for i := 0; i < 3; i++ {
+		dev, err := buildDevice(nil, policy(), sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.retire(dev)
+	}
+	if len(h) != 2 {
+		t.Errorf("%d devices waiting in a hand-over made for 2 workers after 3 were retired", len(h))
 	}
 }
 
@@ -46,6 +171,20 @@ func TestFigure14cWorkerInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("Figure14c differs between 1 and 3 workers:\nserial: %+v\nparallel: %+v", serial, par)
+	}
+	// Each point against Execute on devices of their own.
+	base, err := Execute(profiles[0], sanitize.Baseline(), 1.0, parTestScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, frac := range fractions {
+		run, err := Execute(profiles[0], sanitize.SecSSD(), frac, parTestScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := run.IOPS() / base.IOPS(); serial[i].NormIOPS != want {
+			t.Errorf("fraction %v: sweep says %v, Execute per cell %v", frac, serial[i].NormIOPS, want)
+		}
 	}
 }
 
@@ -76,5 +215,117 @@ func TestBatchingAblationWorkerInvariant(t *testing.T) {
 	}
 	if got := serial[2].Run.Report.Stats.PLockBatches; got == 0 {
 		t.Fatalf("batched cell issued no coalesced pulses")
+	}
+	// Each cell adopted the device of the one before it — another plane
+	// count, lock batching off then on — and must equal Execute on a
+	// device of its own.
+	for _, c := range serial {
+		cs := parTestScale()
+		cs.Planes, cs.NoCachePipeline, cs.LockBatch = c.Planes, c.NoCachePipeline, c.LockBatch
+		want, err := Execute(workload.Mobile(), sanitize.SecSSD(), 1.0, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.Run, want) {
+			t.Errorf("cell %s differs from Execute:\nladder:  %+v\nExecute: %+v", c.Label, c.Run, want)
+		}
+	}
+}
+
+// constructionBytes is what buildDevice allocates for one cell.
+func constructionBytes(t *testing.T, old *ssd.SSD, policy ftl.Policy, sc Scale) (*ssd.SSD, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dev, err := buildDevice(old, policy, sc, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev, after.TotalAlloc - before.TotalAlloc
+}
+
+// lazyState sums nand.Chip.LazyState over the device.
+func lazyState(dev *ssd.SSD) (stores, chunksUsed, chunksHeld int) {
+	for _, c := range dev.Chips() {
+		s, u, h := c.LazyState()
+		stores, chunksUsed, chunksHeld = stores+s, chunksUsed+u, chunksHeld+h
+	}
+	return stores, chunksUsed, chunksHeld
+}
+
+// TestGridConstructionFootprint is the canary for what the hand-over
+// buys: in a serial grid only the first cell pays for the device tables.
+func TestGridConstructionFootprint(t *testing.T) {
+	sc := SmallScale()
+	run := func(dev *ssd.SSD, prof workload.Profile) {
+		t.Helper()
+		fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := workload.NewGenerator(prof, fs, sc.PageBytes, sc.Seed)
+		if err := gen.Fill(sc.PrefillFraction); err != nil {
+			t.Fatal(err)
+		}
+		dev.Mark()
+		if err := gen.RunPages(sc.StudyPages); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A serial grid: every later cell builds on the one before it and
+	// allocates at most 5 % of what the first cell did.
+	var dev *ssd.SSD
+	var first uint64
+	for i, c := range gridCells()[:10] {
+		policy, _ := PolicyByName(c.policy)
+		var bytes uint64
+		dev, bytes = constructionBytes(t, dev, policy, sc)
+		if i == 0 {
+			first = bytes
+		}
+		t.Logf("cell %d (%s/%s): %d bytes to build its device, %.1f %% of the first cell's", i, c.prof.Name, c.policy, bytes, 100*float64(bytes)/float64(first))
+		if bytes*20 > first && i > 0 {
+			t.Errorf("cell %d allocated %d bytes building its device, the first cell %d: want at most 5 %%", i, bytes, first)
+		}
+		run(dev, c.prof)
+	}
+
+	// A secSSD cell after a secSSD cell finds the flag-cell arena it needs.
+	dev, _ = constructionBytes(t, dev, sanitize.SecSSD(), sc)
+	run(dev, workload.Mobile())
+	_, used, held := lazyState(dev)
+	if used == 0 {
+		t.Fatal("the secSSD cell locked no page")
+	}
+	dev, _ = constructionBytes(t, dev, sanitize.SecSSD(), sc)
+	if _, used, adopted := lazyState(dev); used != 0 || adopted != held {
+		t.Errorf("device adopted from a secSSD cell: %d flag chunks in use, %d held; want 0 and the donor's %d", used, adopted, held)
+	}
+	run(dev, workload.Mobile())
+	if _, _, after := lazyState(dev); after != held {
+		t.Errorf("the second secSSD cell grew the flag-cell arena from %d to %d chunks", held, after)
+	}
+
+	// A baseline cell after a cell that stored real payload bytes is still
+	// a timing-only device (nand.TestTimingOnlyFootprint's condition).
+	payload := make([]byte, sc.PageBytes)
+	for i := range payload {
+		payload[i] = byte(i) | 1
+	}
+	for lpa := int64(0); lpa < 64; lpa++ {
+		dev.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Data: payload})
+	}
+	if stores, _, _ := lazyState(dev); stores == 0 {
+		t.Fatal("payload writes created no payload store")
+	}
+	dev, _ = constructionBytes(t, dev, sanitize.Baseline(), sc)
+	run(dev, workload.MailServer())
+	if dev.FTL().Stats().GCCopies == 0 {
+		t.Fatal("the baseline cell never garbage-collected")
+	}
+	if stores, used, _ := lazyState(dev); stores != 0 || used != 0 {
+		t.Errorf("baseline cell on an adopted device: %d payload stores and %d flag chunks in use, want none", stores, used)
 	}
 }

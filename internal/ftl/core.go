@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/adopt"
 	"repro/internal/audit"
 	"repro/internal/blockio"
 	"repro/internal/metrics"
@@ -124,6 +125,16 @@ func (f *FTL) isActive(cs *chipState, block int) bool {
 
 // New creates an FTL over the target flash.
 func New(cfg Config, target Target, policy Policy) (*FTL, error) {
+	return NewFrom(nil, cfg, target, policy)
+}
+
+// NewFrom is New building on a retired FTL's storage: the mapping and
+// status tables, per-block counters, sanitize and lock queues and their
+// free lists come from old through adopt.Zeroed where they are large
+// enough, and everything else about the result is what New sets — New
+// is this body with no donor. old must not be used afterwards; nil is
+// allowed.
+func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,23 +147,37 @@ func New(cfg Config, target Target, policy Policy) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
+	if old == nil {
+		old = &FTL{}
+	}
 	f := &FTL{
 		cfg:          cfg,
 		geo:          g,
 		target:       target,
 		policy:       policy,
-		l2p:          make([]PPA, cfg.LogicalPages),
-		p2l:          make([]int64, g.TotalPages()),
-		fileOf:       make([]uint64, g.TotalPages()),
-		status:       make([]PageStatus, g.TotalPages()),
-		liveInBlock:  make([]int32, g.TotalBlocks()),
-		usedInBlock:  make([]int32, g.TotalBlocks()),
-		eraseCount:   make([]int32, g.TotalBlocks()),
-		lockedBlocks: make([]bool, g.TotalBlocks()),
-		retired:      make([]bool, g.TotalBlocks()),
+		l2p:          adopt.Zeroed(old.l2p, cfg.LogicalPages),
+		p2l:          adopt.Zeroed(old.p2l, g.TotalPages()),
+		fileOf:       adopt.Zeroed(old.fileOf, g.TotalPages()),
+		status:       adopt.Zeroed(old.status, g.TotalPages()),
+		liveInBlock:  adopt.Zeroed(old.liveInBlock, g.TotalBlocks()),
+		usedInBlock:  adopt.Zeroed(old.usedInBlock, g.TotalBlocks()),
+		eraseCount:   adopt.Zeroed(old.eraseCount, g.TotalBlocks()),
+		lockedBlocks: adopt.Zeroed(old.lockedBlocks, g.TotalBlocks()),
+		retired:      adopt.Zeroed(old.retired, g.TotalBlocks()),
 		chips:        make([]chipState, g.Chips),
 		planes:       g.PlaneCount(),
-		pendingPages: make([][]PPA, g.TotalBlocks()),
+		pendingPages: adopt.Zeroed(old.pendingPages, g.TotalBlocks()),
+		pendingList:  adopt.Zeroed(old.pendingList, 0),
+		pendingFree:  adopt.ZeroedEach(old.pendingFree, 0),
+		drainFree:    adopt.ZeroedEach(old.drainFree, 0),
+		lockq: lockQueue{
+			groups:   adopt.Zeroed(old.lockq.groups, 0),
+			pagePool: adopt.ZeroedEach(old.lockq.pagePool, 0),
+		},
+
+		stripeScratch: adopt.Zeroed(old.stripeScratch, 0),
+		stripeOlds:    adopt.Zeroed(old.stripeOlds, 0),
+		stripeDatas:   adopt.Zeroed(old.stripeDatas, 0),
 	}
 	f.tracer = cfg.Tracer
 	if f.tracer == nil {
@@ -163,9 +188,9 @@ func New(cfg Config, target Target, policy Policy) (*FTL, error) {
 	f.metaWriter, _ = target.(MetaWriter)
 	if cfg.LockBatch.Enabled && f.batchTarget != nil {
 		f.lockBatching = true
-		f.lockq.groupIdx = make([]int32, g.TotalWLs())
-		f.lockq.pending = make([]bool, g.TotalPages())
-		f.wlMark = make([]int32, g.TotalWLs())
+		f.lockq.groupIdx = adopt.Zeroed(old.lockq.groupIdx, g.TotalWLs())
+		f.lockq.pending = adopt.Zeroed(old.lockq.pending, g.TotalPages())
+		f.wlMark = adopt.Zeroed(old.wlMark, g.TotalWLs())
 	}
 	f.statusCount[PageFree] = int64(g.TotalPages())
 	for i := range f.l2p {

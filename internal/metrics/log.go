@@ -9,18 +9,30 @@ const LogChunk = 512
 // appending n elements costs n/LogChunk allocations, no copying, and a
 // pointer returned by At stays valid. The zero value is an empty Log.
 type Log[T any] struct {
-	chunks [][]T // every chunk has capacity LogChunk; all but the last are full
+	// Every chunk has capacity LogChunk. The first n/LogChunk are full, the
+	// next holds the remainder, and any after that (kept by Reset) are empty.
+	chunks [][]T
 	n      int
 }
 
 // Append adds v at index Len().
 func (l *Log[T]) Append(v T) {
-	if l.n&(LogChunk-1) == 0 {
+	c := l.n / LogChunk
+	if c == len(l.chunks) {
 		l.chunks = append(l.chunks, make([]T, 0, LogChunk))
 	}
-	last := len(l.chunks) - 1
-	l.chunks[last] = append(l.chunks[last], v)
+	l.chunks[c] = append(l.chunks[c], v)
 	l.n++
+}
+
+// Reset empties the log and keeps its chunks, zeroed, for the Appends
+// that follow.
+func (l *Log[T]) Reset() {
+	for i, c := range l.chunks {
+		clear(c)
+		l.chunks[i] = c[:0]
+	}
+	l.n = 0
 }
 
 // Len returns the number of elements appended.

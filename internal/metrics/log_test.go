@@ -190,6 +190,63 @@ func TestSampleSpillsInsteadOfRegrowing(t *testing.T) {
 	}
 }
 
+// TestSampleReset: a sample that held m values and was Reset answers
+// every query, for every n it is then given, as a new sample does; it
+// keeps the storage it had, and nothing of the old values is left in it.
+func TestSampleReset(t *testing.T) {
+	for _, m := range boundarySizes {
+		for _, sorted := range []bool{false, true} {
+			for _, n := range boundarySizes {
+				var s Sample
+				s.AddAll(randomValues(m)...)
+				if sorted {
+					s.Values() // flattened: the storage is one slice
+				}
+				flat, chunks := cap(s.xs), len(s.tail.chunks)
+				s.Reset()
+				label := fmt.Sprintf("reset after %d (sorted %v), then n=%d", m, sorted, n)
+				if s.N() != 0 || !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) {
+					t.Fatalf("%s: a reset sample is not empty: N = %d", label, s.N())
+				}
+				if cap(s.xs) != flat || len(s.tail.chunks) != chunks {
+					t.Fatalf("%s: storage %d+%d chunks before Reset, %d+%d after", label, flat, chunks, cap(s.xs), len(s.tail.chunks))
+				}
+				for _, c := range append([][]float64{s.xs}, s.tail.chunks...) {
+					for _, x := range c[:cap(c)] {
+						if x != 0 {
+							t.Fatalf("%s: a reset sample still holds %v", label, x)
+						}
+					}
+				}
+				values := randomValues(n)
+				var fresh Sample
+				for _, x := range values {
+					s.Add(x)
+					fresh.Add(x)
+				}
+				for _, q := range []float64{0, 0.5, 0.99, 1} {
+					if got, want := s.Quantile(q), fresh.Quantile(q); !sameFloat(got, want) {
+						t.Fatalf("%s: Quantile(%v) = %v, a new sample says %v", label, q, got, want)
+					}
+				}
+				checkSample(t, label, &s, values)
+			}
+		}
+	}
+	// The storage is reused: refilling a reset sample to its old size
+	// allocates nothing.
+	var s Sample
+	s.AddAll(randomValues(3*LogChunk + 7)...)
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.Reset()
+		for i := 0; i < 3*LogChunk+7; i++ {
+			s.Add(float64(i))
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations to refill a reset sample, want 0", allocs)
+	}
+}
+
 func TestSeriesChunkBoundaries(t *testing.T) {
 	for _, n := range boundarySizes {
 		s := NewSeries("g")

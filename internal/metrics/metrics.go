@@ -92,6 +92,17 @@ func (s *Sample) Add(x float64) {
 	s.tail.Append(x)
 }
 
+// Reset empties the sample and keeps its storage, zeroed: the flat
+// slice's capacity and the tail's chunks take the Adds that follow. A
+// reset sample answers every query as a new one does.
+func (s *Sample) Reset() {
+	s.xs = s.xs[:cap(s.xs)]
+	clear(s.xs)
+	s.xs = s.xs[:0]
+	s.tail.Reset()
+	s.sorted = false
+}
+
 // AddAll appends many values.
 func (s *Sample) AddAll(xs ...float64) {
 	for _, x := range xs {

@@ -1,0 +1,93 @@
+package nand
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/adopt/adopttest"
+	"repro/internal/fault"
+	"repro/internal/nand/vth"
+)
+
+// rawDump reads every page of the chip through the pin-level port, the
+// way the §5.1 attacker does, and returns the bytes and status registers.
+func rawDump(t *testing.T, c *Chip) []byte {
+	t.Helper()
+	port := NewRawPort(c)
+	var out []byte
+	for b := 0; b < c.geo.Blocks; b++ {
+		for p := 0; p < c.pagesPerBlock; p++ {
+			// A locked page fails the read and streams zeros; the status
+			// register folds that in.
+			page, _ := port.ReadPage(PageAddr{Block: b, Page: p}, c.geo.PageBytes)
+			out = append(append(out, page...), port.Status())
+		}
+	}
+	return out
+}
+
+// TestNewFromEqualsNew is the property that makes handing a chip's
+// storage on safe: whatever the donor went through — injected faults,
+// real payloads, page and block locks, years of retention, a power cut,
+// two planes — a chip built from it is, field for field and down to the
+// RNG state, the chip New builds, and reads back the same at the pins.
+func TestNewFromEqualsNew(t *testing.T) {
+	base := Geometry{
+		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64,
+		FlagCells: 9, EnduranceCycles: 1000,
+	}
+	with := func(edit func(*Geometry)) Geometry {
+		g := base
+		edit(&g)
+		return g
+	}
+	for _, next := range []struct {
+		name string
+		geo  Geometry
+		opts func() []Option
+	}{
+		{"same shape, other seed, no faults", base, func() []Option { return []Option{WithSeed(99)} }},
+		{"same shape, faults and a cut schedule", with(func(g *Geometry) { g.Planes = 2 }), func() []Option {
+			return []Option{WithSeed(3), WithErrorInjection(), WithPowerCut(fault.NewCutState()),
+				WithFaults(fault.New(fault.Uniform(1e-2, 5), 1))}
+		}},
+		{"smaller, fewer flag cells", with(func(g *Geometry) {
+			g.Blocks, g.WLsPerBlock, g.PageBytes, g.FlagCells, g.CellKind = 4, 3, 32, 5, vth.MLC
+		}), func() []Option { return nil }},
+		{"larger", with(func(g *Geometry) { g.Blocks, g.WLsPerBlock, g.PageBytes = 12, 6, 128 }),
+			func() []Option { return []Option{WithSeed(2)} }},
+	} {
+		t.Run(next.name, func(t *testing.T) {
+			_, donor := runMediaScript(t, nil, 2, 5)
+			stores, used, _ := donor.LazyState()
+			var reads, wear int
+			for b := range donor.blocks {
+				wear += donor.blocks[b].peCycles
+				for _, r := range donor.blocks[b].wlReads {
+					reads += int(r)
+				}
+			}
+			if stores == 0 || used == 0 || reads == 0 || wear == 0 || donor.dayOffset == 0 {
+				t.Fatalf("donor is not dirty: %d payload stores, %d flag chunks, %d read disturbs, %d P/E cycles, day %v",
+					stores, used, reads, wear, donor.dayOffset)
+			}
+			fresh, err := New(next.geo, next.opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adopted, err := NewFrom(donor, next.geo, next.opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := adopttest.Diff(fresh, adopted); d != "" {
+				t.Errorf("chip built from a used one differs from a new one at %s", d)
+			}
+			if stores, used, _ := adopted.LazyState(); stores != 0 || used != 0 {
+				t.Errorf("adopted chip starts with %d payload stores and %d flag chunks in use", stores, used)
+			}
+			if !bytes.Equal(rawDump(t, fresh), rawDump(t, adopted)) {
+				t.Error("raw dump of the adopted chip differs from a new chip's")
+			}
+		})
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/adopt"
 	"repro/internal/fault"
 	"repro/internal/nand/vth"
 	"repro/internal/sim"
@@ -224,8 +225,9 @@ type pageRec struct {
 // block is one erase unit. Per-page state lives in the chip-wide record
 // table (pageRec) and flag-cell arena; the block itself holds only the
 // per-wordline operating history, as parallel arrays (the read path
-// touches one field of up to three wordlines per operation), and the
-// payload store, which a timing-only run never creates.
+// touches one field of up to three wordlines per operation) that are the
+// block's windows into the chip-wide wlHistory, and the payload store,
+// which a timing-only run never creates.
 type block struct {
 	// data holds the stored payload bytes per page. It is created by the
 	// block's first non-empty Program and kept across erases; a nil entry
@@ -262,11 +264,21 @@ func (blk *block) payload(page int) []byte {
 	return blk.data[page]
 }
 
+// wlHistory backs every block's per-wordline arrays: one entry per
+// wordline of the chip, block-major.
+type wlHistory struct {
+	disturbs   []int32
+	reads      []int32
+	progDay    []float64
+	programmed []bool
+}
+
 // Chip is one emulated NAND die.
 type Chip struct {
 	geo    Geometry
 	timing Timing
 	blocks []block
+	wls    wlHistory
 	recs   []pageRec // one per page, block-major
 
 	// The pAP flag of a locked page is k spare cells (§5.3); only locked
@@ -408,7 +420,7 @@ func WithTiming(t Timing) Option {
 
 // WithSeed fixes the chip's RNG seed (default 1).
 func WithSeed(seed int64) Option {
-	return func(c *Chip) { c.rng = rand.New(rand.NewSource(seed)) }
+	return func(c *Chip) { c.rng.Seed(seed) }
 }
 
 // WithFaults attaches a fault injector: Program, Erase, PLock and BLock
@@ -421,9 +433,29 @@ func WithFaults(inj *fault.Injector) Option {
 
 // New builds a chip with the given geometry.
 func New(geo Geometry, opts ...Option) (*Chip, error) {
+	return NewFrom(nil, geo, opts...)
+}
+
+// NewFrom is New building on a retired chip's storage: the page records,
+// wordline history, flag-cell arena, address table and scratch buffers
+// come from old through adopt.Zeroed where they are large enough, and
+// everything else about the result is what New sets — New is this body
+// with no donor. Payload stores and the payload buffer pool are never
+// taken over. old must not be used afterwards; nil is allowed.
+func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
+	if old == nil {
+		old = &Chip{}
+	}
+	// The generator object is storage too (a 5-KB state vector): Seed puts
+	// it in exactly the state rand.NewSource(seed) starts from.
+	rng := old.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(1))
+	}
+	rng.Seed(1)
 	var model *vth.Model
 	switch geo.CellKind {
 	case vth.MLC:
@@ -433,38 +465,50 @@ func New(geo Geometry, opts ...Option) (*Chip, error) {
 	default:
 		model = vth.NewTLC()
 	}
+	totalWLs := geo.Blocks * geo.WLsPerBlock
 	c := &Chip{
-		geo:       geo,
-		timing:    DefaultTiming(),
-		blocks:    make([]block, geo.Blocks),
-		recs:      make([]pageRec, geo.TotalPages()),
-		model:     model,
-		flagModel: vth.DefaultFlagModel(),
-		sslModel:  vth.DefaultSSLModel(),
+		geo:    geo,
+		timing: DefaultTiming(),
+		blocks: adopt.Zeroed(old.blocks, geo.Blocks),
+		wls: wlHistory{
+			disturbs:   adopt.Zeroed(old.wls.disturbs, totalWLs),
+			reads:      adopt.Zeroed(old.wls.reads, totalWLs),
+			progDay:    adopt.Zeroed(old.wls.progDay, totalWLs),
+			programmed: adopt.Zeroed(old.wls.programmed, totalWLs),
+		},
+		recs: adopt.Zeroed(old.recs, geo.TotalPages()),
+		// Adopted chunks are zeroed and handed out again from slot 1, so
+		// slot numbers do not depend on how many chunks there already are.
+		flagChunks: adopt.ZeroedEach(old.flagChunks, flagChunkSlots*(geo.FlagCells+1)),
+		flagFree:   adopt.Zeroed(old.flagFree, 0),
+		model:      model,
+		flagModel:  vth.DefaultFlagModel(),
+		sslModel:   vth.DefaultSSLModel(),
 		// §5.3 final pLock operating point: combination (ii) = (Vp4, 100µs).
 		plockV: vth.PLockVoltages[3],
 		plockT: 100,
 		// §5.4 final bLock operating point: combination (ii) = (Vb6, 300µs).
 		blockV:   vth.BLockVoltages[5],
 		blockT:   300,
-		rng:      rand.New(rand.NewSource(1)),
+		rng:      rng,
 		eccLimit: model.ECCLimitRBER,
-		readBuf:  make([]byte, geo.PageBytes),
-		agedBuf:  make([]float64, geo.FlagCells),
+		readBuf:  adopt.Zeroed(old.readBuf, geo.PageBytes),
+		agedBuf:  adopt.Zeroed(old.agedBuf, geo.FlagCells),
 
 		pagesPerBlock: geo.PagesPerBlock(),
 		pagesPerWL:    geo.PagesPerWL(),
 	}
-	c.wlOfPage = make([]int32, c.pagesPerBlock)
+	c.wlOfPage = adopt.Zeroed(old.wlOfPage, c.pagesPerBlock)
 	for page := range c.wlOfPage {
 		c.wlOfPage[page] = int32(page / c.pagesPerWL)
 	}
 	for b := range c.blocks {
 		blk := &c.blocks[b]
-		blk.wlDisturbs = make([]int32, geo.WLsPerBlock)
-		blk.wlReads = make([]int32, geo.WLsPerBlock)
-		blk.wlProgDay = make([]float64, geo.WLsPerBlock)
-		blk.wlProgrammed = make([]bool, geo.WLsPerBlock)
+		lo, hi := b*geo.WLsPerBlock, (b+1)*geo.WLsPerBlock
+		blk.wlDisturbs = c.wls.disturbs[lo:hi:hi]
+		blk.wlReads = c.wls.reads[lo:hi:hi]
+		blk.wlProgDay = c.wls.progDay[lo:hi:hi]
+		blk.wlProgrammed = c.wls.programmed[lo:hi:hi]
 	}
 	for _, o := range opts {
 		o(c)
@@ -488,6 +532,19 @@ func (c *Chip) FaultCounts() fault.Counts {
 		return fault.Counts{}
 	}
 	return c.faults.Counts()
+}
+
+// LazyState reports how much on-first-use state the chip holds: blocks
+// with a payload store, flag-arena chunks that slots have been handed out
+// from, and chunks held in all (a chip built by NewFrom starts with its
+// donor's, zeroed and unused).
+func (c *Chip) LazyState() (payloadStores, flagChunksUsed, flagChunksHeld int) {
+	for b := range c.blocks {
+		if c.blocks[b].data != nil {
+			payloadStores++
+		}
+	}
+	return payloadStores, (int(c.flagSlots) + flagChunkSlots - 1) / flagChunkSlots, len(c.flagChunks)
 }
 
 // AdvanceDays moves the chip's retention clock forward, aging every

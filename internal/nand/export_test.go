@@ -11,14 +11,3 @@ func (c *Chip) flagCells(a PageAddr) ([]float64, float64) {
 	k := c.geo.FlagCells
 	return slot[:k], slot[k]
 }
-
-// LazyState reports how much on-first-use state the chip has created:
-// blocks holding a payload store, and flag-cell arena chunks.
-func (c *Chip) LazyState() (payloadStores, flagChunks int) {
-	for b := range c.blocks {
-		if c.blocks[b].data != nil {
-			payloadStores++
-		}
-	}
-	return payloadStores, len(c.flagChunks)
-}

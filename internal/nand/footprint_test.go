@@ -36,7 +36,7 @@ func TestNewFootprint(t *testing.T) {
 	if perPage > 36 {
 		t.Errorf("nand.New allocated %.1f B/page at default-scale geometry, want at most 36", perPage)
 	}
-	if stores, chunks := c.LazyState(); stores != 0 || chunks != 0 {
+	if stores, _, chunks := c.LazyState(); stores != 0 || chunks != 0 {
 		t.Errorf("fresh chip already holds %d payload stores and %d flag chunks", stores, chunks)
 	}
 }
@@ -70,7 +70,7 @@ func TestTimingOnlyFootprint(t *testing.T) {
 		t.Fatalf("no garbage collection ran (%d copies, %d erases): the copyback and erase paths were not exercised", st.GCCopies, st.Erases)
 	}
 	for i, c := range s.Chips() {
-		if stores, chunks := c.LazyState(); stores != 0 || chunks != 0 {
+		if stores, _, chunks := c.LazyState(); stores != 0 || chunks != 0 {
 			t.Errorf("chip %d: %d payload stores and %d flag chunks after a timing-only baseline run, want none", i, stores, chunks)
 		}
 	}

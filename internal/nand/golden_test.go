@@ -108,7 +108,9 @@ func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
 // runMediaScript drives one seeded random command script against a
 // small chip with faults, Monte-Carlo read errors and one armed power
 // cut, folding the full media state into the digest every 50 commands.
-func runMediaScript(t *testing.T, planes int, seed int64) string {
+// The chip is built on donor's storage (nil: on none) and returned, used
+// hard, next to the digest.
+func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, *Chip) {
 	t.Helper()
 	geo := Geometry{
 		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64,
@@ -117,7 +119,7 @@ func runMediaScript(t *testing.T, planes int, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	cs := fault.NewCutState()
 	cs.Arm(fault.CutSpec{AfterOps: uint64(200 + rng.Intn(600)), Op: fault.CutAny})
-	c, err := New(geo, WithSeed(seed), WithErrorInjection(), WithPowerCut(cs),
+	c, err := NewFrom(donor, geo, WithSeed(seed), WithErrorInjection(), WithPowerCut(cs),
 		WithFaults(fault.New(fault.Config{
 			ProgramFail: 0.03, EraseFail: 0.03, PLockFail: 0.05, BLockFail: 0.05,
 			ReadBER: 1e-4, WearWeight: 2, Seed: seed,
@@ -221,7 +223,7 @@ func runMediaScript(t *testing.T, planes int, seed int64) string {
 		t.Fatalf("planes %d seed %d: the armed power cut never struck", planes, seed)
 	}
 	m.chip(t, c, now)
-	return hex.EncodeToString(m.h.Sum(nil))
+	return hex.EncodeToString(m.h.Sum(nil)), c
 }
 
 // TestChipMediaGolden pins the chip's observable media state and its
@@ -229,7 +231,10 @@ func runMediaScript(t *testing.T, planes int, seed int64) string {
 // recorded with the five-slice block layout this package had before the
 // packed page record and flag-cell arena, so any storage change that
 // moves an RNG draw, a flag-cell Vth, a lock day, a stamp or a payload
-// byte fails here.
+// byte fails here. Each script runs twice: on a new chip, and on a chip
+// built from the one the previous script left behind (NewFrom) — locked,
+// faulted, aged, power-cut, of the other plane count — which must be
+// indistinguishable.
 func TestChipMediaGolden(t *testing.T) {
 	golden := []struct {
 		planes int
@@ -243,9 +248,14 @@ func TestChipMediaGolden(t *testing.T) {
 		{2, 5, "b66d47f91213a994e5a5e2ea91d140b11a4c462522dc1c5efe09c5d4d99ae03d"},
 		{2, 6, "bc0e637deffedcfeb16ae3842addc35813ed9b8c0ce375a96dc58ea411916dcb"},
 	}
+	_, retired := runMediaScript(t, nil, 2, 7)
 	for _, g := range golden {
-		if got := runMediaScript(t, g.planes, g.seed); got != g.want {
+		if got, _ := runMediaScript(t, nil, g.planes, g.seed); got != g.want {
 			t.Errorf("planes %d seed %d: media digest %s, want %s", g.planes, g.seed, got, g.want)
+		}
+		var got string
+		if got, retired = runMediaScript(t, retired, g.planes, g.seed); got != g.want {
+			t.Errorf("planes %d seed %d on an adopted chip: media digest %s, want %s", g.planes, g.seed, got, g.want)
 		}
 	}
 }

@@ -193,32 +193,43 @@ func goldenCells() []goldenCell {
 }
 
 // TestGoldenDeviceState runs every cell and compares the resulting
-// device digest with its pinned constant.
+// device digest with its pinned constant — once on a new device, and once
+// on a device built from the one the previous cell left behind (NewFrom),
+// which has to end in the same state.
 func TestGoldenDeviceState(t *testing.T) {
+	var retired *SSD
 	for _, cell := range goldenCells() {
 		t.Run(cell.name, func(t *testing.T) {
-			cfg := cell.config()
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			run := func(donor *SSD) *SSD {
+				cfg := cell.config()
+				s, err := NewFrom(donor, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				goldenWorkload(t, s, cfg.Chip.PageBytes)
+				st := s.FTL().Stats()
+				switch {
+				case st.Erases == 0,
+					// erSSD frees blocks by evacuating them; GC never has to run.
+					cell.policy().Name() != "erSSD" && st.GCRuns == 0,
+					cell.policy().Name() == "erSSD" && st.SanitizeCopies == 0,
+					cell.policy().Name() == "scrSSD" && (st.SanitizeCopies == 0 || st.Scrubs == 0),
+					cell.policy().Name() == "secSSD" && (st.PLocks == 0 || st.BLocks == 0),
+					cell.noCopyback != (st.Copybacks == 0),
+					(cell.faultRate > 0) != (s.FaultCounts().OpFails() > 0):
+					t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
+				}
+				got := deviceDigest(t, s)
+				if want := goldenDigests[cell.name]; got != want {
+					t.Errorf("device digest (built from a used device: %v)\n got  %s\n want %s", donor != nil, got, want)
+				}
+				return s
 			}
-			goldenWorkload(t, s, cfg.Chip.PageBytes)
-			st := s.FTL().Stats()
-			switch {
-			case st.Erases == 0,
-				// erSSD frees blocks by evacuating them; GC never has to run.
-				cell.policy().Name() != "erSSD" && st.GCRuns == 0,
-				cell.policy().Name() == "erSSD" && st.SanitizeCopies == 0,
-				cell.policy().Name() == "scrSSD" && (st.SanitizeCopies == 0 || st.Scrubs == 0),
-				cell.policy().Name() == "secSSD" && (st.PLocks == 0 || st.BLocks == 0),
-				cell.noCopyback != (st.Copybacks == 0),
-				(cell.faultRate > 0) != (s.FaultCounts().OpFails() > 0):
-				t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
+			fresh := run(nil)
+			if retired == nil {
+				retired = fresh // the first cell builds on its own first run
 			}
-			got := deviceDigest(t, s)
-			if want := goldenDigests[cell.name]; got != want {
-				t.Errorf("device digest\n got  %s\n want %s", got, want)
-			}
+			retired = run(retired)
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/adopt"
 	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/ftl"
@@ -168,6 +169,19 @@ type SSD struct {
 
 // New builds the device.
 func New(cfg Config) (*SSD, error) {
+	return NewFrom(nil, cfg)
+}
+
+// NewFrom is New building on a retired device's storage: each chip and
+// the FTL are built from their predecessors (nand.NewFrom, ftl.NewFrom),
+// and the timelines, completion window, mark snapshots, command scratch
+// and latency sample come from old through adopt.Zeroed where they are
+// large enough. Everything else about the result — seeds, RNG streams,
+// fault injectors, the power-cut schedule, policy, tracer — is what New
+// sets: New is this body with no donor, so a device built from a retired
+// one behaves exactly as a new one does. old must not be used
+// afterwards; nil is allowed.
+func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 	cfg.applyDefaults()
 	if cfg.Channels <= 0 || cfg.ChipsPerChannel <= 0 {
 		return nil, fmt.Errorf("ssd: need at least one channel and chip, got %d×%d",
@@ -183,19 +197,26 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.Planes > 0 {
 		cfg.Chip.Planes = cfg.Planes
 	}
+	if old == nil {
+		old = &SSD{}
+	}
 	nChips := cfg.Channels * cfg.ChipsPerChannel
 	s := &SSD{
 		cfg:          cfg,
 		chips:        make([]*nand.Chip, nChips),
-		chipTL:       make([]sim.Timeline, nChips),
-		busTL:        make([]sim.Timeline, cfg.Channels),
-		chanOf:       make([]int, nChips),
-		window:       make([]sim.Micros, cfg.QueueDepth),
-		markChipBusy: make([]sim.Micros, nChips),
-		markChanBusy: make([]sim.Micros, cfg.Channels),
-		markChipWait: make([]sim.Micros, nChips),
+		chipTL:       adopt.Zeroed(old.chipTL, nChips),
+		busTL:        adopt.Zeroed(old.busTL, cfg.Channels),
+		chanOf:       adopt.Zeroed(old.chanOf, nChips),
+		window:       adopt.Zeroed(old.window, cfg.QueueDepth),
+		markChipBusy: adopt.Zeroed(old.markChipBusy, nChips),
+		markChanBusy: adopt.Zeroed(old.markChanBusy, cfg.Channels),
+		markChipWait: adopt.Zeroed(old.markChipWait, nChips),
+		slotScratch:  adopt.Zeroed(old.slotScratch, 0),
+		addrScratch:  adopt.Zeroed(old.addrScratch, 0),
+		latencies:    old.latencies,
 		cut:          fault.NewCutState(),
 	}
+	s.latencies.Reset()
 	s.tr = cfg.Trace
 	if s.tr == nil {
 		s.tr = trace.Nop{}
@@ -212,7 +233,11 @@ func New(cfg Config) (*SSD, error) {
 			// seed and the workload.
 			opts = append(opts, nand.WithFaults(fault.New(cfg.Fault, uint64(i))))
 		}
-		chip, err := nand.New(cfg.Chip, opts...)
+		var oldChip *nand.Chip
+		if i < len(old.chips) {
+			oldChip = old.chips[i]
+		}
+		chip, err := nand.NewFrom(oldChip, cfg.Chip, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +255,7 @@ func New(cfg Config) (*SSD, error) {
 		return nil, err
 	}
 	s.geo = geo
-	f, err := ftl.New(s.ftlConfig(), s, cfg.Policy)
+	f, err := ftl.NewFrom(old.ftl, s.ftlConfig(), s, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -681,7 +706,7 @@ func (s *SSD) Mark() {
 	s.markStats = s.ftl.Stats()
 	s.markReadRetries = s.readRetries
 	s.markReadFailures = s.readFailures
-	s.latencies = metrics.Sample{}
+	s.latencies.Reset()
 	for i := range s.chipTL {
 		s.markChipBusy[i] = s.chipTL[i].BusyTotal()
 		s.markChipWait[i] = s.chipTL[i].WaitTotal()
@@ -698,7 +723,7 @@ type Report struct {
 	IOPS       float64
 	WAF        float64
 	Stats      ftl.Stats // deltas since Mark
-	ChipUtil   float64   // mean chip utilization over the window
+	ChipUtil   float64   // whole-run busy ÷ (whole-run makespan × chips), prefill included — Mark does not restart it; ChipUtilPer is the windowed one
 	ErasesFreq float64   // erases per million host pages written
 	// ReadRetries and ReadFailures count read-path fault absorption over
 	// the window: re-reads issued for uncorrectable pages, and reads that
