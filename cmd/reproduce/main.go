@@ -34,7 +34,8 @@
 // control leaks (a toothless control fails too).
 //
 // Exit codes: 2 for usage errors (an unknown -fig, -scale, -format,
-// -workloads or -trace-policy value, or flags of two modes combined),
+// -workloads or -trace-policy value, flags of two modes combined, or a
+// traced run given more than one workload),
 // 1 for a failed experiment, export or gate.
 package main
 
@@ -54,6 +55,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -144,6 +146,9 @@ func run(args []string) int {
 			}
 			profiles = append(profiles, p)
 		}
+	}
+	if traced && len(profiles) > 1 {
+		return exit(2, fmt.Errorf("traced-run flags capture one workload × policy run; -workloads names %d", len(profiles)))
 	}
 	policy, err := sanitize.ByName(*tracePolicy)
 	if err != nil {
@@ -243,8 +248,8 @@ func headerLines(scale string, sc experiment.Scale) []string {
 		fmt.Sprintf("scale=%s seed=%d %s", scale, sc.Seed, faults),
 		fmt.Sprintf("device: %d channels x %d chips, %d blocks/chip, %d WLs/block (TLC), %d B pages",
 			experiment.Channels, experiment.ChipsPerChannel, sc.BlocksPerChip, sc.WLsPerBlock, sc.PageBytes),
-		fmt.Sprintf("parallelism: planes=%d cache-pipeline=%s queue-depth=32 plock-batching=%s",
-			max(sc.Planes, 1), pick(sc.NoCachePipeline, "off", "on"), batching),
+		fmt.Sprintf("parallelism: planes=%d cache-pipeline=%s queue-depth=%d plock-batching=%s",
+			max(sc.Planes, 1), pick(sc.NoCachePipeline, "off", "on"), ssd.DefaultQueueDepth, batching),
 		fmt.Sprintf("study: %d pages after %.0f%% prefill", sc.StudyPages, 100*sc.PrefillFraction),
 	}
 }

@@ -42,6 +42,7 @@ func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 		{"-audit-verify", "-fig", "tinsec"},
 		{"-attack-verify", "-fig", "14a"},
 		{"-power-cut", "3", "-fig", "all"},
+		{"-audit-verify", "-workloads", "MailServer,Mobile"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("reproduce %v exited %d, want 2", args, code)

@@ -24,8 +24,9 @@
 //     (Figs. 6, 9, 10, 11b, 12), and the Fig. 14 system evaluation;
 //   - internal/core — the public facade assembling everything.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; cmd/reproduce renders each as a markdown or
-// CSV table. See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// cmd/reproduce regenerates every table and figure of the paper's
+// evaluation, one registry entry per artifact, as a markdown or CSV
+// table; bench/ measures the simulator itself end to end. See DESIGN.md
+// for the system inventory and EXPERIMENTS.md for paper-vs-measured
+// results.
 package repro

@@ -1,8 +1,8 @@
 package repro
 
 // Cross-package integration tests: the full host-to-cell stack under
-// realistic workloads, and the on-chip ECC datapath built from the real
-// BCH codec over the Monte-Carlo cell model.
+// realistic workloads, and the on-chip ECC judgment (the correctability
+// threshold) over the Monte-Carlo cell model.
 
 import (
 	"bytes"
@@ -104,83 +104,69 @@ func TestAllPoliciesSurviveAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestECCDatapathOverCellModel builds the full on-chip read datapath the
-// paper assumes: data -> BCH encode -> per-cell Vth programming (Monte
-// Carlo) -> read with reference voltages -> BCH decode. A fresh wordline
-// must decode perfectly; a heavily worn and retention-aged one must
-// exceed the code's correction power.
+// TestECCDatapathOverCellModel runs the on-chip read datapath the paper
+// assumes, with the ECC engine as the black box it is there: bits ->
+// per-cell Vth programming (Monte Carlo) -> read with reference voltages
+// -> raw bit errors per codeword, judged by the correctability threshold
+// of a BCH(255, t=12)-class code. Every word of a fresh wordline must be
+// readable; a heavily worn and retention-aged one must exceed the limit.
 func TestECCDatapathOverCellModel(t *testing.T) {
-	codec, err := ecc.NewPageCodec(8, 12) // BCH(255, t=12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	code := ecc.Threshold{Limit: 12, Bits: 255}
 	model := vth.NewTLC()
 	rng := rand.New(rand.NewSource(31))
-	payload := make([]byte, 96)
-	rng.Read(payload)
 
-	roundTrip := func(cond vth.Condition) ([]byte, int, error) {
-		cws, err := codec.EncodePage(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Store each codeword bit in the LSB page of its own cell; the
-		// sibling bits are random data from other pages of the WL.
-		for _, cw := range cws {
-			for i, bit := range cw {
-				bits := []byte{bit, byte(rng.Intn(2)), byte(rng.Intn(2))}
-				state := vth.StateFor(vth.TLC, bits)
-				v := model.SampleVth(state, cond, rng)
-				got := model.DecodeVth(v)
-				cw[i] = vth.BitOf(vth.TLC, got, vth.LSB)
+	// worstWord stores five codewords, each bit in the LSB page of its
+	// own cell (the sibling bits are random data from other pages of the
+	// WL), and returns the largest raw bit-error count of any word.
+	worstWord := func(cond vth.Condition) int {
+		worst := 0
+		for w := 0; w < 5; w++ {
+			errs := 0
+			for i := 0; i < code.Bits; i++ {
+				bit := byte(rng.Intn(2))
+				state := vth.StateFor(vth.TLC, []byte{bit, byte(rng.Intn(2)), byte(rng.Intn(2))})
+				got := model.DecodeVth(model.SampleVth(state, cond, rng))
+				if vth.BitOf(vth.TLC, got, vth.LSB) != bit {
+					errs++
+				}
 			}
+			worst = max(worst, errs)
 		}
-		return codec.DecodePage(cws, len(payload))
+		return worst
 	}
 
-	// Fresh chip: perfect recovery (possibly with a few corrected bits).
-	got, corrected, err := roundTrip(vth.Condition{})
-	if err != nil {
-		t.Fatalf("fresh wordline uncorrectable: %v", err)
+	fresh := worstWord(vth.Condition{})
+	if !code.Readable(fresh) {
+		t.Fatalf("fresh wordline unreadable: %d raw bit errors in one word, limit %d", fresh, code.Limit)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("fresh wordline payload mismatch")
-	}
-	t.Logf("fresh wordline: %d bits corrected", corrected)
+	t.Logf("fresh wordline: at most %d raw bit errors per word", fresh)
 
 	// Abused chip (5x rated endurance + a decade of retention on a bad
-	// wordline): the error rate must overwhelm BCH t=12 per 255 bits.
-	_, _, err = roundTrip(vth.Condition{PECycles: 5000, RetentionDays: 3650, WLVariation: 1.5})
-	if err == nil {
-		t.Fatal("abused wordline decoded cleanly; the wear model is too gentle")
+	// wordline): the error rate must overwhelm t=12 per 255 bits.
+	abused := worstWord(vth.Condition{PECycles: 5000, RetentionDays: 3650, WLVariation: 1.5})
+	if code.Readable(abused) {
+		t.Fatalf("abused wordline still readable (%d raw bit errors per word at most); the wear model is too gentle", abused)
 	}
 }
 
 // TestLockedDataDefeatsECCToo: ECC cannot resurrect locked data — the
-// chip returns all zeros, which is not a valid codeword of anything that
-// was stored.
+// chip returns all zeros, which carries no trace of anything that was
+// stored.
 func TestLockedDataDefeatsECCToo(t *testing.T) {
 	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, _ := ecc.NewPageCodec(8, 8)
-	payload := bytes.Repeat([]byte("classified "), 40)
-	cws, _ := codec.EncodePage(payload)
-	// Flatten codewords into the stored file content.
-	var stored []byte
-	for _, cw := range cws {
-		stored = append(stored, cw...)
-	}
+	stored := bytes.Repeat([]byte("classified "), 40)
 	if err := dev.WriteFile("enc.bin", stored, core.Secure); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.DeleteFile("enc.bin"); err != nil {
 		t.Fatal(err)
 	}
-	// The attacker's dump of any chip contains no trace of the codewords.
+	// The attacker's dump of any chip contains no trace of the marker.
 	if hits := dev.ForensicScan(stored[:64]); len(hits) != 0 {
-		t.Fatal("codeword bytes recovered after delete")
+		t.Fatal("marker bytes recovered after delete")
 	}
 }
 

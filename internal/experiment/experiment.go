@@ -267,7 +267,6 @@ func buildDevice(old *ssd.SSD, policy ftl.Policy, sc Scale, tr trace.Collector) 
 		},
 		OverProvision:   op,
 		GCFreeBlocksLow: gcLow,
-		QueueDepth:      32,
 		Policy:          policy,
 		Seed:            sc.Seed,
 		Fault:           sc.FaultConfig(),

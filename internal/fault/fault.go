@@ -43,8 +43,6 @@ type Config struct {
 	// curve flat; WearExponent defaults to 2 when unset.
 	WearWeight   float64
 	WearExponent float64
-	// ECC decides read correctability. Nil selects DefaultECC.
-	ECC ecc.Engine
 	// Seed drives the fault schedule. Injectors for different chips mix
 	// their stream index into it, so one seed covers the whole device.
 	Seed int64
@@ -56,10 +54,10 @@ func (c Config) Enabled() bool {
 		c.BLockFail > 0 || c.ReadBER > 0
 }
 
-// DefaultECC is the read-path correctability model when Config.ECC is
-// nil: a 72-bit / 1-KiB-codeword threshold engine, the class of BCH
-// strength the paper's chip experiments normalize against.
-func DefaultECC() ecc.Engine { return ecc.NewThreshold(72, 8*1024) }
+// DefaultECC is the read-path correctability model: a 72-bit /
+// 1-KiB-codeword threshold, the class of BCH strength the paper's chip
+// experiments normalize against.
+func DefaultECC() ecc.Threshold { return ecc.NewThreshold(72, 8*1024) }
 
 // Uniform returns the one-knob configuration behind the -fault-rate CLI
 // flag: every lock/program/erase operation fails with probability rate,
@@ -118,7 +116,7 @@ const maxFailProb = 0.95
 // which the device model drives from one goroutine at a time.
 type Injector struct {
 	cfg    Config
-	eng    ecc.Engine
+	eng    ecc.Threshold
 	state  uint64
 	counts Counts
 }
@@ -126,12 +124,9 @@ type Injector struct {
 // New builds an injector for one stream (the chip index). Different
 // streams over the same Config draw well-separated schedules.
 func New(cfg Config, stream uint64) *Injector {
-	if cfg.ECC == nil {
-		cfg.ECC = DefaultECC()
-	}
 	return &Injector{
 		cfg: cfg,
-		eng: cfg.ECC,
+		eng: DefaultECC(),
 		// Two finalizer passes separate seed and stream contributions so
 		// adjacent seeds or streams do not produce correlated schedules.
 		state: mix64(uint64(cfg.Seed)) ^ mix64(stream+0x9E3779B97F4A7C15),
@@ -228,7 +223,7 @@ func (in *Injector) FailBLock(peCycles, endurance int) bool {
 }
 
 // ReadErrors draws the injected raw bit-error count for a read of bits
-// data bits and judges it against the ECC engine: (n, false) means n
+// data bits and judges it against the ECC threshold: (n, false) means n
 // errors were corrected in flight, (n, true) means the read is
 // uncorrectable and the caller should corrupt the transferred data.
 func (in *Injector) ReadErrors(bits, peCycles, endurance int) (nerr int, uncorrectable bool) {

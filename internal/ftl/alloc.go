@@ -133,8 +133,7 @@ func (f *FTL) openBlock(chip, plane int) error {
 	cs := &f.chips[chip]
 	cs.active[plane] = -1
 	cs.frontier[plane] = 0
-	// Default pick: the most recently freed block of this plane; under
-	// wear-aware allocation, the least-erased one.
+	// The most recently freed block of this plane.
 	pick := -1
 	for i := len(cs.free) - 1; i >= 0; i-- {
 		if f.geo.PlaneOfBlock(cs.free[i]) == plane {
@@ -143,17 +142,6 @@ func (f *FTL) openBlock(chip, plane int) error {
 		}
 	}
 	if pick >= 0 {
-		if f.cfg.WearAware {
-			// Dynamic wear leveling: open the least-erased free block.
-			for i := 0; i < len(cs.free); i++ {
-				if f.geo.PlaneOfBlock(cs.free[i]) != plane {
-					continue
-				}
-				if f.eraseCount[cs.free[i]] < f.eraseCount[cs.free[pick]] {
-					pick = i
-				}
-			}
-		}
 		cs.active[plane] = cs.free[pick]
 		cs.free = append(cs.free[:pick], cs.free[pick+1:]...)
 		return nil
@@ -168,15 +156,6 @@ func (f *FTL) openBlock(chip, plane int) error {
 		}
 		if pick < 0 {
 			break
-		}
-		if f.cfg.WearAware {
-			for i := pick + 1; i < len(cs.pendingErase); i++ {
-				b := cs.pendingErase[i]
-				if f.geo.PlaneOfBlock(b) == plane &&
-					f.eraseCount[b] < f.eraseCount[cs.pendingErase[pick]] {
-					pick = i
-				}
-			}
 		}
 		block := cs.pendingErase[pick]
 		cs.pendingErase = append(cs.pendingErase[:pick], cs.pendingErase[pick+1:]...)

@@ -53,16 +53,9 @@ type FTL struct {
 	chips  []chipState
 	planes int // cached Geometry.PlaneCount()
 
-	// batchTarget is non-nil when the Target also implements BatchTarget;
-	// it enables multi-plane read/program grouping and batched SBPI lock
-	// pulses.
-	batchTarget BatchTarget
-	// metaWriter is non-nil when the Target also implements MetaWriter:
-	// every committed program is then stamped with remount metadata
-	// (LPA, write sequence, security class) in the page's spare area.
-	metaWriter MetaWriter
 	// writeSeq is the device-wide monotone write sequence number behind
-	// those stamps; Restore resumes it past the highest surviving stamp.
+	// the spare-area stamps of committed programs (stampMeta); Restore
+	// resumes it past the highest surviving stamp.
 	writeSeq uint64
 
 	// pendingPages collects secured invalidations per global block between
@@ -81,9 +74,8 @@ type FTL struct {
 	drainFree   [][]PendingBlock
 
 	// lockq coalesces pending pLocks per wordline into batched SBPI pulses
-	// (lockmgr.go); lockBatching gates the whole path.
-	lockBatching bool
-	lockq        lockQueue
+	// (lockmgr.go); cfg.LockBatch.Enabled gates the whole path.
+	lockq lockQueue
 
 	// wlMark/wlGen dedupe device-global wordlines without clearing
 	// (LockPulses); len(wlMark) = TotalWLs.
@@ -114,7 +106,6 @@ type chipState struct {
 	free         []int // erased, ready blocks (global ids)
 	pendingErase []int // invalid-only blocks awaiting lazy erase
 	rrOffset     int
-	fifoCursor   int // VictimFIFO scan position
 	planeCursor  int // round-robin start plane for single-page allocation
 }
 
@@ -184,10 +175,7 @@ func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 		f.tracer = trace.Nop{}
 	}
 	f.traceOn = f.tracer.Enabled()
-	f.batchTarget, _ = target.(BatchTarget)
-	f.metaWriter, _ = target.(MetaWriter)
-	if cfg.LockBatch.Enabled && f.batchTarget != nil {
-		f.lockBatching = true
+	if cfg.LockBatch.Enabled {
 		f.lockq.groupIdx = adopt.Zeroed(old.lockq.groupIdx, g.TotalWLs())
 		f.lockq.pending = adopt.Zeroed(old.lockq.pending, g.TotalPages())
 		f.wlMark = adopt.Zeroed(old.wlMark, g.TotalWLs())
@@ -281,7 +269,7 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 	done := dep
 	switch req.Op {
 	case blockio.OpRead:
-		if f.planes > 1 && f.batchTarget != nil {
+		if f.planes > 1 {
 			done = f.readGrouped(req, dep)
 			break
 		}
@@ -295,7 +283,7 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 			}
 		}
 	case blockio.OpWrite:
-		if f.planes > 1 && f.batchTarget != nil {
+		if f.planes > 1 {
 			t, err := f.writeStriped(req, dep)
 			if err != nil {
 				return t, err
@@ -343,7 +331,7 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 			f.policy.Flush(f)
 			continue
 		}
-		if f.lockBatching && f.lockq.attached > 0 {
+		if f.cfg.LockBatch.Enabled && f.lockq.attached > 0 {
 			var issued bool
 			if f.cfg.LockBatch.Deadline <= 0 {
 				issued = f.FlushLocks()
@@ -417,15 +405,12 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 }
 
 // stampMeta records a committed write's remount metadata in the page's
-// spare area (targets without one skip it). Only successful programs
-// are stamped: quarantined and power-cut-torn pages keep no stamp,
-// which is how the remount scan tells a torn write from committed data.
+// spare area. Only successful programs are stamped: quarantined and
+// power-cut-torn pages keep no stamp, which is how the remount scan
+// tells a torn write from committed data.
 func (f *FTL) stampMeta(p PPA, lpa int64, secure bool) {
-	if f.metaWriter == nil {
-		return
-	}
 	f.writeSeq++
-	f.metaWriter.WriteMeta(p, lpa, f.writeSeq, secure)
+	f.target.WriteMeta(p, lpa, f.writeSeq, secure)
 }
 
 // commitWrite publishes the mapping for a freshly-programmed host page.
@@ -492,7 +477,7 @@ func (f *FTL) flushReadGroup(group []PPA, dep, done sim.Micros) sim.Micros {
 		f.stats.FlashReads += uint64(len(group))
 		f.stats.ReadGroups++
 		f.stats.GroupedReads += uint64(len(group))
-		if t := f.batchTarget.ReadGroup(group, dep); t > done {
+		if t := f.target.ReadGroup(group, dep); t > done {
 			done = t
 		}
 	}
@@ -565,7 +550,7 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 		f.stats.FlashPrograms += uint64(len(stripe))
 		f.stats.ProgramGroups++
 		f.stats.GroupedPrograms += uint64(len(stripe))
-		gdone, errs := f.batchTarget.ProgramGroup(stripe, datas, dep)
+		gdone, errs := f.target.ProgramGroup(stripe, datas, dep)
 		if gdone > done {
 			done = gdone
 		}
@@ -895,7 +880,7 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 		f.stats.FlashPrograms++
 		f.stats.GCCopies++
 		var perr error
-		if !f.cfg.NoCopyback && sameChip {
+		if sameChip {
 			// Same-chip move: the copyback command skips the bus transfers.
 			f.stats.Copybacks++
 			progDone, perr = f.target.Copyback(p, np, f.reqClock)
@@ -956,11 +941,11 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 	f.maybeGC(f.geo.ChipOf(np))
 }
 
-// EraseNow erases a block immediately (erSSD and the eager-erase
-// ablation). Every page becomes free and its stale data is destroyed.
-// The block moves to the free list (and off the lazy-erase queue, where
-// GC may already have parked it) — unless the erase failed, in which
-// case eraseBlock retired the block and it joins no list.
+// EraseNow erases a block immediately (erSSD). Every page becomes free
+// and its stale data is destroyed. The block moves to the free list (and
+// off the lazy-erase queue, where GC may already have parked it) —
+// unless the erase failed, in which case eraseBlock retired the block
+// and it joins no list.
 func (f *FTL) EraseNow(block int) {
 	cs := &f.chips[f.geo.ChipOfBlock(block)]
 	if f.retired[block] || f.freeContains(cs, block) {
@@ -1028,7 +1013,7 @@ func (f *FTL) eraseBlock(block int) bool {
 type WearStats struct {
 	Min, Max int32
 	Mean     float64
-	// Spread is Max - Min, the imbalance dynamic wear leveling bounds.
+	// Spread is Max - Min, the wear imbalance across blocks.
 	Spread int32
 }
 

@@ -171,15 +171,10 @@ type Target interface {
 	// Scrub destroys a wordline in place; the in-place Vth merge cannot
 	// fail (it is the recovery ladder's backstop).
 	Scrub(p PPA, dep sim.Micros) sim.Micros
-}
 
-// BatchTarget is the optional device-parallelism extension of Target.
-// The FTL detects it with a type assertion at construction: targets that
-// implement it get wordline-batched lock pulses and multi-plane
-// read/program groups; plain Targets keep the one-command-per-page
-// contract unchanged.
-type BatchTarget interface {
-	Target
+	// The device-parallelism commands: a wordline-batched lock pulse and
+	// multi-plane read/program groups.
+
 	// PLockWL programs the pAP flags of several stale pages on one
 	// wordline with a single SBPI one-shot pulse (§5 programs flags
 	// selectively per WL). All pages share the block's wordline; the
@@ -197,21 +192,17 @@ type BatchTarget interface {
 	// ReadGroup reads one page per plane on a single chip with one
 	// shared tREAD. It is timing-only: grouped reads serve the host read
 	// path, which discards payloads above the FTL. Read faults are
-	// absorbed with bounded retries like Target.Read.
+	// absorbed with bounded retries like Read.
 	ReadGroup(pages []PPA, dep sim.Micros) sim.Micros
-}
 
-// MetaWriter is an optional Target extension for targets that model a
-// per-page spare (out-of-band) area. After every successful program the
-// FTL stamps the page with the metadata real controllers persist there
-// — the logical address, a device-wide monotone write sequence number,
-// and the request's security class — so a post-crash remount
-// (ftl.Restore) can rebuild the mapping table from a media scan. The
-// stamp rides the program pulse: it costs no latency, draws no fault
-// decision, and a power cut that tears the program leaves the page
-// stamp-less. Detected with a type assertion at construction, like
-// BatchTarget.
-type MetaWriter interface {
+	// WriteMeta stamps a page's spare (out-of-band) area after a
+	// successful program with the metadata real controllers persist
+	// there — the logical address, a device-wide monotone write sequence
+	// number, and the request's security class — so a post-crash remount
+	// (ftl.Restore) can rebuild the mapping table from a media scan. The
+	// stamp rides the program pulse: it costs no latency, draws no fault
+	// decision, and a power cut that tears the program leaves the page
+	// stamp-less.
 	WriteMeta(p PPA, lpa int64, seq uint64, secure bool)
 }
 
@@ -226,18 +217,6 @@ type Policy interface {
 	Flush(f *FTL)
 }
 
-// VictimPolicy selects how GC picks its victim block.
-type VictimPolicy int
-
-const (
-	// VictimGreedy picks the fully-written block with the fewest live
-	// pages (cost-min; the default, and what the paper's FTL uses).
-	VictimGreedy VictimPolicy = iota
-	// VictimFIFO collects blocks in write order regardless of liveness
-	// (kept for the DESIGN.md GC ablation).
-	VictimFIFO
-)
-
 // Config tunes the FTL.
 type Config struct {
 	Geometry Geometry
@@ -247,24 +226,10 @@ type Config struct {
 	// GCFreeBlocksLow triggers GC on a chip when its reusable blocks
 	// (free + pending erase) drop below this threshold.
 	GCFreeBlocksLow int
-	// EagerErase erases GC victims immediately instead of lazily on
-	// reuse (the paper's §5.4 explains why lazy is required on real 3D
-	// NAND; eager is kept for the ablation bench).
-	EagerErase bool
-	// Victim selects the GC victim policy (greedy by default).
-	Victim VictimPolicy
-	// WearAware makes the allocator open the least-erased free block
-	// instead of the most recently freed one, spreading P/E cycles
-	// (dynamic wear leveling).
-	WearAware bool
-	// NoCopyback disables the on-chip copyback path for GC relocations,
-	// forcing read-transfer-program over the bus (ablation; real FTLs
-	// avoid copyback only when they must re-verify data through ECC).
-	NoCopyback bool
 	// Timing is used by the lock manager's pLock-vs-bLock decision rule.
 	Timing LockTiming
 	// LockBatch tunes the wordline-aware pLock batching of the lock
-	// manager (requires a BatchTarget; silently ignored otherwise).
+	// manager.
 	LockBatch LockBatchConfig
 	// Tracer receives FTL telemetry: every page copy, invalidation and
 	// destruction (report.go), GC pass spans, and the lock-queue /

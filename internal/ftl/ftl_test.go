@@ -244,30 +244,6 @@ func TestLazyEraseDefersUntilReuse(t *testing.T) {
 	}
 }
 
-func TestEagerEraseAblation(t *testing.T) {
-	cfg := ftltest.SmallConfig()
-	cfg.EagerErase = true
-	tgt := ftltest.New(cfg.Geometry)
-	f, err := ftl.New(cfg, tgt, sanitize.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	logical := int64(f.LogicalPages())
-	for pass := 0; pass < 3; pass++ {
-		for lpa := int64(0); lpa < logical; lpa++ {
-			if _, err := f.Submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Insecure: true}, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if f.Stats().GCRuns == 0 {
-		t.Fatal("expected GC")
-	}
-	if tgt.Erases != f.Stats().GCRuns {
-		t.Fatalf("eager erase: erases (%d) should equal GC runs (%d)", tgt.Erases, f.Stats().GCRuns)
-	}
-}
-
 // The FTL must uphold flash discipline (erase-before-program, in-order
 // pages) — verified by mirroring every command onto real chip models,
 // which panic on violations.
@@ -414,39 +390,6 @@ func TestWearStatsTrackErases(t *testing.T) {
 	}
 }
 
-// Dynamic wear leveling should bound the erase-count spread more tightly
-// than LIFO free-list reuse under a skewed workload.
-func TestWearAwareReducesSpread(t *testing.T) {
-	run := func(wearAware bool) ftl.WearStats {
-		cfg := ftltest.SmallConfig()
-		cfg.WearAware = wearAware
-		tgt := ftltest.New(cfg.Geometry)
-		f, err := ftl.New(cfg, tgt, sanitize.Baseline())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Skewed: hammer a tiny hot set so the same few blocks churn.
-		rng := rand.New(rand.NewSource(8))
-		hot := int64(8)
-		for i := 0; i < 6000; i++ {
-			lpa := rng.Int63n(hot)
-			if rng.Intn(10) == 0 {
-				lpa = hot + rng.Int63n(int64(f.LogicalPages())-hot)
-			}
-			if _, err := f.Submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Insecure: true}, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f.Wear()
-	}
-	lifo := run(false)
-	wa := run(true)
-	if wa.Spread > lifo.Spread {
-		t.Fatalf("wear-aware spread %d worse than LIFO %d", wa.Spread, lifo.Spread)
-	}
-	t.Logf("erase spread: LIFO=%d wear-aware=%d (max %d vs %d)", lifo.Spread, wa.Spread, lifo.Max, wa.Max)
-}
-
 // Scrubbing a wordline at the write frontier must waste its free slots:
 // the allocator skips them and the chip never sees an out-of-order
 // program.
@@ -500,39 +443,6 @@ func TestErSSDGCInteractionNoDoubleTracking(t *testing.T) {
 	// Free-block accounting stayed consistent.
 	if f.FreeBlocks() < 0 || f.FreeBlocks() > f.Geometry().TotalBlocks() {
 		t.Fatalf("free blocks %d out of range", f.FreeBlocks())
-	}
-}
-
-func TestVictimFIFOStillReclaims(t *testing.T) {
-	cfg := ftltest.SmallConfig()
-	cfg.Victim = ftl.VictimFIFO
-	tgt := ftltest.New(cfg.Geometry)
-	f, err := ftl.New(cfg, tgt, sanitize.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	logical := int64(f.LogicalPages())
-	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < int(logical)*6; i++ {
-		if _, err := f.Submit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1, Insecure: true}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Stats().GCRuns == 0 || tgt.Erases == 0 {
-		t.Fatal("FIFO victim policy failed to reclaim")
-	}
-	// FIFO moves more live data than greedy on the same workload.
-	gcfg := ftltest.SmallConfig()
-	gtgt := ftltest.New(gcfg.Geometry)
-	gf, _ := ftl.New(gcfg, gtgt, sanitize.Baseline())
-	grng := rand.New(rand.NewSource(18))
-	for i := 0; i < int(logical)*6; i++ {
-		if _, err := gf.Submit(blockio.Request{Op: blockio.OpWrite, LPA: grng.Int63n(logical), Pages: 1, Insecure: true}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Stats().GCCopies < gf.Stats().GCCopies {
-		t.Fatalf("FIFO copied less (%d) than greedy (%d)?", f.Stats().GCCopies, gf.Stats().GCCopies)
 	}
 }
 

@@ -21,7 +21,7 @@ type CountingTarget struct {
 	PLocks, BLocks, Scrubs  uint64
 	Copybacks               uint64
 
-	// Batched/multi-plane counters (the ftl.BatchTarget surface).
+	// Batched/multi-plane counters.
 	PLockWLs, WLPagesLocked   uint64
 	ProgramGroups, ReadGroups uint64
 
@@ -212,7 +212,7 @@ func (t *CountingTarget) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 	return t.exec(chip, t.Timing.Scrub, dep)
 }
 
-// PLockWL implements ftl.BatchTarget: one shared tpLock pulse for every
+// PLockWL implements ftl.Target: one shared tpLock pulse for every
 // still-unlocked page of the wordline.
 func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	t.PLockWLs++
@@ -236,7 +236,7 @@ func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros)
 	return done, nil
 }
 
-// ProgramGroup implements ftl.BatchTarget: per-page payload delivery
+// ProgramGroup implements ftl.Target: per-page payload delivery
 // with one shared tPROG.
 func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error) {
 	t.ProgramGroups++
@@ -261,7 +261,7 @@ func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.M
 	return t.exec(chip, t.Timing.Prog, dep), errs
 }
 
-// ReadGroup implements ftl.BatchTarget: one shared tREAD for the group
+// ReadGroup implements ftl.Target: one shared tREAD for the group
 // (grouped host reads are timing-only above the FTL).
 func (t *CountingTarget) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	t.ReadGroups++
@@ -277,6 +277,18 @@ func (t *CountingTarget) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 		}
 	}
 	return t.exec(t.Geo.ChipOf(pages[0]), t.Timing.Read, dep)
+}
+
+// WriteMeta implements ftl.Target: the spare-area stamp of a committed
+// program, mirrored onto the attached chips.
+func (t *CountingTarget) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool) {
+	if t.Chips == nil {
+		return
+	}
+	chip, a := t.addr(p)
+	if err := t.Chips[chip].StampOOB(a, nand.OOBMeta{LPA: lpa, Seq: seq, Secure: secure}); err != nil {
+		panic("ftltest: " + err.Error())
+	}
 }
 
 // BuildChips constructs real nand.Chip models matching the geometry. The

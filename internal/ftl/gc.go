@@ -22,7 +22,7 @@ func (f *FTL) maybeGC(chip int) {
 // pages, copy those pages out (each stale copy goes through the
 // sanitization policy, which is where GC-triggered pLock/bLock comes
 // from — Fig. 13 step 1 "copy"), flush the lock manager, then queue the
-// block for lazy erase (or erase eagerly under the ablation config).
+// block for lazy erase (§5.4: an erased block must not sit open).
 func (f *FTL) gcOnce(chip int) bool {
 	victim := f.pickVictim(chip)
 	if victim < 0 {
@@ -61,45 +61,22 @@ func (f *FTL) gcOnce(chip int) bool {
 		f.usedInBlock[victim] == 0 || f.isActive(cs, victim) || f.freeContains(cs, victim) {
 		return true
 	}
-	if f.cfg.EagerErase {
-		// A failed erase retires the victim; only a successful one frees it.
-		if f.eraseBlock(victim) {
-			cs.free = append(cs.free, victim)
-		}
-	} else {
-		cs.pendingErase = append(cs.pendingErase, victim)
-	}
+	cs.pendingErase = append(cs.pendingErase, victim)
 	return true
 }
 
 // pickVictim returns the next GC victim on the chip, or -1 when none
 // qualifies. Only fully-written blocks are eligible: a partially written
-// block is either active or about to be.
-//
-// Greedy (default) picks the block with the fewest live pages; FIFO (the
-// ablation) picks the oldest eligible block by the chip's round-robin
-// cursor, which is what a naive circular-log FTL would do.
+// block is either active or about to be. The pick is greedy: the block
+// with the fewest live pages.
 func (f *FTL) pickVictim(chip int) int {
 	cs := &f.chips[chip]
 	begin := chip * f.geo.BlocksPerChip
-	eligible := func(b int) bool {
-		return !f.isActive(cs, b) && !f.retired[b] &&
-			int(f.usedInBlock[b]) == f.geo.PagesPerBlock &&
-			!f.pendingEraseContains(cs, b)
-	}
-	if f.cfg.Victim == VictimFIFO {
-		for i := 0; i < f.geo.BlocksPerChip; i++ {
-			b := begin + (cs.fifoCursor+i)%f.geo.BlocksPerChip
-			if eligible(b) && int(f.liveInBlock[b]) < f.geo.PagesPerBlock {
-				cs.fifoCursor = (b - begin + 1) % f.geo.BlocksPerChip
-				return b
-			}
-		}
-		return -1
-	}
 	best, bestLive := -1, int32(1<<30)
 	for b := begin; b < begin+f.geo.BlocksPerChip; b++ {
-		if !eligible(b) {
+		if f.isActive(cs, b) || f.retired[b] ||
+			int(f.usedInBlock[b]) != f.geo.PagesPerBlock ||
+			f.pendingEraseContains(cs, b) {
 			continue
 		}
 		if live := f.liveInBlock[b]; live < bestLive {

@@ -54,11 +54,11 @@ func (q *lockQueue) recycle(pages []PPA) {
 func (f *FTL) LockQueueLen() int { return f.lockq.count }
 
 // LockPage routes one stale secured page to the lock manager. With
-// batching disabled (or no BatchTarget available) it degenerates to an
-// immediate per-page pLock; otherwise the page joins its wordline's
-// group and is locked by a batched SBPI pulse at the next flush point.
+// batching disabled it degenerates to an immediate per-page pLock;
+// otherwise the page joins its wordline's group and is locked by a
+// batched SBPI pulse at the next flush point.
 func (f *FTL) LockPage(p PPA) {
-	if !f.lockBatching {
+	if !f.cfg.LockBatch.Enabled {
 		f.IssuePLock(p)
 		return
 	}
@@ -143,7 +143,7 @@ func (f *FTL) issueLockGroup(gi int) bool {
 	f.stats.PLockBatches++
 	f.stats.PLockBatchedPages += uint64(len(live))
 	wlInBlock := g.wl - f.geo.WLIndex(f.geo.FirstPPA(g.block))
-	done, err := f.batchTarget.PLockWL(g.block, wlInBlock, live, f.reqStart)
+	done, err := f.target.PLockWL(g.block, wlInBlock, live, f.reqStart)
 	if err != nil {
 		// The failed pulse left every flag cell unprogrammed (the per-WL
 		// program opportunity is NOT spent page by page), so per-page
@@ -170,7 +170,7 @@ func (f *FTL) issueLockGroup(gi int) bool {
 // GC → policy flush → LockPage) are drained too: the loop re-evaluates
 // len(q.groups) each iteration.
 func (f *FTL) FlushLocks() bool {
-	if !f.lockBatching {
+	if !f.cfg.LockBatch.Enabled {
 		return false
 	}
 	issued := false
@@ -232,7 +232,7 @@ func (f *FTL) compactLockGroups() {
 // stay in the queue; their cancelled pages are skipped at issue time.
 func (f *FTL) cancelQueuedLocks(block int) {
 	q := &f.lockq
-	if !f.lockBatching || q.count == 0 {
+	if !f.cfg.LockBatch.Enabled || q.count == 0 {
 		return
 	}
 	first := f.geo.FirstPPA(block)
@@ -250,7 +250,7 @@ func (f *FTL) cancelQueuedLocks(block int) {
 // pages must belong to one block. Without batching every page is its
 // own pulse; with batching each distinct wordline is one pulse.
 func (f *FTL) LockPulses(pages []PPA) int {
-	if !f.lockBatching {
+	if !f.cfg.LockBatch.Enabled {
 		return len(pages)
 	}
 	f.wlGen++

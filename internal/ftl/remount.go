@@ -10,7 +10,7 @@ import (
 // mapping tables, status tables, lock queues, pending-erase lists — is
 // gone. What survives is the media: per-block write pointers, the
 // access-control flags (pAP/bAP), the page payloads, and the spare-area
-// stamps committed writes carry (see MetaWriter). Restore rebuilds a
+// stamps committed writes carry (see Target.WriteMeta). Restore rebuilds a
 // working FTL from exactly that, then re-runs the sanitization policy
 // over everything the crash left stale, so a remounted device upholds
 // the same security contract as an uninterrupted one.
@@ -198,7 +198,7 @@ func Restore(cfg Config, target Target, policy Policy, scan MediaScan, at sim.Mi
 			f.policy.Flush(f)
 			continue
 		}
-		if f.lockBatching && f.lockq.attached > 0 && f.FlushLocks() {
+		if f.cfg.LockBatch.Enabled && f.lockq.attached > 0 && f.FlushLocks() {
 			continue
 		}
 		break

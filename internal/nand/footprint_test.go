@@ -76,8 +76,8 @@ func TestTimingOnlyFootprint(t *testing.T) {
 	}
 }
 
-// TestFlashOpsAllocsPerRun is BenchmarkFlashOps' program+pLock+erase
-// loop as an assertion: once the flag-cell arena holds a block's worth
+// TestFlashOpsAllocsPerRun is the chip's program+pLock+erase loop as an
+// allocation assertion: once the flag-cell arena holds a block's worth
 // of slots, Erase refills the free list and locking allocates nothing.
 func TestFlashOpsAllocsPerRun(t *testing.T) {
 	c, err := nand.New(defaultScaleChip())

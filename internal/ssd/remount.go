@@ -22,7 +22,7 @@ import (
 // before Remount: the controller is down.
 var ErrPowerLost = errors.New("ssd: power lost, remount required")
 
-// WriteMeta implements ftl.MetaWriter: the FTL stamps every committed
+// WriteMeta implements ftl.Target: the FTL stamps every committed
 // write's spare area with (lpa, seq, secure). The stamp rides the program
 // pulse it describes — zero latency, no fault draw.
 func (s *SSD) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool) {

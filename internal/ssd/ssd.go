@@ -36,18 +36,10 @@ type Config struct {
 	// GCFreeBlocksLow is the per-chip GC trigger (default 3 when zero).
 	GCFreeBlocksLow int
 	// QueueDepth is the closed-loop window: request i may not start
-	// before request i-QueueDepth completed (default 32 when zero).
+	// before request i-QueueDepth completed (zero: DefaultQueueDepth).
 	QueueDepth int
 	// Policy is the sanitization strategy; nil means no sanitization.
 	Policy ftl.Policy
-	// EagerErase forwards to the FTL (ablation).
-	EagerErase bool
-	// Victim forwards the GC victim policy to the FTL (ablation).
-	Victim ftl.VictimPolicy
-	// WearAware enables dynamic wear leveling in the FTL.
-	WearAware bool
-	// NoCopyback forces GC relocations over the channel bus (ablation).
-	NoCopyback bool
 	// Planes overrides the per-chip plane count (multi-plane command
 	// support). Zero keeps Chip.Planes (which defaults to 1). With more
 	// than one plane the FTL stripes writes and groups reads across
@@ -77,6 +69,10 @@ type Config struct {
 	Trace trace.Collector
 }
 
+// DefaultQueueDepth is the closed-loop window of every device the
+// artifacts build: a saturating host with 32 requests outstanding.
+const DefaultQueueDepth = 32
+
 // DefaultConfig returns the paper's SecureSSD configuration with the
 // given policy.
 func DefaultConfig(policy ftl.Policy) Config {
@@ -87,7 +83,7 @@ func DefaultConfig(policy ftl.Policy) Config {
 		Timing:          nand.DefaultTiming(),
 		OverProvision:   0.07,
 		GCFreeBlocksLow: 3,
-		QueueDepth:      32,
+		QueueDepth:      DefaultQueueDepth,
 		Policy:          policy,
 		Seed:            1,
 	}
@@ -101,7 +97,7 @@ func (c *Config) applyDefaults() {
 		c.GCFreeBlocksLow = 3
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 32
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.Timing == (nand.Timing{}) {
 		c.Timing = nand.DefaultTiming()
@@ -271,10 +267,6 @@ func (s *SSD) ftlConfig() ftl.Config {
 		Geometry:        s.geo,
 		LogicalPages:    int(float64(s.geo.TotalPages()) * (1 - s.cfg.OverProvision)),
 		GCFreeBlocksLow: s.cfg.GCFreeBlocksLow,
-		EagerErase:      s.cfg.EagerErase,
-		Victim:          s.cfg.Victim,
-		WearAware:       s.cfg.WearAware,
-		NoCopyback:      s.cfg.NoCopyback,
 		LockBatch:       s.cfg.LockBatch,
 		Timing:          ftl.LockTiming{PLock: s.cfg.Timing.PLock, BLock: s.cfg.Timing.BLock},
 		Tracer:          s.tr,
@@ -326,10 +318,9 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
 	return done
 }
 
-// Move implements ftl.Target: the cross-chip (or copyback-disabled)
-// relocation leg. The payload readPage returns is a view of the source
-// chip's read scratch; it goes straight into Program, which copies it,
-// and never leaves the device.
+// Move implements ftl.Target: the cross-chip relocation leg. The payload
+// readPage returns is a view of the source chip's read scratch; it goes
+// straight into Program, which copies it, and never leaves the device.
 func (s *SSD) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	data, readDone := s.readPage(src, dep)
 	return s.Program(dst, data, readDone)
@@ -488,9 +479,9 @@ func (s *SSD) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 	return done
 }
 
-// --- ftl.BatchTarget implementation --------------------------------------
+// --- ftl.Target device-parallelism commands -----------------------------
 
-// PLockWL implements ftl.BatchTarget: one batched SBPI pulse programs the
+// PLockWL implements ftl.Target: one batched SBPI pulse programs the
 // pAP flags of every given page of the wordline in a single tpLock of
 // chip occupancy (§5).
 func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micros, error) {
@@ -515,7 +506,7 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 	return done, err
 }
 
-// ProgramGroup implements ftl.BatchTarget: a multi-plane program. The
+// ProgramGroup implements ftl.Target: a multi-plane program. The
 // per-page transfers serialize on the channel bus, then a single shared
 // tPROG covers every plane's cell activity.
 func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error) {
@@ -565,7 +556,7 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim
 	return done, errs
 }
 
-// ReadGroup implements ftl.BatchTarget: a multi-plane read — one shared
+// ReadGroup implements ftl.Target: a multi-plane read — one shared
 // tREAD, then per-page bus transfers. Uncorrectable pages are retried
 // individually (each retry burns a full tREAD, like the single-page
 // path). Timing-only: the host read path discards payloads.

@@ -484,40 +484,3 @@ func TestChannelBusContention(t *testing.T) {
 		t.Fatalf("read burst finished in %v, faster than the channel bus allows", r.Elapsed)
 	}
 }
-
-// GC relocations stay on-chip via copyback by default; the ablation
-// forces them over the bus and must not change WAF, only timing.
-func TestCopybackAblation(t *testing.T) {
-	run := func(noCopyback bool) Report {
-		cfg := smallConfig(sanitize.Baseline())
-		cfg.NoCopyback = noCopyback
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Prefill(0.8, true); err != nil {
-			t.Fatal(err)
-		}
-		s.Mark()
-		rng := rand.New(rand.NewSource(12))
-		logical := int64(s.LogicalPages())
-		for i := 0; i < 2000; i++ {
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1})
-		}
-		return s.Report()
-	}
-	with := run(false)
-	without := run(true)
-	if with.Stats.Copybacks == 0 {
-		t.Fatal("default config should use copyback for GC")
-	}
-	if without.Stats.Copybacks != 0 {
-		t.Fatal("NoCopyback still issued copybacks")
-	}
-	if with.Stats.GCCopies != without.Stats.GCCopies {
-		t.Fatalf("copyback changed GC work: %d vs %d", with.Stats.GCCopies, without.Stats.GCCopies)
-	}
-	if with.IOPS < without.IOPS {
-		t.Errorf("copyback should not be slower (%.0f vs %.0f IOPS)", with.IOPS, without.IOPS)
-	}
-}

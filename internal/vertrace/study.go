@@ -103,7 +103,6 @@ func buildStudyDevice(capacityPages int64, pageBytes int, seed int64, tracker *T
 		},
 		OverProvision:   0.12,
 		GCFreeBlocksLow: 2,
-		QueueDepth:      32,
 		Policy:          sanitize.Baseline(),
 		Seed:            seed,
 		Trace:           tracker,

@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,6 +25,10 @@ import (
 //     its error position assigned to _. Without types, a chip is an
 //     expression whose last name contains "chip", or the receiver of a
 //     Chip method.
+//   - reach: no subsystem without a production caller, so every package
+//     under internal/ is imported, directly or through other packages,
+//     by a non-test file under cmd/ or bench/. Test-helper packages
+//     (name ending in "test") are exempt.
 
 var chipOps = map[string]bool{
 	"Read": true, "Program": true, "Erase": true, "PLock": true, "BLock": true,
@@ -62,16 +69,52 @@ func chipOp(e ast.Expr, recv string) string {
 	return ""
 }
 
+// unreached returns, sorted, the internal packages of the import graph
+// (package directory -> the module's package directories its non-test
+// files import) that no package under a root directory reaches.
+func unreached(imports map[string][]string, roots ...string) []string {
+	seen := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		if !seen[dir] {
+			seen[dir] = true
+			for _, imp := range imports[dir] {
+				visit(imp)
+			}
+		}
+	}
+	for dir := range imports {
+		if slices.ContainsFunc(roots, func(r string) bool { return dir == r || strings.HasPrefix(dir, r+"/") }) {
+			visit(dir)
+		}
+	}
+	var out []string
+	for dir := range imports {
+		if strings.HasPrefix(dir, "internal/") && !strings.HasSuffix(dir, "test") && !seen[dir] {
+			out = append(out, dir)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // lint returns one "position: rule: message" line per violation (src
-// nil: the file is read from filename).
-func lint(t *testing.T, filename string, src any) []string {
+// nil: the file is read from filename), and the directories of the
+// module's packages the file imports.
+func lint(t *testing.T, filename string, src any) (findings, imports []string) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	report := func(n ast.Node, msg string) { out = append(out, fset.Position(n.Pos()).String()+": "+msg) }
+	for _, imp := range file.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "repro/") {
+			imports = append(imports, strings.TrimPrefix(p, "repro/"))
+		}
+	}
+	report := func(n ast.Node, msg string) {
+		findings = append(findings, fset.Position(n.Pos()).String()+": "+msg)
+	}
 	isTest := strings.HasSuffix(filename, "_test.go")
 	recv := ""
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -111,7 +154,7 @@ func lint(t *testing.T, filename string, src any) []string {
 		}
 		return true
 	})
-	return out
+	return findings, imports
 }
 
 func TestInvariants(t *testing.T) {
@@ -122,28 +165,47 @@ func TestInvariants(t *testing.T) {
 		{"chipop: result of Chip.PLock", `func f() { chip.PLock(a, 0) }`},
 		{"chipop: error of Chip.Read", `func f() { res, _ := chip.Read(a, 0); use(res) }`},
 	} {
-		got := lint(t, "bad.go", "package p; "+bad.body)
+		got, _ := lint(t, "bad.go", "package p; "+bad.body)
 		if len(got) != 1 || !strings.Contains(got[0], bad.rule) {
 			t.Errorf("negative control %q: got %q, want that one finding", bad.rule, got)
 		}
 	}
+	graph := map[string][]string{
+		"cmd/x": {"internal/a"}, "internal/a": {"internal/b"}, "internal/b": nil,
+		"internal/b/btest": nil, "internal/orphan": {"internal/b"}, "examples/y": {"internal/orphan"},
+	}
+	if got := unreached(graph, "cmd", "bench"); !slices.Equal(got, []string{"internal/orphan"}) {
+		t.Errorf("negative control reach: got %q, want internal/orphan alone", got)
+	}
 	// And on nothing in this module. bench/ is a module of its own, with
-	// wall-clock measurement as its job.
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	// wall-clock measurement as its job: only its imports are read.
+	imports := map[string][]string{}
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && (d.Name() == "bench" || d.Name()[0] == '.') {
+		file = filepath.ToSlash(file)
+		dir := path.Dir(file)
+		if d.IsDir() && file != "." && (dir == "bench" || d.Name()[0] == '.') {
 			return filepath.SkipDir
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			for _, finding := range lint(t, path, nil) {
-				t.Error(finding)
+		if !d.IsDir() && strings.HasSuffix(file, ".go") {
+			findings, imps := lint(t, file, nil)
+			if dir != "bench" {
+				for _, finding := range findings {
+					t.Error(finding)
+				}
+			}
+			if !strings.HasSuffix(file, "_test.go") {
+				imports[dir] = append(imports[dir], imps...)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, dir := range unreached(imports, "cmd", "bench") {
+		t.Errorf("%s: reach: no non-test file under cmd/ or bench/ imports this package, directly or transitively", dir)
 	}
 }
