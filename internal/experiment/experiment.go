@@ -168,51 +168,60 @@ func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction floa
 	return execute(prof, policy, secureFraction, sc, tr, false, nil)
 }
 
-// handover passes the devices of a grid's finished cells to the cells
-// that start next, which build theirs on the retired one's storage
-// (ssd.NewFrom) instead of allocating the same tables again. One is made
-// per grid call, buffered for as many devices as the call has workers —
-// no more can be between cells at once — and dropped at return. The nil
-// handover of a single Execute retires nothing and offers nothing.
-type handover chan *ssd.SSD
+// handover passes the device and host stack of a grid's finished cells
+// to the cells that start next, which build theirs on the retired one's
+// storage (ssd.NewFrom, filesys.NewFrom, workload.NewGeneratorFrom)
+// instead of allocating the same tables again. One is made per grid
+// call, buffered for as many cells as the call has workers — no more can
+// be between cells at once — and dropped at return. The nil handover of
+// a single Execute retires nothing and offers nothing.
+type handover chan retired
+
+// retired is a finished cell's device, file system and generator.
+type retired struct {
+	dev *ssd.SSD
+	fs  *filesys.FS
+	gen *workload.Generator
+}
 
 func newHandover(workers int) handover {
 	return make(handover, parallel.Workers(workers))
 }
 
-// take returns a retired device, or nil when none is waiting.
-func (h handover) take() *ssd.SSD {
+// take returns a retired cell, or the zero one when none is waiting.
+func (h handover) take() retired {
 	select {
-	case dev := <-h:
-		return dev
+	case r := <-h:
+		return r
 	default:
-		return nil
+		return retired{}
 	}
 }
 
-// retire offers a finished cell's device to the cells still to run.
-func (h handover) retire(dev *ssd.SSD) {
+// retire offers a finished cell to the cells still to run.
+func (h handover) retire(r retired) {
 	select {
-	case h <- dev:
+	case h <- r:
 	default:
 	}
 }
 
 // execute is the one body behind Execute, ExecuteTraced, ExecuteAudited
 // and the grid cells; drainLocks flushes the lock manager after the last
-// host request. The device is built from one h offers, if any, and handed
-// back to h once the run has completed: a cell that fails or panics
-// retires nothing.
+// host request. The device, file system and generator are built from one
+// cell h offers, if any, and handed back to h once the run has
+// completed: a cell that fails or panics retires nothing.
 func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool, h handover) (Run, error) {
-	dev, err := buildDevice(h.take(), policy, sc, tr)
+	old := h.take()
+	dev, err := buildDevice(old.dev, policy, sc, tr)
 	if err != nil {
 		return Run{}, err
 	}
-	fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
+	fs, err := filesys.NewFrom(old.fs, dev, int64(dev.LogicalPages()), sc.PageBytes)
 	if err != nil {
 		return Run{}, err
 	}
-	gen := workload.NewGenerator(prof, fs, sc.PageBytes, sc.Seed)
+	gen := workload.NewGeneratorFrom(old.gen, prof, fs, sc.PageBytes, sc.Seed)
 	gen.SecureFraction = secureFraction
 
 	// Prefill through the generator (creates/appends only) so steady
@@ -233,7 +242,7 @@ func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 		SecureFraction: secureFraction,
 		Report:         dev.Report(),
 	}
-	h.retire(dev)
+	h.retire(retired{dev, fs, gen})
 	return run, nil
 }
 

@@ -94,7 +94,7 @@ func TestFigure14WorkerInvariant(t *testing.T) {
 					name, k, cells[i].prof.Name, cells[i].policy, got, want[i])
 			}
 			if k > 0 && len(h) != 1 {
-				t.Fatalf("%s order, step %d: %d devices waiting in the hand-over, want the one just retired", name, k, len(h))
+				t.Fatalf("%s order, step %d: %d cells waiting in the hand-over, want the one just retired", name, k, len(h))
 			}
 		}
 	}
@@ -130,7 +130,7 @@ func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
 		t.Error("a zero-block device was built")
 	}
 	if len(h) != 0 {
-		t.Errorf("%d devices waiting after a cell that could not build took the only one", len(h))
+		t.Errorf("%d cells waiting after a cell that could not build took the only one", len(h))
 	}
 
 	executeCell(t, c, sc, h)
@@ -143,7 +143,7 @@ func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
 		_, _ = execute(c.prof, policy(), 1.0, sc, &failingCollector{left: 500}, false, h)
 	}()
 	if len(h) != 0 {
-		t.Errorf("%d devices waiting after a cell that panicked took the only one", len(h))
+		t.Errorf("%d cells waiting after a cell that panicked took the only one", len(h))
 	}
 
 	for i := 0; i < 3; i++ {
@@ -151,10 +151,10 @@ func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.retire(dev)
+		h.retire(retired{dev: dev})
 	}
 	if len(h) != 2 {
-		t.Errorf("%d devices waiting in a hand-over made for 2 workers after 3 were retired", len(h))
+		t.Errorf("%d cells waiting in a hand-over made for 2 workers after 3 were retired", len(h))
 	}
 }
 
@@ -232,17 +232,24 @@ func TestBatchingAblationWorkerInvariant(t *testing.T) {
 	}
 }
 
-// constructionBytes is what buildDevice allocates for one cell.
-func constructionBytes(t *testing.T, old *ssd.SSD, policy ftl.Policy, sc Scale) (*ssd.SSD, uint64) {
+// construct builds a cell's device, file system and generator on old's
+// storage the way execute does, and returns them with the bytes that
+// took.
+func construct(t *testing.T, old retired, policy ftl.Policy, prof workload.Profile, sc Scale) (retired, uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	dev, err := buildDevice(old, policy, sc, nil)
-	runtime.ReadMemStats(&after)
+	dev, err := buildDevice(old.dev, policy, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dev, after.TotalAlloc - before.TotalAlloc
+	fs, err := filesys.NewFrom(old.fs, dev, int64(dev.LogicalPages()), sc.PageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGeneratorFrom(old.gen, prof, fs, sc.PageBytes, sc.Seed)
+	runtime.ReadMemStats(&after)
+	return retired{dev, fs, gen}, after.TotalAlloc - before.TotalAlloc
 }
 
 // lazyState sums nand.Chip.LazyState over the device.
@@ -255,56 +262,52 @@ func lazyState(dev *ssd.SSD) (stores, chunksUsed, chunksHeld int) {
 }
 
 // TestGridConstructionFootprint is the canary for what the hand-over
-// buys: in a serial grid only the first cell pays for the device tables.
+// buys: in a serial grid only the first cell pays for the device and
+// host tables.
 func TestGridConstructionFootprint(t *testing.T) {
 	sc := SmallScale()
-	run := func(dev *ssd.SSD, prof workload.Profile) {
+	run := func(c retired) {
 		t.Helper()
-		fs, err := filesys.New(dev, int64(dev.LogicalPages()), sc.PageBytes)
-		if err != nil {
+		if err := c.gen.Fill(sc.PrefillFraction); err != nil {
 			t.Fatal(err)
 		}
-		gen := workload.NewGenerator(prof, fs, sc.PageBytes, sc.Seed)
-		if err := gen.Fill(sc.PrefillFraction); err != nil {
-			t.Fatal(err)
-		}
-		dev.Mark()
-		if err := gen.RunPages(sc.StudyPages); err != nil {
+		c.dev.Mark()
+		if err := c.gen.RunPages(sc.StudyPages); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// A serial grid: every later cell builds on the one before it and
 	// allocates at most 5 % of what the first cell did.
-	var dev *ssd.SSD
+	var c retired
 	var first uint64
-	for i, c := range gridCells()[:10] {
-		policy, _ := PolicyByName(c.policy)
+	for i, g := range gridCells()[:10] {
+		policy, _ := PolicyByName(g.policy)
 		var bytes uint64
-		dev, bytes = constructionBytes(t, dev, policy, sc)
+		c, bytes = construct(t, c, policy, g.prof, sc)
 		if i == 0 {
 			first = bytes
 		}
-		t.Logf("cell %d (%s/%s): %d bytes to build its device, %.1f %% of the first cell's", i, c.prof.Name, c.policy, bytes, 100*float64(bytes)/float64(first))
+		t.Logf("cell %d (%s/%s): %d bytes to build its device and host side, %.1f %% of the first cell's", i, g.prof.Name, g.policy, bytes, 100*float64(bytes)/float64(first))
 		if bytes*20 > first && i > 0 {
-			t.Errorf("cell %d allocated %d bytes building its device, the first cell %d: want at most 5 %%", i, bytes, first)
+			t.Errorf("cell %d allocated %d bytes building its device and host side, the first cell %d: want at most 5 %%", i, bytes, first)
 		}
-		run(dev, c.prof)
+		run(c)
 	}
 
 	// A secSSD cell after a secSSD cell finds the flag-cell arena it needs.
-	dev, _ = constructionBytes(t, dev, sanitize.SecSSD(), sc)
-	run(dev, workload.Mobile())
-	_, used, held := lazyState(dev)
+	c, _ = construct(t, c, sanitize.SecSSD(), workload.Mobile(), sc)
+	run(c)
+	_, used, held := lazyState(c.dev)
 	if used == 0 {
 		t.Fatal("the secSSD cell locked no page")
 	}
-	dev, _ = constructionBytes(t, dev, sanitize.SecSSD(), sc)
-	if _, used, adopted := lazyState(dev); used != 0 || adopted != held {
+	c, _ = construct(t, c, sanitize.SecSSD(), workload.Mobile(), sc)
+	if _, used, adopted := lazyState(c.dev); used != 0 || adopted != held {
 		t.Errorf("device adopted from a secSSD cell: %d flag chunks in use, %d held; want 0 and the donor's %d", used, adopted, held)
 	}
-	run(dev, workload.Mobile())
-	if _, _, after := lazyState(dev); after != held {
+	run(c)
+	if _, _, after := lazyState(c.dev); after != held {
 		t.Errorf("the second secSSD cell grew the flag-cell arena from %d to %d chunks", held, after)
 	}
 
@@ -315,17 +318,17 @@ func TestGridConstructionFootprint(t *testing.T) {
 		payload[i] = byte(i) | 1
 	}
 	for lpa := int64(0); lpa < 64; lpa++ {
-		dev.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Data: payload})
+		c.dev.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Data: payload})
 	}
-	if stores, _, _ := lazyState(dev); stores == 0 {
+	if stores, _, _ := lazyState(c.dev); stores == 0 {
 		t.Fatal("payload writes created no payload store")
 	}
-	dev, _ = constructionBytes(t, dev, sanitize.Baseline(), sc)
-	run(dev, workload.MailServer())
-	if dev.FTL().Stats().GCCopies == 0 {
+	c, _ = construct(t, c, sanitize.Baseline(), workload.MailServer(), sc)
+	run(c)
+	if c.dev.FTL().Stats().GCCopies == 0 {
 		t.Fatal("the baseline cell never garbage-collected")
 	}
-	if stores, used, _ := lazyState(dev); stores != 0 || used != 0 {
+	if stores, used, _ := lazyState(c.dev); stores != 0 || used != 0 {
 		t.Errorf("baseline cell on an adopted device: %d payload stores and %d flag chunks in use, want none", stores, used)
 	}
 }

@@ -1,6 +1,6 @@
 // Package filesys emulates the host file layer of the paper's system
-// stack: files map to logical-page extents, deletion unlinks and trims,
-// and the O_INSEC open flag (§6) propagates to the block layer as
+// stack: files map to logical pages, deletion unlinks and trims, and the
+// O_INSEC open flag (§6) propagates to the block layer as
 // REQ_OP_INSEC_WRITE so SecureSSD can sanitize selectively.
 //
 // The allocator is ext4-like in spirit: it prefers contiguous extents
@@ -9,18 +9,22 @@
 // appends, in-place overwrites, deletes) for the workload generators and
 // the VerTrace study, not to be a POSIX file system.
 //
-// The request path allocates nothing per request: the allocator appends
-// straight into the file's extent list (amortised growth only), requests
-// are emitted by walking that list run by run, and a file's liveness is a
-// field on the File rather than a table probe.
+// The request path allocates nothing. A file's pages are a chain through
+// one array indexed by logical page, as in a FAT: the file holds its
+// first and last page, the allocator links new pages onto the tail,
+// requests are emitted by walking the chain and merging consecutive
+// pages, and a delete frees the chain as it walks it. Files are values in
+// ID-ordered pages of idPage, so a create allocates once per idPage IDs,
+// and NewFrom builds a file system on a retired one's storage.
 package filesys
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 
+	"repro/internal/adopt"
 	"repro/internal/blockio"
 	"repro/internal/sim"
 )
@@ -48,26 +52,29 @@ var ErrNotFound = errors.New("filesys: file not found")
 
 // Observer receives file-lifecycle notifications. The VerTrace study uses
 // them to classify files as uni-version (append-only / write-once) or
-// multi-version (overwritten, truncated, or deleted), per §3.
+// multi-version (overwritten or deleted), per §3.
 type Observer interface {
 	FileCreated(id uint64, insecure bool)
 	FileOverwritten(id uint64)
 	FileDeleted(id uint64)
 }
 
-// File is an open file's metadata.
+// File is an open file's metadata. Every ID issued keeps its File for the
+// life of the file system, so it holds no name: a Created file's name
+// lives in the directory alone.
 type File struct {
 	ID       uint64
-	Name     string // "" for a file made by CreateAnon
 	Insecure bool
+	// The file's logical pages are the chain from head to tail through
+	// fs.next, pages long; head and tail mean nothing while pages is 0.
+	head, tail int32
+	pages      int32
 	// fs is the file system the file lives in; nil once deleted.
 	fs *FS
-	// extents holds the logical pages backing the file, in file order.
-	extents []int64
 }
 
 // Pages returns the file size in logical pages.
-func (f *File) Pages() int { return len(f.extents) }
+func (f *File) Pages() int { return int(f.pages) }
 
 // FS is the emulated file system.
 type FS struct {
@@ -77,20 +84,24 @@ type FS struct {
 	freePages int64
 	bitmap    []uint64 // 1 = used; bits at and beyond total stay set
 	scan      int64    // next-fit cursor
-	// byID is the ID table. IDs are issued densely from 1, so it is an
-	// array in idPage-sized pieces rather than a hash map: entry (id-1)
-	// holds the file, nil once deleted.
-	byID     [][]*File
+	// next[p] is the page after p in p's file; only links inside a
+	// file's chain are meaningful.
+	next []int32
+	// byID is the file table. IDs are issued densely from 1 and never
+	// reused, so it is an array in idPage-sized pages of File values:
+	// entry (id-1) holds the file, with fs == nil once deleted.
+	byID     [][]File
 	live     int
 	byName   map[string]*File
+	nameOf   map[*File]string // byName inverted
 	nextID   uint64
 	observer Observer
 }
 
 const idPage = 1024
 
-// slot returns the ID table entry of an ID that has been issued.
-func (fs *FS) slot(id uint64) **File {
+// slot returns the file table entry of an ID that has been issued.
+func (fs *FS) slot(id uint64) *File {
 	return &fs.byID[(id-1)/idPage][(id-1)%idPage]
 }
 
@@ -99,16 +110,31 @@ func (fs *FS) SetObserver(o Observer) { fs.observer = o }
 
 // New creates a file system over dev exporting totalPages logical pages.
 func New(dev Device, totalPages int64, pageBytes int) (*FS, error) {
-	if dev == nil || totalPages <= 0 || pageBytes <= 0 {
+	return NewFrom(nil, dev, totalPages, pageBytes)
+}
+
+// NewFrom is New building on a retired file system's storage: the free
+// bitmap, the page chain and the file table's pages come from old through
+// adopt where they are large enough, and everything else about the result
+// is what New sets — New is this body with no donor. old, and every File
+// it handed out, must not be used afterwards; nil is allowed.
+func NewFrom(old *FS, dev Device, totalPages int64, pageBytes int) (*FS, error) {
+	if dev == nil || totalPages <= 0 || totalPages > math.MaxInt32 || pageBytes <= 0 {
 		return nil, fmt.Errorf("filesys: bad parameters dev=%v pages=%d size=%d", dev, totalPages, pageBytes)
+	}
+	if old == nil {
+		old = &FS{}
 	}
 	fs := &FS{
 		dev:       dev,
 		pageBytes: pageBytes,
 		total:     totalPages,
 		freePages: totalPages,
-		bitmap:    make([]uint64, (totalPages+63)/64),
+		bitmap:    adopt.Zeroed(old.bitmap, int((totalPages+63)/64)),
+		next:      adopt.Zeroed(old.next, int(totalPages)),
+		byID:      adopt.ZeroedEach(old.byID, idPage),
 		byName:    map[string]*File{},
+		nameOf:    map[*File]string{},
 		nextID:    1,
 	}
 	if tail := uint(totalPages % 64); tail != 0 {
@@ -139,8 +165,11 @@ func (fs *FS) Get(id uint64) (*File, bool) {
 	if id == 0 || id >= fs.nextID {
 		return nil, false
 	}
-	f := *fs.slot(id)
-	return f, f != nil
+	f := fs.slot(id)
+	if f.fs == nil {
+		return nil, false
+	}
+	return f, true
 }
 
 // Create makes an empty file. Flags control its security requirement.
@@ -148,8 +177,8 @@ func (fs *FS) Create(name string, flags OpenFlag) (*File, error) {
 	if _, exists := fs.byName[name]; exists {
 		return nil, fmt.Errorf("filesys: %q already exists", name)
 	}
-	f := fs.newFile(name, flags)
-	fs.byName[name] = f
+	f := fs.newFile(flags)
+	fs.byName[name], fs.nameOf[f] = f, name
 	return f, nil
 }
 
@@ -159,21 +188,17 @@ func (fs *FS) Create(name string, flags OpenFlag) (*File, error) {
 // workload generators, which only ever use the handle, create their
 // population this way.
 func (fs *FS) CreateAnon(flags OpenFlag) *File {
-	return fs.newFile("", flags)
+	return fs.newFile(flags)
 }
 
-func (fs *FS) newFile(name string, flags OpenFlag) *File {
-	f := &File{
-		ID:       fs.nextID,
-		Name:     name,
-		Insecure: flags&OInsec != 0,
-		fs:       fs,
-	}
+func (fs *FS) newFile(flags OpenFlag) *File {
+	id := fs.nextID
 	fs.nextID++
-	if (f.ID-1)%idPage == 0 {
-		fs.byID = append(fs.byID, make([]*File, idPage))
+	if page := int((id - 1) / idPage); page == len(fs.byID) {
+		fs.byID = append(fs.byID, make([]File, idPage))
 	}
-	*fs.slot(f.ID) = f
+	f := fs.slot(id)
+	*f = File{ID: id, Insecure: flags&OInsec != 0, fs: fs}
 	fs.live++
 	if fs.observer != nil {
 		fs.observer.FileCreated(f.ID, f.Insecure)
@@ -189,12 +214,11 @@ func (fs *FS) Append(f *File, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	before := len(f.extents)
-	var err error
-	if f.extents, err = fs.alloc(f.extents, n); err != nil {
+	first, err := fs.alloc(f, n)
+	if err != nil {
 		return err
 	}
-	return fs.submitRuns(f.writeRequest(), f.extents[before:])
+	return fs.submitRuns(f.writeRequest(), first, n)
 }
 
 // Overwrite rewrites n pages of the file starting at page offset off
@@ -203,13 +227,13 @@ func (fs *FS) Overwrite(f *File, off, n int) error {
 	if f.fs != fs {
 		return ErrNotFound
 	}
-	if off < 0 || n < 0 || off+n > len(f.extents) {
-		return fmt.Errorf("filesys: overwrite [%d,%d) outside %q (%d pages)", off, off+n, f.Name, len(f.extents))
+	if off < 0 || n < 0 || off+n > f.Pages() {
+		return fmt.Errorf("filesys: overwrite [%d,%d) outside file %d (%d pages)", off, off+n, f.ID, f.pages)
 	}
 	if fs.observer != nil && n > 0 {
 		fs.observer.FileOverwritten(f.ID)
 	}
-	return fs.submitRuns(f.writeRequest(), f.extents[off:off+n])
+	return fs.submitRuns(f.writeRequest(), fs.seek(f, off), n)
 }
 
 // Read reads n pages of the file starting at page offset off.
@@ -217,56 +241,45 @@ func (fs *FS) Read(f *File, off, n int) error {
 	if f.fs != fs {
 		return ErrNotFound
 	}
-	if off < 0 || n < 0 || off+n > len(f.extents) {
-		return fmt.Errorf("filesys: read [%d,%d) outside %q (%d pages)", off, off+n, f.Name, len(f.extents))
+	if off < 0 || n < 0 || off+n > f.Pages() {
+		return fmt.Errorf("filesys: read [%d,%d) outside file %d (%d pages)", off, off+n, f.ID, f.pages)
 	}
-	return fs.submitRuns(blockio.Request{Op: blockio.OpRead, FileID: f.ID}, f.extents[off:off+n])
+	return fs.submitRuns(blockio.Request{Op: blockio.OpRead, FileID: f.ID}, fs.seek(f, off), n)
 }
 
 // Delete unlinks the file and trims its pages — the paper's deletion
-// flow: the trim tells the device which LPAs hold stale data.
+// flow: the trim tells the device which LPAs hold stale data. The pages
+// are freed whatever the device answers, since a discard is advisory; the
+// first error is returned and no further trim is sent after it.
 func (fs *FS) Delete(f *File) error {
 	if f.fs != fs {
 		return ErrNotFound
 	}
 	f.fs = nil
-	*fs.slot(f.ID) = nil
 	fs.live--
-	// Only the directory entry that points at f: an anonymous file must
-	// not unlink a file that was Created as "".
-	if fs.byName[f.Name] == f {
-		delete(fs.byName, f.Name)
+	if name, ok := fs.nameOf[f]; ok {
+		delete(fs.byName, name)
+		delete(fs.nameOf, f)
 	}
 	if fs.observer != nil {
 		fs.observer.FileDeleted(f.ID)
 	}
-	if err := fs.submitRuns(f.trimRequest(), f.extents); err != nil {
-		return err
+	var err error
+	req := f.trimRequest()
+	for lpa, n := f.head, int(f.pages); n > 0; {
+		run, after := fs.run(lpa, n)
+		if err == nil {
+			req.LPA, req.Pages = int64(lpa), int32(run)
+			_, err = fs.dev.Submit(req)
+		}
+		for p := lpa; p < lpa+int32(run); p++ {
+			fs.bitmap[p/64] &^= 1 << uint(p%64)
+		}
+		lpa, n = after, n-run
 	}
-	fs.free(f.extents)
-	f.extents = nil
-	return nil
-}
-
-// Truncate cuts the file to n pages, trimming the removed tail.
-func (fs *FS) Truncate(f *File, n int) error {
-	if f.fs != fs {
-		return ErrNotFound
-	}
-	if n < 0 || n > len(f.extents) {
-		return fmt.Errorf("filesys: truncate %q to %d pages (has %d)", f.Name, n, len(f.extents))
-	}
-	if fs.observer != nil && n < len(f.extents) {
-		// A shrinking truncate discards content: the file is multi-version.
-		fs.observer.FileOverwritten(f.ID)
-	}
-	tail := f.extents[n:]
-	if err := fs.submitRuns(f.trimRequest(), tail); err != nil {
-		return err
-	}
-	fs.free(tail)
-	f.extents = f.extents[:n]
-	return nil
+	fs.freePages += int64(f.pages)
+	f.pages = 0
+	return err
 }
 
 // writeRequest and trimRequest are the per-file request templates
@@ -279,39 +292,51 @@ func (f *File) trimRequest() blockio.Request {
 	return blockio.Request{Op: blockio.OpTrim, Insecure: f.Insecure, FileID: f.ID}
 }
 
-// submitRuns coalesces pages into maximal contiguous extents, the way a
-// block layer merges bios, and submits req once per extent.
-func (fs *FS) submitRuns(req blockio.Request, pages []int64) error {
-	for len(pages) > 0 {
-		n := runLen(pages)
-		req.LPA, req.Pages = pages[0], int32(n)
+// seek returns the page at offset off of the file, off < f.pages.
+func (fs *FS) seek(f *File, off int) int32 {
+	lpa := f.head
+	for ; off > 0; off-- {
+		lpa = fs.next[lpa]
+	}
+	return lpa
+}
+
+// run returns the length of the run of consecutive logical pages the
+// chain holds from lpa on, at most n (n > 0), and the chain's page after
+// the run.
+func (fs *FS) run(lpa int32, n int) (run int, after int32) {
+	run = 1
+	for ; run < n && fs.next[lpa] == lpa+1; run++ {
+		lpa++
+	}
+	return run, fs.next[lpa]
+}
+
+// submitRuns coalesces the n chained pages from lpa on into maximal
+// contiguous extents, the way a block layer merges bios, and submits req
+// once per extent.
+func (fs *FS) submitRuns(req blockio.Request, lpa int32, n int) error {
+	for n > 0 {
+		run, after := fs.run(lpa, n)
+		req.LPA, req.Pages = int64(lpa), int32(run)
 		if _, err := fs.dev.Submit(req); err != nil {
 			return err
 		}
-		pages = pages[n:]
+		lpa, n = after, n-run
 	}
 	return nil
 }
 
-// runLen returns the length of the contiguous run that starts pages,
-// which must not be empty.
-func runLen(pages []int64) int {
-	n := 1
-	for n < len(pages) && pages[n] == pages[n-1]+1 {
-		n++
-	}
-	return n
-}
-
-// alloc reserves n logical pages, preferring contiguity via next-fit, and
-// appends them to dst in allocation order. It takes every free page from
-// the cursor on, wrapping at the end of the device, and skips used pages a
-// bitmap word at a time.
-func (fs *FS) alloc(dst []int64, n int) ([]int64, error) {
+// alloc reserves n logical pages, preferring contiguity via next-fit,
+// links them onto the tail of f's chain in allocation order and returns
+// the first of them. It takes every free page from the cursor on,
+// wrapping at the end of the device, and skips used pages a bitmap word
+// at a time.
+func (fs *FS) alloc(f *File, n int) (int32, error) {
 	if int64(n) > fs.freePages {
-		return dst, ErrNoSpace
+		return 0, ErrNoSpace
 	}
-	dst = slices.Grow(dst, n)
+	var first int32
 	cursor := fs.scan
 	for need := n; need > 0; {
 		w := cursor / 64
@@ -321,7 +346,17 @@ func (fs *FS) alloc(dst []int64, n int) ([]int64, error) {
 			free &^= 1 << uint(b)
 			fs.bitmap[w] |= 1 << uint(b)
 			cursor = w*64 + int64(b)
-			dst = append(dst, cursor)
+			lpa := int32(cursor)
+			if need == n {
+				first = lpa
+			}
+			if f.pages == 0 {
+				f.head = lpa
+			} else {
+				fs.next[f.tail] = lpa
+			}
+			f.tail = lpa
+			f.pages++
 			cursor++
 		}
 		if need > 0 {
@@ -333,16 +368,7 @@ func (fs *FS) alloc(dst []int64, n int) ([]int64, error) {
 	}
 	fs.scan = cursor
 	fs.freePages -= int64(n)
-	return dst, nil
-}
-
-func (fs *FS) free(pages []int64) {
-	for _, p := range pages {
-		if bit := uint64(1) << uint(p%64); fs.bitmap[p/64]&bit != 0 {
-			fs.bitmap[p/64] &^= bit
-			fs.freePages++
-		}
-	}
+	return first, nil
 }
 
 // DataDevice is an optional Device extension for reading stored content
@@ -352,10 +378,12 @@ type DataDevice interface {
 	ReadLogical(lpa int64) ([]byte, error)
 }
 
-// Extents returns a copy of the file's logical pages in file order.
+// Extents returns the file's logical pages in file order.
 func (f *File) Extents() []int64 {
-	out := make([]int64, len(f.extents))
-	copy(out, f.extents)
+	out := make([]int64, 0, f.pages)
+	for lpa, n := f.head, f.pages; n > 0; lpa, n = f.fs.next[lpa], n-1 {
+		out = append(out, int64(lpa))
+	}
 	return out
 }
 
@@ -368,26 +396,26 @@ func (fs *FS) AppendData(f *File, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	before := len(f.extents)
-	var err error
-	if f.extents, err = fs.alloc(f.extents, (len(data)+fs.pageBytes-1)/fs.pageBytes); err != nil {
+	n := (len(data) + fs.pageBytes - 1) / fs.pageBytes
+	lpa, err := fs.alloc(f, n)
+	if err != nil {
 		return err
 	}
 	req := f.writeRequest()
-	for pages := f.extents[before:]; len(pages) > 0; {
-		n := runLen(pages)
-		size := n * fs.pageBytes
+	for n > 0 {
+		run, after := fs.run(lpa, n)
+		size := run * fs.pageBytes
 		if size <= len(data) {
 			req.Data, data = data[:size], data[size:]
 		} else {
 			req.Data = make([]byte, size)
 			copy(req.Data, data)
 		}
-		req.LPA, req.Pages = pages[0], int32(n)
+		req.LPA, req.Pages = int64(lpa), int32(run)
 		if _, err := fs.dev.Submit(req); err != nil {
 			return err
 		}
-		pages = pages[n:]
+		lpa, n = after, n-run
 	}
 	return nil
 }
@@ -402,8 +430,8 @@ func (fs *FS) ReadAll(f *File) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("filesys: device %T cannot return data", fs.dev)
 	}
-	out := make([]byte, 0, len(f.extents)*fs.pageBytes)
-	for _, lpa := range f.extents {
+	out := make([]byte, 0, f.Pages()*fs.pageBytes)
+	for _, lpa := range f.Extents() {
 		page, err := dd.ReadLogical(lpa)
 		if err != nil {
 			return nil, err

@@ -3,10 +3,14 @@ package filesys
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/blockio"
 	"repro/internal/sim"
@@ -145,8 +149,12 @@ func TestReadBounds(t *testing.T) {
 	if len(dev.reqs) != 1 || dev.reqs[0].Op != blockio.OpRead {
 		t.Fatalf("reqs %v", dev.reqs)
 	}
-	if err := fs.Read(f, 3, 2); err == nil {
+	err := fs.Read(f, 3, 2)
+	if err == nil {
 		t.Fatal("out-of-range read accepted")
+	}
+	if want := fmt.Sprintf("file %d ", f.ID); !strings.Contains(err.Error(), want) {
+		t.Fatalf("range error %q does not name the file (%q)", err, want)
 	}
 }
 
@@ -180,29 +188,6 @@ func TestDeleteTrimsAndFrees(t *testing.T) {
 	}
 }
 
-func TestTruncateTrimsTail(t *testing.T) {
-	fs, dev := newFS(t)
-	f, _ := fs.Create("log", 0)
-	fs.Append(f, 8)
-	dev.reqs = nil
-	if err := fs.Truncate(f, 3); err != nil {
-		t.Fatal(err)
-	}
-	if f.Pages() != 3 {
-		t.Fatalf("pages = %d", f.Pages())
-	}
-	var trimmed int32
-	for _, r := range dev.reqs {
-		trimmed += r.Pages
-	}
-	if trimmed != 5 {
-		t.Fatalf("trimmed %d, want 5", trimmed)
-	}
-	if err := fs.Truncate(f, 9); err == nil {
-		t.Fatal("growing truncate accepted")
-	}
-}
-
 func TestNoSpace(t *testing.T) {
 	dev := &recordingDev{}
 	fs, _ := New(dev, 8, 4096)
@@ -229,6 +214,33 @@ func TestDeviceErrorPropagates(t *testing.T) {
 	f, _ := fs.Create("x", 0)
 	if err := fs.Append(f, 1); err == nil {
 		t.Fatal("device error swallowed")
+	}
+
+	// A rejected trim still frees the file's pages: the discard is
+	// advisory, the unlink is not.
+	dev.fail = nil
+	fs, _ = New(dev, 64, 4096)
+	g := fs.CreateAnon(0)
+	h := fs.CreateAnon(0)
+	for i := 0; i < 3; i++ { // interleaved: g's pages are three extents
+		if err := fs.Append(g, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Append(h, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.fail = errors.New("trim rejected")
+	if err := fs.Delete(g); !errors.Is(err, dev.fail) {
+		t.Fatalf("Delete returned %v, want the device's error", err)
+	}
+	if fs.FreePages() != 64-3 {
+		t.Fatalf("%d pages free after a rejected trim, want %d", fs.FreePages(), 64-3)
+	}
+	dev.fail = nil
+	k := fs.CreateAnon(0)
+	if err := fs.Append(k, 64-3); err != nil {
+		t.Fatalf("the deleted file's pages cannot be allocated again: %v", err)
 	}
 }
 
@@ -334,10 +346,11 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 					}
 					continue
 				}
-				if !slices.Equal(f.extents[before:], want) {
+				got := f.Extents()[before:]
+				if !slices.Equal(got, want) {
 					return false // diverged from the reference
 				}
-				for _, p := range f.extents[before:] {
+				for _, p := range got {
 					if _, taken := owned[p]; taken || p >= total {
 						return false // double or out-of-range allocation
 					}
@@ -349,10 +362,11 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 				}
 				i := rng.Intn(len(files))
 				f := files[i]
-				for _, p := range f.extents {
+				pages := f.Extents()
+				for _, p := range pages {
 					delete(owned, p)
 				}
-				ref.release(f.extents)
+				ref.release(pages)
 				if err := fs.Delete(f); err != nil {
 					return false
 				}
@@ -366,6 +380,14 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileSizeof pins the File value every issued ID keeps for the life
+// of the file system (a MailServer cell at default scale issues ≈ 140 k).
+func TestFileSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(File{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(File{}) = %d, want 32", got)
 	}
 }
 
@@ -401,9 +423,10 @@ func fragmentedFS(t *testing.T, total int64) (*FS, *nullDev) {
 	return fs, dev
 }
 
-// The request path allocates nothing per request: reading, overwriting
-// and deleting an existing file only walk its extent list, and appending
-// pays for the growth of that list alone.
+// The request path allocates nothing: reading, overwriting, deleting and
+// appending walk or extend the file's page chain, and a create takes a
+// File from the current page of the file table, which allocates once per
+// idPage IDs.
 func TestRequestPathDoesNotAllocate(t *testing.T) {
 	const runs = 50
 	fs, dev := fragmentedFS(t, 4096)
@@ -418,6 +441,7 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	g := fs.CreateAnon(0)
 	before := dev.requests
 	next := 0
 	for _, c := range []struct {
@@ -428,6 +452,7 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 		{"Read", 48, func() error { return fs.Read(f, 8, 48) }},
 		{"Overwrite", 48, func() error { return fs.Overwrite(f, 8, 48) }},
 		{"Delete", 8, func() error { next++; return fs.Delete(victims[next-1]) }},
+		{"Append", 1, func() error { return fs.Append(g, 1) }},
 	} {
 		allocs := testing.AllocsPerRun(runs, func() {
 			if err := c.op(); err != nil {
@@ -442,23 +467,33 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 		}
 		before = dev.requests
 	}
-
-	// One page at a time onto one file: the only allocations are the
-	// extent list's amortised doublings.
-	const appends = 1000
-	g := fs.CreateAnon(0)
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < appends/2; i++ {
-			if err := fs.Append(g, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if allocs > 20 {
-		t.Errorf("%d one-page appends allocated %.0f times; want amortised growth only", appends/2, allocs)
+	if g.Pages() != runs+1 {
+		t.Fatalf("appended file has %d pages, want %d", g.Pages(), runs+1)
 	}
-	if g.Pages() != appends {
-		t.Fatalf("file has %d pages, want %d", g.Pages(), appends)
+
+	// Creates up to the end of the current file-table page allocate
+	// nothing; the next idPage creates allocate that page (and, at most
+	// once, room in the table for more pages).
+	mallocs := func(op func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if n := mallocs(func() {
+		for fs.nextID%idPage != 1 {
+			fs.CreateAnon(0)
+		}
+	}); n != 0 {
+		t.Errorf("creates within a file-table page allocated %d times", n)
+	}
+	if n := mallocs(func() {
+		for i := 0; i < idPage; i++ {
+			fs.CreateAnon(0)
+		}
+	}); n == 0 || n > 2 {
+		t.Errorf("%d creates allocated %d times, want one file-table page", idPage, n)
 	}
 }
 
@@ -629,7 +664,7 @@ func TestLookupGetFiles(t *testing.T) {
 	if _, ok := fs.Lookup("missing"); ok {
 		t.Fatal("Lookup found a ghost")
 	}
-	if got, ok := fs.Get(f.ID); !ok || got.Name != "named" {
+	if got, ok := fs.Get(f.ID); !ok || got != f {
 		t.Fatal("Get failed")
 	}
 	if _, ok := fs.Get(999); ok {
@@ -712,7 +747,7 @@ func TestGetAcrossIDPages(t *testing.T) {
 	}
 }
 
-// observer hook coverage: create/overwrite/delete/truncate notify.
+// observer hook coverage: create/overwrite/delete notify.
 type obsRecorder struct {
 	created, overwritten, deleted []uint64
 }
@@ -728,13 +763,12 @@ func TestObserverNotifications(t *testing.T) {
 	f, _ := fs.Create("watched", 0)
 	fs.Append(f, 4)
 	fs.Overwrite(f, 0, 2)
-	fs.Truncate(f, 1) // shrinking truncate counts as overwrite (MV)
 	fs.Delete(f)
 	if len(obs.created) != 1 || len(obs.deleted) != 1 {
 		t.Fatalf("observer counts %+v", obs)
 	}
-	if len(obs.overwritten) != 2 {
-		t.Fatalf("overwrite notifications %d, want 2 (overwrite + truncate)", len(obs.overwritten))
+	if len(obs.overwritten) != 1 {
+		t.Fatalf("overwrite notifications %d, want 1", len(obs.overwritten))
 	}
 	// Zero-length overwrite must not notify.
 	g, _ := fs.Create("quiet", 0)

@@ -3,6 +3,7 @@ package workload
 import (
 	"math/bits"
 
+	"repro/internal/adopt"
 	"repro/internal/filesys"
 )
 
@@ -26,11 +27,19 @@ type fileSet struct {
 	live  int
 }
 
-// newFileSet returns an empty set sized for maxLive files.
-func newFileSet(maxLive int) *fileSet {
-	s := &fileSet{}
-	s.resize(2 * (maxLive + 1))
-	return s
+// newFileSet returns an empty set sized for maxLive files, on old's
+// arrays (through adopt) where they are large enough; old may be nil.
+func newFileSet(old *fileSet, maxLive int) *fileSet {
+	if old == nil {
+		old = &fileSet{}
+	}
+	n := 2 * (maxLive + 1)
+	// An empty set's tree is all zeros.
+	return &fileSet{
+		slots: adopt.Zeroed(old.slots, n),
+		keep:  adopt.Zeroed(old.keep, n),
+		tree:  adopt.Zeroed(old.tree, n+1),
+	}
 }
 
 // Len returns the number of live files.

@@ -36,7 +36,7 @@ func checkFileSetScript(t *testing.T, script []byte) {
 	if len(script) == 0 {
 		return
 	}
-	s := newFileSet(int(script[0] % 8))
+	s := newFileSet(nil, int(script[0]%8))
 	m := &sliceModel{}
 	var nextID uint64
 	for pc := 1; pc+1 < len(script); pc += 2 {
@@ -130,7 +130,7 @@ func FuzzFileSet(f *testing.F) {
 // allocation volume from rising with the number of deletes.
 func TestFileSetCompactsInPlace(t *testing.T) {
 	const maxLive = 100
-	s := newFileSet(maxLive)
+	s := newFileSet(nil, maxLive)
 	files := make([]*filesys.File, maxLive+1)
 	for i := range files {
 		files[i] = &filesys.File{ID: uint64(i + 1)}

@@ -141,6 +141,15 @@ type Generator struct {
 
 // NewGenerator builds a generator over fs.
 func NewGenerator(prof Profile, fs *filesys.FS, pageBytes int, seed int64) *Generator {
+	return NewGeneratorFrom(nil, prof, fs, pageBytes, seed)
+}
+
+// NewGeneratorFrom is NewGenerator building on a retired generator's
+// storage: the file set's arrays come from old through adopt where they
+// are large enough and its random source is re-seeded, and everything
+// else about the result is what NewGenerator sets — NewGenerator is this
+// body with no donor. old must not be used afterwards; nil is allowed.
+func NewGeneratorFrom(old *Generator, prof Profile, fs *filesys.FS, pageBytes int, seed int64) *Generator {
 	// Scale the file-population cap to the device: enough files of the
 	// profile's mean write size to reach the target utilization, plus
 	// slack for churn.
@@ -152,13 +161,22 @@ func NewGenerator(prof Profile, fs *filesys.FS, pageBytes int, seed int64) *Gene
 	if needed > prof.MaxFiles {
 		prof.MaxFiles = needed
 	}
+	if old == nil {
+		old = &Generator{}
+	}
+	rng := old.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
 	return &Generator{
 		prof:           prof,
 		fs:             fs,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            rng,
 		SecureFraction: 1.0,
 		pageBytes:      pageBytes,
-		files:          newFileSet(prof.MaxFiles),
+		files:          newFileSet(old.files, prof.MaxFiles),
 	}
 }
 

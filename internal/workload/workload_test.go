@@ -320,22 +320,41 @@ func TestGoldenRequestStreams(t *testing.T) {
 	}
 
 	// The experiment shape: prefill to 75 % through Fill, then RunPages,
-	// on the profile that exercises paired creates and protected files.
-	s := newStreamHasher()
-	fs, err := filesys.New(s, logicalPages, pageBytes)
+	// on the profile that exercises paired creates and protected files —
+	// once on a file system and generator of their own, and once on those
+	// of a retired MailServer pair that ran on a larger device, as a grid
+	// cell builds its host side.
+	fillRun := func(name string, oldFS *filesys.FS, old *Generator) {
+		t.Helper()
+		s := newStreamHasher()
+		fs, err := filesys.NewFrom(oldFS, s, logicalPages, pageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGeneratorFrom(old, Mobile(), fs, pageBytes, seed)
+		if err := g.Fill(0.75); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RunPages(studyPages); err != nil {
+			t.Fatal(err)
+		}
+		if s.n != goldenFillRunN || s.sum() != goldenFillRun {
+			t.Errorf("Mobile fill+run %s: %d requests sha %s, want %d %s", name, s.n, s.sum(), goldenFillRunN, goldenFillRun)
+		}
+	}
+	fillRun("on its own storage", nil, nil)
+	donorFS, err := filesys.New(newStreamHasher(), logicalPages+50_000, pageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGenerator(Mobile(), fs, pageBytes, seed)
-	if err := g.Fill(0.75); err != nil {
+	donor := NewGenerator(MailServer(), donorFS, pageBytes, seed+1)
+	if err := donor.Fill(0.75); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.RunPages(studyPages); err != nil {
+	if err := donor.RunPages(studyPages / 4); err != nil {
 		t.Fatal(err)
 	}
-	if s.n != goldenFillRunN || s.sum() != goldenFillRun {
-		t.Errorf("Mobile fill+run: %d requests sha %s, want %d %s", s.n, s.sum(), goldenFillRunN, goldenFillRun)
-	}
+	fillRun("on a retired MailServer pair", donorFS, donor)
 }
 
 const (
