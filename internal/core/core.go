@@ -293,11 +293,11 @@ func (d *Device) VerifySanitization() error {
 			continue
 		}
 		chip, block, page := g.Locate(ppa)
-		res, err := d.ssd.Chips()[chip].Read(nand.PageAddr{Block: block, Page: page}, 0)
+		data, err := d.ssd.Chips()[chip].Read(nand.PageAddr{Block: block, Page: page}, 0)
 		if err != nil {
 			continue // locked or unreadable: sanitized
 		}
-		for _, b := range res.Data {
+		for _, b := range data {
 			if b != 0 {
 				return fmt.Errorf("%w: physical page %d", ErrSanitizationViolated, p)
 			}

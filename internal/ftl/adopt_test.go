@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/adopt/adopttest"
+	"repro/internal/audit"
 	"repro/internal/blockio"
 	"repro/internal/ftl"
 	"repro/internal/ftl/ftltest"
@@ -68,8 +69,9 @@ func churn(t *testing.T, f *ftl.FTL, seed int64, n int) {
 
 // usedFTL returns a translation layer that has been through GC, lock
 // batching across requests, multi-plane striping, and every rung of the
-// recovery ladder (failed programs, pLocks, bLocks and erases).
-func usedFTL(t *testing.T) *ftl.FTL {
+// recovery ladder (failed programs, pLocks, bLocks and erases) — under a
+// collector when traced, so that it holds file annotations too.
+func usedFTL(t *testing.T, traced bool) *ftl.FTL {
 	t.Helper()
 	geo := adoptGeometry(t, 2, 16, 8, 2)
 	tgt := ftltest.New(geo)
@@ -87,7 +89,11 @@ func usedFTL(t *testing.T) *ftl.FTL {
 	tgt.FailPLock = func(ftl.PPA) error { return plock() }
 	tgt.FailBLock = func(int) error { return block() }
 	tgt.FailErase = func(int) error { return erase() }
-	f, err := ftl.New(adoptConfig(geo, 0.5, ftl.LockBatchConfig{Enabled: true, Deadline: 400, Threshold: 24}), tgt, sanitize.SecSSD())
+	cfg := adoptConfig(geo, 0.5, ftl.LockBatchConfig{Enabled: true, Deadline: 400, Threshold: 24})
+	if traced {
+		cfg.Tracer = &capture{}
+	}
+	f, err := ftl.New(cfg, tgt, sanitize.SecSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,8 @@ func usedFTL(t *testing.T) *ftl.FTL {
 // construction, the FTL New builds — every mapping, status, counter,
 // queue and free list compared field by field — and maps the same
 // workload the same way. Each next configuration differs from the
-// donor's.
+// donor's, tracing included: a traced donor hands on to an untraced build
+// and the reverse.
 func TestNewFromEqualsNew(t *testing.T) {
 	for _, next := range []struct {
 		name   string
@@ -113,11 +120,12 @@ func TestNewFromEqualsNew(t *testing.T) {
 		share  float64
 		lb     ftl.LockBatchConfig
 		policy string
+		traced bool
 	}{
-		{"same geometry, no batching, more capacity, erSSD", adoptGeometry(t, 2, 16, 8, 2), 0.6, ftl.LockBatchConfig{}, "erSSD"},
-		{"same configuration", adoptGeometry(t, 2, 16, 8, 2), 0.5, ftl.LockBatchConfig{Enabled: true, Deadline: 400, Threshold: 24}, "secSSD"},
-		{"one plane, fewer blocks", adoptGeometry(t, 2, 12, 4, 1), 0.4, ftl.LockBatchConfig{Enabled: true}, "scrSSD"},
-		{"more chips", adoptGeometry(t, 4, 16, 12, 2), 0.5, ftl.LockBatchConfig{Enabled: true}, "secSSD_nobLock"},
+		{"same geometry, no batching, more capacity, erSSD", adoptGeometry(t, 2, 16, 8, 2), 0.6, ftl.LockBatchConfig{}, "erSSD", false},
+		{"same configuration", adoptGeometry(t, 2, 16, 8, 2), 0.5, ftl.LockBatchConfig{Enabled: true, Deadline: 400, Threshold: 24}, "secSSD", true},
+		{"one plane, fewer blocks", adoptGeometry(t, 2, 12, 4, 1), 0.4, ftl.LockBatchConfig{Enabled: true}, "scrSSD", false},
+		{"more chips", adoptGeometry(t, 4, 16, 12, 2), 0.5, ftl.LockBatchConfig{Enabled: true}, "secSSD_nobLock", true},
 	} {
 		t.Run(next.name, func(t *testing.T) {
 			build := func(donor *ftl.FTL) *ftl.FTL {
@@ -125,13 +133,17 @@ func TestNewFromEqualsNew(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, err := ftl.NewFrom(donor, adoptConfig(next.geo, next.share, next.lb), ftltest.New(next.geo), policy)
+				cfg := adoptConfig(next.geo, next.share, next.lb)
+				if next.traced {
+					cfg.Tracer = &capture{}
+				}
+				f, err := ftl.NewFrom(donor, cfg, ftltest.New(next.geo), policy)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return f
 			}
-			fresh, adopted := build(nil), build(usedFTL(t))
+			fresh, adopted := build(nil), build(usedFTL(t, !next.traced))
 			if d := adopttest.Diff(fresh, adopted); d != "" {
 				t.Fatalf("FTL built from a used one differs from a new one at %s", d)
 			}
@@ -146,5 +158,72 @@ func TestNewFromEqualsNew(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fileAnnotations is the length of the FTL's unexported per-page file
+// annotation table.
+func fileAnnotations(f *ftl.FTL) int {
+	return reflect.ValueOf(f).Elem().FieldByName("fileOf").Len()
+}
+
+// lifecycles is a collector that checks, as the events arrive, that every
+// relocated copy and every invalidation carries the file its source page
+// was written for.
+type lifecycles struct {
+	capture
+	t      *testing.T
+	fileAt map[uint32]uint64
+	moved  int
+}
+
+func (l *lifecycles) Audit(ev audit.Event) {
+	l.capture.Audit(ev)
+	switch ev.Kind {
+	case audit.KindCopy:
+		if ev.Src != audit.NoSrc {
+			if want := l.fileAt[ev.Src]; ev.File != want {
+				l.t.Errorf("copy of page %d to %d carries file %d, want %d", ev.Src, ev.Page, ev.File, want)
+			}
+			l.moved++
+		}
+		l.fileAt[ev.Page] = ev.File
+	case audit.KindInvalidate:
+		if want := l.fileAt[ev.Page]; ev.File != want {
+			l.t.Errorf("invalidation of page %d carries file %d, want %d", ev.Page, ev.File, want)
+		}
+	}
+}
+
+// TestFileAnnotationsOnlyUnderCollector: the per-page file annotations
+// feed only the audit events, so an FTL without a collector holds none —
+// whatever its donor held — and one with a collector holds a full table,
+// from which every relocation and invalidation event reports the file of
+// the page it moved or staled.
+func TestFileAnnotationsOnlyUnderCollector(t *testing.T) {
+	geo := adoptGeometry(t, 2, 16, 8, 2)
+	lb := ftl.LockBatchConfig{Enabled: true, Deadline: 400, Threshold: 24}
+	untraced, err := ftl.NewFrom(usedFTL(t, true), adoptConfig(geo, 0.5, lb), ftltest.New(geo), sanitize.ScrSSD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, untraced, 9, 1500)
+	if n := fileAnnotations(untraced); n != 0 {
+		t.Errorf("untraced FTL built from a traced one holds %d file annotations, want none", n)
+	}
+
+	cfg := adoptConfig(geo, 0.5, lb)
+	col := &lifecycles{t: t, fileAt: map[uint32]uint64{}}
+	cfg.Tracer = col
+	traced, err := ftl.NewFrom(usedFTL(t, false), cfg, ftltest.New(geo), sanitize.ScrSSD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fileAnnotations(traced); n != geo.TotalPages() {
+		t.Errorf("traced FTL built from an untraced one holds %d file annotations, want %d", n, geo.TotalPages())
+	}
+	churn(t, traced, 9, 1500)
+	if col.moved == 0 {
+		t.Fatal("no relocation was reported: the annotation path was not exercised")
 	}
 }

@@ -27,9 +27,12 @@ type FTL struct {
 	// the audit ledger.
 	ladderDepth int
 
-	l2p    []PPA    // logical page -> physical page
-	p2l    []int64  // physical page -> logical page (-1 when none)
-	fileOf []uint64 // physical page -> owning file annotation
+	l2p []PPA   // logical page -> physical page
+	p2l []int64 // physical page -> logical page (-1 when none)
+	// fileOf maps a physical page to its owning file annotation. Only the
+	// audit events read it, so it exists only when traceOn, the way the
+	// lock-queue arrays exist only under LockBatch.Enabled.
+	fileOf []uint64
 	status []PageStatus
 	// statusCount tracks the page population per PageStatus; every status
 	// transition goes through setStatus to keep it exact. It feeds the
@@ -148,7 +151,6 @@ func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 		policy:       policy,
 		l2p:          adopt.Zeroed(old.l2p, cfg.LogicalPages),
 		p2l:          adopt.Zeroed(old.p2l, g.TotalPages()),
-		fileOf:       adopt.Zeroed(old.fileOf, g.TotalPages()),
 		status:       adopt.Zeroed(old.status, g.TotalPages()),
 		liveInBlock:  adopt.Zeroed(old.liveInBlock, g.TotalBlocks()),
 		usedInBlock:  adopt.Zeroed(old.usedInBlock, g.TotalBlocks()),
@@ -175,6 +177,9 @@ func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 		f.tracer = trace.Nop{}
 	}
 	f.traceOn = f.tracer.Enabled()
+	if f.traceOn {
+		f.fileOf = adopt.Zeroed(old.fileOf, g.TotalPages())
+	}
 	if cfg.LockBatch.Enabled {
 		f.lockq.groupIdx = adopt.Zeroed(old.lockq.groupIdx, g.TotalWLs())
 		f.lockq.pending = adopt.Zeroed(old.lockq.pending, g.TotalPages())
@@ -418,7 +423,9 @@ func (f *FTL) commitWrite(p PPA, lpa int64, secure bool, file uint64) {
 	f.stampMeta(p, lpa, secure)
 	f.l2p[lpa] = p
 	f.p2l[p] = lpa
-	f.fileOf[p] = file
+	if f.traceOn {
+		f.fileOf[p] = file
+	}
 	if secure {
 		f.setStatus(p, PageSecured)
 	} else {
@@ -868,7 +875,10 @@ func (f *FTL) RelocateWLSiblings(p PPA) int {
 func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 	lpa := f.p2l[p]
 	st := f.status[p]
-	file := f.fileOf[p]
+	var file uint64
+	if f.traceOn {
+		file = f.fileOf[p]
+	}
 	block := f.geo.BlockOf(p)
 	chip := f.geo.ChipOfBlock(block)
 
@@ -917,7 +927,9 @@ func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
 		f.l2p[lpa] = np
 	}
 	f.p2l[np] = lpa
-	f.fileOf[np] = file
+	if f.traceOn {
+		f.fileOf[np] = file
+	}
 	f.setStatus(np, st)
 	f.liveInBlock[f.geo.BlockOf(np)]++
 	origin := audit.OriginEvacuate
@@ -998,7 +1010,9 @@ func (f *FTL) eraseBlock(block int) bool {
 		}
 		f.setStatus(p, PageFree)
 		f.p2l[p] = -1
-		f.fileOf[p] = 0
+	}
+	if f.traceOn {
+		clear(f.fileOf[first : first+PPA(f.geo.PagesPerBlock)])
 	}
 	f.liveInBlock[block] = 0
 	f.usedInBlock[block] = 0

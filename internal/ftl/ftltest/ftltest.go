@@ -94,8 +94,8 @@ func (t *CountingTarget) read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	chip, a := t.addr(p)
 	var data []byte
 	if t.Chips != nil {
-		if res, err := t.Chips[chip].Read(a, dep); err == nil {
-			data = res.Data
+		if d, err := t.Chips[chip].Read(a, dep); err == nil {
+			data = d
 		}
 	}
 	return data, t.exec(chip, t.Timing.Read, dep)
@@ -127,8 +127,8 @@ func (t *CountingTarget) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros,
 	chipD, aDst := t.addr(dst)
 	if t.Chips != nil {
 		var data []byte
-		if res, err := t.Chips[chipS].Read(aSrc, dep); err == nil {
-			data = res.Data
+		if d, err := t.Chips[chipS].Read(aSrc, dep); err == nil {
+			data = d
 		}
 		if data == nil {
 			data = []byte{}

@@ -47,7 +47,9 @@ func (f *FTL) markFault(class trace.OpClass, block, page int, at sim.Micros) {
 func (f *FTL) quarantineFailedProgram(p PPA, secure bool, file uint64, at sim.Micros) {
 	f.stats.ProgramFailures++
 	f.markFault(trace.OpProgramFail, f.geo.BlockOf(p), f.geo.PageInBlock(p), at)
-	f.fileOf[p] = file
+	if f.traceOn {
+		f.fileOf[p] = file
+	}
 	f.noteCopy(p, audit.NoSrc, -1, file, secure, audit.OriginQuarantine, at)
 	f.noteInvalidated(p, secure, at)
 	f.policy.Invalidate(f, p, secure)
@@ -146,7 +148,9 @@ func (f *FTL) retireBlock(block int, at sim.Micros) {
 		p := first + PPA(i)
 		f.setStatus(p, PageRetired)
 		f.p2l[p] = -1
-		f.fileOf[p] = 0
+	}
+	if f.traceOn {
+		clear(f.fileOf[first : first+PPA(f.geo.PagesPerBlock)])
 	}
 	f.liveInBlock[block] = 0
 	f.usedInBlock[block] = int32(f.geo.PagesPerBlock)

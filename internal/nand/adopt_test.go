@@ -48,7 +48,7 @@ func TestNewFromEqualsNew(t *testing.T) {
 	}{
 		{"same shape, other seed, no faults", base, func() []Option { return []Option{WithSeed(99)} }},
 		{"same shape, faults and a cut schedule", with(func(g *Geometry) { g.Planes = 2 }), func() []Option {
-			return []Option{WithSeed(3), WithErrorInjection(), WithPowerCut(fault.NewCutState()),
+			return []Option{WithSeed(3), WithPowerCut(fault.NewCutState()),
 				WithFaults(fault.New(fault.Uniform(1e-2, 5), 1))}
 		}},
 		{"smaller, fewer flag cells", with(func(g *Geometry) {
@@ -60,16 +60,13 @@ func TestNewFromEqualsNew(t *testing.T) {
 		t.Run(next.name, func(t *testing.T) {
 			_, donor := runMediaScript(t, nil, 2, 5)
 			stores, used, _ := donor.LazyState()
-			var reads, wear int
+			var wear int
 			for b := range donor.blocks {
 				wear += donor.blocks[b].peCycles
-				for _, r := range donor.blocks[b].wlReads {
-					reads += int(r)
-				}
 			}
-			if stores == 0 || used == 0 || reads == 0 || wear == 0 || donor.dayOffset == 0 {
-				t.Fatalf("donor is not dirty: %d payload stores, %d flag chunks, %d read disturbs, %d P/E cycles, day %v",
-					stores, used, reads, wear, donor.dayOffset)
+			if stores == 0 || used == 0 || donor.opCount[OpRead] == 0 || wear == 0 || donor.dayOffset == 0 {
+				t.Fatalf("donor is not dirty: %d payload stores, %d flag chunks, %d reads, %d P/E cycles, day %v",
+					stores, used, donor.opCount[OpRead], wear, donor.dayOffset)
 			}
 			fresh, err := New(next.geo, next.opts()...)
 			if err != nil {

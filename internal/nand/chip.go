@@ -12,9 +12,12 @@
 // matter which interface issues it, and locks can only be cleared by a
 // physical block erase, which destroys the data first.
 //
-// Each wordline tracks its operating history (P/E cycles, program time,
-// program disturbs, open interval) so reads can consult the vth cell
-// model for reliability queries and optional error injection.
+// The chip keeps what those semantics and the remount scan read: per
+// page the payload, the spare-area stamp and the pAP flag cells; per
+// block the write pointer, P/E count and bAP (SSL) state. Every read
+// path — the host Read, the internal leg of Copyback, ForensicDump —
+// shares one sense step that applies the lock votes; only Read crosses
+// the bus, so only Read draws the fault injector's transfer errors.
 package nand
 
 import (
@@ -223,30 +226,21 @@ type pageRec struct {
 }
 
 // block is one erase unit. Per-page state lives in the chip-wide record
-// table (pageRec) and flag-cell arena; the block itself holds only the
-// per-wordline operating history, as parallel arrays (the read path
-// touches one field of up to three wordlines per operation) that are the
-// block's windows into the chip-wide wlHistory, and the payload store,
-// which a timing-only run never creates.
+// table (pageRec) and flag-cell arena; the block itself holds its write
+// pointer, wear and bAP state, and the payload store, which a
+// timing-only run never creates.
 type block struct {
 	// data holds the stored payload bytes per page. It is created by the
 	// block's first non-empty Program and kept across erases; a nil entry
 	// below writePtr is a page programmed with a zero-length payload.
-	data [][]byte
-	// Per-wordline history, indexed by wordline:
-	wlDisturbs   []int32   // pLock pulses applied while data cells were inhibited
-	wlReads      []int32   // disturb events from reads of neighbouring WLs
-	wlProgDay    []float64 // when the data cells were programmed (sim days)
-	wlProgrammed []bool
-	writePtr     int // next page to program (append-only discipline)
+	data     [][]byte
+	writePtr int // next page to program (append-only discipline)
 	// flagEnd is one past the highest page whose pAP flag is programmed.
 	// The FTL only locks programmed pages, but the raw command set does not
 	// stop a pLock beyond writePtr, so Erase clears records up to whichever
 	// of the two is higher.
-	flagEnd    int
-	peCycles   int
-	erasedDay  float64 // when the block was last erased (for open interval)
-	everErased bool
+	flagEnd  int
+	peCycles int
 	// sslCenter > 0 means bLock programmed the SSL to that center Vth.
 	sslCenter  float64
 	sslLockDay float64
@@ -264,21 +258,11 @@ func (blk *block) payload(page int) []byte {
 	return blk.data[page]
 }
 
-// wlHistory backs every block's per-wordline arrays: one entry per
-// wordline of the chip, block-major.
-type wlHistory struct {
-	disturbs   []int32
-	reads      []int32
-	progDay    []float64
-	programmed []bool
-}
-
 // Chip is one emulated NAND die.
 type Chip struct {
 	geo    Geometry
 	timing Timing
 	blocks []block
-	wls    wlHistory
 	recs   []pageRec // one per page, block-major
 
 	// The pAP flag of a locked page is k spare cells (§5.3); only locked
@@ -290,13 +274,10 @@ type Chip struct {
 	flagFree   []uint32 // retired slots, reused before the arena grows
 
 	// Address arithmetic hoisted out of the per-op path at New:
-	// Geometry.PagesPerBlock and PagesPerWL evaluate a CellKind switch, and
-	// page → wordline is a division by a non-power-of-two.
+	// Geometry.PagesPerBlock and PagesPerWL evaluate a CellKind switch.
 	pagesPerBlock int
 	pagesPerWL    int
-	wlOfPage      []int32 // page index -> wordline
 
-	model     *vth.Model    // data-cell model (reliability queries)
 	flagModel vth.FlagModel // pAP flag cells
 	sslModel  vth.SSLModel  // bAP / SSL cells
 	plockV    float64       // pLock operating point (§5.3 combination (ii))
@@ -311,17 +292,9 @@ type Chip struct {
 	// simulation clock.
 	dayOffset float64
 
-	// injectErrors enables Monte-Carlo bit-error injection on reads.
-	injectErrors bool
-	eccLimit     float64 // per-page RBER limit when injecting
-
-	// faults, when set, decides per-operation failures and injected read
-	// bit errors (see internal/fault). noInject suppresses fault read
-	// injection on paths that bypass the ECC transfer path this model
-	// represents: the internal read of Copyback (an on-chip data move)
-	// and ForensicDump (the attacker's raw reader).
-	faults   *fault.Injector
-	noInject bool
+	// faults, when set, decides per-operation failures and the bit errors
+	// of Read's bus transfer (see internal/fault).
+	faults *fault.Injector
 
 	// cut, when set, is the device-wide power-loss schedule (see
 	// WithPowerCut); mutating ops check it at pulse start.
@@ -332,7 +305,7 @@ type Chip struct {
 	// Hot-path scratch and recycle pools. A chip is driven by one
 	// goroutine at a time (the device model serializes operations per
 	// chip), so a single scratch buffer per chip suffices.
-	readBuf  []byte    // backs ReadResult.Data — see Read's aliasing rule
+	readBuf  []byte    // Read's result and a locked page's zeros — see Read's aliasing rule
 	agedBuf  []float64 // pageLockedAt's decayed-flag scratch
 	pagePool [][]byte  // retired page payload buffers, refilled by Erase
 }
@@ -407,12 +380,6 @@ func (c *Chip) takePage(n int) []byte {
 // Option configures a Chip.
 type Option func(*Chip)
 
-// WithErrorInjection makes reads sample the cell model and fail with
-// ErrUncorrectable when the drawn error count exceeds the ECC limit.
-func WithErrorInjection() Option {
-	return func(c *Chip) { c.injectErrors = true }
-}
-
 // WithTiming overrides the command latencies.
 func WithTiming(t Timing) Option {
 	return func(c *Chip) { c.timing = t }
@@ -425,7 +392,7 @@ func WithSeed(seed int64) Option {
 
 // WithFaults attaches a fault injector: Program, Erase, PLock and BLock
 // can then fail with the injector's configured probabilities (returning
-// ErrProgramFailed etc. alongside their full latency), and reads draw
+// ErrProgramFailed etc. alongside their full latency), and Read draws
 // injected bit errors judged against the injector's ECC engine.
 func WithFaults(inj *fault.Injector) Option {
 	return func(c *Chip) { c.faults = inj }
@@ -437,11 +404,11 @@ func New(geo Geometry, opts ...Option) (*Chip, error) {
 }
 
 // NewFrom is New building on a retired chip's storage: the page records,
-// wordline history, flag-cell arena, address table and scratch buffers
-// come from old through adopt.Zeroed where they are large enough, and
-// everything else about the result is what New sets — New is this body
-// with no donor. Payload stores and the payload buffer pool are never
-// taken over. old must not be used afterwards; nil is allowed.
+// flag-cell arena and scratch buffers come from old through adopt.Zeroed
+// where they are large enough, and everything else about the result is
+// what New sets — New is this body with no donor. Payload stores and the
+// payload buffer pool are never taken over. old must not be used
+// afterwards; nil is allowed.
 func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -456,59 +423,29 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	rng.Seed(1)
-	var model *vth.Model
-	switch geo.CellKind {
-	case vth.MLC:
-		model = vth.NewMLC()
-	case vth.QLC:
-		model = vth.NewQLC()
-	default:
-		model = vth.NewTLC()
-	}
-	totalWLs := geo.Blocks * geo.WLsPerBlock
 	c := &Chip{
 		geo:    geo,
 		timing: DefaultTiming(),
 		blocks: adopt.Zeroed(old.blocks, geo.Blocks),
-		wls: wlHistory{
-			disturbs:   adopt.Zeroed(old.wls.disturbs, totalWLs),
-			reads:      adopt.Zeroed(old.wls.reads, totalWLs),
-			progDay:    adopt.Zeroed(old.wls.progDay, totalWLs),
-			programmed: adopt.Zeroed(old.wls.programmed, totalWLs),
-		},
-		recs: adopt.Zeroed(old.recs, geo.TotalPages()),
+		recs:   adopt.Zeroed(old.recs, geo.TotalPages()),
 		// Adopted chunks are zeroed and handed out again from slot 1, so
 		// slot numbers do not depend on how many chunks there already are.
 		flagChunks: adopt.ZeroedEach(old.flagChunks, flagChunkSlots*(geo.FlagCells+1)),
 		flagFree:   adopt.Zeroed(old.flagFree, 0),
-		model:      model,
 		flagModel:  vth.DefaultFlagModel(),
 		sslModel:   vth.DefaultSSLModel(),
 		// §5.3 final pLock operating point: combination (ii) = (Vp4, 100µs).
 		plockV: vth.PLockVoltages[3],
 		plockT: 100,
 		// §5.4 final bLock operating point: combination (ii) = (Vb6, 300µs).
-		blockV:   vth.BLockVoltages[5],
-		blockT:   300,
-		rng:      rng,
-		eccLimit: model.ECCLimitRBER,
-		readBuf:  adopt.Zeroed(old.readBuf, geo.PageBytes),
-		agedBuf:  adopt.Zeroed(old.agedBuf, geo.FlagCells),
+		blockV:  vth.BLockVoltages[5],
+		blockT:  300,
+		rng:     rng,
+		readBuf: adopt.Zeroed(old.readBuf, geo.PageBytes),
+		agedBuf: adopt.Zeroed(old.agedBuf, geo.FlagCells),
 
 		pagesPerBlock: geo.PagesPerBlock(),
 		pagesPerWL:    geo.PagesPerWL(),
-	}
-	c.wlOfPage = adopt.Zeroed(old.wlOfPage, c.pagesPerBlock)
-	for page := range c.wlOfPage {
-		c.wlOfPage[page] = int32(page / c.pagesPerWL)
-	}
-	for b := range c.blocks {
-		blk := &c.blocks[b]
-		lo, hi := b*geo.WLsPerBlock, (b+1)*geo.WLsPerBlock
-		blk.wlDisturbs = c.wls.disturbs[lo:hi:hi]
-		blk.wlReads = c.wls.reads[lo:hi:hi]
-		blk.wlProgDay = c.wls.progDay[lo:hi:hi]
-		blk.wlProgrammed = c.wls.programmed[lo:hi:hi]
 	}
 	for _, o := range opts {
 		o(c)
@@ -562,22 +499,6 @@ func (c *Chip) AdvanceDays(days float64) {
 func (c *Chip) nowDays(now sim.Micros) float64 {
 	const microsPerDay = 24 * 3600 * 1e6
 	return c.dayOffset + float64(now)/microsPerDay
-}
-
-// wlOf maps a page index to its wordline and the page slot within the WL.
-// Pages are striped WL-major in program order: WL0 holds pages
-// 0..bits-1, WL1 the next bits, etc., matching the paper's Fig. 8 layout
-// where the LSB/CSB/MSB pages of a WL have adjacent page numbers.
-func (c *Chip) wlOf(page int) (wl, slot int) {
-	wl = int(c.wlOfPage[page])
-	return wl, page - wl*c.pagesPerWL
-}
-
-// PageKindOf returns which page of its wordline (LSB/CSB/MSB) a page
-// index is.
-func (c *Chip) PageKindOf(page int) vth.PageKind {
-	_, slot := c.wlOf(page)
-	return vth.PagesPerWL(c.geo.CellKind)[slot]
 }
 
 func (c *Chip) checkAddr(a PageAddr) error {

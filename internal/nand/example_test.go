@@ -28,9 +28,9 @@ func Example() {
 	if _, err := chip.PLock(addr, 0); err != nil {
 		panic(err)
 	}
-	res, err := chip.Read(addr, 0)
+	data, err := chip.Read(addr, 0)
 	fmt.Printf("locked read error: %v\n", err == nand.ErrPageLocked)
-	fmt.Printf("data bytes all zero: %v\n", allZero(res.Data))
+	fmt.Printf("data bytes all zero: %v\n", allZero(data))
 
 	// Only an erase re-enables the page — and it destroys the data first.
 	if _, err := chip.Erase(0, 0); err != nil {

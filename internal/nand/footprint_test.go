@@ -20,9 +20,9 @@ func defaultScaleChip() nand.Geometry {
 }
 
 // TestNewFootprint bounds what a chip costs before its first command: a
-// 24-byte record per page plus the per-wordline history (17 B per
-// wordline, under 6 B per TLC page) and the read scratch. Payload
-// stores and flag cells are not part of it — they appear on first use.
+// 24-byte record per page, the per-block state and the read scratch.
+// Payload stores and flag cells are not part of it — they appear on
+// first use.
 func TestNewFootprint(t *testing.T) {
 	geo := defaultScaleChip()
 	var before, after runtime.MemStats
@@ -33,8 +33,8 @@ func TestNewFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	perPage := float64(after.TotalAlloc-before.TotalAlloc) / float64(geo.TotalPages())
-	if perPage > 36 {
-		t.Errorf("nand.New allocated %.1f B/page at default-scale geometry, want at most 36", perPage)
+	if perPage > 26 {
+		t.Errorf("nand.New allocated %.1f B/page at default-scale geometry, want at most 26", perPage)
 	}
 	if stores, _, chunks := c.LazyState(); stores != 0 || chunks != 0 {
 		t.Errorf("fresh chip already holds %d payload stores and %d flag chunks", stores, chunks)
@@ -101,5 +101,37 @@ func TestFlashOpsAllocsPerRun(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("%.1f allocations per program+pLock+erase block cycle once warm, want 0", allocs)
+	}
+}
+
+// TestReadCopybackAllocsPerRun: the read paths allocate nothing once the
+// chip is warm — neither a host Read, which copies into the read scratch,
+// nor a Copyback, whose program reuses a payload buffer the erase
+// retired.
+func TestReadCopybackAllocsPerRun(t *testing.T) {
+	c, err := nand.New(defaultScaleChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := nand.PageAddr{Block: 0, Page: 0}
+	if _, err := c.Program(src, []byte("relocated payload"), 0); err != nil {
+		t.Fatal(err)
+	}
+	ppb := c.Geometry().PagesPerBlock()
+	cycle := func() {
+		for page := 0; page < ppb; page++ {
+			if _, err := c.Read(src, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Copyback(src, nand.PageAddr{Block: 1, Page: page}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Erase(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("%.1f allocations per read+copyback block cycle once warm, want 0", allocs)
 	}
 }

@@ -48,9 +48,9 @@ func (c *Chip) StampOOB(a PageAddr, m OOBMeta) error {
 // PageProbe is one physical page's surviving media state as seen by the
 // controller's boot-time remount scan. The probe models the flash
 // array's raw state machine view (write pointer, access-control flags,
-// spare area) rather than a data-path read: it perturbs no disturb
-// counters and draws no fault decisions, so a remount scan leaves the
-// fault schedule and the reliability model untouched.
+// spare area) rather than a data-path read: it counts no read and draws
+// no fault decision, so a remount scan leaves the op counters and the
+// fault schedule untouched.
 type PageProbe struct {
 	// Programmed reports whether the block's write pointer has passed
 	// the page.

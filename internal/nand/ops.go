@@ -1,114 +1,74 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/fault"
-	"repro/internal/nand/vth"
 	"repro/internal/sim"
 )
 
-// ReadResult is the outcome of a page read.
-type ReadResult struct {
-	// Data is the page payload. For a locked page or block it is all
-	// zeros, matching the paper's "a read request to a sanitized page
-	// always returns data with all bits set to 0".
-	//
-	// Aliasing rule: Data points into a per-chip scratch buffer and is
-	// only valid until the next operation on the same chip. Callers must
-	// either consume it immediately (compare, stream out) or copy it;
-	// Program copies its payload, so the common Read→Program relocation
-	// chain is safe without an extra copy.
-	Data []byte
-	// Latency is tREAD (the lock check happens during the normal read
-	// flow, adding no latency).
-	Latency sim.Micros
-	// CorrectedBits is the number of injected bit errors the ECC model
-	// repaired (only populated with WithErrorInjection).
-	CorrectedBits int
-}
-
-// CloneData returns a caller-owned copy of Data (nil stays nil). It is
-// the documented copy helper for holding page contents across later
-// operations on the same chip; ssd.ReadLogical hands pages to the host
-// through it.
-func (r ReadResult) CloneData() []byte {
-	if r.Data == nil {
-		return nil
-	}
-	return append([]byte(nil), r.Data...)
-}
-
-// Read performs a page read at simulated time now.
+// sense is the array read every read path shares. It counts the read,
+// runs the bAP then the pAP vote and returns the stored payload: nil when
+// the page is erased, zeros of the payload's length when it is locked.
+// The bytes are the chip's own — its payload store or its read scratch —
+// and valid until the next operation on the chip. The address must have
+// passed checkAddr.
 //
-// Security semantics (§5.2): if the block's bAP flag is disabled the read
-// fails with ErrBlockLocked; otherwise if the page's pAP flag is disabled
-// it fails with ErrPageLocked. In both cases the returned data is all
-// zeros — the bridge transistor gates the data-out path, so even an
-// attacker with full command access learns nothing.
-func (c *Chip) Read(a PageAddr, now sim.Micros) (ReadResult, error) {
-	if err := c.checkAddr(a); err != nil {
-		return ReadResult{}, err
-	}
+// Security semantics (§5.2): a disabled bAP flag fails the sense with
+// ErrBlockLocked, otherwise a disabled pAP flag with ErrPageLocked. The
+// bridge transistor gates the data-out path, so whichever interface
+// issued the read — the controller, the internal copyback leg, an
+// attacker's raw dump — learns nothing but the zeros.
+func (c *Chip) sense(a PageAddr, now sim.Micros) ([]byte, error) {
 	c.opCount[OpRead]++
-	res := ReadResult{Latency: c.timing.Read}
 	blk := &c.blocks[a.Block]
 	day := c.nowDays(now)
 	stored := blk.payload(a.Page)
-
 	// bAP check first (Fig. 7(b)): a disabled block blocks every page.
 	if c.blockLockedAt(blk, day) {
-		res.Data = c.zeroScratch(len(stored))
-		return res, ErrBlockLocked
+		return c.zeroScratch(len(stored)), ErrBlockLocked
 	}
 	// pAP check (Fig. 7(a)): the flag is read from the spare area
 	// concurrently with the data, decided by the k-cell majority circuit.
 	if c.pageLockedAt(c.rec(a), day) {
-		res.Data = c.zeroScratch(len(stored))
-		return res, ErrPageLocked
+		return c.zeroScratch(len(stored)), ErrPageLocked
 	}
+	return stored, nil
+}
 
-	// Reading one wordline stresses its neighbours with the VREAD pass
-	// voltage (read disturb, §2.1 footnote 3).
-	wlIdx, _ := c.wlOf(a.Page)
-	if wlIdx > 0 {
-		blk.wlReads[wlIdx-1]++
+// Read performs a page read at simulated time now: the sense step, then
+// the page's transfer to the controller. An erased page reads as nil; a
+// locked one fails with ErrBlockLocked or ErrPageLocked and reads as
+// zeros. The transfer crosses the bus, where an attached fault injector
+// may draw bit errors: beyond the ECC limit the read fails with
+// ErrUncorrectable and returns the mangled bytes.
+//
+// Aliasing rule: the returned bytes live in a per-chip scratch buffer and
+// are only valid until the next operation on the same chip. Callers must
+// either consume them immediately (compare, stream out) or copy them;
+// Program copies its payload, so a Read→Program chain is safe without an
+// extra copy.
+func (c *Chip) Read(a PageAddr, now sim.Micros) ([]byte, error) {
+	if err := c.checkAddr(a); err != nil {
+		return nil, err
 	}
-	if wlIdx+1 < len(blk.wlReads) {
-		blk.wlReads[wlIdx+1]++
-	}
-
-	if stored == nil {
-		// Erased flash reads as all ones.
-		res.Data = nil
-		return res, nil
+	stored, err := c.sense(a, now)
+	if err != nil || stored == nil {
+		return stored, err
 	}
 	data := c.readBuf[:len(stored)]
 	copy(data, stored)
-
-	if c.injectErrors {
-		corrected, err := c.injectReadErrors(blk, a, data, day)
-		res.CorrectedBits = corrected
-		if err != nil {
-			res.Data = data
-			return res, err
-		}
-	}
-	if c.faults != nil && !c.noInject && len(data) > 0 {
-		nerr, uncorrectable := c.faults.ReadErrors(len(data)*8, blk.peCycles, c.geo.EnduranceCycles)
+	if c.faults != nil {
+		nerr, uncorrectable := c.faults.ReadErrors(len(data)*8, c.blocks[a.Block].peCycles, c.geo.EnduranceCycles)
 		if uncorrectable {
 			// Model the failed transfer: the host sees mangled bytes.
 			c.faults.FlipBits(data, nerr)
-			res.Data = data
-			return res, fmt.Errorf("%w: injected %d raw errors in %d bits", ErrUncorrectable, nerr, len(data)*8)
+			return data, fmt.Errorf("%w: injected %d raw errors in %d bits", ErrUncorrectable, nerr, len(data)*8)
 		}
-		res.CorrectedBits += nerr
 	}
-	res.Data = data
-	return res, nil
+	return data, nil
 }
 
 // zeroScratch returns the first n bytes of the read scratch, zeroed.
@@ -160,73 +120,6 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 	return c.flagModel.MajorityReadsDisabled(aged)
 }
 
-// injectReadErrors draws a bit-error count from the cell model and flips
-// random bits; it returns ErrUncorrectable when the count exceeds the
-// ECC limit for the page.
-func (c *Chip) injectReadErrors(blk *block, a PageAddr, data []byte, day float64) (int, error) {
-	wl, _ := c.wlOf(a.Page)
-	cond := vth.Condition{
-		PECycles:        blk.peCycles,
-		RetentionDays:   maxf(0, day-blk.wlProgDay[wl]),
-		ReadDisturbs:    int(blk.wlReads[wl]),
-		ProgramDisturbs: int(blk.wlDisturbs[wl]),
-		DisturbV:        c.plockV,
-		DisturbT:        c.plockT,
-	}
-	if blk.everErased {
-		cond.OpenIntervalDays = maxf(0, blk.wlProgDay[wl]-blk.erasedDay)
-	}
-	rber := c.model.PageRBER(c.PageKindOf(a.Page), cond)
-	bits := len(data) * 8
-	if bits == 0 {
-		return 0, nil
-	}
-	// Binomial draw via Poisson approximation (rber*bits is small).
-	lambda := rber * float64(bits)
-	nerr := poissonDraw(c.rng, lambda)
-	limit := int(c.eccLimit * float64(bits))
-	if nerr > limit {
-		// Uncorrectable: corrupt the data to model a failed transfer.
-		for i := 0; i < nerr && i < bits; i++ {
-			p := c.rng.Intn(bits)
-			data[p/8] ^= 1 << uint(p%8)
-		}
-		return 0, fmt.Errorf("%w: %d errors in %d bits (limit %d)", ErrUncorrectable, nerr, bits, limit)
-	}
-	return nerr, nil
-}
-
-// poissonDraw samples Poisson(lambda). For small lambda it uses Knuth's
-// multiplication method; for large lambda the normal approximation, which
-// is accurate enough for error-count injection.
-func poissonDraw(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		n := int(lambda + math.Sqrt(lambda)*rng.NormFloat64() + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	limit := math.Exp(-lambda)
-	l := 1.0
-	for k := 0; ; k++ {
-		l *= rng.Float64()
-		if l < limit {
-			return k
-		}
-	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Program writes data to a page at simulated time now. The block must be
 // erased at that position and pages must be programmed in order, the
 // append-only discipline 3D NAND imposes.
@@ -258,12 +151,6 @@ func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros) (sim.Micros, err
 		blk.data[a.Page] = stored
 	}
 	blk.writePtr++
-
-	wl, slot := c.wlOf(a.Page)
-	if slot == 0 || !blk.wlProgrammed[wl] {
-		blk.wlProgDay[wl] = c.nowDays(now)
-		blk.wlProgrammed[wl] = true
-	}
 
 	// A power cut mid-pulse tears the write: the page is consumed and
 	// holds a readable prefix, but no OOB stamp ever lands — the
@@ -324,25 +211,16 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	}
 	clear(recs)
 	blk.flagEnd = 0
-	for w := range blk.wlDisturbs {
-		blk.wlDisturbs[w] = 0
-		blk.wlReads[w] = 0
-		blk.wlProgrammed[w] = false
-		blk.wlProgDay[w] = 0
-	}
 	blk.writePtr = 0
 	blk.peCycles++
 	blk.sslCenter = 0
 	blk.sslLockDay = 0
-	blk.erasedDay = c.nowDays(now)
-	blk.everErased = true
 	return c.timing.Erase, nil
 }
 
 // PLock disables access to one page by programming its k pAP flag cells
 // with the §5.3 operating point (one-shot, SBPI-inhibiting the data cells
-// and the sibling pages' flags). The sibling pages experience one program
-// disturb pulse.
+// and the sibling pages' flags).
 func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
@@ -350,28 +228,19 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	c.opCount[OpPLock]++
 	blk := &c.blocks[a.Block]
 	rec := c.rec(a)
-	wl, _ := c.wlOf(a.Page)
 	// A cut mid-pulse leaves the flag cells short of the majority
-	// threshold: the page stays readable, the WL took the disturb.
+	// threshold: the page stays readable.
 	if c.strike(fault.CutPLock) {
-		if rec.flag == 0 {
-			blk.wlDisturbs[wl]++
-		}
 		panic(PowerLoss{Op: OpPLock, Addr: a, At: now})
 	}
 	if rec.flag == 0 {
 		// A failed one-shot flag program leaves the page readable (the
-		// majority circuit still sees the flag enabled) but its pulse
-		// disturbed the WL all the same. pLock cannot be retried on the
-		// same flag cells — the FTL escalates to bLock.
+		// majority circuit still sees the flag enabled). pLock cannot be
+		// retried on the same flag cells — the FTL escalates to bLock.
 		if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-			blk.wlDisturbs[wl]++
 			return c.timing.PLock, ErrPLockFailed
 		}
 		c.programFlag(blk, a.Page, rec, c.nowDays(now))
-		// The high program voltage on the WL disturbs the inhibited data
-		// cells (Fig. 9(b)).
-		blk.wlDisturbs[wl]++
 	}
 	return c.timing.PLock, nil
 }
@@ -380,7 +249,7 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 // pulse. §5 programs pAP flags selectively per wordline: the one-shot
 // program voltage is applied to the WL while the data cells and the
 // flags of slots NOT in the batch are inhibited, so locking n sibling
-// pages costs one tpLock and one program disturb instead of n of each.
+// pages costs one tpLock instead of n.
 //
 // Failure semantics differ from the single-page PLock: the pulse either
 // charges every requested flag group past the majority threshold or
@@ -406,6 +275,12 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 	blk := &c.blocks[blockIdx]
 	base := wl * bits
 	recs := c.blockRecs(blockIdx, c.pagesPerBlock)
+	// The batched pulse is atomic all-or-none, and a power cut takes
+	// the "none" arm just like an injected FAIL: every requested flag
+	// is left unprogrammed and readable.
+	if c.strike(fault.CutPLockBatch) {
+		panic(PowerLoss{Op: OpPLockWL, Addr: PageAddr{Block: blockIdx, Page: base}, At: now})
+	}
 	need := false
 	for _, s := range slots {
 		if recs[base+s].flag == 0 {
@@ -413,22 +288,12 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 			break
 		}
 	}
-	// The batched pulse is atomic all-or-none, and a power cut takes
-	// the "none" arm just like an injected FAIL: every requested flag
-	// is left unprogrammed and readable.
-	if c.strike(fault.CutPLockBatch) {
-		if need {
-			blk.wlDisturbs[wl]++
-		}
-		panic(PowerLoss{Op: OpPLockWL, Addr: PageAddr{Block: blockIdx, Page: base}, At: now})
-	}
 	if !need {
 		return c.timing.PLock, nil
 	}
 	// One fault draw per pulse: the whole batch shares the one-shot
 	// program cycle.
 	if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-		blk.wlDisturbs[wl]++
 		return c.timing.PLock, ErrPLockFailed
 	}
 	for _, s := range slots {
@@ -436,9 +301,6 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 			c.programFlag(blk, base+s, rec, c.nowDays(now))
 		}
 	}
-	// A single pulse stresses the inhibited data cells once, however many
-	// flag groups it programs (Fig. 9(b)).
-	blk.wlDisturbs[wl]++
 	return c.timing.PLock, nil
 }
 
@@ -536,7 +398,9 @@ func (c *Chip) BLock(blockIdx int, now sim.Micros) (sim.Micros, error) {
 // cell's Vth until the state distributions merge (the baseline technique
 // of §4/§8). Because all pages of the wordline share those cells, every
 // page on the WL is destroyed — which is exactly why the scrubbing FTL
-// must relocate the WL's live sibling pages first.
+// must relocate the WL's live sibling pages first. Pages are striped
+// WL-major in program order (the LSB/CSB/MSB pages of a WL have adjacent
+// page numbers, the paper's Fig. 8 layout).
 func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
@@ -548,11 +412,11 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if c.strike(fault.CutScrub) {
 		panic(PowerLoss{Op: OpScrub, Addr: a, At: now})
 	}
-	wl, _ := c.wlOf(a.Page)
 	bits := c.pagesPerWL
+	wlStart := a.Page / bits * bits
+	wlEnd := wlStart + bits
 	recs := c.blockRecs(a.Block, c.pagesPerBlock)
-	for slot := 0; slot < bits; slot++ {
-		page := wl*bits + slot
+	for page := wlStart; page < wlEnd; page++ {
 		if blk.data != nil {
 			clear(blk.data[page]) // reads as zeros; a nil entry already does
 		}
@@ -563,34 +427,31 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	// Scrubbing programs every cell of the wordline, so any not-yet-
 	// written page slots on it are consumed: the write pointer skips to
 	// the end of the WL (the pages read as zeros, not as erased).
-	wlEnd := (wl + 1) * bits
-	if blk.writePtr > wl*bits && blk.writePtr < wlEnd {
+	if blk.writePtr > wlStart && blk.writePtr < wlEnd {
 		blk.writePtr = wlEnd
 	}
-	blk.wlDisturbs[wl] += 3 // scrubbing stresses neighbouring WLs too
 	return c.timing.Scrub, nil
 }
 
 // Copyback moves a page's contents to another location on the same chip
 // without crossing the bus (the 00h-35h / 85h-10h internal data move of
-// standard flash command sets). The destination must obey the normal
-// program discipline. Reading a locked source through the internal path
-// is still gated by the access-control logic: the copy lands all-zero,
-// so copyback cannot be used to exfiltrate locked data.
+// standard flash command sets): the source's sense step, then a Program
+// of what it sensed. No transfer happens, so no transfer error is drawn.
+// The destination must obey the normal program discipline; a destination
+// outside the chip is refused before anything is sensed. Reading a locked
+// source through the internal path is still gated by the access-control
+// logic: the copy lands all-zero, so copyback cannot be used to
+// exfiltrate locked data.
 func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros) (sim.Micros, error) {
 	if err := c.checkAddr(src); err != nil {
 		return 0, err
 	}
-	c.noInject = true
-	res, err := c.Read(src, now)
-	c.noInject = false
-	switch err {
-	case nil, ErrPageLocked, ErrBlockLocked:
-		// Locked sources yield zeros — allowed, harmless.
-	default:
+	if err := c.checkAddr(dst); err != nil {
 		return 0, err
 	}
-	progLat, err := c.Program(dst, res.Data, now)
+	// A locked source senses as zeros, and zeros are what land.
+	data, _ := c.sense(src, now)
+	progLat, err := c.Program(dst, data, now)
 	if err != nil && !errors.Is(err, ErrProgramFailed) {
 		return 0, err
 	}
@@ -632,33 +493,25 @@ func (c *Chip) WritePointer(blockIdx int) int {
 // de-solders the chip and issues raw reads to every page of a block,
 // bypassing FTL and file system. The result is exactly what the chip's
 // data-out path yields — locked pages come back as zero-filled, unlocked
-// ones leak their contents. The dump never errors: the attacker always
+// ones leak their contents, erased ones (and every page of a block
+// outside the chip) as nil. The dump never errors: the attacker always
 // gets bytes, just not necessarily useful ones.
 //
-// The dump bypasses the controller's read path entirely, so it draws no
-// decisions from the controller-side fault injector (the transfer-error
-// model covers the controller↔chip bus, not the attacker's reader): the
+// The dump is the sense step alone: the controller-side transfer-error
+// model covers the controller↔chip bus, not the attacker's reader, so the
 // dump is a pure function of media state and never perturbs the fault
 // schedule.
 func (c *Chip) ForensicDump(blockIdx int, now sim.Micros) [][]byte {
 	out := make([][]byte, c.pagesPerBlock)
-	prev := c.noInject
-	c.noInject = true
-	defer func() { c.noInject = prev }()
+	if uint(blockIdx) >= uint(len(c.blocks)) {
+		return out
+	}
 	for p := range out {
-		res, err := c.Read(PageAddr{Block: blockIdx, Page: p}, now)
-		switch err {
-		case nil, ErrPageLocked, ErrBlockLocked:
-			if res.Data != nil {
-				// The dump outlives subsequent reads, so it cannot
-				// alias the chip's read scratch: copy each page.
-				cp := make([]byte, len(res.Data))
-				copy(cp, res.Data)
-				out[p] = cp
-			}
-		default:
-			out[p] = nil
-		}
+		// The lock error tells the attacker nothing the zeros do not.
+		data, _ := c.sense(PageAddr{Block: blockIdx, Page: p}, now)
+		// The dump outlives later operations, so it cannot alias the
+		// chip's storage: copy each page.
+		out[p] = bytes.Clone(data)
 	}
 	return out
 }

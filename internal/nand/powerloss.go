@@ -18,7 +18,7 @@ import (
 //	           never regained control.
 //	PLock    — the one-shot flag pulse did not complete: the majority
 //	           circuit still reads the flag enabled, the page stays
-//	           readable. The wordline took its program disturb.
+//	           readable.
 //	PLockWL  — atomic all-or-none, same as an injected batch failure:
 //	           every requested flag is left unprogrammed and readable.
 //	BLock    — the SSL cells did not reach the disable threshold; the

@@ -54,7 +54,7 @@ func TestCutMidProgramTearsTail(t *testing.T) {
 		t.Fatalf("write pointer %d, want 1: the pulse consumed the page", wp)
 	}
 	res := mustRead(t, c, a)
-	for i, b := range res.Data[:len(data)/2] {
+	for i, b := range res[:len(data)/2] {
 		if b != 0xAA {
 			t.Fatalf("front half corrupted at byte %d", i)
 		}
@@ -89,7 +89,7 @@ func TestCutMidPLockLeavesPageReadable(t *testing.T) {
 	if locked {
 		t.Fatal("interrupted pLock pulse locked the page")
 	}
-	if res := mustRead(t, c, a); res.Data[0] != 0x5C {
+	if res := mustRead(t, c, a); res[0] != 0x5C {
 		t.Fatal("page data lost")
 	}
 }
@@ -139,7 +139,7 @@ func TestCutMidBLockLeavesBlockReadable(t *testing.T) {
 	if locked {
 		t.Fatal("interrupted SSL pulse disabled the block")
 	}
-	if res := mustRead(t, c, a); res.Data[0] != 0x77 {
+	if res := mustRead(t, c, a); res[0] != 0x77 {
 		t.Fatal("block data lost")
 	}
 }
@@ -183,7 +183,7 @@ func TestCutMidScrubLeavesWLIntact(t *testing.T) {
 	if pl == nil || pl.Op != OpScrub {
 		t.Fatalf("loss = %+v, want scrub cut", pl)
 	}
-	if res := mustRead(t, c, a); res.Data[0] != 0x41 {
+	if res := mustRead(t, c, a); res[0] != 0x41 {
 		t.Fatal("interrupted scrub destroyed the wordline")
 	}
 }

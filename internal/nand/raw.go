@@ -224,14 +224,14 @@ func (p *RawPort) execRead() error {
 	if err != nil {
 		return err
 	}
-	res, err := p.chip.Read(a, p.now)
-	// res.Data aliases the chip's read scratch, but the port streams
-	// data-out byte-by-byte across later cycles — latch a copy into the
-	// port's own (reused) buffer.
-	if res.Data == nil {
+	data, err := p.chip.Read(a, p.now)
+	// data aliases the chip's read scratch, but the port streams data-out
+	// byte-by-byte across later cycles — latch a copy into the port's own
+	// (reused) buffer.
+	if data == nil {
 		p.dataOut = nil
 	} else {
-		p.dataOut = append(p.dataOut[:0], res.Data...)
+		p.dataOut = append(p.dataOut[:0], data...)
 	}
 	p.dataPos = 0
 	switch err {

@@ -87,7 +87,7 @@ func TestRawPortProgramEraseCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := c.Read(PageAddr{0, 0}, 0)
-	if err != nil || res.Data != nil {
+	if err != nil || res != nil {
 		t.Fatal("raw erase did not clear the page")
 	}
 }

@@ -52,7 +52,7 @@ func (r *rig) readablePages(t testing.TB) map[ftl.PPA]bool {
 			continue // locked or failed: not readable
 		}
 		nonZero := false
-		for _, b := range res.Data {
+		for _, b := range res {
 			if b != 0 {
 				nonZero = true
 				break

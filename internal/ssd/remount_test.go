@@ -63,7 +63,7 @@ func assertNoReadableStale(t *testing.T, s *SSD) {
 		if err != nil {
 			continue // locked: sanitized
 		}
-		for _, b := range res.Data {
+		for _, b := range res {
 			if b != 0 {
 				t.Fatalf("stale physical page %d readable with data after remount", p)
 			}
@@ -105,7 +105,7 @@ func snapshot(t *testing.T, s *SSD) mediaState {
 			st.Probes = append(st.Probes, pr)
 			var sum uint32
 			if res, err := chip.Read(nand.PageAddr{Block: b, Page: pg}, s.makespan); err == nil {
-				for _, by := range res.Data {
+				for _, by := range res {
 					sum = sum*31 + uint32(by)
 				}
 			}

@@ -335,7 +335,7 @@ func (s *SSD) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 // page. The payload is only valid until the next operation on the chip.
 func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	chip, a := s.addr(p)
-	res, err := s.chips[chip].Read(a, dep)
+	data, err := s.chips[chip].Read(a, dep)
 	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
 	if s.traceOn {
 		s.emitChip(trace.OpRead, chip, p, dep, cellStart, cellDone)
@@ -343,19 +343,17 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	for attempt := 1; err != nil && errors.Is(err, nand.ErrUncorrectable) &&
 		attempt < maxReadAttempts; attempt++ {
 		s.readRetries++
-		res, err = s.chips[chip].Read(a, cellDone)
+		data, err = s.chips[chip].Read(a, cellDone)
 		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
 		if s.traceOn {
 			s.emitChip(trace.OpReadRetry, chip, p, cellDone, retryStart, retryDone)
 		}
 		cellDone = retryDone
 	}
-	var data []byte
-	if err == nil {
-		data = res.Data
-	} else if errors.Is(err, nand.ErrUncorrectable) {
+	if errors.Is(err, nand.ErrUncorrectable) {
 		s.readFailures++
-		data = res.Data
+	} else if err != nil {
+		data = nil // a locked page's zeros never leave the chip
 	}
 	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(cellDone, s.cfg.Timing.Xfer)
 	if s.cfg.NoCachePipeline {
@@ -680,13 +678,15 @@ func (s *SSD) ReadLogical(lpa int64) ([]byte, error) {
 		return nil, nil
 	}
 	chip, a := s.addr(p)
-	res, err := s.chips[chip].Read(a, s.makespan)
+	data, err := s.chips[chip].Read(a, s.makespan)
 	if err != nil {
 		return nil, err
 	}
-	// CloneData: this debug/verification path returns the page to the
-	// caller, who may hold it across later ops on the same chip.
-	return res.CloneData(), nil
+	// This debug/verification path returns the page to the caller, who
+	// may hold it across later ops on the same chip, so it copies the page
+	// out of the chip's read scratch. Appending to nil (not bytes.Clone)
+	// keeps a page programmed without payload reading back as nil.
+	return append([]byte(nil), data...), nil
 }
 
 // Mark snapshots the measurement window: Report()'s rates cover activity

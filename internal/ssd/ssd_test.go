@@ -92,8 +92,8 @@ func TestWriteReadBackData(t *testing.T) {
 }
 
 // TestReadLogicalSlicesAreIndependent guards the chip's read-scratch
-// aliasing (nand.ReadResult.Data is valid only until the next operation
-// on the chip): a page returned to the host must survive a second read
+// aliasing (the bytes a chip Read returns are valid only until the next
+// operation on the chip): a page returned to the host must survive a second read
 // on the same chip. It fails if ReadLogical stops cloning.
 func TestReadLogicalSlicesAreIndependent(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
@@ -419,7 +419,7 @@ func TestSanitizeAll(t *testing.T) {
 		}
 		chip, a := s.addr(ppa)
 		if res, err := s.chips[chip].Read(a, 0); err == nil {
-			for _, b := range res.Data {
+			for _, b := range res {
 				if b != 0 {
 					t.Fatalf("stale page %d readable after SanitizeAll", p)
 				}
