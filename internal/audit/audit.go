@@ -17,7 +17,8 @@
 // pairing.
 //
 // Every closed window is attributed to phases that sum exactly to the
-// window's span (an invariant the verifier checks):
+// window's span (an invariant checked as each window closes and reported
+// by the verifier):
 //
 //   - queue_wait: from window open to the issue of the destroying
 //     command (host/GC queue time).
@@ -40,7 +41,6 @@ package audit
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -234,26 +234,28 @@ const (
 )
 
 // secret is one generation of secured data and its window accounting.
+// Its slot is reused once its last copy is destroyed, so the ledger holds
+// at most as many secrets as were ever alive at once.
 type secret struct {
 	lpa       int64
-	origin    Origin
-	copies    int32 // registered, not yet destroyed
-	exposed   int32 // stale, not yet destroyed
-	destroyed int32
 	openedAt  sim.Micros // valid while exposed > 0
-	reopened  bool       // current window is a reopening
-	ladderHit bool       // a ladder destruction occurred in the current window
-	windows   uint32
-	exposure  sim.Micros
-	phases    [NumPhases]sim.Micros
+	copies    int32      // registered, not yet destroyed; the slot is free at 0
+	exposed   int32      // stale, not yet destroyed
+	origin    Origin
+	reopened  bool // current window is a reopening
+	ladderHit bool // a ladder destruction occurred in the current window
+	closed    bool // a window has closed: the next one is a reopening
 }
 
 // Ledger accumulates provenance events. It is not safe for concurrent
 // use; like the trace Recorder it belongs to exactly one simulated
 // device.
 type Ledger struct {
-	copies  []copyState // indexed by physical page, grown on demand
+	copies  metrics.Log[copyState] // indexed by physical page, extended to the highest page seen
+	staleIn []int32                // exposed copies in each run of metrics.LogChunk pages
 	secrets metrics.Log[secret]
+	free    []int32 // slots of secrets whose every copy is destroyed
+	created int     // secrets ever created
 
 	tInsec    metrics.Sample // per-copy windows (legacy semantics)
 	tInsecSum sim.Micros     // running total of the per-copy windows
@@ -272,24 +274,34 @@ type Ledger struct {
 	ladderWindows  uint64
 	ladderDestroys uint64
 	windowSum      sim.Micros
+	phaseSumErrors int // closed windows whose phase slices missed their span
 }
 
 // NewLedger builds an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// newSecret appends a secret and returns its index.
+// newSecret stores a secret in a free slot, or a new one, and returns its
+// index.
 func (l *Ledger) newSecret(lpa int64, origin Origin) int32 {
-	l.secrets.Append(secret{lpa: lpa, origin: origin})
+	l.created++
+	s := secret{lpa: lpa, origin: origin}
+	if n := len(l.free); n > 0 {
+		idx := l.free[n-1]
+		l.free = l.free[:n-1]
+		*l.secrets.At(int(idx)) = s
+		return idx
+	}
+	l.secrets.Append(s)
 	return int32(l.secrets.Len() - 1)
 }
 
-// copyAt returns the entry of a physical page, growing the index to
+// copyAt returns the entry of a physical page, extending the index to
 // cover it.
 func (l *Ledger) copyAt(page uint32) *copyState {
-	if n := int(page) + 1; n > len(l.copies) {
-		l.copies = slices.Grow(l.copies, n-len(l.copies))[:n]
+	for l.copies.Len() <= int(page) {
+		l.copies.Append(copyState{})
 	}
-	return &l.copies[page]
+	return l.copies.At(int(page))
 }
 
 // Record applies one event and reports whether the exposed-copy count
@@ -322,8 +334,10 @@ func (l *Ledger) register(ev Event) {
 	idx := int32(-1)
 	switch ev.Origin {
 	case OriginGC, OriginEvacuate:
-		if ev.Src != NoSrc && int(ev.Src) < len(l.copies) && l.copies[ev.Src].state != copyNone {
-			idx = l.copies[ev.Src].secret
+		if ev.Src != NoSrc && int(ev.Src) < l.copies.Len() {
+			if src := l.copies.At(int(ev.Src)); src.state != copyNone {
+				idx = src.secret
+			}
 		}
 	}
 	if idx < 0 {
@@ -352,25 +366,30 @@ func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
 	c.state = copyStale
 	c.openAt = at
 	l.openCopies++
+	g := int(page) / metrics.LogChunk
+	for len(l.staleIn) <= g {
+		l.staleIn = append(l.staleIn, 0)
+	}
+	l.staleIn[g]++
 	s := l.secrets.At(int(c.secret))
 	s.exposed++
 	if s.exposed == 1 {
 		l.openSecrets++
 		s.openedAt = at
-		s.reopened = s.windows > 0
+		s.reopened = s.closed
 		s.ladderHit = false
 	}
 	return true
 }
 
 func (l *Ledger) destroy(ev Event) bool {
-	if int(ev.Page) >= len(l.copies) || l.copies[ev.Page].state != copyStale {
+	if int(ev.Page) >= l.copies.Len() || l.copies.At(int(ev.Page)).state != copyStale {
 		// Destroying a page with no open window is a no-op (recovery
 		// paths may report the same destruction twice), and live copies
 		// are never destroyed (erase requires a fully stale block).
 		return false
 	}
-	c := &l.copies[ev.Page]
+	c := l.copies.At(int(ev.Page))
 	d := ev.At - c.openAt
 	if d < 0 {
 		// A GC relocation can advance the invalidation clock past the
@@ -381,10 +400,10 @@ func (l *Ledger) destroy(ev Event) bool {
 	l.tInsec.Add(float64(d))
 	l.tInsecSum += d
 	l.openCopies--
+	l.staleIn[int(ev.Page)/metrics.LogChunk]--
 	l.causeCounts[ev.Cause]++
 	l.destroyed++
 	s := l.secrets.At(int(c.secret))
-	s.destroyed++
 	s.copies--
 	s.exposed--
 	if ev.Ladder {
@@ -395,13 +414,17 @@ func (l *Ledger) destroy(ev Event) bool {
 		l.openSecrets--
 		l.closeWindow(s, ev)
 	}
+	if s.copies == 0 {
+		l.free = append(l.free, c.secret)
+	}
 	*c = copyState{}
 	return true
 }
 
 // closeWindow attributes the secret's just-closed window. The wait and
 // execution slices are carved from the same span, so their sum equals
-// the window by construction — the invariant Verify checks.
+// the window by construction; a window whose slices miss it counts as a
+// phase-sum error, which Verify reports.
 func (l *Ledger) closeWindow(s *secret, ev Event) {
 	total := ev.At - s.openedAt
 	if total < 0 {
@@ -416,13 +439,13 @@ func (l *Ledger) closeWindow(s *secret, ev Event) {
 	}
 	exec := total - wait
 
+	var phases [NumPhases]sim.Micros
 	if s.ladderHit {
 		// Recovery dominated the window: the whole span is ladder time
 		// (precedence ladder > reopen > batch > queue), so a window that
 		// needed the ladder is never invisible in the breakdown even when
 		// the closing destruction itself took zero execution time.
-		s.phases[PhaseLadder] += total
-		l.phaseTotals[PhaseLadder] += total
+		phases[PhaseLadder] = total
 	} else {
 		waitPhase := PhaseQueueWait
 		switch {
@@ -431,13 +454,18 @@ func (l *Ledger) closeWindow(s *secret, ev Event) {
 		case ev.Cause == CausePLockBatch:
 			waitPhase = PhaseBatchWait
 		}
-		s.phases[waitPhase] += wait
-		s.phases[PhasePulse] += exec
-		l.phaseTotals[waitPhase] += wait
-		l.phaseTotals[PhasePulse] += exec
+		phases[waitPhase] = wait
+		phases[PhasePulse] = exec
 	}
-	s.exposure += total
-	s.windows++
+	var sum sim.Micros
+	for p, d := range phases {
+		sum += d
+		l.phaseTotals[p] += d
+	}
+	if sum != total {
+		l.phaseSumErrors++
+	}
+	s.closed = true
 
 	l.windows.Add(float64(total))
 	l.windowSum += total
@@ -472,13 +500,28 @@ func (l *Ledger) OldestOpen() (at sim.Micros, ok bool) {
 	if l.openCopies == 0 {
 		return 0, false
 	}
-	for i := range l.copies {
-		c := &l.copies[i]
-		if c.state == copyStale && (!ok || c.openAt < at) {
+	l.eachStale(func(_ int, c *copyState) {
+		if !ok || c.openAt < at {
 			at, ok = c.openAt, true
 		}
-	}
+	})
 	return at, ok
+}
+
+// eachStale calls fn for every exposed copy in page order. It visits only
+// the pages of the chunks that hold one, so a walk costs little while few
+// copies are exposed.
+func (l *Ledger) eachStale(fn func(page int, c *copyState)) {
+	for g, n := range l.staleIn {
+		if n == 0 {
+			continue
+		}
+		for page, end := g*metrics.LogChunk, min((g+1)*metrics.LogChunk, l.copies.Len()); page < end; page++ {
+			if c := l.copies.At(page); c.state == copyStale {
+				fn(page, c)
+			}
+		}
+	}
 }
 
 // PhaseTotals returns the accumulated per-phase attribution (µs).
@@ -531,9 +574,10 @@ type CopyBreakdown struct {
 	Unknown    uint64 `json:"unknown"`
 }
 
-// Stats is the ledger's JSON-stable summary. Every field is derived
-// incrementally from the event stream, so it is bit-identical for any
-// parallel worker count replaying the same simulation.
+// Stats is the ledger's JSON-stable summary. Secrets counts every secret
+// ever created, including those whose slots were reused. Every field is
+// derived incrementally from the event stream, so it is bit-identical for
+// any parallel worker count replaying the same simulation.
 type Stats struct {
 	Secrets          int              `json:"secrets"`
 	OpenSecrets      int              `json:"open_secrets"`
@@ -555,10 +599,11 @@ type Stats struct {
 // Stats summarizes the ledger at the given horizon (OldestOpenUs is the
 // age of the oldest still-open window relative to it). Every field but
 // OldestOpenUs is a running counter, so a periodic emitter pays O(1) per
-// call while no copy is exposed and one walk of the page index otherwise.
+// call while no copy is exposed and otherwise one walk of the index chunks
+// that hold an exposed copy.
 func (l *Ledger) Stats(horizon sim.Micros) Stats {
 	st := Stats{
-		Secrets:          l.secrets.Len(),
+		Secrets:          l.created,
 		OpenSecrets:      l.openSecrets,
 		ExposedCopies:    l.openCopies,
 		CopiesRegistered: l.registered,
@@ -613,7 +658,7 @@ type VerifyReport struct {
 }
 
 // Clean reports whether the run left zero exposed copies and every
-// secret's phase attribution sums to its exposure.
+// closed window's phase attribution sums to its span.
 func (r VerifyReport) Clean() bool {
 	return r.ExposedCopies == 0 && r.PhaseSumErrors == 0
 }
@@ -628,34 +673,22 @@ func (r VerifyReport) Err() error {
 }
 
 // Verify checks the end-of-run security and accounting invariants: no
-// secret may retain a live unlocked (exposed) copy, and every secret's
-// phase slices must sum exactly to its accumulated exposure. The open
-// list is in page order.
+// secret may retain a live unlocked (exposed) copy, and every closed
+// window's phase slices must sum exactly to its span. The open list is
+// in page order.
 func (l *Ledger) Verify(horizon sim.Micros) VerifyReport {
-	rep := VerifyReport{Secrets: l.secrets.Len(), ExposedCopies: l.openCopies}
+	rep := VerifyReport{Secrets: l.created, ExposedCopies: l.openCopies, PhaseSumErrors: l.phaseSumErrors}
 	for i := 0; i < l.secrets.Len(); i++ {
-		s := l.secrets.At(i)
-		if s.exposed > 0 {
+		if l.secrets.At(i).exposed > 0 {
 			rep.OpenSecrets++
 		}
-		var sum sim.Micros
-		for _, p := range s.phases {
-			sum += p
-		}
-		if sum != s.exposure {
-			rep.PhaseSumErrors++
-		}
 	}
-	for page := range l.copies {
-		c := &l.copies[page]
-		if c.state != copyStale {
-			continue
-		}
+	l.eachStale(func(page int, c *copyState) {
 		s := l.secrets.At(int(c.secret))
 		rep.Open = append(rep.Open, OpenCopy{
 			Page: uint32(page), LPA: s.lpa, Origin: s.origin.String(), OpenedUs: int64(c.openAt),
 		})
-	}
+	})
 	if at, ok := l.OldestOpen(); ok {
 		if age := horizon - at; age > 0 {
 			rep.OldestOpenUs = int64(age)

@@ -3,6 +3,10 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sanitize"
@@ -152,5 +156,33 @@ func TestExecuteMatchesExecuteTraced(t *testing.T) {
 	}
 	if plain.Report.IOPS != traced.Report.IOPS {
 		t.Fatalf("tracing changed IOPS: %v vs %v", plain.Report.IOPS, traced.Report.IOPS)
+	}
+}
+
+// TestTracedRunClosesStreamOnFailure makes the run fail (a cell without
+// a sanitization policy cannot build its device) after the stream was
+// opened, and checks that the stream was still closed: its file holds
+// exactly the final point, which the buffered writer only wrote out on
+// the close.
+func TestTracedRunClosesStreamOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.stream.jsonl")
+	files := TracedFiles{Stream: path, StreamInterval: 1000}
+	if _, err := TracedRun(workload.MailServer(), nil, SmallScale(), files, io.Discard); err == nil {
+		t.Fatal("a cell without a policy did not fail the run")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("stream holds %d lines, want exactly the final point:\n%s", len(lines), data)
+	}
+	var p trace.StreamPoint
+	if err := json.Unmarshal([]byte(lines[0]), &p); err != nil {
+		t.Fatalf("final point does not decode: %v", err)
+	}
+	if p != (trace.StreamPoint{}) {
+		t.Fatalf("final point = %+v, want the empty run's point at horizon 0", p)
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -44,15 +45,18 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 		}
 	}
 	run, err := ExecuteAudited(prof, policy, 1.0, sc, rec)
+	if closeStream != nil {
+		// A failed run still closes its stream, with the final point.
+		if cerr := closeStream(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+	}
 	if err != nil {
 		return audit.VerifyReport{}, err
 	}
 	fmt.Fprintf(log, "traced run: %s × %s — %d requests, %d events (%d dropped), horizon %v\n",
 		run.Workload, run.Policy, run.Report.Requests, rec.TotalEvents(), rec.Dropped(), rec.Horizon())
 	if closeStream != nil {
-		if err := closeStream(); err != nil {
-			return audit.VerifyReport{}, err
-		}
 		fmt.Fprintf(log, "telemetry stream written to %s (every %d µs simulated)\n", files.Stream, files.StreamInterval)
 	}
 	horizon := rec.Horizon()

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary accumulates count / mean / min / max / variance online
@@ -310,50 +309,8 @@ func (h *Histogram) BinUpper(i int) float64 {
 	return h.lo + w*float64(i+1)
 }
 
-// Lo returns the histogram's inclusive lower range bound.
-func (h *Histogram) Lo() float64 { return h.lo }
-
-// Hi returns the histogram's exclusive upper range bound.
-func (h *Histogram) Hi() float64 { return h.hi }
-
 // OutOfRange returns the underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over uint64) { return h.underflow, h.overflow }
-
-// Render returns a crude ASCII rendering, useful in example programs.
-// Nonzero underflow/overflow counts get their own "< lo" / ">= hi" rows
-// (scaled against the same maximum), so saturated bins are visible
-// instead of silently vanishing off the ends of the range.
-func (h *Histogram) Render(width int) string {
-	var max uint64
-	for _, c := range h.bins {
-		if c > max {
-			max = c
-		}
-	}
-	if h.underflow > max {
-		max = h.underflow
-	}
-	if h.overflow > max {
-		max = h.overflow
-	}
-	bar := func(c uint64) string {
-		if max == 0 {
-			return ""
-		}
-		return strings.Repeat("#", int(float64(c)/float64(max)*float64(width)))
-	}
-	var sb strings.Builder
-	if h.underflow > 0 {
-		fmt.Fprintf(&sb, "%10s | %s %d\n", fmt.Sprintf("< %.3g", h.lo), bar(h.underflow), h.underflow)
-	}
-	for i, c := range h.bins {
-		fmt.Fprintf(&sb, "%10.3g | %s %d\n", h.BinCenter(i), bar(c), c)
-	}
-	if h.overflow > 0 {
-		fmt.Fprintf(&sb, "%10s | %s %d\n", fmt.Sprintf(">= %.3g", h.hi), bar(h.overflow), h.overflow)
-	}
-	return sb.String()
-}
 
 // Point is one (t, v) observation in a time series.
 type Point struct {

@@ -308,7 +308,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		under, over := r.classHist[c].OutOfRange()
 		sn.Ops[OpClass(c).String()] = OpStats{
-			LatencyStats:  latStats(&r.classLat[c]),
+			LatencyStats:  r.classLat[c].stats(),
 			MeanWaitUs:    r.classWait[c].Mean(),
 			HistUnderflow: under,
 			HistOverflow:  over,

@@ -186,11 +186,10 @@ func TestSnapshot(t *testing.T) {
 		t.Fatalf("util lengths = %d/%d, want 2/1", len(sn.ChipUtil), len(sn.ChanUtil))
 	}
 
-	// Snapshot must not disturb the live sample: quantile queries go
-	// through Sorted() copies.
-	r.Latencies(OpRead).Add(5)
-	if r.Latencies(OpRead).N() != 2 {
-		t.Fatal("live sample broken after Snapshot")
+	// Snapshot must not disturb the live tally: later ops still count.
+	r.Op(Event{Class: OpRead, Start: 900, End: 905, Chip: 0})
+	if got := r.Snapshot().Ops["read"]; got.Count != 2 || got.MeanUs != 42.5 || got.MaxUs != 80 {
+		t.Fatalf("read stats after a second Snapshot = %+v, want 2 reads of 80 and 5µs", got)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteStatsJSON(&buf); err != nil {

@@ -127,9 +127,9 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 // writeHistogram emits one labeled series of a histogram family:
 // cumulative le buckets (underflow values below the range count into
 // every finite bucket; overflow only into +Inf), then _sum (exact, from
-// the latency sample) and _count.
+// the latency tally) and _count.
 func writeHistogram(w io.Writer, num func(float64) string, name, op string,
-	h *metrics.Histogram, lat *metrics.Sample) {
+	h *metrics.Histogram, lat *tally) {
 	under, _ := h.OutOfRange()
 	cum := under
 	for i := 0; i < h.Bins(); i++ {
@@ -137,11 +137,7 @@ func writeHistogram(w io.Writer, num func(float64) string, name, op string,
 		fmt.Fprintf(w, "%s_bucket{op=%q,le=%q} %d\n", name, op, num(h.BinUpper(i)), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{op=%q,le=\"+Inf\"} %d\n", name, op, h.N())
-	var sum float64
-	for _, x := range lat.Sorted() {
-		sum += x
-	}
-	fmt.Fprintf(w, "%s_sum{op=%q} %s\n", name, op, num(sum))
+	fmt.Fprintf(w, "%s_sum{op=%q} %s\n", name, op, num(lat.sum()))
 	fmt.Fprintf(w, "%s_count{op=%q} %d\n", name, op, h.N())
 }
 

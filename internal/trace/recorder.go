@@ -14,7 +14,7 @@ const DefaultMaxEvents = 1 << 20
 // latencyHistBins configures the per-class latency histograms: 40 bins
 // over [0µs, 4000µs) spans every NAND command latency (tBERS = 3500µs is
 // the slowest); host requests and GC passes that queue longer land in the
-// overflow bin, which Histogram.Render now displays.
+// overflow bin, which the snapshot reports as hist_overflow.
 const (
 	latencyHistLo   = 0
 	latencyHistHi   = 4000
@@ -43,7 +43,7 @@ type Recorder struct {
 	horizon sim.Micros // latest End seen
 
 	classCount [numOpClasses]uint64
-	classLat   [numOpClasses]metrics.Sample
+	classLat   [numOpClasses]tally
 	classHist  [numOpClasses]*metrics.Histogram
 	classWait  [numOpClasses]metrics.Summary
 
@@ -96,9 +96,9 @@ func (r *Recorder) Op(ev Event) {
 		r.horizon = ev.End
 	}
 	r.classCount[ev.Class]++
-	d := float64(ev.Dur())
-	r.classLat[ev.Class].Add(d)
-	r.classHist[ev.Class].Add(d)
+	d := ev.Dur()
+	r.classLat[ev.Class].add(int64(d))
+	r.classHist[ev.Class].Add(float64(d))
 	if ev.Queued <= ev.Start {
 		r.classWait[ev.Class].Add(float64(ev.Start - ev.Queued))
 	}
@@ -173,13 +173,6 @@ func (r *Recorder) Horizon() sim.Micros { return r.horizon }
 // Count returns how many operations of the class were recorded
 // (including any dropped from the event list).
 func (r *Recorder) Count(c OpClass) uint64 { return r.classCount[c] }
-
-// Latencies returns the class's service-time sample (µs). The Sample is
-// owned by the Recorder.
-func (r *Recorder) Latencies(c OpClass) *metrics.Sample { return &r.classLat[c] }
-
-// LatencyHist returns the class's latency histogram (µs).
-func (r *Recorder) LatencyHist(c OpClass) *metrics.Histogram { return r.classHist[c] }
 
 // Wait returns the class's queueing-delay summary (µs between issue and
 // service start).

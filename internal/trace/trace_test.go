@@ -70,14 +70,14 @@ func TestRecorderCountsAndLatencies(t *testing.T) {
 	if got := r.Horizon(); got != 1000 {
 		t.Fatalf("Horizon = %v, want 1000", got)
 	}
-	if got := r.Latencies(OpRead).Mean(); got != 80 {
+	if got := r.Snapshot().Ops["read"].MeanUs; got != 80 {
 		t.Fatalf("read latency mean = %v, want 80", got)
 	}
 	// Only the first read waited (10µs); the mean wait spans both reads.
 	if got := r.Wait(OpRead).Mean(); got != 5 {
 		t.Fatalf("read wait mean = %v, want 5", got)
 	}
-	if got := r.LatencyHist(OpRead).N(); got != 2 {
+	if got := r.classHist[OpRead].N(); got != 2 {
 		t.Fatalf("read hist N = %d, want 2", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestRecorderMaxEventsDrops(t *testing.T) {
 		if r.Count(OpRead) != uint64(tc.ops) || r.TotalEvents() != uint64(tc.ops) {
 			t.Fatalf("cap %d: Count = %d, TotalEvents = %d, want %d", tc.cap, r.Count(OpRead), r.TotalEvents(), tc.ops)
 		}
-		if got := r.Latencies(OpRead).N(); got != tc.ops {
+		if got := r.classLat[OpRead].n; got != uint64(tc.ops) {
 			t.Fatalf("cap %d: %d latencies, want %d", tc.cap, got, tc.ops)
 		}
 		if sn := r.Snapshot(); sn.Events != tc.cap || sn.DroppedEvents != r.Dropped() {
