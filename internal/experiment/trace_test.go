@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -24,6 +25,11 @@ func runTracedSmall(t *testing.T) *trace.Recorder {
 		Chips:    Channels * ChipsPerChannel,
 		Channels: Channels,
 	})
+	closeSpill, err := rec.SpillToFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeSpill() })
 	if _, err := ExecuteTraced(workload.MailServer(), sanitize.SecSSD(), 1.0, SmallScale(), rec); err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +120,16 @@ func TestTracedRunTelemetry(t *testing.T) {
 			t.Errorf("channel utilization %v outside (0, 1]", u)
 		}
 	}
+	sn := rec.Snapshot()
 	for _, kind := range []trace.GaugeKind{
 		trace.GaugeFreeBlocks, trace.GaugeLockQueue, trace.GaugeValidPages,
 		trace.GaugeSecuredPages, trace.GaugeInvalidPages,
 	} {
-		if rec.GaugeSeries(kind).Len() == 0 {
+		if len(sn.Gauges[kind.String()]) == 0 {
 			t.Errorf("gauge %v never recorded", kind)
 		}
 	}
 
-	sn := rec.Snapshot()
 	if sn.Ops["pLock"].Count == 0 || sn.Ops["bLock"].Count == 0 {
 		t.Errorf("snapshot missing lock ops: %v", sn.Ops)
 	}
@@ -184,5 +190,39 @@ func TestTracedRunClosesStreamOnFailure(t *testing.T) {
 	}
 	if p != (trace.StreamPoint{}) {
 		t.Fatalf("final point = %+v, want the empty run's point at horizon 0", p)
+	}
+}
+
+// TestTracedRunExportsEveryEvent: an event export gets every event the
+// log line counts, through a spill file next to it, and the spill is
+// gone when the run returns, on success and on failure.
+func TestTracedRunExportsEveryEvent(t *testing.T) {
+	dir := t.TempDir()
+	files := TracedFiles{JSONL: filepath.Join(dir, "run.jsonl")}
+	var log bytes.Buffer
+	if _, err := TracedRun(workload.MailServer(), sanitize.SecSSD(), SmallScale(), files, &log); err != nil {
+		t.Fatal(err)
+	}
+	var events, dropped int
+	if _, err := fmt.Sscanf(log.String()[strings.Index(log.String(), "requests, ")+len("requests, "):],
+		"%d events (%d dropped)", &events, &dropped); err != nil {
+		t.Fatalf("log %q: %v", log.String(), err)
+	}
+	data, err := os.ReadFile(files.JSONL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != events || dropped != 0 || events == 0 {
+		t.Fatalf("JSONL has %d lines; the log says %d events, %d dropped", lines, events, dropped)
+	}
+	if _, err := TracedRun(workload.MailServer(), nil, SmallScale(), files, io.Discard); err == nil {
+		t.Fatal("a cell without a policy did not fail the run")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "run.jsonl" {
+		t.Fatalf("export directory holds %v, want only run.jsonl", entries)
 	}
 }

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/audit"
 	"repro/internal/ftl"
@@ -31,14 +33,24 @@ type TracedFiles struct {
 // the requested files and logs one line per step to log. It returns the
 // audit ledger's end-of-run verification; an unclean report is not an
 // error here — the caller decides whether it fails the run.
-func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedFiles, log io.Writer) (audit.VerifyReport, error) {
+//
+// The events are kept only when an event export (Chrome or JSONL) is
+// asked for, in a temporary spill file next to that export, removed when
+// the run returns.
+func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedFiles, log io.Writer) (_ audit.VerifyReport, err error) {
 	rec := trace.NewRecorder(trace.RecorderConfig{
 		Chips:    Channels * ChipsPerChannel,
 		Channels: Channels,
 	})
+	if out := cmp.Or(files.Chrome, files.JSONL); out != "" {
+		closeSpill, serr := rec.SpillToFile(filepath.Dir(out))
+		if serr != nil {
+			return audit.VerifyReport{}, serr
+		}
+		defer func() { err = errors.Join(err, closeSpill()) }()
+	}
 	var closeStream func() error
 	if files.Stream != "" {
-		var err error
 		closeStream, err = rec.StreamToFile(files.Stream, files.StreamInterval)
 		if err != nil {
 			return audit.VerifyReport{}, err

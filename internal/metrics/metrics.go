@@ -320,8 +320,7 @@ type Point struct {
 
 // Series is an append-only time series keyed by a logical clock. It is used
 // for the Fig. 4 N_valid/N_invalid(f, t) plots, where t is the logical time
-// that advances by one per 4 KiB host write, and for the device gauges of
-// a traced run.
+// that advances by one per 4 KiB host write.
 type Series struct {
 	Name   string
 	points Log[Point]
@@ -361,20 +360,25 @@ func (s *Series) MaxValue() float64 {
 	return max
 }
 
-// Downsample reduces the series to at most n points by keeping, for each of
-// n equal-width time buckets, the last observation in the bucket. The first
-// and last points are always preserved. It is used to emit plot-friendly
-// series from multi-million-point runs.
+// Downsample reduces the series to at most n points (see Downsample).
 func (s *Series) Downsample(n int) []Point {
-	if n <= 0 || s.Len() <= n {
-		out := make([]Point, s.Len())
-		for i := range out {
-			out[i] = s.At(i)
-		}
-		return out
+	pts := make([]Point, s.Len())
+	for i := range pts {
+		pts[i] = s.At(i)
 	}
-	first := s.At(0)
-	last := s.last
+	return Downsample(pts, n)
+}
+
+// Downsample reduces pts, ordered by non-decreasing T, to at most n points
+// by keeping, for each of n equal-width time buckets, the last point in
+// the bucket. The first and last points are always preserved. It is used
+// to emit plot-friendly series from multi-million-point runs. The result
+// is a new slice; pts is not modified.
+func Downsample(pts []Point, n int) []Point {
+	if n <= 0 || len(pts) <= n {
+		return append([]Point{}, pts...)
+	}
+	first, last := pts[0], pts[len(pts)-1]
 	span := last.T - first.T
 	if span <= 0 {
 		return []Point{first, last}
@@ -382,8 +386,7 @@ func (s *Series) Downsample(n int) []Point {
 	out := make([]Point, 0, n+2)
 	out = append(out, first)
 	bucket := -1 // the preserved first point is never overwritten
-	for i := 1; i < s.Len(); i++ {
-		p := s.At(i)
+	for _, p := range pts[1:] {
 		b := int(float64(p.T-first.T) / float64(span+1) * float64(n))
 		if b != bucket {
 			out = append(out, p)

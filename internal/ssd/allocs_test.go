@@ -57,14 +57,15 @@ func TestSanitizeCopiesDoNotAllocate(t *testing.T) {
 }
 
 // TestRecorderAllocsPerRun is the steady-state allocation canary of the
-// traced path. Everything a Recorder retains per event — the event, the
-// gauge points, the ledger's secrets and window samples — goes to a
-// metrics.Log, so against the same overwrites on an untraced device a
-// traced one may allocate only chunk refills: one allocation per
-// metrics.LogChunk retained records, plus a part-filled chunk and the
-// chunk-list regrowths of each log. A latency adds no record: each op
-// class keeps one count per distinct duration. Once MaxEvents is reached
-// the event log itself allocates nothing more.
+// traced path. A Recorder keeps no event in memory: without a spill it
+// counts events, with one it packs them into a reused buffer written to
+// the spill. Gauges go to stores capped at a fixed size, and each op
+// class's latencies keep one count per distinct duration. What a
+// Recorder retains per event is the ledger's secrets and window samples,
+// each appended to a metrics.Log, so against the same overwrites on an
+// untraced device a traced one may allocate only chunk refills: one
+// allocation per metrics.LogChunk retained records, plus a part-filled
+// chunk and the chunk-list regrowths of each log.
 func TestRecorderAllocsPerRun(t *testing.T) {
 	const overwrites = 4000
 	// batch returns the allocations of one batch of secured single-page
@@ -86,12 +87,7 @@ func TestRecorderAllocsPerRun(t *testing.T) {
 				return 0, 0
 			}
 			st := rec.AuditLedger().Stats(rec.Horizon())
-			events = rec.TotalEvents()
-			records = events - rec.Dropped() + uint64(st.Secrets) + st.Windows + uint64(rec.TInsecure().N())
-			for k := 0; k < trace.NumGaugeKinds; k++ {
-				records += uint64(rec.GaugeSeries(trace.GaugeKind(k)).Len())
-			}
-			return events, records
+			return rec.TotalEvents(), uint64(st.Secrets) + st.Windows + uint64(rec.TInsecure().N())
 		}
 		lpa, logical := int64(0), int64(s.LogicalPages())
 		var ev0, rec0 uint64
@@ -108,26 +104,28 @@ func TestRecorderAllocsPerRun(t *testing.T) {
 
 	untraced, _, _ := batch(nil)
 	// Part-filled chunks and chunk-list regrowths: a few per log, across
-	// the gauge and ledger logs, plus a latency tally's new durations.
-	const slack = 96
-	for _, tc := range []struct {
-		name      string
-		maxEvents int
-	}{
-		{"uncapped", 0},
-		{"capped", 1000}, // reached during Prefill
-	} {
-		rec := trace.NewRecorder(trace.RecorderConfig{Chips: 8, Channels: 2, MaxEvents: tc.maxEvents})
+	// the ledger logs, plus a latency tally's new durations (about 20
+	// measured).
+	const slack = 48
+	for _, spilled := range []bool{false, true} {
+		rec := trace.NewRecorder(trace.RecorderConfig{Chips: 8, Channels: 2})
+		if spilled {
+			closeSpill, err := rec.SpillToFile(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeSpill()
+		}
 		allocs, events, records := batch(rec)
 		if events < 5*overwrites {
-			t.Fatalf("%s: %d events over %d overwrites: the traced path was not exercised", tc.name, events, overwrites)
-		}
-		if tc.maxEvents > 0 && rec.Dropped() < events {
-			t.Fatalf("%s: the cap was not reached before the measured batch", tc.name)
+			t.Fatalf("spilled=%v: %d events over %d overwrites: the traced path was not exercised", spilled, events, overwrites)
 		}
 		if extra, limit := allocs-untraced, float64(records/metrics.LogChunk+slack); extra > limit {
-			t.Errorf("%s: %.0f allocations more than untraced for %d events (%d retained records), want at most %.0f",
-				tc.name, extra, events, records, limit)
+			t.Errorf("spilled=%v: %.0f allocations more than untraced for %d events (%d retained records), want at most %.0f",
+				spilled, extra, events, records, limit)
+		}
+		if rec.Dropped() != 0 {
+			t.Errorf("spilled=%v: %d events dropped", spilled, rec.Dropped())
 		}
 	}
 }

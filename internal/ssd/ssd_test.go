@@ -353,6 +353,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (Report, []byte) {
 		cfg := smallConfig(sanitize.SecSSD())
 		rec := trace.NewRecorder(trace.RecorderConfig{Chips: 4, Channels: 2})
+		closeSpill, err := rec.SpillToFile(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeSpill()
 		cfg.Trace = rec
 		s := mustNew(t, cfg)
 		rng := rand.New(rand.NewSource(5))

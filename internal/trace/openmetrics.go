@@ -28,6 +28,9 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 	fmt.Fprintf(bw, "secssd_horizon_us %d\n", int64(r.horizon))
 	family("secssd_events_total", "counter", "Operations observed (including dropped).")
 	fmt.Fprintf(bw, "secssd_events_total %d\n", r.TotalEvents())
+	// Events a failed spill write lost. The HELP text still names the
+	// retention cap this counter once reported; TestTracedExportsGolden
+	// pins the exposition byte for byte.
 	family("secssd_dropped_events_total", "counter", "Events discarded by the retention cap.")
 	fmt.Fprintf(bw, "secssd_dropped_events_total %d\n", r.dropped)
 
@@ -65,10 +68,11 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 
 	family("secssd_gauge", "gauge", "Last sampled value per device gauge.")
 	for k := 0; k < NumGaugeKinds; k++ {
-		if r.gauges[k].Len() == 0 {
+		pts := r.gauges[k].pts
+		if len(pts) == 0 {
 			continue
 		}
-		fmt.Fprintf(bw, "secssd_gauge{kind=%q} %s\n", GaugeKind(k).String(), num(r.gauges[k].Last().V))
+		fmt.Fprintf(bw, "secssd_gauge{kind=%q} %s\n", GaugeKind(k).String(), num(pts[len(pts)-1].V))
 	}
 
 	writeSummary(bw, num, "secssd_t_insecure_us",

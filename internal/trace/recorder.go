@@ -6,11 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultMaxEvents caps the retained event log (48 B/event, so 48 MiB at
-// the cap). Statistics keep accumulating past the cap; only the raw event
-// list stops growing, and Dropped() reports how many events it lost.
-const DefaultMaxEvents = 1 << 20
-
 // latencyHistBins configures the per-class latency histograms: 40 bins
 // over [0µs, 4000µs) spans every NAND command latency (tBERS = 3500µs is
 // the slowest); host requests and GC passes that queue longer land in the
@@ -27,19 +22,19 @@ type RecorderConfig struct {
 	// out-of-range coordinates are still recorded, just not attributed.
 	Chips    int
 	Channels int
-	// MaxEvents caps the retained event list (DefaultMaxEvents when 0,
-	// unlimited when negative).
-	MaxEvents int
 }
 
-// Recorder is the standard Collector: it retains events, accumulates
+// Recorder is the standard Collector: it counts events and accumulates
 // per-op-class latency distributions, per-chip/per-channel busy time,
-// device gauges, and the T_insecure windows of secured pages.
+// device gauges, and the T_insecure windows of secured pages. It keeps
+// the events themselves only when given a spill (SpillTo), for the event
+// exports, and each gauge in a capped store: of what it holds in memory,
+// only the ledger's samples of closed windows grow with the run.
 type Recorder struct {
 	cfg RecorderConfig
 
-	events  metrics.Log[Event]
-	dropped uint64
+	spill   *spillState
+	dropped uint64     // events a failed spill write lost
 	horizon sim.Micros // latest End seen
 
 	classCount [numOpClasses]uint64
@@ -55,7 +50,7 @@ type Recorder struct {
 	unattrBusy   sim.Micros
 	unattrEvents uint64
 
-	gauges [numGaugeKinds]*metrics.Series
+	gauges [numGaugeKinds]gaugeStore
 
 	ledger *audit.Ledger
 
@@ -64,9 +59,6 @@ type Recorder struct {
 
 // NewRecorder builds a Recorder for a device with the given layout.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = DefaultMaxEvents
-	}
 	r := &Recorder{
 		cfg:      cfg,
 		chipBusy: make([]sim.Micros, max(cfg.Chips, 0)),
@@ -76,9 +68,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	for c := range r.classHist {
 		r.classHist[c] = metrics.NewHistogram(latencyHistLo, latencyHistHi, latencyHistBins)
 	}
-	for k := range r.gauges {
-		r.gauges[k] = metrics.NewSeries(GaugeKind(k).String())
-	}
 	return r
 }
 
@@ -87,10 +76,8 @@ func (r *Recorder) Enabled() bool { return true }
 
 // Op implements Collector.
 func (r *Recorder) Op(ev Event) {
-	if r.cfg.MaxEvents < 0 || r.events.Len() < r.cfg.MaxEvents {
-		r.events.Append(ev)
-	} else {
-		r.dropped++
+	if r.spill != nil {
+		r.spillEvent(&ev)
 	}
 	if ev.End > r.horizon {
 		r.horizon = ev.End
@@ -136,7 +123,7 @@ func (r *Recorder) Op(ev Event) {
 // Gauge implements Collector.
 func (r *Recorder) Gauge(kind GaugeKind, at sim.Micros, v float64) {
 	if int(kind) < len(r.gauges) {
-		r.gauges[kind].Record(int64(at), v)
+		r.gauges[kind].record(int64(at), v)
 	}
 }
 
@@ -155,7 +142,7 @@ func (r *Recorder) Audit(ev audit.Event) {
 	}
 }
 
-// TotalEvents reports every operation observed, retained or dropped.
+// TotalEvents reports every operation observed, kept or not.
 func (r *Recorder) TotalEvents() uint64 {
 	var n uint64
 	for _, c := range r.classCount {
@@ -164,22 +151,19 @@ func (r *Recorder) TotalEvents() uint64 {
 	return n
 }
 
-// Dropped reports how many events the MaxEvents cap discarded.
+// Dropped reports how many events a failed spill write lost; the event
+// exports then return that write's error.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Horizon returns the latest completion time observed.
 func (r *Recorder) Horizon() sim.Micros { return r.horizon }
 
-// Count returns how many operations of the class were recorded
-// (including any dropped from the event list).
+// Count returns how many operations of the class were recorded.
 func (r *Recorder) Count(c OpClass) uint64 { return r.classCount[c] }
 
 // Wait returns the class's queueing-delay summary (µs between issue and
 // service start).
 func (r *Recorder) Wait(c OpClass) *metrics.Summary { return &r.classWait[c] }
-
-// GaugeSeries returns the recorded time series of a gauge.
-func (r *Recorder) GaugeSeries(kind GaugeKind) *metrics.Series { return r.gauges[kind] }
 
 // TInsecure returns the closed T_insecure windows (µs from invalidation
 // of a secured page to its physical destruction).

@@ -10,10 +10,11 @@
 // The layer is wired behind the Collector interface. The Nop collector
 // makes every call a no-op behind a single predictable branch, so the
 // simulator's hot path pays near nothing when tracing is disabled; the
-// Recorder implementation accumulates events, per-op-class latency
-// statistics and gauges, and exports them as a JSONL event log, a Chrome
-// trace_event file (opens directly in Perfetto / chrome://tracing), or a
-// JSON telemetry snapshot.
+// Recorder implementation counts events (keeping them in a spill file
+// when an event export is wanted) and accumulates per-op-class latency
+// statistics and capped gauges, and exports them as a JSONL event log, a
+// Chrome trace_event file (opens directly in Perfetto / chrome://tracing),
+// or a JSON telemetry snapshot.
 package trace
 
 import (
@@ -144,8 +145,8 @@ func (c OpClass) String() string {
 // Event is one completed simulated operation. Coordinate fields not
 // meaningful for the class are -1 (e.g. a host request has no chip, a
 // bus transfer no block). Block is the device-global block index. The
-// fields are ordered and sized to pack into 48 bytes: a Recorder retains
-// up to a million of these and every producer passes one by value.
+// fields are ordered and sized to pack into 48 bytes: every producer
+// passes one by value and the Chrome export sorts them in chunks.
 type Event struct {
 	Start   sim.Micros // when the resource began serving the operation
 	End     sim.Micros // completion time

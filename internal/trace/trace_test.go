@@ -1,13 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
 
 	"repro/internal/audit"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -119,55 +120,35 @@ func TestRecorderBusyAttribution(t *testing.T) {
 	}
 }
 
-// TestRecorderMaxEventsDrops puts the retention cap inside the first
-// chunk of the event log, in the middle of a later chunk and exactly on
-// a chunk edge.
-func TestRecorderMaxEventsDrops(t *testing.T) {
-	const c = metrics.LogChunk
-	for _, tc := range []struct{ cap, ops int }{
-		{2, 5}, {c + c/2, 2*c + 3}, {c, c + 1}, {2 * c, 2*c + 7}, {3 * c, 3 * c},
-	} {
-		r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1, MaxEvents: tc.cap})
-		for i := 0; i < tc.ops; i++ {
-			r.Op(Event{Class: OpRead, Start: sim.Micros(i * 100), End: sim.Micros(i*100 + 80), Chip: 0})
-		}
-		if r.events.Len() != tc.cap {
-			t.Fatalf("cap %d: retained %d events", tc.cap, r.events.Len())
-		}
-		if got := r.Dropped(); got != uint64(tc.ops-tc.cap) {
-			t.Fatalf("cap %d: Dropped = %d, want %d", tc.cap, got, tc.ops-tc.cap)
-		}
-		// The retained events are the first cap ones, in order.
-		for i := 0; i < tc.cap; i++ {
-			if ev := r.events.At(i); ev.Start != sim.Micros(i*100) {
-				t.Fatalf("cap %d: event %d starts at %v", tc.cap, i, ev.Start)
-			}
-		}
-		// Statistics must keep accumulating past the cap.
-		if r.Count(OpRead) != uint64(tc.ops) || r.TotalEvents() != uint64(tc.ops) {
-			t.Fatalf("cap %d: Count = %d, TotalEvents = %d, want %d", tc.cap, r.Count(OpRead), r.TotalEvents(), tc.ops)
-		}
-		if got := r.classLat[OpRead].n; got != uint64(tc.ops) {
-			t.Fatalf("cap %d: %d latencies, want %d", tc.cap, got, tc.ops)
-		}
-		if sn := r.Snapshot(); sn.Events != tc.cap || sn.DroppedEvents != r.Dropped() {
-			t.Fatalf("cap %d: snapshot events %d dropped %d", tc.cap, sn.Events, sn.DroppedEvents)
-		}
-	}
-}
-
+// TestRecorderUnlimitedEvents: there is no event cap. Without a spill
+// the Recorder counts every event and keeps none, so the event exports
+// refuse to write a trace that would be missing them; with one, every
+// event is exported.
 func TestRecorderUnlimitedEvents(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Chips: 1, Channels: 1, MaxEvents: -1})
-	for i := 0; i < 100; i++ {
-		r.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 0})
+	counted := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
+	kept := NewRecorder(RecorderConfig{Chips: 1, Channels: 1})
+	kept.SpillTo(&memSpill{})
+	for i := 0; i < 3*spillFlush/8; i++ { // several spill flushes
+		counted.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 0})
+		kept.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 0})
 	}
-	if r.events.Len() != 100 || r.Dropped() != 0 {
-		t.Fatalf("retained %d dropped %d, want 100/0", r.events.Len(), r.Dropped())
+	var buf bytes.Buffer
+	if err := counted.WriteJSONL(&buf); !errors.Is(err, errNoSpill) || counted.Dropped() != 0 {
+		t.Fatalf("JSONL without a spill: err %v, %d dropped; want errNoSpill and 0", err, counted.Dropped())
+	}
+	if err := kept.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(buf.Bytes(), []byte{'\n'}); uint64(lines) != kept.TotalEvents() || kept.Dropped() != 0 {
+		t.Fatalf("exported %d of %d events, %d dropped", lines, kept.TotalEvents(), kept.Dropped())
+	}
+	if counted.Snapshot().Events != 3*spillFlush/8 {
+		t.Fatalf("snapshot events = %d, want %d", counted.Snapshot().Events, 3*spillFlush/8)
 	}
 }
 
-// TestEventSizeof pins the packed event: DefaultMaxEvents, DESIGN §5b
-// and the README quote 48 bytes per retained event.
+// TestEventSizeof pins the event every producer passes by value and the
+// Chrome export sorts in chunks of chromeSortChunk: 48 bytes.
 func TestEventSizeof(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 48 {
 		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 48", got)
@@ -246,14 +227,9 @@ func TestUnsecuredLifecyclesNeverReachLedger(t *testing.T) {
 	if !reflect.DeepEqual(got.Verify(now), want.Verify(now)) {
 		t.Fatalf("Verify differs: got %+v, want %+v", got.Verify(now), want.Verify(now))
 	}
-	g, w := mixed.GaugeSeries(GaugeInsecureWindows), securedOnly.GaugeSeries(GaugeInsecureWindows)
-	if g.Len() != w.Len() {
-		t.Fatalf("insecure-windows gauge has %d points, want %d", g.Len(), w.Len())
-	}
-	for i := 0; i < w.Len(); i++ {
-		if g.At(i) != w.At(i) {
-			t.Fatalf("insecure-windows point %d = %v, want %v", i, g.At(i), w.At(i))
-		}
+	g, w := mixed.gauges[GaugeInsecureWindows].pts, securedOnly.gauges[GaugeInsecureWindows].pts
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("insecure-windows gauge has %d points, want %d equal ones", len(g), len(w))
 	}
 }
 
@@ -273,25 +249,22 @@ func TestRecorderGauges(t *testing.T) {
 	r.Gauge(GaugeFreeBlocks, 100, 12)
 	r.Gauge(GaugeFreeBlocks, 200, 11)
 	r.Gauge(GaugeLockQueue, 100, 3)
-	if got := r.GaugeSeries(GaugeFreeBlocks).Len(); got != 2 {
-		t.Fatalf("free_blocks series len = %d, want 2", got)
+	if got := r.gauges[GaugeFreeBlocks].pts; len(got) != 2 || got[1].V != 11 {
+		t.Fatalf("free_blocks points = %v, want 2 ending at 11", got)
 	}
-	if got := r.GaugeSeries(GaugeFreeBlocks).Last().V; got != 11 {
-		t.Fatalf("free_blocks last = %v, want 11", got)
-	}
-	if got := r.GaugeSeries(GaugeLockQueue).Len(); got != 1 {
+	if got := len(r.gauges[GaugeLockQueue].pts); got != 1 {
 		t.Fatalf("lock_queue series len = %d, want 1", got)
 	}
 	// The insecure-window gauge tracks open windows automatically.
 	r.Audit(invalidate(1, true, 300))
 	r.Audit(invalidate(2, true, 400))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
-	g := r.GaugeSeries(GaugeInsecureWindows)
-	if g.Len() != 3 {
-		t.Fatalf("insecure_windows points = %d, want 3", g.Len())
+	g := r.gauges[GaugeInsecureWindows].pts
+	if len(g) != 3 {
+		t.Fatalf("insecure_windows points = %d, want 3", len(g))
 	}
-	if g.At(1).V != 2 || g.At(2).V != 1 {
-		t.Fatalf("insecure_windows values = %v %v, want rise to 2 then fall to 1", g.At(1), g.At(2))
+	if g[1].V != 2 || g[2].V != 1 {
+		t.Fatalf("insecure_windows values = %v %v, want rise to 2 then fall to 1", g[1], g[2])
 	}
 }
 
