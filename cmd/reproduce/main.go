@@ -40,6 +40,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -238,7 +239,7 @@ func writeFigures(w io.Writer, r renderer, figs []figure, e *env) error {
 func headerLines(scale string, sc experiment.Scale) []string {
 	faults := "fault-rate=0"
 	if sc.FaultRate > 0 {
-		faults = fmt.Sprintf("fault-rate=%g fault-seed=%d", sc.FaultRate, sc.FaultConfig().Seed)
+		faults = fmt.Sprintf("fault-rate=%g fault-seed=%d", sc.FaultRate, cmp.Or(sc.FaultSeed, sc.Seed))
 	}
 	batching := "off"
 	if sc.LockBatch.Enabled {

@@ -1,7 +1,9 @@
 // Command tracegen records a Table 2 workload as a replayable block-I/O
 // trace file (the binary format of internal/blockio), and can summarize
 // or replay existing traces against any of the five device
-// configurations.
+// configurations. A replay runs on reproduce's default-scale §7 device
+// (experiment.DefaultScale: 2×4 chips of 48 blocks × 192 TLC wordlines,
+// seed 7) with the trace's page size.
 //
 // Usage:
 //
@@ -17,8 +19,6 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/experiment"
-	"repro/internal/nand"
-	"repro/internal/nand/vth"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -80,21 +80,9 @@ func doReplay(path, policyName string) {
 	trace := load(path)
 	policy, err := experiment.PolicyByName(policyName)
 	check(err)
-	dev, err := ssd.New(ssd.Config{
-		Channels:        2,
-		ChipsPerChannel: 4,
-		Chip: nand.Geometry{
-			Blocks:          96,
-			WLsPerBlock:     64,
-			CellKind:        vth.TLC,
-			PageBytes:       trace.PageBytes,
-			FlagCells:       9,
-			EnduranceCycles: 1000,
-		},
-		OverProvision: 0.10,
-		Policy:        policy,
-		Seed:          1,
-	})
+	sc := experiment.DefaultScale()
+	sc.PageBytes = trace.PageBytes
+	dev, err := ssd.New(sc.Device(policy, nil))
 	check(err)
 	n, err := dev.Replay(trace)
 	check(err)

@@ -13,7 +13,11 @@ import (
 
 func main() {
 	// A compact Evanesco-enabled SecureSSD (2 channels × 2 TLC chips).
-	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 1})
+	cfg, err := core.Compact(core.PolicyEvanesco, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dev, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,11 @@ func main() {
 }
 
 func attack(policy core.PolicyName, label string) {
-	dev, err := core.New(core.Options{Policy: policy, Seed: 2})
+	cfg, err := core.Compact(policy, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dev, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,18 +14,34 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/ftl"
 	"repro/internal/nand/vth"
+	"repro/internal/ssd"
 	"repro/internal/workload"
 )
+
+// compactDevice builds core's compact device under policy and seed, with
+// tune (if not nil) setting further fields of its config first.
+func compactDevice(t testing.TB, policy core.PolicyName, seed int64, tune func(*ssd.Config)) *core.Device {
+	t.Helper()
+	cfg, err := core.Compact(policy, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	dev, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
 
 // TestFullStackWorkloadSanitization runs a Table 2 workload through the
 // complete stack (generator -> filesys -> SSD -> FTL -> chips) on an
 // Evanesco device and then verifies, at the raw-chip level, that no
 // stale secured data survived anywhere.
 func TestFullStackWorkloadSanitization(t *testing.T) {
-	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := compactDevice(t, core.PolicyEvanesco, 21, nil)
 	fs := dev.FS()
 	gen := workload.NewGenerator(workload.MailServer(), fs, dev.PageBytes(), 21)
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages()) * 2); err != nil {
@@ -47,10 +63,7 @@ func TestFullStackWorkloadSanitization(t *testing.T) {
 // secure files must be sanitized, insecure ones may leak, and the device
 // must never lock insecure data.
 func TestFullStackMixedSecurity(t *testing.T) {
-	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := compactDevice(t, core.PolicyEvanesco, 22, nil)
 	gen := workload.NewGenerator(workload.FileServer(), dev.FS(), dev.PageBytes(), 22)
 	gen.SecureFraction = 0.5
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages())); err != nil {
@@ -153,10 +166,7 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 // chip returns all zeros, which carries no trace of anything that was
 // stored.
 func TestLockedDataDefeatsECCToo(t *testing.T) {
-	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := compactDevice(t, core.PolicyEvanesco, 23, nil)
 	stored := bytes.Repeat([]byte("classified "), 40)
 	if err := dev.WriteFile("enc.bin", stored, core.Secure); err != nil {
 		t.Fatal(err)
@@ -174,10 +184,7 @@ func TestLockedDataDefeatsECCToo(t *testing.T) {
 // they are just expensive. Cross-check scrSSD's guarantee at full-stack
 // scale so the comparison in Fig. 14 is apples to apples.
 func TestScrubbedDeviceAlsoSanitizes(t *testing.T) {
-	dev, err := core.New(core.Options{Policy: core.PolicyScrub, Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := compactDevice(t, core.PolicyScrub, 24, nil)
 	gen := workload.NewGenerator(workload.MailServer(), dev.FS(), dev.PageBytes(), 24)
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages())); err != nil {
 		t.Fatal(err)
@@ -193,10 +200,7 @@ func TestScrubbedDeviceAlsoSanitizes(t *testing.T) {
 // TestFilesysOverRealDeviceRoundTrip pushes file data through the full
 // stack and reads it back after churn.
 func TestFilesysOverRealDeviceRoundTrip(t *testing.T) {
-	dev, err := core.New(core.Options{Policy: core.PolicyEvanesco, Seed: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := compactDevice(t, core.PolicyEvanesco, 25, nil)
 	contents := map[string][]byte{}
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 12; i++ {

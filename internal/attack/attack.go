@@ -139,15 +139,17 @@ func Run(cfg Config) (Score, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	rec := trace.NewRecorder(trace.RecorderConfig{Chips: 4, Channels: 2})
-	dev, err := core.New(core.Options{
-		Policy:          cfg.Policy,
-		Seed:            seed,
-		Channels:        2,
-		ChipsPerChannel: 2,
-		FaultRate:       cfg.FaultRate,
-		Trace:           rec,
+	devCfg, err := core.Compact(cfg.Policy, seed)
+	if err != nil {
+		return Score{}, err
+	}
+	rec := trace.NewRecorder(trace.RecorderConfig{
+		Chips:    devCfg.Channels * devCfg.ChipsPerChannel,
+		Channels: devCfg.Channels,
 	})
+	devCfg.Fault = fault.Uniform(cfg.FaultRate, 0)
+	devCfg.Trace = rec
+	dev, err := core.New(devCfg)
 	if err != nil {
 		return Score{}, err
 	}

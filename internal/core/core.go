@@ -3,7 +3,8 @@
 // lock-manager FTL, a file layer with the paper's O_INSEC interface — and
 // exposes the operations a downstream user needs:
 //
-//	dev, _ := core.New(core.Options{})
+//	cfg, _ := core.Compact(core.PolicyEvanesco, 1)
+//	dev, _ := core.New(cfg)
 //	dev.WriteFile("medical.db", data, core.Secure)
 //	dev.DeleteFile("medical.db")               // pLock/bLock fire here
 //	dev.ForensicScan([]byte("patient"))        // -> no findings
@@ -14,18 +15,16 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
 	"repro/internal/blockio"
-	"repro/internal/fault"
 	"repro/internal/filesys"
 	"repro/internal/ftl"
 	"repro/internal/nand"
-	"repro/internal/nand/vth"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
-	"repro/internal/trace"
 )
 
 // SecurityMode selects a file's sanitization requirement.
@@ -50,46 +49,24 @@ const (
 	PolicyEvanesco   PolicyName = "secSSD"
 )
 
-// policyFor resolves a name through sanitize.ByName; the zero value
-// selects the full Evanesco device.
-func policyFor(name PolicyName) (ftl.Policy, error) {
-	if name == "" {
-		name = PolicyEvanesco
+// Compact returns the compact SecureSSD that examples and tests build:
+// 2×2 chips of 32 blocks × 16 TLC wordlines with 4-KiB pages (48 MiB
+// raw), 20 % over-provisioning and GC at two free blocks per chip. The
+// empty policy name selects secSSD; a zero seed is ssd's default. Set
+// any further field (Fault, Trace, LockBatch, the geometry) on the
+// result before New; ssd.DefaultConfig is the paper's 32-GiB device.
+func Compact(policy PolicyName, seed int64) (ssd.Config, error) {
+	p, err := sanitize.ByName(string(cmp.Or(policy, PolicyEvanesco)))
+	if err != nil {
+		return ssd.Config{}, err
 	}
-	return sanitize.ByName(string(name))
-}
-
-// Options configures a Device. The zero value builds a compact Evanesco
-// SecureSSD suitable for examples and tests; set PaperScale for the
-// paper's full 32-GiB configuration.
-type Options struct {
-	Policy     PolicyName
-	PaperScale bool
-	Seed       int64
-	// Chip/device overrides (zero = derived from PaperScale).
-	Channels        int
-	ChipsPerChannel int
-	BlocksPerChip   int
-	WLsPerBlock     int
-	PageBytes       int
-	// FaultRate enables deterministic fault injection (program/erase/
-	// pLock/bLock failures plus read bit errors) at the given per-op
-	// probability; zero disables it. FaultSeed zero derives the schedule
-	// from Seed.
-	FaultRate float64
-	FaultSeed int64
-	// Planes sets the per-chip plane count (zero = 1, no multi-plane
-	// commands). BlocksPerChip must divide evenly across planes.
-	Planes int
-	// NoCachePipeline disables cache-mode read/program pipelining
-	// (ablation; see ssd.Config).
-	NoCachePipeline bool
-	// LockBatch enables wordline-aware pLock batching in the lock
-	// manager (see ftl.LockBatchConfig).
-	LockBatch ftl.LockBatchConfig
-	// Trace attaches a telemetry collector (typically a *trace.Recorder)
-	// to the device; nil disables tracing.
-	Trace trace.Collector
+	cfg := ssd.DefaultConfig(p)
+	cfg.Channels, cfg.ChipsPerChannel = 2, 2
+	cfg.Chip.Blocks, cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = 32, 16, 4096
+	cfg.OverProvision = 0.20
+	cfg.GCFreeBlocksLow = 2
+	cfg.Seed = seed
+	return cfg, nil
 }
 
 // Device is an assembled SecureSSD with its file layer.
@@ -98,52 +75,8 @@ type Device struct {
 	fs  *filesys.FS
 }
 
-// New assembles the stack.
-func New(opts Options) (*Device, error) {
-	policy, err := policyFor(opts.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg := ssd.DefaultConfig(policy)
-	if !opts.PaperScale {
-		// Compact: 2×2 chips, 32 blocks × 16 TLC WLs, 4-KiB pages (48 MiB).
-		cfg.Channels, cfg.ChipsPerChannel = 2, 2
-		cfg.Chip = nand.Geometry{
-			Blocks:          32,
-			WLsPerBlock:     16,
-			CellKind:        vth.TLC,
-			PageBytes:       4096,
-			FlagCells:       9,
-			EnduranceCycles: 1000,
-		}
-		cfg.OverProvision = 0.20
-		cfg.GCFreeBlocksLow = 2
-	}
-	if opts.Channels > 0 {
-		cfg.Channels = opts.Channels
-	}
-	if opts.ChipsPerChannel > 0 {
-		cfg.ChipsPerChannel = opts.ChipsPerChannel
-	}
-	if opts.BlocksPerChip > 0 {
-		cfg.Chip.Blocks = opts.BlocksPerChip
-	}
-	if opts.WLsPerBlock > 0 {
-		cfg.Chip.WLsPerBlock = opts.WLsPerBlock
-	}
-	if opts.PageBytes > 0 {
-		cfg.Chip.PageBytes = opts.PageBytes
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	if opts.FaultRate > 0 {
-		cfg.Fault = fault.Uniform(opts.FaultRate, opts.FaultSeed)
-	}
-	cfg.Planes = opts.Planes
-	cfg.NoCachePipeline = opts.NoCachePipeline
-	cfg.LockBatch = opts.LockBatch
-	cfg.Trace = opts.Trace
+// New assembles the stack on the device cfg describes.
+func New(cfg ssd.Config) (*Device, error) {
 	dev, err := ssd.New(cfg)
 	if err != nil {
 		return nil, err

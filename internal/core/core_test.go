@@ -7,28 +7,37 @@ import (
 	"testing"
 
 	"repro/internal/filesys"
+	"repro/internal/sanitize"
+	"repro/internal/ssd"
 )
 
-func newDevice(t *testing.T, policy PolicyName) *Device {
+func newCompact(t *testing.T, policy PolicyName, seed int64) *Device {
 	t.Helper()
-	d, err := New(Options{Policy: policy, Seed: 5})
+	cfg, err := Compact(policy, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
+func newDevice(t *testing.T, policy PolicyName) *Device {
+	t.Helper()
+	return newCompact(t, policy, 5)
+}
+
 func TestNewRejectsUnknownPolicy(t *testing.T) {
-	if _, err := New(Options{Policy: "wat"}); err == nil {
+	if _, err := Compact("wat", 0); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 func TestPolicyNamesResolve(t *testing.T) {
 	for _, p := range []PolicyName{PolicyBaseline, PolicyErase, PolicyScrub, PolicySecNoBLock, PolicyEvanesco, ""} {
-		if _, err := New(Options{Policy: p}); err != nil {
-			t.Errorf("policy %q: %v", p, err)
-		}
+		newCompact(t, p, 0)
 	}
 }
 
@@ -170,7 +179,7 @@ func TestSanitizationSurvivesChurn(t *testing.T) {
 }
 
 func TestPaperScaleGeometry(t *testing.T) {
-	d, err := New(Options{PaperScale: true})
+	d, err := New(ssd.DefaultConfig(sanitize.SecSSD()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +189,20 @@ func TestPaperScaleGeometry(t *testing.T) {
 	}
 }
 
+// The compact device is 2×2 chips of 32 blocks × 16 TLC wordlines with
+// 4-KiB pages, and a field set on Compact's config reaches the device.
 func TestOptionOverrides(t *testing.T) {
-	d, err := New(Options{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 24, WLsPerBlock: 8, PageBytes: 2048})
+	d := newCompact(t, "", 0)
+	if g := d.SSD().Geometry(); g.Chips != 4 || g.BlocksPerChip != 32 || g.PagesPerBlock != 48 || g.PageBytes != 4096 {
+		t.Fatalf("compact geometry %+v", g)
+	}
+	cfg, err := Compact("", 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Channels, cfg.ChipsPerChannel = 1, 1
+	cfg.Chip.Blocks, cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = 24, 8, 2048
+	if d, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
 	g := d.SSD().Geometry()
@@ -213,7 +233,11 @@ func TestReportExposesActivity(t *testing.T) {
 // Example demonstrates the facade's primary flow: secure storage, secure
 // deletion, and the failed forensic attack.
 func Example() {
-	dev, err := New(Options{Policy: PolicyEvanesco, Seed: 1})
+	cfg, err := Compact(PolicyEvanesco, 1)
+	if err != nil {
+		panic(err)
+	}
+	dev, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -48,10 +48,7 @@ func AuditSweep(sc Scale, workers int) ([]AuditCell, error) {
 		cs.Planes = cells[i].Planes
 		cs.NoCachePipeline = cells[i].NoCachePipeline
 		cs.LockBatch = cells[i].LockBatch
-		rec := trace.NewRecorder(trace.RecorderConfig{
-			Chips:    Channels * ChipsPerChannel,
-			Channels: Channels,
-		})
+		rec := cs.recorder()
 		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, rec, true, h)
 		if err != nil {
 			return AuditCell{}, fmt.Errorf("audit/%s: %w", cells[i].Label, err)

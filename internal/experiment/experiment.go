@@ -12,8 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/filesys"
 	"repro/internal/ftl"
-	"repro/internal/nand"
-	"repro/internal/nand/vth"
 	"repro/internal/parallel"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
@@ -62,14 +60,27 @@ type Scale struct {
 	LockBatch       ftl.LockBatchConfig
 }
 
-// FaultConfig returns the scale's fault-injection configuration (the
-// zero Config when FaultRate is 0).
-func (sc Scale) FaultConfig() fault.Config {
-	seed := sc.FaultSeed
-	if seed == 0 {
-		seed = sc.Seed
-	}
-	return fault.Uniform(sc.FaultRate, seed)
+// Device is the §7 device at this scale: Channels × ChipsPerChannel of
+// the paper's TLC chip with the scale's blocks, wordlines, page size and
+// planes, GC at three free blocks per chip, and the paper's 7 %
+// over-provisioning, which ssd raises to cover the GC reserve on the
+// scaled-down chips. tr may be nil.
+func (sc Scale) Device(policy ftl.Policy, tr trace.Collector) ssd.Config {
+	cfg := ssd.DefaultConfig(policy)
+	cfg.Channels, cfg.ChipsPerChannel = Channels, ChipsPerChannel
+	cfg.Chip.Blocks, cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = sc.BlocksPerChip, sc.WLsPerBlock, sc.PageBytes
+	cfg.Chip.Planes = max(sc.Planes, 1)
+	cfg.Seed = sc.Seed
+	cfg.Fault = fault.Uniform(sc.FaultRate, sc.FaultSeed)
+	cfg.NoCachePipeline, cfg.LockBatch = sc.NoCachePipeline, sc.LockBatch
+	cfg.Trace = tr
+	return cfg
+}
+
+// recorder returns a trace.Recorder sized to the scale's device.
+func (sc Scale) recorder() *trace.Recorder {
+	dc := sc.Device(nil, nil)
+	return trace.NewRecorder(trace.RecorderConfig{Chips: dc.Channels * dc.ChipsPerChannel, Channels: dc.Channels})
 }
 
 // studyPagesFor returns the measured volume for a policy.
@@ -213,7 +224,7 @@ func (h handover) retire(r retired) {
 // completed: a cell that fails or panics retires nothing.
 func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool, h handover) (Run, error) {
 	old := h.take()
-	dev, err := buildDevice(old.dev, policy, sc, tr)
+	dev, err := ssd.NewFrom(old.dev, sc.Device(policy, tr))
 	if err != nil {
 		return Run{}, err
 	}
@@ -244,46 +255,6 @@ func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 	}
 	h.retire(retired{dev, fs, gen})
 	return run, nil
-}
-
-// buildDevice assembles the §7 device at the given scale, on the storage
-// of a retired one when old is not nil.
-func buildDevice(old *ssd.SSD, policy ftl.Policy, sc Scale, tr trace.Collector) (*ssd.SSD, error) {
-	const (
-		channels        = Channels
-		chipsPerChannel = ChipsPerChannel
-		gcLow           = 3
-	)
-	// The FTL reserves (gcLow+1) blocks per chip absolutely; on scaled-
-	// down devices the paper's 7% over-provisioning cannot cover that, so
-	// raise it to the minimum plus a margin.
-	chips := channels * chipsPerChannel
-	physical := chips * sc.BlocksPerChip * sc.WLsPerBlock * 3
-	op := 0.07
-	if minOP := float64(chips*(gcLow+1)*sc.WLsPerBlock*3)/float64(physical) + 0.02; minOP > op {
-		op = minOP
-	}
-	return ssd.NewFrom(old, ssd.Config{
-		Channels:        channels,
-		ChipsPerChannel: chipsPerChannel,
-		Chip: nand.Geometry{
-			Blocks:          sc.BlocksPerChip,
-			WLsPerBlock:     sc.WLsPerBlock,
-			CellKind:        vth.TLC,
-			PageBytes:       sc.PageBytes,
-			FlagCells:       9,
-			EnduranceCycles: 1000,
-		},
-		OverProvision:   op,
-		GCFreeBlocksLow: gcLow,
-		Policy:          policy,
-		Seed:            sc.Seed,
-		Fault:           sc.FaultConfig(),
-		Trace:           tr,
-		Planes:          sc.Planes,
-		NoCachePipeline: sc.NoCachePipeline,
-		LockBatch:       sc.LockBatch,
-	})
 }
 
 // Fig14Row is one workload's column group in Fig. 14(a)/(b): every

@@ -147,7 +147,7 @@ func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		dev, err := buildDevice(nil, policy(), sc, nil)
+		dev, err := ssd.New(sc.Device(policy(), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func construct(t *testing.T, old retired, policy ftl.Policy, prof workload.Profi
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	dev, err := buildDevice(old.dev, policy, sc, nil)
+	dev, err := ssd.NewFrom(old.dev, sc.Device(policy, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

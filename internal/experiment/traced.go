@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/ftl"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -38,10 +37,7 @@ type TracedFiles struct {
 // asked for, in a temporary spill file next to that export, removed when
 // the run returns.
 func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedFiles, log io.Writer) (_ audit.VerifyReport, err error) {
-	rec := trace.NewRecorder(trace.RecorderConfig{
-		Chips:    Channels * ChipsPerChannel,
-		Channels: Channels,
-	})
+	rec := sc.recorder()
 	if out := cmp.Or(files.Chrome, files.JSONL); out != "" {
 		closeSpill, serr := rec.SpillToFile(filepath.Dir(out))
 		if serr != nil {

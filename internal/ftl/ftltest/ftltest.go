@@ -291,39 +291,30 @@ func (t *CountingTarget) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool
 	}
 }
 
-// BuildChips constructs real nand.Chip models matching the geometry. The
-// t parameter is any test handle with Fatal (testing.T or testing.B).
+// BuildChips constructs real nand.Chip models matching the geometry: the
+// paper's chip (nand.DefaultGeometry) with geo's blocks, pages and
+// planes, its cell kind from the pages per wordline. The t parameter is
+// any test handle with Fatal (testing.T or testing.B).
 func BuildChips(t interface{ Fatal(...any) }, geo ftl.Geometry) []*nand.Chip {
+	g := nand.DefaultGeometry()
+	g.Blocks, g.WLsPerBlock, g.PageBytes, g.Planes = geo.BlocksPerChip, geo.PagesPerBlock/geo.PagesPerWL, geo.PageBytes, geo.Planes
+	switch geo.PagesPerWL {
+	case 1:
+		g.CellKind = vth.SLC
+	case 2:
+		g.CellKind = vth.MLC
+	case 4:
+		g.CellKind = vth.QLC
+	}
 	chips := make([]*nand.Chip, geo.Chips)
 	for i := range chips {
-		c, err := nand.New(nand.Geometry{
-			Blocks:          geo.BlocksPerChip,
-			WLsPerBlock:     geo.PagesPerBlock / geo.PagesPerWL,
-			CellKind:        kindFor(geo.PagesPerWL),
-			PageBytes:       geo.PageBytes,
-			FlagCells:       9,
-			EnduranceCycles: 1000,
-			Planes:          geo.Planes,
-		}, nand.WithSeed(int64(i)+1))
+		c, err := nand.New(g, nand.WithSeed(int64(i)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		chips[i] = c
 	}
 	return chips
-}
-
-func kindFor(pagesPerWL int) vth.CellKind {
-	switch pagesPerWL {
-	case 1:
-		return vth.SLC
-	case 2:
-		return vth.MLC
-	case 4:
-		return vth.QLC
-	default:
-		return vth.TLC
-	}
 }
 
 // SmallGeometry returns a compact geometry for fast tests: 2 chips × 8

@@ -15,7 +15,7 @@ import (
 // wordline-aware lock batching in immediate mode.
 func batchConfig(policy ftl.Policy) Config {
 	cfg := smallConfig(policy)
-	cfg.Planes = 2
+	cfg.Chip.Planes = 2
 	cfg.LockBatch = ftl.LockBatchConfig{Enabled: true}
 	return cfg
 }
@@ -31,7 +31,7 @@ func mustNew(t testing.TB, cfg Config) *SSD {
 
 func TestPlanesValidation(t *testing.T) {
 	cfg := smallConfig(sanitize.SecSSD())
-	cfg.Planes = 3 // 16 blocks % 3 != 0
+	cfg.Chip.Planes = 3 // 16 blocks % 3 != 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("plane count that does not divide the block count accepted")
 	}

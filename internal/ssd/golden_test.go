@@ -31,9 +31,8 @@ func (c goldenCell) config() Config {
 		channels, chipsPerChannel = 2, 4
 		blocks, wls, gcLow        = 24, 16, 3
 	)
-	// experiment.buildDevice's over-provisioning rule: the FTL's absolute
-	// per-chip reserve plus a margin.
-	op := float64(gcLow+1)/float64(blocks) + 0.02
+	// OverProvision is left to applyDefaults' floor, which covers the
+	// FTL's per-chip reserve on these 24-block chips.
 	return Config{
 		Channels:        channels,
 		ChipsPerChannel: chipsPerChannel,
@@ -44,14 +43,13 @@ func (c goldenCell) config() Config {
 			PageBytes:       4096,
 			FlagCells:       9,
 			EnduranceCycles: 1000,
+			Planes:          c.planes,
 		},
-		OverProvision:   op,
 		GCFreeBlocksLow: gcLow,
 		QueueDepth:      32,
 		Policy:          c.policy(),
 		Seed:            7,
 		Fault:           fault.Uniform(c.faultRate, 7),
-		Planes:          c.planes,
 	}
 }
 

@@ -28,10 +28,17 @@ import (
 type Config struct {
 	Channels        int
 	ChipsPerChannel int
-	Chip            nand.Geometry
-	Timing          nand.Timing
+	// Chip is every chip's geometry. With Chip.Planes > 1 the FTL stripes
+	// writes and groups reads across planes, sharing one tPROG/tREAD per
+	// group.
+	Chip   nand.Geometry
+	Timing nand.Timing
 	// OverProvision is the fraction of raw capacity reserved for GC
-	// (default 0.07 when zero).
+	// (default 0.07 when zero). It is a floor: the FTL keeps
+	// GCFreeBlocksLow+1 blocks of every chip free outright, so
+	// applyDefaults raises it to (GCFreeBlocksLow+1)/Chip.Blocks + 0.02
+	// where that is higher — on small chips the paper's 7 % does not
+	// cover the reserve.
 	OverProvision float64
 	// GCFreeBlocksLow is the per-chip GC trigger (default 3 when zero).
 	GCFreeBlocksLow int
@@ -40,11 +47,6 @@ type Config struct {
 	QueueDepth int
 	// Policy is the sanitization strategy; nil means no sanitization.
 	Policy ftl.Policy
-	// Planes overrides the per-chip plane count (multi-plane command
-	// support). Zero keeps Chip.Planes (which defaults to 1). With more
-	// than one plane the FTL stripes writes and groups reads across
-	// planes, sharing one tPROG/tREAD per group.
-	Planes int
 	// NoCachePipeline disables the chips' cache-mode pipelining
 	// (ablation): the page register is then occupied for the whole
 	// cell-activity + bus-transfer span, so transfer of page i no longer
@@ -96,6 +98,7 @@ func (c *Config) applyDefaults() {
 	if c.GCFreeBlocksLow == 0 {
 		c.GCFreeBlocksLow = 3
 	}
+	c.OverProvision = max(c.OverProvision, float64(c.GCFreeBlocksLow+1)/float64(c.Chip.Blocks)+0.02)
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
@@ -189,9 +192,6 @@ func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("ssd: a sanitization policy is required (use sanitize.Baseline() for none)")
-	}
-	if cfg.Planes > 0 {
-		cfg.Chip.Planes = cfg.Planes
 	}
 	if old == nil {
 		old = &SSD{}

@@ -44,6 +44,48 @@ func newSSD(t testing.TB, policy ftl.Policy) *SSD {
 	return s
 }
 
+// The over-provisioning floor, on every (blocks, GC threshold, OP) shape
+// the tree builds: the effective OP is the configured one unless the
+// FTL's GCFreeBlocksLow+1 reserved blocks per chip need more, and every
+// device accepts a full logical space written twice over.
+func TestOverProvisionFloor(t *testing.T) {
+	for _, c := range []struct {
+		blocks, gcLow int
+		op, want      float64
+	}{
+		{48, 3, 0.07, 4.0/48 + 0.02}, // experiment.DefaultScale
+		{24, 3, 0.07, 4.0/24 + 0.02}, // experiment.SmallScale
+		{428, 3, 0.07, 0.07},         // the paper's device
+		{112, 2, 0.12, 0.12},         // the §3 study device, default scale
+		{60, 2, 0.12, 0.12},          // the §3 study device, small scale
+		{32, 2, 0.20, 0.20},          // core.Compact
+		{16, 2, 0.20, 3.0/16 + 0.02}, // core.Compact, 16-block reliability device
+		{16, 2, 0.25, 0.25},          // smallConfig
+	} {
+		cfg := DefaultConfig(sanitize.SecSSD())
+		cfg.Channels, cfg.ChipsPerChannel = 2, 2
+		cfg.Chip.Blocks, cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = c.blocks, 4, 4096
+		cfg.GCFreeBlocksLow, cfg.OverProvision = c.gcLow, c.op
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%d blocks, gcLow %d, OP %v: %v", c.blocks, c.gcLow, c.op, err)
+		}
+		total := s.Geometry().TotalPages()
+		if got, want := s.LogicalPages(), int(float64(total)*(1-c.want)); got != want {
+			t.Errorf("%d blocks, gcLow %d, OP %v: %d logical pages, want %d (OP %.4f)",
+				c.blocks, c.gcLow, c.op, got, want, c.want)
+		}
+		logical := int64(s.LogicalPages())
+		for pass := 0; pass < 2; pass++ {
+			for lpa := int64(0); lpa < logical; lpa += 8 {
+				if _, err := s.Submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: int32(min(8, logical-lpa))}); err != nil {
+					t.Fatalf("%d blocks, gcLow %d, OP %v: pass %d, LPA %d: %v", c.blocks, c.gcLow, c.op, pass, lpa, err)
+				}
+			}
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")

@@ -28,10 +28,7 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 	fmt.Fprintf(bw, "secssd_horizon_us %d\n", int64(r.horizon))
 	family("secssd_events_total", "counter", "Operations observed (including dropped).")
 	fmt.Fprintf(bw, "secssd_events_total %d\n", r.TotalEvents())
-	// Events a failed spill write lost. The HELP text still names the
-	// retention cap this counter once reported; TestTracedExportsGolden
-	// pins the exposition byte for byte.
-	family("secssd_dropped_events_total", "counter", "Events discarded by the retention cap.")
+	family("secssd_dropped_events_total", "counter", "Events a failed spill write lost.")
 	fmt.Fprintf(bw, "secssd_dropped_events_total %d\n", r.dropped)
 
 	family("secssd_ops_total", "counter", "Operations per class.")

@@ -10,9 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/workload"
-
-	"repro/internal/nand"
-	"repro/internal/nand/vth"
 )
 
 // StudyConfig parameterizes a §3 data-versioning run. The paper uses a
@@ -73,40 +70,19 @@ func (d *tickDevice) Submit(req blockio.Request) (sim.Micros, error) {
 
 // buildStudyDevice sizes a baseline (no-sanitization) SSD whose logical
 // capacity covers the file-system capacity with GC headroom and whose
-// page-lifecycle events go to tracker.
+// page-lifecycle events go to tracker: 2×2 chips of 64-wordline TLC
+// blocks, as many as hold capacityPages in 82 % of the raw pages plus
+// eight per chip, 12 % over-provisioning (ssd raises it on the smallest
+// devices to cover the GC reserve) and GC at two free blocks per chip.
 func buildStudyDevice(capacityPages int64, pageBytes int, seed int64, tracker *Tracker) (*ssd.SSD, error) {
-	const (
-		chips = 4
-		wls   = 64
-	)
-	ppb := wls * 3 // TLC
-	// Logical = (1-OP) * physical must exceed capacityPages, and the FTL
-	// additionally reserves GC headroom blocks per chip.
-	needPhysical := float64(capacityPages) / 0.82
-	blocksPerChip := int(needPhysical/float64(chips*ppb)) + 8
-	// The FTL reserves (GCFreeBlocksLow+1) blocks per chip in absolute
-	// terms, so tiny devices need enough blocks for 12% over-provisioning
-	// to cover that reserve.
-	if blocksPerChip < 26 {
-		blocksPerChip = 26
-	}
-	cfg := ssd.Config{
-		Channels:        2,
-		ChipsPerChannel: chips / 2,
-		Chip: nand.Geometry{
-			Blocks:          blocksPerChip,
-			WLsPerBlock:     wls,
-			CellKind:        vth.TLC,
-			PageBytes:       pageBytes,
-			FlagCells:       9,
-			EnduranceCycles: 1000,
-		},
-		OverProvision:   0.12,
-		GCFreeBlocksLow: 2,
-		Policy:          sanitize.Baseline(),
-		Seed:            seed,
-		Trace:           tracker,
-	}
+	cfg := ssd.DefaultConfig(sanitize.Baseline())
+	cfg.Channels, cfg.ChipsPerChannel = 2, 2
+	cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = 64, pageBytes
+	cfg.Chip.Blocks = int(float64(capacityPages)/0.82/float64(4*cfg.Chip.PagesPerBlock())) + 8
+	cfg.OverProvision = 0.12
+	cfg.GCFreeBlocksLow = 2
+	cfg.Seed = seed
+	cfg.Trace = tracker
 	dev, err := ssd.New(cfg)
 	if err != nil {
 		return nil, err

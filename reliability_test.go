@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/ssd"
 	"repro/internal/trace"
 )
 
@@ -31,24 +32,15 @@ import (
 // attaches a telemetry collector (nil: untraced).
 func faultDevice(t testing.TB, rate float64, seed int64, batched bool, tr trace.Collector) *core.Device {
 	t.Helper()
-	opts := core.Options{
-		Policy:        core.PolicyEvanesco,
-		Seed:          seed,
-		BlocksPerChip: 16,
-		WLsPerBlock:   8,
-		FaultRate:     rate,
-		FaultSeed:     seed,
-		Trace:         tr,
-	}
-	if batched {
-		opts.Planes = 2
-		opts.LockBatch = ftl.LockBatchConfig{Enabled: true}
-	}
-	dev, err := core.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dev
+	return compactDevice(t, core.PolicyEvanesco, seed, func(cfg *ssd.Config) {
+		cfg.Chip.Blocks, cfg.Chip.WLsPerBlock = 16, 8
+		cfg.Fault = fault.Uniform(rate, seed)
+		cfg.Trace = tr
+		if batched {
+			cfg.Chip.Planes = 2
+			cfg.LockBatch = ftl.LockBatchConfig{Enabled: true}
+		}
+	})
 }
 
 // runSecureDeleteCampaign drives the secured-page property: distinctive
@@ -153,17 +145,10 @@ func TestAllPoliciesSurviveFaultChurn(t *testing.T) {
 	for _, pol := range policies {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
-				dev, err := core.New(core.Options{
-					Policy:        pol,
-					Seed:          seed,
-					BlocksPerChip: 16,
-					WLsPerBlock:   8,
-					FaultRate:     5e-3,
-					FaultSeed:     seed,
+				dev := compactDevice(t, pol, seed, func(cfg *ssd.Config) {
+					cfg.Chip.Blocks, cfg.Chip.WLsPerBlock = 16, 8
+					cfg.Fault = fault.Uniform(5e-3, seed)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				// A warmed-up device keeps GC running, which is what opens
 				// the reentrant-flush windows in the baseline policies.
 				if err := dev.Churn(2000, seed+100); err != nil {
