@@ -11,6 +11,7 @@
 //	reproduce -trace run.trace.json [five more exporters] [-audit-verify]
 //	          [-trace-policy secSSD] [-workloads MailServer] [device knobs]
 //	reproduce -attack-verify [-attack-json scores.json] [-power-cut N]
+//	reproduce -check -scale default [-fig <id>] [-out -]
 //
 // Figures: -scale sizes every figure from one place — the simulated SSD
 // (experiment.Scale) and, in newEnv, the wordlines sampled per chip
@@ -33,10 +34,14 @@
 // exits 1 unless every sanitizing policy leaks nothing AND the baseline
 // control leaks (a toothless control fails too).
 //
+// Check: -check writes the figures that carry tolerance bands (check.go:
+// Fig. 14(a), 14(b) and the headline, recorded at -scale default, which
+// -check requires) and exits 1 if any banded cell leaves its band.
+//
 // Exit codes: 2 for usage errors (an unknown -fig, -scale, -format,
 // -workloads or -trace-policy value, flags of two modes combined, or a
 // traced run given more than one workload),
-// 1 for a failed experiment, export or gate.
+// 1 for a failed experiment, export, gate or band.
 package main
 
 import (
@@ -93,6 +98,7 @@ func run(args []string) int {
 	attackJSON := fs.String("attack-json", "", "attack gate: write the attack-score matrix and verdict JSON here")
 	attackVerify := fs.Bool("attack-verify", false, "attack gate: exit 1 unless sanitizers leak nothing and the control leaks")
 	powerCut := fs.Uint64("power-cut", 0, "attack gate: power-cut cells only, cutting the Nth sanitize op of the delete")
+	check := fs.Bool("check", false, "exit 1 if a banded figure cell leaves its band (needs -scale default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := fs.String("memprofile", "", "write a heap profile here on exit")
 	fs.Parse(args)
@@ -115,6 +121,10 @@ func run(args []string) int {
 		return exit(2, errors.New("traced-run flags and attack-gate flags select different runs; give one set"))
 	case traced && set["fig"]:
 		return exit(2, errors.New("traced-run flags capture one workload × policy run, not a figure; drop -fig"))
+	case *check && (traced || gate):
+		return exit(2, errors.New("-check checks figures; drop the traced-run and attack-gate flags"))
+	case *check && *scaleName != "default":
+		return exit(2, fmt.Errorf("-check bands are recorded at -scale default, not %s", *scaleName))
 	case gate && set["fig"] && *fig != "attack":
 		return exit(2, fmt.Errorf("attack-gate flags apply to -fig attack, not -fig %s", *fig))
 	case gate:
@@ -156,6 +166,9 @@ func run(args []string) int {
 		return exit(2, err)
 	}
 	figs := registry
+	if *check && !set["fig"] {
+		figs = slices.DeleteFunc(slices.Clone(registry), func(f figure) bool { return bands[f.id] == nil })
+	}
 	if *fig != "all" {
 		i := slices.IndexFunc(registry, func(f figure) bool { return f.id == *fig })
 		if i < 0 {
@@ -207,6 +220,24 @@ func run(args []string) int {
 	}
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
+	}
+	if *check {
+		var breaches []string
+		for _, f := range figs {
+			if bands[f.id] != nil {
+				// Every banded figure is built from a memoized grid, so
+				// building it again reruns nothing.
+				t, err := f.build(e)
+				if err != nil {
+					return exit(1, err)
+				}
+				breaches = append(breaches, checkBands(f.id, t)...)
+			}
+		}
+		if len(breaches) > 0 {
+			return exit(1, fmt.Errorf("%d cells out of band:\n  %s", len(breaches), strings.Join(breaches, "\n  ")))
+		}
+		fmt.Fprintln(os.Stderr, "every banded cell is within its band")
 	}
 	if gate {
 		if err := attackGate(e, *attackJSON, *attackVerify); err != nil {

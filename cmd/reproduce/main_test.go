@@ -43,6 +43,9 @@ func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 		{"-attack-verify", "-fig", "14a"},
 		{"-power-cut", "3", "-fig", "all"},
 		{"-audit-verify", "-workloads", "MailServer,Mobile"},
+		{"-check", "-out", "-"},
+		{"-check", "-scale", "default", "-audit-verify"},
+		{"-check", "-scale", "default", "-attack-verify"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("reproduce %v exited %d, want 2", args, code)
