@@ -41,27 +41,19 @@ func (f *FTL) rrChip(i int) int {
 	return chip
 }
 
-// mustAllocate is allocate for internal relocation paths where failure
-// means the over-provisioning invariant was violated.
-func (f *FTL) mustAllocate() PPA {
+// allocateNear takes a relocation's destination page: on the source's
+// chip while it has room — which is what lets the move be a copyback —
+// and on any chip otherwise. sameChip reports which of the two happened.
+// Running truly out of space here means the over-provisioning invariant
+// was violated, a configuration error: it panics.
+func (f *FTL) allocateNear(chip int) (p PPA, sameChip bool) {
+	if p, err := f.allocateOnChip(chip); err == nil {
+		return p, true
+	}
 	p, err := f.allocate()
 	if err != nil {
 		panic(err)
 	}
-	return p
-}
-
-// allocateNear takes a relocation's destination page: on the source's
-// chip while it has room — which is what lets the move be a copyback —
-// and on any chip otherwise (running truly out of space is a
-// configuration error surfaced by mustAllocate's panic). sameChip
-// reports which of the two happened.
-func (f *FTL) allocateNear(chip int) (p PPA, sameChip bool) {
-	p, err := f.allocateOnChip(chip)
-	if err == nil {
-		return p, true
-	}
-	p = f.mustAllocate()
 	return p, f.geo.ChipOf(p) == chip
 }
 

@@ -57,7 +57,8 @@ type FTL struct {
 	planes int // cached Geometry.PlaneCount()
 
 	// writeSeq is the device-wide monotone write sequence number behind
-	// the spare-area stamps of committed programs (stampMeta); Restore
+	// the spare-area stamps of committed programs: a program carries
+	// writeSeq+1 (meta) and writeSeq advances when it succeeds. Restore
 	// resumes it past the highest surviving stamp.
 	writeSeq uint64
 
@@ -381,7 +382,7 @@ func (f *FTL) writePage(lpa int64, secure bool, file uint64, data []byte, dep si
 func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, dep sim.Micros) (sim.Micros, error) {
 	old := f.l2p[lpa]
 	f.stats.FlashPrograms++
-	done, perr := f.target.Program(p, data, dep)
+	done, perr := f.target.Program(p, data, f.meta(lpa, secure), dep)
 	retries := 0
 	for perr != nil {
 		f.quarantineFailedProgram(p, secure, file, done)
@@ -395,7 +396,7 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 			return done, err
 		}
 		f.stats.FlashPrograms++
-		done, perr = f.target.Program(p, data, done)
+		done, perr = f.target.Program(p, data, f.meta(lpa, secure), done)
 	}
 	if retries > 0 {
 		f.retryDepth.Add(float64(retries))
@@ -409,18 +410,18 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 	return done, nil
 }
 
-// stampMeta records a committed write's remount metadata in the page's
-// spare area. Only successful programs are stamped: quarantined and
-// power-cut-torn pages keep no stamp, which is how the remount scan
-// tells a torn write from committed data.
-func (f *FTL) stampMeta(p PPA, lpa int64, secure bool) {
-	f.writeSeq++
-	f.target.WriteMeta(p, lpa, f.writeSeq, secure)
+// meta is the spare-area stamp of the next program of lpa: it takes the
+// next write sequence number, which the program's success commits
+// (writeSeq++). Only successful programs are stamped — quarantined and
+// power-cut-torn pages keep none, which is how the remount scan tells a
+// torn write from committed data — so sequence numbers have no gaps.
+func (f *FTL) meta(lpa int64, secure bool) Meta {
+	return Meta{LPA: lpa, Seq: f.writeSeq + 1, Secure: secure}
 }
 
 // commitWrite publishes the mapping for a freshly-programmed host page.
 func (f *FTL) commitWrite(p PPA, lpa int64, secure bool, file uint64) {
-	f.stampMeta(p, lpa, secure)
+	f.writeSeq++
 	f.l2p[lpa] = p
 	f.p2l[p] = lpa
 	if f.traceOn {
@@ -557,7 +558,7 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 		f.stats.FlashPrograms += uint64(len(stripe))
 		f.stats.ProgramGroups++
 		f.stats.GroupedPrograms += uint64(len(stripe))
-		gdone, errs := f.target.ProgramGroup(stripe, datas, dep)
+		gdone, errs := f.target.ProgramGroup(stripe, datas, f.meta(req.LPA+int64(i), secure), dep)
 		if gdone > done {
 			done = gdone
 		}
@@ -838,16 +839,8 @@ func (f *FTL) LockTiming() LockTiming { return f.cfg.Timing }
 // sanitization policy — callers destroy the whole block right after
 // (erSSD) — but are reported stale. Returns the number moved.
 func (f *FTL) RelocateLive(block int) int {
-	moved := 0
 	first := f.geo.FirstPPA(block)
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		p := first + PPA(i)
-		if !f.status[p].Live() {
-			continue
-		}
-		f.relocatePage(p, false)
-		moved++
-	}
+	moved := f.relocate(first, first+PPA(f.geo.PagesPerBlock), NoPPA, audit.OriginEvacuate)
 	f.stats.SanitizeCopies += uint64(moved)
 	return moved
 }
@@ -856,101 +849,113 @@ func (f *FTL) RelocateLive(block int) int {
 // (excluding p itself) so the wordline can be scrubbed (scrSSD). Returns
 // the number moved.
 func (f *FTL) RelocateWLSiblings(p PPA) int {
-	moved := 0
 	first := f.geo.WLStart(p)
-	for s := first; s < first+PPA(f.geo.PagesPerWL); s++ {
-		if s == p || !f.status[s].Live() {
-			continue
-		}
-		f.relocatePage(s, false)
-		moved++
-	}
+	moved := f.relocate(first, first+PPA(f.geo.PagesPerWL), p, audit.OriginEvacuate)
 	f.stats.SanitizeCopies += uint64(moved)
 	return moved
 }
 
-// relocatePage copies one live page to a fresh location on the same chip.
-// When sanitizeOld is true the stale copy goes through the policy
-// (GC path); otherwise it is only marked stale (caller destroys it).
-func (f *FTL) relocatePage(p PPA, sanitizeOld bool) {
-	lpa := f.p2l[p]
-	st := f.status[p]
-	var file uint64
-	if f.traceOn {
-		file = f.fileOf[p]
-	}
-	block := f.geo.BlockOf(p)
+// relocate is the one relocation loop of GC and both evacuations: it
+// copies every live page of [first, end), one block's pages, except skip
+// to a fresh page — on the source's chip while it has room, as one
+// copyback command — and returns the number moved. GC (OriginGC) routes
+// each stale copy through the policy; an evacuation (OriginEvacuate) only
+// marks it invalid, because the caller destroys the range next.
+//
+// Each page's bookkeeping completes before the next page's chip command,
+// so a power cut mid-run leaves the media, ledger and trace state a
+// page-at-a-time loop would; the status check is per page because that
+// bookkeeping (a GC pass it triggered) may have moved later pages. A
+// failed program quarantines its destination and retries on a fresh one.
+func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
+	block := f.geo.BlockOf(first)
 	chip := f.geo.ChipOfBlock(block)
+	sanitizeOld := origin == audit.OriginGC
+	// The destination's block, first page and chip, kept while the
+	// allocator stays in that block.
+	dblock, dfirst, dchip := -1, PPA(0), 0
+	moved := 0
+	for p := first; p < end; p++ {
+		st := f.status[p]
+		if p == skip || !st.Live() {
+			continue
+		}
+		moved++
+		lpa, secure := f.p2l[p], st == PageSecured
+		var file uint64
+		if f.traceOn {
+			file = f.fileOf[p]
+		}
+		np, sameChip := f.allocateNear(chip)
+		var done sim.Micros
+		retries := 0
+		for {
+			f.stats.FlashReads++
+			f.stats.FlashPrograms++
+			f.stats.GCCopies++
+			var perr error
+			if sameChip {
+				f.stats.Copybacks++
+				done, perr = f.target.Copyback(p, np, f.meta(lpa, secure), f.reqClock)
+			} else {
+				done, perr = f.target.Move(p, np, f.meta(lpa, secure), f.reqClock)
+			}
+			if perr == nil {
+				break
+			}
+			// The destination was consumed by the failed program; quarantine
+			// it and retry the whole move on a fresh page (the source is
+			// still intact and mapped).
+			f.quarantineFailedProgram(np, secure, file, done)
+			if retries+1 >= maxProgramAttempts {
+				panic(fmt.Sprintf("ftl: relocation of page %d failed %d times: %v", p, retries+1, perr))
+			}
+			retries++
+			f.stats.ProgramRetries++
+			if done > f.reqClock {
+				f.reqClock = done
+			}
+			np, sameChip = f.allocateNear(chip)
+		}
+		f.writeSeq++
+		if retries > 0 {
+			f.retryDepth.Add(float64(retries))
+		}
+		if done > f.reqClock {
+			f.reqClock = done
+		}
 
-	np, sameChip := f.allocateNear(chip)
-	var progDone sim.Micros
-	retries := 0
-	for {
-		f.stats.FlashReads++
-		f.stats.FlashPrograms++
-		f.stats.GCCopies++
-		var perr error
-		if sameChip {
-			// Same-chip move: the copyback command skips the bus transfers.
-			f.stats.Copybacks++
-			progDone, perr = f.target.Copyback(p, np, f.reqClock)
+		// Remap.
+		if lpa >= 0 {
+			f.l2p[lpa] = np
+		}
+		f.p2l[np] = lpa
+		if f.traceOn {
+			f.fileOf[np] = file
+		}
+		if dblock < 0 || np-dfirst >= PPA(f.geo.PagesPerBlock) {
+			dblock = f.geo.BlockOf(np)
+			dfirst, dchip = f.geo.FirstPPA(dblock), f.geo.ChipOfBlock(dblock)
+		}
+		f.setStatus(np, st)
+		f.liveInBlock[dblock]++
+		f.noteCopy(np, uint32(p), lpa, file, secure, origin, f.reqClock)
+
+		// Retire the old copy.
+		f.liveInBlock[block]--
+		f.p2l[p] = -1
+		f.noteInvalidated(p, secure, f.reqClock)
+		if sanitizeOld {
+			f.policy.Invalidate(f, p, secure)
 		} else {
-			progDone, perr = f.target.Move(p, np, f.reqClock)
+			f.setStatus(p, PageInvalid)
 		}
-		if perr == nil {
-			break
-		}
-		// The destination was consumed by the failed program; quarantine
-		// it and retry the whole move on a fresh page (the source is
-		// still intact and mapped).
-		f.quarantineFailedProgram(np, st == PageSecured, file, progDone)
-		if retries+1 >= maxProgramAttempts {
-			panic(fmt.Sprintf("ftl: relocation of page %d failed %d times: %v", p, retries+1, perr))
-		}
-		retries++
-		f.stats.ProgramRetries++
-		if progDone > f.reqClock {
-			f.reqClock = progDone
-		}
-		np, sameChip = f.allocateNear(chip)
+		// Sanitization-driven relocations (erSSD evacuations, scrSSD sibling
+		// moves) consume free pages outside the host-write path; keep the
+		// free-block floor here too. maybeGC is a no-op during GC itself.
+		f.maybeGC(dchip)
 	}
-	if retries > 0 {
-		f.retryDepth.Add(float64(retries))
-	}
-	if progDone > f.reqClock {
-		f.reqClock = progDone
-	}
-
-	// Remap.
-	f.stampMeta(np, lpa, st == PageSecured)
-	if lpa >= 0 {
-		f.l2p[lpa] = np
-	}
-	f.p2l[np] = lpa
-	if f.traceOn {
-		f.fileOf[np] = file
-	}
-	f.setStatus(np, st)
-	f.liveInBlock[f.geo.BlockOf(np)]++
-	origin := audit.OriginEvacuate
-	if sanitizeOld {
-		origin = audit.OriginGC
-	}
-	f.noteCopy(np, uint32(p), lpa, file, st == PageSecured, origin, f.reqClock)
-
-	// Retire the old copy.
-	f.liveInBlock[block]--
-	f.p2l[p] = -1
-	f.noteInvalidated(p, st == PageSecured, f.reqClock)
-	if sanitizeOld {
-		f.policy.Invalidate(f, p, st == PageSecured)
-	} else {
-		f.setStatus(p, PageInvalid)
-	}
-	// Sanitization-driven relocations (erSSD evacuations, scrSSD sibling
-	// moves) consume free pages outside the host-write path; keep the
-	// free-block floor here too. maybeGC is a no-op during GC itself.
-	f.maybeGC(f.geo.ChipOf(np))
+	return moved
 }
 
 // EraseNow erases a block immediately (erSSD). Every page becomes free

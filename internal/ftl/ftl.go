@@ -133,11 +133,28 @@ func (s PageStatus) String() string {
 // Live reports whether the page holds current data.
 func (s PageStatus) Live() bool { return s == PageValid || s == PageSecured }
 
+// Meta is the spare-area (out-of-band) stamp a program carries with its
+// payload — what real controllers persist there so a post-crash remount
+// (Restore) can rebuild the mapping table from a media scan: the logical
+// page, a device-wide monotone write sequence number, and the request's
+// security class.
+type Meta struct {
+	LPA    int64
+	Seq    uint64
+	Secure bool
+}
+
 // Target executes flash commands on behalf of the FTL. Implementations
 // account latency and parallelism; each call corresponds to exactly one
 // flash operation. Dep expresses intra-request ordering: an operation may
 // not start before its dependency time (e.g. a GC program depends on its
 // read). The first return value is the operation's completion time.
+//
+// The programming operations (Program, Copyback, Move, ProgramGroup)
+// stamp the destination's spare area with the Meta they are given. The
+// stamp rides the program pulse: it costs no latency, draws no fault
+// decision, and lands only when the program succeeds — a failed or
+// power-cut-torn program leaves the page stamp-less.
 //
 // The fallible operations (Program, Copyback, Move, Erase, PLock, BLock)
 // additionally report injected operation failures (see internal/fault).
@@ -154,17 +171,17 @@ type Target interface {
 	// implementation via bounded retries.
 	Read(p PPA, dep sim.Micros) sim.Micros
 	// Program stores data (which may be nil for timing-only runs).
-	Program(p PPA, data []byte, dep sim.Micros) (sim.Micros, error)
+	Program(p PPA, data []byte, m Meta, dep sim.Micros) (sim.Micros, error)
 	// Copyback moves src to dst without a bus transfer; implementations
 	// fall back to read+program semantics for the data while charging
 	// only on-chip time. src and dst are always on the same chip.
-	Copyback(src, dst PPA, dep sim.Micros) (sim.Micros, error)
+	Copyback(src, dst PPA, m Meta, dep sim.Micros) (sim.Micros, error)
 	// Move copies src to dst over the channel bus, inside the device: a
 	// Read of src, then a Program of what it returned (after read-retry
 	// exhaustion, the corrupted payload — a relocation moves damaged
 	// data rather than dropping the page) that depends on the read's
 	// completion. The failure contract is Program's.
-	Move(src, dst PPA, dep sim.Micros) (sim.Micros, error)
+	Move(src, dst PPA, m Meta, dep sim.Micros) (sim.Micros, error)
 	Erase(block int, dep sim.Micros) (sim.Micros, error)
 	PLock(p PPA, dep sim.Micros) (sim.Micros, error)
 	BLock(block int, dep sim.Micros) (sim.Micros, error)
@@ -187,23 +204,16 @@ type Target interface {
 	// shared tPROG of cell activity; the payload transfers still cross
 	// the channel per page. The returned time is the group's completion;
 	// outcomes are per page (same failure contract as Program). The
-	// group's pages must sit on distinct planes of one chip.
-	ProgramGroup(pages []PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error)
+	// group's pages must sit on distinct planes of one chip and hold
+	// consecutive logical pages: m stamps the first, page i carries LPA
+	// m.LPA+i, and the pages that succeed take consecutive sequence
+	// numbers from m.Seq in order.
+	ProgramGroup(pages []PPA, datas [][]byte, m Meta, dep sim.Micros) (sim.Micros, []error)
 	// ReadGroup reads one page per plane on a single chip with one
 	// shared tREAD. It is timing-only: grouped reads serve the host read
 	// path, which discards payloads above the FTL. Read faults are
 	// absorbed with bounded retries like Read.
 	ReadGroup(pages []PPA, dep sim.Micros) sim.Micros
-
-	// WriteMeta stamps a page's spare (out-of-band) area after a
-	// successful program with the metadata real controllers persist
-	// there — the logical address, a device-wide monotone write sequence
-	// number, and the request's security class — so a post-crash remount
-	// (ftl.Restore) can rebuild the mapping table from a media scan. The
-	// stamp rides the program pulse: it costs no latency, draws no fault
-	// decision, and a power cut that tears the program leaves the page
-	// stamp-less.
-	WriteMeta(p PPA, lpa int64, seq uint64, secure bool)
 }
 
 // Policy is a sanitization strategy (§7 compares five of them). The FTL

@@ -82,9 +82,9 @@ func (t *CountingTarget) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
 }
 
 // Move implements ftl.Target: it counts one read and one program.
-func (t *CountingTarget) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
+func (t *CountingTarget) Move(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
 	data, readDone := t.read(src, dep)
-	return t.Program(dst, data, readDone)
+	return t.Program(dst, data, m, readDone)
 }
 
 // read returns the mirrored chip's payload (nil without chips or for an
@@ -101,47 +101,52 @@ func (t *CountingTarget) read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	return data, t.exec(chip, t.Timing.Read, dep)
 }
 
+// failProgram is the scripted outcome of a program of p.
+func (t *CountingTarget) failProgram(p ftl.PPA) error {
+	if t.FailProgram != nil {
+		return t.FailProgram(p)
+	}
+	return nil
+}
+
+// spare is what a mirrored program writes into the spare area: m when
+// the program succeeds, nothing when it fails.
+func spare(m ftl.Meta, err error) []nand.OOBMeta {
+	if err != nil {
+		return nil
+	}
+	return []nand.OOBMeta{{LPA: m.LPA, Seq: m.Seq, Secure: m.Secure}}
+}
+
 // Program implements ftl.Target.
-func (t *CountingTarget) Program(p ftl.PPA, data []byte, dep sim.Micros) (sim.Micros, error) {
+func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
 	t.Programs++
 	chip, a := t.addr(p)
+	err := t.failProgram(p)
 	if t.Chips != nil {
 		if data == nil {
 			data = []byte{0xA5}
 		}
-		if _, err := t.Chips[chip].Program(a, data, dep); err != nil {
-			panic("ftltest: FTL violated flash discipline: " + err.Error())
+		if _, cerr := t.Chips[chip].Program(a, data, dep, spare(m, err)...); cerr != nil {
+			panic("ftltest: FTL violated flash discipline: " + cerr.Error())
 		}
 	}
-	done := t.exec(chip, t.Timing.Prog, dep)
-	if t.FailProgram != nil {
-		return done, t.FailProgram(p)
-	}
-	return done, nil
+	return t.exec(chip, t.Timing.Prog, dep), err
 }
 
-// Copyback implements ftl.Target.
-func (t *CountingTarget) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
+// Copyback implements ftl.Target through the mirrored chip's own
+// Copyback command.
+func (t *CountingTarget) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
 	t.Copybacks++
-	chipS, aSrc := t.addr(src)
-	chipD, aDst := t.addr(dst)
+	chip, aSrc := t.addr(src)
+	_, aDst := t.addr(dst)
+	err := t.failProgram(dst)
 	if t.Chips != nil {
-		var data []byte
-		if d, err := t.Chips[chipS].Read(aSrc, dep); err == nil {
-			data = d
-		}
-		if data == nil {
-			data = []byte{}
-		}
-		if _, err := t.Chips[chipD].Program(aDst, data, dep); err != nil {
-			panic("ftltest: copyback program: " + err.Error())
+		if _, cerr := t.Chips[chip].Copyback(aSrc, aDst, dep, spare(m, err)...); cerr != nil {
+			panic("ftltest: copyback: " + cerr.Error())
 		}
 	}
-	done := t.exec(chipS, t.Timing.Read+t.Timing.Prog, dep)
-	if t.FailProgram != nil {
-		return done, t.FailProgram(dst)
-	}
-	return done, nil
+	return t.exec(chip, t.Timing.Read+t.Timing.Prog, dep), err
 }
 
 // Erase implements ftl.Target.
@@ -238,24 +243,27 @@ func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros)
 
 // ProgramGroup implements ftl.Target: per-page payload delivery
 // with one shared tPROG.
-func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error) {
+func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.Micros) (sim.Micros, []error) {
 	t.ProgramGroups++
 	chip := t.Geo.ChipOf(pages[0])
 	errs := make([]error, len(pages))
+	first := m.LPA
 	for i, p := range pages {
 		t.Programs++
+		m.LPA = first + int64(i)
+		errs[i] = t.failProgram(p)
 		if t.Chips != nil {
 			data := datas[i]
 			if data == nil {
 				data = []byte{0xA5}
 			}
 			_, a := t.addr(p)
-			if _, err := t.Chips[chip].Program(a, data, dep); err != nil {
+			if _, err := t.Chips[chip].Program(a, data, dep, spare(m, errs[i])...); err != nil {
 				panic("ftltest: FTL violated flash discipline: " + err.Error())
 			}
 		}
-		if t.FailProgram != nil {
-			errs[i] = t.FailProgram(p)
+		if errs[i] == nil {
+			m.Seq++
 		}
 	}
 	return t.exec(chip, t.Timing.Prog, dep), errs
@@ -277,18 +285,6 @@ func (t *CountingTarget) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 		}
 	}
 	return t.exec(t.Geo.ChipOf(pages[0]), t.Timing.Read, dep)
-}
-
-// WriteMeta implements ftl.Target: the spare-area stamp of a committed
-// program, mirrored onto the attached chips.
-func (t *CountingTarget) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool) {
-	if t.Chips == nil {
-		return
-	}
-	chip, a := t.addr(p)
-	if err := t.Chips[chip].StampOOB(a, nand.OOBMeta{LPA: lpa, Seq: seq, Secure: secure}); err != nil {
-		panic("ftltest: " + err.Error())
-	}
 }
 
 // BuildChips constructs real nand.Chip models matching the geometry: the

@@ -1,6 +1,9 @@
 package ftl
 
-import "repro/internal/trace"
+import (
+	"repro/internal/audit"
+	"repro/internal/trace"
+)
 
 // maybeGC runs garbage collection on the chip while its reusable-block
 // count sits below the configured low-water mark.
@@ -32,12 +35,7 @@ func (f *FTL) gcOnce(chip int) bool {
 	f.inGC = true
 	gcStart := f.reqClock
 	first := f.geo.FirstPPA(victim)
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		p := first + PPA(i)
-		if f.status[p].Live() {
-			f.relocatePage(p, true)
-		}
-	}
+	f.relocate(first, first+PPA(f.geo.PagesPerBlock), NoPPA, audit.OriginGC)
 	// Let the lock manager batch the secured stale copies: with the
 	// whole victim now stale this is the prime bLock opportunity.
 	eraseEpoch := f.eraseCount[victim]

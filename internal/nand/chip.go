@@ -212,9 +212,9 @@ func (a PageAddr) String() string { return fmt.Sprintf("pb%d/pp%d", a.Block, a.P
 // pageRec is everything the chip keeps per physical page besides the
 // payload: the spare-area stamp (see OOBMeta) and, in what would be the
 // stamp's padding, where the page's pAP flag cells live. One record per
-// page sits in Chip.recs at block*pagesPerBlock+page, so Read, Program,
-// StampOOB and the lock check touch one 24-byte entry. Whether the page
-// is programmed is not stored: it is page < block.writePtr.
+// page sits in Chip.recs at block*pagesPerBlock+page, so Read, Program
+// with its stamp, and the lock check touch one 24-byte entry. Whether the
+// page is programmed is not stored: it is page < block.writePtr.
 type pageRec struct {
 	lpa int64
 	seq uint64

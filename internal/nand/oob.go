@@ -25,26 +25,6 @@ type OOBMeta struct {
 	Valid bool
 }
 
-// StampOOB records FTL metadata in the page's spare area. The model
-// treats the stamp as part of the page's program pulse — the spare
-// bytes ride the same wordline program — so it costs no extra latency
-// and draws no fault decision; but a power cut that strikes the program
-// itself leaves the page stamp-less, which is exactly the torn-write
-// signature the remount scan keys on. Only an already-programmed page
-// can be stamped.
-func (c *Chip) StampOOB(a PageAddr, m OOBMeta) error {
-	if err := c.checkAddr(a); err != nil {
-		return err
-	}
-	blk := &c.blocks[a.Block]
-	if a.Page >= blk.writePtr {
-		return ErrNotErased
-	}
-	rec := c.rec(a)
-	rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
-	return nil
-}
-
 // PageProbe is one physical page's surviving media state as seen by the
 // controller's boot-time remount scan. The probe models the flash
 // array's raw state machine view (write pointer, access-control flags,

@@ -26,13 +26,16 @@ func (c *Chip) sense(a PageAddr, now sim.Micros) ([]byte, error) {
 	blk := &c.blocks[a.Block]
 	day := c.nowDays(now)
 	stored := blk.payload(a.Page)
-	// bAP check first (Fig. 7(b)): a disabled block blocks every page.
-	if c.blockLockedAt(blk, day) {
+	// bAP check first (Fig. 7(b)): a disabled block blocks every page. A
+	// block never bLocked since its erase has no SSL charge to decay.
+	if blk.sslCenter != 0 && c.blockLockedAt(blk, day) {
 		return c.zeroScratch(len(stored)), ErrBlockLocked
 	}
 	// pAP check (Fig. 7(a)): the flag is read from the spare area
 	// concurrently with the data, decided by the k-cell majority circuit.
-	if c.pageLockedAt(c.rec(a), day) {
+	// No page at or past flagEnd has a programmed flag, so its record is
+	// not loaded at all — every page of a block no pLock has touched.
+	if a.Page < blk.flagEnd && c.pageLockedAt(c.rec(a), day) {
 		return c.zeroScratch(len(stored)), ErrPageLocked
 	}
 	return stored, nil
@@ -123,10 +126,22 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 // Program writes data to a page at simulated time now. The block must be
 // erased at that position and pages must be programmed in order, the
 // append-only discipline 3D NAND imposes.
-func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros) (sim.Micros, error) {
+//
+// spare, when given (at most one), is the controller's stamp for the
+// page's spare area (see OOBMeta). It rides the same wordline program, so
+// it costs no latency and draws no fault decision of its own, and it
+// lands only when the program succeeds: a failed or power-cut program
+// leaves the page stamp-less, which is the torn-write signature the
+// remount scan keys on.
+func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros, spare ...OOBMeta) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
 	}
+	return c.program(a, data, now, spare)
+}
+
+// program is Program on an address that has passed checkAddr.
+func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []OOBMeta) (sim.Micros, error) {
 	if len(data) > c.geo.PageBytes {
 		return 0, fmt.Errorf("nand: payload %d exceeds page size %d", len(data), c.geo.PageBytes)
 	}
@@ -169,6 +184,10 @@ func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros) (sim.Micros, err
 		c.faults.CorruptTail(stored)
 		return c.timing.Prog, ErrProgramFailed
 	}
+	if len(spare) > 0 {
+		m, rec := &spare[0], c.rec(a)
+		rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
+	}
 	return c.timing.Prog, nil
 }
 
@@ -204,7 +223,8 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 		}
 	}
 	recs := c.blockRecs(blockIdx, max(blk.writePtr, blk.flagEnd))
-	for i := range recs {
+	// Only pages below flagEnd can hold a flag slot.
+	for i := range recs[:blk.flagEnd] {
 		if recs[i].flag != 0 {
 			c.flagFree = append(c.flagFree, recs[i].flag)
 		}
@@ -336,7 +356,12 @@ func (c *Chip) checkPlanes(addrs []PageAddr) error {
 // violations and injected failures — land in the returned slice; the
 // final error reports a malformed multi-plane address vector, in which
 // case no page was touched.
-func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros) (sim.Micros, []error, error) {
+//
+// spare, when given, stamps a stripe of consecutive logical pages: it is
+// the first page's stamp, page i carries LPA spare.LPA+i, and the pages
+// that program successfully take consecutive sequence numbers from
+// spare.Seq in address order (a failed page takes none).
+func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, spare ...OOBMeta) (sim.Micros, []error, error) {
 	if len(addrs) != len(datas) {
 		return 0, nil, fmt.Errorf("nand: %d addresses but %d payloads", len(addrs), len(datas))
 	}
@@ -345,8 +370,13 @@ func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros) (s
 	}
 	c.opCount[OpProgramMulti]++
 	errs := make([]error, len(addrs))
+	var next [1]OOBMeta // the next page's stamp, if any
+	stamp := next[:copy(next[:], spare)]
 	for i, a := range addrs {
-		_, errs[i] = c.Program(a, datas[i], now)
+		if _, errs[i] = c.program(a, datas[i], now, stamp); errs[i] == nil {
+			next[0].Seq++
+		}
+		next[0].LPA++
 	}
 	return c.timing.Prog, errs, nil
 }
@@ -435,14 +465,14 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 
 // Copyback moves a page's contents to another location on the same chip
 // without crossing the bus (the 00h-35h / 85h-10h internal data move of
-// standard flash command sets): the source's sense step, then a Program
-// of what it sensed. No transfer happens, so no transfer error is drawn.
-// The destination must obey the normal program discipline; a destination
-// outside the chip is refused before anything is sensed. Reading a locked
-// source through the internal path is still gated by the access-control
-// logic: the copy lands all-zero, so copyback cannot be used to
-// exfiltrate locked data.
-func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros) (sim.Micros, error) {
+// standard flash command sets): the source's sense step, then a program
+// of what it sensed, stamped with spare as Program stamps. No transfer
+// happens, so no transfer error is drawn. The destination must obey the
+// normal program discipline; a destination outside the chip is refused
+// before anything is sensed. Reading a locked source through the internal
+// path is still gated by the access-control logic: the copy lands
+// all-zero, so copyback cannot be used to exfiltrate locked data.
+func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (sim.Micros, error) {
 	if err := c.checkAddr(src); err != nil {
 		return 0, err
 	}
@@ -451,7 +481,7 @@ func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros) (sim.Micros, error) {
 	}
 	// A locked source senses as zeros, and zeros are what land.
 	data, _ := c.sense(src, now)
-	progLat, err := c.Program(dst, data, now)
+	progLat, err := c.program(dst, data, now, spare)
 	if err != nil && !errors.Is(err, ErrProgramFailed) {
 		return 0, err
 	}

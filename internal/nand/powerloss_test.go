@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/fault"
@@ -149,8 +150,7 @@ func TestCutMidBLockLeavesBlockReadable(t *testing.T) {
 func TestCutMidEraseDestroysNothing(t *testing.T) {
 	c, _ := cutChip(t, fault.CutSpec{AfterOps: 1, Op: fault.CutErase})
 	a := PageAddr{Block: 1, Page: 0}
-	mustProgram(t, c, a, pattern(4096, 0x3B))
-	if err := c.StampOOB(a, OOBMeta{LPA: 9, Seq: 4, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 0x3B), 0, OOBMeta{LPA: 9, Seq: 4, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	pl := catchLoss(func() { mustErase(t, c, 1) })
@@ -212,16 +212,12 @@ func TestCutSpecOpFilterAndCounting(t *testing.T) {
 	}
 }
 
-// Stamps live and die with the page: erase and scrub clear them, and an
-// unconsumed page cannot be stamped.
+// Stamps live and die with the page: a program lays one down, erase and
+// scrub clear it.
 func TestStampLifecycle(t *testing.T) {
 	c := newTestChip(t)
 	a := PageAddr{Block: 0, Page: 0}
-	if err := c.StampOOB(a, OOBMeta{LPA: 1, Seq: 1}); err == nil {
-		t.Fatal("stamped an unprogrammed page")
-	}
-	mustProgram(t, c, a, pattern(4096, 2))
-	if err := c.StampOOB(a, OOBMeta{LPA: 5, Seq: 8, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 2), 0, OOBMeta{LPA: 5, Seq: 8, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := c.ProbePage(a, 0)
@@ -236,8 +232,7 @@ func TestStampLifecycle(t *testing.T) {
 		t.Fatal("scrub left the stamp behind")
 	}
 	mustErase(t, c, 0)
-	mustProgram(t, c, a, pattern(4096, 3))
-	if err := c.StampOOB(a, OOBMeta{LPA: 6, Seq: 9}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 3), 0, OOBMeta{LPA: 6, Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	mustErase(t, c, 0)
@@ -247,12 +242,69 @@ func TestStampLifecycle(t *testing.T) {
 	}
 }
 
+// The stamp rides the program command: Program, Copyback and
+// ProgramMulti land the spare-area stamp they are given with a successful
+// program, and a failed or power-cut program lands none.
+func TestProgramCommandsStampOnlyOnSuccess(t *testing.T) {
+	meta := func(c *Chip, a PageAddr) OOBMeta {
+		t.Helper()
+		pr, err := c.ProbePage(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr.Meta
+	}
+	m := OOBMeta{LPA: 7, Seq: 3, Secure: true}
+	want := m
+	want.Valid = true
+
+	c := newTestChip(t)
+	src, dst := PageAddr{Block: 0, Page: 0}, PageAddr{Block: 1, Page: 0}
+	if _, err := c.Program(src, pattern(4096, 1), 0, m); err != nil || meta(c, src) != want {
+		t.Fatalf("Program: err %v, stamp %+v, want %+v", err, meta(c, src), want)
+	}
+	want.Seq, m.Seq = 4, 4
+	if _, err := c.Copyback(src, dst, 0, m); err != nil || meta(c, dst) != want {
+		t.Fatalf("Copyback: err %v, stamp %+v, want %+v", err, meta(c, dst), want)
+	}
+
+	failing := faultChip(t, fault.Config{ProgramFail: 1, Seed: 1})
+	if _, err := failing.Program(src, []byte{1}, 0, m); !errors.Is(err, ErrProgramFailed) || meta(failing, src).Valid {
+		t.Fatalf("failed Program: err %v, stamp %+v", err, meta(failing, src))
+	}
+	if _, err := failing.Copyback(src, dst, 0, m); !errors.Is(err, ErrProgramFailed) || meta(failing, dst).Valid {
+		t.Fatalf("failed Copyback: err %v, stamp %+v", err, meta(failing, dst))
+	}
+
+	cut, _ := cutChip(t, fault.CutSpec{AfterOps: 1, Op: fault.CutProgram})
+	if pl := catchLoss(func() { _, _ = cut.Program(src, []byte{1}, 0, m) }); pl == nil || meta(cut, src).Valid {
+		t.Fatalf("cut Program: loss %v, stamp %+v", pl, meta(cut, src))
+	}
+
+	// A group stamps a stripe of consecutive LPAs; a page that fails
+	// (here out of order) takes no stamp and no sequence number.
+	pc := newPlaneChip(t)
+	mustProgram(t, pc, PageAddr{Block: 1, Page: 0}, []byte("a"))
+	addrs := []PageAddr{{Block: 0, Page: 0}, {Block: 1, Page: 2}, {Block: 2, Page: 0}, {Block: 3, Page: 0}}
+	_, errs, err := pc.ProgramMulti(addrs[:2], [][]byte{{1}, {2}}, 0, OOBMeta{LPA: 10, Seq: 20})
+	if err != nil || errs[0] != nil || !errors.Is(errs[1], ErrOutOfOrder) {
+		t.Fatalf("ProgramMulti: err %v, page errs %v", err, errs)
+	}
+	if _, errs, err = pc.ProgramMulti(addrs[2:], [][]byte{{3}, {4}}, 0, OOBMeta{LPA: 12, Seq: 21}); err != nil || errs[0] != nil || errs[1] != nil {
+		t.Fatalf("ProgramMulti: err %v, page errs %v", err, errs)
+	}
+	for i, w := range []OOBMeta{{LPA: 10, Seq: 20, Valid: true}, {}, {LPA: 12, Seq: 21, Valid: true}, {LPA: 13, Seq: 22, Valid: true}} {
+		if i != 1 && meta(pc, addrs[i]) != w {
+			t.Errorf("group page %v: stamp %+v, want %+v", addrs[i], meta(pc, addrs[i]), w)
+		}
+	}
+}
+
 // Locked pages reveal neither payload residue nor stamps to the probe.
 func TestProbeHonoursLockGating(t *testing.T) {
 	c := newTestChip(t)
 	a := PageAddr{Block: 0, Page: 0}
-	mustProgram(t, c, a, pattern(4096, 0x99))
-	if err := c.StampOOB(a, OOBMeta{LPA: 3, Seq: 2, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 0x99), 0, OOBMeta{LPA: 3, Seq: 2, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	mustPLock(t, c, a)

@@ -49,7 +49,6 @@ type Timeline struct {
 	busyUntil Micros
 	busyTotal Micros // accumulated occupied time, for utilization reports
 	waitTotal Micros // accumulated queueing delay (grant start − request)
-	count     uint64
 }
 
 // Reserve books d microseconds starting no earlier than at. It returns the
@@ -63,12 +62,8 @@ func (t *Timeline) Reserve(at, d Micros) (start, end Micros) {
 	t.busyUntil = end
 	t.busyTotal += d
 	t.waitTotal += start - at
-	t.count++
 	return start, end
 }
-
-// BusyUntil returns the end of the last reservation.
-func (t *Timeline) BusyUntil() Micros { return t.busyUntil }
 
 // BusyTotal returns the total reserved time.
 func (t *Timeline) BusyTotal() Micros { return t.busyTotal }
@@ -77,15 +72,3 @@ func (t *Timeline) BusyTotal() Micros { return t.busyTotal }
 // waited behind earlier ones before the resource started serving them.
 // It is the contention signal the telemetry layer reports per chip.
 func (t *Timeline) WaitTotal() Micros { return t.waitTotal }
-
-// Reservations returns the number of reservations made.
-func (t *Timeline) Reservations() uint64 { return t.count }
-
-// Utilization returns busy time as a fraction of the horizon (0 when the
-// horizon is zero).
-func (t *Timeline) Utilization(horizon Micros) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(t.busyTotal) / float64(horizon)
-}

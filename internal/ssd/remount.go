@@ -22,16 +22,6 @@ import (
 // before Remount: the controller is down.
 var ErrPowerLost = errors.New("ssd: power lost, remount required")
 
-// WriteMeta implements ftl.Target: the FTL stamps every committed
-// write's spare area with (lpa, seq, secure). The stamp rides the program
-// pulse it describes — zero latency, no fault draw.
-func (s *SSD) WriteMeta(p ftl.PPA, lpa int64, seq uint64, secure bool) {
-	chip, a := s.addr(p)
-	if err := s.chips[chip].StampOOB(a, nand.OOBMeta{LPA: lpa, Seq: seq, Secure: secure}); err != nil {
-		panic(fmt.Sprintf("ssd: OOB stamp at %v: %v", a, err))
-	}
-}
-
 // ArmPowerCut schedules a deterministic power loss: the cut fires on the
 // spec.AfterOps-th matching chip operation device-wide (see
 // fault.CutSpec), interrupting it per the partial-write semantics

@@ -295,6 +295,11 @@ func (s *SSD) addr(p ftl.PPA) (int, nand.PageAddr) {
 	return chip, nand.PageAddr{Block: block, Page: page}
 }
 
+// oob is the chip's form of an FTL spare-area stamp.
+func oob(m ftl.Meta) nand.OOBMeta {
+	return nand.OOBMeta{LPA: m.LPA, Seq: m.Seq, Secure: m.Secure}
+}
+
 // --- ftl.Target implementation ------------------------------------------
 
 // emitChip records a chip-resident operation's Timeline interval.
@@ -321,9 +326,9 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
 // Move implements ftl.Target: the cross-chip relocation leg. The payload
 // readPage returns is a view of the source chip's read scratch; it goes
 // straight into Program, which copies it, and never leaves the device.
-func (s *SSD) Move(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
+func (s *SSD) Move(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
 	data, readDone := s.readPage(src, dep)
-	return s.Program(dst, data, readDone)
+	return s.Program(dst, data, m, readDone)
 }
 
 // readPage is tREAD on the chip, then the page transfer on the channel
@@ -372,9 +377,9 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 // the chip. An injected program failure still burned the bus and the full
 // tPROG (the chip reported status FAIL only at the end), so the timeline
 // reservation and trace events are identical to a success.
-func (s *SSD) Program(p ftl.PPA, data []byte, dep sim.Micros) (sim.Micros, error) {
+func (s *SSD) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
 	chip, a := s.addr(p)
-	_, err := s.chips[chip].Program(a, data, dep)
+	_, err := s.chips[chip].Program(a, data, dep, oob(m))
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", a, err))
 	}
@@ -395,23 +400,23 @@ func (s *SSD) Program(p ftl.PPA, data []byte, dep sim.Micros) (sim.Micros, error
 }
 
 // Copyback implements ftl.Target: an internal data move — tREAD then
-// tPROG on the chip, no channel-bus occupancy.
-func (s *SSD) Copyback(src, dst ftl.PPA, dep sim.Micros) (sim.Micros, error) {
-	chipS, aSrc := s.addr(src)
+// tPROG on the chip as one command, no channel-bus occupancy.
+func (s *SSD) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
+	chip, aSrc := s.addr(src)
 	chipD, aDst := s.addr(dst)
-	if chipS != chipD {
+	if chip != chipD {
 		panic("ssd: copyback across chips")
 	}
-	_, err := s.chips[chipS].Copyback(aSrc, aDst, dep)
+	_, err := s.chips[chip].Copyback(aSrc, aDst, dep, oob(m))
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: copyback failed: %v", err))
 	}
-	readStart, readDone := s.chipTL[chipS].Reserve(dep, s.cfg.Timing.Read)
-	_, done := s.chipTL[chipS].Reserve(readDone, s.cfg.Timing.Prog)
+	// One reservation of tREAD+tPROG: the same interval, busy and wait
+	// time as the read and the program reserved back to back.
+	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read+s.cfg.Timing.Prog)
 	if s.traceOn {
-		// One span covering the back-to-back read+program reservation;
-		// the destination page names the event.
-		s.emitChip(trace.OpCopyback, chipS, dst, dep, readStart, done)
+		// The destination page names the event.
+		s.emitChip(trace.OpCopyback, chip, dst, dep, start, done)
 	}
 	return done, err
 }
@@ -507,7 +512,7 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 // ProgramGroup implements ftl.Target: a multi-plane program. The
 // per-page transfers serialize on the channel bus, then a single shared
 // tPROG covers every plane's cell activity.
-func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim.Micros, []error) {
+func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.Micros) (sim.Micros, []error) {
 	chip := s.geo.ChipOf(pages[0])
 	addrs := s.addrScratch[:0]
 	for _, p := range pages {
@@ -515,7 +520,7 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, dep sim.Micros) (sim
 		addrs = append(addrs, a)
 	}
 	s.addrScratch = addrs
-	_, errs, fatal := s.chips[chip].ProgramMulti(addrs, datas, dep)
+	_, errs, fatal := s.chips[chip].ProgramMulti(addrs, datas, dep, oob(m))
 	if fatal != nil {
 		panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
 	}
