@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/ecc"
 	"repro/internal/experiment"
 	"repro/internal/ftl"
@@ -54,7 +55,7 @@ func TestFullStackWorkloadSanitization(t *testing.T) {
 	if st.PLocks == 0 {
 		t.Fatal("secured churn must issue locks")
 	}
-	if err := dev.VerifySanitization(); err != nil {
+	if err := coretest.VerifySanitization(dev); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,17 +130,20 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 
 	// worstWord stores five codewords, each bit in the LSB page of its
-	// own cell (the sibling bits are random data from other pages of the
-	// WL), and returns the largest raw bit-error count of any word.
+	// own cell (a uniformly random state: the sibling bits are random data
+	// from other pages of the WL), and returns the largest raw bit-error
+	// count of any word.
 	worstWord := func(cond vth.Condition) int {
 		worst := 0
 		for w := 0; w < 5; w++ {
 			errs := 0
 			for i := 0; i < code.Bits; i++ {
-				bit := byte(rng.Intn(2))
-				state := vth.StateFor(vth.TLC, []byte{bit, byte(rng.Intn(2)), byte(rng.Intn(2))})
-				got := model.DecodeVth(model.SampleVth(state, cond, rng))
-				if vth.BitOf(vth.TLC, got, vth.LSB) != bit {
+				state := rng.Intn(vth.TLC.States())
+				v, got := model.StateDist(state, cond).Sample(rng), 0
+				for got < len(model.Refs) && v > model.Refs[got] {
+					got++ // read: the state whose reference interval holds v
+				}
+				if vth.BitOf(vth.TLC, got, vth.LSB) != vth.BitOf(vth.TLC, state, vth.LSB) {
 					errs++
 				}
 			}
@@ -149,7 +153,7 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 	}
 
 	fresh := worstWord(vth.Condition{})
-	if !code.Readable(fresh) {
+	if fresh > code.Limit {
 		t.Fatalf("fresh wordline unreadable: %d raw bit errors in one word, limit %d", fresh, code.Limit)
 	}
 	t.Logf("fresh wordline: at most %d raw bit errors per word", fresh)
@@ -157,7 +161,7 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 	// Abused chip (5x rated endurance + a decade of retention on a bad
 	// wordline): the error rate must overwhelm t=12 per 255 bits.
 	abused := worstWord(vth.Condition{PECycles: 5000, RetentionDays: 3650, WLVariation: 1.5})
-	if code.Readable(abused) {
+	if abused <= code.Limit {
 		t.Fatalf("abused wordline still readable (%d raw bit errors per word at most); the wear model is too gentle", abused)
 	}
 }
@@ -189,7 +193,7 @@ func TestScrubbedDeviceAlsoSanitizes(t *testing.T) {
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages())); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.VerifySanitization(); err != nil {
+	if err := coretest.VerifySanitization(dev); err != nil {
 		t.Fatal(err)
 	}
 	if dev.SSD().FTL().Stats().Scrubs == 0 {
@@ -216,7 +220,7 @@ func TestFilesysOverRealDeviceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range contents {
-		got, err := dev.ReadFile(name)
+		got, err := coretest.ReadFile(dev, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

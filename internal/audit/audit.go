@@ -524,9 +524,6 @@ func (l *Ledger) eachStale(fn func(page int, c *copyState)) {
 	}
 }
 
-// PhaseTotals returns the accumulated per-phase attribution (µs).
-func (l *Ledger) PhaseTotals() [NumPhases]sim.Micros { return l.phaseTotals }
-
 // LadderDestroys reports how many copies were destroyed under a
 // recovery-ladder rung.
 func (l *Ledger) LadderDestroys() uint64 { return l.ladderDestroys }
@@ -538,11 +535,6 @@ type PhaseBreakdown struct {
 	Reopen    int64 `json:"reopen"`
 	Pulse     int64 `json:"pulse"`
 	Ladder    int64 `json:"ladder"`
-}
-
-// Sum totals the breakdown.
-func (b PhaseBreakdown) Sum() int64 {
-	return b.QueueWait + b.BatchWait + b.Reopen + b.Pulse + b.Ladder
 }
 
 func breakdown(p [NumPhases]sim.Micros) PhaseBreakdown {

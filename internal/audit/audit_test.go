@@ -4,6 +4,9 @@ import (
 	"testing"
 )
 
+// sum totals the breakdown.
+func (b PhaseBreakdown) sum() int64 { return b.QueueWait + b.BatchWait + b.Reopen + b.Pulse + b.Ladder }
+
 func TestSingleCopyWindow(t *testing.T) {
 	l := NewLedger()
 	l.Record(Event{Kind: KindCopy, Page: 1, Src: NoSrc, LPA: 10, Origin: OriginHost, At: 0})
@@ -22,8 +25,8 @@ func TestSingleCopyWindow(t *testing.T) {
 	if st.Phases.QueueWait != 30 || st.Phases.Pulse != 270 {
 		t.Fatalf("phases = %+v, want queue_wait 30 pulse 270", st.Phases)
 	}
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window sum %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
 	if got := l.TInsec().Max(); got != 300 {
 		t.Fatalf("per-copy T_insecure = %v, want 300", got)
@@ -58,8 +61,8 @@ func TestWindowClosesOnlyWhenEveryCopyDestroyed(t *testing.T) {
 	if st.WindowSumUs != 440 {
 		t.Fatalf("window = %d, want 440", st.WindowSumUs)
 	}
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window %d", st.Phases.sum(), st.WindowSumUs)
 	}
 	// Per-copy sample still has both individual windows (240 and 300).
 	if n := l.TInsec().N(); n != 2 {
@@ -85,8 +88,8 @@ func TestBatchWaitAndLadderPhases(t *testing.T) {
 	if st.Phases.Ladder != 400 || st.LadderWindows != 1 || st.LadderDestroys != 1 {
 		t.Fatalf("ladder close = %+v", st)
 	}
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window sum %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
 }
 
@@ -125,8 +128,8 @@ func TestReopenedWindowPhase(t *testing.T) {
 	if st.Phases.Reopen != 20 {
 		t.Fatalf("reopen phase = %d, want 20", st.Phases.Reopen)
 	}
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window sum %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
 }
 
@@ -147,8 +150,8 @@ func TestFirstInvalidationWinsAndNegativeClamp(t *testing.T) {
 		t.Fatalf("negative window = %v, want clamp to 0", got)
 	}
 	st := l.Stats(2000)
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window sum %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
 }
 

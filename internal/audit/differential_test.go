@@ -150,8 +150,8 @@ func (r *refLedger) check(t *testing.T, l *Ledger, horizon sim.Micros) {
 	if !reflect.DeepEqual(gotOpen, open) {
 		t.Fatalf("Verify(%d): %d open copies differ from the reference's %d", horizon, len(gotOpen), len(open))
 	}
-	if st.Phases.Sum() != st.WindowSumUs {
-		t.Fatalf("phase sum %d != window sum %d", st.Phases.Sum(), st.WindowSumUs)
+	if st.Phases.sum() != st.WindowSumUs {
+		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
 }
 

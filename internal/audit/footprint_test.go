@@ -113,8 +113,8 @@ func TestLedgerFootprint(t *testing.T) {
 	if reopened == 0 || st.Windows <= uint64(reopened) {
 		t.Fatalf("the script closed %d windows, %d reopened: it exercises neither case", st.Windows, reopened)
 	}
-	if rep.PhaseSumErrors != 0 || st.Phases.Sum() != st.WindowSumUs {
+	if rep.PhaseSumErrors != 0 || st.Phases.sum() != st.WindowSumUs {
 		t.Errorf("phase attribution off: %d errors, %d µs of phases for %d µs of windows",
-			rep.PhaseSumErrors, st.Phases.Sum(), st.WindowSumUs)
+			rep.PhaseSumErrors, st.Phases.sum(), st.WindowSumUs)
 	}
 }

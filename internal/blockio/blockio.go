@@ -1,16 +1,10 @@
 // Package blockio defines the host-side block I/O interface of SecureSSD:
 // read/write/trim requests carrying the paper's extended security flag
-// (REQ_OP_INSEC_WRITE, §6), plus a compact binary trace container used by
-// the workload generators and the trace replayer.
+// (REQ_OP_INSEC_WRITE, §6), and the in-memory trace a workload recording
+// hands to the replayer.
 package blockio
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Op is the request type.
 type Op uint8
@@ -102,164 +96,4 @@ type Trace struct {
 	Name      string
 	PageBytes int
 	Requests  []Request
-}
-
-// traceMagic guards the binary format.
-const traceMagic = uint32(0x53545243) // "STRC"
-
-// ErrBadTrace is returned when decoding malformed trace bytes.
-var ErrBadTrace = errors.New("blockio: malformed trace")
-
-// WriteTo serializes the trace. Format: magic, version, name, page size,
-// count, then per-request varint-packed fields.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v uint64) {
-		var buf [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:k])
-		n += int64(k)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], 1) // version
-	bw.Write(hdr[:])
-	n += 8
-	write(uint64(len(t.Name)))
-	bw.WriteString(t.Name)
-	n += int64(len(t.Name))
-	write(uint64(t.PageBytes))
-	write(uint64(len(t.Requests)))
-	for _, r := range t.Requests {
-		flags := uint64(r.Op)
-		if r.Insecure {
-			flags |= 1 << 7
-		}
-		write(flags)
-		write(uint64(r.LPA))
-		write(uint64(r.Pages))
-		write(r.FileID)
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-// ReadTrace parses a trace serialized by WriteTo.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadTrace, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[:4]) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
-	}
-	read := func() (uint64, error) { return binary.ReadUvarint(br) }
-	nameLen, err := read()
-	if err != nil || nameLen > 1<<20 {
-		return nil, fmt.Errorf("%w: name length", ErrBadTrace)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("%w: name: %v", ErrBadTrace, err)
-	}
-	pageBytes, err := read()
-	if err != nil {
-		return nil, fmt.Errorf("%w: page size", ErrBadTrace)
-	}
-	count, err := read()
-	if err != nil || count > 1<<32 {
-		return nil, fmt.Errorf("%w: request count", ErrBadTrace)
-	}
-	t := &Trace{Name: string(name), PageBytes: int(pageBytes)}
-	if count > 0 {
-		// Never pre-allocate from an untrusted count: a forged header
-		// could demand gigabytes. Grow as requests actually parse.
-		capHint := count
-		if capHint > 4096 {
-			capHint = 4096
-		}
-		t.Requests = make([]Request, 0, capHint)
-	}
-	for i := uint64(0); i < count; i++ {
-		flags, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("%w: request %d flags", ErrBadTrace, i)
-		}
-		lpa, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("%w: request %d lpa", ErrBadTrace, i)
-		}
-		pages, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("%w: request %d pages", ErrBadTrace, i)
-		}
-		fileID, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("%w: request %d file", ErrBadTrace, i)
-		}
-		req := Request{
-			Op:       Op(flags & 0x7f),
-			Insecure: flags&(1<<7) != 0,
-			LPA:      int64(lpa),
-			Pages:    int32(pages),
-			FileID:   fileID,
-		}
-		if err := req.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: request %d: %v", ErrBadTrace, i, err)
-		}
-		t.Requests = append(t.Requests, req)
-	}
-	return t, nil
-}
-
-// Stats summarizes a trace the way the paper's Table 2 does.
-type Stats struct {
-	Reads, Writes, Trims    int
-	ReadPages, WrittenPages int64
-	TrimmedPages            int64
-	InsecureWrites          int
-	MinWrite, MaxWrite      int32
-}
-
-// Summarize computes trace statistics.
-func (t *Trace) Summarize() Stats {
-	var s Stats
-	for _, r := range t.Requests {
-		switch r.Op {
-		case OpRead:
-			s.Reads++
-			s.ReadPages += int64(r.Pages)
-		case OpWrite:
-			s.Writes++
-			s.WrittenPages += int64(r.Pages)
-			if r.Insecure {
-				s.InsecureWrites++
-			}
-			if s.MinWrite == 0 || r.Pages < s.MinWrite {
-				s.MinWrite = r.Pages
-			}
-			if r.Pages > s.MaxWrite {
-				s.MaxWrite = r.Pages
-			}
-		case OpTrim:
-			s.Trims++
-			s.TrimmedPages += int64(r.Pages)
-		}
-	}
-	return s
-}
-
-// ReadWriteRatio returns reads:writes as a float (reads per write).
-func (s Stats) ReadWriteRatio() float64 {
-	if s.Writes == 0 {
-		return 0
-	}
-	return float64(s.Reads) / float64(s.Writes)
 }

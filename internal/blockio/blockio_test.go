@@ -1,13 +1,6 @@
 package blockio
 
-import (
-	"bytes"
-	"errors"
-	"math/rand"
-	"reflect"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRequestValidate(t *testing.T) {
 	good := Request{Op: OpWrite, LPA: 0, Pages: 1}
@@ -34,165 +27,4 @@ func TestOpString(t *testing.T) {
 	if Op(77).String() == "" {
 		t.Fatal("unknown op should still print")
 	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := &Trace{
-		Name:      "MailServer",
-		PageBytes: 16384,
-		Requests: []Request{
-			{Op: OpWrite, LPA: 0, Pages: 4, FileID: 7},
-			{Op: OpRead, LPA: 2, Pages: 1},
-			{Op: OpWrite, LPA: 100, Pages: 16, Insecure: true, FileID: 8},
-			{Op: OpTrim, LPA: 0, Pages: 4, FileID: 7},
-		},
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", tr, got)
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("short"),
-		[]byte("AAAABBBBCCCCDDDD"),
-	}
-	for i, b := range cases {
-		if _, err := ReadTrace(bytes.NewReader(b)); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("case %d: err = %v, want ErrBadTrace", i, err)
-		}
-	}
-}
-
-func TestReadTraceRejectsBadVersion(t *testing.T) {
-	tr := &Trace{Name: "x", PageBytes: 512}
-	var buf bytes.Buffer
-	tr.WriteTo(&buf)
-	b := buf.Bytes()
-	b[4] = 99 // corrupt version
-	if _, err := ReadTrace(bytes.NewReader(b)); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("err = %v, want ErrBadTrace", err)
-	}
-}
-
-func TestReadTraceRejectsInvalidRequest(t *testing.T) {
-	tr := &Trace{Name: "x", PageBytes: 512, Requests: []Request{{Op: OpWrite, LPA: 5, Pages: 1}}}
-	var buf bytes.Buffer
-	tr.WriteTo(&buf)
-	b := buf.Bytes()
-	// The final byte sequence ends with FileID=0, Pages=1, LPA=5; corrupt
-	// the op/flags byte (first varint of the request) to an unknown op.
-	// Locate it: header(8) + len(name)varint(1) + name(1) + pagesize(2) +
-	// count(1) = 13; flags at offset 13.
-	b[13] = 0x05 // op=5 (invalid)
-	if _, err := ReadTrace(bytes.NewReader(b)); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("err = %v, want ErrBadTrace", err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tr := &Trace{
-		Name:      "t",
-		PageBytes: 4096,
-		Requests: []Request{
-			{Op: OpWrite, LPA: 0, Pages: 2},
-			{Op: OpWrite, LPA: 10, Pages: 8, Insecure: true},
-			{Op: OpRead, LPA: 0, Pages: 1},
-			{Op: OpRead, LPA: 0, Pages: 3},
-			{Op: OpRead, LPA: 4, Pages: 1},
-			{Op: OpTrim, LPA: 0, Pages: 2},
-		},
-	}
-	s := tr.Summarize()
-	if s.Reads != 3 || s.Writes != 2 || s.Trims != 1 {
-		t.Fatalf("counts %+v", s)
-	}
-	if s.WrittenPages != 10 || s.ReadPages != 5 || s.TrimmedPages != 2 {
-		t.Fatalf("pages %+v", s)
-	}
-	if s.InsecureWrites != 1 {
-		t.Fatalf("insecure writes %d", s.InsecureWrites)
-	}
-	if s.MinWrite != 2 || s.MaxWrite != 8 {
-		t.Fatalf("write sizes %d..%d", s.MinWrite, s.MaxWrite)
-	}
-	if s.ReadWriteRatio() != 1.5 {
-		t.Fatalf("r:w = %v", s.ReadWriteRatio())
-	}
-}
-
-func TestReadWriteRatioNoWrites(t *testing.T) {
-	if (Stats{Reads: 5}).ReadWriteRatio() != 0 {
-		t.Fatal("ratio with zero writes should be 0")
-	}
-}
-
-// Property: WriteTo/ReadTrace is the identity on arbitrary valid traces.
-func TestTraceRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &Trace{Name: "prop", PageBytes: 4096}
-		for i := 0; i < int(n); i++ {
-			tr.Requests = append(tr.Requests, Request{
-				Op:       Op(rng.Intn(3)),
-				LPA:      int64(rng.Intn(1 << 30)),
-				Pages:    int32(rng.Intn(1000) + 1),
-				Insecure: rng.Intn(2) == 0,
-				FileID:   rng.Uint64() >> 8,
-			})
-		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadTrace(&buf)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(tr, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// FuzzReadTrace ensures the trace parser never panics or over-allocates
-// on adversarial input.
-func FuzzReadTrace(f *testing.F) {
-	tr := &Trace{Name: "seed", PageBytes: 4096, Requests: []Request{
-		{Op: OpWrite, LPA: 1, Pages: 2, FileID: 3},
-		{Op: OpTrim, LPA: 1, Pages: 2, Insecure: true},
-	}}
-	var buf bytes.Buffer
-	tr.WriteTo(&buf)
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("garbage that is not a trace at all"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything that parses must re-serialize and re-parse identically.
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("reserialize: %v", err)
-		}
-		back, err := ReadTrace(&out)
-		if err != nil {
-			t.Fatalf("reparse: %v", err)
-		}
-		if !reflect.DeepEqual(got, back) {
-			t.Fatal("round trip diverged")
-		}
-	})
 }

@@ -436,65 +436,6 @@ func Figure12(cfg Config) Fig12Result {
 	return res
 }
 
-// FlagRetentionSample is the Monte-Carlo counterpart of Fig. 9(d): it
-// simulates many k-cell pAP flags programmed at (v, t), ages them, and
-// reports the distribution of per-flag failed-cell counts and the
-// fraction of flags whose majority flipped — the paper's "at most N
-// errors" statements are maxima over such populations.
-type FlagRetentionSample struct {
-	V, T, Days     float64
-	Flags          int
-	MeanErrors     float64
-	MaxErrors      int
-	MajorityFlips  int
-	MajorityFlipPr float64
-}
-
-// SampleFlagRetention draws cfg.WLs flags of k cells each, sharded the
-// same way as Figure6 (stream 2) so the draw is worker-count invariant.
-func SampleFlagRetention(cfg Config, k int, v, t, days float64, peCycles int) FlagRetentionSample {
-	type partial struct {
-		totalErrs, maxErrs, flips int
-	}
-	// fn never fails, so Map cannot return an error here.
-	parts, _ := parallel.Map(cfg.Workers, numShards(cfg.WLs), func(s int) (partial, error) {
-		fm := vth.DefaultFlagModel()
-		rng := shardRNG(cfg.Seed, 2, uint64(s))
-		lo, hi := shardRange(s, cfg.WLs)
-		var p partial
-		for i := lo; i < hi; i++ {
-			errs := 0
-			for c := 0; c < k; c++ {
-				if fm.SampleCellVth(v, t, days, peCycles, rng) <= fm.ReadRef {
-					errs++
-				}
-			}
-			p.totalErrs += errs
-			if errs > p.maxErrs {
-				p.maxErrs = errs
-			}
-			if errs*2 > k {
-				p.flips++
-			}
-		}
-		return p, nil
-	})
-	out := FlagRetentionSample{V: v, T: t, Days: days, Flags: cfg.WLs}
-	var totalErrs int
-	for _, p := range parts {
-		totalErrs += p.totalErrs
-		out.MajorityFlips += p.flips
-		if p.maxErrs > out.MaxErrors {
-			out.MaxErrors = p.maxErrs
-		}
-	}
-	if cfg.WLs > 0 {
-		out.MeanErrors = float64(totalErrs) / float64(cfg.WLs)
-		out.MajorityFlipPr = float64(out.MajorityFlips) / float64(cfg.WLs)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // §5.5 — implementation overhead
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ package chipchar
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nand/vth"
@@ -227,29 +228,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// Monte-Carlo Fig. 9(d): the chosen point keeps every sampled 9-cell
-// majority intact over 5 years; the rejected corner flips most of them.
-func TestSampleFlagRetention(t *testing.T) {
-	cfg := Config{WLs: 5000, Seed: 9}
-	chosen := SampleFlagRetention(cfg, 9, vth.PLockVoltages[3], 100, 5*365, 1000)
-	if chosen.MajorityFlips != 0 {
-		t.Errorf("chosen point flipped %d of %d majorities over 5y", chosen.MajorityFlips, chosen.Flags)
-	}
-	if chosen.MaxErrors > 4 {
-		t.Errorf("chosen point worst flag lost %d cells (majority needs <= 4)", chosen.MaxErrors)
-	}
-	rejected := SampleFlagRetention(cfg, 9, vth.PLockVoltages[1], 200, 5*365, 1000)
-	if rejected.MajorityFlipPr < 0.5 {
-		t.Errorf("rejected corner flip rate %.2f, should fail most flags", rejected.MajorityFlipPr)
-	}
-	// Monte-Carlo mean agrees with the closed-form expectation.
-	fm := vth.DefaultFlagModel()
-	want := fm.ExpectedRetentionErrors(9, vth.PLockVoltages[1], 200, 5*365, 1000)
-	if d := rejected.MeanErrors - want; d > 0.3 || d < -0.3 {
-		t.Errorf("Monte-Carlo mean %.2f vs closed form %.2f", rejected.MeanErrors, want)
-	}
-}
-
 // §5.5: the paper's overhead claims.
 func TestComputeOverhead(t *testing.T) {
 	o := ComputeOverhead(9)
@@ -293,5 +271,42 @@ func TestLockDurabilityVsTemperature(t *testing.T) {
 	// 30°C value).
 	if pts[len(pts)-1].PAPMajorityFail5y <= pts[0].PAPMajorityFail5y*10 {
 		t.Fatal("85°C should erode the retention margin dramatically")
+	}
+}
+
+// Monte-Carlo Fig. 9(d), on the draws the chip's flag programming
+// makes: the chosen point keeps every sampled 9-cell majority intact over
+// 5 years; the rejected corner flips most of them, with a mean cell loss
+// that agrees with the closed form.
+func TestSampleFlagRetention(t *testing.T) {
+	const flags, k, days = 5000, 9, 5 * 365
+	fm := vth.DefaultFlagModel()
+	rng := rand.New(rand.NewSource(9))
+	cells := make([]float64, k)
+	sample := func(v, tp float64) (flips, worst int, mean float64) {
+		for range flags {
+			fm.SampleCells(cells, v, tp, days, 1000, rng)
+			errs := 0
+			for _, c := range cells {
+				if c <= fm.ReadRef {
+					errs++
+				}
+			}
+			worst, mean = max(worst, errs), mean+float64(errs)/flags
+			if !fm.MajorityReadsDisabled(cells) {
+				flips++
+			}
+		}
+		return flips, worst, mean
+	}
+	if flips, worst, _ := sample(vth.PLockVoltages[3], 100); flips != 0 || worst > 4 {
+		t.Errorf("chosen point: %d of %d majorities flipped over 5y, worst flag lost %d cells (majority needs <= 4)", flips, flags, worst)
+	}
+	flips, _, mean := sample(vth.PLockVoltages[1], 200)
+	if flips < flags/2 {
+		t.Errorf("rejected corner flipped %d of %d flags, should fail most", flips, flags)
+	}
+	if want := fm.ExpectedRetentionErrors(k, vth.PLockVoltages[1], 200, days, 1000); math.Abs(mean-want) > 0.3 {
+		t.Errorf("Monte-Carlo mean %.2f vs closed form %.2f", mean, want)
 	}
 }

@@ -16,15 +16,6 @@ func TestFigure6WorkerInvariant(t *testing.T) {
 	}
 }
 
-func TestSampleFlagRetentionWorkerInvariant(t *testing.T) {
-	cfg := func(w int) Config { return Config{WLs: 4000, Seed: 9, Workers: w} }
-	serial := SampleFlagRetention(cfg(1), 9, 3.0, 100, 365, 1000)
-	par := SampleFlagRetention(cfg(4), 9, 3.0, 100, 365, 1000)
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("SampleFlagRetention differs between 1 and 4 workers:\nserial: %+v\nparallel: %+v", serial, par)
-	}
-}
-
 // TestShardSeedSeparation guards the seed derivation: distinct
 // (stream, shard) pairs must not collide for a fixed base seed.
 func TestShardSeedSeparation(t *testing.T) {

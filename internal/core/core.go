@@ -9,20 +9,18 @@
 //	dev.DeleteFile("medical.db")               // pLock/bLock fire here
 //	dev.ForensicScan([]byte("patient"))        // -> no findings
 //
-// plus the paper's verification primitives: the C1/C2 sanitization
-// checker, a raw-chip forensic scan (the §5.1 threat model), and
-// retention time travel to demonstrate multi-year lock durability.
+// plus a raw-chip forensic scan (the §5.1 threat model), retention time
+// travel to demonstrate multi-year lock durability and a power-cut
+// facade. Tests check the paper's C1/C2 sanitization conditions with
+// coretest.VerifySanitization.
 package core
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 
 	"repro/internal/blockio"
 	"repro/internal/filesys"
 	"repro/internal/ftl"
-	"repro/internal/nand"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
 )
@@ -49,12 +47,13 @@ const (
 	PolicyEvanesco   PolicyName = "secSSD"
 )
 
-// Compact returns the compact SecureSSD that examples and tests build:
-// 2×2 chips of 32 blocks × 16 TLC wordlines with 4-KiB pages (48 MiB
-// raw), 20 % over-provisioning and GC at two free blocks per chip. The
-// empty policy name selects secSSD; a zero seed is ssd's default. Set
-// any further field (Fault, Trace, LockBatch, the geometry) on the
-// result before New; ssd.DefaultConfig is the paper's 32-GiB device.
+// Compact returns the compact SecureSSD that the attack matrix and tests
+// build: 2×2 chips of 32 blocks × 16 TLC wordlines with 4-KiB pages
+// (48 MiB raw), 20 % over-provisioning and GC at two free blocks per
+// chip. The empty policy name selects secSSD; a zero seed is ssd's
+// default. Set any further field (Fault, Trace, LockBatch, the geometry)
+// on the result before New; ssd.DefaultConfig is the paper's 32-GiB
+// device.
 func Compact(policy PolicyName, seed int64) (ssd.Config, error) {
 	p, err := sanitize.ByName(string(cmp.Or(policy, PolicyEvanesco)))
 	if err != nil {
@@ -115,24 +114,6 @@ func (d *Device) WriteFile(name string, data []byte, mode SecurityMode) error {
 	return d.fs.AppendData(f, data)
 }
 
-// AppendFile appends contents to an existing file.
-func (d *Device) AppendFile(name string, data []byte) error {
-	f, ok := d.fs.Lookup(name)
-	if !ok {
-		return filesys.ErrNotFound
-	}
-	return d.fs.AppendData(f, data)
-}
-
-// ReadFile returns the file's contents (padded to whole pages).
-func (d *Device) ReadFile(name string) ([]byte, error) {
-	f, ok := d.fs.Lookup(name)
-	if !ok {
-		return nil, filesys.ErrNotFound
-	}
-	return d.fs.ReadAll(f)
-}
-
 // DeleteFile securely deletes a file: unlink, trim, and — for secure
 // files on an Evanesco device — immediate pLock/bLock of every stale
 // physical page before the call returns.
@@ -157,11 +138,6 @@ func (d *Device) Report() ssd.Report { return d.ssd.Report() }
 
 // Wear returns the device's block erase-count statistics.
 func (d *Device) Wear() ftl.WearStats { return d.ssd.FTL().Wear() }
-
-// Purge locks every stale physical page on the device (the drive-level
-// secure-purge built from pLock/bLock). Live data is untouched and no
-// block is erased.
-func (d *Device) Purge() error { return d.ssd.SanitizeAll() }
 
 // Sync drains any deferred sanitization work: with a positive lock-batch
 // deadline, queued pLocks may ride across requests, and Sync is the
@@ -208,39 +184,8 @@ outer:
 	return false
 }
 
-// ErrSanitizationViolated is returned by VerifySanitization when stale
-// data is still readable at the chip level.
-var ErrSanitizationViolated = errors.New("core: stale secured data is readable on a raw chip")
-
-// VerifySanitization checks the paper's C1/C2 conditions device-wide:
-// every physical page that is readable through the raw chip interface
-// and contains data must be live in the FTL. Stale (invalid) pages with
-// recoverable contents violate sanitization. Baseline devices are
-// expected to fail this check after updates or deletes.
-func (d *Device) VerifySanitization() error {
-	f := d.ssd.FTL()
-	g := d.ssd.Geometry()
-	for p := 0; p < g.TotalPages(); p++ {
-		ppa := ftl.PPA(p)
-		if f.Status(ppa).Live() || f.Status(ppa) == ftl.PageFree {
-			continue
-		}
-		chip, block, page := g.Locate(ppa)
-		data, err := d.ssd.Chips()[chip].Read(nand.PageAddr{Block: block, Page: page}, 0)
-		if err != nil {
-			continue // locked or unreadable: sanitized
-		}
-		for _, b := range data {
-			if b != 0 {
-				return fmt.Errorf("%w: physical page %d", ErrSanitizationViolated, p)
-			}
-		}
-	}
-	return nil
-}
-
-// Churn writes pseudo-random secure traffic to force GC activity; it is
-// used by examples and tests to reach steady state. To avoid clobbering
+// Churn writes pseudo-random secure traffic to force GC activity; the
+// attack matrix and tests use it to reach steady state. To avoid clobbering
 // files (which the file layer allocates from the bottom of the logical
 // space), churn targets the upper half.
 func (d *Device) Churn(requests int, seed int64) error {

@@ -27,14 +27,3 @@ func NewThreshold(limit, codewordBits int) Threshold {
 // LimitRBER returns the raw bit-error rate at the correction limit; the
 // paper normalizes every reported RBER to this value.
 func (t Threshold) LimitRBER() float64 { return float64(t.Limit) / float64(t.Bits) }
-
-// Readable reports whether a codeword with rawErrors bit errors can be
-// recovered.
-func (t Threshold) Readable(rawErrors int) bool { return rawErrors <= t.Limit }
-
-// NormalizeRBER expresses a raw bit-error rate as a multiple of the ECC
-// limit, matching the paper's "Normalized RBER" axes where 1.0 is the
-// correction capability.
-func (t Threshold) NormalizeRBER(rber float64) float64 {
-	return rber / t.LimitRBER()
-}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/filesys"
 	"repro/internal/ftl"
+	"repro/internal/nand/nandtest"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
 	"repro/internal/trace"
@@ -252,10 +253,10 @@ func construct(t *testing.T, old retired, policy ftl.Policy, prof workload.Profi
 	return retired{dev, fs, gen}, after.TotalAlloc - before.TotalAlloc
 }
 
-// lazyState sums nand.Chip.LazyState over the device.
+// lazyState sums nandtest.LazyState over the device.
 func lazyState(dev *ssd.SSD) (stores, chunksUsed, chunksHeld int) {
 	for _, c := range dev.Chips() {
-		s, u, h := c.LazyState()
+		s, u, h := nandtest.LazyState(c)
 		stores, chunksUsed, chunksHeld = stores+s, chunksUsed+u, chunksHeld+h
 	}
 	return stores, chunksUsed, chunksHeld
@@ -318,7 +319,9 @@ func TestGridConstructionFootprint(t *testing.T) {
 		payload[i] = byte(i) | 1
 	}
 	for lpa := int64(0); lpa < 64; lpa++ {
-		c.dev.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Data: payload})
+		if _, err := c.dev.Submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if stores, _, _ := lazyState(c.dev); stores == 0 {
 		t.Fatal("payload writes created no payload store")

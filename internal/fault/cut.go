@@ -81,7 +81,6 @@ type CutState struct {
 	spec   CutSpec
 	count  uint64
 	struck bool
-	cuts   uint64
 	rng    uint64
 }
 
@@ -99,26 +98,6 @@ func (cs *CutState) Arm(spec CutSpec) {
 // Armed reports whether a strike is still pending.
 func (cs *CutState) Armed() bool { return cs != nil && !cs.struck && cs.spec.Armed() }
 
-// Struck reports whether the current schedule has already fired.
-func (cs *CutState) Struck() bool { return cs != nil && cs.struck }
-
-// Cuts returns the number of power losses delivered over the state's
-// lifetime (across re-arms).
-func (cs *CutState) Cuts() uint64 {
-	if cs == nil {
-		return 0
-	}
-	return cs.cuts
-}
-
-// Spec returns the currently installed schedule.
-func (cs *CutState) Spec() CutSpec {
-	if cs == nil {
-		return CutSpec{}
-	}
-	return cs.spec
-}
-
 // Strike is called by a chip at the start of each mutating operation.
 // It reports true exactly once per armed schedule: at the start of the
 // AfterOps-th counted op. The caller must then apply the op's partial
@@ -135,7 +114,6 @@ func (cs *CutState) Strike(op CutOp) bool {
 		return false
 	}
 	cs.struck = true
-	cs.cuts++
 	return true
 }
 

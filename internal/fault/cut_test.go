@@ -11,8 +11,8 @@ func TestCutStateStrikesOnceAtCount(t *testing.T) {
 	if !cs.Strike(CutPLock) {
 		t.Fatal("third op did not strike")
 	}
-	if !cs.Struck() || cs.Cuts() != 1 {
-		t.Fatalf("struck=%v cuts=%d", cs.Struck(), cs.Cuts())
+	if !cs.struck || cs.Armed() {
+		t.Fatalf("struck=%v armed=%v", cs.struck, cs.Armed())
 	}
 	for i := 0; i < 10; i++ {
 		if cs.Strike(CutProgram) {
@@ -45,7 +45,7 @@ func TestCutStateRearmResets(t *testing.T) {
 		t.Fatal("no strike")
 	}
 	cs.Arm(CutSpec{AfterOps: 2})
-	if cs.Struck() {
+	if cs.struck {
 		t.Fatal("re-arm did not clear struck")
 	}
 	if cs.Strike(CutProgram) {
@@ -53,9 +53,6 @@ func TestCutStateRearmResets(t *testing.T) {
 	}
 	if !cs.Strike(CutProgram) {
 		t.Fatal("re-armed schedule never struck")
-	}
-	if cs.Cuts() != 2 {
-		t.Fatalf("cuts = %d, want 2 across two armings", cs.Cuts())
 	}
 }
 
@@ -65,7 +62,7 @@ func TestCutStateDisarmedAndNilSafe(t *testing.T) {
 		t.Fatal("unarmed state is live")
 	}
 	var nilCS *CutState
-	if nilCS.Armed() || nilCS.Struck() || nilCS.Strike(CutAny) || nilCS.Cuts() != 0 {
+	if nilCS.Armed() || nilCS.Strike(CutAny) {
 		t.Fatal("nil CutState not inert")
 	}
 }

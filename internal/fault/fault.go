@@ -102,11 +102,6 @@ func (c *Counts) Add(o Counts) {
 	c.ReadUncorrectable += o.ReadUncorrectable
 }
 
-// OpFails returns the total injected operation failures (reads excluded).
-func (c Counts) OpFails() uint64 {
-	return c.ProgramFails + c.EraseFails + c.PLockFails + c.BLockFails
-}
-
 // maxFailProb caps the wear-scaled probabilities so recovery retry loops
 // always terminate with probability 1 at a useful rate.
 const maxFailProb = 0.95

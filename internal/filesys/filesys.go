@@ -160,18 +160,6 @@ func (fs *FS) Lookup(name string) (*File, bool) {
 	return f, ok
 }
 
-// Get returns a file by ID.
-func (fs *FS) Get(id uint64) (*File, bool) {
-	if id == 0 || id >= fs.nextID {
-		return nil, false
-	}
-	f := fs.slot(id)
-	if f.fs == nil {
-		return nil, false
-	}
-	return f, true
-}
-
 // Create makes an empty file. Flags control its security requirement.
 func (fs *FS) Create(name string, flags OpenFlag) (*File, error) {
 	if _, exists := fs.byName[name]; exists {
@@ -183,7 +171,7 @@ func (fs *FS) Create(name string, flags OpenFlag) (*File, error) {
 }
 
 // CreateAnon makes an empty file with no name, the way O_TMPFILE does:
-// it takes the next ID, is found by Get and counted by Files, but has no
+// it takes the next ID and is counted by Files, but has no
 // directory entry, so Lookup never returns it and it cannot collide. The
 // workload generators, which only ever use the handle, create their
 // population this way.

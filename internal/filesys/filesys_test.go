@@ -664,12 +664,6 @@ func TestLookupGetFiles(t *testing.T) {
 	if _, ok := fs.Lookup("missing"); ok {
 		t.Fatal("Lookup found a ghost")
 	}
-	if got, ok := fs.Get(f.ID); !ok || got != f {
-		t.Fatal("Get failed")
-	}
-	if _, ok := fs.Get(999); ok {
-		t.Fatal("Get found a ghost")
-	}
 	if fs.Files() != 1 {
 		t.Fatalf("Files() = %d", fs.Files())
 	}
@@ -686,9 +680,6 @@ func TestCreateAnon(t *testing.T) {
 	if a.ID == b.ID || a.ID == empty.ID || !b.Insecure || a.Insecure {
 		t.Fatalf("anonymous files %+v %+v", a, b)
 	}
-	if got, ok := fs.Get(a.ID); !ok || got != a {
-		t.Fatal("Get misses an anonymous file")
-	}
 	if got, ok := fs.Lookup(""); !ok || got != empty {
 		t.Fatal("an anonymous file shadowed the file named \"\"")
 	}
@@ -701,8 +692,8 @@ func TestCreateAnon(t *testing.T) {
 	if err := fs.Delete(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fs.Get(a.ID); ok {
-		t.Fatal("deleted anonymous file still found by ID")
+	if err := fs.Append(a, 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("append to a deleted anonymous file: %v", err)
 	}
 	if _, ok := fs.Lookup(""); !ok {
 		t.Fatal("deleting an anonymous file unlinked the file named \"\"")
@@ -715,8 +706,9 @@ func TestCreateAnon(t *testing.T) {
 	}
 }
 
-// Get resolves IDs on both sides of an ID-table page boundary, and a file
-// of another file system is not this one's.
+// A handle stays its file's on both sides of an ID-table page boundary,
+// however many pages are added after it, and a file of another file
+// system is not this one's.
 func TestGetAcrossIDPages(t *testing.T) {
 	fs, _ := newFS(t)
 	var files []*File
@@ -724,19 +716,13 @@ func TestGetAcrossIDPages(t *testing.T) {
 		files = append(files, fs.CreateAnon(0))
 	}
 	for _, i := range []int{0, idPage - 1, idPage, 2*idPage + 2} {
-		if got, ok := fs.Get(files[i].ID); !ok || got != files[i] {
-			t.Fatalf("Get(%d) failed", files[i].ID)
+		if files[i].ID != uint64(i)+1 || fs.Append(files[i], 1) != nil {
+			t.Fatalf("file %d: ID %d, or its handle no longer appends", i, files[i].ID)
 		}
 	}
 	fs.Delete(files[idPage])
-	if _, ok := fs.Get(files[idPage].ID); ok {
-		t.Fatal("Get found a deleted file")
-	}
-	if _, ok := fs.Get(0); ok {
-		t.Fatal("Get(0) found a file")
-	}
-	if _, ok := fs.Get(uint64(len(files)) + 1); ok {
-		t.Fatal("Get found an ID never issued")
+	if err := fs.Append(files[idPage], 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("append to a deleted file: %v", err)
 	}
 	if fs.Files() != len(files)-1 {
 		t.Fatalf("Files() = %d", fs.Files())

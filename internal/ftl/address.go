@@ -75,12 +75,6 @@ func (g Geometry) Resolved() (Geometry, error) {
 	return g, nil
 }
 
-// PPAOf composes a physical page address.
-func (r *resolver) PPAOf(chip, blockInChip, page int) PPA {
-	block := uint32(chip)*r.blocksPerChip.d + uint32(blockInChip)
-	return PPA(block*r.pagesPerBlock.d + uint32(page))
-}
-
 // FirstPPA returns the first page of a device-global block.
 func (r *resolver) FirstPPA(block int) PPA { return PPA(uint32(block) * r.pagesPerBlock.d) }
 

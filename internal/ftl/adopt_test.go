@@ -34,7 +34,7 @@ func adoptConfig(geo ftl.Geometry, logicalShare float64, lb ftl.LockBatchConfig)
 		Geometry:        geo,
 		LogicalPages:    int(float64(geo.TotalPages()) * logicalShare),
 		GCFreeBlocksLow: 2,
-		Timing:          ftl.DefaultLockTiming(),
+		Timing:          ftl.LockTiming{PLock: 100, BLock: 300},
 		LockBatch:       lb,
 	}
 }

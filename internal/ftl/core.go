@@ -7,7 +7,6 @@ import (
 	"repro/internal/adopt"
 	"repro/internal/audit"
 	"repro/internal/blockio"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -48,10 +47,6 @@ type FTL struct {
 	// an erase failure. Both gate further lock/erase/allocate activity.
 	lockedBlocks []bool
 	retired      []bool
-
-	// retryDepth samples how many fresh-page retries each recovered
-	// program failure needed (fault campaigns report its mean/max).
-	retryDepth metrics.Summary
 
 	chips  []chipState
 	planes int // cached Geometry.PlaneCount()
@@ -229,26 +224,6 @@ func (f *FTL) setStatus(p PPA, st PageStatus) {
 	f.status[p] = st
 }
 
-// PageStatusCounts returns the device-wide page population per status
-// (retired pages are reported separately by RetiredPages).
-func (f *FTL) PageStatusCounts() (free, valid, secured, invalid int64) {
-	return f.statusCount[PageFree], f.statusCount[PageValid],
-		f.statusCount[PageSecured], f.statusCount[PageInvalid]
-}
-
-// RetiredPages returns the page population of retired blocks.
-func (f *FTL) RetiredPages() int64 { return f.statusCount[PageRetired] }
-
-// BlockRetired reports whether a block has been pulled from rotation.
-func (f *FTL) BlockRetired(block int) bool { return f.retired[block] }
-
-// BlockLocked reports whether a block is currently bLocked.
-func (f *FTL) BlockLocked(block int) bool { return f.lockedBlocks[block] }
-
-// RetryDepth returns the distribution of fresh-page retries per
-// recovered program failure.
-func (f *FTL) RetryDepth() metrics.Summary { return f.retryDepth }
-
 // Lookup returns the physical page currently mapped to lpa (NoPPA if
 // unmapped).
 func (f *FTL) Lookup(lpa int64) PPA {
@@ -269,6 +244,9 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 	}
 	if req.LPA+int64(req.Pages) > int64(len(f.l2p)) {
 		return dep, fmt.Errorf("ftl: request %v beyond logical capacity %d", req, len(f.l2p))
+	}
+	if len(req.Data) > int(req.Pages)*f.cfg.Geometry.PageBytes {
+		return dep, fmt.Errorf("ftl: request %v carries %d payload bytes, more than its pages hold", req, len(req.Data))
 	}
 	f.reqClock = dep
 	f.reqStart = dep
@@ -397,9 +375,6 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 		}
 		f.stats.FlashPrograms++
 		done, perr = f.target.Program(p, data, f.meta(lpa, secure), done)
-	}
-	if retries > 0 {
-		f.retryDepth.Add(float64(retries))
 	}
 	f.commitWrite(p, lpa, secure, file)
 	// Invalidate the overwritten copy after the new data is durable.
@@ -918,9 +893,6 @@ func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 			np, sameChip = f.allocateNear(chip)
 		}
 		f.writeSeq++
-		if retries > 0 {
-			f.retryDepth.Add(float64(retries))
-		}
 		if done > f.reqClock {
 			f.reqClock = done
 		}

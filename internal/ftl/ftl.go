@@ -277,9 +277,6 @@ type LockBatchConfig struct {
 	Threshold int
 }
 
-// DefaultLockTiming matches §7 (100µs / 300µs).
-func DefaultLockTiming() LockTiming { return LockTiming{PLock: 100, BLock: 300} }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {

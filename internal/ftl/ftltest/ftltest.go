@@ -336,6 +336,6 @@ func SmallConfig() ftl.Config {
 		Geometry:        geo,
 		LogicalPages:    geo.TotalPages() / 2,
 		GCFreeBlocksLow: 2,
-		Timing:          ftl.DefaultLockTiming(),
+		Timing:          ftl.LockTiming{PLock: 100, BLock: 300},
 	}
 }

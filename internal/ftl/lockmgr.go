@@ -50,9 +50,6 @@ func (q *lockQueue) recycle(pages []PPA) {
 	}
 }
 
-// LockQueueLen reports how many pages are waiting in the batching queue.
-func (f *FTL) LockQueueLen() int { return f.lockq.count }
-
 // LockPage routes one stale secured page to the lock manager. With
 // batching disabled it degenerates to an immediate per-page pLock;
 // otherwise the page joins its wordline's group and is locked by a

@@ -276,9 +276,6 @@ func TestProgramFailRetriesAndQuarantines(t *testing.T) {
 	if tr.count(trace.OpProgramFail) != 1 {
 		t.Fatalf("OpProgramFail markers = %d, want 1", tr.count(trace.OpProgramFail))
 	}
-	if d := f.RetryDepth(); d.N() != 1 || d.Mean() != 1 {
-		t.Fatalf("RetryDepth n=%d mean=%v, want 1/1", d.N(), d.Mean())
-	}
 	assertNoResidue(t, tgt, f, f.Geometry().BlockOf(failed))
 }
 

@@ -272,16 +272,10 @@ func TestSeriesChunkBoundaries(t *testing.T) {
 			}
 		}
 		if n == 0 {
-			if s.Last() != (Point{}) || s.MaxValue() != 0 || len(s.Downsample(4)) != 0 {
-				t.Fatal("empty series: Last/MaxValue/Downsample not zero")
+			if len(s.Downsample(4)) != 0 {
+				t.Fatal("empty series: Downsample not empty")
 			}
 			continue
-		}
-		if s.Last() != want[n-1] {
-			t.Fatalf("n=%d: Last = %v, want %v", n, s.Last(), want[n-1])
-		}
-		if got, ref := s.MaxValue(), refMaxValue(want); got != ref {
-			t.Fatalf("n=%d: MaxValue = %v, want %v", n, got, ref)
 		}
 		for _, k := range []int{0, 1, 5, LogChunk, n, n + 1} {
 			if got, ref := s.Downsample(k), refDownsample(want, k); !reflect.DeepEqual(got, ref) {
@@ -289,14 +283,6 @@ func TestSeriesChunkBoundaries(t *testing.T) {
 			}
 		}
 	}
-}
-
-func refMaxValue(pts []Point) float64 {
-	m := pts[0].V
-	for _, p := range pts {
-		m = math.Max(m, p.V)
-	}
-	return m
 }
 
 // refDownsample is Series.Downsample as it was written over one slice.

@@ -60,9 +60,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Sum returns mean*n, the total of all samples.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
 		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
@@ -296,12 +293,6 @@ func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.bins) }
 
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + w*(float64(i)+0.5)
-}
-
 // BinUpper returns the exclusive upper bound of bin i — the `le` bucket
 // boundary in a Prometheus/OpenMetrics exposition.
 func (h *Histogram) BinUpper(i int) float64 {
@@ -345,20 +336,6 @@ func (s *Series) Len() int { return s.points.Len() }
 
 // At returns the i-th recorded point.
 func (s *Series) At(i int) Point { return *s.points.At(i) }
-
-// Last returns the most recent point (zero Point when empty).
-func (s *Series) Last() Point { return s.last }
-
-// MaxValue returns the maximum observed value (0 when empty).
-func (s *Series) MaxValue() float64 {
-	max := s.last.V
-	for i := 0; i < s.Len(); i++ {
-		if v := s.points.At(i).V; v > max {
-			max = v
-		}
-	}
-	return max
-}
 
 // Downsample reduces the series to at most n points (see Downsample).
 func (s *Series) Downsample(n int) []Point {

@@ -9,18 +9,14 @@ import (
 	"repro/internal/nand/vth"
 )
 
-// rawDump reads every page of the chip through the pin-level port, the
-// way the §5.1 attacker does, and returns the bytes and status registers.
-func rawDump(t *testing.T, c *Chip) []byte {
-	t.Helper()
-	port := NewRawPort(c)
+// rawDump reads every page of the chip the way the §5.1 attacker does,
+// through ForensicDump: a locked page reads as zeros, and a byte after
+// each page tells an erased page (nil) from a programmed one.
+func rawDump(c *Chip) []byte {
 	var out []byte
 	for b := 0; b < c.geo.Blocks; b++ {
-		for p := 0; p < c.pagesPerBlock; p++ {
-			// A locked page fails the read and streams zeros; the status
-			// register folds that in.
-			page, _ := port.ReadPage(PageAddr{Block: b, Page: p}, c.geo.PageBytes)
-			out = append(append(out, page...), port.Status())
+		for _, page := range c.ForensicDump(b, 0) {
+			out = append(append(out, page...), byte(min(len(page), 1)))
 		}
 	}
 	return out
@@ -82,7 +78,7 @@ func TestNewFromEqualsNew(t *testing.T) {
 			if stores, used, _ := adopted.LazyState(); stores != 0 || used != 0 {
 				t.Errorf("adopted chip starts with %d payload stores and %d flag chunks in use", stores, used)
 			}
-			if !bytes.Equal(rawDump(t, fresh), rawDump(t, adopted)) {
+			if !bytes.Equal(rawDump(fresh), rawDump(adopted)) {
 				t.Error("raw dump of the adopted chip differs from a new chip's")
 			}
 		})

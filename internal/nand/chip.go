@@ -39,7 +39,6 @@ var (
 	ErrPageLocked    = errors.New("nand: page is locked (pAP disabled)")
 	ErrBlockLocked   = errors.New("nand: block is locked (bAP disabled)")
 	ErrUncorrectable = errors.New("nand: raw bit errors exceed ECC correction capability")
-	ErrWornOut       = errors.New("nand: block exceeded its endurance rating")
 
 	// Injected operation failures (see internal/fault). The op consumed
 	// its full latency and — for ErrProgramFailed — its page before
@@ -103,11 +102,6 @@ func (g Geometry) PagesPerBlock() int { return g.WLsPerBlock * g.PagesPerWL() }
 
 // TotalPages returns the page count of the whole chip.
 func (g Geometry) TotalPages() int { return g.Blocks * g.PagesPerBlock() }
-
-// CapacityBytes returns the raw chip capacity.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageBytes)
-}
 
 // Validate reports whether the geometry is usable.
 func (g Geometry) Validate() error {
@@ -459,9 +453,6 @@ func (c *Chip) Geometry() Geometry { return c.geo }
 // Timing returns the command latencies.
 func (c *Chip) Timing() Timing { return c.timing }
 
-// OpCount returns how many operations of kind k the chip executed.
-func (c *Chip) OpCount(k OpKind) uint64 { return c.opCount[k] }
-
 // FaultCounts returns what the attached fault injector did so far (the
 // zero value when no injector is attached).
 func (c *Chip) FaultCounts() fault.Counts {
@@ -469,19 +460,6 @@ func (c *Chip) FaultCounts() fault.Counts {
 		return fault.Counts{}
 	}
 	return c.faults.Counts()
-}
-
-// LazyState reports how much on-first-use state the chip holds: blocks
-// with a payload store, flag-arena chunks that slots have been handed out
-// from, and chunks held in all (a chip built by NewFrom starts with its
-// donor's, zeroed and unused).
-func (c *Chip) LazyState() (payloadStores, flagChunksUsed, flagChunksHeld int) {
-	for b := range c.blocks {
-		if c.blocks[b].data != nil {
-			payloadStores++
-		}
-	}
-	return payloadStores, (int(c.flagSlots) + flagChunkSlots - 1) / flagChunkSlots, len(c.flagChunks)
 }
 
 // AdvanceDays moves the chip's retention clock forward, aging every

@@ -1,5 +1,7 @@
 package nand
 
+import "repro/internal/sim"
+
 // flagCells returns the stored Vths and lock day of a page's flag cells
 // (nil, 0 when the flag was never programmed).
 func (c *Chip) flagCells(a PageAddr) ([]float64, float64) {
@@ -25,4 +27,26 @@ func (c *Chip) StampOOB(a PageAddr, m OOBMeta) error {
 	rec := c.rec(a)
 	rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
 	return nil
+}
+
+// LazyState reports how much on-first-use state the chip holds: blocks
+// with a payload store, flag-arena chunks that slots have been handed out
+// from, and chunks held in all (a chip built by NewFrom starts with its
+// donor's, zeroed and unused).
+func (c *Chip) LazyState() (payloadStores, flagChunksUsed, flagChunksHeld int) {
+	for b := range c.blocks {
+		if c.blocks[b].data != nil {
+			payloadStores++
+		}
+	}
+	return payloadStores, (int(c.flagSlots) + flagChunkSlots - 1) / flagChunkSlots, len(c.flagChunks)
+}
+
+// IsPageLocked reports the current pAP state of a page (majority vote,
+// including any retention decay up to now).
+func (c *Chip) IsPageLocked(a PageAddr, now sim.Micros) (bool, error) {
+	if err := c.checkAddr(a); err != nil {
+		return false, err
+	}
+	return c.pageLockedAt(c.rec(a), c.nowDays(now)), nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/nand"
+	"repro/internal/nand/nandtest"
 	"repro/internal/nand/vth"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
@@ -36,7 +37,7 @@ func TestNewFootprint(t *testing.T) {
 	if perPage > 26 {
 		t.Errorf("nand.New allocated %.1f B/page at default-scale geometry, want at most 26", perPage)
 	}
-	if stores, _, chunks := c.LazyState(); stores != 0 || chunks != 0 {
+	if stores, _, chunks := nandtest.LazyState(c); stores != 0 || chunks != 0 {
 		t.Errorf("fresh chip already holds %d payload stores and %d flag chunks", stores, chunks)
 	}
 }
@@ -58,19 +59,24 @@ func TestTimingOnlyFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefill(0.75, true); err != nil {
-		t.Fatal(err)
+	submit := func(req blockio.Request) {
+		if _, err := s.Submit(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	logical := int64(s.LogicalPages())
+	for lpa, fill := int64(0), logical*3/4; lpa < fill; lpa += 64 { // a 75 % secured prefill
+		submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: int32(min(64, fill-lpa))})
+	}
 	for i, lpa := 0, int64(0); i < 4*int(logical); i, lpa = i+1, (lpa+7)%logical {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
-		s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: 1})
+		submit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+		submit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: 1})
 	}
 	if st := s.FTL().Stats(); st.GCCopies == 0 || st.Erases == 0 {
 		t.Fatalf("no garbage collection ran (%d copies, %d erases): the copyback and erase paths were not exercised", st.GCCopies, st.Erases)
 	}
 	for i, c := range s.Chips() {
-		if stores, _, chunks := c.LazyState(); stores != 0 || chunks != 0 {
+		if stores, _, chunks := nandtest.LazyState(c); stores != 0 || chunks != 0 {
 			t.Errorf("chip %d: %d payload stores and %d flag chunks after a timing-only baseline run, want none", i, stores, chunks)
 		}
 	}

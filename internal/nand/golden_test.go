@@ -101,7 +101,7 @@ func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
 		}
 	}
 	for k := OpKind(0); k < opKinds; k++ {
-		m.u64(c.OpCount(k))
+		m.u64(c.opCount[k])
 	}
 }
 
@@ -218,7 +218,7 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 			m.chip(t, c, now)
 		}
 	}
-	if !cs.Struck() {
+	if cs.Armed() {
 		t.Fatalf("planes %d seed %d: the armed power cut never struck", planes, seed)
 	}
 	m.chip(t, c, now)

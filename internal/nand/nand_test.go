@@ -106,8 +106,8 @@ func TestGeometryDerived(t *testing.T) {
 		t.Fatalf("PagesPerBlock = %d, want 576 (the paper's configuration)", g.PagesPerBlock())
 	}
 	// 428 blocks * 576 pages * 16 KiB ≈ 3.77 GiB per chip; 8 chips ≈ 30 GiB.
-	if got := g.CapacityBytes(); got != int64(428)*576*16*1024 {
-		t.Fatalf("CapacityBytes = %d", got)
+	if got := g.TotalPages() * g.PageBytes; got != 428*576*16*1024 {
+		t.Fatalf("chip capacity %d bytes", got)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -251,9 +251,9 @@ func TestPLockIsIdempotent(t *testing.T) {
 	c := newTestChip(t)
 	mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
 	mustPLock(t, c, PageAddr{0, 0})
-	before := c.OpCount(OpPLock)
+	before := c.opCount[OpPLock]
 	mustPLock(t, c, PageAddr{0, 0})
-	if c.OpCount(OpPLock) != before+1 {
+	if c.opCount[OpPLock] != before+1 {
 		t.Fatal("second pLock should still be counted as an operation")
 	}
 	if !pageLocked(t, c, PageAddr{0, 0}) {
@@ -414,8 +414,8 @@ func TestOpCounters(t *testing.T) {
 		OpRead: 2, OpProgram: 2, OpErase: 1, OpPLock: 1, OpBLock: 1, OpScrub: 1,
 	}
 	for k, n := range want {
-		if c.OpCount(k) != n {
-			t.Errorf("OpCount(%v) = %d, want %d", k, c.OpCount(k), n)
+		if c.opCount[k] != n {
+			t.Errorf("OpCount(%v) = %d, want %d", k, c.opCount[k], n)
 		}
 	}
 }
@@ -625,7 +625,7 @@ func TestCopybackRejectsBadDestinationBeforeSensing(t *testing.T) {
 	if _, err := c.Copyback(PageAddr{0, 0}, PageAddr{Block: -1}, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("Copyback to block -1: %v, want ErrBadAddress", err)
 	}
-	if n := c.OpCount(OpRead); n != 0 {
+	if n := c.opCount[OpRead]; n != 0 {
 		t.Fatalf("rejected copyback counted %d reads, want 0", n)
 	}
 }

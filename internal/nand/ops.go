@@ -492,15 +492,6 @@ func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (si
 	return c.timing.Read + progLat, err
 }
 
-// IsPageLocked reports the current pAP state of a page (majority vote,
-// including any retention decay up to now).
-func (c *Chip) IsPageLocked(a PageAddr, now sim.Micros) (bool, error) {
-	if err := c.checkAddr(a); err != nil {
-		return false, err
-	}
-	return c.pageLockedAt(c.rec(a), c.nowDays(now)), nil
-}
-
 // IsBlockLocked reports the current bAP state of a block.
 func (c *Chip) IsBlockLocked(blockIdx int, now sim.Micros) (bool, error) {
 	if blockIdx < 0 || blockIdx >= c.geo.Blocks {

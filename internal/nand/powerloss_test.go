@@ -48,8 +48,8 @@ func TestCutMidProgramTearsTail(t *testing.T) {
 	if pl == nil || pl.Op != OpProgram || pl.Addr != a {
 		t.Fatalf("loss = %+v, want program cut at %v", pl, a)
 	}
-	if !cs.Struck() || cs.Cuts() != 1 {
-		t.Fatalf("cut state struck=%v cuts=%d", cs.Struck(), cs.Cuts())
+	if cs.Armed() {
+		t.Fatal("cut state still armed after the cut")
 	}
 	if wp := c.WritePointer(0); wp != 1 {
 		t.Fatalf("write pointer %d, want 1: the pulse consumed the page", wp)
@@ -195,7 +195,7 @@ func TestCutSpecOpFilterAndCounting(t *testing.T) {
 	// Programs do not match the erase-only schedule.
 	mustProgram(t, c, PageAddr{Block: 0, Page: 0}, data)
 	mustProgram(t, c, PageAddr{Block: 0, Page: 1}, data)
-	if cs.Struck() {
+	if !cs.Armed() {
 		t.Fatal("programs struck an erase-only schedule")
 	}
 	if pl := catchLoss(func() { mustErase(t, c, 3) }); pl == nil || pl.Op != OpErase {

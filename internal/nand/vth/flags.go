@@ -94,15 +94,9 @@ func (f FlagModel) RetentionErrorProb(v, t, days float64, peCycles int) float64 
 	return phi((f.ReadRef - f.MeanAfter(v, t, days, peCycles)) / f.Sigma)
 }
 
-// SampleCellVth draws a flag-cell Vth after (v, t) programming and days of
-// retention.
-func (f FlagModel) SampleCellVth(v, t, days float64, peCycles int, rng *rand.Rand) float64 {
-	return f.MeanAfter(v, t, days, peCycles) + rng.NormFloat64()*f.Sigma
-}
-
 // SampleCells fills dst with the Vths of the cells one flag program
-// charges — the draws SampleCellVth would make one by one, with the
-// mean, which the cells share, evaluated once.
+// charges after (v, t) programming and days of retention: the mean,
+// which the cells share, plus one normal draw per cell.
 func (f FlagModel) SampleCells(dst []float64, v, t, days float64, peCycles int, rng *rand.Rand) {
 	mean := f.MeanAfter(v, t, days, peCycles)
 	for i := range dst {
@@ -247,12 +241,6 @@ func (s SSLModel) BlockReadRBER(center, baseRBER float64) float64 {
 	off := s.OffProb(center)
 	// Off bitlines always read 0; surviving bitlines keep the base RBER.
 	return off*0.5 + (1-off)*baseRBER
-}
-
-// MeanAfterAtTemp is MeanAfter with Arrhenius-accelerated retention at
-// the given storage temperature (°C; 0 = the 30°C reference).
-func (f FlagModel) MeanAfterAtTemp(v, t, days float64, peCycles int, tempC float64) float64 {
-	return f.MeanAfter(v, t, days*RetentionAcceleration(tempC), peCycles)
 }
 
 // MajorityFailureProbAtTemp evaluates the k-cell majority flip chance at

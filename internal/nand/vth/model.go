@@ -206,28 +206,6 @@ func NewMLC() *Model {
 	}
 }
 
-// NewQLC returns a calibrated model of a 4-bit-per-cell chip: sixteen
-// states squeezed into the same design window, with correspondingly
-// tighter margins (the paper's motivation for why destructive
-// reprogramming gets worse as m grows).
-func NewQLC() *Model {
-	means := make([]float64, 16)
-	sigmas := make([]float64, 16)
-	means[0], sigmas[0] = -2.0, 0.40
-	for i := 1; i < 16; i++ {
-		means[i] = 0.2 + float64(i-1)*0.33
-		sigmas[i] = 0.062
-	}
-	return &Model{
-		Kind:         QLC,
-		Means:        means,
-		Sigmas:       sigmas,
-		Refs:         midpoints(means),
-		Params:       DefaultParams(),
-		ECCLimitRBER: 100.0 / 8192.0, // QLC ships with stronger ECC
-	}
-}
-
 func midpoints(means []float64) []float64 {
 	refs := make([]float64, len(means)-1)
 	for i := range refs {
@@ -343,20 +321,6 @@ func (m *Model) NormalizedPageRBER(pk PageKind, c Condition) float64 {
 	return m.PageRBER(pk, c) / m.ECCLimitRBER
 }
 
-// DecodeVth returns the state an on-chip read decodes for a sampled Vth.
-func (m *Model) DecodeVth(v float64) int {
-	s := 0
-	for s < len(m.Refs) && v > m.Refs[s] {
-		s++
-	}
-	return s
-}
-
-// SampleVth draws a Vth for a cell written to state s under condition c.
-func (m *Model) SampleVth(s int, c Condition, rng *rand.Rand) float64 {
-	return m.StateDist(s, c).Sample(rng)
-}
-
 // OSR models the one-shot reprogram sanitization of §4 (Fig. 5): for each
 // page in sanitize (applied in order, one pulse each), every state whose
 // bit on that page is '1' is programmed up to the position of the next
@@ -451,61 +415,6 @@ func (m *Model) OSRPageRBER(pk PageKind, c Condition, sanitize []PageKind) float
 			dists[s].Mean -= p.RetShift * level * decades * boost * wl * osr
 			dists[s].Sigma *= 1 + p.RetSigma*decades*boost*wl*osr
 		}
-	}
-	return m.rberFromDists(pk, dists)
-}
-
-// OptimalRefs returns read reference voltages recalibrated for the given
-// condition: each boundary moves to the crossing point of its two
-// neighbouring state distributions, which is what a read-retry /
-// reference-tuning controller converges to. This mitigates retention-
-// induced shifts (the error-recovery techniques of the paper's related
-// work [29][34]) — but it recovers nothing from a locked page, whose
-// data never reaches the sense amplifiers.
-func (m *Model) OptimalRefs(c Condition) []float64 {
-	refs := make([]float64, len(m.Refs))
-	for i := range refs {
-		lo := m.StateDist(i, c)
-		hi := m.StateDist(i+1, c)
-		refs[i] = crossing(lo, hi, m.Refs[i])
-	}
-	return refs
-}
-
-// crossing locates the point between the two distributions' means where
-// their densities are closest (bisection on the CDF-derived error sum,
-// which is convex between the means).
-func crossing(lo, hi Dist, fallback float64) float64 {
-	a, b := lo.Mean, hi.Mean
-	if a >= b {
-		return fallback
-	}
-	// Minimize err(x) = P(lo > x) + P(hi <= x) by ternary search.
-	f := func(x float64) float64 { return 1 - lo.CDF(x) + hi.CDF(x) }
-	for i := 0; i < 60; i++ {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if f(m1) < f(m2) {
-			b = m2
-		} else {
-			a = m1
-		}
-	}
-	return (a + b) / 2
-}
-
-// PageRBERWithRefs computes the page RBER using explicit read references
-// (e.g. from OptimalRefs) instead of the nominal ones.
-func (m *Model) PageRBERWithRefs(pk PageKind, c Condition, refs []float64) float64 {
-	if len(refs) != len(m.Refs) {
-		panic(fmt.Sprintf("vth: %d refs, want %d", len(refs), len(m.Refs)))
-	}
-	saved := m.Refs
-	m.Refs = refs
-	defer func() { m.Refs = saved }()
-	dists := make([]Dist, len(m.Means))
-	for s := range dists {
-		dists[s] = m.StateDist(s, c)
 	}
 	return m.rberFromDists(pk, dists)
 }

@@ -48,31 +48,20 @@ func TestGrayCodeAdjacency(t *testing.T) {
 	}
 }
 
-// Completeness: every bit combination maps to exactly one state.
+// Completeness: every state encodes its own bit combination, so all of
+// them are reachable.
 func TestGrayCodeComplete(t *testing.T) {
 	for _, k := range []CellKind{SLC, MLC, TLC, QLC} {
-		pages := PagesPerWL(k)
-		seen := map[int]bool{}
-		n := k.States()
-		for combo := 0; combo < n; combo++ {
-			bits := make([]byte, len(pages))
-			for i := range bits {
-				bits[i] = byte((combo >> uint(i)) & 1)
+		seen := map[int]int{} // bit combination -> state
+		for s := 0; s < k.States(); s++ {
+			combo := 0
+			for i, p := range PagesPerWL(k) {
+				combo |= int(BitOf(k, s, p)) << i
 			}
-			s := StateFor(k, bits)
-			if seen[s] {
-				t.Fatalf("%v: state %d encodes two bit combinations", k, s)
+			if prev, dup := seen[combo]; dup {
+				t.Fatalf("%v: states %d and %d encode the same bits %b", k, prev, s, combo)
 			}
-			seen[s] = true
-			// And BitOf must invert StateFor.
-			for i, p := range pages {
-				if BitOf(k, s, p) != bits[i] {
-					t.Fatalf("%v: BitOf(state %d, %v) != %d", k, s, p, bits[i])
-				}
-			}
-		}
-		if len(seen) != n {
-			t.Fatalf("%v: only %d of %d states reachable", k, len(seen), n)
+			seen[combo] = s
 		}
 	}
 }
@@ -156,15 +145,6 @@ func TestDistSampleMatchesCDF(t *testing.T) {
 	want := d.CDF(x)
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("Monte-Carlo CDF(%v) = %v, closed form %v", x, got, want)
-	}
-}
-
-func TestDecodeVthRoundTrip(t *testing.T) {
-	m := NewTLC()
-	for s := 0; s < m.Kind.States(); s++ {
-		if got := m.DecodeVth(m.Means[s]); got != s {
-			t.Errorf("DecodeVth(mean of state %d) = %d", s, got)
-		}
 	}
 }
 
@@ -480,7 +460,8 @@ func TestPageRBERValidProperty(t *testing.T) {
 	}
 }
 
-// Property: Monte-Carlo page read agrees with the closed-form RBER.
+// Property: Monte-Carlo page read agrees with the closed-form RBER. A
+// sampled cell reads as the state whose reference interval holds its Vth.
 func TestMonteCarloAgreesWithClosedForm(t *testing.T) {
 	m := NewTLC()
 	c := Condition{PECycles: 1000, RetentionDays: 100}
@@ -489,8 +470,11 @@ func TestMonteCarloAgreesWithClosedForm(t *testing.T) {
 	errs := 0
 	for i := 0; i < cells; i++ {
 		s := rng.Intn(m.Kind.States())
-		v := m.SampleVth(s, c, rng)
-		got := m.DecodeVth(v)
+		v := m.StateDist(s, c).Sample(rng)
+		got := 0
+		for got < len(m.Refs) && v > m.Refs[got] {
+			got++
+		}
 		if BitOf(m.Kind, got, MSB) != BitOf(m.Kind, s, MSB) {
 			errs++
 		}
@@ -499,41 +483,6 @@ func TestMonteCarloAgreesWithClosedForm(t *testing.T) {
 	cf := m.PageRBER(MSB, c)
 	if math.Abs(mc-cf) > cf*0.25+1e-4 {
 		t.Fatalf("Monte-Carlo RBER %.5f vs closed form %.5f", mc, cf)
-	}
-}
-
-func TestQLCModel(t *testing.T) {
-	m := NewQLC()
-	if m.Kind != QLC || len(m.Means) != 16 || len(m.Refs) != 15 {
-		t.Fatalf("QLC model shape: %d states, %d refs", len(m.Means), len(m.Refs))
-	}
-	// Means strictly increasing, refs between neighbours.
-	for i := 1; i < len(m.Means); i++ {
-		if m.Means[i] <= m.Means[i-1] {
-			t.Fatal("QLC means not increasing")
-		}
-	}
-	// Fresh QLC must still be readable on all four pages...
-	for _, pk := range PagesPerWL(QLC) {
-		if r := m.NormalizedPageRBER(pk, Condition{}); r >= 1 {
-			t.Errorf("fresh QLC %v page normalized RBER %.2f >= limit", pk, r)
-		}
-	}
-	// ...but QLC is less reliable than TLC under identical stress — the
-	// paper's motivation for why destructive sanitization stops scaling.
-	tlc := NewTLC()
-	stress := Condition{PECycles: 1000, RetentionDays: 365}
-	if m.PageRBER(MSB, stress) <= tlc.PageRBER(MSB, stress) {
-		t.Error("QLC should be less reliable than TLC under stress")
-	}
-}
-
-func TestQLCDecodeRoundTrip(t *testing.T) {
-	m := NewQLC()
-	for s := 0; s < 16; s++ {
-		if got := m.DecodeVth(m.Means[s]); got != s {
-			t.Errorf("QLC DecodeVth(mean[%d]) = %d", s, got)
-		}
 	}
 }
 
@@ -590,37 +539,4 @@ func TestHotStorageAgesFaster(t *testing.T) {
 	if math.Abs(hot-equiv)/equiv > 1e-9 {
 		t.Fatalf("temperature scaling inconsistent: %v vs %v", hot, equiv)
 	}
-}
-
-// Read-retry (reference recalibration) recovers retention-shifted pages:
-// the tuned references track the drifted distributions and cut RBER,
-// often pulling an over-the-limit page back under it.
-func TestOptimalRefsMitigateRetention(t *testing.T) {
-	m := NewTLC()
-	c := Condition{PECycles: 1000, RetentionDays: 3 * 365}
-	nominal := m.PageRBER(MSB, c)
-	tuned := m.PageRBERWithRefs(MSB, c, m.OptimalRefs(c))
-	if tuned >= nominal {
-		t.Fatalf("tuned refs did not help: %.5g vs %.5g", tuned, nominal)
-	}
-	if tuned > nominal*0.7 {
-		t.Errorf("read-retry gain too small: %.5g -> %.5g", nominal, tuned)
-	}
-	// On a fresh page the nominal midpoints are already near optimal.
-	fresh := Condition{}
-	n0 := m.PageRBER(MSB, fresh)
-	t0 := m.PageRBERWithRefs(MSB, fresh, m.OptimalRefs(fresh))
-	if t0 > n0*1.01 {
-		t.Errorf("tuning a fresh page made it worse: %.5g -> %.5g", n0, t0)
-	}
-}
-
-func TestPageRBERWithRefsValidation(t *testing.T) {
-	m := NewTLC()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong ref count should panic")
-		}
-	}()
-	m.PageRBERWithRefs(MSB, Condition{}, []float64{1, 2})
 }

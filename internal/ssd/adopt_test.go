@@ -9,7 +9,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/ftl"
-	"repro/internal/nand"
+	"repro/internal/nand/nandtest"
 	"repro/internal/sanitize"
 )
 
@@ -26,7 +26,7 @@ func usedDevice(t *testing.T) *SSD {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefill(0.6, true); err != nil {
+	if err := s.prefill(0.6, true); err != nil {
 		t.Fatal(err)
 	}
 	s.Mark()
@@ -69,29 +69,26 @@ func usedDevice(t *testing.T) *SSD {
 	}
 	st, stores, chunks := s.FTL().Stats(), 0, 0
 	for _, c := range s.Chips() {
-		ps, used, _ := c.LazyState()
+		ps, used, _ := nandtest.LazyState(c)
 		stores, chunks = stores+ps, chunks+used
 	}
 	if st.Erases == 0 || st.GCRuns == 0 || st.PLocks == 0 || st.PLockBatches == 0 || st.ProgramGroups == 0 ||
-		s.FaultCounts().OpFails() == 0 || s.PowerCuts() != 1 || stores == 0 || chunks == 0 {
-		t.Fatalf("device is not used enough: stats %+v, faults %+v, %d cuts, %d payload stores, %d flag chunks",
-			st, s.FaultCounts(), s.PowerCuts(), stores, chunks)
+		s.FaultCounts().ProgramFails == 0 || s.cut.Armed() || stores == 0 || chunks == 0 {
+		t.Fatalf("device is not used enough: stats %+v, faults %+v, cut pending %v, %d payload stores, %d flag chunks",
+			st, s.FaultCounts(), s.cut.Armed(), stores, chunks)
 	}
 	return s
 }
 
-// rawDump reads every page of every chip at the pins.
-func rawDump(t *testing.T, s *SSD) []byte {
-	t.Helper()
+// rawDump reads every page of every chip the way the §5.1 attacker
+// does, through ForensicDump; a byte after each page tells an erased page
+// (nil) from a programmed one.
+func rawDump(s *SSD) []byte {
 	var out []byte
 	for _, c := range s.Chips() {
-		port := nand.NewRawPort(c)
-		geo := c.Geometry()
-		for b := 0; b < geo.Blocks; b++ {
-			for p := 0; p < geo.PagesPerBlock(); p++ {
-				// Locked pages fail the read; the status register records it.
-				page, _ := port.ReadPage(nand.PageAddr{Block: b, Page: p}, geo.PageBytes)
-				out = append(append(out, page...), port.Status())
+		for b := 0; b < c.Geometry().Blocks; b++ {
+			for _, page := range c.ForensicDump(b, 0) {
+				out = append(append(out, page...), byte(min(len(page), 1)))
 			}
 		}
 	}
@@ -139,16 +136,16 @@ func TestNewFromEqualsNew(t *testing.T) {
 			if d := adopttest.Diff(fresh, adopted); d != "" {
 				t.Fatalf("device built from a used one differs from a new one at %s", d)
 			}
-			if !bytes.Equal(rawDump(t, fresh), rawDump(t, adopted)) {
+			if !bytes.Equal(rawDump(fresh), rawDump(adopted)) {
 				t.Error("raw dump of the adopted device differs from a new device's")
 			}
 			for _, s := range []*SSD{fresh, adopted} {
-				if err := s.Prefill(0.5, true); err != nil {
+				if err := s.prefill(0.5, true); err != nil {
 					t.Fatal(err)
 				}
 				s.Mark()
 				for lpa := int64(0); lpa < int64(s.LogicalPages()/2); lpa += 3 {
-					s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 2})
+					s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 2})
 				}
 			}
 			if deviceDigest(t, fresh) != deviceDigest(t, adopted) {

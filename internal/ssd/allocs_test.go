@@ -34,14 +34,14 @@ func TestSanitizeCopiesDoNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Prefill(0.75, true); err != nil {
+			if err := s.prefill(0.75, true); err != nil {
 				t.Fatal(err)
 			}
 			const runs = 100
 			lpa := int64(0)
 			before := s.FTL().Stats()
 			allocs := testing.AllocsPerRun(runs, func() {
-				s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+				s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
 				lpa += 7
 			})
 			copies := s.FTL().Stats().SanitizeCopies - before.SanitizeCopies
@@ -79,7 +79,7 @@ func TestRecorderAllocsPerRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Prefill(0.75, true); err != nil {
+		if err := s.prefill(0.75, true); err != nil {
 			t.Fatal(err)
 		}
 		retained := func() (events, records uint64) {
@@ -94,7 +94,7 @@ func TestRecorderAllocsPerRun(t *testing.T) {
 		allocs = testing.AllocsPerRun(1, func() { // runs the batch twice; the second is measured
 			ev0, rec0 = retained()
 			for i := 0; i < overwrites; i++ {
-				s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+				s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
 				lpa = (lpa + 7) % logical
 			}
 		})

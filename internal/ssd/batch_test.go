@@ -44,7 +44,7 @@ func TestMultiPlaneWriteThroughput(t *testing.T) {
 	run := func(cfg Config) Report {
 		s := mustNew(t, cfg)
 		for i := 0; i < 16; i++ {
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i * 8), Pages: 8})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i * 8), Pages: 8})
 		}
 		return s.Report()
 	}
@@ -67,11 +67,11 @@ func TestMultiPlaneWriteThroughput(t *testing.T) {
 func TestMultiPlaneReadGrouping(t *testing.T) {
 	s := mustNew(t, batchConfig(sanitize.Baseline()))
 	for i := 0; i < 8; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i * 8), Pages: 8})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i * 8), Pages: 8})
 	}
 	s.Mark()
 	for i := 0; i < 8; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: int64(i * 8), Pages: 8})
+		s.mustSubmit(blockio.Request{Op: blockio.OpRead, LPA: int64(i * 8), Pages: 8})
 	}
 	r := s.Report()
 	if r.Stats.ReadGroups == 0 {
@@ -90,7 +90,7 @@ func TestMultiPlaneWriteReadBack(t *testing.T) {
 	s := mustNew(t, batchConfig(sanitize.SecSSD()))
 	payload := make([]byte, 8*4096)
 	rand.New(rand.NewSource(11)).Read(payload)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 40, Pages: 8, Data: payload})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 40, Pages: 8, Data: payload})
 	for i := 0; i < 8; i++ {
 		got, err := s.ReadLogical(40 + int64(i))
 		if err != nil {
@@ -111,8 +111,8 @@ func TestLockBatchingCoalescesWordlines(t *testing.T) {
 	// 24 pages stripe across 4 chips × 2 planes: each open block
 	// receives one full TLC wordline (3 pages).
 	data := bytes.Repeat(page, 24)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 24, Data: data})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 24})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 24, Data: data})
+	s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 24})
 	st := s.FTL().Stats()
 	if st.PLockBatches == 0 {
 		t.Fatal("no batched pulses issued")
@@ -138,13 +138,13 @@ func TestLockBatchingCoalescesWordlines(t *testing.T) {
 // must be active.
 func TestBatchingSecurityUnderChurn(t *testing.T) {
 	s := mustNew(t, batchConfig(sanitize.SecSSD()))
-	if err := s.Prefill(0.75, true); err != nil {
+	if err := s.prefill(0.75, true); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(21))
 	logical := int64(s.LogicalPages())
 	for i := 0; i < 1500; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical - 4), Pages: 4})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical - 4), Pages: 4})
 	}
 	st := s.FTL().Stats()
 	if st.PLockBatches == 0 {
@@ -153,9 +153,18 @@ func TestBatchingSecurityUnderChurn(t *testing.T) {
 	if st.SanitizeCopies != 0 {
 		t.Fatal("Evanesco must not copy pages to sanitize")
 	}
-	if s.FTL().LockQueueLen() != 0 {
-		t.Fatalf("immediate mode left %d pages queued after requests", s.FTL().LockQueueLen())
+	if n := flushed(s); n != 0 {
+		t.Fatalf("immediate mode left %d pages queued after requests", n)
 	}
+}
+
+// flushed runs the FlushLocks barrier and returns how many pages it
+// locked: the pages the lock manager still held.
+func flushed(s *SSD) uint64 {
+	locked := func() uint64 { st := s.FTL().Stats(); return st.PLocks + st.PLockBatchedPages }
+	before := locked()
+	s.FlushLocks()
+	return locked() - before
 }
 
 // Deferred mode (positive deadline): incomplete wordline groups ride
@@ -165,18 +174,16 @@ func TestDeferredDeadlineAndFlushBarrier(t *testing.T) {
 	cfg.LockBatch.Deadline = 1 << 40 // effectively never due on its own
 	s := mustNew(t, cfg)
 	data := bytes.Repeat([]byte{0xAB}, 4096)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: data})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 1})
-	if n := s.FTL().LockQueueLen(); n == 0 {
-		t.Fatal("deferred mode should leave the lone page queued")
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: data})
+	s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 1})
+	if st := s.FTL().Stats(); st.PLocks+st.PLockBatchedPages != 0 {
+		t.Fatal("deferred mode locked the lone page before the barrier")
 	}
-	s.FlushLocks()
-	if n := s.FTL().LockQueueLen(); n != 0 {
+	if n := flushed(s); n != 1 {
+		t.Fatalf("FlushLocks locked %d pages, want the lone queued one", n)
+	}
+	if n := flushed(s); n != 0 {
 		t.Fatalf("FlushLocks left %d pages queued", n)
-	}
-	st := s.FTL().Stats()
-	if st.PLocks == 0 {
-		t.Fatal("the queued page was never locked")
 	}
 }
 
@@ -187,9 +194,9 @@ func TestLockBatchThreshold(t *testing.T) {
 	cfg.LockBatch.Threshold = 4
 	s := mustNew(t, cfg)
 	data := bytes.Repeat([]byte{0x5A}, 8*4096)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 8, Data: data})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 8})
-	if n := s.FTL().LockQueueLen(); n >= 4 {
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 8, Data: data})
+	s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 8})
+	if n := flushed(s); n >= 4 {
 		t.Fatalf("threshold 4 left %d pages queued", n)
 	}
 }
@@ -208,9 +215,9 @@ func TestAmortizationAblationFaster(t *testing.T) {
 		s.Mark()
 		for i := 0; i < 150; i++ {
 			lpa := (int64(i) % slots) * span
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 24})
-			s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: 24})
-			s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: lpa, Pages: 21})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 24})
+			s.mustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: 24})
+			s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: lpa, Pages: 21})
 		}
 		s.FlushLocks()
 		return s.Report()
@@ -235,7 +242,7 @@ func TestNoCachePipelineAblation(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		logical := int64(s.LogicalPages())
 		for i := 0; i < 400; i++ {
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 2})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 2})
 		}
 		return s.Report()
 	}
@@ -256,7 +263,7 @@ func TestBatchingDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		logical := int64(s.LogicalPages())
 		for i := 0; i < 500; i++ {
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 2})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 2})
 		}
 		s.FlushLocks()
 		return s.Report()

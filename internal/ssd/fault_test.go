@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/fault"
+	"repro/internal/ftl"
 	"repro/internal/sanitize"
 )
 
@@ -49,14 +50,14 @@ func TestFaultedDeviceSurvivesChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prefill(0.6, true); err != nil {
+	if err := s.prefill(0.6, true); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, s, 1, 3000)
 
 	fc := s.FaultCounts()
-	if fc.OpFails() == 0 {
-		t.Fatal("no faults injected at rate 0.01 over a 3000-write churn")
+	if fc.ProgramFails == 0 {
+		t.Fatal("no program failures injected at rate 0.01 over a 3000-write churn")
 	}
 	st := s.FTL().Stats()
 	if st.ProgramFailures != fc.ProgramFails {
@@ -75,8 +76,14 @@ func TestFaultedDeviceSurvivesChurn(t *testing.T) {
 	if st.RetiredBlocks != st.EraseFailures {
 		t.Fatalf("RetiredBlocks %d != EraseFailures %d", st.RetiredBlocks, st.EraseFailures)
 	}
-	if got := s.FTL().RetiredPages(); got != int64(st.RetiredBlocks)*int64(s.Geometry().PagesPerBlock) {
-		t.Fatalf("RetiredPages %d inconsistent with %d retired blocks", got, st.RetiredBlocks)
+	retired := 0
+	for p := range s.Geometry().TotalPages() {
+		if s.FTL().Status(ftl.PPA(p)) == ftl.PageRetired {
+			retired++
+		}
+	}
+	if retired != int(st.RetiredBlocks)*s.Geometry().PagesPerBlock {
+		t.Fatalf("%d retired pages inconsistent with %d retired blocks", retired, st.RetiredBlocks)
 	}
 }
 

@@ -59,7 +59,7 @@ func (c goldenCell) config() Config {
 // moves wordline siblings and secSSD locks pages and blocks.
 func goldenWorkload(t *testing.T, s *SSD, pageBytes int) {
 	t.Helper()
-	if err := s.Prefill(0.75, true); err != nil {
+	if err := s.prefill(0.75, true); err != nil {
 		t.Fatal(err)
 	}
 	s.Mark()
@@ -71,17 +71,17 @@ func goldenWorkload(t *testing.T, s *SSD, pageBytes int) {
 		n := int32(1 + rng.Intn(3))
 		switch rng.Intn(10) {
 		case 0, 1:
-			s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: n})
+			s.mustSubmit(blockio.Request{Op: blockio.OpRead, LPA: lpa, Pages: n})
 		case 2, 3:
-			s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: lpa, Pages: n})
+			s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: lpa, Pages: n})
 		case 4, 5, 6:
 			rng.Read(payload[:int(n)*pageBytes])
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n,
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n,
 				Data: payload[:int(n)*pageBytes], FileID: uint64(1 + i%5)})
 		case 7:
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, Insecure: true})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, Insecure: true})
 		default:
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, FileID: 9})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: n, FileID: 9})
 		}
 	}
 	s.FlushLocks()
@@ -209,7 +209,8 @@ func TestGoldenDeviceState(t *testing.T) {
 					cell.policy().Name() == "scrSSD" && (st.SanitizeCopies == 0 || st.Scrubs == 0),
 					cell.policy().Name() == "secSSD" && (st.PLocks == 0 || st.BLocks == 0),
 					st.Copybacks == 0,
-					(cell.faultRate > 0) != (s.FaultCounts().OpFails() > 0):
+					cell.faultRate == 0 && s.FaultCounts() != (fault.Counts{}),
+					cell.faultRate > 0 && s.FaultCounts().ProgramFails == 0:
 					t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
 				}
 				got := deviceDigest(t, s)

@@ -69,7 +69,7 @@ func FuzzPowerCutInstant(f *testing.F) {
 		}
 		// A schedule that never fired is still counting; disarm so it
 		// cannot strike the recovery scan or the post-recovery probe.
-		s.DisarmPowerCut()
+		s.cut.Arm(fault.CutSpec{})
 
 		if err := s.Remount(0); err != nil {
 			t.Fatalf("remount after cut at %+v: %v", loss, err)
@@ -85,7 +85,7 @@ func FuzzPowerCutInstant(f *testing.F) {
 		// The device must be serviceable after recovery: a fresh write
 		// and read-back on a surviving LPA.
 		data := fillPages(1, s.Geometry().PageBytes, 0x77)
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 95, Pages: 1, Data: data})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 95, Pages: 1, Data: data})
 		got, err := s.ReadLogical(95)
 		if err != nil {
 			t.Fatalf("post-recovery write unreadable: %v", err)

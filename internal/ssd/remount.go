@@ -36,18 +36,6 @@ func (s *SSD) ArmPowerCut(spec fault.CutSpec) error {
 	return nil
 }
 
-// DisarmPowerCut cancels a pending schedule. A schedule that never
-// fired stays live across Remount (the counter is device state, not
-// controller RAM), so a harness that wants a clean post-recovery run
-// must disarm explicitly.
-func (s *SSD) DisarmPowerCut() { s.cut.Arm(fault.CutSpec{}) }
-
-// PowerCuts counts the cuts that have fired over the device lifetime.
-func (s *SSD) PowerCuts() uint64 { return s.cut.Cuts() }
-
-// PowerCutArmed reports whether a cut is scheduled and not yet fired.
-func (s *SSD) PowerCutArmed() bool { return s.cut.Armed() && !s.cut.Struck() }
-
 // Dead reports whether the device lost power and awaits Remount.
 func (s *SSD) Dead() bool { return s.dead }
 

@@ -665,15 +665,6 @@ func (s *SSD) Submit(req blockio.Request) (sim.Micros, error) {
 	return done, nil
 }
 
-// MustSubmit is Submit that panics on error (replayer convenience).
-func (s *SSD) MustSubmit(req blockio.Request) sim.Micros {
-	done, err := s.Submit(req)
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
 // ReadLogical fetches the current contents of a logical page directly
 // from the chips (the host read data path). It returns nil when the page
 // is unmapped.
@@ -831,64 +822,10 @@ func (s *SSD) FaultCounts() fault.Counts {
 	return c
 }
 
-// Prefill sequentially writes the first fraction of the logical space.
-// With secure=false the fill pattern is insecure data, so later
-// overwrites of it incur no sanitization cost; pass secure=true to
-// prefill with secured data, as the paper's steady-state runs do.
-func (s *SSD) Prefill(fraction float64, secure bool) error {
-	if fraction < 0 || fraction > 1 {
-		return fmt.Errorf("ssd: prefill fraction %v out of [0,1]", fraction)
-	}
-	total := int64(float64(s.ftl.LogicalPages()) * fraction)
-	const batch = 64
-	for lpa := int64(0); lpa < total; lpa += batch {
-		n := int32(batch)
-		if lpa+int64(n) > total {
-			n = int32(total - lpa)
-		}
-		if _, err := s.Submit(blockio.Request{
-			Op: blockio.OpWrite, LPA: lpa, Pages: n, Insecure: !secure,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SanitizeAll purges the whole device: every physical page holding stale
-// data is locked (bLock for fully-stale blocks, pLock otherwise),
-// regardless of its original security requirement. This is the
-// drive-level "purge" operation of the secure-erase standards, built on
-// the Evanesco commands instead of a full-device erase — live data is
-// untouched and no block is erased.
-func (s *SSD) SanitizeAll() error {
-	f := s.ftl
-	for block := 0; block < s.geo.TotalBlocks(); block++ {
-		first := s.geo.FirstPPA(block)
-		var stale []ftl.PPA
-		for i := 0; i < s.geo.PagesPerBlock; i++ {
-			p := first + ftl.PPA(i)
-			if f.Status(p) == ftl.PageInvalid {
-				stale = append(stale, p)
-			}
-		}
-		if len(stale) == 0 {
-			continue
-		}
-		if f.BlockFullyStale(block) {
-			f.IssueBLock(block, stale)
-			continue
-		}
-		for _, p := range stale {
-			f.IssuePLock(p)
-		}
-	}
-	return nil
-}
-
 // Replay submits every request of a recorded trace in order. Requests
-// whose extents exceed this device's logical capacity are clipped; the
-// function returns the number of requests actually submitted.
+// whose extents exceed this device's logical capacity are clipped, with
+// their payload; the function returns the number of requests actually
+// submitted.
 func (s *SSD) Replay(t *blockio.Trace) (int, error) {
 	logical := int64(s.ftl.LogicalPages())
 	submitted := 0
@@ -897,7 +834,11 @@ func (s *SSD) Replay(t *blockio.Trace) (int, error) {
 			continue
 		}
 		if req.LPA+int64(req.Pages) > logical {
-			req.Pages = int32(logical - req.LPA)
+			// PageData derives the per-page stride from Pages, so the
+			// payload is clipped with them.
+			keep := int32(logical - req.LPA)
+			req.Data = req.Data[:len(req.Data)/int(req.Pages)*int(keep)]
+			req.Pages = keep
 		}
 		if req.Pages <= 0 {
 			continue

@@ -11,6 +11,7 @@ import (
 	"repro/internal/nand"
 	"repro/internal/nand/vth"
 	"repro/internal/sanitize"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -42,6 +43,28 @@ func newSSD(t testing.TB, policy ftl.Policy) *SSD {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mustSubmit is Submit for a request the test knows to be valid.
+func (s *SSD) mustSubmit(req blockio.Request) sim.Micros {
+	done, err := s.Submit(req)
+	if err != nil {
+		panic(err)
+	}
+	return done
+}
+
+// prefill writes the first fraction of the logical space in 64-page
+// requests, secured or not, the way a steady-state run starts.
+func (s *SSD) prefill(fraction float64, secure bool) error {
+	total := int64(float64(s.LogicalPages()) * fraction)
+	for lpa := int64(0); lpa < total; lpa += 64 {
+		req := blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: int32(min(64, total-lpa)), Insecure: !secure}
+		if _, err := s.Submit(req); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // The over-provisioning floor, on every (blocks, GC threshold, OP) shape
@@ -119,7 +142,7 @@ func TestWriteReadBackData(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
 	payload := make([]byte, 2*4096)
 	rand.New(rand.NewSource(1)).Read(payload)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 10, Pages: 2, Data: payload})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 10, Pages: 2, Data: payload})
 	got0, err := s.ReadLogical(10)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +165,7 @@ func TestReadLogicalSlicesAreIndependent(t *testing.T) {
 	const n = 8 // more pages than chips: two must share one
 	payload := make([]byte, n*4096)
 	rand.New(rand.NewSource(3)).Read(payload)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: n, Data: payload})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: n, Data: payload})
 	firstOnChip := map[int]int64{}
 	for lpa := int64(0); lpa < n; lpa++ {
 		chip := s.Geometry().ChipOf(s.FTL().Lookup(lpa))
@@ -178,12 +201,12 @@ func TestDataSurvivesGC(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
 	// Write a marker file, then churn the device so GC relocates it.
 	marker := bytes.Repeat([]byte{0xCD}, 4096)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: marker})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: marker})
 	rng := rand.New(rand.NewSource(2))
 	logical := int64(s.LogicalPages())
 	for i := 0; i < int(logical)*4; i++ {
 		lpa := 1 + rng.Int63n(logical-1)
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
 	}
 	if s.FTL().Stats().GCRuns == 0 {
 		t.Fatal("workload did not trigger GC")
@@ -202,8 +225,8 @@ func TestDataSurvivesGC(t *testing.T) {
 func TestDeletedDataUnrecoverableFromRawChips(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
 	secret := bytes.Repeat([]byte("TOPSECRET!"), 400) // 4000 bytes
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 3, Pages: 1, Data: secret})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 3, Pages: 1})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 3, Pages: 1, Data: secret})
+	s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 3, Pages: 1})
 	if s.FTL().Stats().Erases != 0 {
 		t.Fatal("trim should not have erased anything (locks are the point)")
 	}
@@ -223,8 +246,8 @@ func TestDeletedDataUnrecoverableFromRawChips(t *testing.T) {
 func TestBaselineLeaksDeletedData(t *testing.T) {
 	s := newSSD(t, sanitize.Baseline())
 	secret := bytes.Repeat([]byte("TOPSECRET!"), 400)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 3, Pages: 1, Data: secret})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 3, Pages: 1})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 3, Pages: 1, Data: secret})
+	s.mustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 3, Pages: 1})
 	found := false
 	for _, chip := range s.Chips() {
 		for b := 0; b < chip.Geometry().Blocks; b++ {
@@ -244,7 +267,7 @@ func TestClosedLoopTimeAdvances(t *testing.T) {
 	s := newSSD(t, sanitize.Baseline())
 	var last, prev int64
 	for i := 0; i < 100; i++ {
-		done := s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
+		done := s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
 		prev = last
 		last = int64(done)
 		_ = prev
@@ -267,7 +290,7 @@ func TestParallelismAcrossChips(t *testing.T) {
 	s := newSSD(t, sanitize.Baseline())
 	const n = 64
 	for i := 0; i < n; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
 	}
 	r := s.Report()
 	serial := int64(n) * int64(nand.DefaultTiming().Prog)
@@ -278,7 +301,7 @@ func TestParallelismAcrossChips(t *testing.T) {
 
 func TestMarkExcludesPrefill(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
-	if err := s.Prefill(0.5, true); err != nil {
+	if err := s.prefill(0.5, true); err != nil {
 		t.Fatal(err)
 	}
 	s.Mark()
@@ -286,30 +309,10 @@ func TestMarkExcludesPrefill(t *testing.T) {
 	if pre.Requests != 0 || pre.Stats.HostWrittenPages != 0 {
 		t.Fatalf("report after Mark should be empty, got %+v", pre)
 	}
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1})
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1})
 	r := s.Report()
 	if r.Stats.HostWrittenPages != 1 {
 		t.Fatalf("delta written = %d, want 1", r.Stats.HostWrittenPages)
-	}
-}
-
-func TestPrefillValidation(t *testing.T) {
-	s := newSSD(t, sanitize.Baseline())
-	if err := s.Prefill(1.5, false); err == nil {
-		t.Fatal("fraction > 1 accepted")
-	}
-	if err := s.Prefill(0.25, false); err != nil {
-		t.Fatal(err)
-	}
-	mapped := 0
-	for lpa := int64(0); lpa < int64(s.LogicalPages()); lpa++ {
-		if s.FTL().Lookup(lpa) != ftl.NoPPA {
-			mapped++
-		}
-	}
-	want := int(float64(s.LogicalPages()) * 0.25)
-	if mapped != want {
-		t.Fatalf("prefill mapped %d pages, want %d", mapped, want)
 	}
 }
 
@@ -330,7 +333,7 @@ func TestSubmitErrorPropagates(t *testing.T) {
 func TestPolicyPerformanceOrdering(t *testing.T) {
 	run := func(policy ftl.Policy) Report {
 		s := newSSD(t, policy)
-		if err := s.Prefill(0.75, true); err != nil {
+		if err := s.prefill(0.75, true); err != nil {
 			t.Fatal(err)
 		}
 		s.Mark()
@@ -338,7 +341,7 @@ func TestPolicyPerformanceOrdering(t *testing.T) {
 		logical := int64(s.LogicalPages())
 		for i := 0; i < 1500; i++ {
 			lpa := rng.Int63n(logical)
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 1})
 		}
 		return s.Report()
 	}
@@ -366,13 +369,13 @@ func TestPolicyPerformanceOrdering(t *testing.T) {
 
 func TestSecSSDUsesLocksUnderChurn(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
-	if err := s.Prefill(0.75, true); err != nil {
+	if err := s.prefill(0.75, true); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
 	logical := int64(s.LogicalPages())
 	for i := 0; i < 2000; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1})
 	}
 	st := s.FTL().Stats()
 	if st.PLocks == 0 {
@@ -405,7 +408,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		logical := int64(s.LogicalPages())
 		for i := 0; i < 500; i++ {
-			s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical - 16), Pages: int32(1 + rng.Intn(16))})
+			s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical - 16), Pages: int32(1 + rng.Intn(16))})
 		}
 		var schedule bytes.Buffer
 		if err := rec.WriteJSONL(&schedule); err != nil {
@@ -425,14 +428,14 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestLatencyPercentiles(t *testing.T) {
 	s := newSSD(t, sanitize.SecSSD())
-	if err := s.Prefill(0.6, true); err != nil {
+	if err := s.prefill(0.6, true); err != nil {
 		t.Fatal(err)
 	}
 	s.Mark()
 	rng := rand.New(rand.NewSource(6))
 	logical := int64(s.LogicalPages())
 	for i := 0; i < 600; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: rng.Int63n(logical), Pages: 1})
 	}
 	r := s.Report()
 	if r.LatencyP50 <= 0 {
@@ -444,42 +447,6 @@ func TestLatencyPercentiles(t *testing.T) {
 	// A single-page write cannot complete faster than tPROG.
 	if r.LatencyP50 < float64(nand.DefaultTiming().Prog) {
 		t.Fatalf("p50 latency %vµs below tPROG", r.LatencyP50)
-	}
-}
-
-// SanitizeAll must leave every stale page unreadable and keep live data.
-func TestSanitizeAll(t *testing.T) {
-	s := newSSD(t, sanitize.Baseline()) // even a baseline device can be purged
-	payload := bytes.Repeat([]byte{0xEE}, 512)
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: payload})
-	s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 1, Pages: 1, Data: payload})
-	s.MustSubmit(blockio.Request{Op: blockio.OpTrim, LPA: 1, Pages: 1})
-	if err := s.SanitizeAll(); err != nil {
-		t.Fatal(err)
-	}
-	// The stale copy of LPA 1 must be gone.
-	g := s.Geometry()
-	for p := 0; p < g.TotalPages(); p++ {
-		ppa := ftl.PPA(p)
-		if s.FTL().Status(ppa).Live() {
-			continue
-		}
-		chip, a := s.addr(ppa)
-		if res, err := s.chips[chip].Read(a, 0); err == nil {
-			for _, b := range res {
-				if b != 0 {
-					t.Fatalf("stale page %d readable after SanitizeAll", p)
-				}
-			}
-		}
-	}
-	// Live data survives.
-	got, err := s.ReadLogical(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("SanitizeAll destroyed live data")
 	}
 }
 
@@ -511,6 +478,37 @@ func TestReplayTrace(t *testing.T) {
 	}
 }
 
+// A payload larger than the request's pages is a host error, not a
+// flash-discipline violation: Submit refuses it and the device stays
+// usable.
+func TestOversizedPayloadRejected(t *testing.T) {
+	s := newSSD(t, sanitize.SecSSD())
+	pb := s.Geometry().PageBytes
+	if _, err := s.Submit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: make([]byte, 2*pb)}); err == nil {
+		t.Fatal("a two-page payload on a one-page write was accepted")
+	}
+	data := bytes.Repeat([]byte{0x5C}, pb)
+	s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1, Data: data})
+	if got, err := s.ReadLogical(0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("write after the rejected one reads back %d bytes, err %v", len(got), err)
+	}
+}
+
+// A replayed write that straddles logical capacity keeps the payload of
+// the pages that survive the clip, and only theirs.
+func TestReplayClipsPayload(t *testing.T) {
+	s := newSSD(t, sanitize.SecSSD())
+	pb, last := s.Geometry().PageBytes, int64(s.LogicalPages())-1
+	data := append(bytes.Repeat([]byte{0xA1}, pb), bytes.Repeat([]byte{0xB2}, pb)...)
+	trace := &blockio.Trace{Requests: []blockio.Request{{Op: blockio.OpWrite, LPA: last, Pages: 2, Data: data}}}
+	if n, err := s.Replay(trace); err != nil || n != 1 {
+		t.Fatalf("replayed %d requests, err %v; want the clipped one", n, err)
+	}
+	if got, err := s.ReadLogical(last); err != nil || !bytes.Equal(got, data[:pb]) {
+		t.Fatalf("surviving page reads back %d bytes, err %v; want its own %d", len(got), err, pb)
+	}
+}
+
 // The channel bus is a shared resource: two chips on one channel cannot
 // both transfer at the same instant, so a read burst against a single
 // channel takes longer than the same burst spread over two channels.
@@ -518,11 +516,11 @@ func TestChannelBusContention(t *testing.T) {
 	s := newSSD(t, sanitize.Baseline())
 	// Fill a few pages on chips 0 and 1 (channel 0) and 2,3 (channel 1).
 	for i := 0; i < 32; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: int64(i), Pages: 1})
 	}
 	s.Mark()
 	for i := 0; i < 32; i++ {
-		s.MustSubmit(blockio.Request{Op: blockio.OpRead, LPA: int64(i), Pages: 1})
+		s.mustSubmit(blockio.Request{Op: blockio.OpRead, LPA: int64(i), Pages: 1})
 	}
 	r := s.Report()
 	// 32 reads over 4 chips: tREAD (80µs) overlaps, transfers (40µs)

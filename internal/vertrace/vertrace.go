@@ -80,9 +80,6 @@ func (t *Tracker) Watch(fileID uint64) *WatchSeries {
 	return ws
 }
 
-// Tick returns the current logical time.
-func (t *Tracker) Tick() int64 { return t.tick }
-
 // AdvanceTicks moves the logical clock forward by n 4-KiB-write units.
 func (t *Tracker) AdvanceTicks(n int64) { t.tick += n }
 

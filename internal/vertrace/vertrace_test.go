@@ -166,8 +166,8 @@ func TestWatchRecordsSeries(t *testing.T) {
 	if ws.Valid.Len() == 0 || ws.Invalid.Len() == 0 {
 		t.Fatal("watch recorded nothing")
 	}
-	if ws.Invalid.Last().V != 1 {
-		t.Fatalf("invalid series last = %v", ws.Invalid.Last())
+	if last := ws.Invalid.At(ws.Invalid.Len() - 1); last.V != 1 {
+		t.Fatalf("invalid series last = %v", last)
 	}
 }
 

@@ -20,11 +20,17 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/ssd"
 	"repro/internal/trace"
 )
+
+// phaseSum totals an audit phase breakdown.
+func phaseSum(b audit.PhaseBreakdown) int64 {
+	return b.QueueWait + b.BatchWait + b.Reopen + b.Pulse + b.Ladder
+}
 
 // faultDevice builds a compact Evanesco device with deterministic fault
 // injection. The geometry is kept small so a single campaign (and each
@@ -75,7 +81,7 @@ func runSecureDeleteCampaign(t testing.TB, rate float64, seed int64, churn int, 
 		// Read back through the ECC path: injected bit errors must be
 		// absorbed (corrected, or retried on an uncorrectable draw) without
 		// corrupting the host's view of live data.
-		got, err := dev.ReadFile(name)
+		got, err := coretest.ReadFile(dev, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +98,7 @@ func runSecureDeleteCampaign(t testing.TB, rate float64, seed int64, churn int, 
 				rate, seed, round, hits[0])
 		}
 	}
-	if err := dev.VerifySanitization(); err != nil {
+	if err := coretest.VerifySanitization(dev); err != nil {
 		t.Fatalf("rate=%g seed=%d: %v", rate, seed, err)
 	}
 	return dev
@@ -106,8 +112,8 @@ func TestSecureDeleteUnderFaultSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("rate=%g/seed=%d", rate, seed), func(t *testing.T) {
 				dev := runSecureDeleteCampaign(t, rate, seed, 400, false, nil)
 				if rate >= 1e-2 {
-					if fc := dev.SSD().FaultCounts(); fc.OpFails() == 0 {
-						t.Fatalf("rate=%g injected no operation failures", rate)
+					if fc := dev.SSD().FaultCounts(); fc.ProgramFails == 0 {
+						t.Fatalf("rate=%g injected no program failures", rate)
 					}
 				}
 			})
@@ -222,11 +228,11 @@ func TestFaultCampaign(t *testing.T) {
 		t.Errorf("audit verifier: %v", verify.Err())
 	}
 	aud := rec.AuditLedger().Stats(rec.Horizon())
-	if aud.Phases.Sum() != aud.WindowSumUs {
-		t.Errorf("phase sum %d != window sum %d", aud.Phases.Sum(), aud.WindowSumUs)
+	if phaseSum(aud.Phases) != aud.WindowSumUs {
+		t.Errorf("phase sum %d != window sum %d", phaseSum(aud.Phases), aud.WindowSumUs)
 	}
-	if rate == 0 && fc.OpFails() != 0 {
-		t.Fatalf("rate 0 injected %d failures", fc.OpFails())
+	if rate == 0 && fc != (fault.Counts{}) {
+		t.Fatalf("rate 0 injected faults: %+v", fc)
 	}
 	// Every injected failure must be matched by its rung of the ladder.
 	if st.ProgramFailures != fc.ProgramFails {
@@ -286,8 +292,8 @@ func TestFaultSweepAuditLedger(t *testing.T) {
 						t.Fatalf("%d windows whose phases do not sum to their span", verify.PhaseSumErrors)
 					}
 					aud := rec.AuditLedger().Stats(rec.Horizon())
-					if aud.Phases.Sum() != aud.WindowSumUs {
-						t.Fatalf("phase sum %d != window sum %d", aud.Phases.Sum(), aud.WindowSumUs)
+					if phaseSum(aud.Phases) != aud.WindowSumUs {
+						t.Fatalf("phase sum %d != window sum %d", phaseSum(aud.Phases), aud.WindowSumUs)
 					}
 					if aud.Windows == 0 {
 						t.Fatal("campaign closed no windows")
@@ -337,8 +343,8 @@ func TestSecureDeleteUnderFaultSweepBatched(t *testing.T) {
 				if st.PLockBatches == 0 {
 					t.Error("batched campaign issued no batched pulses")
 				}
-				if rate >= 1e-2 && fc.OpFails() == 0 {
-					t.Fatalf("rate=%g injected no operation failures", rate)
+				if rate >= 1e-2 && fc.ProgramFails == 0 {
+					t.Fatalf("rate=%g injected no program failures", rate)
 				}
 			})
 		}
