@@ -16,9 +16,10 @@ import (
 )
 
 // mediaHash folds everything a chip-off adversary, the remount scan or
-// the lock decision can observe into one digest — plus the stored
-// flag-cell Vths and lock days behind those decisions, so a storage
-// change that kept every vote but perturbed a cell would still move it.
+// the lock decision can observe into one digest — plus, per page, what
+// the majority circuit's answer rests on (whether the flag is
+// programmed, the median of its k cells and the lock day), so a storage
+// change that kept every vote but perturbed that cell would still move it.
 type mediaHash struct {
 	h   hash.Hash
 	buf [8]byte
@@ -92,11 +93,9 @@ func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
 			locked, err := c.IsPageLocked(a, now)
 			m.err(err)
 			m.flag(locked)
-			cells, day := c.flagCells(a)
-			m.u64(uint64(len(cells)))
-			for _, v := range cells {
-				m.f64(v)
-			}
+			programmed, median, day := c.flagVote(a)
+			m.flag(programmed)
+			m.f64(median)
 			m.f64(day)
 		}
 	}
@@ -226,13 +225,11 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 }
 
 // TestChipMediaGolden pins the chip's observable media state and its
-// stored flag cells over seeded command scripts, so any storage change
-// that moves an RNG draw, a flag-cell Vth, a lock day, a stamp, a payload
-// byte or an op count fails here. The digests were recorded on the
-// previous read path (a copyback's internal leg through Read) with this
-// script and with a destination check ahead of the copyback's sense: the
-// only difference is that a copyback to a page outside the chip no
-// longer counts a read. Each script runs twice: on a new chip, and on a chip
+// stored flag votes over seeded command scripts, so any storage change
+// that moves an RNG draw, a flag's median cell, a lock day, a stamp, a
+// payload byte or an op count fails here. The digests were recorded with
+// the chip still storing all k cells of each flag, the median taken by
+// the test. Each script runs twice: on a new chip, and on a chip
 // built from the one the previous script left behind (NewFrom) — locked,
 // faulted, aged, power-cut, of the other plane count — which must be
 // indistinguishable.
@@ -242,12 +239,12 @@ func TestChipMediaGolden(t *testing.T) {
 		seed   int64
 		want   string
 	}{
-		{1, 1, "54a5d92914274484b7aedd738a401c6b2c9a06df44037f0aeebcc7d91fe7e1b2"},
-		{1, 2, "98bdf7867eef683cdf26d24d06ef3cd5cb21094c193350e3fa49fed6b7323d13"},
-		{1, 3, "539fdc394b4f6b6fe0f95a72dbc4a66e250e2c33ea0f6b595c9f43f02281a69d"},
-		{2, 4, "4c0a79af8e4a7b48325e9a4ac3ca9aa090ea190b8e87ef375cf1e44d48bb7de9"},
-		{2, 5, "7bbe53a022e432cfe2ceabc12f58043d942d66a4add83ca6d6ce7ec512a3c483"},
-		{2, 6, "852ff7414b67c1a741688fcb2d6d3808ff544c3f2917c1bb98ccc05e99b8728e"},
+		{1, 1, "cee40cd77940d864ff23763f2ad1906e3dceae922f274925c1d03e6810d1461b"},
+		{1, 2, "5a8460817fdf19a368833c4714ad287c8e1cc8c26cb334214f588ad6cf1e9462"},
+		{1, 3, "7b480c38cd045576ea9e8ed5c58077e541dfd0dd51a2a9c7e24a14b437933df5"},
+		{2, 4, "7fbcb70ae6093d5ccbb64bafc7150443c66b2925111c11a19448ab2f35605946"},
+		{2, 5, "6b43507c25adae938bbbaaffaf2ce9defc7ed8d0e37978496875a7c59f464d7f"},
+		{2, 6, "49423f0fa9cb6f53dd5773fb826c4b870bea67d677b73286843510a34a31363f"},
 	}
 	_, retired := runMediaScript(t, nil, 2, 7)
 	for _, g := range golden {

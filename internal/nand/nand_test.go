@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -440,26 +441,23 @@ func TestErrorInjectionOnHealthyChip(t *testing.T) {
 }
 
 func TestChipSeedDeterminism(t *testing.T) {
-	run := func() [][]float64 {
+	type vote struct {
+		programmed  bool
+		median, day float64
+	}
+	run := func() []vote {
 		c := newTestChip(t, WithSeed(42))
 		mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
 		mustPLock(t, c, PageAddr{0, 0})
-		cells := make([][]float64, c.geo.PagesPerWL())
-		for p := range cells {
-			cells[p], _ = c.flagCells(PageAddr{0, p})
+		votes := make([]vote, c.geo.PagesPerWL())
+		for p := range votes {
+			v := &votes[p]
+			v.programmed, v.median, v.day = c.flagVote(PageAddr{0, p})
 		}
-		return cells
+		return votes
 	}
-	a, b := run(), run()
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatal("nondeterministic flag cells")
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("nondeterministic flag-cell Vth")
-			}
-		}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("nondeterministic flag cells: %v, then %v", a, b)
 	}
 }
 
