@@ -92,10 +92,13 @@ func TestTracedExportsGolden(t *testing.T) {
 	}
 }
 
-// TestDeviceArtifactsGolden pins the two artifacts whose devices no other
+// TestDeviceArtifactsGolden pins the artifacts whose devices no other
 // golden checks: Table 1 (the §3 study device) at small and default scale,
-// and the default attack matrix (the compact core device). The SHA-256s
-// are what commit 2fa281d wrote for the same commands.
+// the default attack matrix (the compact core device), and the Mobile ×
+// secSSD ladder behind -fig ablation and -fig tinsec at small scale. The
+// Table 1 and attack SHA-256s are what commit 2fa281d wrote for the same
+// commands; the ablation and tinsec ones were recorded while each figure
+// still ran the ladder on its own.
 func TestDeviceArtifactsGolden(t *testing.T) {
 	bin := buildReproduce(t)
 	dir := t.TempDir()
@@ -112,6 +115,10 @@ func TestDeviceArtifactsGolden(t *testing.T) {
 			"55bbafea61c6ebf436981991a8f5cd4c9482cf3518051687c4ec2d9df80bb171"},
 		{"attack-json", []string{"-out", filepath.Join(dir, "attack.md"), "-attack-json", matrix}, matrix,
 			"0700d8e9c8db2b42dd3a076720f8da1f9c6a76d1c8520538b21e64d747ce5a1c"},
+		{"ablation/small", []string{"-fig", "ablation", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"23ec19699b9404ec3d62001181928fd178e4e4c8c425563dcd7f5147247312fe"},
+		{"tinsec/small", []string{"-fig", "tinsec", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"6028f75f0b334a77dd19140132c554bfe1e7215442a6e3ee07ee5278e3f32b33"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)
