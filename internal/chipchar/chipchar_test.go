@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nand/vth"
+	"repro/internal/nand/vth/vthtest"
 )
 
 func testCfg() Config { return Config{WLs: 2000, Seed: 42} }
@@ -293,7 +294,7 @@ func TestSampleFlagRetention(t *testing.T) {
 				}
 			}
 			worst, mean = max(worst, errs), mean+float64(errs)/flags
-			if !fm.MajorityReadsDisabled(cells) {
+			if !vthtest.MajorityReadsDisabled(fm, cells) {
 				flips++
 			}
 		}

@@ -26,7 +26,7 @@ func LazyState(c *nand.Chip) (payloadStores, flagChunksUsed, flagChunksHeld int)
 	}
 	chunks := v.FieldByName("flagChunks")
 	if flagChunksHeld = chunks.Len(); flagChunksHeld > 0 {
-		perChunk := chunks.Index(0).Len() / (c.Geometry().FlagCells + 1)
+		perChunk := chunks.Index(0).Len()
 		flagChunksUsed = (int(v.FieldByName("flagSlots").Uint()) + perChunk - 1) / perChunk
 	}
 	return payloadStores, flagChunksUsed, flagChunksHeld

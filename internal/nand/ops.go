@@ -100,27 +100,21 @@ func (c *Chip) blockLockedAt(blk *block, day float64) bool {
 }
 
 // pageLockedAt evaluates the pAP flag via the k-cell majority circuit,
-// applying flag-cell retention decay since the lock.
+// applying flag-cell retention decay since the lock: the majority reads
+// disabled exactly when the median cell does (see papFlag).
 func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 	if rec.flag == 0 {
 		return false
 	}
-	slot := c.flagSlot(rec.flag)
-	k := c.geo.FlagCells
-	cells := slot[:k]
-	elapsed := day - slot[k]
-	if elapsed <= 0 {
-		// No retention yet: MeanAfter is ProgrammedMean, the decay below
-		// is exactly 0 and the cells vote as programmed.
-		return c.flagModel.MajorityReadsDisabled(cells)
+	f := c.flagSlot(rec.flag)
+	median := f.median
+	if elapsed := day - f.day; elapsed > 0 {
+		// With no retention yet MeanAfter is ProgrammedMean and the decay
+		// is exactly 0.
+		median -= c.flagModel.ProgrammedMean(c.plockV, c.plockT) -
+			c.flagModel.MeanAfter(c.plockV, c.plockT, elapsed, 0)
 	}
-	decay := c.flagModel.ProgrammedMean(c.plockV, c.plockT) -
-		c.flagModel.MeanAfter(c.plockV, c.plockT, elapsed, 0)
-	aged := c.agedBuf[:len(cells)]
-	for i, v := range cells {
-		aged[i] = v - decay
-	}
-	return c.flagModel.MajorityReadsDisabled(aged)
+	return median > c.flagModel.ReadRef
 }
 
 // Program writes data to a page at simulated time now. The block must be

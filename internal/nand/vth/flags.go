@@ -104,18 +104,6 @@ func (f FlagModel) SampleCells(dst []float64, v, t, days float64, peCycles int, 
 	}
 }
 
-// MajorityReadsDisabled reports whether a k-cell majority circuit reads
-// the flag as disabled, given the sampled cell Vth values.
-func (f FlagModel) MajorityReadsDisabled(vths []float64) bool {
-	programmed := 0
-	for _, v := range vths {
-		if v > f.ReadRef {
-			programmed++
-		}
-	}
-	return programmed*2 > len(vths)
-}
-
 // MajorityFailureProb returns the probability that a k-cell majority vote
 // mis-reads a programmed (disabled) flag as enabled after retention: at
 // least ceil(k/2) of the k cells must have decayed below the reference.

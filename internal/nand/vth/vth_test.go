@@ -340,22 +340,6 @@ func TestFlagRetentionFeasibility(t *testing.T) {
 	}
 }
 
-func TestMajorityCircuit(t *testing.T) {
-	f := DefaultFlagModel()
-	all := []float64{2, 2, 2, 2, 2, 2, 2, 2, 2}
-	if !f.MajorityReadsDisabled(all) {
-		t.Fatal("all-programmed flag should read disabled")
-	}
-	split := []float64{2, 2, 2, 2, 0, 0, 0, 0, 0} // 4 programmed of 9
-	if f.MajorityReadsDisabled(split) {
-		t.Fatal("minority-programmed flag should read enabled")
-	}
-	five := []float64{2, 2, 2, 2, 2, 0, 0, 0, 0}
-	if !f.MajorityReadsDisabled(five) {
-		t.Fatal("5-of-9 programmed flag should read disabled")
-	}
-}
-
 func TestMajorityFailureProbMonotoneInK(t *testing.T) {
 	f := DefaultFlagModel()
 	// With per-cell error prob < 0.5, more redundancy means lower failure.
