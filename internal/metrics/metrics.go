@@ -1,8 +1,7 @@
 // Package metrics provides the summary statistics used throughout the
 // Evanesco experiment harnesses: running summaries, percentiles, the
-// five-number box-plot statistics the paper's figures report, fixed-bin
-// histograms, and time series with downsampling for the Fig. 4 style
-// N_valid/N_invalid plots.
+// five-number box-plot statistics the paper's figures report, and time
+// series with downsampling for the Fig. 4 style N_valid/N_invalid plots.
 package metrics
 
 import (
@@ -248,60 +247,6 @@ func (b BoxStats) String() string {
 	return fmt.Sprintf("min=%.3g q1=%.3g med=%.3g q3=%.3g max=%.3g",
 		b.Min, b.Q1, b.Median, b.Q3, b.Max)
 }
-
-// Histogram is a fixed-width-bin histogram over [lo, hi); samples outside
-// the range land in saturating under/overflow bins.
-type Histogram struct {
-	lo, hi    float64
-	bins      []uint64
-	underflow uint64
-	overflow  uint64
-	total     uint64
-}
-
-// NewHistogram creates a histogram with n equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: invalid histogram [%g,%g) n=%d", lo, hi, n))
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]uint64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i == len(h.bins) { // floating-point edge
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// N returns the total number of samples including out-of-range ones.
-func (h *Histogram) N() uint64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// BinUpper returns the exclusive upper bound of bin i — the `le` bucket
-// boundary in a Prometheus/OpenMetrics exposition.
-func (h *Histogram) BinUpper(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + w*float64(i+1)
-}
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.underflow, h.overflow }
 
 // Point is one (t, v) observation in a time series.
 type Point struct {

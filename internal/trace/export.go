@@ -451,7 +451,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		if r.classCount[c] == 0 {
 			continue
 		}
-		under, over := r.classHist[c].OutOfRange()
+		_, under, over := r.classLat[c].buckets()
 		sn.Ops[OpClass(c).String()] = OpStats{
 			LatencyStats:  r.classLat[c].stats(),
 			MeanWaitUs:    r.classWait[c].Mean(),

@@ -44,8 +44,7 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 		if r.classCount[c] == 0 {
 			continue
 		}
-		writeHistogram(bw, num, "secssd_op_latency_us", OpClass(c).String(),
-			r.classHist[c], &r.classLat[c])
+		writeHistogram(bw, num, "secssd_op_latency_us", OpClass(c).String(), &r.classLat[c])
 	}
 
 	family("secssd_chip_busy_us_total", "counter", "Accumulated busy time per chip.")
@@ -125,21 +124,19 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHistogram emits one labeled series of a histogram family:
-// cumulative le buckets (underflow values below the range count into
-// every finite bucket; overflow only into +Inf), then _sum (exact, from
-// the latency tally) and _count.
-func writeHistogram(w io.Writer, num func(float64) string, name, op string,
-	h *metrics.Histogram, lat *tally) {
-	under, _ := h.OutOfRange()
-	cum := under
-	for i := 0; i < h.Bins(); i++ {
-		cum += h.Bin(i)
-		fmt.Fprintf(w, "%s_bucket{op=%q,le=%q} %d\n", name, op, num(h.BinUpper(i)), cum)
+// writeHistogram emits one labeled series of a histogram family, binned
+// from the latency tally: cumulative le buckets (values below the range
+// count into every finite bucket; values above it only into +Inf), then
+// the exact _sum and _count.
+func writeHistogram(w io.Writer, num func(float64) string, name, op string, lat *tally) {
+	bins, cum, _ := lat.buckets()
+	for i, n := range bins {
+		cum += n
+		fmt.Fprintf(w, "%s_bucket{op=%q,le=%q} %d\n", name, op, num(bucketUpper(i)), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{op=%q,le=\"+Inf\"} %d\n", name, op, h.N())
+	fmt.Fprintf(w, "%s_bucket{op=%q,le=\"+Inf\"} %d\n", name, op, lat.n)
 	fmt.Fprintf(w, "%s_sum{op=%q} %s\n", name, op, num(lat.sum()))
-	fmt.Fprintf(w, "%s_count{op=%q} %d\n", name, op, h.N())
+	fmt.Fprintf(w, "%s_count{op=%q} %d\n", name, op, lat.n)
 }
 
 // writeSummary emits a summary family with p50/p99 quantiles (omitted

@@ -78,6 +78,44 @@ func binAt(bins []tallyBin, i uint64) float64 {
 	panic("trace: tally rank out of range")
 }
 
+// The exported latency histograms bin a tally into 40 bins over
+// [0µs, 4000µs), which spans every NAND command latency (tBERS = 3500µs
+// is the slowest); host requests and GC passes that queue longer land
+// above the range, which the snapshot reports as hist_overflow.
+const (
+	latencyHistLo   = 0
+	latencyHistHi   = 4000
+	latencyHistBins = 40
+)
+
+// buckets bins the tally as the exported latency histogram: the count in
+// each equal-width bin, and the counts below and at or above the range.
+func (t *tally) buckets() (bins [latencyHistBins]uint64, under, over uint64) {
+	lo, hi := float64(latencyHistLo), float64(latencyHistHi)
+	for _, b := range t.bins {
+		switch x := float64(b.v); {
+		case x < lo:
+			under += b.n
+		case x >= hi:
+			over += b.n
+		default:
+			i := int((x - lo) / (hi - lo) * float64(latencyHistBins))
+			if i == latencyHistBins { // floating-point edge
+				i--
+			}
+			bins[i] += b.n
+		}
+	}
+	return bins, under, over
+}
+
+// bucketUpper returns the exclusive upper bound of latency bin i, the le
+// label of its OpenMetrics bucket.
+func bucketUpper(i int) float64 {
+	lo, hi := float64(latencyHistLo), float64(latencyHistHi)
+	return lo + (hi-lo)/float64(latencyHistBins)*float64(i+1)
+}
+
 // stats summarizes the tally as latStats does the sorted sample: the
 // same sum, and the same interpolation as sortedQuantile.
 func (t *tally) stats() LatencyStats {

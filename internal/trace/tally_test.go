@@ -11,10 +11,12 @@ import (
 
 // TestTallyDifferential runs seeded streams through a tally and through
 // a metrics.Sample of every value, and requires the snapshot statistics
-// and the histogram _sum to be bit-identical between the two.
+// and the histogram _sum to be bit-identical between the two, and the
+// histogram buckets to be those of binning every value on its own.
 func TestTallyDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	streams := map[string][]int64{"empty": nil, "single": {80}, "zero": {0, 0, 0}}
+	streams := map[string][]int64{"empty": nil, "single": {80}, "zero": {0, 0, 0},
+		"edges": {-1, 0, 99, 100, 101, 3899, 3900, 3999, 4000, 4001, 1 << 40}}
 	for _, n := range []int{2, 3, 100, 5000} {
 		ties := make([]int64, n)
 		runs := make([]int64, n)
@@ -63,6 +65,22 @@ func TestTallyDifferential(t *testing.T) {
 		}
 		if len(tl.bins) != len(distinct) {
 			t.Errorf("%s: %d bins for %d distinct values", name, len(tl.bins), len(distinct))
+		}
+		var bins [latencyHistBins]uint64
+		var under, over uint64
+		for _, x := range xs {
+			switch {
+			case x < latencyHistLo:
+				under++
+			case x >= latencyHistHi:
+				over++
+			default:
+				bins[x*latencyHistBins/(latencyHistHi-latencyHistLo)]++
+			}
+		}
+		if gotBins, gotUnder, gotOver := tl.buckets(); gotBins != bins || gotUnder != under || gotOver != over {
+			t.Errorf("%s: tally buckets %v (%d under, %d over), per value %v (%d, %d)",
+				name, gotBins, gotUnder, gotOver, bins, under, over)
 		}
 	}
 }
