@@ -69,9 +69,10 @@ type env struct {
 	capacityPages int64
 	studyPages    uint64
 
-	fig14   func() ([]experiment.Fig14Row, error)   // 14a, 14b, headline
-	studies func() ([]*vertrace.StudyResult, error) // table1, 4
-	attack  func() ([]attack.Score, error)          // attack, the -attack-* gate
+	fig14   func() ([]experiment.Fig14Row, error)     // 14a, 14b, headline
+	ladder  func() ([]experiment.BatchingCell, error) // ablation, tinsec
+	studies func() ([]*vertrace.StudyResult, error)   // table1, 4
+	attack  func() ([]attack.Score, error)            // attack, the -attack-* gate
 }
 
 func newEnv(scale string, sc experiment.Scale, workers int, profiles []workload.Profile, powerCut uint64) *env {
@@ -82,6 +83,9 @@ func newEnv(scale string, sc experiment.Scale, workers int, profiles []workload.
 	}
 	e.fig14 = sync.OnceValues(func() ([]experiment.Fig14Row, error) {
 		return experiment.Figure14Parallel(e.sc, e.profiles, e.workers)
+	})
+	e.ladder = sync.OnceValues(func() ([]experiment.BatchingCell, error) {
+		return experiment.BatchingAblation(e.sc, e.workers)
 	})
 	e.studies = sync.OnceValues(func() ([]*vertrace.StudyResult, error) { return e.runStudies(nil) })
 	e.attack = sync.OnceValues(func() ([]attack.Score, error) {
@@ -342,7 +346,7 @@ func headline(e *env) (Table, error) {
 // ablation runs the amortization ladder (single-plane, no pipelining →
 // two-plane pipelined → + wordline pLock batching) on Mobile × secSSD.
 func ablation(e *env) (Table, error) {
-	cells, err := experiment.BatchingAblation(e.sc, e.workers)
+	cells, err := e.ladder()
 	if err != nil {
 		return Table{}, err
 	}
@@ -367,7 +371,7 @@ func ablation(e *env) (Table, error) {
 // per-secret windows across the ablation ladder, by phase, with each
 // cell's copy provenance and end-of-run verifier result.
 func tinsec(e *env) (Table, error) {
-	cells, err := experiment.AuditSweep(e.sc, e.workers)
+	cells, err := e.ladder()
 	if err != nil {
 		return Table{}, err
 	}

@@ -9,6 +9,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/fault"
 	"repro/internal/filesys"
 	"repro/internal/ftl"
@@ -174,9 +175,11 @@ func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 // (nil behaves exactly like Execute). Pass a *trace.Recorder sized with
 // Channels and ChipsPerChannel to capture the run for export; note the
 // trace covers the prefill phase too — use the recorded horizon and the
-// host events to separate phases if needed.
+// host events to separate phases if needed. The collector also sees the
+// end-of-run lock drain (see execute), so a recorder's audit ledger can
+// be verified as soon as the run returns.
 func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, error) {
-	return execute(prof, policy, secureFraction, sc, tr, false, nil)
+	return execute(prof, policy, secureFraction, sc, tr, nil)
 }
 
 // handover passes the device and host stack of a grid's finished cells
@@ -217,12 +220,16 @@ func (h handover) retire(r retired) {
 	}
 }
 
-// execute is the one body behind Execute, ExecuteTraced, ExecuteAudited
-// and the grid cells; drainLocks flushes the lock manager after the last
-// host request. The device, file system and generator are built from one
-// cell h offers, if any, and handed back to h once the run has
-// completed: a cell that fails or panics retires nothing.
-func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, drainLocks bool, h handover) (Run, error) {
+// execute is the one body behind Execute, ExecuteTraced and the grid
+// cells. Once the report is taken it flushes the lock manager: with a
+// batching deadline or fault-delayed retries, queued pLocks can outlive
+// the last host request, and a collector's audit ledger would report
+// their windows as still open. The report is the workload's alone, so it
+// is the same whether a collector is attached or not. The device, file
+// system and generator are built from one cell h offers, if any, and
+// handed back to h once the run has completed: a cell that fails or
+// panics retires nothing.
+func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, h handover) (Run, error) {
 	old := h.take()
 	dev, err := ssd.NewFrom(old.dev, sc.Device(policy, tr))
 	if err != nil {
@@ -244,15 +251,13 @@ func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 	if err := gen.RunPages(sc.studyPagesFor(policy.Name())); err != nil {
 		return Run{}, fmt.Errorf("experiment: study: %w", err)
 	}
-	if drainLocks {
-		dev.FlushLocks()
-	}
 	run := Run{
 		Workload:       prof.Name,
 		Policy:         policy.Name(),
 		SecureFraction: secureFraction,
 		Report:         dev.Report(),
 	}
+	dev.FlushLocks()
 	h.retire(retired{dev, fs, gen})
 	return run, nil
 }
@@ -285,7 +290,7 @@ func Figure14Parallel(sc Scale, profiles []workload.Profile, workers int) ([]Fig
 		// Fresh policy instances per cell: a policy must never be shared
 		// between concurrently running devices.
 		policy := Policies()[i%nPol]
-		run, err := execute(prof, policy, 1.0, sc, nil, false, h)
+		run, err := execute(prof, policy, 1.0, sc, nil, h)
 		if err != nil {
 			return Run{}, fmt.Errorf("%s/%s: %w", prof.Name, policy.Name(), err)
 		}
@@ -349,9 +354,9 @@ func Figure14cParallel(sc Scale, profiles []workload.Profile, fractions []float6
 	runs, err := parallel.Map(workers, len(profiles)*per, func(i int) (Run, error) {
 		prof := profiles[i/per]
 		if k := i % per; k > 0 {
-			return execute(prof, sanitize.SecSSD(), fractions[k-1], sc, nil, false, h)
+			return execute(prof, sanitize.SecSSD(), fractions[k-1], sc, nil, h)
 		}
-		return execute(prof, sanitize.Baseline(), 1.0, sc, nil, false, h)
+		return execute(prof, sanitize.Baseline(), 1.0, sc, nil, h)
 	})
 	if err != nil {
 		return nil, err
@@ -455,6 +460,11 @@ type BatchingCell struct {
 	NoCachePipeline bool
 	LockBatch       ftl.LockBatchConfig
 	Run             Run
+	// Audit is the cell's audit-ledger counters at the run's horizon, and
+	// Verify its end-of-run check: no live unlocked secured copy, and
+	// phase sums that match every closed window.
+	Audit  audit.Stats
+	Verify audit.VerifyReport
 }
 
 // BatchingCells returns the ablation ladder: "disabled" is the device
@@ -478,28 +488,26 @@ func BatchingCells() []BatchingCell {
 // BatchingAblation runs the sanitization-heavy Mobile workload (§7
 // Table 2: create/delete dominated, 512 KiB–8 MiB files) on the secSSD
 // device across the BatchingCells ladder, fanned over up to workers
-// goroutines. Each cell is an independent seeded simulation, so the
-// result is bit-identical for any worker count.
+// goroutines, each cell under a trace.Recorder whose audit ledger it
+// keeps. Each cell is an independent seeded simulation and the ledger
+// is built in event order, so the result — every report field, ledger
+// counter and phase sum — is bit-identical for any worker count.
 func BatchingAblation(sc Scale, workers int) ([]BatchingCell, error) {
 	cells := BatchingCells()
 	prof := workload.Mobile()
 	h := newHandover(workers)
-	runs, err := parallel.Map(workers, len(cells), func(i int) (Run, error) {
+	return parallel.Map(workers, len(cells), func(i int) (BatchingCell, error) {
+		c := cells[i]
 		cs := sc
-		cs.Planes = cells[i].Planes
-		cs.NoCachePipeline = cells[i].NoCachePipeline
-		cs.LockBatch = cells[i].LockBatch
-		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, nil, false, h)
+		cs.Planes, cs.NoCachePipeline, cs.LockBatch = c.Planes, c.NoCachePipeline, c.LockBatch
+		rec := cs.recorder()
+		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, rec, h)
 		if err != nil {
-			return Run{}, fmt.Errorf("batching/%s: %w", cells[i].Label, err)
+			return BatchingCell{}, fmt.Errorf("batching/%s: %w", c.Label, err)
 		}
-		return run, nil
+		c.Run = run
+		c.Audit = rec.AuditLedger().Stats(rec.Horizon())
+		c.Verify = rec.AuditLedger().Verify(rec.Horizon())
+		return c, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range cells {
-		cells[i].Run = runs[i]
-	}
-	return cells, nil
 }

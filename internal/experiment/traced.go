@@ -28,7 +28,7 @@ type TracedFiles struct {
 }
 
 // TracedRun executes one workload × policy cell under a trace.Recorder
-// sized to the device, drains the lock manager (ExecuteAudited), writes
+// sized to the device, drains the lock manager (ExecuteTraced), writes
 // the requested files and logs one line per step to log. It returns the
 // audit ledger's end-of-run verification; an unclean report is not an
 // error here — the caller decides whether it fails the run.
@@ -52,7 +52,7 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 			return audit.VerifyReport{}, err
 		}
 	}
-	run, err := ExecuteAudited(prof, policy, 1.0, sc, rec)
+	run, err := ExecuteTraced(prof, policy, 1.0, sc, rec)
 	if closeStream != nil {
 		// A failed run still closes its stream, with the final point.
 		if cerr := closeStream(); cerr != nil {
