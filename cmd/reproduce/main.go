@@ -39,8 +39,10 @@
 // -check requires) and exits 1 if any banded cell leaves its band.
 //
 // Exit codes: 2 for usage errors (an unknown -fig, -scale, -format,
-// -workloads or -trace-policy value, flags of two modes combined, or a
-// traced run given more than one workload),
+// -workloads or -trace-policy value, flags of two modes combined, a
+// traced run given more than one workload, a -stats-interval that is not
+// positive, -batch-deadline or -batch-threshold without -batch, or a
+// -fault-rate outside [0, 1]),
 // 1 for a failed experiment, export, gate or band.
 package main
 
@@ -127,6 +129,12 @@ func run(args []string) int {
 		return exit(2, fmt.Errorf("-check bands are recorded at -scale default, not %s", *scaleName))
 	case gate && set["fig"] && *fig != "attack":
 		return exit(2, fmt.Errorf("attack-gate flags apply to -fig attack, not -fig %s", *fig))
+	case files.StreamInterval <= 0:
+		return exit(2, fmt.Errorf("-stats-interval must be positive simulated µs, not %d", files.StreamInterval))
+	case !*batch && anySet("batch-deadline", "batch-threshold"):
+		return exit(2, errors.New("-batch-deadline and -batch-threshold tune lock batching; add -batch"))
+	case !(*faultRate >= 0 && *faultRate <= 1): // NaN fails both comparisons
+		return exit(2, fmt.Errorf("-fault-rate is a probability in [0, 1], not %g", *faultRate))
 	case gate:
 		*fig = "attack"
 	}

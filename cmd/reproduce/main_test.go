@@ -46,6 +46,13 @@ func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 		{"-check", "-out", "-"},
 		{"-check", "-scale", "default", "-audit-verify"},
 		{"-check", "-scale", "default", "-attack-verify"},
+		{"-stats-stream", "s.jsonl", "-stats-interval", "0"},
+		{"-stats-stream", "s.jsonl", "-stats-interval", "-5"},
+		{"-batch-deadline", "2000", "-out", "-"},
+		{"-batch-threshold", "96", "-stats-json", "s.json"},
+		{"-fault-rate", "1.5", "-out", "-"},
+		{"-fault-rate", "-0.1", "-out", "-"},
+		{"-fault-rate", "NaN", "-out", "-"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("reproduce %v exited %d, want 2", args, code)
