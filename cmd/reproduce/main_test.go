@@ -49,7 +49,9 @@ func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 		{"-stats-stream", "s.jsonl", "-stats-interval", "0"},
 		{"-stats-stream", "s.jsonl", "-stats-interval", "-5"},
 		{"-batch-deadline", "2000", "-out", "-"},
-		{"-batch-threshold", "96", "-stats-json", "s.json"},
+		{"-batch-threshold", "96", "-openmetrics", "m.om"},
+		{"-stats-interval", "5", "-fig", "9", "-scale", "small", "-out", "-"},
+		{"-stats-interval", "5", "-openmetrics", "m.om"},
 		{"-fault-rate", "1.5", "-out", "-"},
 		{"-fault-rate", "-0.1", "-out", "-"},
 		{"-fault-rate", "NaN", "-out", "-"},
