@@ -19,7 +19,6 @@ import (
 type TracedFiles struct {
 	Chrome      string // Chrome trace_event JSON (Perfetto-loadable)
 	JSONL       string // raw event log
-	Stats       string // telemetry snapshot JSON
 	OpenMetrics string // OpenMetrics text exposition
 	Audit       string // sanitization audit report JSON
 	Stream      string // periodic telemetry samples, JSONL
@@ -76,7 +75,6 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 	}{
 		{files.Chrome, "chrome trace", " (open at ui.perfetto.dev)", rec.WriteChromeFile},
 		{files.JSONL, "event log", "", rec.WriteJSONLFile},
-		{files.Stats, "telemetry snapshot", "", rec.WriteStatsFile},
 		{files.OpenMetrics, "openmetrics exposition", "", rec.WriteOpenMetricsFile},
 		{files.Audit, "audit report", "", func(path string) error {
 			return writeJSONFile(path, struct {

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
 )
 
@@ -344,35 +343,6 @@ func (cw *chromeWriter) flush(final bool) error {
 	return err
 }
 
-// LatencyStats summarizes one duration distribution in µs.
-type LatencyStats struct {
-	Count  uint64  `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// latStats summarizes a Sample without mutating it: Sample.Quantile
-// sorts in place, so exporters work on the Sorted() copy and leave the
-// live, still-accumulating sample untouched.
-func latStats(s *metrics.Sample) LatencyStats {
-	xs := s.Sorted()
-	st := LatencyStats{Count: uint64(len(xs))}
-	if len(xs) == 0 {
-		return st
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	st.MeanUs = sum / float64(len(xs))
-	st.P50Us = sortedQuantile(xs, 0.5)
-	st.P99Us = sortedQuantile(xs, 0.99)
-	st.MaxUs = xs[len(xs)-1]
-	return st
-}
-
 // sortedQuantile interpolates the q-th quantile of an ascending slice.
 func sortedQuantile(xs []float64, q float64) float64 {
 	pos := q * float64(len(xs)-1)
@@ -382,100 +352,4 @@ func sortedQuantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return xs[lo]*(1-frac) + xs[lo+1]*frac
-}
-
-// OpStats is one op class's entry in the telemetry snapshot.
-type OpStats struct {
-	LatencyStats
-	MeanWaitUs    float64 `json:"mean_wait_us"`
-	HistUnderflow uint64  `json:"hist_underflow"`
-	HistOverflow  uint64  `json:"hist_overflow"`
-}
-
-// GaugePoint is one (simulated-µs, value) sample of a gauge.
-type GaugePoint struct {
-	TUs int64   `json:"t_us"`
-	V   float64 `json:"v"`
-}
-
-// Snapshot is the JSON-serializable telemetry summary of a run.
-type Snapshot struct {
-	HorizonUs     int64              `json:"horizon_us"`
-	Events        int                `json:"events"`
-	DroppedEvents uint64             `json:"dropped_events"`
-	Ops           map[string]OpStats `json:"ops"`
-	ChipUtil      []float64          `json:"chip_util"`
-	ChanUtil      []float64          `json:"chan_util"`
-	// UnattributedBusyUs / UnattributedEvents count busy time recorded
-	// with out-of-range chip/channel coordinates — work that would
-	// otherwise silently vanish from the utilization figures.
-	UnattributedBusyUs int64        `json:"unattributed_busy_us"`
-	UnattributedEvents uint64       `json:"unattributed_events"`
-	TInsecure          LatencyStats `json:"t_insecure_us"`
-	OpenInsecure       int          `json:"t_insecure_open"`
-	// OpenOldestUs is the age (µs before the horizon) of the oldest
-	// still-open T_insecure window; 0 when none is open. Open windows
-	// are reported, not silently dropped.
-	OpenOldestUs int64 `json:"t_insecure_open_oldest_us"`
-	// SecretWindows summarizes the per-secret multi-copy windows closed
-	// by the audit ledger; Audit carries the full ledger summary.
-	SecretWindows LatencyStats            `json:"secret_window_us"`
-	Audit         audit.Stats             `json:"audit"`
-	Gauges        map[string][]GaugePoint `json:"gauges"`
-}
-
-// snapshotGaugePoints caps each gauge series in the snapshot.
-const snapshotGaugePoints = 512
-
-// Snapshot summarizes the recorder's state. It does not mutate the
-// recorder, so it can be taken mid-run.
-func (r *Recorder) Snapshot() Snapshot {
-	aud := r.ledger.Stats(r.horizon)
-	sn := Snapshot{
-		HorizonUs:          int64(r.horizon),
-		Events:             int(r.TotalEvents() - r.dropped),
-		DroppedEvents:      r.dropped,
-		Ops:                make(map[string]OpStats),
-		ChipUtil:           r.ChipUtilization(),
-		ChanUtil:           r.ChannelUtilization(),
-		UnattributedBusyUs: int64(r.unattrBusy),
-		UnattributedEvents: r.unattrEvents,
-		TInsecure:          latStats(r.ledger.TInsec()),
-		OpenInsecure:       r.ledger.OpenCopies(),
-		OpenOldestUs:       aud.OldestOpenUs,
-		SecretWindows:      latStats(r.ledger.Windows()),
-		Audit:              aud,
-		Gauges:             make(map[string][]GaugePoint),
-	}
-	for c := 0; c < NumOpClasses; c++ {
-		if r.classCount[c] == 0 {
-			continue
-		}
-		_, under, over := r.classLat[c].buckets()
-		sn.Ops[OpClass(c).String()] = OpStats{
-			LatencyStats:  r.classLat[c].stats(),
-			MeanWaitUs:    r.classWait[c].Mean(),
-			HistUnderflow: under,
-			HistOverflow:  over,
-		}
-	}
-	for k := range r.gauges {
-		pts := metrics.Downsample(r.gauges[k].pts, snapshotGaugePoints)
-		if len(pts) == 0 {
-			continue
-		}
-		out := make([]GaugePoint, len(pts))
-		for i, p := range pts {
-			out[i] = GaugePoint{TUs: p.T, V: p.V}
-		}
-		sn.Gauges[GaugeKind(k).String()] = out
-	}
-	return sn
-}
-
-// WriteStatsJSON writes the Snapshot as indented JSON.
-func (r *Recorder) WriteStatsJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

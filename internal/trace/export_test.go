@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"repro/internal/audit"
 )
 
 // goldenRecorder replays a small fixed event sequence.
@@ -132,54 +130,5 @@ func TestWriteChromeTraceSchema(t *testing.T) {
 	}
 	if !sawWait {
 		t.Fatal("read event missing wait_us=10 arg")
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	r := goldenRecorder()
-	r.Gauge(GaugeLockQueue, 50, 4)
-	r.Audit(invalidate(1, true, 100))
-	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 1, Src: audit.NoSrc, LPA: -1, Dep: 400, At: 400})
-
-	sn := r.Snapshot()
-	if sn.Events != 3 || sn.DroppedEvents != 0 {
-		t.Fatalf("Events/Dropped = %d/%d, want 3/0", sn.Events, sn.DroppedEvents)
-	}
-	if sn.HorizonUs != 820 {
-		t.Fatalf("HorizonUs = %d, want 820", sn.HorizonUs)
-	}
-	// Only op classes actually observed appear.
-	if len(sn.Ops) != 3 {
-		t.Fatalf("Ops has %d entries, want 3: %v", len(sn.Ops), sn.Ops)
-	}
-	read, ok := sn.Ops["read"]
-	if !ok {
-		t.Fatal("Ops missing read")
-	}
-	if read.Count != 1 || read.MeanUs != 80 || read.MeanWaitUs != 10 {
-		t.Fatalf("read stats = %+v", read)
-	}
-	if sn.TInsecure.Count != 1 || sn.TInsecure.MaxUs != 300 {
-		t.Fatalf("TInsecure = %+v, want one 300µs window", sn.TInsecure)
-	}
-	if _, ok := sn.Gauges["lock_queue"]; !ok {
-		t.Fatal("Gauges missing lock_queue")
-	}
-	if len(sn.ChipUtil) != 2 || len(sn.ChanUtil) != 1 {
-		t.Fatalf("util lengths = %d/%d, want 2/1", len(sn.ChipUtil), len(sn.ChanUtil))
-	}
-
-	// Snapshot must not disturb the live tally: later ops still count.
-	r.Op(Event{Class: OpRead, Start: 900, End: 905, Chip: 0})
-	if got := r.Snapshot().Ops["read"]; got.Count != 2 || got.MeanUs != 42.5 || got.MaxUs != 80 {
-		t.Fatalf("read stats after a second Snapshot = %+v, want 2 reads of 80 and 5µs", got)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteStatsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("stats JSON does not round-trip: %v", err)
 	}
 }
