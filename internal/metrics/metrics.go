@@ -1,5 +1,5 @@
 // Package metrics provides the summary statistics used throughout the
-// Evanesco experiment harnesses: running summaries, percentiles, the
+// Evanesco experiment harnesses: samples with percentiles, the
 // five-number box-plot statistics the paper's figures report, and time
 // series with downsampling for the Fig. 4 style N_valid/N_invalid plots.
 package metrics
@@ -9,60 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates count / mean / min / max / variance online
-// (Welford's algorithm) without retaining samples.
-type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one sample.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// N returns the number of samples recorded.
-func (s *Summary) N() uint64 { return s.n }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
-		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
-}
 
 // Sample retains all values so that exact order statistics can be computed.
 // It is used for the box-plot figures where the paper reports distributions

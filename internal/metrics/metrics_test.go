@@ -3,49 +3,9 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("Mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	want := 32.0 / 7.0
-	if math.Abs(s.Variance()-want) > 1e-12 {
-		t.Fatalf("Variance = %v, want %v", s.Variance(), want)
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
-		t.Fatal("empty summary should be all zeros")
-	}
-}
-
-func TestSummarySingle(t *testing.T) {
-	var s Summary
-	s.Add(3.5)
-	if s.Min() != 3.5 || s.Max() != 3.5 || s.Mean() != 3.5 {
-		t.Fatal("single-sample summary wrong")
-	}
-	if s.Variance() != 0 {
-		t.Fatal("single-sample variance should be 0")
-	}
-}
 
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
@@ -177,31 +137,6 @@ func TestSeriesDownsampleConstantTime(t *testing.T) {
 	}
 }
 
-// Property: Summary mean/min/max agree with a direct computation.
-func TestSummaryMatchesDirectProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(n%50) + 1
-		var s Summary
-		xs := make([]float64, k)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-			s.Add(xs[i])
-		}
-		sort.Float64s(xs)
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		mean := sum / float64(k)
-		return math.Abs(s.Mean()-mean) < 1e-9 &&
-			s.Min() == xs[0] && s.Max() == xs[k-1] && s.N() == uint64(k)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by min/max.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
@@ -225,20 +160,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSummaryStdDevAndString(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
-	}
-	if str := s.String(); str == "" {
-		t.Fatal("String empty")
 	}
 }
 

@@ -2,69 +2,39 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 
-	"repro/internal/audit"
 	"repro/internal/sim"
 )
-
-// StreamPoint is one periodic telemetry sample of a running simulation:
-// a compact cumulative snapshot emitted every stats interval of
-// *simulated* time, written as one JSONL line. All fields are running
-// totals derived from the deterministic event stream, so the series is
-// bit-identical across parallel worker counts.
-type StreamPoint struct {
-	// TUs is the sample's nominal simulated time: the first stats-interval
-	// boundary the run crossed since the previous point.
-	TUs int64 `json:"t_us"`
-	// HorizonUs is the actual latest completion time when the point was
-	// emitted (>= TUs).
-	HorizonUs     int64  `json:"horizon_us"`
-	Events        uint64 `json:"events"`
-	DroppedEvents uint64 `json:"dropped_events"`
-	HostReads     uint64 `json:"host_reads"`
-	HostWrites    uint64 `json:"host_writes"`
-	HostTrims     uint64 `json:"host_trims"`
-	GCPasses      uint64 `json:"gc_passes"`
-	PLocks        uint64 `json:"plocks"`
-	PLockBatches  uint64 `json:"plock_batches"`
-	BLocks        uint64 `json:"blocks"`
-	Erases        uint64 `json:"erases"`
-	// OpenInsecure and OpenOldestUs report the still-open T_insecure
-	// windows (count and oldest age) at emission time.
-	OpenInsecure int   `json:"t_insecure_open"`
-	OpenOldestUs int64 `json:"t_insecure_open_oldest_us"`
-	// TInsecClosed / TInsecSumUs summarize the closed per-copy windows.
-	TInsecClosed int   `json:"t_insecure_closed"`
-	TInsecSumUs  int64 `json:"t_insecure_sum_us"`
-	// Windows / WindowSumUs / Phases summarize the per-secret ledger.
-	Windows            uint64               `json:"secret_windows"`
-	WindowSumUs        int64                `json:"secret_window_sum_us"`
-	ExposedCopies      int                  `json:"exposed_copies"`
-	Phases             audit.PhaseBreakdown `json:"phase_us"`
-	UnattributedBusyUs int64                `json:"unattributed_busy_us"`
-}
 
 // streamState drives the periodic emitter.
 type streamState struct {
 	w        *bufio.Writer
-	enc      *json.Encoder
 	interval sim.Micros
 	next     sim.Micros
 	err      error
+	set      metricSet // the last point's families, whose storage the next one reuses
+	line     []byte
 }
 
 // StreamTo enables periodic telemetry: every interval of simulated time
-// (measured on the event horizon) the Recorder writes one StreamPoint
-// line to w. interval must be positive. Call CloseStream when the run
+// (measured on the event horizon) the Recorder writes one JSON line to
+// w. The line is {"t_us": …} — the first interval boundary the run
+// crossed since the previous line — followed by every counter and gauge
+// family of the OpenMetrics exposition under its name, and each
+// summary's _sum and _count: a number for a family without labels, an
+// object keyed by label value otherwise. The latency histograms stay in
+// the exposition, whose buckets and quantiles would cost a pass over
+// every tally and a sort per point. Every value
+// is a running total or a current level derived from the deterministic
+// event stream, so the series is bit-identical across parallel worker
+// counts. interval must be positive. Call CloseStream when the run
 // finishes to emit the final point and flush.
 func (r *Recorder) StreamTo(w io.Writer, interval sim.Micros) {
 	if interval <= 0 {
 		interval = 1
 	}
-	bw := bufio.NewWriter(w)
-	r.stream = &streamState{w: bw, enc: json.NewEncoder(bw), interval: interval, next: interval}
+	r.stream = &streamState{w: bufio.NewWriterSize(w, 64<<10), interval: interval, next: interval}
 }
 
 // CloseStream emits a final point at the current horizon, flushes the
@@ -98,29 +68,46 @@ func (r *Recorder) writeStreamPoint(t sim.Micros) {
 	if s.err != nil {
 		return
 	}
-	st := r.ledger.Stats(r.horizon)
-	p := StreamPoint{
-		TUs:                int64(t),
-		HorizonUs:          int64(r.horizon),
-		Events:             r.TotalEvents(),
-		DroppedEvents:      r.dropped,
-		HostReads:          r.classCount[OpHostRead],
-		HostWrites:         r.classCount[OpHostWrite],
-		HostTrims:          r.classCount[OpHostTrim],
-		GCPasses:           r.classCount[OpGC],
-		PLocks:             r.classCount[OpPLock],
-		PLockBatches:       r.classCount[OpPLockBatch],
-		BLocks:             r.classCount[OpBLock],
-		Erases:             r.classCount[OpErase],
-		OpenInsecure:       r.ledger.OpenCopies(),
-		OpenOldestUs:       st.OldestOpenUs,
-		TInsecClosed:       r.ledger.TInsec().N(),
-		TInsecSumUs:        int64(r.ledger.TInsecSum()),
-		Windows:            st.Windows,
-		WindowSumUs:        st.WindowSumUs,
-		ExposedCopies:      st.ExposedCopies,
-		Phases:             st.Phases,
-		UnattributedBusyUs: int64(r.unattrBusy),
+	s.set = r.families(s.set)
+	b := appendField(append(s.line[:0], '{'), `"t_us":`, int64(t))
+	for i := range s.set.fams {
+		f := &s.set.fams[i]
+		switch f.typ {
+		case "histogram": // its _count is secssd_ops_total
+		case "summary":
+			b = appendStreamKey(b, f, "_sum", s.set.series(f), false)
+			b = appendStreamKey(b, f, "_count", s.set.series(f), true)
+		default:
+			b = appendStreamKey(b, f, "", s.set.series(f), false)
+		}
 	}
-	s.err = s.enc.Encode(p)
+	s.line = append(b, "}\n"...)
+	_, s.err = s.w.Write(s.line)
+}
+
+// appendStreamKey appends one key of a stream line, the family's name
+// and suffix, with its series' values (their _count when count is set).
+func appendStreamKey(b []byte, f *family, suffix string, ser []series, count bool) []byte {
+	b = append(append(append(b, `,"`...), f.name...), suffix...)
+	b = append(b, `":`...)
+	if f.label != "" {
+		b = append(b, '{')
+	}
+	for i := range ser {
+		if f.label != "" {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, '"'), ser[i].label...), `":`...)
+		}
+		v := ser[i].v
+		if count {
+			v = float64(ser[i].n)
+		}
+		b = appendNum(b, v)
+	}
+	if f.label != "" {
+		b = append(b, '}')
+	}
+	return b
 }
