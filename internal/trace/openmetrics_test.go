@@ -10,14 +10,12 @@ import (
 )
 
 // loadedRecorder builds a Recorder carrying every telemetry surface the
-// OpenMetrics export covers: ops, gauges, unattributed busy time, and a
-// closed audit window.
+// OpenMetrics export covers: ops, gauges and a closed audit window.
 func loadedRecorder() *Recorder {
 	r := NewRecorder(RecorderConfig{Chips: 2, Channels: 1})
 	r.Op(Event{Class: OpRead, Start: 0, End: 80, Queued: 0, Chip: 0, Channel: 0})
 	r.Op(Event{Class: OpProgram, Start: 80, End: 780, Queued: 80, Chip: 1, Channel: 0})
 	r.Op(Event{Class: OpXfer, Start: 0, End: 40, Chip: 0, Channel: 0})
-	r.Op(Event{Class: OpRead, Start: 0, End: 80, Chip: 99, Channel: 0}) // unattributed
 	r.Gauge(GaugeFreeBlocks, 100, 12)
 	r.Gauge(GaugeFreeBlocks, 700, 11)
 	r.Audit(audit.Event{Kind: audit.KindCopy, Secured: true, Page: 7, Src: audit.NoSrc, LPA: 3,
@@ -91,7 +89,7 @@ func TestOpenMetricsFormat(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"secssd_horizon_us", "secssd_ops_total", "secssd_op_latency_us",
-		"secssd_unattributed_busy_us_total", "secssd_t_insecure_us",
+		"secssd_op_wait_us_total", "secssd_t_insecure_us",
 		"secssd_audit_copies_total", "secssd_audit_destroys_total",
 		"secssd_audit_phase_us_total",
 	} {
@@ -163,7 +161,7 @@ func TestOpenMetricsAuditValues(t *testing.T) {
 		`secssd_audit_phase_us_total{phase="queue_wait"} 30`,
 		`secssd_audit_phase_us_total{phase="pulse"} 270`,
 		`secssd_t_insecure_open 0`,
-		`secssd_unattributed_busy_us_total 80`,
+		`secssd_chip_busy_us_total{chip="1"} 700`,
 	} {
 		if !strings.Contains(buf.String(), want+"\n") {
 			t.Errorf("export missing line %q", want)
