@@ -15,6 +15,7 @@
 package attack
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/blockio"
@@ -95,9 +96,9 @@ type Score struct {
 	// Remounted reports the device went through the crash-recovery path.
 	Remounted bool `json:"remounted,omitempty"`
 
-	// LiveIntact: the surviving secure file is still readable — an
-	// attack harness that "sanitizes" by destroying live data scores
-	// nothing.
+	// LiveIntact: every page of the surviving secure file reads back
+	// through the mapping as written — an attack harness that
+	// "sanitizes" by destroying live data scores nothing.
 	LiveIntact bool `json:"live_intact"`
 
 	// OpenAuditCopies is the ledger's count of secured copies with open
@@ -156,7 +157,8 @@ func Run(cfg Config) (Score, error) {
 	pageBytes := dev.PageBytes()
 
 	// Plant the fleet.
-	if err := dev.WriteFile("keep.dat", fill([]byte(keepMarker), 4, pageBytes), core.Secure); err != nil {
+	keepData := fill([]byte(keepMarker), 4, pageBytes)
+	if err := dev.WriteFile("keep.dat", keepData, core.Secure); err != nil {
 		return Score{}, err
 	}
 	if err := dev.WriteFile("decoy.dat", fill([]byte(decoyMarker), 4, pageBytes), core.Insecure); err != nil {
@@ -187,6 +189,13 @@ func Run(cfg Config) (Score, error) {
 	// The deletion journal: each secret's extents, captured before the
 	// delete so a crash-interrupted delete can be replayed after remount
 	// (trims leave no media record — this models FS journal recovery).
+	// keep.dat's extents are captured alike: a remount starts an empty
+	// file system, and the file is read back through the mapping.
+	keep, ok := dev.FS().Lookup("keep.dat")
+	if !ok {
+		return Score{}, fmt.Errorf("attack: keep.dat vanished before delete")
+	}
+	kept := keep.Extents()
 	journal := make([][]int64, numSecrets)
 	for i := range journal {
 		f, ok := dev.FS().Lookup(fmt.Sprintf("secret-%d.db", i))
@@ -255,11 +264,17 @@ func Run(cfg Config) (Score, error) {
 	}
 	sc.HitPages = len(hit)
 	sc.RecoverableBytes = sc.HitPages * pageBytes
-	sc.LiveIntact = len(dev.ForensicScan([]byte(keepMarker))) > 0
 
 	ledger := rec.AuditLedger()
 	sc.OpenAuditCopies = ledger.OpenCopies()
 	sc.AuditClean = ledger.Verify(rec.Horizon()).Clean()
+	// The readback issues chip reads, so it comes after the ledger has
+	// been read.
+	sc.LiveIntact = len(kept)*pageBytes == len(keepData)
+	for i := 0; sc.LiveIntact && i < len(kept); i++ {
+		page, err := dev.SSD().ReadLogical(kept[i])
+		sc.LiveIntact = err == nil && bytes.Equal(page, keepData[i*pageBytes:(i+1)*pageBytes])
+	}
 	return sc, nil
 }
 

@@ -524,10 +524,6 @@ func (l *Ledger) eachStale(fn func(page int, c *copyState)) {
 	}
 }
 
-// LadderDestroys reports how many copies were destroyed under a
-// recovery-ladder rung.
-func (l *Ledger) LadderDestroys() uint64 { return l.ladderDestroys }
-
 // PhaseBreakdown is the JSON-stable per-phase attribution in µs.
 type PhaseBreakdown struct {
 	QueueWait int64 `json:"queue_wait"`

@@ -146,7 +146,7 @@ func TestFirstInvalidationWinsAndNegativeClamp(t *testing.T) {
 	// relocation recorded the invalidation).
 	l.Record(Event{Kind: KindInvalidate, Page: 3, At: 900})
 	l.Record(Event{Kind: KindDestroy, Page: 3, Dep: 400, At: 500})
-	if got := l.TInsec().Min(); got != 0 {
+	if got := l.TInsec().Quantile(0); got != 0 {
 		t.Fatalf("negative window = %v, want clamp to 0", got)
 	}
 	st := l.Stats(2000)

@@ -35,9 +35,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns a population large enough for stable statistics.
-func DefaultConfig() Config { return Config{WLs: 20000, Seed: 1} }
-
 // shardWLs is the fixed shard width of the Monte-Carlo campaigns. It is
 // a property of the sampling scheme, not of the machine: the shard
 // layout (and therefore every drawn value) depends only on WLs and Seed,

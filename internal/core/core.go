@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/filesys"
-	"repro/internal/ftl"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
 )
@@ -132,12 +131,6 @@ func (d *Device) AdvanceRetention(days float64) {
 		c.AdvanceDays(days)
 	}
 }
-
-// Report returns the device activity summary.
-func (d *Device) Report() ssd.Report { return d.ssd.Report() }
-
-// Wear returns the device's block erase-count statistics.
-func (d *Device) Wear() ftl.WearStats { return d.ssd.FTL().Wear() }
 
 // Sync drains any deferred sanitization work: with a positive lock-batch
 // deadline, queued pLocks may ride across requests, and Sync is the

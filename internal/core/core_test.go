@@ -206,7 +206,7 @@ func TestForensicScanEdgeCases(t *testing.T) {
 func TestReportExposesActivity(t *testing.T) {
 	d := newDevice(t, core.PolicyEvanesco)
 	d.WriteFile("a", make([]byte, 10000), core.Secure)
-	r := d.Report()
+	r := d.SSD().Report()
 	if r.Stats.HostWrittenPages == 0 {
 		t.Fatal("report shows no writes")
 	}
@@ -234,14 +234,4 @@ func Example() {
 	// forensic hits after delete: 0
 	// erases used: 0
 	// sanitization verified: true
-}
-
-func TestWearExposed(t *testing.T) {
-	d := newDevice(t, core.PolicyEvanesco)
-	if err := d.Churn(15000, 3); err != nil {
-		t.Fatal(err)
-	}
-	if d.Wear().Max == 0 {
-		t.Fatal("churn should have erased blocks")
-	}
 }

@@ -42,6 +42,3 @@ func (d *Device) Remount() error {
 	d.fs = fs
 	return nil
 }
-
-// Dead reports whether the device lost power and awaits Remount.
-func (d *Device) Dead() bool { return d.ssd.Dead() }

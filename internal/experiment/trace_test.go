@@ -131,8 +131,8 @@ func TestTracedRunTelemetry(t *testing.T) {
 	if open := rec.AuditLedger().OpenCopies(); open != 0 {
 		t.Errorf("%d secured pages still invalidated but unlocked at end of run", open)
 	}
-	if rec.TInsecure().Min() < 0 {
-		t.Errorf("negative T_insecure window: %v", rec.TInsecure().Min())
+	if rec.TInsecure().Quantile(0) < 0 {
+		t.Errorf("negative T_insecure window: %v", rec.TInsecure().Quantile(0))
 	}
 	om := exposition(t, rec)
 	horizon := float64(rec.Horizon())

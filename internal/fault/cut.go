@@ -96,6 +96,8 @@ func (cs *CutState) Arm(spec CutSpec) {
 }
 
 // Armed reports whether a strike is still pending.
+//
+//repro:testseam
 func (cs *CutState) Armed() bool { return cs != nil && !cs.struck && cs.spec.Armed() }
 
 // Strike is called by a chip at the start of each mutating operation.

@@ -128,9 +128,6 @@ func New(cfg Config, stream uint64) *Injector {
 	}
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Counts returns what has been injected so far.
 func (in *Injector) Counts() Counts { return in.counts }
 

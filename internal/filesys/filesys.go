@@ -151,9 +151,6 @@ func (fs *FS) FreePages() int64 { return fs.freePages }
 // TotalPages returns the exported capacity.
 func (fs *FS) TotalPages() int64 { return fs.total }
 
-// Files returns the number of live files.
-func (fs *FS) Files() int { return fs.live }
-
 // Lookup finds a file by name.
 func (fs *FS) Lookup(name string) (*File, bool) {
 	f, ok := fs.byName[name]
@@ -359,13 +356,6 @@ func (fs *FS) alloc(f *File, n int) (int32, error) {
 	return first, nil
 }
 
-// DataDevice is an optional Device extension for reading stored content
-// back (the ssd package implements it).
-type DataDevice interface {
-	Device
-	ReadLogical(lpa int64) ([]byte, error)
-}
-
 // Extents returns the file's logical pages in file order.
 func (f *File) Extents() []int64 {
 	out := make([]int64, 0, f.pages)
@@ -406,30 +396,4 @@ func (fs *FS) AppendData(f *File, data []byte) error {
 		lpa, n = after, n-run
 	}
 	return nil
-}
-
-// ReadAll returns the file's full content. The device must implement
-// DataDevice.
-func (fs *FS) ReadAll(f *File) ([]byte, error) {
-	if f.fs != fs {
-		return nil, ErrNotFound
-	}
-	dd, ok := fs.dev.(DataDevice)
-	if !ok {
-		return nil, fmt.Errorf("filesys: device %T cannot return data", fs.dev)
-	}
-	out := make([]byte, 0, f.Pages()*fs.pageBytes)
-	for _, lpa := range f.Extents() {
-		page, err := dd.ReadLogical(lpa)
-		if err != nil {
-			return nil, err
-		}
-		if len(page) < fs.pageBytes {
-			padded := make([]byte, fs.pageBytes)
-			copy(padded, page)
-			page = padded
-		}
-		out = append(out, page...)
-	}
-	return out, nil
 }

@@ -505,7 +505,7 @@ func randName(rng *rand.Rand) string {
 	return string(b)
 }
 
-// dataDev implements DataDevice: it retains page payloads by LPA.
+// dataDev retains page payloads by LPA.
 type dataDev struct {
 	recordingDev
 	pages map[int64][]byte
@@ -524,8 +524,13 @@ func (d *dataDev) Submit(req blockio.Request) (sim.Micros, error) {
 	return 0, nil
 }
 
-func (d *dataDev) ReadLogical(lpa int64) ([]byte, error) {
-	return d.pages[lpa], nil
+// contents reads f back through its extents.
+func (d *dataDev) contents(f *File) []byte {
+	var out []byte
+	for _, lpa := range f.Extents() {
+		out = append(out, d.pages[lpa]...)
+	}
+	return out
 }
 
 func TestAppendDataAndReadAll(t *testing.T) {
@@ -542,12 +547,9 @@ func TestAppendDataAndReadAll(t *testing.T) {
 	if f.Pages() != 3 {
 		t.Fatalf("file has %d pages, want 3", f.Pages())
 	}
-	got, err := fs.ReadAll(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := dev.contents(f)
 	if len(got) != 3*512 {
-		t.Fatalf("ReadAll returned %d bytes, want %d", len(got), 3*512)
+		t.Fatalf("the file reads back as %d bytes, want %d", len(got), 3*512)
 	}
 	for i := range payload {
 		if got[i] != payload[i] {
@@ -607,24 +609,12 @@ func testAppendDataFragmented(t *testing.T) {
 	if sent != 10*512 {
 		t.Fatalf("requests carry %d bytes, want %d", sent, 10*512)
 	}
-	got, err := fs.ReadAll(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := dev.contents(f)
 	if !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatal("fragmented append did not read back")
 	}
 	if !bytes.Equal(got[len(payload):], make([]byte, 10*512-len(payload))) {
 		t.Fatal("padding not zeroed")
-	}
-}
-
-func TestReadAllRequiresDataDevice(t *testing.T) {
-	fs, _ := newFS(t) // recordingDev lacks ReadLogical
-	f, _ := fs.Create("x", 0)
-	fs.Append(f, 1)
-	if _, err := fs.ReadAll(f); err == nil {
-		t.Fatal("ReadAll over a non-DataDevice should fail")
 	}
 }
 
@@ -634,9 +624,6 @@ func TestAppendDataOnDeletedFile(t *testing.T) {
 	f, _ := fs.Create("gone", 0)
 	fs.Delete(f)
 	if err := fs.AppendData(f, []byte("x")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-	if _, err := fs.ReadAll(f); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }

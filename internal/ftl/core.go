@@ -210,9 +210,6 @@ func (f *FTL) Stats() Stats { return f.stats }
 // Geometry returns the managed geometry.
 func (f *FTL) Geometry() Geometry { return f.geo }
 
-// PolicyName returns the active sanitization policy's name.
-func (f *FTL) PolicyName() string { return f.policy.Name() }
-
 // Status returns the page-status-table entry for a physical page.
 func (f *FTL) Status(p PPA) PageStatus { return f.status[p] }
 
@@ -998,35 +995,4 @@ func (f *FTL) eraseBlock(block int) bool {
 	f.clearPending(block)
 	f.cancelQueuedLocks(block)
 	return true
-}
-
-// WearStats summarizes per-block erase counts.
-type WearStats struct {
-	Min, Max int32
-	Mean     float64
-	// Spread is Max - Min, the wear imbalance across blocks.
-	Spread int32
-}
-
-// Wear returns the device's erase-count statistics.
-func (f *FTL) Wear() WearStats {
-	w := WearStats{Min: 1 << 30}
-	var sum int64
-	for _, c := range f.eraseCount {
-		if c < w.Min {
-			w.Min = c
-		}
-		if c > w.Max {
-			w.Max = c
-		}
-		sum += int64(c)
-	}
-	if len(f.eraseCount) > 0 {
-		w.Mean = float64(sum) / float64(len(f.eraseCount))
-	}
-	if w.Min == 1<<30 {
-		w.Min = 0
-	}
-	w.Spread = w.Max - w.Min
-	return w
 }

@@ -10,6 +10,12 @@ func (f *FTL) PageStatusCounts() (free, valid, secured, invalid int64) {
 // RetiredPages returns the page population of retired blocks.
 func (f *FTL) RetiredPages() int64 { return f.statusCount[PageRetired] }
 
+// PolicyName returns the active sanitization policy's name.
+func (f *FTL) PolicyName() string { return f.policy.Name() }
+
+// EraseCounts returns the per-block erase counts.
+func (f *FTL) EraseCounts() []int32 { return f.eraseCount }
+
 // BlockRetired reports whether a block has been pulled from rotation.
 func (f *FTL) BlockRetired(block int) bool { return f.retired[block] }
 

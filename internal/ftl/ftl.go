@@ -361,12 +361,3 @@ type Stats struct {
 	RetiredBlocks  uint64
 	BackstopScrubs uint64
 }
-
-// WAF returns the write amplification factor: flash programs per host
-// page written. It returns 0 before any host write.
-func (s Stats) WAF() float64 {
-	if s.HostWrittenPages == 0 {
-		return 0
-	}
-	return float64(s.FlashPrograms) / float64(s.HostWrittenPages)
-}

@@ -131,28 +131,8 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Mean returns the arithmetic mean (NaN when empty).
-func (s *Sample) Mean() float64 {
-	if s.N() == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	for _, c := range s.tail.chunks {
-		for _, x := range c {
-			sum += x
-		}
-	}
-	return sum / float64(s.N())
-}
-
 // Max returns the largest value (NaN when empty).
 func (s *Sample) Max() float64 { return s.Quantile(1) }
-
-// Min returns the smallest value (NaN when empty).
-func (s *Sample) Min() float64 { return s.Quantile(0) }
 
 // FractionAbove reports the fraction of values strictly greater than limit.
 // The paper uses this to report, e.g., "7.4% of RBER values exceed the ECC

@@ -31,9 +31,6 @@ func TestSampleEmptyQuantileIsNaN(t *testing.T) {
 	if !math.IsNaN(s.Quantile(0.5)) {
 		t.Fatal("quantile of empty sample should be NaN")
 	}
-	if !math.IsNaN(s.Mean()) {
-		t.Fatal("mean of empty sample should be NaN")
-	}
 }
 
 func TestSampleFractionAbove(t *testing.T) {
@@ -151,7 +148,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			if v < prev {
 				return false
 			}
-			if v < s.Min() || v > s.Max() {
+			if v < s.Quantile(0) || v > s.Max() {
 				return false
 			}
 			prev = v
@@ -173,10 +170,7 @@ func TestSampleNValuesMean(t *testing.T) {
 	if vals[0] != 1 || vals[2] != 3 {
 		t.Fatalf("Values not sorted: %v", vals)
 	}
-	if got := s.Mean(); got != 2 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if s.Min() != 1 || s.Max() != 3 {
+	if s.Quantile(0) != 1 || s.Max() != 3 {
 		t.Fatal("Min/Max wrong")
 	}
 }
@@ -198,8 +192,8 @@ func TestSampleSortedIsIndependentCopy(t *testing.T) {
 	}
 	// Mutating the copy must not leak into the Sample...
 	sorted[0] = 99
-	if s.Min() != 1 {
-		t.Fatalf("Min = %v after mutating Sorted copy, want 1", s.Min())
+	if s.Quantile(0) != 1 {
+		t.Fatalf("Min = %v after mutating Sorted copy, want 1", s.Quantile(0))
 	}
 	// ...and later Adds must not disturb the copy (unlike Values, whose
 	// returned slice aliases internal storage).

@@ -491,9 +491,6 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 // Geometry returns the chip geometry.
 func (c *Chip) Geometry() Geometry { return c.geo }
 
-// Timing returns the command latencies.
-func (c *Chip) Timing() Timing { return c.timing }
-
 // FaultCounts returns what the attached fault injector did so far (the
 // zero value when no injector is attached).
 func (c *Chip) FaultCounts() fault.Counts {

@@ -494,7 +494,10 @@ func (c *Chip) IsBlockLocked(blockIdx int, now sim.Micros) (bool, error) {
 	return c.blockLockedAt(&c.blocks[blockIdx], c.nowDays(now)), nil
 }
 
-// PECycles returns the block's program/erase count.
+// PECycles returns the block's program/erase count, which the golden
+// device-state hashes cover.
+//
+//repro:testseam
 func (c *Chip) PECycles(blockIdx int) int {
 	return c.blocks[blockIdx].peCycles
 }

@@ -228,8 +228,8 @@ func TestStampLifecycle(t *testing.T) {
 		t.Fatalf("probe meta %+v", pr.Meta)
 	}
 	mustScrub(t, c, a)
-	if pr, _ = c.ProbePage(a, 0); pr.Meta.Valid {
-		t.Fatal("scrub left the stamp behind")
+	if pr, err = c.ProbePage(a, 0); err != nil || pr.Meta.Valid {
+		t.Fatalf("scrub left the stamp behind (probe error %v)", err)
 	}
 	mustErase(t, c, 0)
 	if _, err := c.Program(a, pattern(4096, 3), 0, OOBMeta{LPA: 6, Seq: 9}); err != nil {
@@ -237,8 +237,8 @@ func TestStampLifecycle(t *testing.T) {
 	}
 	mustErase(t, c, 0)
 	mustProgram(t, c, a, pattern(4096, 4))
-	if pr, _ = c.ProbePage(a, 0); pr.Meta.Valid {
-		t.Fatal("erase left a stale stamp on the reprogrammed page")
+	if pr, err = c.ProbePage(a, 0); err != nil || pr.Meta.Valid {
+		t.Fatalf("erase left a stale stamp on the reprogrammed page (probe error %v)", err)
 	}
 }
 
@@ -277,7 +277,11 @@ func TestProgramCommandsStampOnlyOnSuccess(t *testing.T) {
 	}
 
 	cut, _ := cutChip(t, fault.CutSpec{AfterOps: 1, Op: fault.CutProgram})
-	if pl := catchLoss(func() { _, _ = cut.Program(src, []byte{1}, 0, m) }); pl == nil || meta(cut, src).Valid {
+	if pl := catchLoss(func() {
+		if _, err := cut.Program(src, []byte{1}, 0, m); err != nil {
+			t.Errorf("cut Program: %v", err)
+		}
+	}); pl == nil || meta(cut, src).Valid {
 		t.Fatalf("cut Program: loss %v, stamp %+v", pl, meta(cut, src))
 	}
 

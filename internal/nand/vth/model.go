@@ -34,7 +34,9 @@ func (d Dist) ProbBetween(a, b float64) float64 {
 	return d.CDF(b) - d.CDF(a)
 }
 
-// Sample draws one Vth value.
+// Sample draws one Vth value, as the ECC margin test does per cell.
+//
+//repro:testseam
 func (d Dist) Sample(rng *rand.Rand) float64 {
 	if d.TailProb > 0 && rng.Float64() < d.TailProb {
 		ts := d.TailSigma

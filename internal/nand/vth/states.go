@@ -77,23 +77,6 @@ func (p PageKind) String() string {
 	}
 }
 
-// PagesPerWL returns the page kinds stored on one wordline of the given
-// cell kind, ordered by program order (LSB first).
-func PagesPerWL(k CellKind) []PageKind {
-	switch k {
-	case SLC:
-		return []PageKind{LSB}
-	case MLC:
-		return []PageKind{LSB, MSB}
-	case TLC:
-		return []PageKind{LSB, CSB, MSB}
-	case QLC:
-		return []PageKind{LSB, CSB, MSB, XSB}
-	default:
-		panic(fmt.Sprintf("vth: unknown cell kind %d", k))
-	}
-}
-
 // grayTLC is the per-state bit assignment from the paper's Fig. 2(b),
 // listed (MSB, CSB, LSB) for states E, P1..P7:
 // 111, 110, 100, 000, 010, 011, 001, 101.

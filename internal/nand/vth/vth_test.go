@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// pageKinds are the page kinds one wordline stores, in program order.
+var pageKinds = map[CellKind][]PageKind{
+	SLC: {LSB}, MLC: {LSB, MSB}, TLC: {LSB, CSB, MSB}, QLC: {LSB, CSB, MSB, XSB},
+}
+
 func TestCellKindBasics(t *testing.T) {
 	cases := []struct {
 		k      CellKind
@@ -23,9 +28,6 @@ func TestCellKindBasics(t *testing.T) {
 		if c.k.Bits() != c.bits || c.k.States() != c.states || c.k.String() != c.name {
 			t.Errorf("%v: Bits=%d States=%d String=%q", c.k, c.k.Bits(), c.k.States(), c.k.String())
 		}
-		if len(PagesPerWL(c.k)) != c.bits {
-			t.Errorf("%v: PagesPerWL has %d pages, want %d", c.k, len(PagesPerWL(c.k)), c.bits)
-		}
 	}
 }
 
@@ -33,7 +35,7 @@ func TestCellKindBasics(t *testing.T) {
 // single-reference misread corrupts only one page.
 func TestGrayCodeAdjacency(t *testing.T) {
 	for _, k := range []CellKind{MLC, TLC, QLC} {
-		pages := PagesPerWL(k)
+		pages := pageKinds[k]
 		for s := 0; s < k.States()-1; s++ {
 			diff := 0
 			for _, p := range pages {
@@ -55,7 +57,7 @@ func TestGrayCodeComplete(t *testing.T) {
 		seen := map[int]int{} // bit combination -> state
 		for s := 0; s < k.States(); s++ {
 			combo := 0
-			for i, p := range PagesPerWL(k) {
+			for i, p := range pageKinds[k] {
 				combo |= int(BitOf(k, s, p)) << i
 			}
 			if prev, dup := seen[combo]; dup {
@@ -68,7 +70,7 @@ func TestGrayCodeComplete(t *testing.T) {
 
 func TestErasedStateIsAllOnes(t *testing.T) {
 	for _, k := range []CellKind{SLC, MLC, TLC, QLC} {
-		for _, p := range PagesPerWL(k) {
+		for _, p := range pageKinds[k] {
 			if BitOf(k, 0, p) != 1 {
 				t.Errorf("%v: erased state must read 1 on %v page", k, p)
 			}
@@ -150,7 +152,7 @@ func TestDistSampleMatchesCDF(t *testing.T) {
 
 func TestFreshPagesWellBelowECCLimit(t *testing.T) {
 	for _, m := range []*Model{NewTLC(), NewMLC()} {
-		for _, pk := range PagesPerWL(m.Kind) {
+		for _, pk := range pageKinds[m.Kind] {
 			if r := m.NormalizedPageRBER(pk, Condition{}); r >= 0.5 {
 				t.Errorf("%v %v fresh normalized RBER %v, want < 0.5", m.Kind, pk, r)
 			}
@@ -428,7 +430,7 @@ func TestPageRBERValidProperty(t *testing.T) {
 			RetentionDays: float64(days % 2000),
 			WLVariation:   float64(wlv) / 64.0,
 		}
-		for _, pk := range PagesPerWL(m.Kind) {
+		for _, pk := range pageKinds[m.Kind] {
 			r := m.PageRBER(pk, c)
 			if r < 0 || r > 1 || math.IsNaN(r) {
 				return false

@@ -263,7 +263,8 @@ func TestRelativeCostOrdering(t *testing.T) {
 	wafOf := func(mk func() ftl.Policy) (float64, uint64) {
 		r := newRig(t, mk())
 		workload(r)
-		return r.f.Stats().WAF(), r.tgt.Erases
+		st := r.f.Stats()
+		return float64(st.FlashPrograms) / float64(st.HostWrittenPages), r.tgt.Erases
 	}
 	wafBase, erBase := wafOf(sanitize.Baseline)
 	wafSec, erSec := wafOf(sanitize.SecSSD)

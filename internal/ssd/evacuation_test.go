@@ -144,7 +144,11 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 				var torn []ftl.PPA
 				for p := ftl.PPA(0); int(p) < s.Geometry().TotalPages(); p++ {
 					chip, a := s.addr(p)
-					if pr, _ := s.Chips()[chip].ProbePage(a, 0); pr.Programmed && !pr.Meta.Valid {
+					pr, err := s.Chips()[chip].ProbePage(a, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pr.Programmed && !pr.Meta.Valid {
 						torn = append(torn, p)
 					}
 				}

@@ -36,9 +36,6 @@ func (s *SSD) ArmPowerCut(spec fault.CutSpec) error {
 	return nil
 }
 
-// Dead reports whether the device lost power and awaits Remount.
-func (s *SSD) Dead() bool { return s.dead }
-
 // CapturePowerLoss runs fn, converting a nand.PowerLoss panic — an armed
 // cut firing mid-operation — into a returned value and marking the
 // device dead (Submit returns ErrPowerLost until Remount). Any other

@@ -273,7 +273,10 @@ func (s *SSD) ftlConfig() ftl.Config {
 	}
 }
 
-// FTL exposes the underlying translation layer (stats, mappings).
+// FTL exposes the underlying translation layer (stats, mappings) to
+// tests of other packages.
+//
+//repro:testseam
 func (s *SSD) FTL() *ftl.FTL { return s.ftl }
 
 // Chips exposes the raw chips — the attacker's entry point in the threat
@@ -812,8 +815,10 @@ func deltaStats(a, b ftl.Stats) ftl.Stats {
 }
 
 // FaultCounts aggregates the per-chip injector counters: what the fault
-// layer actually did over the whole run (the campaign artifact and the
-// golden determinism tests read this).
+// layer actually did over the whole run, which the fault campaign tests
+// check against what the FTL handled.
+//
+//repro:testseam
 func (s *SSD) FaultCounts() fault.Counts {
 	var c fault.Counts
 	for _, chip := range s.chips {

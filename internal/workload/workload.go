@@ -180,9 +180,6 @@ func NewGeneratorFrom(old *Generator, prof Profile, fs *filesys.FS, pageBytes in
 	}
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // writePages draws a write size in pages.
 func (g *Generator) writePages() int {
 	bytes := g.prof.MinWrite

@@ -250,7 +250,7 @@ func TestFaultCampaign(t *testing.T) {
 	}
 
 	if path := os.Getenv("SECSSD_FAULT_ARTIFACT"); path != "" {
-		rep := dev.Report()
+		rep := dev.SSD().Report()
 		blob, err := json.MarshalIndent(faultArtifact{
 			FaultRate:   rate,
 			FaultSeed:   seed,
