@@ -97,11 +97,14 @@ func TestTracedExportsGolden(t *testing.T) {
 
 // TestDeviceArtifactsGolden pins the artifacts whose devices no other
 // golden checks: Table 1 (the §3 study device) at small and default scale,
-// the default attack matrix (the compact core device), and the Mobile ×
-// secSSD ladder behind -fig ablation and -fig tinsec at small scale. The
-// Table 1 and attack SHA-256s are what commit 2fa281d wrote for the same
-// commands; the ablation and tinsec ones were recorded while each figure
-// still ran the ladder on its own.
+// the default attack matrix (the compact core device), the Mobile ×
+// secSSD ladder behind -fig ablation and -fig tinsec at small scale, and
+// the chip-characterization figures (6, 9 to 12, overhead, temp), which
+// read the lock operating points, k, the latencies and the ECC limit
+// straight from the chip model. The Table 1 and attack SHA-256s are what
+// commit 2fa281d wrote for the same commands; the ablation and tinsec
+// ones were recorded while each figure still ran the ladder on its own;
+// the chip figures' are what commit 3acd6dd wrote.
 func TestDeviceArtifactsGolden(t *testing.T) {
 	bin := buildReproduce(t)
 	dir := t.TempDir()
@@ -122,6 +125,20 @@ func TestDeviceArtifactsGolden(t *testing.T) {
 			"23ec19699b9404ec3d62001181928fd178e4e4c8c425563dcd7f5147247312fe"},
 		{"tinsec/small", []string{"-fig", "tinsec", "-scale", "small", "-format", "csv", "-out", "-"}, "",
 			"6028f75f0b334a77dd19140132c554bfe1e7215442a6e3ee07ee5278e3f32b33"},
+		{"fig6/small", []string{"-fig", "6", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"630450ce245dbb27126888eb72b3bda5fa3cd8e0acf4ae6b59cda1b6817a1064"},
+		{"fig9/small", []string{"-fig", "9", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"494ddef07898f94354c95c7b19dc8dbee081af00d643f950dfe81f25ca5db4b2"},
+		{"fig10/small", []string{"-fig", "10", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"d404f69c84727c4e635ad25da15c17547599f0969bb8d7a2d41f34f0c577e1f8"},
+		{"fig11/small", []string{"-fig", "11", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"a6ea70ca9d124091b5d0e48e7d0d595af87101268e582ec3990b8d64e8ce9647"},
+		{"fig12/small", []string{"-fig", "12", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"649928af82429899b7654b34977915ffb78c260f2e446505868c83c74ea85b8d"},
+		{"overhead/small", []string{"-fig", "overhead", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"475e2c21828cf1d640dd42da0808ddd0c2b97744a7b106ee19d4aa9bf5932ed1"},
+		{"temp/small", []string{"-fig", "temp", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"d8a229fb8912cd797cc7587fc6092c42d8d397b9d569bd86c74c3bccc7c83d9e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)
