@@ -9,6 +9,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/chipchar"
 	"repro/internal/experiment"
+	"repro/internal/nand/vth"
 	"repro/internal/sanitize"
 	"repro/internal/vertrace"
 	"repro/internal/workload"
@@ -201,7 +202,7 @@ func figure6(e *env) (Table, error) {
 func figure9(e *env) (Table, error) {
 	r := chipchar.Figure9(e.chip)
 	t := newTable("Figure 9 — pLock design space: data-cell disturb (b), flag-program success (c), "+
-		"expected failed cells of k=9 over retention days (d)",
+		fmt.Sprintf("expected failed cells of k=%d over retention days (d)", vth.FlagCells),
 		fmt.Sprintf("chosen operating point: (%.1f V, %.0f µs) (paper: (Vp4, 100 µs))", r.Chosen.V, r.Chosen.T),
 		"combination", "disturb ratio", "flag success", "region")
 	for _, d := range r.RetentionDays {
@@ -263,7 +264,7 @@ func figure12(e *env) (Table, error) {
 }
 
 func overhead(*env) (Table, error) {
-	o := chipchar.ComputeOverhead(9)
+	o := chipchar.ComputeOverhead()
 	t := newTable("§5.5 — implementation overhead", "", "quantity", "ours", "paper")
 	t.add("pAP flag cells per wordline", strconv.Itoa(o.FlagCellsPerWL), "k = 9 per page")
 	t.add("share of the spare area", pct(o.SpareFraction, 2), "negligible")

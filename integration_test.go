@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/coretest"
-	"repro/internal/ecc"
 	"repro/internal/experiment"
 	"repro/internal/ftl"
 	"repro/internal/nand/vth"
@@ -125,7 +124,7 @@ func TestAllPoliciesSurviveAllWorkloads(t *testing.T) {
 // of a BCH(255, t=12)-class code. Every word of a fresh wordline must be
 // readable; a heavily worn and retention-aged one must exceed the limit.
 func TestECCDatapathOverCellModel(t *testing.T) {
-	code := ecc.Threshold{Limit: 12, Bits: 255}
+	const limit, bits = 12, 255 // correctable bits per codeword, codeword length
 	model := vth.NewTLC()
 	rng := rand.New(rand.NewSource(31))
 
@@ -137,7 +136,7 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 		worst := 0
 		for w := 0; w < 5; w++ {
 			errs := 0
-			for i := 0; i < code.Bits; i++ {
+			for i := 0; i < bits; i++ {
 				state := rng.Intn(vth.TLC.States())
 				v, got := model.StateDist(state, cond).Sample(rng), 0
 				for got < len(model.Refs) && v > model.Refs[got] {
@@ -153,15 +152,15 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 	}
 
 	fresh := worstWord(vth.Condition{})
-	if fresh > code.Limit {
-		t.Fatalf("fresh wordline unreadable: %d raw bit errors in one word, limit %d", fresh, code.Limit)
+	if fresh > limit {
+		t.Fatalf("fresh wordline unreadable: %d raw bit errors in one word, limit %d", fresh, limit)
 	}
 	t.Logf("fresh wordline: at most %d raw bit errors per word", fresh)
 
 	// Abused chip (5x rated endurance + a decade of retention on a bad
 	// wordline): the error rate must overwhelm t=12 per 255 bits.
 	abused := worstWord(vth.Condition{PECycles: 5000, RetentionDays: 3650, WLVariation: 1.5})
-	if abused <= code.Limit {
+	if abused <= limit {
 		t.Fatalf("abused wordline still readable (%d raw bit errors per word at most); the wear model is too gentle", abused)
 	}
 }

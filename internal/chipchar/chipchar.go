@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"repro/internal/metrics"
+	"repro/internal/nand"
 	"repro/internal/nand/vth"
 	"repro/internal/parallel"
 )
@@ -185,10 +186,10 @@ type Fig9Combo struct {
 	DisturbRatio float64
 	// FlagSuccess is the single-cell programming success rate (Fig. 9(c)).
 	FlagSuccess float64
-	// RetErrors1y/5y are the expected failed cells out of k=9 after
+	// RetErrors1y/5y are the expected failed cells out of k after
 	// retention at 1K P/E (Fig. 9(d)).
 	RetErrors1y, RetErrors5y float64
-	// MajorityFail5y is the probability the 9-cell majority flips within
+	// MajorityFail5y is the probability the k-cell majority flips within
 	// 5 years.
 	MajorityFail5y float64
 	Region         Region
@@ -199,7 +200,7 @@ type Fig9Result struct {
 	Combos []Fig9Combo
 	// Chosen is the paper's final operating point: among candidates that
 	// hold the majority for 5 years, the one with the shortest latency
-	// (ties broken by lower voltage) — combination (ii) = (Vp4, 100µs).
+	// (ties broken by lower voltage) — combination (ii), vth.PLockPoint.
 	Chosen Fig9Combo
 	// RetentionDays/RetentionErrs give the Fig. 9(d) curves for every
 	// candidate: errors vs. days.
@@ -214,9 +215,6 @@ const Fig9DisturbThreshold = 1.09
 // Fig9SuccessThreshold is the flag-programming success below which a
 // combination lands in Region II.
 const Fig9SuccessThreshold = 0.999
-
-// Fig9FlagCells is the paper's final redundancy (k = 9).
-const Fig9FlagCells = 9
 
 // Figure9 runs the pLock design-space exploration.
 func Figure9(cfg Config) Fig9Result {
@@ -237,9 +235,9 @@ func Figure9(cfg Config) Fig9Result {
 			})
 			c.DisturbRatio = disturbed / base
 			c.FlagSuccess = fm.ProgramSuccessProb(v, t)
-			c.RetErrors1y = fm.ExpectedRetentionErrors(Fig9FlagCells, v, t, 365, 1000)
-			c.RetErrors5y = fm.ExpectedRetentionErrors(Fig9FlagCells, v, t, 5*365, 1000)
-			c.MajorityFail5y = fm.MajorityFailureProb(Fig9FlagCells, v, t, 5*365, 1000)
+			c.RetErrors1y = fm.ExpectedRetentionErrors(vth.FlagCells, v, t, 365, 1000)
+			c.RetErrors5y = fm.ExpectedRetentionErrors(vth.FlagCells, v, t, 5*365, 1000)
+			c.MajorityFail5y = fm.MajorityFailureProb(vth.FlagCells, v, t, 5*365, 1000)
 			switch {
 			case c.DisturbRatio > Fig9DisturbThreshold:
 				c.Region = RegionI
@@ -250,7 +248,7 @@ func Figure9(cfg Config) Fig9Result {
 				key := comboKey(v, t)
 				curve := make([]float64, len(days))
 				for i, d := range days {
-					curve[i] = fm.ExpectedRetentionErrors(Fig9FlagCells, v, t, d, 1000)
+					curve[i] = fm.ExpectedRetentionErrors(vth.FlagCells, v, t, d, 1000)
 				}
 				res.RetentionErrs[key] = curve
 			}
@@ -274,7 +272,7 @@ func chooseFig9(combos []Fig9Combo) Fig9Combo {
 		}
 		// Reliability requirement: under half the cells may fail in
 		// expectation over 5 years, with a vanishing majority-flip chance.
-		if c.RetErrors5y > float64(Fig9FlagCells)/2-1.5 || c.MajorityFail5y > 1e-3 {
+		if c.RetErrors5y > float64(vth.FlagCells)/2-1.5 || c.MajorityFail5y > 1e-3 {
 			continue
 		}
 		if !found || c.T < best.T || (c.T == best.T && c.V < best.V) {
@@ -389,7 +387,7 @@ type Fig12Combo struct {
 type Fig12Result struct {
 	Combos []Fig12Combo
 	// Chosen is the reliable candidate with the shortest tbLock —
-	// combination (ii) = (Vb6, 300µs).
+	// combination (ii), vth.BLockPoint.
 	Chosen Fig12Combo
 	// Curves give center Vth vs. days for each candidate (Fig. 12(b)).
 	RetentionDays []float64
@@ -441,14 +439,14 @@ func Figure12(cfg Config) Fig12Result {
 // Evanesco to a flash chip.
 type Overhead struct {
 	// FlagCellsPerWL is the spare cells consumed per wordline
-	// (k cells × pages-per-WL; 27 for TLC with k = 9).
+	// (k cells × pages-per-WL).
 	FlagCellsPerWL int
 	// SpareBitsPerWL is the spare capacity of a wordline in cells (the
 	// paper: up to 1 KiB of spare per 16-KiB page).
 	SpareBitsPerWL int
 	// SpareFraction is the share of the spare area the flags take.
 	SpareFraction float64
-	// MajorityTransistors approximates the 9-bit majority circuit
+	// MajorityTransistors approximates the k-bit majority circuit
 	// (~200 transistors per chip).
 	MajorityTransistors int
 	// BridgeTransistors is one per data-out pin (8 for a ×8 chip).
@@ -459,20 +457,17 @@ type Overhead struct {
 	TbLockOverTbers float64
 }
 
-// ComputeOverhead evaluates §5.5 for a TLC chip with k flag cells per pAP
-// flag and the final pLock/bLock operating points.
-func ComputeOverhead(k int) Overhead {
+// ComputeOverhead evaluates §5.5 for the TLC chip: k flag cells per pAP
+// flag and the latencies of the final pLock/bLock operating points.
+func ComputeOverhead() Overhead {
 	const (
-		pagesPerWL             = 3
 		spareBytes             = 1024 // spare area per 16-KiB page
-		tPROG                  = 700.0
-		tBERS                  = 3500.0
-		transistorsPerMajority = 200 // Gajda & Sekanina [56]
+		transistorsPerMajority = 200  // Gajda & Sekanina [56]
 		dataOutPins            = 8
 	)
-	fr9 := Figure9(Config{WLs: 1, Seed: 1})
-	fr12 := Figure12(Config{WLs: 1, Seed: 1})
-	flagCells := k * pagesPerWL
+	t := nand.DefaultTiming()
+	pagesPerWL := vth.TLC.Bits()
+	flagCells := vth.FlagCells * pagesPerWL
 	spareCells := spareBytes * 8 * pagesPerWL // spare area spans the WL's pages
 	return Overhead{
 		FlagCellsPerWL:      flagCells,
@@ -480,8 +475,8 @@ func ComputeOverhead(k int) Overhead {
 		SpareFraction:       float64(flagCells) / float64(spareCells),
 		MajorityTransistors: transistorsPerMajority,
 		BridgeTransistors:   dataOutPins,
-		TpLockOverTprog:     fr9.Chosen.T / tPROG,
-		TbLockOverTbers:     fr12.Chosen.T / tBERS,
+		TpLockOverTprog:     float64(t.PLock) / float64(t.Prog),
+		TbLockOverTbers:     float64(t.BLock) / float64(t.Erase),
 	}
 }
 
@@ -493,7 +488,7 @@ func ComputeOverhead(k int) Overhead {
 // at one storage temperature.
 type TempDurabilityPoint struct {
 	TempC float64
-	// PAPMajorityFail5y is the 9-cell majority flip probability after 5
+	// PAPMajorityFail5y is the k-cell majority flip probability after 5
 	// years at this temperature.
 	PAPMajorityFail5y float64
 	// SSLCenter5y is the bAP (SSL) center Vth after 5 years; the block
@@ -514,14 +509,13 @@ func LockDurabilityVsTemperature(temps []float64) []TempDurabilityPoint {
 	fm := vth.DefaultFlagModel()
 	sm := vth.DefaultSSLModel()
 	const fiveYears = 5 * 365
-	vp, tp := vth.PLockVoltages[3], 100.0 // chosen pLock point
-	vb, tb := vth.BLockVoltages[5], 300.0 // chosen bLock point
+	pl, bl := vth.PLockPoint, vth.BLockPoint
 	out := make([]TempDurabilityPoint, 0, len(temps))
 	for _, tc := range temps {
-		center := sm.CenterAfterAtTemp(vb, tb, fiveYears, tc)
+		center := sm.CenterAfterAtTemp(bl.V, bl.T, fiveYears, tc)
 		out = append(out, TempDurabilityPoint{
 			TempC:             tc,
-			PAPMajorityFail5y: fm.MajorityFailureProbAtTemp(9, vp, tp, fiveYears, 1000, tc),
+			PAPMajorityFail5y: fm.MajorityFailureProbAtTemp(vth.FlagCells, pl.V, pl.T, fiveYears, 1000, tc),
 			SSLCenter5y:       center,
 			SSLHolds:          center >= sm.DisableThreshold,
 		})

@@ -92,6 +92,9 @@ func TestFigure9DesignSpace(t *testing.T) {
 	if r.Chosen.V != vth.PLockVoltages[3] || r.Chosen.T != 100 {
 		t.Errorf("chosen (%.1fV, %.0fµs), paper selects (Vp4, 100µs)", r.Chosen.V, r.Chosen.T)
 	}
+	if got := (vth.OperatingPoint{V: r.Chosen.V, T: r.Chosen.T}); got != vth.PLockPoint {
+		t.Errorf("chosen %+v, the chip locks pages at vth.PLockPoint %+v", got, vth.PLockPoint)
+	}
 	// Rejected candidate (vi) = (Vp2, 200µs): ~5 retention errors at 5y.
 	for _, c := range r.Combos {
 		if c.V == vth.PLockVoltages[1] && c.T == 200 {
@@ -195,6 +198,9 @@ func TestFigure12DesignSpace(t *testing.T) {
 	if r.Chosen.V != vth.BLockVoltages[5] || r.Chosen.T != 300 {
 		t.Errorf("chosen (%.0fV, %.0fµs), paper selects (Vb6, 300µs)", r.Chosen.V, r.Chosen.T)
 	}
+	if got := (vth.OperatingPoint{V: r.Chosen.V, T: r.Chosen.T}); got != vth.BLockPoint {
+		t.Errorf("chosen %+v, the chip locks blocks at vth.BLockPoint %+v", got, vth.BLockPoint)
+	}
 	// (i) = (Vb6,400µs) keeps the center above 4V for 5 years.
 	for _, c := range r.Combos {
 		if c.V == vth.BLockVoltages[5] && c.T == 400 && c.Center5y < 4 {
@@ -231,7 +237,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 // §5.5: the paper's overhead claims.
 func TestComputeOverhead(t *testing.T) {
-	o := ComputeOverhead(9)
+	o := ComputeOverhead()
 	if o.FlagCellsPerWL != 27 {
 		t.Errorf("flag cells per WL = %d, paper uses 27", o.FlagCellsPerWL)
 	}

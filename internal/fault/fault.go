@@ -18,7 +18,7 @@ package fault
 import (
 	"math"
 
-	"repro/internal/ecc"
+	"repro/internal/nand/vth"
 )
 
 // Config sets the per-operation failure probabilities and the read
@@ -31,8 +31,8 @@ type Config struct {
 	PLockFail   float64
 	BLockFail   float64
 	// ReadBER is the injected raw bit-error rate on reads. Drawn error
-	// counts are judged against ECC: at most the engine's correction
-	// limit is repaired, beyond it the read is uncorrectable.
+	// counts are judged against the ECC limit (vth.ECCLimitRBER): up to
+	// it they are repaired, beyond it the read is uncorrectable.
 	ReadBER float64
 	// WearWeight and WearExponent shape the per-block wear curve: every
 	// probability above is multiplied by
@@ -54,11 +54,6 @@ func (c Config) Enabled() bool {
 		c.BLockFail > 0 || c.ReadBER > 0
 }
 
-// DefaultECC is the read-path correctability model: a 72-bit /
-// 1-KiB-codeword threshold, the class of BCH strength the paper's chip
-// experiments normalize against.
-func DefaultECC() ecc.Threshold { return ecc.NewThreshold(72, 8*1024) }
-
 // Uniform returns the one-knob configuration behind the -fault-rate CLI
 // flag: every lock/program/erase operation fails with probability rate,
 // reads run at a raw BER of rate × the ECC limit, and wear triples the
@@ -72,7 +67,7 @@ func Uniform(rate float64, seed int64) Config {
 		EraseFail:    rate,
 		PLockFail:    rate,
 		BLockFail:    rate,
-		ReadBER:      rate * DefaultECC().LimitRBER(),
+		ReadBER:      rate * vth.ECCLimitRBER,
 		WearWeight:   3,
 		WearExponent: 2,
 		Seed:         seed,
@@ -111,7 +106,6 @@ const maxFailProb = 0.95
 // which the device model drives from one goroutine at a time.
 type Injector struct {
 	cfg    Config
-	eng    ecc.Threshold
 	state  uint64
 	counts Counts
 }
@@ -121,7 +115,6 @@ type Injector struct {
 func New(cfg Config, stream uint64) *Injector {
 	return &Injector{
 		cfg: cfg,
-		eng: DefaultECC(),
 		// Two finalizer passes separate seed and stream contributions so
 		// adjacent seeds or streams do not produce correlated schedules.
 		state: mix64(uint64(cfg.Seed)) ^ mix64(stream+0x9E3779B97F4A7C15),
@@ -215,7 +208,7 @@ func (in *Injector) FailBLock(peCycles, endurance int) bool {
 }
 
 // ReadErrors draws the injected raw bit-error count for a read of bits
-// data bits and judges it against the ECC threshold: (n, false) means n
+// data bits and judges it against the ECC limit: (n, false) means n
 // errors were corrected in flight, (n, true) means the read is
 // uncorrectable and the caller should corrupt the transferred data.
 func (in *Injector) ReadErrors(bits, peCycles, endurance int) (nerr int, uncorrectable bool) {
@@ -229,7 +222,7 @@ func (in *Injector) ReadErrors(bits, peCycles, endurance int) (nerr int, uncorre
 	}
 	in.counts.ReadErrorPages++
 	in.counts.ReadBitErrors += uint64(nerr)
-	limit := int(in.eng.LimitRBER() * float64(bits))
+	limit := int(vth.ECCLimitRBER * float64(bits))
 	if nerr > limit {
 		in.counts.ReadUncorrectable++
 		return nerr, true

@@ -3,6 +3,8 @@ package fault
 import (
 	"math"
 	"testing"
+
+	"repro/internal/nand/vth"
 )
 
 // TestDeterministicSchedule is the golden contract: same config, same
@@ -128,9 +130,9 @@ func TestReadErrorsECCJudgment(t *testing.T) {
 	}
 
 	bits := 8 * 4096
-	limit := int(DefaultECC().LimitRBER() * float64(bits))
-	low := New(Config{ReadBER: 0.1 * DefaultECC().LimitRBER(), Seed: 2}, 0)
-	high := New(Config{ReadBER: 10 * DefaultECC().LimitRBER(), Seed: 2}, 0)
+	limit := int(vth.ECCLimitRBER * float64(bits))
+	low := New(Config{ReadBER: 0.1 * vth.ECCLimitRBER, Seed: 2}, 0)
+	high := New(Config{ReadBER: 10 * vth.ECCLimitRBER, Seed: 2}, 0)
 	var sawCorrected, sawUncorrectable bool
 	for i := 0; i < 200; i++ {
 		if n, unc := low.ReadErrors(bits, 0, 1000); n > 0 && !unc {
@@ -199,7 +201,7 @@ func TestUniformConfig(t *testing.T) {
 			t.Fatalf("op probability %v, want 0.01", p)
 		}
 	}
-	want := 0.01 * DefaultECC().LimitRBER()
+	want := 0.01 * vth.ECCLimitRBER
 	if math.Abs(c.ReadBER-want) > 1e-15 {
 		t.Fatalf("ReadBER %v, want %v", c.ReadBER, want)
 	}

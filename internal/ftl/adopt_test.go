@@ -35,7 +35,6 @@ func adoptConfig(geo ftl.Geometry, logicalShare float64, lb ftl.LockBatchConfig)
 		Geometry:        geo,
 		LogicalPages:    int(float64(geo.TotalPages()) * logicalShare),
 		GCFreeBlocksLow: 2,
-		Timing:          ftl.LockTiming{PLock: 100, BLock: 300},
 		LockBatch:       lb,
 	}
 }

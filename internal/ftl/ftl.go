@@ -236,8 +236,6 @@ type Config struct {
 	// GCFreeBlocksLow triggers GC on a chip when its reusable blocks
 	// (free + pending erase) drop below this threshold.
 	GCFreeBlocksLow int
-	// Timing is used by the lock manager's pLock-vs-bLock decision rule.
-	Timing LockTiming
 	// LockBatch tunes the wordline-aware pLock batching of the lock
 	// manager.
 	LockBatch LockBatchConfig
@@ -246,12 +244,6 @@ type Config struct {
 	// page-status / free-block gauges. Nil disables tracing at the cost
 	// of one predictable branch per site.
 	Tracer trace.Collector
-}
-
-// LockTiming carries the two latencies the §6 decision rule compares.
-type LockTiming struct {
-	PLock sim.Micros
-	BLock sim.Micros
 }
 
 // LockBatchConfig tunes wordline-aware pLock batching. The lock manager

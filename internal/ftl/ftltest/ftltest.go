@@ -14,8 +14,7 @@ import (
 // CountingTarget implements ftl.Target with per-op counters and a trivial
 // per-chip serial timing model.
 type CountingTarget struct {
-	Geo    ftl.Geometry
-	Timing nand.Timing
+	Geo ftl.Geometry
 
 	Reads, Programs, Erases uint64
 	PLocks, BLocks, Scrubs  uint64
@@ -45,6 +44,9 @@ type CountingTarget struct {
 	chipBusy []sim.Timeline
 }
 
+// timing is the chips' datasheet latencies, charged serially per chip.
+var timing = nand.DefaultTiming()
+
 // New creates a counting target for the geometry.
 func New(geo ftl.Geometry) *CountingTarget {
 	geo, err := geo.Resolved()
@@ -53,7 +55,6 @@ func New(geo ftl.Geometry) *CountingTarget {
 	}
 	return &CountingTarget{
 		Geo:      geo,
-		Timing:   nand.DefaultTiming(),
 		chipBusy: make([]sim.Timeline, geo.Chips),
 	}
 }
@@ -98,7 +99,7 @@ func (t *CountingTarget) read(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 			data = d
 		}
 	}
-	return data, t.exec(chip, t.Timing.Read, dep)
+	return data, t.exec(chip, timing.Read, dep)
 }
 
 // failProgram is the scripted outcome of a program of p.
@@ -131,7 +132,7 @@ func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Mic
 			panic("ftltest: FTL violated flash discipline: " + cerr.Error())
 		}
 	}
-	return t.exec(chip, t.Timing.Prog, dep), err
+	return t.exec(chip, timing.Prog, dep), err
 }
 
 // Copyback implements ftl.Target through the mirrored chip's own
@@ -146,14 +147,14 @@ func (t *CountingTarget) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) 
 			panic("ftltest: copyback: " + cerr.Error())
 		}
 	}
-	return t.exec(chip, t.Timing.Read+t.Timing.Prog, dep), err
+	return t.exec(chip, timing.Read+timing.Prog, dep), err
 }
 
 // Erase implements ftl.Target.
 func (t *CountingTarget) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 	t.Erases++
 	chip := t.Geo.ChipOfBlock(block)
-	done := t.exec(chip, t.Timing.Erase, dep)
+	done := t.exec(chip, timing.Erase, dep)
 	if t.FailErase != nil {
 		if err := t.FailErase(block); err != nil {
 			// A failed erase leaves the mirrored chip untouched.
@@ -172,7 +173,7 @@ func (t *CountingTarget) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 func (t *CountingTarget) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	t.PLocks++
 	chip, a := t.addr(p)
-	done := t.exec(chip, t.Timing.PLock, dep)
+	done := t.exec(chip, timing.PLock, dep)
 	if t.FailPLock != nil {
 		if err := t.FailPLock(p); err != nil {
 			// A failed flag program leaves the mirrored chip unlocked.
@@ -191,7 +192,7 @@ func (t *CountingTarget) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 func (t *CountingTarget) BLock(block int, dep sim.Micros) (sim.Micros, error) {
 	t.BLocks++
 	chip := t.Geo.ChipOfBlock(block)
-	done := t.exec(chip, t.Timing.BLock, dep)
+	done := t.exec(chip, timing.BLock, dep)
 	if t.FailBLock != nil {
 		if err := t.FailBLock(block); err != nil {
 			return done, err
@@ -214,7 +215,7 @@ func (t *CountingTarget) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 			panic("ftltest: " + err.Error())
 		}
 	}
-	return t.exec(chip, t.Timing.Scrub, dep)
+	return t.exec(chip, timing.Scrub, dep)
 }
 
 // PLockWL implements ftl.Target: one shared tpLock pulse for every
@@ -223,7 +224,7 @@ func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros)
 	t.PLockWLs++
 	t.WLPagesLocked += uint64(len(pages))
 	chip := t.Geo.ChipOfBlock(block)
-	done := t.exec(chip, t.Timing.PLock, dep)
+	done := t.exec(chip, timing.PLock, dep)
 	if t.FailPLockWL != nil {
 		if err := t.FailPLockWL(block, wl); err != nil {
 			return done, err
@@ -266,7 +267,7 @@ func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Met
 			m.Seq++
 		}
 	}
-	return t.exec(chip, t.Timing.Prog, dep), errs
+	return t.exec(chip, timing.Prog, dep), errs
 }
 
 // ReadGroup implements ftl.Target: one shared tREAD for the group
@@ -284,7 +285,7 @@ func (t *CountingTarget) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 			}
 		}
 	}
-	return t.exec(t.Geo.ChipOf(pages[0]), t.Timing.Read, dep)
+	return t.exec(t.Geo.ChipOf(pages[0]), timing.Read, dep)
 }
 
 // BuildChips constructs real nand.Chip models matching the geometry: the
@@ -336,6 +337,5 @@ func SmallConfig() ftl.Config {
 		Geometry:        geo,
 		LogicalPages:    geo.TotalPages() / 2,
 		GCFreeBlocksLow: 2,
-		Timing:          ftl.LockTiming{PLock: 100, BLock: 300},
 	}
 }

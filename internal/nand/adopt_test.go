@@ -29,8 +29,7 @@ func rawDump(c *Chip) []byte {
 // RNG state, the chip New builds, and reads back the same at the pins.
 func TestNewFromEqualsNew(t *testing.T) {
 	base := Geometry{
-		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64,
-		FlagCells: 9, EnduranceCycles: 1000,
+		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64, EnduranceCycles: 1000,
 	}
 	with := func(edit func(*Geometry)) Geometry {
 		g := base
@@ -47,9 +46,8 @@ func TestNewFromEqualsNew(t *testing.T) {
 			return []Option{WithSeed(3), WithPowerCut(fault.NewCutState()),
 				WithFaults(fault.New(fault.Uniform(1e-2, 5), 1))}
 		}},
-		{"smaller, fewer flag cells", with(func(g *Geometry) {
-			g.Blocks, g.WLsPerBlock, g.PageBytes, g.FlagCells, g.CellKind = 4, 3, 32, 5, vth.MLC
-		}), func() []Option { return nil }},
+		{"smaller, MLC", with(func(g *Geometry) { g.Blocks, g.WLsPerBlock, g.PageBytes, g.CellKind = 4, 3, 32, vth.MLC }),
+			func() []Option { return nil }},
 		{"larger", with(func(g *Geometry) { g.Blocks, g.WLsPerBlock, g.PageBytes = 12, 6, 128 }),
 			func() []Option { return []Option{WithSeed(2)} }},
 	} {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/adopt"
 	"repro/internal/fault"
@@ -63,9 +62,6 @@ type Geometry struct {
 	// (ProgramMulti, ReadMulti) operate on one page per plane, sharing a
 	// single cell-activity interval. 0 is treated as 1 (single-plane).
 	Planes int
-	// FlagCells is k, the number of spare flash cells backing one pAP
-	// flag (the paper selects k = 9).
-	FlagCells int
 	// EnduranceCycles is the rated P/E endurance (1K for TLC).
 	EnduranceCycles int
 }
@@ -77,7 +73,6 @@ func DefaultGeometry() Geometry {
 		WLsPerBlock:     192,
 		CellKind:        vth.TLC,
 		PageBytes:       16 * 1024,
-		FlagCells:       9,
 		EnduranceCycles: 1000,
 		Planes:          1,
 	}
@@ -112,9 +107,6 @@ func (g Geometry) Validate() error {
 	if g.CellKind < vth.SLC || g.CellKind > vth.QLC {
 		return fmt.Errorf("nand: unknown cell kind %d", g.CellKind)
 	}
-	if g.FlagCells <= 0 || g.FlagCells%2 == 0 {
-		return fmt.Errorf("nand: FlagCells must be odd and positive, got %d", g.FlagCells)
-	}
 	if g.Planes < 0 {
 		return fmt.Errorf("nand: negative plane count %d", g.Planes)
 	}
@@ -125,7 +117,9 @@ func (g Geometry) Validate() error {
 }
 
 // Timing holds the command latencies (§7): tREAD 80µs, tPROG 700µs,
-// tBERS 3.5ms, tpLock 100µs, tbLock 300µs, scrub 100µs.
+// tBERS 3.5ms, tpLock 100µs, tbLock 300µs, scrub 100µs. tpLock and
+// tbLock are the pulses of the lock operating points (vth.PLockPoint,
+// vth.BLockPoint).
 type Timing struct {
 	Read  sim.Micros
 	Prog  sim.Micros
@@ -138,14 +132,15 @@ type Timing struct {
 	Xfer sim.Micros
 }
 
-// DefaultTiming returns the paper's timing parameters.
+// DefaultTiming returns the paper's timing parameters, the latencies of
+// every chip this simulator builds.
 func DefaultTiming() Timing {
 	return Timing{
 		Read:  80,
 		Prog:  700,
 		Erase: 3500,
-		PLock: 100,
-		BLock: 300,
+		PLock: sim.Micros(vth.PLockPoint.T),
+		BLock: sim.Micros(vth.BLockPoint.T),
 		Scrub: 100,
 		Xfer:  40,
 	}
@@ -221,9 +216,9 @@ type pageRec struct {
 }
 
 // papFlag is a programmed pAP flag as the k-cell majority circuit reads
-// it. The circuit asks one question, whether more than k/2 cells sense
-// above ReadRef after retention decay; for odd k that is whether the
-// median cell does, since the decay is the same for every cell and
+// it (k = vth.FlagCells). The circuit asks one question, whether more
+// than k/2 cells sense above ReadRef after retention decay; for odd k
+// that is whether the median cell does, since the decay is the same for every cell and
 // subtracting it keeps the cells' order. So the median of the k sampled
 // Vths and the day the flag was programmed are all a flag keeps.
 type papFlag struct {
@@ -267,7 +262,6 @@ func (blk *block) payload(page int) []byte {
 // Chip is one emulated NAND die.
 type Chip struct {
 	geo    Geometry
-	timing Timing
 	blocks []block
 	recs   []pageRec // one per page, block-major
 
@@ -285,10 +279,6 @@ type Chip struct {
 
 	flagModel vth.FlagModel // pAP flag cells
 	sslModel  vth.SSLModel  // bAP / SSL cells
-	plockV    float64       // pLock operating point (§5.3 combination (ii))
-	plockT    float64
-	blockV    float64 // bLock operating point (§5.4 combination (ii))
-	blockT    float64
 
 	rng *rand.Rand
 
@@ -310,9 +300,9 @@ type Chip struct {
 	// Hot-path scratch and recycle pools. A chip is driven by one
 	// goroutine at a time (the device model serializes operations per
 	// chip), so a single scratch buffer per chip suffices.
-	readBuf  []byte    // Read's result and a locked page's zeros — see Read's aliasing rule
-	cellBuf  []float64 // programFlag's k cell draws, sorted for the median
-	pagePool [][]byte  // retired page payload buffers, refilled by Erase
+	readBuf  []byte                 // Read's result and a locked page's zeros — see Read's aliasing rule
+	cellBuf  [vth.FlagCells]float64 // programFlag's k cell draws, reordered for the median
+	pagePool [][]byte               // retired page payload buffers, refilled by Erase
 }
 
 // flagChunkSlots is how many flag slots one arena chunk holds (4 KiB):
@@ -351,24 +341,18 @@ func (c *Chip) programFlag(blk *block, page int, rec *pageRec, day float64) {
 		c.flagSlots++
 		rec.flag = c.flagSlots
 	}
-	c.flagModel.SampleCells(c.cellBuf, c.plockV, c.plockT, 0, blk.peCycles, c.rng)
-	*c.flagSlot(rec.flag) = papFlag{median: medianOf(c.cellBuf), day: day}
+	c.flagModel.SampleCells(c.cellBuf[:], vth.PLockPoint.V, vth.PLockPoint.T, 0, blk.peCycles, c.rng)
+	*c.flagSlot(rec.flag) = papFlag{median: medianOf(&c.cellBuf), day: day}
 	if page >= blk.flagEnd {
 		blk.flagEnd = page + 1
 	}
 }
 
-// medianOf returns the median of an odd number of values, reordering
-// them. Nine values, the paper's k and every device's, go through a
-// 19-exchange median network of branch-free min/max: a sort's
-// comparisons of random draws mispredict, which made it cost more than
-// drawing the cells, on every pLock.
-func medianOf(v []float64) float64 {
-	if len(v) != 9 {
-		slices.Sort(v)
-		return v[len(v)/2]
-	}
-	p := (*[9]float64)(v)
+// medianOf returns the median of a flag's k cells, reordering them. The
+// nine values go through a 19-exchange median network of branch-free
+// min/max: a sort's comparisons of random draws mispredict, which made
+// it cost more than drawing the cells, on every pLock.
+func medianOf(p *[vth.FlagCells]float64) float64 {
 	cx := func(i, j int) { p[i], p[j] = min(p[i], p[j]), max(p[i], p[j]) }
 	cx(1, 2)
 	cx(4, 5)
@@ -415,11 +399,6 @@ func (c *Chip) takePage(n int) []byte {
 // Option configures a Chip.
 type Option func(*Chip)
 
-// WithTiming overrides the command latencies.
-func WithTiming(t Timing) Option {
-	return func(c *Chip) { c.timing = t }
-}
-
 // WithSeed fixes the chip's RNG seed (default 1).
 func WithSeed(seed int64) Option {
 	return func(c *Chip) { c.rng.Seed(seed) }
@@ -428,7 +407,7 @@ func WithSeed(seed int64) Option {
 // WithFaults attaches a fault injector: Program, Erase, PLock and BLock
 // can then fail with the injector's configured probabilities (returning
 // ErrProgramFailed etc. alongside their full latency), and Read draws
-// injected bit errors judged against the injector's ECC engine.
+// injected bit errors judged against the ECC limit.
 func WithFaults(inj *fault.Injector) Option {
 	return func(c *Chip) { c.faults = inj }
 }
@@ -460,7 +439,6 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 	rng.Seed(1)
 	c := &Chip{
 		geo:    geo,
-		timing: DefaultTiming(),
 		blocks: adopt.Zeroed(old.blocks, geo.Blocks),
 		recs:   adopt.Zeroed(old.recs, geo.TotalPages()),
 		// Adopted chunks are zeroed and handed out again from slot 1, so
@@ -469,15 +447,8 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 		flagFree:   adopt.Zeroed(old.flagFree, 0),
 		flagModel:  vth.DefaultFlagModel(),
 		sslModel:   vth.DefaultSSLModel(),
-		// §5.3 final pLock operating point: combination (ii) = (Vp4, 100µs).
-		plockV: vth.PLockVoltages[3],
-		plockT: 100,
-		// §5.4 final bLock operating point: combination (ii) = (Vb6, 300µs).
-		blockV:  vth.BLockVoltages[5],
-		blockT:  300,
-		rng:     rng,
-		readBuf: adopt.Zeroed(old.readBuf, geo.PageBytes),
-		cellBuf: adopt.Zeroed(old.cellBuf, geo.FlagCells),
+		rng:        rng,
+		readBuf:    adopt.Zeroed(old.readBuf, geo.PageBytes),
 
 		pagesPerBlock: geo.PagesPerBlock(),
 		pagesPerWL:    geo.PagesPerWL(),

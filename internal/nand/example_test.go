@@ -15,7 +15,6 @@ func Example() {
 		WLsPerBlock:     4,
 		CellKind:        vth.TLC,
 		PageBytes:       4096,
-		FlagCells:       9,
 		EnduranceCycles: 1000,
 	})
 	if err != nil {

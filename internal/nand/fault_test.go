@@ -13,7 +13,7 @@ func faultChip(t *testing.T, cfg fault.Config) *Chip {
 	t.Helper()
 	c, err := New(Geometry{
 		Blocks: 4, WLsPerBlock: 4, CellKind: vth.TLC,
-		PageBytes: 64, FlagCells: 9, EnduranceCycles: 1000,
+		PageBytes: 64, EnduranceCycles: 1000,
 	}, WithSeed(1), WithFaults(fault.New(cfg, 0)))
 	if err != nil {
 		t.Fatal(err)

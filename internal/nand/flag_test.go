@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/nand/vth"
 	"repro/internal/nand/vth/vthtest"
 )
 
@@ -18,8 +19,8 @@ func (c *Chip) kCellVote(cells []float64, lockDay, day float64) bool {
 	if elapsed <= 0 {
 		return vthtest.MajorityReadsDisabled(c.flagModel, cells)
 	}
-	decay := c.flagModel.ProgrammedMean(c.plockV, c.plockT) -
-		c.flagModel.MeanAfter(c.plockV, c.plockT, elapsed, 0)
+	decay := c.flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T) -
+		c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, elapsed, 0)
 	aged := make([]float64, len(cells))
 	for i, v := range cells {
 		aged[i] = v - decay
@@ -38,54 +39,52 @@ type flagCase struct {
 }
 
 // TestFlagVoteDifferential checks the stored median against the k-cell
-// majority vote it replaces. Locks the chip programs itself, for several
-// k, are replayed from the same seed and read back at random ages;
-// hand-built cell sets cover what random draws almost never hit.
+// majority vote it replaces. Locks the chip programs itself are replayed
+// from the same seed and read back at random ages; hand-built cell sets
+// cover what random draws almost never hit.
 func TestFlagVoteDifferential(t *testing.T) {
-	for _, k := range []int{1, 3, 5, 7, 9, 11} {
-		geo := smallGeo()
-		geo.FlagCells = k
-		c, err := New(geo, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay := rand.New(rand.NewSource(5))
-		ages := rand.New(rand.NewSource(6))
-		var flips int
-		for b := 0; b < geo.Blocks; b++ {
-			for p := 0; p < geo.PagesPerBlock(); p++ {
-				a := PageAddr{Block: b, Page: p}
-				mustProgram(t, c, a, nil)
-				mustPLock(t, c, a)
-				cells := make([]float64, k)
-				c.flagModel.SampleCells(cells, c.plockV, c.plockT, 0, 0, replay)
-				lockDay := c.nowDays(0)
-				for i := range 5 {
-					// The lock day, then log-uniform ages up to ~300 years:
-					// enough decay to flip some votes and not others.
-					day := lockDay
-					if i > 0 {
-						day += math.Pow(10, 5*ages.Float64())
-					}
-					want := c.kCellVote(cells, lockDay, day)
-					if got := c.pageLockedAt(c.rec(a), day); got != want {
-						t.Fatalf("k=%d, %v at day %v: median says locked=%v, the %d-cell vote %v", k, a, day, got, k, want)
-					}
-					if !want {
-						flips++
-					}
+	const k = vth.FlagCells
+	geo := smallGeo()
+	c, err := New(geo, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := rand.New(rand.NewSource(5))
+	ages := rand.New(rand.NewSource(6))
+	var flips int
+	for b := 0; b < geo.Blocks; b++ {
+		for p := 0; p < geo.PagesPerBlock(); p++ {
+			a := PageAddr{Block: b, Page: p}
+			mustProgram(t, c, a, nil)
+			mustPLock(t, c, a)
+			cells := make([]float64, k)
+			c.flagModel.SampleCells(cells, vth.PLockPoint.V, vth.PLockPoint.T, 0, 0, replay)
+			lockDay := c.nowDays(0)
+			for i := range 5 {
+				// The lock day, then log-uniform ages up to ~300 years:
+				// enough decay to flip some votes and not others.
+				day := lockDay
+				if i > 0 {
+					day += math.Pow(10, 5*ages.Float64())
+				}
+				want := c.kCellVote(cells, lockDay, day)
+				if got := c.pageLockedAt(c.rec(a), day); got != want {
+					t.Fatalf("%v at day %v: median says locked=%v, the %d-cell vote %v", a, day, got, k, want)
+				}
+				if !want {
+					flips++
 				}
 			}
 		}
-		if flips == 0 {
-			t.Errorf("k=%d: no vote flipped to enabled: the ages never reached the decay that matters", k)
-		}
+	}
+	if flips == 0 {
+		t.Error("no vote flipped to enabled: the ages never reached the decay that matters")
 	}
 
-	c := newTestChip(t)
-	k, readRef := c.geo.FlagCells, c.flagModel.ReadRef
+	c = newTestChip(t)
+	readRef := c.flagModel.ReadRef
 	decayAt := func(days float64) float64 {
-		return c.flagModel.ProgrammedMean(c.plockV, c.plockT) - c.flagModel.MeanAfter(c.plockV, c.plockT, days, 0)
+		return c.flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T) - c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, days, 0)
 	}
 	// onRefAfter is the median that decays to exactly ReadRef in days.
 	onRefAfter := func(days float64) float64 {
@@ -135,7 +134,7 @@ func TestFlagVoteDifferential(t *testing.T) {
 	for _, tc := range cases {
 		// Store the flag as programFlag does, and check that its median is
 		// the sorted cells' middle one, bit for bit.
-		median := medianOf(slices.Clone(tc.cells))
+		median := medianOf((*[k]float64)(slices.Clone(tc.cells)))
 		sorted := slices.Clone(tc.cells)
 		slices.Sort(sorted)
 		if median != sorted[k/2] {

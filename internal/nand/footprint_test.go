@@ -51,7 +51,7 @@ func TestTimingOnlyFootprint(t *testing.T) {
 		Channels: 2, ChipsPerChannel: 2,
 		Chip: nand.Geometry{
 			Blocks: 24, WLsPerBlock: 16, CellKind: vth.TLC,
-			PageBytes: 4096, FlagCells: 9, EnduranceCycles: 1000,
+			PageBytes: 4096, EnduranceCycles: 1000,
 		},
 		OverProvision: 0.25, GCFreeBlocksLow: 2, QueueDepth: 16,
 		Policy: sanitize.Baseline(), Seed: 3,

@@ -113,7 +113,7 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 	t.Helper()
 	geo := Geometry{
 		Blocks: 8, WLsPerBlock: 4, CellKind: vth.TLC, PageBytes: 64,
-		FlagCells: 9, EnduranceCycles: 1000, Planes: planes,
+		EnduranceCycles: 1000, Planes: planes,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cs := fault.NewCutState()

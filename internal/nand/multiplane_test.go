@@ -208,7 +208,7 @@ func TestPLockWLValidation(t *testing.T) {
 func TestFaultPLockWLAtomicFailure(t *testing.T) {
 	c, err := New(Geometry{
 		Blocks: 4, WLsPerBlock: 4, CellKind: vth.TLC,
-		PageBytes: 64, FlagCells: 9, EnduranceCycles: 1000,
+		PageBytes: 64, EnduranceCycles: 1000,
 	}, WithSeed(1), WithFaults(fault.New(fault.Config{PLockFail: 1, Seed: 1}, 0)))
 	if err != nil {
 		t.Fatal(err)

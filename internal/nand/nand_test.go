@@ -19,7 +19,6 @@ func smallGeo() Geometry {
 		WLsPerBlock:     4,
 		CellKind:        vth.TLC,
 		PageBytes:       4096,
-		FlagCells:       9,
 		EnduranceCycles: 1000,
 	}
 }
@@ -117,10 +116,8 @@ func TestGeometryDerived(t *testing.T) {
 
 func TestGeometryValidation(t *testing.T) {
 	bad := []Geometry{
-		{Blocks: 0, WLsPerBlock: 1, CellKind: vth.TLC, PageBytes: 1, FlagCells: 9},
-		{Blocks: 1, WLsPerBlock: 1, CellKind: 0, PageBytes: 1, FlagCells: 9},
-		{Blocks: 1, WLsPerBlock: 1, CellKind: vth.TLC, PageBytes: 1, FlagCells: 8}, // even k
-		{Blocks: 1, WLsPerBlock: 1, CellKind: vth.TLC, PageBytes: 1, FlagCells: 0},
+		{Blocks: 0, WLsPerBlock: 1, CellKind: vth.TLC, PageBytes: 1},
+		{Blocks: 1, WLsPerBlock: 1, CellKind: 0, PageBytes: 1},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -538,7 +535,7 @@ func TestLockIsolationProperty(t *testing.T) {
 func TestQLCChipGeometry(t *testing.T) {
 	g := Geometry{
 		Blocks: 4, WLsPerBlock: 4, CellKind: vth.QLC,
-		PageBytes: 4096, FlagCells: 9, EnduranceCycles: 500,
+		PageBytes: 4096, EnduranceCycles: 500,
 	}
 	c, err := New(g)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/nand/vth"
 	"repro/internal/sim"
 )
 
@@ -94,8 +95,8 @@ func (c *Chip) blockLockedAt(blk *block, day float64) bool {
 		// below is exactly 0.
 		return blk.sslCenter >= c.sslModel.DisableThreshold
 	}
-	center := blk.sslCenter - (c.sslModel.ProgrammedCenter(c.blockV, c.blockT) -
-		c.sslModel.CenterAfter(c.blockV, c.blockT, elapsed))
+	center := blk.sslCenter - (c.sslModel.ProgrammedCenter(vth.BLockPoint.V, vth.BLockPoint.T) -
+		c.sslModel.CenterAfter(vth.BLockPoint.V, vth.BLockPoint.T, elapsed))
 	return center >= c.sslModel.DisableThreshold
 }
 
@@ -111,8 +112,8 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 	if elapsed := day - f.day; elapsed > 0 {
 		// With no retention yet MeanAfter is ProgrammedMean and the decay
 		// is exactly 0.
-		median -= c.flagModel.ProgrammedMean(c.plockV, c.plockT) -
-			c.flagModel.MeanAfter(c.plockV, c.plockT, elapsed, 0)
+		median -= c.flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T) -
+			c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, elapsed, 0)
 	}
 	return median > c.flagModel.ReadRef
 }
@@ -176,13 +177,13 @@ func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []OOBMeta)
 	// sanitize this page.
 	if c.faults != nil && c.faults.FailProgram(blk.peCycles, c.geo.EnduranceCycles) {
 		c.faults.CorruptTail(stored)
-		return c.timing.Prog, ErrProgramFailed
+		return DefaultTiming().Prog, ErrProgramFailed
 	}
 	if len(spare) > 0 {
 		m, rec := &spare[0], c.rec(a)
 		rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
 	}
-	return c.timing.Prog, nil
+	return DefaultTiming().Prog, nil
 }
 
 // Erase wipes the block: all page data is destroyed, all pAP flags and
@@ -204,7 +205,7 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	// SSL state intact — after burning the full tBERS. The FTL retires
 	// such a block (its contents may be locked, never free).
 	if c.faults != nil && c.faults.FailErase(blk.peCycles, c.geo.EnduranceCycles) {
-		return c.timing.Erase, ErrEraseFailed
+		return DefaultTiming().Erase, ErrEraseFailed
 	}
 	if blk.data != nil {
 		// Retire payload buffers into the recycle pool for later Program
@@ -229,7 +230,7 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	blk.peCycles++
 	blk.sslCenter = 0
 	blk.sslLockDay = 0
-	return c.timing.Erase, nil
+	return DefaultTiming().Erase, nil
 }
 
 // PLock disables access to one page by programming its k pAP flag cells
@@ -252,11 +253,11 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 		// majority circuit still sees the flag enabled). pLock cannot be
 		// retried on the same flag cells — the FTL escalates to bLock.
 		if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-			return c.timing.PLock, ErrPLockFailed
+			return DefaultTiming().PLock, ErrPLockFailed
 		}
 		c.programFlag(blk, a.Page, rec, c.nowDays(now))
 	}
-	return c.timing.PLock, nil
+	return DefaultTiming().PLock, nil
 }
 
 // PLockWL disables several pages of one wordline with a single SBPI
@@ -303,19 +304,19 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 		}
 	}
 	if !need {
-		return c.timing.PLock, nil
+		return DefaultTiming().PLock, nil
 	}
 	// One fault draw per pulse: the whole batch shares the one-shot
 	// program cycle.
 	if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-		return c.timing.PLock, ErrPLockFailed
+		return DefaultTiming().PLock, ErrPLockFailed
 	}
 	for _, s := range slots {
 		if rec := &recs[base+s]; rec.flag == 0 {
 			c.programFlag(blk, base+s, rec, c.nowDays(now))
 		}
 	}
-	return c.timing.PLock, nil
+	return DefaultTiming().PLock, nil
 }
 
 // checkPlanes validates a multi-plane address vector: at most one page
@@ -372,7 +373,7 @@ func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, sp
 		}
 		next[0].LPA++
 	}
-	return c.timing.Prog, errs, nil
+	return DefaultTiming().Prog, errs, nil
 }
 
 // ReadMulti reads one page per plane with a single shared cell-activity
@@ -390,7 +391,7 @@ func (c *Chip) ReadMulti(addrs []PageAddr, now sim.Micros) (sim.Micros, []error,
 	for i, a := range addrs {
 		_, errs[i] = c.Read(a, now)
 	}
-	return c.timing.Read, errs, nil
+	return DefaultTiming().Read, errs, nil
 }
 
 // BLock disables access to the whole block by programming its SSL cells
@@ -410,12 +411,12 @@ func (c *Chip) BLock(blockIdx int, now sim.Micros) (sim.Micros, error) {
 		// A failed SSL program leaves the block readable; the FTL falls
 		// back to copy-out + erase.
 		if c.faults != nil && c.faults.FailBLock(blk.peCycles, c.geo.EnduranceCycles) {
-			return c.timing.BLock, ErrBLockFailed
+			return DefaultTiming().BLock, ErrBLockFailed
 		}
-		blk.sslCenter = c.sslModel.ProgrammedCenter(c.blockV, c.blockT)
+		blk.sslCenter = c.sslModel.ProgrammedCenter(vth.BLockPoint.V, vth.BLockPoint.T)
 		blk.sslLockDay = c.nowDays(now)
 	}
-	return c.timing.BLock, nil
+	return DefaultTiming().BLock, nil
 }
 
 // Scrub destroys the addressed page's wordline in place by raising every
@@ -454,7 +455,7 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if blk.writePtr > wlStart && blk.writePtr < wlEnd {
 		blk.writePtr = wlEnd
 	}
-	return c.timing.Scrub, nil
+	return DefaultTiming().Scrub, nil
 }
 
 // Copyback moves a page's contents to another location on the same chip
@@ -483,7 +484,7 @@ func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (si
 	// transfer cycles. A program failure surfaces with its latency: the
 	// destination page was consumed and must be recovered like any other
 	// failed program.
-	return c.timing.Read + progLat, err
+	return DefaultTiming().Read + progLat, err
 }
 
 // IsBlockLocked reports the current bAP state of a block.

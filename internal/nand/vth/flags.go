@@ -21,6 +21,25 @@ var BLockVoltages = []float64{16, 17, 18, 19, 20, 21}
 // BLockLatencies is the T axis of the bLock design space, in µs.
 var BLockLatencies = []float64{200, 300, 400}
 
+// OperatingPoint is one (program voltage, pulse duration) combination of
+// a lock design space.
+type OperatingPoint struct {
+	V float64 // program voltage, V
+	T float64 // pulse duration, µs
+}
+
+// PLockPoint is the pLock operating point the §5.3 exploration picks,
+// combination (ii) of Fig. 9: (Vp4, 100 µs). Its pulse is tpLock.
+var PLockPoint = OperatingPoint{V: PLockVoltages[3], T: PLockLatencies[0]}
+
+// BLockPoint is the bLock operating point the §5.4 exploration picks,
+// combination (ii) of Fig. 12: (Vb6, 300 µs). Its pulse is tbLock.
+var BLockPoint = OperatingPoint{V: BLockVoltages[5], T: BLockLatencies[1]}
+
+// FlagCells is k, the spare cells backing one pAP flag that a majority
+// circuit reads (§5.3 picks k = 9).
+const FlagCells = 9
+
 // FlagModel describes the SLC flag cells that implement the per-page pAP
 // flags in the spare area of a wordline. A flag cell is "programmed"
 // (disabled state) when its Vth exceeds ReadRef.

@@ -180,6 +180,12 @@ type Model struct {
 	ECCLimitRBER float64
 }
 
+// ECCLimitRBER is the ECC limit of the paper's TLC chip, 72 correctable
+// bits per 1-KiB codeword, as a raw bit-error rate: the line at 1.0 on
+// the paper's normalized-RBER axes, and the bound past which the device's
+// reads are uncorrectable.
+const ECCLimitRBER = 72.0 / 8192.0
+
 // NewTLC returns the calibrated model of the paper's 48-layer 3D TLC chip.
 func NewTLC() *Model {
 	means := []float64{-2.0, 0.6, 1.3, 2.0, 2.7, 3.4, 4.1, 4.8}
@@ -190,7 +196,7 @@ func NewTLC() *Model {
 		Sigmas:       sigmas,
 		Refs:         midpoints(means),
 		Params:       DefaultParams(),
-		ECCLimitRBER: 72.0 / 8192.0, // 72 bits per 1 KiB codeword
+		ECCLimitRBER: ECCLimitRBER,
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/ftl"
+	"repro/internal/nand"
 )
 
 // Policies returns fresh instances of the five §7 configurations in
@@ -207,7 +208,7 @@ func (s secSSD) Flush(f *ftl.FTL) {
 	if len(pending) == 0 {
 		return
 	}
-	t := f.LockTiming()
+	t := nand.DefaultTiming()
 	for _, pb := range pending {
 		// §6 decision rule: bLock when 1) every remaining page of the
 		// block is stale and 2) locking the queued pages would take

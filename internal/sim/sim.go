@@ -4,8 +4,7 @@
 // time from the timelines it occupies.
 //
 // Time is measured in microseconds (Micros) because every NAND flash
-// operation latency in the paper is specified in µs (tREAD = 80µs,
-// tPROG = 700µs, tBERS = 3500µs, tpLock = 100µs, tbLock = 300µs).
+// operation latency in the paper is specified in µs (nand.DefaultTiming).
 //
 // Timeline is a busy-until accumulator for a serially-reusable resource
 // (a flash chip or a channel bus). Reserving k µs on a timeline returns

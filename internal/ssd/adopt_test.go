@@ -108,7 +108,7 @@ func TestNewFromEqualsNew(t *testing.T) {
 	sameConfig.LockBatch = ftl.LockBatchConfig{Enabled: true, Deadline: 2000, Threshold: 96}
 	smaller := goldenCell{policy: sanitize.ScrSSD, planes: 1, faultRate: 1e-3}.config()
 	smaller.Channels, smaller.ChipsPerChannel = 1, 2
-	smaller.Chip.Blocks, smaller.Chip.WLsPerBlock, smaller.Chip.PageBytes, smaller.Chip.FlagCells = 16, 8, 2048, 5
+	smaller.Chip.Blocks, smaller.Chip.WLsPerBlock, smaller.Chip.PageBytes = 16, 8, 2048
 	smaller.OverProvision = 0.3
 	larger := goldenCell{policy: sanitize.ErSSD, planes: 2}.config()
 	larger.Chip.Blocks, larger.Chip.WLsPerBlock, larger.QueueDepth = 32, 24, 64

@@ -7,6 +7,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/nand/vth"
 	"repro/internal/sanitize"
 )
 
@@ -122,7 +123,7 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 // host keeps getting data and the retries are accounted in the report.
 func TestReadRetryAbsorbsBitErrors(t *testing.T) {
 	cfg := smallConfig(sanitize.SecSSD())
-	cfg.Fault = fault.Config{ReadBER: fault.DefaultECC().LimitRBER(), Seed: 3}
+	cfg.Fault = fault.Config{ReadBER: vth.ECCLimitRBER, Seed: 3}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,6 @@ func (c goldenCell) config() Config {
 			WLsPerBlock:     wls,
 			CellKind:        vth.TLC,
 			PageBytes:       4096,
-			FlagCells:       9,
 			EnduranceCycles: 1000,
 			Planes:          c.planes,
 		},

@@ -5,8 +5,7 @@
 //
 // The default configuration matches the paper: 2 channels with four 3D
 // TLC chips each, 428 blocks per chip, 576 16-KiB pages per block
-// (32 GiB raw), tREAD 80µs / tPROG 700µs / tBERS 3.5ms / tpLock 100µs /
-// tbLock 300µs.
+// (32 GiB raw), with the chip latencies of nand.DefaultTiming.
 package ssd
 
 import (
@@ -31,8 +30,7 @@ type Config struct {
 	// Chip is every chip's geometry. With Chip.Planes > 1 the FTL stripes
 	// writes and groups reads across planes, sharing one tPROG/tREAD per
 	// group.
-	Chip   nand.Geometry
-	Timing nand.Timing
+	Chip nand.Geometry
 	// OverProvision is the fraction of raw capacity reserved for GC
 	// (default 0.07 when zero). It is a floor: the FTL keeps
 	// GCFreeBlocksLow+1 blocks of every chip free outright, so
@@ -71,6 +69,10 @@ type Config struct {
 	Trace trace.Collector
 }
 
+// timing is the chips' datasheet latencies, which the device's chip and
+// channel timelines reserve.
+var timing = nand.DefaultTiming()
+
 // DefaultQueueDepth is the closed-loop window of every device the
 // artifacts build: a saturating host with 32 requests outstanding.
 const DefaultQueueDepth = 32
@@ -82,7 +84,6 @@ func DefaultConfig(policy ftl.Policy) Config {
 		Channels:        2,
 		ChipsPerChannel: 4,
 		Chip:            nand.DefaultGeometry(),
-		Timing:          nand.DefaultTiming(),
 		OverProvision:   0.07,
 		GCFreeBlocksLow: 3,
 		QueueDepth:      DefaultQueueDepth,
@@ -101,9 +102,6 @@ func (c *Config) applyDefaults() {
 	c.OverProvision = max(c.OverProvision, float64(c.GCFreeBlocksLow+1)/float64(c.Chip.Blocks)+0.02)
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.Timing == (nand.Timing{}) {
-		c.Timing = nand.DefaultTiming()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -220,8 +218,7 @@ func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 	s.traceOn = s.tr.Enabled()
 	for i := range s.chips {
 		s.chanOf[i] = i / cfg.ChipsPerChannel
-		opts := []nand.Option{nand.WithSeed(cfg.Seed + int64(i)), nand.WithTiming(cfg.Timing),
-			nand.WithPowerCut(s.cut)}
+		opts := []nand.Option{nand.WithSeed(cfg.Seed + int64(i)), nand.WithPowerCut(s.cut)}
 		if cfg.Fault.Enabled() {
 			// One injector per chip, stream-indexed: chip operations are
 			// serialized per chip, so each stream's draw order — and with
@@ -268,7 +265,6 @@ func (s *SSD) ftlConfig() ftl.Config {
 		LogicalPages:    int(float64(s.geo.TotalPages()) * (1 - s.cfg.OverProvision)),
 		GCFreeBlocksLow: s.cfg.GCFreeBlocksLow,
 		LockBatch:       s.cfg.LockBatch,
-		Timing:          ftl.LockTiming{PLock: s.cfg.Timing.PLock, BLock: s.cfg.Timing.BLock},
 		Tracer:          s.tr,
 	}
 }
@@ -344,7 +340,7 @@ func (s *SSD) Move(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, er
 func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	chip, a := s.addr(p)
 	data, err := s.chips[chip].Read(a, dep)
-	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
+	cellStart, cellDone := s.chipTL[chip].Reserve(dep, timing.Read)
 	if s.traceOn {
 		s.emitChip(trace.OpRead, chip, p, dep, cellStart, cellDone)
 	}
@@ -352,7 +348,7 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 		attempt < maxReadAttempts; attempt++ {
 		s.readRetries++
 		data, err = s.chips[chip].Read(a, cellDone)
-		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
+		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, timing.Read)
 		if s.traceOn {
 			s.emitChip(trace.OpReadRetry, chip, p, cellDone, retryStart, retryDone)
 		}
@@ -363,7 +359,7 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	} else if err != nil {
 		data = nil // a locked page's zeros never leave the chip
 	}
-	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(cellDone, s.cfg.Timing.Xfer)
+	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(cellDone, timing.Xfer)
 	if s.cfg.NoCachePipeline {
 		// Without cache-mode the page register stays occupied until the
 		// transfer drains it: hold the chip through the bus interval so
@@ -386,14 +382,14 @@ func (s *SSD) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.M
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", a, err))
 	}
-	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(dep, s.cfg.Timing.Xfer)
+	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(dep, timing.Xfer)
 	var progStart, done sim.Micros
 	if s.cfg.NoCachePipeline {
 		// The page register is busy from the moment the transfer starts
 		// until the cells finish programming: one contiguous chip span.
-		progStart, done = s.chipTL[chip].Reserve(busStart, (busDone-busStart)+s.cfg.Timing.Prog)
+		progStart, done = s.chipTL[chip].Reserve(busStart, (busDone-busStart)+timing.Prog)
 	} else {
-		progStart, done = s.chipTL[chip].Reserve(busDone, s.cfg.Timing.Prog)
+		progStart, done = s.chipTL[chip].Reserve(busDone, timing.Prog)
 	}
 	if s.traceOn {
 		s.emitChip(trace.OpXfer, chip, p, dep, busStart, busDone)
@@ -416,7 +412,7 @@ func (s *SSD) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros
 	}
 	// One reservation of tREAD+tPROG: the same interval, busy and wait
 	// time as the read and the program reserved back to back.
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read+s.cfg.Timing.Prog)
+	start, done := s.chipTL[chip].Reserve(dep, timing.Read+timing.Prog)
 	if s.traceOn {
 		// The destination page names the event.
 		s.emitChip(trace.OpCopyback, chip, dst, dep, start, done)
@@ -431,7 +427,7 @@ func (s *SSD) Erase(block int, dep sim.Micros) (sim.Micros, error) {
 	if err != nil && !errors.Is(err, nand.ErrEraseFailed) {
 		panic(fmt.Sprintf("ssd: erase failed: %v", err))
 	}
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Erase)
+	start, done := s.chipTL[chip].Reserve(dep, timing.Erase)
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpErase, Start: start, End: done, Queued: dep,
@@ -448,7 +444,7 @@ func (s *SSD) PLock(p ftl.PPA, dep sim.Micros) (sim.Micros, error) {
 	if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
 		panic(fmt.Sprintf("ssd: pLock failed: %v", err))
 	}
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.PLock)
+	start, done := s.chipTL[chip].Reserve(dep, timing.PLock)
 	if s.traceOn {
 		s.emitChip(trace.OpPLock, chip, p, dep, start, done)
 	}
@@ -462,7 +458,7 @@ func (s *SSD) BLock(block int, dep sim.Micros) (sim.Micros, error) {
 	if err != nil && !errors.Is(err, nand.ErrBLockFailed) {
 		panic(fmt.Sprintf("ssd: bLock failed: %v", err))
 	}
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.BLock)
+	start, done := s.chipTL[chip].Reserve(dep, timing.BLock)
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpBLock, Start: start, End: done, Queued: dep,
@@ -478,7 +474,7 @@ func (s *SSD) Scrub(p ftl.PPA, dep sim.Micros) sim.Micros {
 	if _, err := s.chips[chip].Scrub(a, dep); err != nil {
 		panic(fmt.Sprintf("ssd: scrub failed: %v", err))
 	}
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Scrub)
+	start, done := s.chipTL[chip].Reserve(dep, timing.Scrub)
 	if s.traceOn {
 		s.emitChip(trace.OpScrub, chip, p, dep, start, done)
 	}
@@ -501,7 +497,7 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 	if err != nil && !errors.Is(err, nand.ErrPLockFailed) {
 		panic(fmt.Sprintf("ssd: batched pLock failed: %v", err))
 	}
-	start, done := s.chipTL[chip].Reserve(dep, s.cfg.Timing.PLock)
+	start, done := s.chipTL[chip].Reserve(dep, timing.PLock)
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpPLockBatch, Start: start, End: done, Queued: dep,
@@ -536,7 +532,7 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.
 	firstBusStart := sim.Micros(-1)
 	lastBusEnd := dep
 	for _, p := range pages {
-		busStart, busDone := bus.Reserve(dep, s.cfg.Timing.Xfer)
+		busStart, busDone := bus.Reserve(dep, timing.Xfer)
 		if firstBusStart < 0 {
 			firstBusStart = busStart
 		}
@@ -547,9 +543,9 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.
 	}
 	var progStart, done sim.Micros
 	if s.cfg.NoCachePipeline {
-		progStart, done = s.chipTL[chip].Reserve(firstBusStart, (lastBusEnd-firstBusStart)+s.cfg.Timing.Prog)
+		progStart, done = s.chipTL[chip].Reserve(firstBusStart, (lastBusEnd-firstBusStart)+timing.Prog)
 	} else {
-		progStart, done = s.chipTL[chip].Reserve(lastBusEnd, s.cfg.Timing.Prog)
+		progStart, done = s.chipTL[chip].Reserve(lastBusEnd, timing.Prog)
 	}
 	if s.traceOn {
 		s.tr.Op(trace.Event{
@@ -578,7 +574,7 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	if fatal != nil {
 		panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
 	}
-	cellStart, cellDone := s.chipTL[chip].Reserve(dep, s.cfg.Timing.Read)
+	cellStart, cellDone := s.chipTL[chip].Reserve(dep, timing.Read)
 	if s.traceOn {
 		s.tr.Op(trace.Event{
 			Class: trace.OpReadMulti, Start: cellStart, End: cellDone, Queued: dep,
@@ -592,7 +588,7 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 			attempt < maxReadAttempts; attempt++ {
 			s.readRetries++
 			_, err = s.chips[chip].Read(addrs[i], cellDone)
-			retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, s.cfg.Timing.Read)
+			retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, timing.Read)
 			if s.traceOn {
 				s.emitChip(trace.OpReadRetry, chip, pages[i], cellDone, retryStart, retryDone)
 			}
@@ -605,7 +601,7 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	bus := &s.busTL[s.channelOf(chip)]
 	end := cellDone
 	for _, p := range pages {
-		busStart, busDone := bus.Reserve(cellDone, s.cfg.Timing.Xfer)
+		busStart, busDone := bus.Reserve(cellDone, timing.Xfer)
 		end = busDone
 		if s.traceOn {
 			s.emitChip(trace.OpXfer, chip, p, cellDone, busStart, busDone)

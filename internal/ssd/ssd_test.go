@@ -25,7 +25,6 @@ func smallConfig(policy ftl.Policy) Config {
 			WLsPerBlock:     8,
 			CellKind:        vth.TLC,
 			PageBytes:       4096,
-			FlagCells:       9,
 			EnduranceCycles: 1000,
 		},
 		OverProvision:   0.25,
