@@ -181,10 +181,11 @@ func (f *FTL) FlushLocks() bool {
 	return issued
 }
 
-// flushDueLocks pulses only the groups whose age crossed the configured
-// deadline, reporting whether any chip command was issued. Used in
-// deferred mode (Deadline > 0), where incomplete groups may ride across
-// requests to gather more wordline siblings.
+// flushDueLocks pulses only the groups whose age reached the configured
+// deadline, reporting whether any chip command was issued. With a
+// positive Deadline incomplete groups may ride across requests to gather
+// more wordline siblings; with Deadline 0 no group outlives the request
+// that queued it, so every attached group is due, as in FlushLocks.
 func (f *FTL) flushDueLocks() bool {
 	issued := false
 	q := &f.lockq
