@@ -16,6 +16,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 
 	"repro/internal/blockio"
@@ -145,36 +146,23 @@ type Finding struct {
 // ForensicScan plays the §5.1 attacker: it dumps every physical page of
 // every chip through the raw interface and reports where needle appears.
 // On an Evanesco device, deleted secure data never shows up — locked
-// pages read all-zero.
+// pages read all-zero. An empty needle finds nothing.
 func (d *Device) ForensicScan(needle []byte) []Finding {
+	if len(needle) == 0 {
+		return nil
+	}
 	var hits []Finding
 	for ci, chip := range d.ssd.Chips() {
 		geo := chip.Geometry()
 		for b := 0; b < geo.Blocks; b++ {
 			for p, data := range chip.ForensicDump(b, 0) {
-				if containsBytes(data, needle) {
+				if bytes.Contains(data, needle) {
 					hits = append(hits, Finding{Chip: ci, Block: b, Page: p})
 				}
 			}
 		}
 	}
 	return hits
-}
-
-func containsBytes(haystack, needle []byte) bool {
-	if len(needle) == 0 || len(haystack) < len(needle) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // Churn writes pseudo-random secure traffic to force GC activity; the

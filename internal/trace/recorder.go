@@ -85,11 +85,10 @@ func (r *Recorder) Op(ev Event) {
 	}
 }
 
-// Gauge implements Collector.
+// Gauge implements Collector. A kind outside the GaugeKind table is a
+// producer bug and panics.
 func (r *Recorder) Gauge(kind GaugeKind, at sim.Micros, v float64) {
-	if int(kind) < len(r.gauges) {
-		r.gauges[kind].record(int64(at), v)
-	}
+	r.gauges[kind].record(int64(at), v)
 }
 
 // Audit implements Collector: events feed the provenance ledger, and

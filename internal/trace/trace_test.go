@@ -249,6 +249,14 @@ func TestRecorderGauges(t *testing.T) {
 	if g[1].V != 2 || g[2].V != 1 {
 		t.Fatalf("insecure_windows values = %v %v, want rise to 2 then fall to 1", g[1], g[2])
 	}
+	// A gauge of a kind the table does not name is a producer bug: it
+	// panics instead of vanishing.
+	defer func() {
+		if recover() == nil {
+			t.Error("a gauge of an unknown kind was accepted")
+		}
+	}()
+	r.Gauge(numGaugeKinds, 600, 1)
 }
 
 func TestEventDur(t *testing.T) {
