@@ -10,7 +10,7 @@
 //     SSL (bAP) physics behind the pLock/bLock commands;
 //   - internal/nand — the emulated flash chip with the extended command
 //     set (read/program/erase/pLock/bLock/scrub), SBPI flag programming,
-//     the 9-cell majority circuit, and the on-chip access control of §5;
+//     the k-cell majority circuit, and the on-chip access control of §5;
 //   - internal/ftl, internal/sanitize — the Evanesco-aware FTL of §6
 //     (extended page status table, lock manager) and the five evaluated
 //     sanitization configurations;
