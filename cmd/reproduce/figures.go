@@ -70,6 +70,7 @@ type env struct {
 	capacityPages int64
 	studyPages    uint64
 
+	cells   experiment.Memo                           // 14a, 14b, headline, 14c
 	fig14   func() ([]experiment.Fig14Row, error)     // 14a, 14b, headline
 	ladder  func() ([]experiment.BatchingCell, error) // ablation, tinsec
 	studies func() ([]*vertrace.StudyResult, error)   // table1, 4
@@ -83,7 +84,7 @@ func newEnv(scale string, sc experiment.Scale, workers int, profiles []workload.
 		e.chip.WLs, e.capacityPages, e.studyPages = 10_000, 32<<10, 96<<10
 	}
 	e.fig14 = sync.OnceValues(func() ([]experiment.Fig14Row, error) {
-		return experiment.Figure14Parallel(e.sc, e.profiles, e.workers)
+		return e.cells.Figure14(e.sc, e.profiles, e.workers)
 	})
 	e.ladder = sync.OnceValues(func() ([]experiment.BatchingCell, error) {
 		return experiment.BatchingAblation(e.sc, e.workers)
@@ -310,7 +311,7 @@ func figure14Norm(title, ref string, get func(experiment.Fig14Row) map[string]fl
 }
 
 func figure14c(e *env) (Table, error) {
-	pts, err := experiment.Figure14cParallel(e.sc, e.profiles, nil, e.workers)
+	pts, err := e.cells.Figure14c(e.sc, e.profiles, nil, e.workers)
 	if err != nil {
 		return Table{}, err
 	}

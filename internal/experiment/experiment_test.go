@@ -99,7 +99,7 @@ func TestFigure14cMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run")
 	}
-	pts, err := Figure14cParallel(SmallScale(), []workload.Profile{workload.MailServer()},
+	pts, err := new(Memo).Figure14c(SmallScale(), []workload.Profile{workload.MailServer()},
 		[]float64{0.6, 1.0}, 1)
 	if err != nil {
 		t.Fatal(err)
