@@ -43,7 +43,7 @@ func TestCheckBandsCatchesPerturbedCell(t *testing.T) {
 				tab.Rows = slices.Clone(tab.Rows)
 				i := slices.IndexFunc(tab.Rows, func(r []string) bool { return r[0] == b.row })
 				tab.Rows[i] = slices.Clone(tab.Rows[i])
-				v := b.ours + sign*1.01*b.tol*b.ours
+				v := b.ours + sign*1.01*bandTol*b.ours
 				tab.Rows[i][slices.Index(tab.Cols, b.col)] = strconv.FormatFloat(v, 'f', -1, 64)
 				got := checkBands(id, tab)
 				if len(got) != 1 || !strings.Contains(got[0], b.row+" / "+b.col) {
@@ -60,5 +60,20 @@ func TestCheckBandsMissingCell(t *testing.T) {
 	tab.Rows = tab.Rows[1:]
 	if got := checkBands("headline", tab); len(got) != 2 {
 		t.Errorf("headline without its first row: %d breaches, want 2: %v", len(got), got)
+	}
+}
+
+// A breach names the paper's value of its cell, or "—" where the paper
+// states none.
+func TestCheckBandsNamePaperValue(t *testing.T) {
+	for col, want := range map[string]string{"secSSD": "(paper 0.945)", "secSSD_nobLock": "(paper —)"} {
+		tab := bandTable("14a")
+		tab.Rows = slices.Clone(tab.Rows)
+		tab.Rows[0] = slices.Clone(tab.Rows[0])
+		tab.Rows[0][slices.Index(tab.Cols, col)] = "0"
+		got := checkBands("14a", tab)
+		if len(got) != 1 || !strings.HasSuffix(got[0], want) {
+			t.Errorf("-fig 14a %s / %s at 0: breaches %v, want one ending %q", tab.Rows[0][0], col, got, want)
+		}
 	}
 }

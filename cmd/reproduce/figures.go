@@ -34,10 +34,10 @@ var registry = []figure{
 	{"overhead", overhead},
 	{"temp", tempExtension},
 	{"14a", figure14Norm("Figure 14(a) — IOPS normalized to the no-sanitization SSD",
-		"paper: erSSD <= 0.04, scrSSD ~0.34 avg, secSSD ~0.945 avg",
+		"paper: erSSD <= %.2f, scrSSD ~%.2f avg, secSSD ~%.3f avg", experiment.PaperIOPS,
 		func(r experiment.Fig14Row) map[string]float64 { return r.IOPS })},
 	{"14b", figure14Norm("Figure 14(b) — WAF normalized to the no-sanitization SSD",
-		"paper: erSSD up to 320x, scrSSD up to 4.41x, secSSD ~1.0x",
+		"paper: erSSD up to %.0fx, scrSSD up to %.2fx, secSSD ~%.1fx", experiment.PaperWAF,
 		func(r experiment.Fig14Row) map[string]float64 { return r.WAF })},
 	{"14c", figure14c},
 	{"headline", headline},
@@ -70,8 +70,7 @@ type env struct {
 	capacityPages int64
 	studyPages    uint64
 
-	cells   experiment.Memo                           // 14a, 14b, headline, 14c
-	fig14   func() ([]experiment.Fig14Row, error)     // 14a, 14b, headline
+	cells   experiment.Memo                           // 14a, 14b, headline, 14c, -check
 	ladder  func() ([]experiment.BatchingCell, error) // ablation, tinsec
 	studies func() ([]*vertrace.StudyResult, error)   // table1, 4
 	attack  func() ([]attack.Score, error)            // attack, the -attack-* gate
@@ -83,9 +82,6 @@ func newEnv(scale string, sc experiment.Scale, workers int, profiles []workload.
 	if scale == "small" {
 		e.chip.WLs, e.capacityPages, e.studyPages = 10_000, 32<<10, 96<<10
 	}
-	e.fig14 = sync.OnceValues(func() ([]experiment.Fig14Row, error) {
-		return e.cells.Figure14(e.sc, e.profiles, e.workers)
-	})
 	e.ladder = sync.OnceValues(func() ([]experiment.BatchingCell, error) {
 		return experiment.BatchingAblation(e.sc, e.workers)
 	})
@@ -288,14 +284,15 @@ func tempExtension(*env) (Table, error) {
 }
 
 // figure14Norm builds 14(a) or 14(b): one column per sanitizing policy
-// (everything after the baseline, the normalization target).
-func figure14Norm(title, ref string, get func(experiment.Fig14Row) map[string]float64) func(*env) (Table, error) {
+// (after the baseline, the normalization target), ref filled from paper.
+func figure14Norm(title, ref string, paper map[string]float64,
+	get func(experiment.Fig14Row) map[string]float64) func(*env) (Table, error) {
 	return func(e *env) (Table, error) {
-		rows, err := e.fig14()
+		rows, err := e.cells.Figure14(e.sc, e.profiles, e.workers)
 		if err != nil {
 			return Table{}, err
 		}
-		t := newTable(title, ref, "workload")
+		t := newTable(title, fmt.Sprintf(ref, paper["erSSD"], paper["scrSSD"], paper["secSSD"]), "workload")
 		for _, p := range sanitize.Policies()[1:] {
 			t.Cols = append(t.Cols, p.Name())
 		}
@@ -332,17 +329,25 @@ func figure14c(e *env) (Table, error) {
 }
 
 func headline(e *env) (Table, error) {
-	rows, err := e.fig14()
+	rows, err := e.cells.Figure14(e.sc, e.profiles, e.workers)
 	if err != nil {
 		return Table{}, err
 	}
-	h := experiment.ComputeHeadline(rows)
+	return headlineTable(experiment.ComputeHeadline(rows), experiment.PaperHeadline), nil
+}
+
+// headlineTable prints our headline h beside the paper's p.
+func headlineTable(h, p experiment.Headline) Table {
 	t := newTable("Headline (§1) — secSSD vs. reprogram-based sanitization", "", "claim", "max", "avg", "paper max / avg")
-	t.add("secSSD IOPS over scrSSD", fix(h.IOPSSpeedupMax, 1)+"×", fix(h.IOPSSpeedupAvg, 1)+"×", "4.8× / 2.9×")
-	t.add("block-erase reduction vs. scrSSD", pct(h.EraseReductionMax, 0), pct(h.EraseReductionAvg, 0), "79% / 62%")
-	t.add("pLock reduction from bLock", pct(h.PLockReductionMax, 0), pct(h.PLockReductionAvg, 0), "57% / 28%")
-	t.add("IOPS gain from bLock", pct(h.BLockIOPSGainMax, 1), pct(h.BLockIOPSGainAvg, 1), "5.4% / 3.1%")
-	return t, nil
+	claim := func(name string, f func(float64, int) string, prec int, oursMax, oursAvg, paperMax, paperAvg float64) {
+		t.add(name, f(oursMax, prec), f(oursAvg, prec), f(paperMax, prec)+" / "+f(paperAvg, prec))
+	}
+	times := func(v float64, prec int) string { return fix(v, prec) + "×" }
+	claim("secSSD IOPS over scrSSD", times, 1, h.IOPSSpeedupMax, h.IOPSSpeedupAvg, p.IOPSSpeedupMax, p.IOPSSpeedupAvg)
+	claim("block-erase reduction vs. scrSSD", pct, 0, h.EraseReductionMax, h.EraseReductionAvg, p.EraseReductionMax, p.EraseReductionAvg)
+	claim("pLock reduction from bLock", pct, 0, h.PLockReductionMax, h.PLockReductionAvg, p.PLockReductionMax, p.PLockReductionAvg)
+	claim("IOPS gain from bLock", pct, 1, h.BLockIOPSGainMax, h.BLockIOPSGainAvg, p.BLockIOPSGainMax, p.BLockIOPSGainAvg)
+	return t
 }
 
 // ablation runs the amortization ladder (single-plane, no pipelining →

@@ -35,14 +35,16 @@
 // control leaks (a toothless control fails too).
 //
 // Check: -check writes the figures that carry tolerance bands (check.go:
-// Fig. 14(a), 14(b) and the headline, recorded at -scale default, which
-// -check requires) and exits 1 if any banded cell leaves its band.
+// our value of each Fig. 14(a), 14(b) and headline cell at -scale default,
+// ±2 %), exits 1 if a cell leaves its band, naming the paper's value (from
+// experiment), and prints fig14_err (experiment.PaperError) to stderr.
 //
 // Exit codes: 2 for usage errors (an unknown -fig, -scale, -format,
-// -workloads or -trace-policy value, flags of two modes combined, a
-// traced run given more than one workload, a -stats-interval that is not
-// positive or has no -stats-stream to pace, -batch-deadline or
-// -batch-threshold without -batch, or a -fault-rate outside [0, 1]),
+// -workloads or -trace-policy value, flags of two modes combined, -check
+// with a flag that changes what the bands were recorded on, a traced run
+// given more than one workload, a -stats-interval that is not positive or
+// has no -stats-stream to pace, -batch-deadline or -batch-threshold
+// without -batch, or a -fault-rate outside [0, 1]),
 // 1 for a failed experiment, export, gate or band.
 package main
 
@@ -126,6 +128,9 @@ func run(args []string) int {
 		return exit(2, errors.New("-check checks figures; drop the traced-run and attack-gate flags"))
 	case *check && *scaleName != "default":
 		return exit(2, fmt.Errorf("-check bands are recorded at -scale default, not %s", *scaleName))
+	case *check && anySet("workloads", "planes", "no-cache-pipeline", "batch", "batch-deadline", "batch-threshold",
+		"study-pages", "fault-rate", "fault-seed"):
+		return exit(2, errors.New("-check bands are recorded on the default device over every workload; drop -workloads and the device knobs"))
 	case gate && set["fig"] && *fig != "attack":
 		return exit(2, fmt.Errorf("attack-gate flags apply to -fig attack, not -fig %s", *fig))
 	case files.StreamInterval <= 0:
@@ -220,7 +225,7 @@ func run(args []string) int {
 	}
 	e := newEnv(*scaleName, sc, *parallelN, profiles, *powerCut)
 	render.header(w, header)
-	err = writeFigures(w, render, figs, e)
+	breaches, err := writeFigures(w, render, figs, e)
 	if err == nil {
 		err = closeOut()
 	}
@@ -231,18 +236,11 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
 	if *check {
-		var breaches []string
-		for _, f := range figs {
-			if bands[f.id] != nil {
-				// Every banded figure is built from a memoized grid, so
-				// building it again reruns nothing.
-				t, err := f.build(e)
-				if err != nil {
-					return exit(1, err)
-				}
-				breaches = append(breaches, checkBands(f.id, t)...)
-			}
+		rows, err := e.cells.Figure14(e.sc, e.profiles, e.workers)
+		if err != nil {
+			return exit(1, err)
 		}
+		fmt.Fprintf(os.Stderr, "fig14_err %.6g\n", experiment.PaperError(rows, experiment.ComputeHeadline(rows)))
 		if len(breaches) > 0 {
 			return exit(1, fmt.Errorf("%d cells out of band:\n  %s", len(breaches), strings.Join(breaches, "\n  ")))
 		}
@@ -256,9 +254,11 @@ func run(args []string) int {
 	return 0
 }
 
-// writeFigures builds, checks and renders figs in order; the first one
-// that fails ends the report with its error, before any of it is written.
-func writeFigures(w io.Writer, r renderer, figs []figure, e *env) error {
+// writeFigures builds, checks and renders figs in order and returns their
+// band breaches; the first one that fails ends the report with its error,
+// before any of it is written.
+func writeFigures(w io.Writer, r renderer, figs []figure, e *env) ([]string, error) {
+	var breaches []string
 	for _, f := range figs {
 		t, err := f.build(e)
 		if err == nil {
@@ -268,10 +268,11 @@ func writeFigures(w io.Writer, r renderer, figs []figure, e *env) error {
 			err = r.table(w, f.id, t)
 		}
 		if err != nil {
-			return fmt.Errorf("-fig %s: %w", f.id, err)
+			return nil, fmt.Errorf("-fig %s: %w", f.id, err)
 		}
+		breaches = append(breaches, checkBands(f.id, t)...)
 	}
-	return nil
+	return breaches, nil
 }
 
 // headerLines is the effective configuration: a run is reproducible

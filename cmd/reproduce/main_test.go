@@ -19,7 +19,7 @@ func TestFailingFigureFailsTheRun(t *testing.T) {
 		i := slices.IndexFunc(registry, func(f figure) bool { return f.id == id })
 		for name, r := range renderers {
 			var report bytes.Buffer
-			if err := writeFigures(&report, r, registry[i:i+1], e); err == nil {
+			if _, err := writeFigures(&report, r, registry[i:i+1], e); err == nil {
 				t.Errorf("%s/%s: no error from an invalid scale", id, name)
 			}
 			if report.Len() > 0 {
@@ -29,8 +29,9 @@ func TestFailingFigureFailsTheRun(t *testing.T) {
 	}
 }
 
-// Usage errors exit 2 before anything runs: unknown values, and flags
-// of two modes combined.
+// Usage errors exit 2 before anything runs: unknown values, flags of two
+// modes combined, and -check off the device and workloads its bands were
+// recorded on.
 func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "bogus", "-out", "-"},
@@ -46,6 +47,14 @@ func TestUnknownScaleAndFigureExitNonzero(t *testing.T) {
 		{"-check", "-out", "-"},
 		{"-check", "-scale", "default", "-audit-verify"},
 		{"-check", "-scale", "default", "-attack-verify"},
+		{"-check", "-scale", "default", "-workloads", "MailServer", "-out", "-"},
+		{"-check", "-scale", "default", "-planes", "2", "-out", "-"},
+		{"-check", "-scale", "default", "-no-cache-pipeline", "-out", "-"},
+		{"-check", "-scale", "default", "-batch", "-out", "-"},
+		{"-check", "-scale", "default", "-batch", "-batch-deadline", "2000", "-batch-threshold", "96", "-out", "-"},
+		{"-check", "-scale", "default", "-study-pages", "1000", "-out", "-"},
+		{"-check", "-scale", "default", "-fault-rate", "1e-3", "-out", "-"},
+		{"-check", "-scale", "default", "-fault-seed", "3", "-out", "-"},
 		{"-stats-stream", "s.jsonl", "-stats-interval", "0"},
 		{"-stats-stream", "s.jsonl", "-stats-interval", "-5"},
 		{"-batch-deadline", "2000", "-out", "-"},
@@ -95,10 +104,10 @@ func TestRegistry(t *testing.T) {
 		seen[f.id] = true
 
 		var md, cs bytes.Buffer
-		if err := writeFigures(&md, renderers["md"], registry[i:i+1], e); err != nil {
+		if _, err := writeFigures(&md, renderers["md"], registry[i:i+1], e); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFigures(&cs, renderers["csv"], registry[i:i+1], e); err != nil {
+		if _, err := writeFigures(&cs, renderers["csv"], registry[i:i+1], e); err != nil {
 			t.Fatal(err)
 		}
 		single["md"].Write(md.Bytes())
@@ -126,7 +135,7 @@ func TestRegistry(t *testing.T) {
 	}
 	for name, r := range renderers {
 		var all bytes.Buffer
-		if err := writeFigures(&all, r, registry, e); err != nil {
+		if _, err := writeFigures(&all, r, registry, e); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(all.Bytes(), single[name].Bytes()) {
@@ -143,7 +152,7 @@ func TestRaggedTableFails(t *testing.T) {
 	}}}
 	for name, r := range renderers {
 		var out bytes.Buffer
-		if err := writeFigures(&out, r, ragged, nil); err == nil {
+		if _, err := writeFigures(&out, r, ragged, nil); err == nil {
 			t.Errorf("%s rendered a ragged table:\n%s", name, out.String())
 		}
 		if out.Len() > 0 {

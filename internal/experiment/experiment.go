@@ -412,15 +412,15 @@ func (m *Memo) Figure14c(sc Scale, profiles []workload.Profile, fractions []floa
 	return pts, nil
 }
 
-// Headline aggregates the §1 claims from a Figure14 result set.
+// Headline aggregates the §1 claims from a Figure14 result set, each as
+// its maximum and average over workloads; PaperHeadline is the paper's.
 type Headline struct {
-	// SecSSD vs. the better reprogram-based baseline (scrSSD): IOPS
-	// speedups (paper: up to 4.8x, 2.9x average).
+	// SecSSD's IOPS speedup over scrSSD, the better reprogram-based baseline.
 	IOPSSpeedupMax, IOPSSpeedupAvg float64
-	// Erase reduction vs. scrSSD (paper: up to 79%, 62% average).
+	// SecSSD's erase reduction vs. scrSSD, as a fraction.
 	EraseReductionMax, EraseReductionAvg float64
-	// bLock's contribution: pLock count reduction vs. secSSD_nobLock
-	// (paper: up to 57%, 28% average) and IOPS gain (up to 5.4%, 3.1%).
+	// bLock's contribution: pLock count reduction vs. secSSD_nobLock and
+	// IOPS gain, as fractions.
 	PLockReductionMax, PLockReductionAvg float64
 	BLockIOPSGainMax, BLockIOPSGainAvg   float64
 }
@@ -482,6 +482,38 @@ func ComputeHeadline(rows []Fig14Row) Headline {
 		h.BLockIOPSGainAvg = sumGain / float64(nGain)
 	}
 	return h
+}
+
+// PaperIOPS, PaperWAF and PaperHeadline are the paper's Fig. 14(a) and
+// 14(b) values per policy (erSSD's IOPS a bound, the rest averages; the
+// WAFs maxima) and its §1 headline. A policy the paper gives no number
+// for has no key.
+var (
+	PaperIOPS     = map[string]float64{"erSSD": 0.04, "scrSSD": 0.34, "secSSD": 0.945}
+	PaperWAF      = map[string]float64{"erSSD": 320, "scrSSD": 4.41, "secSSD": 1.0}
+	PaperHeadline = Headline{IOPSSpeedupMax: 4.8, IOPSSpeedupAvg: 2.9, EraseReductionMax: 0.79, EraseReductionAvg: 0.62,
+		PLockReductionMax: 0.57, PLockReductionAvg: 0.28, BLockIOPSGainMax: 0.054, BLockIOPSGainAvg: 0.031}
+)
+
+// PaperError is the mean relative error of ten aggregates against the
+// paper's, the only data the model is validated on: rows' average
+// Fig. 14(a) IOPS of scrSSD and secSSD, and the eight fields of h.
+func PaperError(rows []Fig14Row, h Headline) float64 {
+	var scr, sec float64
+	for _, row := range rows {
+		scr += row.IOPS["scrSSD"] / float64(len(rows))
+		sec += row.IOPS["secSSD"] / float64(len(rows))
+	}
+	aggregates := func(scr, sec float64, h Headline) []float64 {
+		return []float64{scr, sec, h.IOPSSpeedupMax, h.IOPSSpeedupAvg, h.EraseReductionMax, h.EraseReductionAvg,
+			h.PLockReductionMax, h.PLockReductionAvg, h.BLockIOPSGainMax, h.BLockIOPSGainAvg}
+	}
+	ours, paper := aggregates(scr, sec, h), aggregates(PaperIOPS["scrSSD"], PaperIOPS["secSSD"], PaperHeadline)
+	var sum float64
+	for i, p := range paper {
+		sum += max(ours[i]-p, p-ours[i]) / p
+	}
+	return sum / float64(len(paper))
 }
 
 // BatchingCell is one device configuration of the amortization ablation:

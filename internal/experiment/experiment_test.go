@@ -138,3 +138,19 @@ func TestComputeHeadline(t *testing.T) {
 		t.Errorf("bLock should reduce pLock count (reduction %.2f)", h.PLockReductionMax)
 	}
 }
+
+// PaperError is 0 on the paper's own values and 1 with every aggregate
+// at twice its paper value, over one row or two.
+func TestPaperError(t *testing.T) {
+	p := PaperHeadline
+	for k, want := range map[float64]float64{1: 0, 2: 1} {
+		row := Fig14Row{IOPS: map[string]float64{"scrSSD": k * PaperIOPS["scrSSD"], "secSSD": k * PaperIOPS["secSSD"]}}
+		h := Headline{k * p.IOPSSpeedupMax, k * p.IOPSSpeedupAvg, k * p.EraseReductionMax, k * p.EraseReductionAvg,
+			k * p.PLockReductionMax, k * p.PLockReductionAvg, k * p.BLockIOPSGainMax, k * p.BLockIOPSGainAvg}
+		for _, rows := range [][]Fig14Row{{row}, {row, row}} {
+			if got := PaperError(rows, h); got != want {
+				t.Errorf("%d rows at %g× the paper: PaperError %v, want %v", len(rows), k, got, want)
+			}
+		}
+	}
+}
