@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/audit"
@@ -168,7 +169,8 @@ func (r Run) IOPS() float64 { return r.Report.IOPS }
 // WAF is shorthand for the run's write amplification.
 func (r Run) WAF() float64 { return r.Report.WAF }
 
-// Execute runs one configuration to completion on a device of its own.
+// Execute runs one configuration to completion, on the storage of a cell
+// that finished earlier if one is waiting (see pool); no run can tell.
 func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale) (Run, error) {
 	return ExecuteTraced(prof, policy, secureFraction, sc, nil)
 }
@@ -177,65 +179,21 @@ func Execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 // (nil behaves exactly like Execute). Pass a *trace.Recorder sized with
 // Channels and ChipsPerChannel to capture the run for export; note the
 // trace covers the prefill phase too — use the recorded horizon and the
-// host events to separate phases if needed. The collector also sees the
-// end-of-run lock drain (see execute), so a recorder's audit ledger can
-// be verified as soon as the run returns.
+// host events to separate phases if needed.
+//
+// It is the one body behind Execute and the grid cells. The host stage
+// runs on the caller's goroutine and the device on one of its own (see
+// drive). Once the report is taken it flushes the lock manager: with a
+// batching deadline or fault-delayed retries, queued pLocks can outlive
+// the last host request, and the collector's audit ledger, which can be
+// verified as soon as the run returns, would report their windows as
+// still open. The report is the workload's alone, so it is the same
+// whether a collector is attached or not. The cell is built on a set
+// taken from the pool and retires its own, detached from the collector,
+// once the run has completed: a cell that fails or panics retires
+// nothing.
 func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector) (Run, error) {
-	return execute(prof, policy, secureFraction, sc, tr, nil)
-}
-
-// handover passes the device and host stack of a grid's finished cells
-// to the cells that start next, which build theirs on the retired one's
-// storage (ssd.NewFrom, filesys.NewFrom, workload.NewGeneratorFrom)
-// instead of allocating the same tables again. One is made per grid
-// call, buffered for as many cells as the call has workers — no more can
-// be between cells at once — and dropped at return. The nil handover of
-// a single Execute retires nothing and offers nothing.
-type handover chan retired
-
-// retired is a finished cell's device, file system, generator and pipe
-// batch buffers.
-type retired struct {
-	dev     *ssd.SSD
-	fs      *filesys.FS
-	gen     *workload.Generator
-	batches [][]blockio.Request
-}
-
-func newHandover(workers int) handover {
-	return make(handover, parallel.Workers(workers))
-}
-
-// take returns a retired cell, or the zero one when none is waiting.
-func (h handover) take() retired {
-	select {
-	case r := <-h:
-		return r
-	default:
-		return retired{}
-	}
-}
-
-// retire offers a finished cell to the cells still to run.
-func (h handover) retire(r retired) {
-	select {
-	case h <- r:
-	default:
-	}
-}
-
-// execute is the one body behind Execute, ExecuteTraced and the grid
-// cells. The host stage runs on the caller's goroutine and the device on
-// one of its own (see drive). Once the report is taken it flushes the
-// lock manager: with a batching deadline or fault-delayed retries, queued
-// pLocks can outlive the last host request, and a collector's audit
-// ledger would report their windows as still open. The report is the
-// workload's alone, so it is the same whether a collector is attached or
-// not. The device, file system, generator and pipe buffers are built from
-// one cell h offers, if any, and handed back to h once the run has
-// completed: a cell that fails or panics retires nothing.
-func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, sc Scale, tr trace.Collector, h handover) (Run, error) {
-	old := h.take()
+	old := take()
 	dev, err := ssd.NewFrom(old.dev, sc.Device(policy, tr))
 	if err != nil {
 		return Run{}, err
@@ -251,9 +209,53 @@ func execute(prof workload.Profile, policy ftl.Policy, secureFraction float64, s
 		Report:         dev.Report(),
 	}
 	dev.FlushLocks()
+	dev.Close()
 	host.dev = dev
-	h.retire(host)
+	retire(host)
 	return run, nil
+}
+
+// pool holds the storage of finished cells for the cells that start
+// next, which build theirs on it (ssd.NewFrom, filesys.NewFrom,
+// workload.NewGeneratorFrom) instead of allocating the same tables
+// again. It is one free list for the whole process, whatever runs the
+// cells, and holds at most GOMAXPROCS sets, so what it retains is
+// bounded by the CPU count, not by the number of grids or figures in
+// flight. A set it turns away is garbage; one it holds stays until a
+// cell takes it, whatever the collector does.
+var pool struct {
+	mu   sync.Mutex
+	free []retired
+}
+
+// retired is a finished cell's device, file system, generator and pipe
+// batch buffers.
+type retired struct {
+	dev     *ssd.SSD
+	fs      *filesys.FS
+	gen     *workload.Generator
+	batches [][]blockio.Request
+}
+
+// take removes a retired cell from the pool, or returns the zero one
+// when none is waiting.
+func take() (r retired) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if n := len(pool.free); n > 0 {
+		r, pool.free[n-1] = pool.free[n-1], retired{}
+		pool.free = pool.free[:n-1]
+	}
+	return r
+}
+
+// retire offers a finished cell to the cells still to run.
+func retire(r retired) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if len(pool.free) < runtime.GOMAXPROCS(0) {
+		pool.free = append(pool.free, r)
+	}
 }
 
 // Fig14Row is one workload's column group in Fig. 14(a)/(b): every
@@ -271,7 +273,7 @@ type Fig14Row struct {
 // cells at fraction 1.0 are Fig. 14(a)'s — and whichever figure asks
 // first runs the cell while any other waits for it. A cell is keyed by
 // its profile, policy, secure fraction and Scale, which fix every
-// simulated value, so a remembered run is the one a fresh execute would
+// simulated value, so a remembered run is the one a fresh Execute would
 // return; an error or panic is remembered too. The zero Memo is ready to
 // use.
 type Memo struct {
@@ -286,14 +288,13 @@ type memoKey struct {
 	sc       Scale
 }
 
-// execute is the package's execute, untraced, run at most once per key;
-// h is the hand-over of the grid that asks first.
-func (m *Memo) execute(prof workload.Profile, policy ftl.Policy, fraction float64, sc Scale, h handover) (Run, error) {
+// execute is Execute, run at most once per key.
+func (m *Memo) execute(prof workload.Profile, policy ftl.Policy, fraction float64, sc Scale) (Run, error) {
 	k := memoKey{prof, policy.Name(), fraction, sc}
 	m.mu.Lock()
 	run, ok := m.cells[k]
 	if !ok {
-		run = sync.OnceValues(func() (Run, error) { return execute(prof, policy, fraction, sc, nil, h) })
+		run = sync.OnceValues(func() (Run, error) { return Execute(prof, policy, fraction, sc) })
 		if m.cells == nil {
 			m.cells = map[memoKey]func() (Run, error){}
 		}
@@ -313,7 +314,7 @@ func Figure14Parallel(sc Scale, profiles []workload.Profile, workers int) ([]Fig
 // (workload × policy) grid fanned across up to workers goroutines (<= 0:
 // one per CPU). Every cell is an independent seeded simulation — its own
 // device, chips, and RNGs, built on the storage of a cell that finished
-// earlier (see handover), which changes nothing a run can observe — and
+// earlier (see pool), which changes nothing a run can observe — and
 // results are gathered in grid order, so the rows are bit-identical for
 // any worker count.
 func (m *Memo) Figure14(sc Scale, profiles []workload.Profile, workers int) ([]Fig14Row, error) {
@@ -321,13 +322,12 @@ func (m *Memo) Figure14(sc Scale, profiles []workload.Profile, workers int) ([]F
 		profiles = workload.Profiles()
 	}
 	nPol := len(Policies())
-	h := newHandover(workers)
 	runs, err := parallel.Map(workers, len(profiles)*nPol, func(i int) (Run, error) {
 		prof := profiles[i/nPol]
 		// Fresh policy instances per cell: a policy must never be shared
 		// between concurrently running devices.
 		policy := Policies()[i%nPol]
-		run, err := m.execute(prof, policy, 1.0, sc, h)
+		run, err := m.execute(prof, policy, 1.0, sc)
 		if err != nil {
 			return Run{}, fmt.Errorf("%s/%s: %w", prof.Name, policy.Name(), err)
 		}
@@ -386,13 +386,12 @@ func (m *Memo) Figure14c(sc Scale, profiles []workload.Profile, fractions []floa
 	// Per profile: one baseline cell followed by the fraction sweep, in
 	// the same order the serial loop ran them.
 	per := 1 + len(fractions)
-	h := newHandover(workers)
 	runs, err := parallel.Map(workers, len(profiles)*per, func(i int) (Run, error) {
 		prof := profiles[i/per]
 		if k := i % per; k > 0 {
-			return m.execute(prof, sanitize.SecSSD(), fractions[k-1], sc, h)
+			return m.execute(prof, sanitize.SecSSD(), fractions[k-1], sc)
 		}
-		return m.execute(prof, sanitize.Baseline(), 1.0, sc, h)
+		return m.execute(prof, sanitize.Baseline(), 1.0, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -563,13 +562,12 @@ func BatchingCells() []BatchingCell {
 func BatchingAblation(sc Scale, workers int) ([]BatchingCell, error) {
 	cells := BatchingCells()
 	prof := workload.Mobile()
-	h := newHandover(workers)
 	return parallel.Map(workers, len(cells), func(i int) (BatchingCell, error) {
 		c := cells[i]
 		cs := sc
 		cs.Planes, cs.NoCachePipeline, cs.LockBatch = c.Planes, c.NoCachePipeline, c.LockBatch
 		rec := cs.recorder()
-		run, err := execute(prof, sanitize.SecSSD(), 1.0, cs, rec, h)
+		run, err := ExecuteTraced(prof, sanitize.SecSSD(), 1.0, cs, rec)
 		if err != nil {
 			return BatchingCell{}, fmt.Errorf("batching/%s: %w", c.Label, err)
 		}

@@ -3,7 +3,9 @@ package experiment
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/filesys"
@@ -40,35 +42,57 @@ func gridCells() []gridCell {
 	return cells
 }
 
-// executeCell runs a cell through execute with the given hand-over (nil:
-// on a device of its own, which is Execute).
-func executeCell(t *testing.T, c gridCell, sc Scale, h handover) Run {
+// executeCell runs a cell through Execute, on whatever storage the pool
+// offers.
+func executeCell(t *testing.T, c gridCell, sc Scale) Run {
 	t.Helper()
 	policy, err := PolicyByName(c.policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := execute(c.prof, policy, 1.0, sc, nil, h)
+	run, err := Execute(c.prof, policy, 1.0, sc)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.prof.Name, c.policy, err)
 	}
 	return run
 }
 
+// emptyPool drops every retired cell the pool holds, so the next cell
+// builds on storage of its own.
+func emptyPool() {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	pool.free = nil
+}
+
+// pooled returns the number of retired cells waiting in the pool.
+func pooled() int {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	return len(pool.free)
+}
+
+// freshCell is executeCell on a device of its own.
+func freshCell(t *testing.T, c gridCell, sc Scale) Run {
+	t.Helper()
+	emptyPool()
+	return executeCell(t, c, sc)
+}
+
 // TestFigure14WorkerInvariant is the golden determinism check for the
 // system-level grid, with Execute on a device of its own as the
 // reference for every one of the 20 cells: the grid at 1 and at 3
-// workers, and the cells pushed one after another through a single
-// hand-over in reversed and in interleaved order — so every cell is built
-// on the storage some other workload × policy cell used up — must
-// reproduce it exactly (reflect.DeepEqual down to every latency
-// percentile in the reports).
+// workers, and the cells pushed one after another through the pool in
+// reversed and in interleaved order — so every cell is built on the
+// storage some other workload × policy cell used up — must reproduce it
+// exactly (reflect.DeepEqual down to every latency percentile in the
+// reports).
 func TestFigure14WorkerInvariant(t *testing.T) {
 	sc := parTestScale()
 	cells := gridCells()
 	want := make([]Run, len(cells))
 	for i, c := range cells {
-		want[i] = executeCell(t, c, sc, nil)
+		want[i] = freshCell(t, c, sc)
 	}
 	for _, workers := range []int{1, 3} {
 		rows, err := Figure14Parallel(sc, nil, workers)
@@ -87,18 +111,84 @@ func TestFigure14WorkerInvariant(t *testing.T) {
 		"interleaved": func(k int) int { return k * 7 % len(cells) }, // 7 and 20 are coprime
 	}
 	for name, order := range orders {
-		h := newHandover(1)
+		emptyPool()
 		for k := range cells {
 			i := order(k)
-			if got := executeCell(t, cells[i], sc, h); !reflect.DeepEqual(got, want[i]) {
+			if got := executeCell(t, cells[i], sc); !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("%s order, step %d: cell %s/%s on an adopted device differs from Execute:\nadopted: %+v\nExecute: %+v",
 					name, k, cells[i].prof.Name, cells[i].policy, got, want[i])
 			}
-			if k > 0 && len(h) != 1 {
-				t.Fatalf("%s order, step %d: %d cells waiting in the hand-over, want the one just retired", name, k, len(h))
+			if n := pooled(); n != 1 {
+				t.Fatalf("%s order, step %d: %d cells waiting in the pool, want the one just retired", name, k, n)
 			}
 		}
 	}
+}
+
+// TestPoolCrossesConfigurations: a cell built on the storage of a cell of
+// another configuration — another scale, a traced run, two planes, fault
+// injection, lock batching, a larger device — is the run a fresh device
+// makes.
+func TestPoolCrossesConfigurations(t *testing.T) {
+	sc := parTestScale()
+	target := gridCell{workload.DBServer(), "secSSD"}
+	want := freshCell(t, target, sc)
+	donors := map[string]func(sc Scale) (Scale, trace.Collector){
+		"SmallScale": func(Scale) (Scale, trace.Collector) { return SmallScale(), nil },
+		"traced":     func(sc Scale) (Scale, trace.Collector) { return sc, sc.recorder() },
+		"two planes": func(sc Scale) (Scale, trace.Collector) { sc.Planes = 2; return sc, nil },
+		"faults":     func(sc Scale) (Scale, trace.Collector) { sc.FaultRate = 1e-3; return sc, nil },
+		"batching": func(sc Scale) (Scale, trace.Collector) {
+			sc.Planes, sc.LockBatch = 2, ftl.LockBatchConfig{Enabled: true, Deadline: 2000, Threshold: 96}
+			return sc, nil
+		},
+		"larger device": func(sc Scale) (Scale, trace.Collector) {
+			sc.BlocksPerChip, sc.WLsPerBlock, sc.StudyPages = 32, 24, 500
+			return sc, nil
+		},
+	}
+	for name, config := range donors {
+		emptyPool()
+		dsc, tr := config(sc)
+		if _, err := ExecuteTraced(workload.Mobile(), sanitize.SecSSD(), 1.0, dsc, tr); err != nil {
+			t.Fatalf("%s donor: %v", name, err)
+		}
+		if n := pooled(); n != 1 {
+			t.Fatalf("%s donor: %d cells waiting in the pool, want 1", name, n)
+		}
+		if got := executeCell(t, target, sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("on storage retired by a %s cell, %s/%s differs from a fresh device's:\nadopted: %+v\nfresh:   %+v",
+				name, target.prof.Name, target.policy, got, want)
+		}
+	}
+}
+
+// TestPoolDropsCollector: a traced cell's retired storage does not keep
+// its collector reachable, so a recorder and its events are garbage once
+// the caller drops them, while the set waits in the pool.
+func TestPoolDropsCollector(t *testing.T) {
+	emptyPool()
+	sc := parTestScale()
+	collected := make(chan struct{}, 1)
+	func() {
+		rec := sc.recorder()
+		runtime.SetFinalizer(rec, func(*trace.Recorder) { collected <- struct{}{} })
+		if _, err := ExecuteTraced(workload.Mobile(), sanitize.SecSSD(), 1.0, sc, rec); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if n := pooled(); n != 1 {
+		t.Fatalf("%d cells waiting in the pool after a traced cell, want 1", n)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Error("the recorder of a finished traced cell is still reachable from the pool")
 }
 
 // failingCollector panics on its n-th operation: a cell that dies mid-run.
@@ -115,47 +205,75 @@ func (c *failingCollector) Op(trace.Event) {
 	}
 }
 
-// TestHandoverRetiresOnlyCompletedRuns: a cell that fails to build, or
-// panics half way, takes a waiting device and hands nothing on; and the
-// hand-over never holds more devices than it was made for.
-func TestHandoverRetiresOnlyCompletedRuns(t *testing.T) {
+// TestPoolRetiresOnlyCompletedRuns: a cell that fails to build, or
+// panics half way, takes a waiting cell's storage and hands nothing on;
+// and the pool never holds more than GOMAXPROCS sets, however many
+// goroutines retire into it at once.
+func TestPoolRetiresOnlyCompletedRuns(t *testing.T) {
 	sc := parTestScale()
 	c := gridCell{workload.Mobile(), "secSSD"}
 	policy := func() ftl.Policy { p, _ := PolicyByName(c.policy); return p }
-	h := newHandover(2)
 
-	executeCell(t, c, sc, h)
+	freshCell(t, c, sc)
 	bad := sc
 	bad.BlocksPerChip = 0
-	if _, err := execute(c.prof, policy(), 1.0, bad, nil, h); err == nil {
+	if _, err := Execute(c.prof, policy(), 1.0, bad); err == nil {
 		t.Error("a zero-block device was built")
 	}
-	if len(h) != 0 {
-		t.Errorf("%d cells waiting after a cell that could not build took the only one", len(h))
+	if n := pooled(); n != 0 {
+		t.Errorf("%d cells waiting after a cell that could not build took the only one", n)
 	}
 
-	executeCell(t, c, sc, h)
+	executeCell(t, c, sc)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("the collector's panic did not reach the caller")
 			}
 		}()
-		_, _ = execute(c.prof, policy(), 1.0, sc, &failingCollector{left: 500}, h)
+		_, _ = ExecuteTraced(c.prof, policy(), 1.0, sc, &failingCollector{left: 500})
 	}()
-	if len(h) != 0 {
-		t.Errorf("%d cells waiting after a cell that panicked took the only one", len(h))
+	if n := pooled(); n != 0 {
+		t.Errorf("%d cells waiting after a cell that panicked took the only one", n)
 	}
 
-	for i := 0; i < 3; i++ {
-		dev, err := ssd.New(sc.Device(policy(), nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.retire(retired{dev: dev})
+	limit := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for i := 0; i < 2*limit+1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			retire(retired{batches: make([][]blockio.Request, pipeBatches)})
+			if n := pooled(); n > limit {
+				t.Errorf("%d cells waiting in a pool capped at GOMAXPROCS = %d", n, limit)
+			}
+		}()
 	}
-	if len(h) != 2 {
-		t.Errorf("%d cells waiting in a hand-over made for 2 workers after 3 were retired", len(h))
+	wg.Wait()
+	if n := pooled(); n != limit {
+		t.Errorf("%d cells waiting after %d were retired, want the cap %d", n, 2*limit+1, limit)
+	}
+	emptyPool()
+}
+
+// TestPoolSecondExecuteAllocatesLittle: a second Execute of a cell builds
+// on the first one's storage, so it allocates less than a tenth of what
+// the first did.
+func TestPoolSecondExecuteAllocatesLittle(t *testing.T) {
+	sc := SmallScale()
+	c := gridCell{workload.MailServer(), "secSSD"}
+	emptyPool()
+	var bytes [2]uint64
+	for i := range bytes {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		executeCell(t, c, sc)
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	t.Logf("first Execute %d bytes, second %d", bytes[0], bytes[1])
+	if bytes[1]*10 >= bytes[0] {
+		t.Errorf("the second Execute allocated %d bytes, the first %d: want less than a tenth", bytes[1], bytes[0])
 	}
 }
 
@@ -268,7 +386,7 @@ func TestBatchingAblationWorkerInvariant(t *testing.T) {
 }
 
 // construct builds a cell's device, file system and generator on old's
-// storage the way execute and drive do, with the file system on the
+// storage the way ExecuteTraced and drive do, with the file system on the
 // device itself rather than a pipe, and returns them with the bytes that
 // took.
 func construct(t *testing.T, old retired, policy ftl.Policy, prof workload.Profile, sc Scale) (retired, uint64) {

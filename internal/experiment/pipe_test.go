@@ -300,15 +300,14 @@ func TestPipeRejectsPayload(t *testing.T) {
 	_, _ = p.Submit(blockio.Request{Op: blockio.OpWrite, Pages: 1, Data: make([]byte, 4096)})
 }
 
-// TestPipeReusesRetiredBatches: drive hands its batch buffers on in the
-// retired cell, and a pipe built from them allocates less than one
-// buffer's worth, not a set of its own.
+// TestPipeReusesRetiredBatches: a cell retires its pipe's batch buffers
+// to the pool with the rest of its storage, and a pipe built from the set
+// the pool hands out allocates less than one buffer's worth, not a set of
+// its own.
 func TestPipeReusesRetiredBatches(t *testing.T) {
-	sc := pipeTestScale()
-	r, err := drive(newFake(), retired{}, workload.MailServer(), 1.0, sc, sc.StudyPages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	emptyPool()
+	executeCell(t, gridCell{workload.MailServer(), "baseline"}, pipeTestScale())
+	r := take()
 	if len(r.batches) != pipeBatches {
 		t.Fatalf("retired %d batch buffers, want %d", len(r.batches), pipeBatches)
 	}

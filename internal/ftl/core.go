@@ -233,6 +233,10 @@ func (f *FTL) Lookup(lpa int64) PPA {
 // LogicalPages returns the exported capacity in pages.
 func (f *FTL) LogicalPages() int { return len(f.l2p) }
 
+// Close detaches the FTL from its trace collector (see ssd's Close); it
+// must not be used afterwards except as a NewFrom donor.
+func (f *FTL) Close() { f.cfg.Tracer, f.tracer, f.traceOn = nil, trace.Nop{}, false }
+
 // Submit executes one host block-I/O request, starting no earlier than
 // dep, and returns its completion time.
 func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -101,34 +102,63 @@ func (s *Sample) ensureSorted() {
 	if s.sorted {
 		return
 	}
-	if s.tail.Len() > 0 {
-		s.xs, s.tail = s.flat(0), Log[float64]{}
-	}
+	s.flatten()
 	sort.Float64s(s.xs)
 	s.sorted = true
 }
 
+// flatten moves the tail into xs, so xs holds every value.
+func (s *Sample) flatten() {
+	if s.tail.Len() > 0 {
+		s.xs, s.tail = s.flat(0), Log[float64]{}
+	}
+}
+
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear interpolation
-// between closest ranks. It returns NaN for an empty sample.
+// between closest ranks of the values in sort.Float64s order (NaN before
+// every number). It returns NaN for an empty sample. An unsorted sample
+// stays unsorted: the one or two ranks needed are found by selection in
+// linear time, which leaves the values in an order of its own.
 func (s *Sample) Quantile(q float64) float64 {
 	if s.N() == 0 {
 		return math.NaN()
 	}
-	s.ensureSorted()
+	s.flatten()
+	last := len(s.xs) - 1
 	if q <= 0 {
-		return s.xs[0]
+		return s.rank(0)
 	}
 	if q >= 1 {
-		return s.xs[len(s.xs)-1]
+		return s.rank(last)
 	}
-	pos := q * float64(len(s.xs)-1)
+	pos := q * float64(last)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s.xs[lo]
+		return s.rank(lo)
+	}
+	y := s.xs[hi]
+	if !s.sorted {
+		selectRank(s.xs, lo)
+		// Nothing after lo is before xs[lo] now: rank hi is their least.
+		y = extreme(s.xs[hi:], before)
 	}
 	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return s.xs[lo]*(1-frac) + y*frac
+}
+
+// rank returns the value sort.Float64s would put at index k.
+func (s *Sample) rank(k int) float64 {
+	switch {
+	case s.sorted:
+	case k == 0:
+		return extreme(s.xs, before)
+	case k == len(s.xs)-1:
+		return extreme(s.xs, after)
+	default:
+		selectRank(s.xs, k)
+	}
+	return s.xs[k]
 }
 
 // Max returns the largest value (NaN when empty).
@@ -156,6 +186,7 @@ type BoxStats struct {
 
 // Box computes the box-plot statistics of the sample.
 func (s *Sample) Box() BoxStats {
+	s.ensureSorted() // every quantile below reads the sorted values
 	b := BoxStats{
 		Min:    s.Quantile(0),
 		Q1:     s.Quantile(0.25),
@@ -166,6 +197,80 @@ func (s *Sample) Box() BoxStats {
 	iqr := b.Q3 - b.Q1
 	b.WhiskerLo = math.Max(b.Min, b.Q1-1.5*iqr)
 	b.WhiskerHi = math.Min(b.Max, b.Q3+1.5*iqr)
+	return b
+}
+
+// before orders float64s as sort.Float64s does: NaN before every number.
+func before(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// after is before with its operands swapped.
+func after(a, b float64) bool { return before(b, a) }
+
+// extreme returns the value of xs that comes first in the order first
+// defines: the least in sort.Float64s order for before, the greatest for
+// after.
+func extreme(xs []float64, first func(a, b float64) bool) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if first(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectRank reorders xs so that xs[k] is the value sort.Float64s would
+// put there, with nothing before it in that order after k and nothing
+// after it before k: Hoare partitioning around a median-of-three pivot,
+// narrowed to the side that holds k. A range still open after about
+// twice the levels a balanced split needs is sorted instead, so no input
+// takes quadratic time.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2*bits.Len(uint(len(xs))) + 4; lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi])
+		i, j := lo, hi
+		for i <= j {
+			for before(xs[i], p) {
+				i++
+			}
+			for before(p, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] are not after p, xs[i..hi] not before it, and the
+		// values strictly between j and i are p's equals.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// median3 returns the middle of three values in sort.Float64s order.
+func median3(a, b, c float64) float64 {
+	if before(b, a) {
+		a, b = b, a
+	}
+	if before(c, b) {
+		b = c
+		if before(b, a) {
+			b = a
+		}
+	}
 	return b
 }
 

@@ -613,10 +613,14 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 	return end
 }
 
-// Close releases nothing: the device owns no goroutine, file or pool. It
-// stays because bench/probes.go calls it and bench/ is frozen by
-// BENCHMARK.json; the next benchmark-only change should drop both.
-func (s *SSD) Close() {}
+// Close detaches the device from its trace collector, which a device
+// kept only as a NewFrom donor (experiment's pool of retired cells) would
+// otherwise keep reachable with every event it holds. The device must not
+// be used afterwards except as a donor.
+func (s *SSD) Close() {
+	s.cfg.Trace, s.tr, s.traceOn = nil, trace.Nop{}, false
+	s.ftl.Close()
+}
 
 // FlushLocks force-drains the FTL's wordline batching queue. Deferred-
 // deadline configurations (LockBatch.Deadline > 0) use it as the
