@@ -292,7 +292,7 @@ func TestSampleFlagRetention(t *testing.T) {
 	cells := make([]float64, k)
 	sample := func(v, tp float64) (flips, worst int, mean float64) {
 		for range flags {
-			fm.SampleCells(cells, v, tp, days, 1000, rng)
+			fm.SampleCells(cells, fm.MeanAfter(v, tp, days, 1000), rng)
 			errs := 0
 			for _, c := range cells {
 				if c <= fm.ReadRef {

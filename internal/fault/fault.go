@@ -12,7 +12,10 @@
 // per chip by the device model, so the i-th draw of a run is always made
 // by the same operation: identical seed + identical workload ⇒ an
 // identical fault schedule, bit for bit. The injector keeps no wall
-// clock, no global RNG, and no map state.
+// clock, no global RNG, and no map state. A fault kind's wear-scaled
+// probability is evaluated once per P/E count, into a table later
+// decisions at that count load: the same float expression, so the table
+// moves no decision and no stream position.
 package fault
 
 import (
@@ -108,7 +111,20 @@ type Injector struct {
 	cfg    Config
 	state  uint64
 	counts Counts
+	// prob[k][pe] is kind k's failure probability at pe P/E cycles on a
+	// chip of probEndurance cycles, filled up to the largest count seen.
+	prob          [kinds][]float64
+	probEndurance int
 }
+
+// The failure kinds, each with a probability table.
+const (
+	kindProgram = iota
+	kindErase
+	kindPLock
+	kindBLock
+	kinds
+)
 
 // New builds an injector for one stream (the chip index). Different
 // streams over the same Config draw well-separated schedules.
@@ -157,23 +173,42 @@ func (in *Injector) wearMultiplier(peCycles, endurance int) float64 {
 	return 1 + in.cfg.WearWeight*math.Pow(float64(peCycles)/float64(endurance), exp)
 }
 
-// fail draws one failure decision. A zero base probability consumes no
-// stream state, so disabled fault kinds never perturb the schedule of
-// enabled ones.
-func (in *Injector) fail(base float64, peCycles, endurance int) bool {
+// fail draws one failure decision of a kind with base probability base.
+// A zero base probability consumes no stream state, so disabled fault
+// kinds never perturb the schedule of enabled ones.
+func (in *Injector) fail(kind int, base float64, peCycles, endurance int) bool {
 	if base <= 0 {
 		return false
 	}
-	p := base * in.wearMultiplier(peCycles, endurance)
-	if p > maxFailProb {
-		p = maxFailProb
+	peCycles = max(peCycles, 0) // the wear multiplier is 1 at or below 0
+	if peCycles >= len(in.prob[kind]) || endurance != in.probEndurance {
+		in.fillProb(kind, base, peCycles, endurance)
 	}
-	return in.uniform() < p
+	return in.uniform() < in.prob[kind][peCycles]
+}
+
+// fillProb extends kind's table through peCycles, every table starting
+// over when the endurance differs from theirs. A block's P/E count moves
+// only at its erase, so the wear curve is evaluated once per count.
+func (in *Injector) fillProb(kind int, base float64, peCycles, endurance int) {
+	if endurance != in.probEndurance {
+		for k := range in.prob {
+			in.prob[k] = in.prob[k][:0]
+		}
+		in.probEndurance = endurance
+	}
+	for pe := len(in.prob[kind]); pe <= peCycles; pe++ {
+		p := base * in.wearMultiplier(pe, endurance)
+		if p > maxFailProb {
+			p = maxFailProb
+		}
+		in.prob[kind] = append(in.prob[kind], p)
+	}
 }
 
 // FailProgram decides whether a page program fails.
 func (in *Injector) FailProgram(peCycles, endurance int) bool {
-	if in.fail(in.cfg.ProgramFail, peCycles, endurance) {
+	if in.fail(kindProgram, in.cfg.ProgramFail, peCycles, endurance) {
 		in.counts.ProgramFails++
 		return true
 	}
@@ -182,7 +217,7 @@ func (in *Injector) FailProgram(peCycles, endurance int) bool {
 
 // FailErase decides whether a block erase fails.
 func (in *Injector) FailErase(peCycles, endurance int) bool {
-	if in.fail(in.cfg.EraseFail, peCycles, endurance) {
+	if in.fail(kindErase, in.cfg.EraseFail, peCycles, endurance) {
 		in.counts.EraseFails++
 		return true
 	}
@@ -191,7 +226,7 @@ func (in *Injector) FailErase(peCycles, endurance int) bool {
 
 // FailPLock decides whether a one-shot pLock flag program fails.
 func (in *Injector) FailPLock(peCycles, endurance int) bool {
-	if in.fail(in.cfg.PLockFail, peCycles, endurance) {
+	if in.fail(kindPLock, in.cfg.PLockFail, peCycles, endurance) {
 		in.counts.PLockFails++
 		return true
 	}
@@ -200,7 +235,7 @@ func (in *Injector) FailPLock(peCycles, endurance int) bool {
 
 // FailBLock decides whether an SSL bLock program fails.
 func (in *Injector) FailBLock(peCycles, endurance int) bool {
-	if in.fail(in.cfg.BLockFail, peCycles, endurance) {
+	if in.fail(kindBLock, in.cfg.BLockFail, peCycles, endurance) {
 		in.counts.BLockFails++
 		return true
 	}

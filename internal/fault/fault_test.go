@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nand/vth"
@@ -210,5 +211,138 @@ func TestUniformConfig(t *testing.T) {
 	}
 	if (Config{}).Enabled() {
 		t.Fatal("zero Config enabled")
+	}
+}
+
+// refInjector is the injector's decision path as it was before the wear
+// curve was tabled: the multiplier recomputed with math.Pow on every
+// call. TestFailDifferential holds the tabled injector to it.
+type refInjector struct {
+	cfg    Config
+	state  uint64
+	counts Counts
+}
+
+func (r *refInjector) wearMultiplier(peCycles, endurance int) float64 {
+	if r.cfg.WearWeight <= 0 || endurance <= 0 || peCycles <= 0 {
+		return 1
+	}
+	exp := r.cfg.WearExponent
+	if exp <= 0 {
+		exp = 2
+	}
+	return 1 + r.cfg.WearWeight*math.Pow(float64(peCycles)/float64(endurance), exp)
+}
+
+func (r *refInjector) fail(base float64, peCycles, endurance int, count *uint64) bool {
+	if base <= 0 {
+		return false
+	}
+	p := base * r.wearMultiplier(peCycles, endurance)
+	if p > maxFailProb {
+		p = maxFailProb
+	}
+	r.state += 0x9E3779B97F4A7C15
+	if float64(mix64(r.state)>>11)/(1<<53) < p {
+		*count++
+		return true
+	}
+	return false
+}
+
+// TestFailDifferential runs the tabled injector and the per-call
+// reference through the same random scripts of (kind, P/E count,
+// endurance) and requires the same decision at every step and the same
+// counts and stream state at the end.
+func TestFailDifferential(t *testing.T) {
+	configs := map[string]Config{
+		"uniform 1e-3": Uniform(1e-3, 11),
+		"uniform 0.2":  Uniform(0.2, 12),
+		"capped":       {ProgramFail: 0.5, EraseFail: 0.3, PLockFail: 0.9, BLockFail: 0.1, WearWeight: 3, WearExponent: 2, Seed: 13},
+		"flat":         {ProgramFail: 0.3, EraseFail: 0.3, PLockFail: 0.3, BLockFail: 0.3, WearWeight: 0, Seed: 14},
+		"exponent 0":   {ProgramFail: 0.1, EraseFail: 0.2, PLockFail: 0.3, BLockFail: 0.05, WearWeight: 2, Seed: 15},
+		"exponent 1.5": {ProgramFail: 0.1, EraseFail: 0.2, PLockFail: 0.3, BLockFail: 0.05, WearWeight: 5, WearExponent: 1.5, Seed: 16},
+		"zero kinds":   {ProgramFail: 0.25, PLockFail: 0.25, WearWeight: 3, WearExponent: 2, Seed: 17},
+		// One P/E cycle doubles the probability: a count read as its
+		// neighbour changes decisions.
+		"steep": {ProgramFail: 0.2, EraseFail: 0.2, PLockFail: 0.2, BLockFail: 0.2, WearWeight: 1e6, WearExponent: 2, Seed: 18},
+	}
+	const steps = 20000
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			script := rand.New(rand.NewSource(cfg.Seed))
+			in := New(cfg, 2)
+			ref := &refInjector{cfg: cfg, state: in.state}
+			endurance, maxPE := 3000, 0
+			for i := 0; i < steps; i++ {
+				if i == steps/2 {
+					// A chip of another endurance on the same injector,
+					// lower, so that every later count is in the tables
+					// filled for the first.
+					endurance = 1000
+				}
+				var pe int
+				switch script.Intn(6) {
+				case 0:
+					pe = 0
+				case 1:
+					pe = endurance
+				case 2:
+					pe = 3 * endurance
+				case 3:
+					pe = -1 - script.Intn(5)
+				default:
+					pe = script.Intn(3*endurance + 1)
+				}
+				if i >= steps/2 {
+					maxPE = max(maxPE, pe)
+				}
+				var got, want bool
+				switch script.Intn(4) {
+				case 0:
+					got, want = in.FailProgram(pe, endurance), ref.fail(cfg.ProgramFail, pe, endurance, &ref.counts.ProgramFails)
+				case 1:
+					got, want = in.FailErase(pe, endurance), ref.fail(cfg.EraseFail, pe, endurance, &ref.counts.EraseFails)
+				case 2:
+					got, want = in.FailPLock(pe, endurance), ref.fail(cfg.PLockFail, pe, endurance, &ref.counts.PLockFails)
+				default:
+					got, want = in.FailBLock(pe, endurance), ref.fail(cfg.BLockFail, pe, endurance, &ref.counts.BLockFails)
+				}
+				if got != want {
+					t.Fatalf("step %d: decision %v at pe %d, endurance %d, reference %v", i, got, pe, endurance, want)
+				}
+			}
+			if in.Counts() != ref.counts {
+				t.Fatalf("counts %+v, reference %+v", in.Counts(), ref.counts)
+			}
+			if in.state != ref.state {
+				t.Fatalf("stream state %#x, reference %#x", in.state, ref.state)
+			}
+			for k, tab := range in.prob {
+				if len(tab) > maxPE+1 {
+					t.Fatalf("kind %d's table holds %d entries after a largest P/E count of %d", k, len(tab), maxPE)
+				}
+			}
+			if in.Counts() == (Counts{}) {
+				t.Fatal("script injected no failure")
+			}
+		})
+	}
+}
+
+// TestFailAllocsPerRun: a decision or a read at a P/E count the injector
+// has already seen allocates nothing.
+func TestFailAllocsPerRun(t *testing.T) {
+	in := New(Uniform(1e-3, 1), 0)
+	in.FailProgram(600, 1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		in.FailProgram(600, 1000)
+		in.FailErase(17, 1000)
+		in.FailPLock(599, 1000)
+		in.FailBLock(0, 1000)
+		in.ReadErrors(8*4096, 300, 1000)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm fault decisions allocate %v times per run, want 0", allocs)
 	}
 }

@@ -146,6 +146,10 @@ func DefaultTiming() Timing {
 	}
 }
 
+// timing is DefaultTiming, read once: every chip op returns one of its
+// latencies.
+var timing = DefaultTiming()
+
 // OpKind labels a chip operation for accounting.
 type OpKind int
 
@@ -279,6 +283,9 @@ type Chip struct {
 
 	flagModel vth.FlagModel // pAP flag cells
 	sslModel  vth.SSLModel  // bAP / SSL cells
+	// flagMean is the pAP flag cells' mean Vth right after a pLock at
+	// vth.PLockPoint, the one operating point of every chip.
+	flagMean float64
 
 	rng *rand.Rand
 
@@ -341,7 +348,7 @@ func (c *Chip) programFlag(blk *block, page int, rec *pageRec, day float64) {
 		c.flagSlots++
 		rec.flag = c.flagSlots
 	}
-	c.flagModel.SampleCells(c.cellBuf[:], vth.PLockPoint.V, vth.PLockPoint.T, 0, blk.peCycles, c.rng)
+	c.flagModel.SampleCells(c.cellBuf[:], c.flagMean, c.rng)
 	*c.flagSlot(rec.flag) = papFlag{median: medianOf(&c.cellBuf), day: day}
 	if page >= blk.flagEnd {
 		blk.flagEnd = page + 1
@@ -437,6 +444,7 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	rng.Seed(1)
+	flagModel := vth.DefaultFlagModel()
 	c := &Chip{
 		geo:    geo,
 		blocks: adopt.Zeroed(old.blocks, geo.Blocks),
@@ -445,7 +453,8 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 		// slot numbers do not depend on how many chunks there already are.
 		flagChunks: adopt.ZeroedEach(old.flagChunks, flagChunkSlots),
 		flagFree:   adopt.Zeroed(old.flagFree, 0),
-		flagModel:  vth.DefaultFlagModel(),
+		flagModel:  flagModel,
+		flagMean:   flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T),
 		sslModel:   vth.DefaultSSLModel(),
 		rng:        rng,
 		readBuf:    adopt.Zeroed(old.readBuf, geo.PageBytes),

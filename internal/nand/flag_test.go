@@ -58,7 +58,7 @@ func TestFlagVoteDifferential(t *testing.T) {
 			mustProgram(t, c, a, nil)
 			mustPLock(t, c, a)
 			cells := make([]float64, k)
-			c.flagModel.SampleCells(cells, vth.PLockPoint.V, vth.PLockPoint.T, 0, 0, replay)
+			c.flagModel.SampleCells(cells, c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, 0, 0), replay)
 			lockDay := c.nowDays(0)
 			for i := range 5 {
 				// The lock day, then log-uniform ages up to ~300 years:

@@ -112,8 +112,7 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 	if elapsed := day - f.day; elapsed > 0 {
 		// With no retention yet MeanAfter is ProgrammedMean and the decay
 		// is exactly 0.
-		median -= c.flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T) -
-			c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, elapsed, 0)
+		median -= c.flagMean - c.flagModel.MeanAfter(vth.PLockPoint.V, vth.PLockPoint.T, elapsed, 0)
 	}
 	return median > c.flagModel.ReadRef
 }
@@ -177,13 +176,13 @@ func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []OOBMeta)
 	// sanitize this page.
 	if c.faults != nil && c.faults.FailProgram(blk.peCycles, c.geo.EnduranceCycles) {
 		c.faults.CorruptTail(stored)
-		return DefaultTiming().Prog, ErrProgramFailed
+		return timing.Prog, ErrProgramFailed
 	}
 	if len(spare) > 0 {
 		m, rec := &spare[0], c.rec(a)
 		rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
 	}
-	return DefaultTiming().Prog, nil
+	return timing.Prog, nil
 }
 
 // Erase wipes the block: all page data is destroyed, all pAP flags and
@@ -205,7 +204,7 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	// SSL state intact — after burning the full tBERS. The FTL retires
 	// such a block (its contents may be locked, never free).
 	if c.faults != nil && c.faults.FailErase(blk.peCycles, c.geo.EnduranceCycles) {
-		return DefaultTiming().Erase, ErrEraseFailed
+		return timing.Erase, ErrEraseFailed
 	}
 	if blk.data != nil {
 		// Retire payload buffers into the recycle pool for later Program
@@ -230,7 +229,7 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	blk.peCycles++
 	blk.sslCenter = 0
 	blk.sslLockDay = 0
-	return DefaultTiming().Erase, nil
+	return timing.Erase, nil
 }
 
 // PLock disables access to one page by programming its k pAP flag cells
@@ -253,11 +252,11 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 		// majority circuit still sees the flag enabled). pLock cannot be
 		// retried on the same flag cells — the FTL escalates to bLock.
 		if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-			return DefaultTiming().PLock, ErrPLockFailed
+			return timing.PLock, ErrPLockFailed
 		}
 		c.programFlag(blk, a.Page, rec, c.nowDays(now))
 	}
-	return DefaultTiming().PLock, nil
+	return timing.PLock, nil
 }
 
 // PLockWL disables several pages of one wordline with a single SBPI
@@ -304,19 +303,19 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 		}
 	}
 	if !need {
-		return DefaultTiming().PLock, nil
+		return timing.PLock, nil
 	}
 	// One fault draw per pulse: the whole batch shares the one-shot
 	// program cycle.
 	if c.faults != nil && c.faults.FailPLock(blk.peCycles, c.geo.EnduranceCycles) {
-		return DefaultTiming().PLock, ErrPLockFailed
+		return timing.PLock, ErrPLockFailed
 	}
 	for _, s := range slots {
 		if rec := &recs[base+s]; rec.flag == 0 {
 			c.programFlag(blk, base+s, rec, c.nowDays(now))
 		}
 	}
-	return DefaultTiming().PLock, nil
+	return timing.PLock, nil
 }
 
 // checkPlanes validates a multi-plane address vector: at most one page
@@ -373,7 +372,7 @@ func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, sp
 		}
 		next[0].LPA++
 	}
-	return DefaultTiming().Prog, errs, nil
+	return timing.Prog, errs, nil
 }
 
 // ReadMulti reads one page per plane with a single shared cell-activity
@@ -391,7 +390,7 @@ func (c *Chip) ReadMulti(addrs []PageAddr, now sim.Micros) (sim.Micros, []error,
 	for i, a := range addrs {
 		_, errs[i] = c.Read(a, now)
 	}
-	return DefaultTiming().Read, errs, nil
+	return timing.Read, errs, nil
 }
 
 // BLock disables access to the whole block by programming its SSL cells
@@ -411,12 +410,12 @@ func (c *Chip) BLock(blockIdx int, now sim.Micros) (sim.Micros, error) {
 		// A failed SSL program leaves the block readable; the FTL falls
 		// back to copy-out + erase.
 		if c.faults != nil && c.faults.FailBLock(blk.peCycles, c.geo.EnduranceCycles) {
-			return DefaultTiming().BLock, ErrBLockFailed
+			return timing.BLock, ErrBLockFailed
 		}
 		blk.sslCenter = c.sslModel.ProgrammedCenter(vth.BLockPoint.V, vth.BLockPoint.T)
 		blk.sslLockDay = c.nowDays(now)
 	}
-	return DefaultTiming().BLock, nil
+	return timing.BLock, nil
 }
 
 // Scrub destroys the addressed page's wordline in place by raising every
@@ -455,7 +454,7 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if blk.writePtr > wlStart && blk.writePtr < wlEnd {
 		blk.writePtr = wlEnd
 	}
-	return DefaultTiming().Scrub, nil
+	return timing.Scrub, nil
 }
 
 // Copyback moves a page's contents to another location on the same chip
@@ -484,7 +483,7 @@ func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (si
 	// transfer cycles. A program failure surfaces with its latency: the
 	// destination page was consumed and must be recovered like any other
 	// failed program.
-	return DefaultTiming().Read + progLat, err
+	return timing.Read + progLat, err
 }
 
 // IsBlockLocked reports the current bAP state of a block.

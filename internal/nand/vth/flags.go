@@ -114,10 +114,10 @@ func (f FlagModel) RetentionErrorProb(v, t, days float64, peCycles int) float64 
 }
 
 // SampleCells fills dst with the Vths of the cells one flag program
-// charges after (v, t) programming and days of retention: the mean,
-// which the cells share, plus one normal draw per cell.
-func (f FlagModel) SampleCells(dst []float64, v, t, days float64, peCycles int, rng *rand.Rand) {
-	mean := f.MeanAfter(v, t, days, peCycles)
+// charges, given their shared mean (ProgrammedMean right after the
+// pulse, MeanAfter once retention has set in): the mean plus one normal
+// draw per cell.
+func (f FlagModel) SampleCells(dst []float64, mean float64, rng *rand.Rand) {
 	for i := range dst {
 		dst[i] = mean + rng.NormFloat64()*f.Sigma
 	}
