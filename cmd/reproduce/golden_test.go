@@ -96,15 +96,17 @@ func TestTracedExportsGolden(t *testing.T) {
 }
 
 // TestDeviceArtifactsGolden pins the artifacts whose devices no other
-// golden checks: Table 1 (the §3 study device) at small and default scale,
-// the default attack matrix (the compact core device), the Mobile ×
+// golden checks: Table 1 (the §3 study device) at small and default scale
+// and Fig. 4 (the same studies, with two files watched each) at small
+// scale, the default attack matrix (the compact core device), the Mobile ×
 // secSSD ladder behind -fig ablation and -fig tinsec at small scale, and
 // the chip-characterization figures (6, 9 to 12, overhead, temp), which
 // read the lock operating points, k, the latencies and the ECC limit
 // straight from the chip model. The Table 1 and attack SHA-256s are what
 // commit 2fa281d wrote for the same commands; the ablation and tinsec
 // ones were recorded while each figure still ran the ladder on its own;
-// the chip figures' are what commit 3acd6dd wrote.
+// the chip figures' are what commit 3acd6dd wrote; Fig. 4's is what
+// commit c3a280d writes.
 func TestDeviceArtifactsGolden(t *testing.T) {
 	bin := buildReproduce(t)
 	dir := t.TempDir()
@@ -119,6 +121,8 @@ func TestDeviceArtifactsGolden(t *testing.T) {
 			"170068c28f87cde004c261bdbbeda45b387c26b3c6deb0d95e066ef6666e4d17"},
 		{"table1/default", []string{"-fig", "table1", "-scale", "default", "-format", "csv", "-out", "-"}, "",
 			"55bbafea61c6ebf436981991a8f5cd4c9482cf3518051687c4ec2d9df80bb171"},
+		{"fig4/small", []string{"-fig", "4", "-scale", "small", "-format", "csv", "-out", "-"}, "",
+			"cade97b406fbec348a1738a1eea7515beb057124e2a2a925e42dcfc4d95cdb30"},
 		{"attack-json", []string{"-out", filepath.Join(dir, "attack.md"), "-attack-json", matrix}, matrix,
 			"0700d8e9c8db2b42dd3a076720f8da1f9c6a76d1c8520538b21e64d747ce5a1c"},
 		{"ablation/small", []string{"-fig", "ablation", "-scale", "small", "-format", "csv", "-out", "-"}, "",
