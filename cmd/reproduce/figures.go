@@ -10,6 +10,7 @@ import (
 	"repro/internal/chipchar"
 	"repro/internal/experiment"
 	"repro/internal/nand/vth"
+	"repro/internal/parallel"
 	"repro/internal/sanitize"
 	"repro/internal/vertrace"
 	"repro/internal/workload"
@@ -110,7 +111,8 @@ func pick(b bool, yes, no string) string {
 }
 
 // runStudies runs the §3 study per workload (the paper's three unless
-// -workloads chose), optionally watching files for their time plots.
+// -workloads chose), optionally watching files for their time plots,
+// fanned over the workers in input order.
 func (e *env) runStudies(watch [][]uint64) ([]*vertrace.StudyResult, error) {
 	profiles := e.profiles
 	if profiles == nil {
@@ -124,7 +126,7 @@ func (e *env) runStudies(watch [][]uint64) ([]*vertrace.StudyResult, error) {
 			cfgs[i].WatchIDs = watch[i]
 		}
 	}
-	return vertrace.RunStudies(cfgs, e.workers)
+	return parallel.Map(e.workers, len(cfgs), func(i int) (*vertrace.StudyResult, error) { return vertrace.RunStudy(cfgs[i]) })
 }
 
 func table1(e *env) (Table, error) {

@@ -198,7 +198,7 @@ func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction floa
 	if err != nil {
 		return Run{}, err
 	}
-	host, err := drive(dev, old, prof, secureFraction, sc, sc.studyPagesFor(policy.Name()))
+	host, err := drive(dev, old, prof, secureFraction, sc, sc.studyPagesFor(policy.Name()), nil)
 	if err != nil {
 		return Run{}, err
 	}

@@ -191,6 +191,48 @@ func TestPoolDropsCollector(t *testing.T) {
 	t.Error("the recorder of a finished traced cell is still reachable from the pool")
 }
 
+// countingObserver counts the file events it is told of.
+type countingObserver struct{ events int }
+
+func (o *countingObserver) FileCreated(uint64, bool) { o.events++ }
+func (o *countingObserver) FileOverwritten(uint64)   { o.events++ }
+func (o *countingObserver) FileDeleted(uint64)       { o.events++ }
+
+// TestPoolDropsObserver: Drive's retired host storage keeps neither its
+// device nor its file-system observer reachable (the §3 study's are its
+// SSD and tracker), while the set waits in the pool.
+func TestPoolDropsObserver(t *testing.T) {
+	emptyPool()
+	collected := make(chan string, 2)
+	func() {
+		dev, obs := newFake(), &countingObserver{}
+		runtime.SetFinalizer(dev, func(*fakeDevice) { collected <- "device" })
+		runtime.SetFinalizer(obs, func(*countingObserver) { collected <- "observer" })
+		sc := pipeTestScale()
+		if err := Drive(dev, workload.MailServer(), sc, sc.StudyPages, obs); err != nil {
+			t.Fatal(err)
+		}
+		if obs.events == 0 || dev.n == 0 {
+			t.Fatalf("the observer saw %d events, the device %d requests", obs.events, dev.n)
+		}
+	}()
+	if n := pooled(); n != 1 {
+		t.Fatalf("%d sets waiting in the pool after Drive, want 1", n)
+	}
+	for left, i := 2, 0; left > 0; i++ {
+		if i == 20 {
+			t.Fatalf("%d of the device and the observer still reachable from the pool", left)
+		}
+		runtime.GC()
+		select {
+		case <-collected:
+			left--
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	emptyPool()
+}
+
 // failingCollector panics on its n-th operation: a cell that dies mid-run.
 type failingCollector struct {
 	trace.Nop

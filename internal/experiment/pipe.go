@@ -154,6 +154,7 @@ func (p *pipe) stop() {
 	p.failed.Store(true)
 	close(p.full)
 	<-p.done
+	p.dev = nil // a retired file system keeps the pipe, not the device
 }
 
 // run is the device stage.
@@ -185,9 +186,9 @@ func (p *pipe) drain(b []blockio.Request) {
 	}
 }
 
-// device is what a cell's host stage needs of its device: *ssd.SSD, or
-// a test's fake.
-type device interface {
+// Device is what a host stage needs of its device: *ssd.SSD, the §3
+// study's device, or a test's fake.
+type Device interface {
 	filesys.Device
 	LogicalPages() int
 	// Mark starts the measured window; drive calls it between the
@@ -196,19 +197,20 @@ type device interface {
 }
 
 // drive runs a cell's host stage — the file system and generator built
-// on old's storage, the prefill, then the study — over a pipe into dev,
-// and returns the host storage to retire, the pipe's batch buffers
-// included. Each phase ends with the pipe settled, so the prefill's
-// requests are all executed before Mark, and a device error is wrapped
-// with the phase that issued the request. The device goroutine has
-// returned when drive does, on every path.
-func drive(dev device, old retired, prof workload.Profile, secureFraction float64, sc Scale, studyPages uint64) (retired, error) {
+// on old's storage, observed by obs (may be nil), the prefill, then the
+// study — over a pipe into dev. Each phase ends with the pipe settled, so
+// the prefill's requests are all executed before Mark, and a device error
+// is wrapped with the phase that issued the request. The device goroutine
+// has returned when drive does, on every path. The storage to retire, the
+// pipe's batches and old's device included, reaches neither dev nor obs.
+func drive(dev Device, old retired, prof workload.Profile, secureFraction float64, sc Scale, studyPages uint64, obs filesys.Observer) (retired, error) {
 	p := newPipe(dev, old.batches)
 	defer p.stop()
 	fs, err := filesys.NewFrom(old.fs, p, int64(dev.LogicalPages()), sc.PageBytes)
 	if err != nil {
 		return retired{}, err
 	}
+	fs.SetObserver(obs)
 	gen := workload.NewGeneratorFrom(old.gen, prof, fs, sc.PageBytes, sc.Seed)
 	gen.SecureFraction = secureFraction
 
@@ -221,5 +223,16 @@ func drive(dev device, old retired, prof workload.Profile, secureFraction float6
 	if err := p.phase("study", func() error { return gen.RunPages(studyPages) }); err != nil {
 		return retired{}, err
 	}
-	return retired{fs: fs, gen: gen, batches: p.bufs}, nil
+	fs.SetObserver(nil)
+	return retired{dev: old.dev, fs: fs, gen: gen, batches: p.bufs}, nil
+}
+
+// Drive is drive for a device that is not a cell's, at secure fraction
+// 1, on storage from the pool; sc sets the page size, seed and prefill.
+func Drive(dev Device, prof workload.Profile, sc Scale, studyPages uint64, obs filesys.Observer) error {
+	host, err := drive(dev, take(), prof, 1, sc, studyPages, obs)
+	if err == nil {
+		retire(host)
+	}
+	return err
 }

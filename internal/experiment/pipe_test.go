@@ -70,7 +70,7 @@ func pipeTestScale() Scale {
 // driveFake runs drive over d for MailServer at pipeTestScale.
 func driveFake(d *fakeDevice) error {
 	sc := pipeTestScale()
-	_, err := drive(d, retired{}, workload.MailServer(), 1.0, sc, sc.StudyPages)
+	_, err := drive(d, retired{}, workload.MailServer(), 1.0, sc, sc.StudyPages, nil)
 	return err
 }
 
@@ -274,7 +274,7 @@ func TestPipeStreamMatchesRecord(t *testing.T) {
 		d := newFake()
 		d.record = true
 		sc := Scale{PageBytes: pageBytes, Seed: seed} // no prefill: Record has none
-		if _, err := drive(d, retired{}, prof, secure, sc, volume); err != nil {
+		if _, err := drive(d, retired{}, prof, secure, sc, volume, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(d.reqs) <= batchLen || len(d.reqs)%batchLen == 0 {

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/blockio"
-	"repro/internal/filesys"
-	"repro/internal/parallel"
+	"repro/internal/experiment"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -53,12 +52,15 @@ type StudyResult struct {
 	DeviceReport ssd.Report
 }
 
-// tickDevice advances the tracker's logical clock on host writes (one
-// tick per 4-KiB write) before forwarding to the SSD.
+// tickDevice is the study's SSD as the host stage sees it: a device of
+// the study's capacity whose Submit, on the device stage, advances the
+// tracker's clock by each host write (one tick per 4 KiB) before the SSD
+// runs it. Its Mark does nothing: the report covers the whole run.
 type tickDevice struct {
 	dev      *ssd.SSD
 	tracker  *Tracker
 	tickUnit float64 // ticks per page (pageBytes / 4096)
+	pages    int64
 }
 
 func (d *tickDevice) Submit(req blockio.Request) (sim.Micros, error) {
@@ -67,6 +69,9 @@ func (d *tickDevice) Submit(req blockio.Request) (sim.Micros, error) {
 	}
 	return d.dev.Submit(req)
 }
+
+func (d *tickDevice) LogicalPages() int { return int(d.pages) }
+func (d *tickDevice) Mark()             {}
 
 // buildStudyDevice sizes a baseline (no-sanitization) SSD whose logical
 // capacity covers the file-system capacity with GC headroom and whose
@@ -94,19 +99,10 @@ func buildStudyDevice(capacityPages int64, pageBytes int, seed int64, tracker *T
 	return dev, nil
 }
 
-// RunStudies executes several independent studies with up to workers
-// running concurrently (<= 0: one per CPU), returning results in input
-// order. Each study owns its entire stack (device, tracker, file layer,
-// generator), so the batch is bit-identical to running them serially;
-// on failure the error of the lowest-index failing study is returned.
-func RunStudies(cfgs []StudyConfig, workers int) ([]*StudyResult, error) {
-	return parallel.Map(workers, len(cfgs), func(i int) (*StudyResult, error) {
-		return RunStudy(cfgs[i])
-	})
-}
-
-// RunStudy executes the data-versioning study end to end: baseline SSD,
-// ext4-like file layer, workload generator, per-page file annotation.
+// RunStudy executes the data-versioning study end to end: a baseline
+// SSD annotated per page by the tracker, filled to the target fraction
+// (creates/appends only), then the study volume, through experiment's
+// host stage with the tracker observing the file system.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -120,28 +116,13 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	for _, id := range cfg.WatchIDs {
 		watched = append(watched, tracker.Watch(id))
 	}
-
-	td := &tickDevice{dev: dev, tracker: tracker, tickUnit: float64(cfg.PageBytes) / 4096.0}
-	fs, err := filesys.New(td, cfg.CapacityPages, cfg.PageBytes)
-	if err != nil {
-		return nil, err
+	td := &tickDevice{dev: dev, tracker: tracker, tickUnit: float64(cfg.PageBytes) / 4096.0, pages: cfg.CapacityPages}
+	sc := experiment.Scale{PageBytes: cfg.PageBytes, PrefillFraction: cfg.FillFraction, Seed: cfg.Seed}
+	if err := experiment.Drive(td, cfg.Workload, sc, cfg.StudyPages, tracker); err != nil {
+		return nil, fmt.Errorf("vertrace: %w", err)
 	}
-	fs.SetObserver(tracker)
-
-	gen := workload.NewGenerator(cfg.Workload, fs, cfg.PageBytes, cfg.Seed)
-
-	// Phase 1: fill to the target fraction (creates/appends only).
-	if err := gen.Fill(cfg.FillFraction); err != nil {
-		return nil, fmt.Errorf("vertrace: fill phase: %w", err)
-	}
-	// Phase 2: steady-state study volume.
-	if err := gen.RunPages(cfg.StudyPages); err != nil {
-		return nil, fmt.Errorf("vertrace: study phase: %w", err)
-	}
-
-	// Capacity in 4-KiB ticks for the T_insecure normalization.
-	capacityTicks := cfg.CapacityPages * int64(cfg.PageBytes) / 4096
-	files := tracker.Finish(capacityTicks)
+	// T_insecure is normalized to the capacity in 4-KiB ticks.
+	files := tracker.Finish(cfg.CapacityPages * int64(cfg.PageBytes) / 4096)
 	return &StudyResult{
 		Row:          Summarize(cfg.Workload.Name, files),
 		Files:        files,

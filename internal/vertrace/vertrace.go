@@ -20,37 +20,40 @@ import (
 	"repro/internal/trace"
 )
 
-// fileState is the per-file tracking record.
+// fileState is a file's device-side record. Every device event raises
+// maxValid or maxInvalid, so a record the device touched has one above
+// 0. The insecure interval is open while invalid > 0, since
+// insecureSince.
 type fileState struct {
-	valid, invalid int64
-	maxValid       int64
-	maxInvalid     int64
-	mv             bool
-	insecure       bool // O_INSEC (excluded from Table 1, which studies default files)
-	insecureSince  int64
-	insecureTotal  int64
-	everSeen       bool
+	valid, invalid, maxValid, maxInvalid int64
+	insecureSince, insecureTotal         int64
+	watch                                *WatchSeries // Fig. 4 time plots, if watched
 }
+
+// fileFlags is a file's host-side record, from the file-system observer.
+// Insecure (O_INSEC) files are left out of Table 1, which studies default
+// files.
+type fileFlags struct{ seen, mv, insecure bool }
 
 // Tracker consumes the FTL's page-lifecycle events (it is the study
 // device's trace.Collector; operations and gauges fall through to the
-// embedded Nop) and file-system observer events.
+// embedded Nop) and file-system observer events, both per file ID, which
+// the file system issues densely from 1. The two sides may run on two
+// goroutines: the observer methods touch only flags, Audit and
+// AdvanceTicks only the rest, and Finish merges them once both stopped.
 type Tracker struct {
 	trace.Nop
 
-	// Tick is the logical clock: callers advance it by one per 4-KiB
+	flags []fileFlags
+
+	// tick is the logical clock: callers advance it by one per 4-KiB
 	// host write (use AdvanceTicks from the device wrapper).
-	tick int64
-
-	files map[uint64]*fileState
-	// staleFile remembers which file each physically-present stale page
-	// belongs to, so Destroyed events can be deduplicated (a page locked
-	// by pLock is later erased too).
-	staleFile map[uint32]uint64
-
-	// watch holds the files whose N_valid/N_invalid time plots are
-	// recorded (Fig. 4).
-	watch map[uint64]*WatchSeries
+	tick  int64
+	files []fileState
+	// staleFile holds the owning file of each physical page that is
+	// stale and not yet destroyed (0: none), so Destroyed events are
+	// deduplicated (a page locked by pLock is later erased too).
+	staleFile []uint64
 }
 
 // WatchSeries is a Fig. 4 time plot pair for one file.
@@ -61,13 +64,7 @@ type WatchSeries struct {
 }
 
 // NewTracker creates an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		files:     map[uint64]*fileState{},
-		staleFile: map[uint32]uint64{},
-		watch:     map[uint64]*WatchSeries{},
-	}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // Watch starts recording the Fig. 4 time plots for a file.
 func (t *Tracker) Watch(fileID uint64) *WatchSeries {
@@ -76,37 +73,38 @@ func (t *Tracker) Watch(fileID uint64) *WatchSeries {
 		Valid:   metrics.NewSeries(fmt.Sprintf("file%d/valid", fileID)),
 		Invalid: metrics.NewSeries(fmt.Sprintf("file%d/invalid", fileID)),
 	}
-	t.watch[fileID] = ws
+	at(&t.files, fileID).watch = ws
 	return ws
 }
 
 // AdvanceTicks moves the logical clock forward by n 4-KiB-write units.
 func (t *Tracker) AdvanceTicks(n int64) { t.tick += n }
 
-func (t *Tracker) state(file uint64) *fileState {
-	st, ok := t.files[file]
-	if !ok {
-		st = &fileState{insecureSince: -1}
-		t.files[file] = st
+// at returns &(*s)[i], growing *s with zero entries to cover i.
+func at[T any, I uint32 | uint64](s *[]T, i I) *T {
+	if int(i) >= len(*s) {
+		*s = append(*s, make([]T, int(i)+1-len(*s))...)
 	}
-	st.everSeen = true
-	return st
+	return &(*s)[i]
+}
+
+func (t *Tracker) flag(file uint64) *fileFlags {
+	fl := at(&t.flags, file)
+	fl.seen = true
+	return fl
 }
 
 // --- filesys.Observer ----------------------------------------------------
 
 // FileCreated implements filesys.Observer.
-func (t *Tracker) FileCreated(id uint64, insecure bool) {
-	st := t.state(id)
-	st.insecure = insecure
-}
+func (t *Tracker) FileCreated(id uint64, insecure bool) { t.flag(id).insecure = insecure }
 
 // FileOverwritten implements filesys.Observer: the file is multi-version.
-func (t *Tracker) FileOverwritten(id uint64) { t.state(id).mv = true }
+func (t *Tracker) FileOverwritten(id uint64) { t.flag(id).mv = true }
 
 // FileDeleted implements filesys.Observer: deletion also makes the file
 // multi-version per the §3 definition.
-func (t *Tracker) FileDeleted(id uint64) { t.state(id).mv = true }
+func (t *Tracker) FileDeleted(id uint64) { t.flag(id).mv = true }
 
 // --- trace.Collector -------------------------------------------------------
 
@@ -130,51 +128,46 @@ func (t *Tracker) programmed(file uint64) {
 	if file == 0 {
 		return
 	}
-	st := t.state(file)
+	st := at(&t.files, file)
 	st.valid++
 	if st.valid > st.maxValid {
 		st.maxValid = st.valid
 	}
-	t.record(file, st)
+	t.record(st)
 }
 
 func (t *Tracker) invalidated(p uint32, file uint64) {
 	if file == 0 {
 		return
 	}
-	st := t.state(file)
+	st := at(&t.files, file)
 	st.valid--
 	st.invalid++
 	if st.invalid > st.maxInvalid {
 		st.maxInvalid = st.invalid
 	}
-	t.staleFile[p] = file
-	if st.invalid == 1 && st.insecureSince < 0 {
+	*at(&t.staleFile, p) = file
+	if st.invalid == 1 {
 		st.insecureSince = t.tick
 	}
-	t.record(file, st)
+	t.record(st)
 }
 
 func (t *Tracker) destroyed(p uint32) {
-	owner, present := t.staleFile[p]
-	if !present {
-		return // already destroyed (e.g. locked, then erased)
+	if int(p) >= len(t.staleFile) || t.staleFile[p] == 0 {
+		return // never stale, or already destroyed (e.g. locked, then erased)
 	}
-	delete(t.staleFile, p)
-	if owner == 0 {
-		return
-	}
-	st := t.state(owner)
+	st := &t.files[t.staleFile[p]]
+	t.staleFile[p] = 0
 	st.invalid--
-	if st.invalid == 0 && st.insecureSince >= 0 {
+	if st.invalid == 0 {
 		st.insecureTotal += t.tick - st.insecureSince
-		st.insecureSince = -1
 	}
-	t.record(owner, st)
+	t.record(st)
 }
 
-func (t *Tracker) record(file uint64, st *fileState) {
-	if ws, ok := t.watch[file]; ok {
+func (t *Tracker) record(st *fileState) {
+	if ws := st.watch; ws != nil {
 		ws.Valid.Record(t.tick, float64(st.valid))
 		ws.Invalid.Record(t.tick, float64(st.invalid))
 	}
@@ -193,24 +186,26 @@ type FileMetrics struct {
 	TInsecure float64
 }
 
-// Finish closes open insecure intervals and computes per-file metrics.
-// capacityTicks is the number of 4-KiB writes that fill the device.
+// Finish closes open insecure intervals and computes per-file metrics,
+// in file ID order. capacityTicks is the number of 4-KiB writes that
+// fill the device.
 func (t *Tracker) Finish(capacityTicks int64) []FileMetrics {
 	if capacityTicks <= 0 {
 		panic("vertrace: capacityTicks must be positive")
 	}
-	out := make([]FileMetrics, 0, len(t.files))
-	for id, st := range t.files {
-		if st.insecure || !st.everSeen {
+	var out []FileMetrics
+	for id := 1; id < max(len(t.files), len(t.flags)); id++ {
+		st, fl := at(&t.files, uint64(id)), at(&t.flags, uint64(id))
+		if fl.insecure || !fl.seen && st.maxValid == 0 && st.maxInvalid == 0 {
 			continue
 		}
 		total := st.insecureTotal
-		if st.insecureSince >= 0 {
+		if st.invalid > 0 {
 			total += t.tick - st.insecureSince
 		}
 		m := FileMetrics{
-			FileID:     id,
-			MV:         st.mv,
+			FileID:     uint64(id),
+			MV:         fl.mv,
 			MaxValid:   st.maxValid,
 			MaxInvalid: st.maxInvalid,
 			TInsecure:  float64(total) / float64(capacityTicks),
@@ -220,7 +215,6 @@ func (t *Tracker) Finish(capacityTicks int64) []FileMetrics {
 		}
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FileID < out[j].FileID })
 	return out
 }
 

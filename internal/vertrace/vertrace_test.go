@@ -13,6 +13,7 @@ func TestTrackerCountsLifecycle(t *testing.T) {
 	tr.programmed(1)
 	tr.programmed(1)
 	tr.programmed(1)
+	// The records live in a slice that grows: re-read after each step.
 	st := tr.files[1]
 	if st.valid != 3 || st.maxValid != 3 {
 		t.Fatalf("valid=%d max=%d", st.valid, st.maxValid)
@@ -21,13 +22,13 @@ func TestTrackerCountsLifecycle(t *testing.T) {
 	tr.AdvanceTicks(5)
 	tr.programmed(1)
 	tr.invalidated(10, 1)
-	if st.valid != 3 || st.invalid != 1 || st.maxInvalid != 1 {
+	if st = tr.files[1]; st.valid != 3 || st.invalid != 1 || st.maxInvalid != 1 {
 		t.Fatalf("after overwrite: valid=%d invalid=%d", st.valid, st.invalid)
 	}
 	// Destroy the stale copy.
 	tr.AdvanceTicks(7)
 	tr.destroyed(10)
-	if st.invalid != 0 {
+	if st = tr.files[1]; st.invalid != 0 {
 		t.Fatalf("invalid=%d after destroy", st.invalid)
 	}
 	if st.insecureTotal != 7 {
