@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/ftl"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -46,17 +47,17 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 	}
 	var closeStream func() error
 	if files.Stream != "" {
-		closeStream, err = rec.StreamToFile(files.Stream, files.StreamInterval)
+		f, finish, err := create(files.Stream)
 		if err != nil {
 			return audit.VerifyReport{}, err
 		}
+		rec.StreamTo(f, sim.Micros(files.StreamInterval))
+		closeStream = func() error { return finish(rec.CloseStream()) }
 	}
 	run, err := ExecuteTraced(prof, policy, 1.0, sc, rec)
 	if closeStream != nil {
 		// A failed run still closes its stream, with the final point.
-		if cerr := closeStream(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
+		err = errors.Join(err, closeStream())
 	}
 	if err != nil {
 		return audit.VerifyReport{}, err
@@ -71,13 +72,15 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 	rep := rec.AuditLedger().Verify(horizon)
 	for _, out := range []struct {
 		path, what, hint string
-		write            func(string) error
+		write            func(io.Writer) error
 	}{
-		{files.Chrome, "chrome trace", " (open at ui.perfetto.dev)", rec.WriteChromeFile},
-		{files.JSONL, "event log", "", rec.WriteJSONLFile},
-		{files.OpenMetrics, "openmetrics exposition", "", rec.WriteOpenMetricsFile},
-		{files.Audit, "audit report", "", func(path string) error {
-			return writeJSONFile(path, struct {
+		{files.Chrome, "chrome trace", " (open at ui.perfetto.dev)", rec.WriteChromeTrace},
+		{files.JSONL, "event log", "", rec.WriteJSONL},
+		{files.OpenMetrics, "openmetrics exposition", "", rec.WriteOpenMetrics},
+		{files.Audit, "audit report", "", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(struct {
 				Horizon int64              `json:"horizon_us"`
 				Stats   audit.Stats        `json:"stats"`
 				Verify  audit.VerifyReport `json:"verify"`
@@ -87,7 +90,11 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 		if out.path == "" {
 			continue
 		}
-		if err := out.write(out.path); err != nil {
+		f, finish, err := create(out.path)
+		if err == nil {
+			err = finish(out.write(f))
+		}
+		if err != nil {
 			return audit.VerifyReport{}, err
 		}
 		fmt.Fprintf(log, "%s written to %s%s\n", out.what, out.path, out.hint)
@@ -100,17 +107,14 @@ func TracedRun(prof workload.Profile, policy ftl.Policy, sc Scale, files TracedF
 	return rep, nil
 }
 
-// writeJSONFile writes v to path as indented JSON.
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(v)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+// create opens path for a traced run's file; finish closes it and
+// returns werr, the writing's error, named for path, or else the close's.
+func create(path string) (f *os.File, finish func(werr error) error, err error) {
+	f, err = os.Create(path)
+	return f, func(werr error) error {
+		if cerr := f.Close(); werr == nil {
+			return cerr
+		}
+		return fmt.Errorf("experiment: writing %s: %w", path, werr)
+	}, err
 }

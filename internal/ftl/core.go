@@ -309,19 +309,6 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 	return done, nil
 }
 
-// writePage appends one logical page (§2.2 Fig. 3 flow). A failed
-// program quarantines the consumed page (the chip's write pointer
-// advanced and a partial payload may be readable there) and retries on a
-// fresh page.
-func (f *FTL) writePage(lpa int64, secure bool, file uint64, data []byte, dep sim.Micros) (sim.Micros, error) {
-	f.stats.HostWrittenPages++
-	p, err := f.allocate()
-	if err != nil {
-		return dep, err
-	}
-	return f.storeAt(p, lpa, secure, file, data, dep)
-}
-
 // storeAt programs data onto the already-allocated page p, running the
 // failed-program retry ladder (quarantine the consumed page, retry on a
 // fresh one), then commits the mapping and invalidates the overwritten
@@ -439,11 +426,12 @@ func (f *FTL) flushReadGroup(group []PPA, dep, done sim.Micros) sim.Micros {
 
 // writeStriped serves a host write with multi-plane striping: up to
 // Planes consecutive pages are allocated on distinct planes of one chip
-// and programmed under a single shared tPROG; on one plane every page
-// goes through writePage. Mappings for every page of
-// a stripe are committed before any failure recovery or GC runs, so a
-// reentrant flush never observes a chip-programmed page that the mapping
-// tables still call free.
+// and programmed under a single shared tPROG. A page that gets no
+// stripe of two or more is appended alone (§2.2 Fig. 3 flow): on one
+// plane every page is. Mappings for every page of a stripe are
+// committed before any failure recovery or GC runs, so a reentrant
+// flush never observes a chip-programmed page that the mapping tables
+// still call free.
 func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 	done := dep
 	secure := !req.Insecure
@@ -456,37 +444,24 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 		f.stripeDatas = datas[:0]
 	}()
 	for i := 0; i < n; {
-		want := min(f.planes, n-i)
-		if want == 1 {
-			t, err := f.writePage(req.LPA+int64(i), secure, req.FileID, req.PageData(i), dep)
-			if err != nil {
-				return done, err
-			}
-			if t > done {
-				done = t
-			}
-			i++
-			continue
+		var stripe []PPA
+		if want := min(f.planes, n-i); want > 1 {
+			stripe = f.allocateStripe(want)
 		}
-		stripe := f.allocateStripe(want)
-		if len(stripe) == 0 {
-			// No chip could open even one plane frontier; let the plain
-			// path surface the allocator's error.
-			t, err := f.writePage(req.LPA+int64(i), secure, req.FileID, req.PageData(i), dep)
-			if err != nil {
-				return done, err
-			}
-			if t > done {
-				done = t
-			}
-			i++
-			continue
-		}
-		if len(stripe) == 1 {
-			// The allocator found a single free plane; the page is already
-			// consumed, so store it directly.
+		if len(stripe) <= 1 {
+			// One page alone: on one plane, the request's last page, the
+			// one free plane the allocator found (already consumed), or
+			// none, where the plain allocation surfaces its error. storeAt
+			// retries a failed program on a fresh page.
 			f.stats.HostWrittenPages++
-			t, err := f.storeAt(stripe[0], req.LPA+int64(i), secure, req.FileID, req.PageData(i), dep)
+			var p PPA
+			var err error
+			if len(stripe) == 1 {
+				p = stripe[0]
+			} else if p, err = f.allocate(); err != nil {
+				return done, err
+			}
+			t, err := f.storeAt(p, req.LPA+int64(i), secure, req.FileID, req.PageData(i), dep)
 			if err != nil {
 				return done, err
 			}

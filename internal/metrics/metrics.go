@@ -82,7 +82,7 @@ func (s *Sample) N() int { return len(s.xs) + s.tail.Len() }
 // not a copy, and the call silently sorts it in place — insertion order
 // is lost and later Adds re-disturb the ordering. Callers must not
 // modify the slice or hold it across Adds; use Sorted for a stable,
-// caller-owned copy (the trace exporters do).
+// caller-owned copy.
 func (s *Sample) Values() []float64 {
 	s.ensureSorted()
 	return s.xs
@@ -91,7 +91,10 @@ func (s *Sample) Values() []float64 {
 // Sorted returns the values in ascending order as a freshly allocated
 // slice the caller owns. Unlike Values it never exposes internal
 // storage, so the copy stays valid (and stays sorted) no matter what is
-// added to the Sample afterwards.
+// added to the Sample afterwards. The tests of the packages that keep
+// samples compare against it.
+//
+//repro:testseam
 func (s *Sample) Sorted() []float64 {
 	out := s.flat(0)
 	sort.Float64s(out)

@@ -344,20 +344,8 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 	if s.traceOn {
 		s.emitChip(trace.OpRead, chip, p, dep, cellStart, cellDone)
 	}
-	for attempt := 1; err != nil && errors.Is(err, nand.ErrUncorrectable) &&
-		attempt < maxReadAttempts; attempt++ {
-		s.readRetries++
-		data, err = s.chips[chip].Read(a, cellDone)
-		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, timing.Read)
-		if s.traceOn {
-			s.emitChip(trace.OpReadRetry, chip, p, cellDone, retryStart, retryDone)
-		}
-		cellDone = retryDone
-	}
-	if errors.Is(err, nand.ErrUncorrectable) {
-		s.readFailures++
-	} else if err != nil {
-		data = nil // a locked page's zeros never leave the chip
+	if err != nil {
+		data, cellDone = s.retryRead(chip, p, a, data, err, cellDone)
 	}
 	busStart, busDone := s.busTL[s.channelOf(chip)].Reserve(cellDone, timing.Xfer)
 	if s.cfg.NoCachePipeline {
@@ -370,6 +358,31 @@ func (s *SSD) readPage(p ftl.PPA, dep sim.Micros) ([]byte, sim.Micros) {
 		s.emitChip(trace.OpXfer, chip, p, cellDone, busStart, busDone)
 	}
 	return data, busDone
+}
+
+// retryRead finishes a read of p whose first attempt, ending at
+// cellDone, returned data and the error err. An uncorrectable page is
+// read again on the chip until it corrects or maxReadAttempts reads are
+// spent, each retry another tREAD traced as OpReadRetry, and counts as a
+// read failure if none corrected it; its last payload is returned.
+// Any other error (a locked page) returns no payload: the zeros never
+// leave the chip. The second result is when the chip's last read ends.
+func (s *SSD) retryRead(chip int, p ftl.PPA, a nand.PageAddr, data []byte, err error, cellDone sim.Micros) ([]byte, sim.Micros) {
+	for attempt := 1; errors.Is(err, nand.ErrUncorrectable) && attempt < maxReadAttempts; attempt++ {
+		s.readRetries++
+		data, err = s.chips[chip].Read(a, cellDone)
+		retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, timing.Read)
+		if s.traceOn {
+			s.emitChip(trace.OpReadRetry, chip, p, cellDone, retryStart, retryDone)
+		}
+		cellDone = retryDone
+	}
+	if errors.Is(err, nand.ErrUncorrectable) {
+		s.readFailures++
+	} else if err != nil {
+		data = nil
+	}
+	return data, cellDone
 }
 
 // Program implements ftl.Target: page transfer on the bus, then tPROG on
@@ -584,18 +597,8 @@ func (s *SSD) ReadGroup(pages []ftl.PPA, dep sim.Micros) sim.Micros {
 		})
 	}
 	for i, err := range errs {
-		for attempt := 1; err != nil && errors.Is(err, nand.ErrUncorrectable) &&
-			attempt < maxReadAttempts; attempt++ {
-			s.readRetries++
-			_, err = s.chips[chip].Read(addrs[i], cellDone)
-			retryStart, retryDone := s.chipTL[chip].Reserve(cellDone, timing.Read)
-			if s.traceOn {
-				s.emitChip(trace.OpReadRetry, chip, pages[i], cellDone, retryStart, retryDone)
-			}
-			cellDone = retryDone
-		}
-		if err != nil && errors.Is(err, nand.ErrUncorrectable) {
-			s.readFailures++
+		if err != nil {
+			_, cellDone = s.retryRead(chip, pages[i], addrs[i], nil, err, cellDone)
 		}
 	}
 	bus := &s.busTL[s.channelOf(chip)]

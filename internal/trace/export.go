@@ -342,14 +342,3 @@ func (cw *chromeWriter) flush(final bool) error {
 	cw.b = cw.b[:0]
 	return err
 }
-
-// sortedQuantile interpolates the q-th quantile of an ascending slice.
-func sortedQuantile(xs []float64, q float64) float64 {
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	if lo >= len(xs)-1 {
-		return xs[len(xs)-1]
-	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
-}

@@ -32,9 +32,8 @@ func (r *Recorder) WriteOpenMetrics(w io.Writer) error {
 				b = appendSample(b, f.name, "_bucket", float64(s.n), f.label, s.label, "le", "+Inf")
 			case "summary":
 				if s.n > 0 {
-					xs := s.xs.Sorted()
-					b = appendSample(b, f.name, "", sortedQuantile(xs, 0.5), "quantile", "0.5")
-					b = appendSample(b, f.name, "", sortedQuantile(xs, 0.99), "quantile", "0.99")
+					b = appendSample(b, f.name, "", s.xs.Quantile(0.5), "quantile", "0.5")
+					b = appendSample(b, f.name, "", s.xs.Quantile(0.99), "quantile", "0.99")
 				}
 			default:
 				b = appendSample(b, f.name, "", s.v, f.label, s.label)
