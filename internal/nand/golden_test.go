@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/nand/vth"
+	"repro/internal/pintest"
 	"repro/internal/sim"
 )
 
@@ -234,26 +236,23 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 // faulted, aged, power-cut, of the other plane count — which must be
 // indistinguishable.
 func TestChipMediaGolden(t *testing.T) {
-	golden := []struct {
+	scripts := []struct {
 		planes int
 		seed   int64
-		want   string
-	}{
-		{1, 1, "cee40cd77940d864ff23763f2ad1906e3dceae922f274925c1d03e6810d1461b"},
-		{1, 2, "5a8460817fdf19a368833c4714ad287c8e1cc8c26cb334214f588ad6cf1e9462"},
-		{1, 3, "7b480c38cd045576ea9e8ed5c58077e541dfd0dd51a2a9c7e24a14b437933df5"},
-		{2, 4, "7fbcb70ae6093d5ccbb64bafc7150443c66b2925111c11a19448ab2f35605946"},
-		{2, 5, "6b43507c25adae938bbbaaffaf2ce9defc7ed8d0e37978496875a7c59f464d7f"},
-		{2, 6, "49423f0fa9cb6f53dd5773fb826c4b870bea67d677b73286843510a34a31363f"},
+	}{{1, 1}, {1, 2}, {1, 3}, {2, 4}, {2, 5}, {2, 6}}
+	name := func(planes int, seed int64) string { return fmt.Sprintf("planes%d/seed%d", planes, seed) }
+	var names []string
+	for _, g := range scripts {
+		names = append(names, name(g.planes, g.seed))
 	}
+	pins := pintest.Group(t, "nand", names...)
 	_, retired := runMediaScript(t, nil, 2, 7)
-	for _, g := range golden {
-		if got, _ := runMediaScript(t, nil, g.planes, g.seed); got != g.want {
-			t.Errorf("planes %d seed %d: media digest %s, want %s", g.planes, g.seed, got, g.want)
-		}
-		var got string
-		if got, retired = runMediaScript(t, retired, g.planes, g.seed); got != g.want {
-			t.Errorf("planes %d seed %d on an adopted chip: media digest %s, want %s", g.planes, g.seed, got, g.want)
+	for _, g := range scripts {
+		got, _ := runMediaScript(t, nil, g.planes, g.seed)
+		pins.Check(t, name(g.planes, g.seed), got)
+		var adopted string
+		if adopted, retired = runMediaScript(t, retired, g.planes, g.seed); adopted != got {
+			t.Errorf("planes %d seed %d: media digest %s on an adopted chip, %s on a new one", g.planes, g.seed, adopted, got)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/nand/vth"
+	"repro/internal/pintest"
 	"repro/internal/sanitize"
 )
 
@@ -137,29 +138,6 @@ func deviceDigest(t *testing.T, s *SSD) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// goldenDigests pins the device state each cell ends in. The constants
-// were taken on the commit before the address-resolution rewrite (PPA →
-// chip/block/page by reciprocal multiply instead of division); a change
-// to how addresses are computed must leave every one of them unchanged.
-var goldenDigests = map[string]string{
-	"baseline/planes1/fault0":     "5136cac910543b810b10174155c889078bdc511fd9c0bde7e247c5848c50bb42",
-	"baseline/planes1/fault0.001": "ba88830efdcf8cd51cf77decee2ceb733b542315a4904b5fefd21d13a6b1b868",
-	"baseline/planes2/fault0":     "ea2b1d4b4d782978680dca9a43f935f46865f43dcba1b89a123e3f1b3bbe4ab0",
-	"baseline/planes2/fault0.001": "b1ae98b4cec737efabdc2d6c838bebdc67cfb18d3912c3a70821ca4a887a6add",
-	"erSSD/planes1/fault0":        "b13e9ff34bfdb97cba67ff1393cb53139759447da5fe673ff83c6c53ccc6c710",
-	"erSSD/planes1/fault0.001":    "af314ef464dfee4ee264e4d84e858507a68bcf4a74a55478099137d529ec7318",
-	"erSSD/planes2/fault0":        "937f3fab6360fbd5906efe45653d55f0b0199995cf9ecc7082bef0f743b538a9",
-	"erSSD/planes2/fault0.001":    "230f9af86f9754f172fb261438d6ce07afbd5ef543a5cf36597ab69050530d26",
-	"scrSSD/planes1/fault0":       "04f21b1abdc873ccc31e34b754b89d70e726d365d7ea3750dd5ed6dd98ed11aa",
-	"scrSSD/planes1/fault0.001":   "0deedb2ac6157c04f08b3584545ccbeaeabcf06b1751615e17f289208af17195",
-	"scrSSD/planes2/fault0":       "b17d96ae4d2fd31961758affeb893215961c1a365942425267a13605d3625a5a",
-	"scrSSD/planes2/fault0.001":   "9fbd8acc72e8c0b005d15979eff5b89bce58099901385f37bb05efe44e75c27a",
-	"secSSD/planes1/fault0":       "cc62c90ac1ee4884a67502a52905ea37b3a4df5bcd77685fa3c10a97131289ae",
-	"secSSD/planes1/fault0.001":   "99ad2650bbedae81df4af5719dd76e21778d82071d4d60f4796e971e40f89b40",
-	"secSSD/planes2/fault0":       "8500393cabab44cdff75bb018c7f6208619b26a20c5450fbf739eddc0f84397b",
-	"secSSD/planes2/fault0.001":   "ac3d272fe30f499bcedb21415b502f368574515346ef5279bce6bb5d84c80f9a",
-}
-
 func goldenCells() []goldenCell {
 	policies := []struct {
 		name string
@@ -185,14 +163,23 @@ func goldenCells() []goldenCell {
 }
 
 // TestGoldenDeviceState runs every cell and compares the resulting
-// device digest with its pinned constant — once on a new device, and once
-// on a device built from the one the previous cell left behind (NewFrom),
-// which has to end in the same state.
+// device digest with its pin (group ssd of pintest's file) — once on a
+// new device, and once on a device built from the one the previous cell
+// left behind (NewFrom), which has to end in the same state. The pins
+// were taken on the commit before the address-resolution rewrite (PPA →
+// chip/block/page by reciprocal multiply instead of division); a change
+// to how addresses are computed must leave every one of them unchanged.
 func TestGoldenDeviceState(t *testing.T) {
+	cells := goldenCells()
+	var names []string
+	for _, cell := range cells {
+		names = append(names, cell.name)
+	}
+	pins := pintest.Group(t, "ssd", names...)
 	var retired *SSD
-	for _, cell := range goldenCells() {
+	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			run := func(donor *SSD) *SSD {
+			run := func(donor *SSD) (*SSD, string) {
 				cfg := cell.config()
 				s, err := NewFrom(donor, cfg)
 				if err != nil {
@@ -212,17 +199,17 @@ func TestGoldenDeviceState(t *testing.T) {
 					cell.faultRate > 0 && s.FaultCounts().ProgramFails == 0:
 					t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
 				}
-				got := deviceDigest(t, s)
-				if want := goldenDigests[cell.name]; got != want {
-					t.Errorf("device digest (built from a used device: %v)\n got  %s\n want %s", donor != nil, got, want)
-				}
-				return s
+				return s, deviceDigest(t, s)
 			}
-			fresh := run(nil)
+			fresh, got := run(nil)
+			pins.Check(t, cell.name, got)
 			if retired == nil {
 				retired = fresh // the first cell builds on its own first run
 			}
-			retired = run(retired)
+			var adopted string
+			if retired, adopted = run(retired); adopted != got {
+				t.Errorf("device digest %s built from a used device, %s on a new one", adopted, got)
+			}
 		})
 	}
 }

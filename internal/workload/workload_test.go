@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"testing"
 
 	"repro/internal/blockio"
 	"repro/internal/filesys"
+	"repro/internal/pintest"
 	"repro/internal/sim"
 )
 
@@ -288,14 +290,20 @@ func TestGoldenRequestStreams(t *testing.T) {
 		prof     Profile
 		secure   float64
 		requests int
-		sha      string
 	}{
-		{MailServer(), 1.0, goldenMailN, goldenMail},
-		{DBServer(), 1.0, goldenDBN, goldenDB},
-		{FileServer(), 1.0, goldenFileN, goldenFile},
-		{Mobile(), 1.0, goldenMobileN, goldenMobile},
-		{MailServer(), 0.5, goldenMailHalfN, goldenMailHalf},
+		{MailServer(), 1.0, 433551},
+		{DBServer(), 1.0, 61433},
+		{FileServer(), 1.0, 161577},
+		{Mobile(), 1.0, 31742},
+		{MailServer(), 0.5, 433551},
 	}
+	const fillRunName, fillRunN = "Mobile/fill+run", 65223
+	name := func(prof Profile, secure float64) string { return fmt.Sprintf("%s/secure%.1f", prof.Name, secure) }
+	names := []string{fillRunName}
+	for _, c := range recorded {
+		names = append(names, name(c.prof, c.secure))
+	}
+	pins := pintest.Group(t, "workload", names...)
 	for _, c := range recorded {
 		trace, err := Record(c.prof, logicalPages, pageBytes, studyPages, c.secure, seed)
 		if err != nil {
@@ -305,10 +313,10 @@ func TestGoldenRequestStreams(t *testing.T) {
 		for _, r := range trace.Requests {
 			s.Submit(r)
 		}
-		if s.n != c.requests || s.sum() != c.sha {
-			t.Errorf("%s secure=%.1f: %d requests sha %s, want %d %s",
-				c.prof.Name, c.secure, s.n, s.sum(), c.requests, c.sha)
+		if s.n != c.requests {
+			t.Errorf("%s secure=%.1f: %d requests, want %d", c.prof.Name, c.secure, s.n, c.requests)
 		}
+		pins.Check(t, name(c.prof, c.secure), s.sum())
 	}
 
 	// The experiment shape: prefill to 75 % through Fill, then RunPages,
@@ -317,22 +325,24 @@ func TestGoldenRequestStreams(t *testing.T) {
 	// of a retired MailServer pair that ran on a larger device, as a grid
 	// cell builds its host side.
 	fillRun := func(name string, oldFS *filesys.FS, old *Generator) {
-		t.Helper()
-		s := newStreamHasher()
-		fs, err := filesys.NewFrom(oldFS, s, logicalPages, pageBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := NewGeneratorFrom(old, Mobile(), fs, pageBytes, seed)
-		if err := g.Fill(0.75); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.RunPages(studyPages); err != nil {
-			t.Fatal(err)
-		}
-		if s.n != goldenFillRunN || s.sum() != goldenFillRun {
-			t.Errorf("Mobile fill+run %s: %d requests sha %s, want %d %s", name, s.n, s.sum(), goldenFillRunN, goldenFillRun)
-		}
+		t.Run(name, func(t *testing.T) {
+			s := newStreamHasher()
+			fs, err := filesys.NewFrom(oldFS, s, logicalPages, pageBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewGeneratorFrom(old, Mobile(), fs, pageBytes, seed)
+			if err := g.Fill(0.75); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.RunPages(studyPages); err != nil {
+				t.Fatal(err)
+			}
+			if s.n != fillRunN {
+				t.Errorf("Mobile fill+run: %d requests, want %d", s.n, fillRunN)
+			}
+			pins.Check(t, fillRunName, s.sum())
+		})
 	}
 	fillRun("on its own storage", nil, nil)
 	donorFS, err := filesys.New(newStreamHasher(), logicalPages+50_000, pageBytes)
@@ -348,18 +358,3 @@ func TestGoldenRequestStreams(t *testing.T) {
 	}
 	fillRun("on a retired MailServer pair", donorFS, donor)
 }
-
-const (
-	goldenMailN     = 433551
-	goldenMail      = "b1d4bb5476fa6be8d1a67c5a183a100fb020f9b401fc0725b997cfcfc4b56236"
-	goldenDBN       = 61433
-	goldenDB        = "ba92a702346df95fe54861c38f0acc25c949ec3389bb2e647f770f37001346cc"
-	goldenFileN     = 161577
-	goldenFile      = "ede54cbbf4be160bf555824ead14104a276bff33aee2e0d0d17d6ac49d708bd7"
-	goldenMobileN   = 31742
-	goldenMobile    = "05f0d119a7688a3ef2e02e6ddbdfca38d33580aab415106311bc90ebc0a11d2e"
-	goldenMailHalfN = 433551
-	goldenMailHalf  = "e853f38294cbbf4591b1a989573828b0886e222d7bd6557feab58fd0fd958c39"
-	goldenFillRunN  = 65223
-	goldenFillRun   = "4675ab8874dfc2a197485726bd4bb32502913640c65299ea7e73edf06c7d86f4"
-)
