@@ -277,26 +277,9 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 		// plus pages already coalescing in the batching queue.
 		f.tracer.Gauge(trace.GaugeLockQueue, f.reqClock, float64(f.pendingCount+f.lockq.count))
 	}
-	f.policy.Flush(f)
-	// Fault recovery during the flush (a quarantined failed program, an
-	// escalation's relocations) can queue fresh sanitize work, and a lock
-	// flush can in turn re-pend pages (a failed pulse's escalation
-	// relocates live pages whose stale copies re-enter the policy); drain
-	// until both queues settle so the request never completes with a
-	// secured residue still readable past its deadline.
-	for i := 0; ; i++ {
-		if i >= 1000 {
-			panic("ftl: sanitize flush did not converge after 1000 rounds")
-		}
-		if f.pendingCount > 0 {
-			f.policy.Flush(f)
-			continue
-		}
-		if f.cfg.LockBatch.Enabled && f.lockq.attached > 0 && f.flushDueLocks() {
-			continue
-		}
-		break
-	}
+	// The request never completes with a secured residue still readable
+	// past its deadline.
+	f.settle(false)
 	if f.reqClock > done {
 		done = f.reqClock
 	}
@@ -307,6 +290,35 @@ func (f *FTL) Submit(req blockio.Request, dep sim.Micros) (sim.Micros, error) {
 		f.tracer.Gauge(trace.GaugeFreeBlocks, done, float64(f.FreeBlocks()))
 	}
 	return done, nil
+}
+
+// settle runs the policy's flush, then drains until both sanitize
+// queues are empty: fault recovery during a flush (a quarantined failed
+// program, an escalation's relocations) can queue fresh sanitize work,
+// and a lock flush can in turn re-pend pages (a failed pulse's
+// escalation relocates live pages whose stale copies re-enter the
+// policy). A host request pulses the lock groups that are due
+// (flushDueLocks); a remount pulses all of them (FlushLocks).
+func (f *FTL) settle(remount bool) {
+	f.policy.Flush(f)
+	for i := 0; ; i++ {
+		if i >= 1000 {
+			if remount {
+				panic("ftl: remount sanitize flush did not converge after 1000 rounds")
+			}
+			panic("ftl: sanitize flush did not converge after 1000 rounds")
+		}
+		if f.pendingCount > 0 {
+			f.policy.Flush(f)
+			continue
+		}
+		if !f.cfg.LockBatch.Enabled || f.lockq.attached == 0 {
+			return
+		}
+		if remount && !f.FlushLocks() || !remount && !f.flushDueLocks() {
+			return
+		}
+	}
 }
 
 // storeAt programs data onto the already-allocated page p, running the

@@ -10,7 +10,7 @@ import (
 // mapping tables, status tables, lock queues, pending-erase lists — is
 // gone. What survives is the media: per-block write pointers, the
 // access-control flags (pAP/bAP), the page payloads, and the spare-area
-// stamps committed writes carry (see Target.WriteMeta). Restore rebuilds a
+// stamps committed writes carry (see Meta). Restore rebuilds a
 // working FTL from exactly that, then re-runs the sanitization policy
 // over everything the crash left stale, so a remounted device upholds
 // the same security contract as an uninterrupted one.
@@ -189,20 +189,7 @@ func Restore(cfg Config, target Target, policy Policy, scan MediaScan, at sim.Mi
 		f.noteInvalidated(s.p, s.secure, at)
 		f.policy.Invalidate(f, s.p, s.secure)
 	}
-	f.policy.Flush(f)
-	for i := 0; ; i++ {
-		if i >= 1000 {
-			panic("ftl: remount sanitize flush did not converge after 1000 rounds")
-		}
-		if f.pendingCount > 0 {
-			f.policy.Flush(f)
-			continue
-		}
-		if f.cfg.LockBatch.Enabled && f.lockq.attached > 0 && f.FlushLocks() {
-			continue
-		}
-		break
-	}
+	f.settle(true)
 
 	// Park fully-stale blocks (sealed garbage, bLocked blocks awaiting
 	// erase) on the lazy-erase queue: a crash can leave a chip with no
