@@ -91,8 +91,8 @@ func newEnv(scale string, sc experiment.Scale, workers int, profiles []workload.
 		cells := attack.DefaultCells(e.sc.Seed)
 		if e.powerCut > 0 {
 			cells = nil
-			for _, p := range attack.Policies() {
-				cells = append(cells, attack.Config{Policy: p, Scenario: attack.ScenarioPowerCut, CutAfterOps: e.powerCut, Seed: e.sc.Seed})
+			for _, p := range sanitize.Policies() {
+				cells = append(cells, attack.Config{Policy: p.Name(), Scenario: attack.ScenarioPowerCut, CutAfterOps: e.powerCut, Seed: e.sc.Seed})
 			}
 		}
 		return attack.Matrix(cells, e.workers)

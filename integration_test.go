@@ -13,19 +13,18 @@ import (
 	"repro/internal/core/coretest"
 	"repro/internal/experiment"
 	"repro/internal/ftl"
+	"repro/internal/ftl/ftltest"
 	"repro/internal/nand/vth"
+	"repro/internal/sanitize"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
 // compactDevice builds core's compact device under policy and seed, with
 // tune (if not nil) setting further fields of its config first.
-func compactDevice(t testing.TB, policy core.PolicyName, seed int64, tune func(*ssd.Config)) *core.Device {
+func compactDevice(t testing.TB, policy ftl.Policy, seed int64, tune func(*ssd.Config)) *core.Device {
 	t.Helper()
-	cfg, err := core.Compact(policy, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := core.Compact(policy, seed)
 	if tune != nil {
 		tune(&cfg)
 	}
@@ -41,7 +40,7 @@ func compactDevice(t testing.TB, policy core.PolicyName, seed int64, tune func(*
 // Evanesco device and then verifies, at the raw-chip level, that no
 // stale secured data survived anywhere.
 func TestFullStackWorkloadSanitization(t *testing.T) {
-	dev := compactDevice(t, core.PolicyEvanesco, 21, nil)
+	dev := compactDevice(t, sanitize.SecSSD(), 21, nil)
 	fs := dev.FS()
 	gen := workload.NewGenerator(workload.MailServer(), fs, dev.PageBytes(), 21)
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages()) * 2); err != nil {
@@ -54,8 +53,8 @@ func TestFullStackWorkloadSanitization(t *testing.T) {
 	if st.PLocks == 0 {
 		t.Fatal("secured churn must issue locks")
 	}
-	if err := coretest.VerifySanitization(dev); err != nil {
-		t.Fatal(err)
+	if stale := ftltest.ReadableStale(dev.SSD().FTL(), dev.SSD().Chips(), 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable on the raw chips", stale)
 	}
 }
 
@@ -63,14 +62,14 @@ func TestFullStackWorkloadSanitization(t *testing.T) {
 // secure files must be sanitized, insecure ones may leak, and the device
 // must never lock insecure data.
 func TestFullStackMixedSecurity(t *testing.T) {
-	dev := compactDevice(t, core.PolicyEvanesco, 22, nil)
+	dev := compactDevice(t, sanitize.SecSSD(), 22, nil)
 	gen := workload.NewGenerator(workload.FileServer(), dev.FS(), dev.PageBytes(), 22)
 	gen.SecureFraction = 0.5
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages())); err != nil {
 		t.Fatal(err)
 	}
 	// Every readable stale page must belong to an insecure file — which
-	// VerifySanitization cannot distinguish, so scan manually: stale
+	// ftltest.ReadableStale cannot distinguish, so scan manually: stale
 	// secured data is impossible by construction of the status table
 	// (PageInvalid for secured pages only after a lock), so assert the
 	// FTL's view instead: no physical page is in PageSecured state
@@ -169,7 +168,7 @@ func TestECCDatapathOverCellModel(t *testing.T) {
 // chip returns all zeros, which carries no trace of anything that was
 // stored.
 func TestLockedDataDefeatsECCToo(t *testing.T) {
-	dev := compactDevice(t, core.PolicyEvanesco, 23, nil)
+	dev := compactDevice(t, sanitize.SecSSD(), 23, nil)
 	stored := bytes.Repeat([]byte("classified "), 40)
 	if err := dev.WriteFile("enc.bin", stored, core.Secure); err != nil {
 		t.Fatal(err)
@@ -187,13 +186,13 @@ func TestLockedDataDefeatsECCToo(t *testing.T) {
 // they are just expensive. Cross-check scrSSD's guarantee at full-stack
 // scale so the comparison in Fig. 14 is apples to apples.
 func TestScrubbedDeviceAlsoSanitizes(t *testing.T) {
-	dev := compactDevice(t, core.PolicyScrub, 24, nil)
+	dev := compactDevice(t, sanitize.ScrSSD(), 24, nil)
 	gen := workload.NewGenerator(workload.MailServer(), dev.FS(), dev.PageBytes(), 24)
 	if err := gen.RunPages(uint64(dev.SSD().LogicalPages())); err != nil {
 		t.Fatal(err)
 	}
-	if err := coretest.VerifySanitization(dev); err != nil {
-		t.Fatal(err)
+	if stale := ftltest.ReadableStale(dev.SSD().FTL(), dev.SSD().Chips(), 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable on the raw chips", stale)
 	}
 	if dev.SSD().FTL().Stats().Scrubs == 0 {
 		t.Fatal("scrSSD never scrubbed")
@@ -203,7 +202,7 @@ func TestScrubbedDeviceAlsoSanitizes(t *testing.T) {
 // TestFilesysOverRealDeviceRoundTrip pushes file data through the full
 // stack and reads it back after churn.
 func TestFilesysOverRealDeviceRoundTrip(t *testing.T) {
-	dev := compactDevice(t, core.PolicyEvanesco, 25, nil)
+	dev := compactDevice(t, sanitize.SecSSD(), 25, nil)
 	contents := map[string][]byte{}
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 12; i++ {

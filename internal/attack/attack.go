@@ -21,6 +21,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sanitize"
 	"repro/internal/trace"
 )
 
@@ -41,8 +42,9 @@ const (
 
 // Config is one attack cell.
 type Config struct {
-	Policy   core.PolicyName `json:"policy"`
-	Scenario Scenario        `json:"scenario"`
+	// Policy is the sanitization policy's name (sanitize.ByName).
+	Policy   string   `json:"policy"`
+	Scenario Scenario `json:"scenario"`
 	// BakeDays ages the chips before the dump (retention-aided attack).
 	BakeDays float64 `json:"bake_days,omitempty"`
 	// FaultRate enables program/erase/lock fault injection during the
@@ -140,10 +142,11 @@ func Run(cfg Config) (Score, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	devCfg, err := core.Compact(cfg.Policy, seed)
+	policy, err := sanitize.ByName(cfg.Policy)
 	if err != nil {
 		return Score{}, err
 	}
+	devCfg := core.Compact(policy, seed)
 	rec := trace.NewRecorder(trace.RecorderConfig{
 		Chips:    devCfg.Channels * devCfg.ChipsPerChannel,
 		Channels: devCfg.Channels,
@@ -179,7 +182,7 @@ func Run(cfg Config) (Score, error) {
 
 	sc := Score{
 		Label:       cfg.Label(),
-		Policy:      string(cfg.Policy),
+		Policy:      cfg.Policy,
 		Scenario:    string(cfg.Scenario),
 		BakeDays:    cfg.BakeDays,
 		FaultRate:   cfg.FaultRate,

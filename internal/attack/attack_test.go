@@ -3,7 +3,7 @@ package attack
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/sanitize"
 )
 
 func run(t *testing.T, cfg Config) Score {
@@ -18,7 +18,7 @@ func run(t *testing.T, cfg Config) Score {
 // The baseline control must leak: deletes only flip mapping bits, so the
 // raw dump recovers the secrets. Without this the gate proves nothing.
 func TestBaselineControlLeaks(t *testing.T) {
-	s := run(t, Config{Policy: core.PolicyBaseline, Scenario: ScenarioDump, Seed: 1})
+	s := run(t, Config{Policy: sanitize.Baseline().Name(), Scenario: ScenarioDump, Seed: 1})
 	if !s.Leaked() {
 		t.Fatal("baseline dump recovered nothing; the attack harness is broken")
 	}
@@ -33,7 +33,8 @@ func TestBaselineControlLeaks(t *testing.T) {
 // Every sanitizing policy must defeat the plain dump, with and without
 // background fault injection, and the audit ledger must agree.
 func TestSanitizersDefeatDump(t *testing.T) {
-	for _, p := range Policies()[1:] {
+	for _, policy := range sanitize.Policies()[1:] {
+		p := policy.Name()
 		for _, rate := range []float64{0, 1e-3} {
 			s := run(t, Config{Policy: p, Scenario: ScenarioDump, FaultRate: rate, Seed: 1})
 			if s.Leaked() {
@@ -53,7 +54,8 @@ func TestSanitizersDefeatDump(t *testing.T) {
 // recoverable — the crash window is exactly what Evanesco's lock-before-
 // ack design closes.
 func TestPowerCutThenRemountDefeated(t *testing.T) {
-	for _, p := range Policies()[1:] {
+	for _, policy := range sanitize.Policies()[1:] {
+		p := policy.Name()
 		for _, after := range []uint64{1, 3, 20} {
 			s := run(t, Config{Policy: p, Scenario: ScenarioPowerCut, CutAfterOps: after, Seed: 1})
 			if !s.Remounted {
@@ -79,7 +81,7 @@ func TestPowerCutThenRemountDefeated(t *testing.T) {
 // interrupt) but the remount-and-replay path still runs, and the secrets
 // are still recoverable afterwards.
 func TestBaselinePowerCutStillLeaks(t *testing.T) {
-	s := run(t, Config{Policy: core.PolicyBaseline, Scenario: ScenarioPowerCut, CutAfterOps: 3, Seed: 1})
+	s := run(t, Config{Policy: sanitize.Baseline().Name(), Scenario: ScenarioPowerCut, CutAfterOps: 3, Seed: 1})
 	if s.CutFired {
 		t.Error("baseline delete issued chip ops? cut should not fire")
 	}
@@ -97,7 +99,7 @@ func TestBaselinePowerCutStillLeaks(t *testing.T) {
 // Locks must hold across the paper's five-year retention horizon: baking
 // the chips must not reopen the attack.
 func TestRetentionBakeDefeated(t *testing.T) {
-	for _, p := range []core.PolicyName{core.PolicySecNoBLock, core.PolicyEvanesco} {
+	for _, p := range []string{sanitize.SecSSDNoBLock().Name(), sanitize.SecSSD().Name()} {
 		for _, days := range []float64{365, 5 * 365} {
 			s := run(t, Config{Policy: p, Scenario: ScenarioRetention, BakeDays: days, Seed: 1})
 			if s.Leaked() {
@@ -131,7 +133,7 @@ func TestVerifyGate(t *testing.T) {
 	// Tamper: a sanitizing cell that leaks must flip the verdict.
 	tampered := append([]Score(nil), scores...)
 	for i := range tampered {
-		if tampered[i].Policy != string(core.PolicyBaseline) {
+		if tampered[i].Policy != sanitize.Baseline().Name() {
 			tampered[i].RecoverableBytes = 4096
 			tampered[i].HitPages = 1
 			break
@@ -144,7 +146,7 @@ func TestVerifyGate(t *testing.T) {
 	// Tamper: a silent control must flip the verdict too.
 	muted := append([]Score(nil), scores...)
 	for i := range muted {
-		if muted[i].Policy == string(core.PolicyBaseline) {
+		if muted[i].Policy == sanitize.Baseline().Name() {
 			muted[i].RecoverableBytes = 0
 			muted[i].HitPages = 0
 		}
@@ -157,8 +159,8 @@ func TestVerifyGate(t *testing.T) {
 // Worker invariance: the matrix is a pure function of its cells.
 func TestMatrixWorkerInvariant(t *testing.T) {
 	cells := []Config{
-		{Policy: core.PolicyBaseline, Scenario: ScenarioDump, Seed: 1},
-		{Policy: core.PolicyEvanesco, Scenario: ScenarioPowerCut, CutAfterOps: 3, Seed: 1},
+		{Policy: sanitize.Baseline().Name(), Scenario: ScenarioDump, Seed: 1},
+		{Policy: sanitize.SecSSD().Name(), Scenario: ScenarioPowerCut, CutAfterOps: 3, Seed: 1},
 	}
 	a, err := Matrix(cells, 1)
 	if err != nil {

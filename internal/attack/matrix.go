@@ -3,19 +3,9 @@ package attack
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sanitize"
 )
-
-// Policies lists the §7 configurations the matrix sweeps, control first.
-func Policies() []core.PolicyName {
-	var names []core.PolicyName
-	for _, p := range sanitize.Policies() {
-		names = append(names, core.PolicyName(p.Name()))
-	}
-	return names
-}
 
 // DefaultCells builds the standard attack matrix: every policy against
 // the raw dump (with and without background fault injection), the
@@ -24,7 +14,8 @@ func Policies() []core.PolicyName {
 // delete's sanitize burst, one late.
 func DefaultCells(seed int64) []Config {
 	var cells []Config
-	for _, p := range Policies() {
+	for _, policy := range sanitize.Policies() {
+		p := policy.Name()
 		cells = append(cells,
 			Config{Policy: p, Scenario: ScenarioDump, Seed: seed},
 			Config{Policy: p, Scenario: ScenarioDump, FaultRate: 1e-3, Seed: seed},
@@ -74,8 +65,9 @@ func Verify(scores []Score) Verdict {
 		v.Pass = false
 		v.Failures = append(v.Failures, fmt.Sprintf(format, args...))
 	}
+	control := sanitize.Baseline().Name()
 	for _, s := range scores {
-		if s.Policy == string(core.PolicyBaseline) {
+		if s.Policy == control {
 			if s.Leaked() {
 				v.ControlLeaks++
 			} else {

@@ -3,8 +3,7 @@
 // lock-manager FTL, a file layer with the paper's O_INSEC interface — and
 // exposes the operations a downstream user needs:
 //
-//	cfg, _ := core.Compact(core.PolicyEvanesco, 1)
-//	dev, _ := core.New(cfg)
+//	dev, _ := core.New(core.Compact(sanitize.SecSSD(), 1))
 //	dev.WriteFile("medical.db", data, core.Secure)
 //	dev.DeleteFile("medical.db")               // pLock/bLock fire here
 //	dev.ForensicScan([]byte("patient"))        // -> no findings
@@ -12,15 +11,15 @@
 // plus a raw-chip forensic scan (the §5.1 threat model), retention time
 // travel to demonstrate multi-year lock durability and a power-cut
 // facade. Tests check the paper's C1/C2 sanitization conditions with
-// coretest.VerifySanitization.
+// ftltest.ReadableStale.
 package core
 
 import (
 	"bytes"
-	"cmp"
 
 	"repro/internal/blockio"
 	"repro/internal/filesys"
+	"repro/internal/ftl"
 	"repro/internal/sanitize"
 	"repro/internal/ssd"
 )
@@ -35,37 +34,23 @@ const (
 	Insecure
 )
 
-// PolicyName selects the device's sanitization machinery.
-type PolicyName string
-
-// The five §7 configurations.
-const (
-	PolicyBaseline   PolicyName = "baseline"
-	PolicyErase      PolicyName = "erSSD"
-	PolicyScrub      PolicyName = "scrSSD"
-	PolicySecNoBLock PolicyName = "secSSD_nobLock"
-	PolicyEvanesco   PolicyName = "secSSD"
-)
-
 // Compact returns the compact SecureSSD that the attack matrix and tests
 // build: 2×2 chips of 32 blocks × 16 TLC wordlines with 4-KiB pages
 // (48 MiB raw), 20 % over-provisioning and GC at two free blocks per
-// chip. The empty policy name selects secSSD; a zero seed is ssd's
-// default. Set any further field (Fault, Trace, LockBatch, the geometry)
-// on the result before New; ssd.DefaultConfig is the paper's 32-GiB
-// device.
-func Compact(policy PolicyName, seed int64) (ssd.Config, error) {
-	p, err := sanitize.ByName(string(cmp.Or(policy, PolicyEvanesco)))
-	if err != nil {
-		return ssd.Config{}, err
+// chip. A nil policy selects secSSD; a zero seed is ssd's default. Set
+// any further field (Fault, Trace, LockBatch, the geometry) on the
+// result before New; ssd.DefaultConfig is the paper's 32-GiB device.
+func Compact(policy ftl.Policy, seed int64) ssd.Config {
+	if policy == nil {
+		policy = sanitize.SecSSD()
 	}
-	cfg := ssd.DefaultConfig(p)
+	cfg := ssd.DefaultConfig(policy)
 	cfg.Channels, cfg.ChipsPerChannel = 2, 2
 	cfg.Chip.Blocks, cfg.Chip.WLsPerBlock, cfg.Chip.PageBytes = 32, 16, 4096
 	cfg.OverProvision = 0.20
 	cfg.GCFreeBlocksLow = 2
 	cfg.Seed = seed
-	return cfg, nil
+	return cfg
 }
 
 // Device is an assembled SecureSSD with its file layer.

@@ -1,7 +1,8 @@
 // Package ftltest provides a lightweight ftl.Target fake for unit tests:
 // it counts operations, applies fixed latencies serially per chip, and
 // optionally mirrors every command onto real emulated nand.Chips so
-// cross-layer tests can check physical state.
+// cross-layer tests can check physical state. ReadableStale is the one
+// raw-chip sanitization oracle every layer's tests hold a device to.
 package ftltest
 
 import (

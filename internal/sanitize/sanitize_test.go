@@ -3,6 +3,7 @@ package sanitize_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,46 +38,6 @@ func (r *rig) submit(t testing.TB, req blockio.Request) {
 	}
 }
 
-// staleSecuredExposure scans all physical pages: it returns how many
-// stale (non-live, non-free per the chip) pages still hold readable data
-// on the raw chips. This is the attacker's view — condition C1/C2 demand
-// zero for secured data.
-func (r *rig) readablePages(t testing.TB) map[ftl.PPA]bool {
-	readable := map[ftl.PPA]bool{}
-	g := r.f.Geometry()
-	for p := 0; p < g.TotalPages(); p++ {
-		chip := g.ChipOf(ftl.PPA(p))
-		addr := nand.PageAddr{Block: g.BlockInChip(g.BlockOf(ftl.PPA(p))), Page: g.PageInBlock(ftl.PPA(p))}
-		res, err := r.chips[chip].Read(addr, 0)
-		if err != nil {
-			continue // locked or failed: not readable
-		}
-		nonZero := false
-		for _, b := range res {
-			if b != 0 {
-				nonZero = true
-				break
-			}
-		}
-		if nonZero {
-			readable[ftl.PPA(p)] = true
-		}
-	}
-	return readable
-}
-
-// assertNoStaleSecuredData verifies the sanitization contract: every
-// readable raw page must be live in the FTL (i.e., no stale copy of
-// secured data survives).
-func assertNoStaleSecuredData(t testing.TB, r *rig) {
-	t.Helper()
-	for p := range r.readablePages(t) {
-		if !r.f.Status(p).Live() {
-			t.Fatalf("stale physical page %d (status %v) is still readable on the raw chip", p, r.f.Status(p))
-		}
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	names := map[string]ftl.Policy{
 		"baseline":       sanitize.Baseline(),
@@ -101,7 +62,7 @@ func TestBaselineLeavesStaleData(t *testing.T) {
 	if r.f.Status(old) != ftl.PageInvalid {
 		t.Fatal("old copy should be invalid")
 	}
-	if !r.readablePages(t)[old] {
+	if !slices.Contains(ftltest.ReadableStale(r.f, r.chips, 0), old) {
 		t.Fatal("baseline should leave the stale copy readable (that's the vulnerability)")
 	}
 }
@@ -115,7 +76,9 @@ func TestSanitizersDestroyOverwrittenData(t *testing.T) {
 			r := newRig(t, policy)
 			r.submit(t, blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1})
 			r.submit(t, blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 1})
-			assertNoStaleSecuredData(t, r)
+			if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+				t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+			}
 		})
 	}
 }
@@ -128,7 +91,9 @@ func TestSanitizersDestroyTrimmedData(t *testing.T) {
 			r := newRig(t, policy)
 			r.submit(t, blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 6})
 			r.submit(t, blockio.Request{Op: blockio.OpTrim, LPA: 0, Pages: 6})
-			assertNoStaleSecuredData(t, r)
+			if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+				t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+			}
 		})
 	}
 }
@@ -143,7 +108,7 @@ func TestInsecureDataNotSanitized(t *testing.T) {
 	if r.tgt.PLocks != 0 || r.tgt.BLocks != 0 {
 		t.Fatal("insecure invalidation must not issue lock commands")
 	}
-	if !r.readablePages(t)[old] {
+	if !slices.Contains(ftltest.ReadableStale(r.f, r.chips, 0), old) {
 		t.Fatal("insecure stale copy should still be readable (no sanitization requested)")
 	}
 }
@@ -161,7 +126,9 @@ func TestErSSDErasesImmediately(t *testing.T) {
 	if r.f.Stats().SanitizeCopies == copiesBefore {
 		t.Fatal("erSSD must relocate the live pages before erasing")
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 func TestScrSSDRelocatesWLSiblings(t *testing.T) {
@@ -176,7 +143,9 @@ func TestScrSSDRelocatesWLSiblings(t *testing.T) {
 	if r.f.Stats().SanitizeCopies == 0 {
 		t.Fatal("scrSSD must relocate live wordline siblings")
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 func TestSecSSDUsesPLockWithoutCopies(t *testing.T) {
@@ -190,7 +159,9 @@ func TestSecSSDUsesPLockWithoutCopies(t *testing.T) {
 	if r.f.Stats().FlashPrograms != progBefore {
 		t.Fatal("Evanesco sanitization must be zero-copy")
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 // The §6 bLock decision rule: a trim that stales an entire block with
@@ -210,7 +181,9 @@ func TestSecSSDBatchesIntoBLock(t *testing.T) {
 	if r.tgt.PLocks != 0 {
 		t.Fatalf("pLocks = %d; the whole batch should be covered by bLocks", r.tgt.PLocks)
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 func TestSecSSDNoBLockNeverUsesBLock(t *testing.T) {
@@ -223,7 +196,9 @@ func TestSecSSDNoBLockNeverUsesBLock(t *testing.T) {
 	if r.tgt.PLocks != 24 {
 		t.Fatalf("pLocks = %d, want 24", r.tgt.PLocks)
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 // A partially-stale block must never be bLocked even when many secured
@@ -246,7 +221,9 @@ func TestSecSSDBLockRequiresFullyStaleBlock(t *testing.T) {
 			t.Fatal("live page lost")
 		}
 	}
-	assertNoStaleSecuredData(t, r)
+	if stale := ftltest.ReadableStale(r.f, r.chips, 0); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v are still readable on the raw chip", stale)
+	}
 }
 
 // Cost comparison on the same workload: the headline claim of the paper.
@@ -310,10 +287,8 @@ func TestSecSSDSecurityInvariantProperty(t *testing.T) {
 			}
 		}
 		// Invariant 1: no stale data readable anywhere (all writes secured).
-		for p := range r.readablePages(t) {
-			if !r.f.Status(p).Live() {
-				return false
-			}
+		if len(ftltest.ReadableStale(r.f, r.chips, 0)) != 0 {
+			return false
 		}
 		// Invariant 2: every live mapping is still readable on-chip.
 		g := r.f.Geometry()

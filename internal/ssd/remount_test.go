@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/ftl/ftltest"
 	"repro/internal/nand"
 	"repro/internal/sanitize"
 )
@@ -42,33 +43,6 @@ func captureLoss(t *testing.T, s *SSD, fn func() error) *nand.PowerLoss {
 		t.Fatal("device alive after power loss")
 	}
 	return loss
-}
-
-// assertNoReadableStale fails if any non-live physical page is readable
-// with nonzero contents — the paper's C1/C2 conditions at chip level.
-func assertNoReadableStale(t *testing.T, s *SSD) {
-	t.Helper()
-	f := s.FTL()
-	g := s.Geometry()
-	for p := 0; p < g.TotalPages(); p++ {
-		ppa := ftl.PPA(p)
-		if f.Status(ppa).Live() || f.Status(ppa) == ftl.PageFree {
-			continue
-		}
-		chip := s.Chips()[g.ChipOf(ppa)]
-		res, err := chip.Read(nand.PageAddr{
-			Block: g.BlockInChip(g.BlockOf(ppa)),
-			Page:  g.PageInBlock(ppa),
-		}, s.makespan)
-		if err != nil {
-			continue // locked: sanitized
-		}
-		for _, b := range res {
-			if b != 0 {
-				t.Fatalf("stale physical page %d readable with data after remount", p)
-			}
-		}
-	}
 }
 
 // mediaState is the full externally observable device state: raw media
@@ -140,7 +114,9 @@ func TestRemountIdempotentAfterPLockCut(t *testing.T) {
 	if err := s.Remount(0); err != nil {
 		t.Fatal(err)
 	}
-	assertNoReadableStale(t, s)
+	if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable with data after remount", stale)
+	}
 	first := snapshot(t, s)
 	if err := s.Remount(0); err != nil {
 		t.Fatal(err)
@@ -206,7 +182,9 @@ func TestCutDuringCoalescedBatchSurvivesRemount(t *testing.T) {
 	if err := s.Remount(0); err != nil {
 		t.Fatal(err)
 	}
-	assertNoReadableStale(t, s)
+	if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable with data after remount", stale)
+	}
 }
 
 // A cut on the bLock seal itself (SSL short of the disable threshold)
@@ -227,7 +205,9 @@ func TestCutOnBLockSealRecoveredByRemount(t *testing.T) {
 	if err := s.Remount(0); err != nil {
 		t.Fatal(err)
 	}
-	assertNoReadableStale(t, s)
+	if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable with data after remount", stale)
+	}
 }
 
 // A cut mid-relocation (erSSD: live pages move out before the victim
@@ -267,7 +247,9 @@ func TestCutMidRelocationKeepsSourceSanitizesTorn(t *testing.T) {
 			t.Fatalf("LPA %d content diverged across cut+remount", lpa)
 		}
 	}
-	assertNoReadableStale(t, s)
+	if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable with data after remount", stale)
+	}
 }
 
 // A cut mid-erase destroys nothing; the block's stale contents are still
@@ -288,7 +270,9 @@ func TestCutMidEraseRecoveredByRemount(t *testing.T) {
 	if err := s.Remount(0); err != nil {
 		t.Fatal(err)
 	}
-	assertNoReadableStale(t, s)
+	if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+		t.Fatalf("stale physical pages %v readable with data after remount", stale)
+	}
 }
 
 // Remount on a healthy, never-cut device preserves every mapping and
@@ -316,6 +300,8 @@ func TestHealthyRemountPreservesData(t *testing.T) {
 				t.Fatalf("%s: trimmed LPA %d resurrected by healthy remount", policy.Name(), lpa)
 			}
 		}
-		assertNoReadableStale(t, s)
+		if stale := ftltest.ReadableStale(s.FTL(), s.Chips(), s.makespan); len(stale) != 0 {
+			t.Fatalf("stale physical pages %v readable with data after remount", stale)
+		}
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"repro/internal/core/coretest"
 	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/ftl/ftltest"
+	"repro/internal/sanitize"
 	"repro/internal/ssd"
 	"repro/internal/trace"
 )
@@ -38,7 +40,7 @@ func phaseSum(b audit.PhaseBreakdown) int64 {
 // attaches a telemetry collector (nil: untraced).
 func faultDevice(t testing.TB, rate float64, seed int64, batched bool, tr trace.Collector) *core.Device {
 	t.Helper()
-	return compactDevice(t, core.PolicyEvanesco, seed, func(cfg *ssd.Config) {
+	return compactDevice(t, sanitize.SecSSD(), seed, func(cfg *ssd.Config) {
 		cfg.Chip.Blocks, cfg.Chip.WLsPerBlock = 16, 8
 		cfg.Fault = fault.Uniform(rate, seed)
 		cfg.Trace = tr
@@ -98,8 +100,8 @@ func runSecureDeleteCampaign(t testing.TB, rate float64, seed int64, churn int, 
 				rate, seed, round, hits[0])
 		}
 	}
-	if err := coretest.VerifySanitization(dev); err != nil {
-		t.Fatalf("rate=%g seed=%d: %v", rate, seed, err)
+	if stale := ftltest.ReadableStale(dev.SSD().FTL(), dev.SSD().Chips(), 0); len(stale) != 0 {
+		t.Fatalf("rate=%g seed=%d: stale physical pages %v readable on the raw chips", rate, seed, stale)
 	}
 	return dev
 }
@@ -144,14 +146,11 @@ func FuzzFaultSchedule(f *testing.F) {
 // windows when a relocation-triggered GC flush runs mid-ladder; this
 // campaign is what catches a double-freed or live-holding block there.
 func TestAllPoliciesSurviveFaultChurn(t *testing.T) {
-	policies := []core.PolicyName{
-		core.PolicyBaseline, core.PolicyErase, core.PolicyScrub,
-		core.PolicySecNoBLock, core.PolicyEvanesco,
-	}
-	for _, pol := range policies {
+	for _, policy := range sanitize.Policies() {
+		pol := policy.Name()
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
-				dev := compactDevice(t, pol, seed, func(cfg *ssd.Config) {
+				dev := compactDevice(t, policy, seed, func(cfg *ssd.Config) {
 					cfg.Chip.Blocks, cfg.Chip.WLsPerBlock = 16, 8
 					cfg.Fault = fault.Uniform(5e-3, seed)
 				})
@@ -175,7 +174,7 @@ func TestAllPoliciesSurviveFaultChurn(t *testing.T) {
 				if err := dev.DeleteFile("secret.db"); err != nil {
 					t.Fatal(err)
 				}
-				if pol == core.PolicyBaseline {
+				if pol == sanitize.Baseline().Name() {
 					return // baseline makes no sanitization promise
 				}
 				if hits := dev.ForensicScan(needle); len(hits) != 0 {
