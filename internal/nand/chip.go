@@ -21,9 +21,12 @@
 package nand
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/adopt"
 	"repro/internal/fault"
@@ -225,10 +228,29 @@ type pageRec struct {
 // that is whether the median cell does, since the decay is the same for every cell and
 // subtracting it keeps the cells' order. So the median of the k sampled
 // Vths and the day the flag was programmed are all a flag keeps.
+//
+// The k cells are drawn when something first reads a flag, not when it is
+// programmed: nothing reads a locked page on a figure run's hot path, so
+// most flags are never drawn at all. Until then median is a NaN whose
+// payload is the flag's program ordinal (see pendingMedian), and the
+// first read of such a flag draws every pending flag in program order
+// (see drawFlags), so each gets the values an eager draw would have.
 type papFlag struct {
 	median float64
 	day    float64
 }
+
+// pendingNaN is the bit pattern of a quiet NaN; a pending flag's median
+// is pendingNaN with the flag's program ordinal in the low 51 bits. A
+// drawn median is a finite mean plus finite Gaussian offsets, never NaN.
+const pendingNaN = 0x7ff8_0000_0000_0000
+
+// pendingMedian is the median of a flag whose cells are not drawn yet:
+// the NaN that carries its program ordinal.
+func pendingMedian(ordinal uint64) float64 { return math.Float64frombits(pendingNaN | ordinal) }
+
+// ordinalOf returns the program ordinal a pending median carries.
+func ordinalOf(median float64) uint64 { return math.Float64bits(median) &^ pendingNaN }
 
 // block is one erase unit. Per-page state lives in the chip-wide record
 // table (pageRec) and flag arena; the block itself holds its write
@@ -281,6 +303,11 @@ type Chip struct {
 	pagesPerBlock int
 	pagesPerWL    int
 
+	// flagsProgrammed counts the pAP flags programmed so far, numbering
+	// them in program order; flagsDrawn is how many of those numbers have
+	// had their cells drawn from rng (see drawFlags).
+	flagsProgrammed, flagsDrawn uint64
+
 	flagModel vth.FlagModel // pAP flag cells
 	sslModel  vth.SSLModel  // bAP / SSL cells
 	// flagMean is the pAP flag cells' mean Vth right after a pLock at
@@ -308,7 +335,8 @@ type Chip struct {
 	// goroutine at a time (the device model serializes operations per
 	// chip), so a single scratch buffer per chip suffices.
 	readBuf  []byte                 // Read's result and a locked page's zeros — see Read's aliasing rule
-	cellBuf  [vth.FlagCells]float64 // programFlag's k cell draws, reordered for the median
+	cellBuf  [vth.FlagCells]float64 // drawFlags' k cell draws, reordered for the median
+	pendBuf  []uint32               // drawFlags' slots still waiting for their draws
 	pagePool [][]byte               // retired page payload buffers, refilled by Erase
 }
 
@@ -334,9 +362,19 @@ func (c *Chip) flagSlot(idx uint32) *papFlag {
 	return &c.flagChunks[i/flagChunkSlots][i%flagChunkSlots]
 }
 
+// flagAt returns a programmed flag's arena slot for a read of its vote,
+// drawing every pending flag's cells first if this one's are not drawn.
+func (c *Chip) flagAt(idx uint32) *papFlag {
+	f := c.flagSlot(idx)
+	if f.median != f.median {
+		c.drawFlags()
+	}
+	return f
+}
+
 // programFlag programs the page's k pAP flag cells at day: it takes an
-// arena slot, samples the cells from the chip's RNG and keeps their
-// median.
+// arena slot and tags it with the flag's program ordinal, leaving the
+// cells to drawFlags.
 func (c *Chip) programFlag(blk *block, page int, rec *pageRec, day float64) {
 	if n := len(c.flagFree); n > 0 {
 		rec.flag = c.flagFree[n-1]
@@ -348,17 +386,47 @@ func (c *Chip) programFlag(blk *block, page int, rec *pageRec, day float64) {
 		c.flagSlots++
 		rec.flag = c.flagSlots
 	}
-	c.flagModel.SampleCells(c.cellBuf[:], c.flagMean, c.rng)
-	*c.flagSlot(rec.flag) = papFlag{median: medianOf(&c.cellBuf), day: day}
+	*c.flagSlot(rec.flag) = papFlag{median: pendingMedian(c.flagsProgrammed), day: day}
+	c.flagsProgrammed++
 	if page >= blk.flagEnd {
 		blk.flagEnd = page + 1
 	}
 }
 
+// drawFlags draws the k cells of every flag programmed since the last
+// draw and stores their median in the slot that still carries the flag's
+// ordinal. The draws run in program order and include the flags erased
+// since, whose medians land in no live flag: NormFloat64 takes a
+// variable number of the source's values, so a flag's place in the
+// stream can only be reached by drawing everything before it, and every
+// flag thus gets the values it would have got had it been drawn when
+// programmed. Afterwards no slot holds a pending median.
+func (c *Chip) drawFlags() {
+	pend := c.pendBuf[:0]
+	for idx := uint32(1); idx <= c.flagSlots; idx++ {
+		if m := c.flagSlot(idx).median; m != m {
+			pend = append(pend, idx)
+		}
+	}
+	c.pendBuf = pend
+	slices.SortFunc(pend, func(a, b uint32) int {
+		return cmp.Compare(ordinalOf(c.flagSlot(a).median), ordinalOf(c.flagSlot(b).median))
+	})
+	for ord := c.flagsDrawn; ord < c.flagsProgrammed; ord++ {
+		c.flagModel.SampleCells(c.cellBuf[:], c.flagMean, c.rng)
+		median := medianOf(&c.cellBuf)
+		if len(pend) > 0 && ordinalOf(c.flagSlot(pend[0]).median) == ord {
+			c.flagSlot(pend[0]).median = median
+			pend = pend[1:]
+		}
+	}
+	c.flagsDrawn = c.flagsProgrammed
+}
+
 // medianOf returns the median of a flag's k cells, reordering them. The
 // nine values go through a 19-exchange median network of branch-free
 // min/max: a sort's comparisons of random draws mispredict, which made
-// it cost more than drawing the cells, on every pLock.
+// it cost more than drawing the cells.
 func medianOf(p *[vth.FlagCells]float64) float64 {
 	cx := func(i, j int) { p[i], p[j] = min(p[i], p[j]), max(p[i], p[j]) }
 	cx(1, 2)
@@ -453,6 +521,7 @@ func NewFrom(old *Chip, geo Geometry, opts ...Option) (*Chip, error) {
 		// slot numbers do not depend on how many chunks there already are.
 		flagChunks: adopt.ZeroedEach(old.flagChunks, flagChunkSlots),
 		flagFree:   adopt.Zeroed(old.flagFree, 0),
+		pendBuf:    adopt.Zeroed(old.pendBuf, 0),
 		flagModel:  flagModel,
 		flagMean:   flagModel.ProgrammedMean(vth.PLockPoint.V, vth.PLockPoint.T),
 		sslModel:   vth.DefaultSSLModel(),

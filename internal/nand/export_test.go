@@ -4,13 +4,14 @@ import "repro/internal/sim"
 
 // flagVote returns what a page's pAP flag stores for the majority
 // circuit: whether it was programmed, the median of its k cell Vths and
-// the lock day (false, 0, 0 when the flag was never programmed).
+// the lock day (false, 0, 0 when the flag was never programmed). Like
+// every read of a vote, it draws the pending flags' cells first.
 func (c *Chip) flagVote(a PageAddr) (programmed bool, median, day float64) {
 	rec := c.rec(a)
 	if rec.flag == 0 {
 		return false, 0, 0
 	}
-	f := c.flagSlot(rec.flag)
+	f := c.flagAt(rec.flag)
 	return true, f.median, f.day
 }
 

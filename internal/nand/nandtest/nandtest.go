@@ -31,3 +31,12 @@ func LazyState(c *nand.Chip) (payloadStores, flagChunksUsed, flagChunksHeld int)
 	}
 	return payloadStores, flagChunksUsed, flagChunksHeld
 }
+
+// FlagCounts reports how many pAP flags c has programmed and how many of
+// them it has drawn the cells of: a flag is drawn when something first
+// reads a locked page's vote, so drawn stays 0 on a run that never senses
+// a locked page.
+func FlagCounts(c *nand.Chip) (programmed, drawn uint64) {
+	v := reflect.ValueOf(c).Elem()
+	return v.FieldByName("flagsProgrammed").Uint(), v.FieldByName("flagsDrawn").Uint()
+}

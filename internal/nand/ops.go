@@ -107,7 +107,7 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 	if rec.flag == 0 {
 		return false
 	}
-	f := c.flagSlot(rec.flag)
+	f := c.flagAt(rec.flag)
 	median := f.median
 	if elapsed := day - f.day; elapsed > 0 {
 		// With no retention yet MeanAfter is ProgrammedMean and the decay
