@@ -95,9 +95,8 @@ func (cs *CutState) Arm(spec CutSpec) {
 	cs.struck = false
 }
 
-// Armed reports whether a strike is still pending.
-//
-//repro:testseam
+// Armed reports whether a strike is still pending: nand and ssd take
+// their one-page-at-a-time copyback path while it is.
 func (cs *CutState) Armed() bool { return cs != nil && !cs.struck && cs.spec.Armed() }
 
 // Strike is called by a chip at the start of each mutating operation.

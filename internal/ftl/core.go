@@ -85,6 +85,10 @@ type FTL struct {
 	stripeScratch []PPA
 	stripeOlds    []PPA
 	stripeDatas   [][]byte
+	// runSrc and runMeta are a relocation run's source pages and stamps,
+	// one block's worth. A GC pass the run triggers reuses them.
+	runSrc  []PPA
+	runMeta []Meta
 
 	// reqClock is the dependency time of the request currently being
 	// processed; flash ops issued for the request chain from it.
@@ -167,6 +171,8 @@ func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 		stripeScratch: adopt.Zeroed(old.stripeScratch, 0),
 		stripeOlds:    adopt.Zeroed(old.stripeOlds, 0),
 		stripeDatas:   adopt.Zeroed(old.stripeDatas, 0),
+		runSrc:        adopt.Zeroed(old.runSrc, g.PagesPerBlock)[:0],
+		runMeta:       adopt.Zeroed(old.runMeta, g.PagesPerBlock)[:0],
 	}
 	f.tracer = cfg.Tracer
 	if f.tracer == nil {
@@ -787,102 +793,135 @@ func (f *FTL) RelocateWLSiblings(p PPA) int {
 
 // relocate is the one relocation loop of GC and both evacuations: it
 // copies every live page of [first, end), one block's pages, except skip
-// to a fresh page — on the source's chip while it has room, as one
-// copyback command — and returns the number moved. GC (OriginGC) routes
-// each stale copy through the policy; an evacuation (OriginEvacuate) only
+// to a fresh page — on the source's chip while it has room, as copyback
+// commands — and returns the number moved. GC (OriginGC) routes each
+// stale copy through the policy; an evacuation (OriginEvacuate) only
 // marks it invalid, because the caller destroys the range next.
 //
-// Each page's bookkeeping completes before the next page's chip command,
-// so a power cut mid-run leaves the media, ledger and trace state a
-// page-at-a-time loop would; the status check is per page because that
-// bookkeeping (a GC pass it triggered) may have moved later pages. A
-// failed program quarantines its destination and retries on a fresh one.
+// Live pages bound for consecutive pages of one destination block on the
+// source's chip go as one CopybackRun; the landed pages' bookkeeping
+// follows in page order, then maybeGC once. Bookkeeping issues no chip
+// command (Policy.Invalidate only marks and queues), so everything ends
+// as a page-at-a-time loop leaves it. Each page's bookkeeping completes
+// before the next page's chip command — a run is one page — with a
+// collector attached, on multi-plane devices, while GC is due outside a
+// GC pass, when the destination is the source block or on another chip,
+// and while a power cut is armed (the target's choice). The status check
+// is per page because a GC pass a run triggered may have moved later
+// pages. A failed program quarantines its destination and retries the
+// page on a fresh one.
 func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 	block := f.geo.BlockOf(first)
 	chip := f.geo.ChipOfBlock(block)
-	sanitizeOld := origin == audit.OriginGC
-	// The destination's block, first page and chip, kept while the
-	// allocator stays in that block.
-	dblock, dfirst, dchip := -1, PPA(0), 0
-	moved := 0
-	for p := first; p < end; p++ {
-		st := f.status[p]
-		if p == skip || !st.Live() {
+	moved, retries := 0, 0
+	for p := first; p < end; {
+		if p == skip || !f.status[p].Live() {
+			p++
 			continue
 		}
-		moved++
-		lpa, secure := f.p2l[p], st == PageSecured
-		var file uint64
-		if f.traceOn {
-			file = f.fileOf[p]
-		}
 		np, sameChip := f.allocateNear(chip)
-		var done sim.Micros
-		retries := 0
-		for {
-			f.stats.FlashReads++
-			f.stats.FlashPrograms++
-			f.stats.GCCopies++
-			var perr error
-			if sameChip {
-				f.stats.Copybacks++
-				done, perr = f.target.Copyback(p, np, f.meta(lpa, secure), f.reqClock)
-			} else {
-				done, perr = f.target.Move(p, np, f.meta(lpa, secure), f.reqClock)
-			}
-			if perr == nil {
-				break
-			}
-			// The destination was consumed by the failed program; quarantine
-			// it and retry the whole move on a fresh page (the source is
-			// still intact and mapped).
-			f.quarantineFailedProgram(np, secure, file, done)
-			if retries+1 >= maxProgramAttempts {
-				panic(fmt.Sprintf("ftl: relocation of page %d failed %d times: %v", p, retries+1, perr))
-			}
-			retries++
-			f.stats.ProgramRetries++
-			if done > f.reqClock {
-				f.reqClock = done
-			}
-			np, sameChip = f.allocateNear(chip)
+		dblock := f.geo.BlockOf(np)
+		room := 1
+		if sameChip && !f.traceOn && f.planes == 1 && dblock != block &&
+			(f.inGC || f.reusableBlocks(chip) >= f.cfg.GCFreeBlocksLow) {
+			room = f.geo.PagesPerBlock - f.geo.PageInBlock(np)
 		}
-		f.writeSeq++
+		// The run: the next live pages, as many as the destination block
+		// has room for, each stamped with the sequence number it takes if
+		// every copy before it lands.
+		src, stamps := f.runSrc[:0], f.runMeta[:0]
+		for q := p; q < end && len(src) < room; q++ {
+			if st := f.status[q]; q != skip && st.Live() {
+				src = append(src, q)
+				stamps = append(stamps, Meta{LPA: f.p2l[q], Seq: f.writeSeq + uint64(len(src)), Secure: st == PageSecured})
+			}
+		}
+		f.runSrc, f.runMeta = src, stamps
+		var done sim.Micros
+		var n int
+		var perr error
+		if sameChip {
+			done, n, perr = f.target.CopybackRun(src, np, stamps, f.reqClock)
+		} else if done, perr = f.target.Move(src[0], np, stamps[0], f.reqClock); perr == nil {
+			n = 1
+		}
+		copies := n
+		if perr != nil {
+			copies++
+		}
+		f.stats.FlashReads += uint64(copies)
+		f.stats.FlashPrograms += uint64(copies)
+		f.stats.GCCopies += uint64(copies)
+		if sameChip {
+			f.stats.Copybacks += uint64(copies)
+		}
+		// The destination keeps the pages the copies consumed; allocateNear
+		// took the first. (A run of more than one page is single-plane.)
+		f.chips[chip].frontier[0] += copies - 1
+		f.usedInBlock[dblock] += int32(copies - 1)
+		f.writeSeq += uint64(n)
 		if done > f.reqClock {
 			f.reqClock = done
 		}
-
-		// Remap.
-		if lpa >= 0 {
-			f.l2p[lpa] = np
+		for i, q := range src[:n] {
+			f.commitCopy(q, np+PPA(i), block, dblock, origin)
 		}
-		f.p2l[np] = lpa
-		if f.traceOn {
-			f.fileOf[np] = file
+		moved += n
+		if n > 0 {
+			retries = 0
 		}
-		if dblock < 0 || np-dfirst >= PPA(f.geo.PagesPerBlock) {
-			dblock = f.geo.BlockOf(np)
-			dfirst, dchip = f.geo.FirstPPA(dblock), f.geo.ChipOfBlock(dblock)
-		}
-		f.setStatus(np, st)
-		f.liveInBlock[dblock]++
-		f.noteCopy(np, uint32(p), lpa, file, secure, origin, f.reqClock)
-
-		// Retire the old copy.
-		f.liveInBlock[block]--
-		f.p2l[p] = -1
-		f.noteInvalidated(p, secure, f.reqClock)
-		if sanitizeOld {
-			f.policy.Invalidate(f, p, secure)
+		// The next page is read off the run before any GC pass, which
+		// relocates with the same scratch.
+		if n < len(src) {
+			p = src[n]
 		} else {
-			f.setStatus(p, PageInvalid)
+			p = src[n-1] + 1
+		}
+		if perr != nil {
+			// The failed program consumed its destination; quarantine it and
+			// retry the page (still intact and mapped) on a fresh one.
+			var file uint64
+			if f.traceOn {
+				file = f.fileOf[p]
+			}
+			f.quarantineFailedProgram(np+PPA(n), f.status[p] == PageSecured, file, done)
+			if retries++; retries >= maxProgramAttempts {
+				panic(fmt.Sprintf("ftl: relocation of page %d failed %d times: %v", p, retries, perr))
+			}
+			f.stats.ProgramRetries++
+			continue
 		}
 		// Sanitization-driven relocations (erSSD evacuations, scrSSD sibling
 		// moves) consume free pages outside the host-write path; keep the
 		// free-block floor here too. maybeGC is a no-op during GC itself.
-		f.maybeGC(dchip)
+		f.maybeGC(f.geo.ChipOfBlock(dblock))
 	}
 	return moved
+}
+
+// commitCopy is the bookkeeping of relocation copy q → np: remap, status,
+// live counts, then the stale copy, through the policy for GC.
+func (f *FTL) commitCopy(q, np PPA, block, dblock int, origin audit.Origin) {
+	st := f.status[q]
+	lpa, secure := f.p2l[q], st == PageSecured
+	if lpa >= 0 {
+		f.l2p[lpa] = np
+	}
+	f.p2l[np] = lpa
+	f.setStatus(np, st)
+	f.liveInBlock[dblock]++
+	f.liveInBlock[block]--
+	f.p2l[q] = -1
+	if f.traceOn {
+		f.fileOf[np] = f.fileOf[q]
+		f.noteCopy(np, uint32(q), lpa, f.fileOf[np], secure, origin, f.reqClock)
+		f.noteInvalidated(q, secure, f.reqClock)
+	}
+	if origin == audit.OriginGC {
+		f.policy.Invalidate(f, q, secure)
+	} else {
+		f.setStatus(q, PageInvalid)
+	}
 }
 
 // EraseNow erases a block immediately (erSSD). Every page becomes free
@@ -937,7 +976,7 @@ func (f *FTL) eraseBlock(block int) bool {
 		if f.status[p].Live() {
 			panic(fmt.Sprintf("ftl: erasing block %d with live page %d", block, p))
 		}
-		if f.status[p] == PageInvalid {
+		if f.traceOn && f.status[p] == PageInvalid {
 			f.noteDestroyed(p, audit.CauseErase, issued, eraseDone)
 		}
 		f.setStatus(p, PageFree)

@@ -146,20 +146,21 @@ type Meta struct {
 
 // Target executes flash commands on behalf of the FTL. Implementations
 // account latency and parallelism; each call corresponds to exactly one
-// flash operation. Dep expresses intra-request ordering: an operation may
-// not start before its dependency time (e.g. a GC program depends on its
-// read). The first return value is the operation's completion time.
+// flash operation, except CopybackRun, which is a run of copybacks on one
+// chip. Dep expresses intra-request ordering: an operation may not start
+// before its dependency time (e.g. a GC program depends on its read). The
+// first return value is the operation's completion time.
 //
-// The programming operations (Program, Copyback, Move, ProgramGroup)
+// The programming operations (Program, CopybackRun, Move, ProgramGroup)
 // stamp the destination's spare area with the Meta they are given. The
 // stamp rides the program pulse: it costs no latency, draws no fault
 // decision, and lands only when the program succeeds — a failed or
 // power-cut-torn program leaves the page stamp-less.
 //
-// The fallible operations (Program, Copyback, Move, Erase, PLock, BLock)
+// The fallible operations (Program, CopybackRun, Move, Erase, PLock, BLock)
 // additionally report injected operation failures (see internal/fault).
 // A non-nil error means the operation burned its full latency and failed:
-// a failed Program/Copyback/Move consumed its destination page (the write
+// a failed Program/CopybackRun/Move consumed its destination page (the write
 // pointer advanced, a partial payload may be readable there), a failed
 // Erase/PLock/BLock left the target's state unchanged. The FTL's
 // recovery ladder — retry, escalate, retire — handles each case; fault-
@@ -172,10 +173,13 @@ type Target interface {
 	Read(p PPA, dep sim.Micros) sim.Micros
 	// Program stores data (which may be nil for timing-only runs).
 	Program(p PPA, data []byte, m Meta, dep sim.Micros) (sim.Micros, error)
-	// Copyback moves src to dst without a bus transfer; implementations
-	// fall back to read+program semantics for the data while charging
-	// only on-chip time. src and dst are always on the same chip.
-	Copyback(src, dst PPA, m Meta, dep sim.Micros) (sim.Micros, error)
+	// CopybackRun moves src[i] (pages of one block) to dst+i (of one
+	// block on the same chip) in order, stamped m[i]: read+program with no
+	// bus transfer, tREAD+tPROG of chip time each, back to back. It
+	// returns when the last copy ends and how many landed, with a nil
+	// error at least one and maybe fewer than len(src) (the caller issues
+	// the rest); a failed program consumes and charges dst+n, ending it.
+	CopybackRun(src []PPA, dst PPA, m []Meta, dep sim.Micros) (done sim.Micros, n int, err error)
 	// Move copies src to dst over the channel bus, inside the device: a
 	// Read of src, then a Program of what it returned (after read-retry
 	// exhaustion, the corrupted payload — a relocation moves damaged
@@ -221,6 +225,10 @@ type Target interface {
 // not remain readable after the call chain completes. Flush is invoked at
 // the end of each host request and each GC pass so batching policies can
 // aggregate pLocks into bLocks.
+//
+// Invalidate only marks and queues (MarkInvalid, PendSanitize): no chip
+// command and no page move, which land in Flush. Relocation relies on it
+// to copy a run of pages before any of their stale copies reach it.
 type Policy interface {
 	Name() string
 	Invalidate(f *FTL, p PPA, secured bool)

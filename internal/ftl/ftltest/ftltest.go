@@ -136,19 +136,29 @@ func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Mic
 	return t.exec(chip, timing.Prog, dep), err
 }
 
-// Copyback implements ftl.Target through the mirrored chip's own
-// Copyback command.
-func (t *CountingTarget) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
-	t.Copybacks++
-	chip, aSrc := t.addr(src)
-	_, aDst := t.addr(dst)
-	err := t.failProgram(dst)
-	if t.Chips != nil {
-		if _, cerr := t.Chips[chip].Copyback(aSrc, aDst, dep, spare(m, err)...); cerr != nil {
-			panic("ftltest: copyback: " + cerr.Error())
+// CopybackRun implements ftl.Target through the mirrored chip's own
+// Copyback command, one page at a time: the run stops after the first
+// destination FailProgram scripts to fail, which is consumed unstamped.
+func (t *CountingTarget) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, dep sim.Micros) (sim.Micros, int, error) {
+	chip, _ := t.addr(dst)
+	var err error
+	copies := 0
+	for ; copies < len(src) && err == nil; copies++ {
+		t.Copybacks++
+		err = t.failProgram(dst + ftl.PPA(copies))
+		if t.Chips != nil {
+			_, aSrc := t.addr(src[copies])
+			_, aDst := t.addr(dst + ftl.PPA(copies))
+			if _, cerr := t.Chips[chip].Copyback(aSrc, aDst, dep, spare(m[copies], err)...); cerr != nil {
+				panic("ftltest: copyback: " + cerr.Error())
+			}
 		}
 	}
-	return t.exec(chip, timing.Read+timing.Prog, dep), err
+	n := copies
+	if err != nil {
+		n--
+	}
+	return t.exec(chip, sim.Micros(copies)*(timing.Read+timing.Prog), dep), n, err
 }
 
 // Erase implements ftl.Target.

@@ -465,25 +465,72 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 // normal program discipline; a destination outside the chip is refused
 // before anything is sensed. Reading a locked source through the internal
 // path is still gated by the access-control logic: the copy lands
-// all-zero, so copyback cannot be used to exfiltrate locked data.
+// all-zero, so copyback cannot be used to exfiltrate locked data. The
+// internal read takes tREAD, the program tPROG; there are no transfer
+// cycles. Copyback is CopybackRun of one page.
 func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (sim.Micros, error) {
-	if err := c.checkAddr(src); err != nil {
-		return 0, err
+	pages := [1]int{src.Page}
+	lat, _, err := c.CopybackRun(src.Block, pages[:], dst, now, spare[:min(len(spare), 1)])
+	return lat, err
+}
+
+// CopybackRun is a run of Copybacks: srcPages[i] of block srcBlock to
+// page dst.Page+i of dst's block, stamped with spare[i] (spare is nil or
+// one stamp per page). It returns the chip time of the copies made,
+// tREAD + tPROG each, and how many landed. An injected program failure
+// stops the run after charging its copy; any other error refuses the
+// page it names with latency 0, and an address out of range the run.
+//
+// The per-block checks run once. A page whose copy needs nothing but the
+// write pointer and the stamp — every page of a timing-only run — skips
+// the sense and program steps. A page takes both when its source has a
+// programmed pAP flag (whose vote the sense reads), its source block
+// stores payloads or has a bAP charge, its destination is bLocked or not
+// at its write pointer, or a fault injector or an armed cut is attached.
+func (c *Chip) CopybackRun(srcBlock int, srcPages []int, dst PageAddr, now sim.Micros, spare []OOBMeta) (sim.Micros, int, error) {
+	for _, pg := range srcPages {
+		// checkAddr's test, inline: it is not inlined itself.
+		if uint(srcBlock) >= uint(len(c.blocks)) || uint(pg) >= uint(c.pagesPerBlock) {
+			return 0, 0, c.checkAddr(PageAddr{Block: srcBlock, Page: pg})
+		}
 	}
-	if err := c.checkAddr(dst); err != nil {
-		return 0, err
+	for _, a := range [2]PageAddr{dst, {Block: dst.Block, Page: dst.Page + max(len(srcPages)-1, 0)}} {
+		if err := c.checkAddr(a); err != nil {
+			return 0, 0, err
+		}
 	}
-	// A locked source senses as zeros, and zeros are what land.
-	data, _ := c.sense(src, now)
-	progLat, err := c.program(dst, data, now, spare)
-	if err != nil && !errors.Is(err, ErrProgramFailed) {
-		return 0, err
+	srcBlk, dstBlk := &c.blocks[srcBlock], &c.blocks[dst.Block]
+	// A direct run cannot stop early: nothing can fail or cut a program.
+	direct := c.faults == nil && !c.cut.Armed() && srcBlk.data == nil && srcBlk.sslCenter == 0 &&
+		dstBlk.sslCenter == 0 && dst.Page == dstBlk.writePtr
+	srcRecs, dstRecs := c.blockRecs(srcBlock, c.pagesPerBlock), c.blockRecs(dst.Block, c.pagesPerBlock)
+	each := timing.Read + timing.Prog
+	skipped := 0
+	for i, pg := range srcPages {
+		a := PageAddr{Block: dst.Block, Page: dst.Page + i}
+		if direct && (pg >= srcBlk.flagEnd || srcRecs[pg].flag == 0) {
+			skipped++ // counted as a read and a program below
+			dstBlk.writePtr++
+			if spare != nil {
+				m, rec := &spare[i], &dstRecs[a.Page]
+				rec.lpa, rec.seq, rec.secure, rec.valid = m.LPA, m.Seq, m.Secure, true
+			}
+			continue
+		}
+		// A locked source senses as zeros, and zeros are what land.
+		data, _ := c.sense(PageAddr{Block: srcBlock, Page: pg}, now)
+		stamp := spare[min(i, len(spare)):min(i+1, len(spare))] // none when spare is nil
+		if _, err := c.program(a, data, now, stamp); errors.Is(err, ErrProgramFailed) {
+			// The destination page was consumed and must be recovered like
+			// any other failed program.
+			return sim.Micros(i+1) * each, i, err
+		} else if err != nil {
+			return 0, i, err
+		}
 	}
-	// The read happens internally at tREAD, then the program; no
-	// transfer cycles. A program failure surfaces with its latency: the
-	// destination page was consumed and must be recovered like any other
-	// failed program.
-	return timing.Read + progLat, err
+	c.opCount[OpRead] += uint64(skipped)
+	c.opCount[OpProgram] += uint64(skipped)
+	return sim.Micros(len(srcPages)) * each, len(srcPages), nil
 }
 
 // IsBlockLocked reports the current bAP state of a block.

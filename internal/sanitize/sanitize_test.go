@@ -312,3 +312,39 @@ func TestSecSSDSecurityInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The contract relocation runs rely on (ftl.Policy): Invalidate only
+// marks and queues. For every policy it issues no chip command and moves
+// no page, on secured and insecure pages alike; whatever the policy
+// decides lands in Flush.
+func TestPolicyInvalidateIssuesNoChipCommand(t *testing.T) {
+	calls := func(c *ftltest.CountingTarget) [11]uint64 {
+		return [11]uint64{c.Reads, c.Programs, c.Erases, c.PLocks, c.BLocks, c.Scrubs, c.Copybacks,
+			c.PLockWLs, c.WLPagesLocked, c.ProgramGroups, c.ReadGroups}
+	}
+	for _, policy := range sanitize.Policies() {
+		t.Run(policy.Name(), func(t *testing.T) {
+			r := newRig(t, policy)
+			r.submit(t, blockio.Request{Op: blockio.OpWrite, LPA: 0, Pages: 24})
+			r.submit(t, blockio.Request{Op: blockio.OpWrite, LPA: 24, Pages: 24, Insecure: true})
+			before, mapped := calls(r.tgt), make([]ftl.PPA, 48)
+			for lpa := range mapped {
+				mapped[lpa] = r.f.Lookup(int64(lpa))
+			}
+			for lpa, p := range mapped {
+				policy.Invalidate(r.f, p, lpa < 24)
+				if r.f.Status(p) != ftl.PageInvalid {
+					t.Fatalf("page %d is %v after Invalidate, want invalid", p, r.f.Status(p))
+				}
+			}
+			if after := calls(r.tgt); after != before {
+				t.Fatalf("Invalidate issued chip commands: counters %v before, %v after", before, after)
+			}
+			for lpa, p := range mapped {
+				if got := r.f.Lookup(int64(lpa)); got != p {
+					t.Fatalf("LPA %d moved from page %d to %d during Invalidate", lpa, p, got)
+				}
+			}
+		})
+	}
+}

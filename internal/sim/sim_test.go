@@ -120,10 +120,11 @@ func TestTimelineWaitGapped(t *testing.T) {
 	}
 }
 
-// Property: one reservation of a+b grants the interval, busy time and
-// wait time of a reservation of a followed at once by one of b — so a
-// command that holds a resource for two back-to-back phases may book
-// them together.
+// Property: one reservation of d1+…+dk grants the interval, busy time
+// and wait time of k chained reservations — d1, then each next one
+// requested when the one before it ends — so a command that holds a
+// resource for back-to-back phases, or a run of copies each depending
+// on the one before, may book them together.
 func TestTimelineSplitReservationProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -131,10 +132,18 @@ func TestTimelineSplitReservationProperty(t *testing.T) {
 		now := Micros(0)
 		for i := 0; i < int(n%32)+1; i++ {
 			now += Micros(rng.Intn(300))
-			a, b := Micros(rng.Intn(100)+1), Micros(rng.Intn(800)+1)
-			s1, e1 := whole.Reserve(now, a+b)
-			s2, mid := split.Reserve(now, a)
-			if _, e2 := split.Reserve(mid, b); s1 != s2 || e1 != e2 {
+			d := make([]Micros, 1+rng.Intn(8))
+			var sum Micros
+			for j := range d {
+				d[j] = Micros(rng.Intn(800) + 1)
+				sum += d[j]
+			}
+			s1, e1 := whole.Reserve(now, sum)
+			s2, end := split.Reserve(now, d[0])
+			for _, dj := range d[1:] {
+				_, end = split.Reserve(end, dj)
+			}
+			if s1 != s2 || e1 != end {
 				return false
 			}
 		}

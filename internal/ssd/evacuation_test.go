@@ -52,17 +52,24 @@ func (c *copyProbe) Audit(ev audit.Event) {
 // of secured host pages (LPAs 0-23) with the next block open (LPA 24),
 // so trimming LPA 0 evacuates the block's other 23 live pages in one run
 // into the open block. It returns the device, its probe (cleared after
-// the fill) and the written payloads.
-func evacuationRun(t *testing.T, faults fault.Config) (*SSD, *copyProbe, []byte) {
+// the fill) and the written payloads. A device built with traced false
+// has no collector and no probe: its evacuation is one copyback run.
+func evacuationRun(t *testing.T, faults fault.Config, traced bool) (*SSD, *copyProbe, []byte) {
 	t.Helper()
 	cfg := smallConfig(sanitize.ErSSD())
 	cfg.Channels, cfg.ChipsPerChannel = 1, 1
 	cfg.Fault = faults
-	probe := &copyProbe{}
-	cfg.Trace = probe
+	var probe *copyProbe
+	if traced {
+		probe = &copyProbe{}
+		cfg.Trace = probe
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if probe == nil {
+		return s, nil, writeRange(t, s, 0, 25, 0x5A)
 	}
 	probe.s = s
 	data := writeRange(t, s, 0, 25, 0x5A)
@@ -130,7 +137,7 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 	t.Run("power cut", func(t *testing.T) {
 		for name, k := range positions {
 			t.Run(name, func(t *testing.T) {
-				s, probe, data := evacuationRun(t, fault.Config{})
+				s, probe, data := evacuationRun(t, fault.Config{}, true)
 				victim := s.Geometry().BlockOf(s.FTL().Lookup(0))
 				if err := s.ArmPowerCut(fault.CutSpec{AfterOps: uint64(k), Op: fault.CutProgram}); err != nil {
 					t.Fatal(err)
@@ -163,6 +170,34 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 		}
 	})
 
+	// Without a collector the evacuation is a copyback run, which the
+	// device lands a page at a time while a cut is armed: the cut at copy
+	// k strikes after the bookkeeping of the k-1 copies before it.
+	t.Run("power cut, no collector", func(t *testing.T) {
+		for name, k := range positions {
+			t.Run(name, func(t *testing.T) {
+				s, _, data := evacuationRun(t, fault.Config{}, false)
+				victim := s.Geometry().BlockOf(s.FTL().Lookup(0))
+				if err := s.ArmPowerCut(fault.CutSpec{AfterOps: uint64(k), Op: fault.CutProgram}); err != nil {
+					t.Fatal(err)
+				}
+				if loss := captureLoss(t, s, func() error { return trimFirst(s) }); loss.Op != nand.OpProgram {
+					t.Fatalf("cut struck %v, want a relocation program", loss.Op)
+				}
+				moved := 0
+				for lpa := int64(1); lpa < 24; lpa++ {
+					if s.Geometry().BlockOf(s.FTL().Lookup(lpa)) != victim {
+						moved++
+					}
+				}
+				if moved != k-1 {
+					t.Fatalf("%d pages remapped before the cut at copy %d, want %d", moved, k, k-1)
+				}
+				checkRecovered(t, s, data)
+			})
+		}
+	})
+
 	// A failed program consumes its destination, which the FTL
 	// quarantines before retrying the page on a fresh one. The injector's
 	// schedule is a function of its seed, so the test takes the first
@@ -170,7 +205,7 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 	t.Run("program failure", func(t *testing.T) {
 		found := map[int]bool{}
 		for seed := int64(1); len(found) < len(positions) && seed <= 2000; seed++ {
-			s, probe, data := evacuationRun(t, fault.Config{ProgramFail: 0.03, Seed: seed})
+			s, probe, data := evacuationRun(t, fault.Config{ProgramFail: 0.03, Seed: seed}, true)
 			if s.FaultCounts().ProgramFails > 0 {
 				continue // the fill itself failed a program
 			}

@@ -23,6 +23,8 @@ func FuzzPowerCutInstant(f *testing.F) {
 	f.Add(uint8(7), uint8(5), uint8(2), uint8(96))
 	f.Add(uint8(20), uint8(1), uint8(5), uint8(64))
 	f.Add(uint8(3), uint8(2), uint8(3), uint8(30))
+	// erSSD × CutProgram: a cut inside an evacuation's copyback run.
+	f.Add(uint8(9), uint8(1), uint8(3), uint8(40))
 	f.Fuzz(func(t *testing.T, after, opSel, mix, span uint8) {
 		ops := []fault.CutOp{
 			fault.CutAny, fault.CutProgram, fault.CutErase,

@@ -156,6 +156,8 @@ type SSD struct {
 	// Multi-plane command scratch buffers (reused across calls).
 	slotScratch []int
 	addrScratch []nand.PageAddr
+	runPages    []int          // a copyback run's source pages, one block's worth
+	runOOB      []nand.OOBMeta // and their stamps
 
 	// cut is the device-wide power-loss schedule shared by every chip
 	// (see ArmPowerCut); dead marks the device unusable after a cut
@@ -207,6 +209,8 @@ func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 		markChipWait: adopt.Zeroed(old.markChipWait, nChips),
 		slotScratch:  adopt.Zeroed(old.slotScratch, 0),
 		addrScratch:  adopt.Zeroed(old.addrScratch, 0),
+		runPages:     adopt.Zeroed(old.runPages, cfg.Chip.PagesPerBlock())[:0],
+		runOOB:       adopt.Zeroed(old.runOOB, cfg.Chip.PagesPerBlock())[:0],
 		latencies:    old.latencies,
 		cut:          fault.NewCutState(),
 	}
@@ -411,26 +415,39 @@ func (s *SSD) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.M
 	return done, err
 }
 
-// Copyback implements ftl.Target: an internal data move — tREAD then
-// tPROG on the chip as one command, no channel-bus occupancy.
-func (s *SSD) Copyback(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
-	chip, aSrc := s.addr(src)
-	chipD, aDst := s.addr(dst)
+// CopybackRun implements ftl.Target: internal data moves, tREAD then
+// tPROG each, no bus. One chip reservation of the time the chip reports
+// grants the interval, busy and wait time of one per copy, each depending
+// on the one before. While a power cut is armed it lands one page, so a
+// cut strikes a program whose predecessors' bookkeeping is complete.
+func (s *SSD) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, dep sim.Micros) (sim.Micros, int, error) {
+	chip, srcBlock, srcPage := s.geo.Locate(src[0])
+	chipD, dstBlock, dstPage := s.geo.Locate(dst)
 	if chip != chipD {
 		panic("ssd: copyback across chips")
 	}
-	_, err := s.chips[chip].Copyback(aSrc, aDst, dep, oob(m))
+	if s.cut.Armed() {
+		src = src[:1]
+	}
+	pages, stamps := s.runPages[:0], s.runOOB[:0]
+	for i, p := range src {
+		pages = append(pages, srcPage+int(p-src[0]))
+		stamps = append(stamps, oob(m[i]))
+	}
+	s.runPages, s.runOOB = pages, stamps
+	lat, n, err := s.chips[chip].CopybackRun(srcBlock, pages, nand.PageAddr{Block: dstBlock, Page: dstPage}, dep, stamps)
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: copyback failed: %v", err))
 	}
-	// One reservation of tREAD+tPROG: the same interval, busy and wait
-	// time as the read and the program reserved back to back.
-	start, done := s.chipTL[chip].Reserve(dep, timing.Read+timing.Prog)
-	if s.traceOn {
-		// The destination page names the event.
-		s.emitChip(trace.OpCopyback, chip, dst, dep, start, done)
+	start, done := s.chipTL[chip].Reserve(dep, lat)
+	// One event per copy, named by its destination page and queued when
+	// the copy before it ended.
+	each := timing.Read + timing.Prog
+	for t := start; s.traceOn && t < done; t += each {
+		s.emitChip(trace.OpCopyback, chip, dst+ftl.PPA((t-start)/each), dep, t, t+each)
+		dep = t + each
 	}
-	return done, err
+	return done, n, err
 }
 
 // Erase implements ftl.Target.
