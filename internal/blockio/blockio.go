@@ -1,7 +1,8 @@
 // Package blockio defines the host-side block I/O interface of SecureSSD:
 // read/write/trim requests carrying the paper's extended security flag
-// (REQ_OP_INSEC_WRITE, §6), and the in-memory trace a workload recording
-// hands to the replayer.
+// (REQ_OP_INSEC_WRITE, §6), the in-memory trace a workload recording
+// hands to the replayer, and the spare-area stamp a program carries from
+// the FTL down to the chip.
 package blockio
 
 import "fmt"
@@ -96,4 +97,23 @@ type Trace struct {
 	Name      string
 	PageBytes int
 	Requests  []Request
+}
+
+// Stamp is what a controller writes into a page's out-of-band (spare)
+// area alongside the payload: the logical page the payload belongs to, a
+// device-wide monotone write sequence number, and the request's security
+// class. Real FTLs persist exactly this so a crash can rebuild the mapping
+// table from a media scan; the remount path (ftl.Restore) keeps the
+// highest-sequence readable copy of each LPA as live and re-sanitizes the
+// rest. The FTL builds it, the chip stores it, the remount scan reads it
+// back; whether a page carries one at all is said beside it.
+type Stamp struct {
+	// LPA is the logical page the payload belongs to.
+	LPA int64
+	// Seq is the device-wide monotone write sequence number; among
+	// surviving copies of one LPA the highest Seq wins at remount.
+	Seq uint64
+	// Secure marks the payload as secured data (written with the
+	// paper's secure-deletion flag).
+	Secure bool
 }

@@ -53,7 +53,7 @@ type FTL struct {
 
 	// writeSeq is the device-wide monotone write sequence number behind
 	// the spare-area stamps of committed programs: a program carries
-	// writeSeq+1 (meta) and writeSeq advances when it succeeds. Restore
+	// writeSeq+1 (stamp) and writeSeq advances when it succeeds. Restore
 	// resumes it past the highest surviving stamp.
 	writeSeq uint64
 
@@ -85,10 +85,11 @@ type FTL struct {
 	stripeScratch []PPA
 	stripeOlds    []PPA
 	stripeDatas   [][]byte
-	// runSrc and runMeta are a relocation run's source pages and stamps,
-	// one block's worth. A GC pass the run triggers reuses them.
-	runSrc  []PPA
-	runMeta []Meta
+	// runSrc and runStamps are a relocation run's source pages (indices
+	// in their block) and stamps, one block's worth. A GC pass the run
+	// triggers reuses them.
+	runSrc    []int
+	runStamps []blockio.Stamp
 
 	// reqClock is the dependency time of the request currently being
 	// processed; flash ops issued for the request chain from it.
@@ -172,7 +173,7 @@ func NewFrom(old *FTL, cfg Config, target Target, policy Policy) (*FTL, error) {
 		stripeOlds:    adopt.Zeroed(old.stripeOlds, 0),
 		stripeDatas:   adopt.Zeroed(old.stripeDatas, 0),
 		runSrc:        adopt.Zeroed(old.runSrc, g.PagesPerBlock)[:0],
-		runMeta:       adopt.Zeroed(old.runMeta, g.PagesPerBlock)[:0],
+		runStamps:     adopt.Zeroed(old.runStamps, g.PagesPerBlock)[:0],
 	}
 	f.tracer = cfg.Tracer
 	if f.tracer == nil {
@@ -334,7 +335,7 @@ func (f *FTL) settle(remount bool) {
 func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, dep sim.Micros) (sim.Micros, error) {
 	old := f.l2p[lpa]
 	f.stats.FlashPrograms++
-	done, perr := f.target.Program(p, data, f.meta(lpa, secure), dep)
+	done, perr := f.target.Program(p, data, f.stamp(lpa, secure), dep)
 	retries := 0
 	for perr != nil {
 		f.quarantineFailedProgram(p, secure, file, done)
@@ -348,7 +349,7 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 			return done, err
 		}
 		f.stats.FlashPrograms++
-		done, perr = f.target.Program(p, data, f.meta(lpa, secure), done)
+		done, perr = f.target.Program(p, data, f.stamp(lpa, secure), done)
 	}
 	f.commitWrite(p, lpa, secure, file)
 	// Invalidate the overwritten copy after the new data is durable.
@@ -359,13 +360,13 @@ func (f *FTL) storeAt(p PPA, lpa int64, secure bool, file uint64, data []byte, d
 	return done, nil
 }
 
-// meta is the spare-area stamp of the next program of lpa: it takes the
+// stamp is the spare-area stamp of the next program of lpa: it takes the
 // next write sequence number, which the program's success commits
 // (writeSeq++). Only successful programs are stamped — quarantined and
 // power-cut-torn pages keep none, which is how the remount scan tells a
 // torn write from committed data — so sequence numbers have no gaps.
-func (f *FTL) meta(lpa int64, secure bool) Meta {
-	return Meta{LPA: lpa, Seq: f.writeSeq + 1, Secure: secure}
+func (f *FTL) stamp(lpa int64, secure bool) blockio.Stamp {
+	return blockio.Stamp{LPA: lpa, Seq: f.writeSeq + 1, Secure: secure}
 }
 
 // commitWrite publishes the mapping for a freshly-programmed host page.
@@ -497,7 +498,7 @@ func (f *FTL) writeStriped(req blockio.Request, dep sim.Micros) (sim.Micros, err
 		f.stats.FlashPrograms += uint64(len(stripe))
 		f.stats.ProgramGroups++
 		f.stats.GroupedPrograms += uint64(len(stripe))
-		gdone, errs := f.target.ProgramGroup(stripe, datas, f.meta(req.LPA+int64(i), secure), dep)
+		gdone, errs := f.target.ProgramGroup(stripe, datas, f.stamp(req.LPA+int64(i), secure), dep)
 		if gdone > done {
 			done = gdone
 		}
@@ -800,18 +801,20 @@ func (f *FTL) RelocateWLSiblings(p PPA) int {
 //
 // Live pages bound for consecutive pages of one destination block on the
 // source's chip go as one CopybackRun; the landed pages' bookkeeping
-// follows in page order, then maybeGC once. Bookkeeping issues no chip
-// command (Policy.Invalidate only marks and queues), so everything ends
-// as a page-at-a-time loop leaves it. Each page's bookkeeping completes
-// before the next page's chip command — a run is one page — with a
-// collector attached, on multi-plane devices, while GC is due outside a
-// GC pass, when the destination is the source block or on another chip,
-// and while a power cut is armed (the target's choice). The status check
-// is per page because a GC pass a run triggered may have moved later
-// pages. A failed program quarantines its destination and retries the
-// page on a fresh one.
+// follows in page order, each page's at the time its own copy ended,
+// then maybeGC once. Bookkeeping issues no chip command
+// (Policy.Invalidate only marks and queues), so everything ends as a
+// page-at-a-time loop leaves it, and a collector sees the same copies at
+// the same times. Each page's bookkeeping completes before the next
+// page's chip command — a run is one page — on multi-plane devices,
+// while GC is due outside a GC pass, when the destination is the source
+// block or on another chip, and while a power cut is armed (the target's
+// choice). The status check is per page because a GC pass a run
+// triggered may have moved later pages. A failed program quarantines its
+// destination and retries the page on a fresh one.
 func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 	block := f.geo.BlockOf(first)
+	base := f.geo.FirstPPA(block)
 	chip := f.geo.ChipOfBlock(block)
 	moved, retries := 0, 0
 	for p := first; p < end; {
@@ -822,27 +825,27 @@ func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 		np, sameChip := f.allocateNear(chip)
 		dblock := f.geo.BlockOf(np)
 		room := 1
-		if sameChip && !f.traceOn && f.planes == 1 && dblock != block &&
+		if sameChip && f.planes == 1 && dblock != block &&
 			(f.inGC || f.reusableBlocks(chip) >= f.cfg.GCFreeBlocksLow) {
 			room = f.geo.PagesPerBlock - f.geo.PageInBlock(np)
 		}
 		// The run: the next live pages, as many as the destination block
 		// has room for, each stamped with the sequence number it takes if
 		// every copy before it lands.
-		src, stamps := f.runSrc[:0], f.runMeta[:0]
+		src, stamps := f.runSrc[:0], f.runStamps[:0]
 		for q := p; q < end && len(src) < room; q++ {
 			if st := f.status[q]; q != skip && st.Live() {
-				src = append(src, q)
-				stamps = append(stamps, Meta{LPA: f.p2l[q], Seq: f.writeSeq + uint64(len(src)), Secure: st == PageSecured})
+				src = append(src, int(q-base))
+				stamps = append(stamps, blockio.Stamp{LPA: f.p2l[q], Seq: f.writeSeq + uint64(len(src)), Secure: st == PageSecured})
 			}
 		}
-		f.runSrc, f.runMeta = src, stamps
-		var done sim.Micros
+		f.runSrc, f.runStamps = src, stamps
+		var start, done sim.Micros
 		var n int
 		var perr error
 		if sameChip {
-			done, n, perr = f.target.CopybackRun(src, np, stamps, f.reqClock)
-		} else if done, perr = f.target.Move(src[0], np, stamps[0], f.reqClock); perr == nil {
+			start, done, n, perr = f.target.CopybackRun(block, src, np, stamps, f.reqClock)
+		} else if done, perr = f.target.Move(p, np, stamps[0], f.reqClock); perr == nil {
 			n = 1
 		}
 		copies := n
@@ -863,8 +866,11 @@ func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 		if done > f.reqClock {
 			f.reqClock = done
 		}
-		for i, q := range src[:n] {
-			f.commitCopy(q, np+PPA(i), block, dblock, origin)
+		// Copy i ends copies-1-i copy times before the run does (a Move is
+		// one copy, ending at done).
+		each := (done - start) / sim.Micros(copies)
+		for i, pg := range src[:n] {
+			f.commitCopy(base+PPA(pg), np+PPA(i), block, dblock, origin, done-sim.Micros(copies-1-i)*each)
 		}
 		moved += n
 		if n > 0 {
@@ -873,9 +879,9 @@ func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 		// The next page is read off the run before any GC pass, which
 		// relocates with the same scratch.
 		if n < len(src) {
-			p = src[n]
+			p = base + PPA(src[n])
 		} else {
-			p = src[n-1] + 1
+			p = base + PPA(src[n-1]) + 1
 		}
 		if perr != nil {
 			// The failed program consumed its destination; quarantine it and
@@ -899,9 +905,10 @@ func (f *FTL) relocate(first, end, skip PPA, origin audit.Origin) int {
 	return moved
 }
 
-// commitCopy is the bookkeeping of relocation copy q → np: remap, status,
-// live counts, then the stale copy, through the policy for GC.
-func (f *FTL) commitCopy(q, np PPA, block, dblock int, origin audit.Origin) {
+// commitCopy is the bookkeeping of relocation copy q → np, whose copy
+// ended at at: remap, status, live counts, then the stale copy, through
+// the policy for GC.
+func (f *FTL) commitCopy(q, np PPA, block, dblock int, origin audit.Origin, at sim.Micros) {
 	st := f.status[q]
 	lpa, secure := f.p2l[q], st == PageSecured
 	if lpa >= 0 {
@@ -914,8 +921,8 @@ func (f *FTL) commitCopy(q, np PPA, block, dblock int, origin audit.Origin) {
 	f.p2l[q] = -1
 	if f.traceOn {
 		f.fileOf[np] = f.fileOf[q]
-		f.noteCopy(np, uint32(q), lpa, f.fileOf[np], secure, origin, f.reqClock)
-		f.noteInvalidated(q, secure, f.reqClock)
+		f.noteCopy(np, uint32(q), lpa, f.fileOf[np], secure, origin, at)
+		f.noteInvalidated(q, secure, at)
 	}
 	if origin == audit.OriginGC {
 		f.policy.Invalidate(f, q, secure)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -133,17 +134,6 @@ func (s PageStatus) String() string {
 // Live reports whether the page holds current data.
 func (s PageStatus) Live() bool { return s == PageValid || s == PageSecured }
 
-// Meta is the spare-area (out-of-band) stamp a program carries with its
-// payload — what real controllers persist there so a post-crash remount
-// (Restore) can rebuild the mapping table from a media scan: the logical
-// page, a device-wide monotone write sequence number, and the request's
-// security class.
-type Meta struct {
-	LPA    int64
-	Seq    uint64
-	Secure bool
-}
-
 // Target executes flash commands on behalf of the FTL. Implementations
 // account latency and parallelism; each call corresponds to exactly one
 // flash operation, except CopybackRun, which is a run of copybacks on one
@@ -152,9 +142,9 @@ type Meta struct {
 // first return value is the operation's completion time.
 //
 // The programming operations (Program, CopybackRun, Move, ProgramGroup)
-// stamp the destination's spare area with the Meta they are given. The
-// stamp rides the program pulse: it costs no latency, draws no fault
-// decision, and lands only when the program succeeds — a failed or
+// stamp the destination's spare area with the blockio.Stamp they are
+// given. The stamp rides the program pulse: it costs no latency, draws no
+// fault decision, and lands only when the program succeeds — a failed or
 // power-cut-torn program leaves the page stamp-less.
 //
 // The fallible operations (Program, CopybackRun, Move, Erase, PLock, BLock)
@@ -172,20 +162,22 @@ type Target interface {
 	// implementation via bounded retries.
 	Read(p PPA, dep sim.Micros) sim.Micros
 	// Program stores data (which may be nil for timing-only runs).
-	Program(p PPA, data []byte, m Meta, dep sim.Micros) (sim.Micros, error)
-	// CopybackRun moves src[i] (pages of one block) to dst+i (of one
+	Program(p PPA, data []byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, error)
+	// CopybackRun moves pages[i] of global block block to dst+i (of one
 	// block on the same chip) in order, stamped m[i]: read+program with no
 	// bus transfer, tREAD+tPROG of chip time each, back to back. It
-	// returns when the last copy ends and how many landed, with a nil
-	// error at least one and maybe fewer than len(src) (the caller issues
-	// the rest); a failed program consumes and charges dst+n, ending it.
-	CopybackRun(src []PPA, dst PPA, m []Meta, dep sim.Micros) (done sim.Micros, n int, err error)
+	// returns when the chip starts the run and when its last copy ends,
+	// so copy i of c copies ends at start + (i+1)·(done−start)/c, and how
+	// many landed, with a nil error at least one and maybe fewer than
+	// len(pages) (the caller issues the rest); a failed program consumes
+	// and charges dst+n, ending it.
+	CopybackRun(block int, pages []int, dst PPA, m []blockio.Stamp, dep sim.Micros) (start, done sim.Micros, n int, err error)
 	// Move copies src to dst over the channel bus, inside the device: a
 	// Read of src, then a Program of what it returned (after read-retry
 	// exhaustion, the corrupted payload — a relocation moves damaged
 	// data rather than dropping the page) that depends on the read's
 	// completion. The failure contract is Program's.
-	Move(src, dst PPA, m Meta, dep sim.Micros) (sim.Micros, error)
+	Move(src, dst PPA, m blockio.Stamp, dep sim.Micros) (sim.Micros, error)
 	Erase(block int, dep sim.Micros) (sim.Micros, error)
 	PLock(p PPA, dep sim.Micros) (sim.Micros, error)
 	BLock(block int, dep sim.Micros) (sim.Micros, error)
@@ -212,7 +204,7 @@ type Target interface {
 	// consecutive logical pages: m stamps the first, page i carries LPA
 	// m.LPA+i, and the pages that succeed take consecutive sequence
 	// numbers from m.Seq in order.
-	ProgramGroup(pages []PPA, datas [][]byte, m Meta, dep sim.Micros) (sim.Micros, []error)
+	ProgramGroup(pages []PPA, datas [][]byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, []error)
 	// ReadGroup reads one page per plane on a single chip with one
 	// shared tREAD. It is timing-only: grouped reads serve the host read
 	// path, which discards payloads above the FTL. Read faults are

@@ -6,6 +6,7 @@
 package ftltest
 
 import (
+	"repro/internal/blockio"
 	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/nand/vth"
@@ -84,7 +85,7 @@ func (t *CountingTarget) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
 }
 
 // Move implements ftl.Target: it counts one read and one program.
-func (t *CountingTarget) Move(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
+func (t *CountingTarget) Move(src, dst ftl.PPA, m blockio.Stamp, dep sim.Micros) (sim.Micros, error) {
 	data, readDone := t.read(src, dep)
 	return t.Program(dst, data, m, readDone)
 }
@@ -111,17 +112,17 @@ func (t *CountingTarget) failProgram(p ftl.PPA) error {
 	return nil
 }
 
-// spare is what a mirrored program writes into the spare area: m when
-// the program succeeds, nothing when it fails.
-func spare(m ftl.Meta, err error) []nand.OOBMeta {
+// stampOf is what a mirrored program lays in the spare area: m when the
+// program succeeds, nothing when it fails.
+func stampOf(m blockio.Stamp, err error) []blockio.Stamp {
 	if err != nil {
 		return nil
 	}
-	return []nand.OOBMeta{{LPA: m.LPA, Seq: m.Seq, Secure: m.Secure}}
+	return []blockio.Stamp{m}
 }
 
 // Program implements ftl.Target.
-func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
+func (t *CountingTarget) Program(p ftl.PPA, data []byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, error) {
 	t.Programs++
 	chip, a := t.addr(p)
 	err := t.failProgram(p)
@@ -129,7 +130,7 @@ func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Mic
 		if data == nil {
 			data = []byte{0xA5}
 		}
-		if _, cerr := t.Chips[chip].Program(a, data, dep, spare(m, err)...); cerr != nil {
+		if _, cerr := t.Chips[chip].Program(a, data, dep, stampOf(m, err)...); cerr != nil {
 			panic("ftltest: FTL violated flash discipline: " + cerr.Error())
 		}
 	}
@@ -139,17 +140,17 @@ func (t *CountingTarget) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Mic
 // CopybackRun implements ftl.Target through the mirrored chip's own
 // Copyback command, one page at a time: the run stops after the first
 // destination FailProgram scripts to fail, which is consumed unstamped.
-func (t *CountingTarget) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, dep sim.Micros) (sim.Micros, int, error) {
-	chip, _ := t.addr(dst)
+func (t *CountingTarget) CopybackRun(block int, pages []int, dst ftl.PPA, m []blockio.Stamp, dep sim.Micros) (sim.Micros, sim.Micros, int, error) {
+	chip, local := t.Geo.ChipOfBlock(block), t.Geo.BlockInChip(block)
 	var err error
 	copies := 0
-	for ; copies < len(src) && err == nil; copies++ {
+	for ; copies < len(pages) && err == nil; copies++ {
 		t.Copybacks++
 		err = t.failProgram(dst + ftl.PPA(copies))
 		if t.Chips != nil {
-			_, aSrc := t.addr(src[copies])
 			_, aDst := t.addr(dst + ftl.PPA(copies))
-			if _, cerr := t.Chips[chip].Copyback(aSrc, aDst, dep, spare(m[copies], err)...); cerr != nil {
+			aSrc := nand.PageAddr{Block: local, Page: pages[copies]}
+			if _, cerr := t.Chips[chip].Copyback(aSrc, aDst, dep, stampOf(m[copies], err)...); cerr != nil {
 				panic("ftltest: copyback: " + cerr.Error())
 			}
 		}
@@ -158,7 +159,8 @@ func (t *CountingTarget) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, d
 	if err != nil {
 		n--
 	}
-	return t.exec(chip, sim.Micros(copies)*(timing.Read+timing.Prog), dep), n, err
+	start, done := t.chipBusy[chip].Reserve(dep, sim.Micros(copies)*(timing.Read+timing.Prog))
+	return start, done, n, err
 }
 
 // Erase implements ftl.Target.
@@ -255,7 +257,7 @@ func (t *CountingTarget) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros)
 
 // ProgramGroup implements ftl.Target: per-page payload delivery
 // with one shared tPROG.
-func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.Micros) (sim.Micros, []error) {
+func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, []error) {
 	t.ProgramGroups++
 	chip := t.Geo.ChipOf(pages[0])
 	errs := make([]error, len(pages))
@@ -270,7 +272,7 @@ func (t *CountingTarget) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Met
 				data = []byte{0xA5}
 			}
 			_, a := t.addr(p)
-			if _, err := t.Chips[chip].Program(a, data, dep, spare(m, errs[i])...); err != nil {
+			if _, err := t.Chips[chip].Program(a, data, dep, stampOf(m, errs[i])...); err != nil {
 				panic("ftltest: FTL violated flash discipline: " + err.Error())
 			}
 		}

@@ -3,6 +3,7 @@ package ftl
 import (
 	"fmt"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
@@ -10,13 +11,14 @@ import (
 // mapping tables, status tables, lock queues, pending-erase lists — is
 // gone. What survives is the media: per-block write pointers, the
 // access-control flags (pAP/bAP), the page payloads, and the spare-area
-// stamps committed writes carry (see Meta). Restore rebuilds a
+// stamps committed writes carry (see blockio.Stamp). Restore rebuilds a
 // working FTL from exactly that, then re-runs the sanitization policy
 // over everything the crash left stale, so a remounted device upholds
 // the same security contract as an uninterrupted one.
 
 // PageScan is one physical page's surviving media state, as probed by
-// the controller's boot-time scan (nand.ProbePage).
+// the controller's boot-time scan. It is nand.PageProbe field for field,
+// so the scan converts each probe whole.
 type PageScan struct {
 	// Programmed reports whether the block's write pointer passed the
 	// page.
@@ -24,16 +26,14 @@ type PageScan struct {
 	// Locked reports whether the page is unreadable (pAP disabled, or
 	// the block's bAP disabled).
 	Locked bool
-	// HasMeta reports a valid spare-area stamp; LPA, Seq and Secure
-	// carry it. A programmed, readable page without a stamp is a torn
-	// write: the pulse landed but the controller never committed it.
-	HasMeta bool
-	LPA     int64
-	Seq     uint64
-	Secure  bool
 	// NonZero reports whether the readable payload holds at least one
 	// nonzero byte (always false for locked pages).
 	NonZero bool
+	// Stamped reports a spare-area stamp, Stamp. A programmed, readable
+	// page without one is a torn write: the pulse landed but the
+	// controller never committed it.
+	Stamped bool
+	Stamp   blockio.Stamp
 }
 
 // BlockScan is one block's surviving media state.
@@ -100,19 +100,19 @@ func Restore(cfg Config, target Target, policy Policy, scan MediaScan, at sim.Mi
 	}
 	for i := range scan.Pages {
 		ps := &scan.Pages[i]
-		if !ps.Programmed || ps.Locked || !ps.HasMeta {
+		if !ps.Programmed || ps.Locked || !ps.Stamped {
 			continue
 		}
-		if ps.Seq > f.writeSeq {
-			f.writeSeq = ps.Seq
+		if ps.Stamp.Seq > f.writeSeq {
+			f.writeSeq = ps.Stamp.Seq
 		}
-		if ps.LPA < 0 || ps.LPA >= int64(cfg.LogicalPages) {
+		if ps.Stamp.LPA < 0 || ps.Stamp.LPA >= int64(cfg.LogicalPages) {
 			// A corrupt stamp: demote to a torn write below.
-			ps.HasMeta = false
+			ps.Stamped = false
 			continue
 		}
-		if cur := winner[ps.LPA]; cur == NoPPA || scan.Pages[cur].Seq < ps.Seq {
-			winner[ps.LPA] = PPA(i)
+		if cur := winner[ps.Stamp.LPA]; cur == NoPPA || scan.Pages[cur].Stamp.Seq < ps.Stamp.Seq {
+			winner[ps.Stamp.LPA] = PPA(i)
 		}
 	}
 
@@ -156,19 +156,19 @@ func Restore(cfg Config, target Target, policy Policy, scan MediaScan, at sim.Mi
 		case !ps.Programmed:
 			// Sealed tail of a partially-written block.
 			f.setStatus(p, PageInvalid)
-		case ps.HasMeta && winner[ps.LPA] == p:
-			f.l2p[ps.LPA] = p
-			f.p2l[p] = ps.LPA
-			if ps.Secure {
+		case ps.Stamped && winner[ps.Stamp.LPA] == p:
+			f.l2p[ps.Stamp.LPA] = p
+			f.p2l[p] = ps.Stamp.LPA
+			if ps.Stamp.Secure {
 				f.setStatus(p, PageSecured)
 			} else {
 				f.setStatus(p, PageValid)
 			}
 			f.liveInBlock[block]++
-		case ps.HasMeta:
+		case ps.Stamped:
 			// Superseded generation: its invalidation predates the cut,
 			// but the sanitize work may not have completed.
-			stales = append(stales, stale{p, ps.Secure})
+			stales = append(stales, stale{p, ps.Stamp.Secure})
 		case ps.NonZero:
 			// Torn write: readable residue with no commit record.
 			stales = append(stales, stale{p, true})

@@ -207,11 +207,14 @@ type PageAddr struct {
 func (a PageAddr) String() string { return fmt.Sprintf("pb%d/pp%d", a.Block, a.Page) }
 
 // pageRec is everything the chip keeps per physical page besides the
-// payload: the spare-area stamp (see OOBMeta) and, in what would be the
-// stamp's padding, where the page's pAP flag lives. One record per
-// page sits in Chip.recs at block*pagesPerBlock+page, so Read, Program
-// with its stamp, and the lock check touch one 24-byte entry. Whether the
-// page is programmed is not stored: it is page < block.writePtr.
+// payload: the spare-area stamp's fields (see blockio.Stamp) with valid
+// saying whether one landed, and, in what would be the stamp's padding,
+// where the page's pAP flag lives. The fields are copied in rather than
+// the struct embedded, which would pad the record to 32 bytes. One
+// record per page sits in Chip.recs at block*pagesPerBlock+page, so
+// Read, Program with its stamp, and the lock check touch one 24-byte
+// entry. Whether the page is programmed is not stored: it is page <
+// block.writePtr.
 type pageRec struct {
 	lpa int64
 	seq uint64

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/nand/vth"
 	"repro/internal/sim"
@@ -13,7 +14,7 @@ import (
 
 // senseAndProgram is one copyback by its two steps, the sense of src and
 // the program of what it returned, with no step skipped.
-func senseAndProgram(c *Chip, src, dst PageAddr, now sim.Micros, spare []OOBMeta) (sim.Micros, error) {
+func senseAndProgram(c *Chip, src, dst PageAddr, now sim.Micros, spare []blockio.Stamp) (sim.Micros, error) {
 	if err := c.checkAddr(src); err != nil {
 		return 0, err
 	}
@@ -107,10 +108,10 @@ func TestCopybackRunMatchesCopybacks(t *testing.T) {
 				}
 			}
 		}
-		var spare []OOBMeta
+		var spare []blockio.Stamp
 		if rng.Intn(2) == 0 {
 			for i := range pages {
-				spare = append(spare, OOBMeta{LPA: int64(100 + i), Seq: uint64(7 + i), Secure: i%2 == 0})
+				spare = append(spare, blockio.Stamp{LPA: int64(100 + i), Seq: uint64(7 + i), Secure: i%2 == 0})
 			}
 		}
 		now := sim.Micros(rng.Intn(1e6))

@@ -1,6 +1,9 @@
 package nand
 
-import "repro/internal/sim"
+import (
+	"repro/internal/blockio"
+	"repro/internal/sim"
+)
 
 // flagVote returns what a page's pAP flag stores for the majority
 // circuit: whether it was programmed, the median of its k cell Vths and
@@ -18,7 +21,7 @@ func (c *Chip) flagVote(a PageAddr) (programmed bool, median, day float64) {
 // StampOOB is Program's stamp step on its own, behind the address and
 // write-pointer checks, so TestChipMediaGolden's script can stamp pages
 // apart from programming them — and try to stamp any address.
-func (c *Chip) StampOOB(a PageAddr, m OOBMeta) error {
+func (c *Chip) StampOOB(a PageAddr, m blockio.Stamp) error {
 	if err := c.checkAddr(a); err != nil {
 		return err
 	}

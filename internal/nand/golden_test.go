@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/nand/vth"
 	"repro/internal/pintest"
@@ -88,10 +89,10 @@ func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
 			m.flag(pr.Programmed)
 			m.flag(pr.Locked)
 			m.flag(pr.NonZero)
-			m.u64(uint64(pr.Meta.LPA))
-			m.u64(pr.Meta.Seq)
-			m.flag(pr.Meta.Secure)
-			m.flag(pr.Meta.Valid)
+			m.u64(uint64(pr.Stamp.LPA))
+			m.u64(pr.Stamp.Seq)
+			m.flag(pr.Stamp.Secure)
+			m.flag(pr.Stamped)
 			locked, err := c.IsPageLocked(a, now)
 			m.err(err)
 			m.flag(locked)
@@ -154,12 +155,12 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 				lat, err = c.Program(a, data, now)
 				if err == nil && rng.Intn(4) != 0 {
 					seq++
-					m.err(c.StampOOB(a, OOBMeta{LPA: int64(rng.Intn(1000)), Seq: seq, Secure: rng.Intn(2) == 0}))
+					m.err(c.StampOOB(a, blockio.Stamp{LPA: int64(rng.Intn(1000)), Seq: seq, Secure: rng.Intn(2) == 0}))
 				}
 			case op < 45: // program or stamp anywhere: mostly rejected
 				a := randAddr()
 				lat, err = c.Program(a, []byte{byte(step)}, now)
-				m.err(c.StampOOB(randAddr(), OOBMeta{LPA: int64(step), Seq: seq}))
+				m.err(c.StampOOB(randAddr(), blockio.Stamp{LPA: int64(step), Seq: seq}))
 			case op < 58: // pLock anywhere, erased pages included
 				lat, err = c.PLock(randAddr(), now)
 			case op < 66:

@@ -1,29 +1,9 @@
 package nand
 
-import "repro/internal/sim"
-
-// OOBMeta is the FTL metadata a controller stamps into a page's
-// out-of-band (spare) area alongside the payload: the logical address
-// the page was written for, a monotone write sequence number, and the
-// request's security class. Real FTLs persist exactly this so a crash
-// can rebuild the mapping table from a media scan; the remount path
-// (ftl.Restore) keeps the highest-sequence readable copy of each LPA as
-// live and re-sanitizes the rest.
-type OOBMeta struct {
-	// LPA is the logical page the payload belongs to.
-	LPA int64
-	// Seq is the device-wide monotone write sequence number; among
-	// surviving copies of one LPA the highest Seq wins at remount.
-	Seq uint64
-	// Secure marks the payload as secured data (written with the
-	// paper's secure-deletion flag).
-	Secure bool
-	// Valid distinguishes a real stamp from the zero value. A page
-	// without a valid stamp after a crash is a torn write: the program
-	// pulse landed but the controller lost power before regaining
-	// control.
-	Valid bool
-}
+import (
+	"repro/internal/blockio"
+	"repro/internal/sim"
+)
 
 // PageProbe is one physical page's surviving media state as seen by the
 // controller's boot-time remount scan. The probe models the flash
@@ -43,9 +23,12 @@ type PageProbe struct {
 	// one nonzero byte. Always false for locked pages — the probe
 	// honours the same data-out gating as reads.
 	NonZero bool
-	// Meta is the page's spare-area stamp. The zero value (Valid
-	// false) for locked pages, unstamped pages, and torn writes.
-	Meta OOBMeta
+	// Stamped reports that the page carries a spare-area stamp, Stamp.
+	// It is false for locked pages, unstamped pages, and torn writes: a
+	// programmed page without a stamp after a crash is a write whose
+	// pulse landed before the controller lost power.
+	Stamped bool
+	Stamp   blockio.Stamp
 }
 
 // ProbePage returns the remount scan's view of one page.
@@ -70,6 +53,6 @@ func (c *Chip) ProbePage(a PageAddr, now sim.Micros) (PageProbe, error) {
 			break
 		}
 	}
-	pr.Meta = OOBMeta{LPA: rec.lpa, Seq: rec.seq, Secure: rec.secure, Valid: rec.valid}
+	pr.Stamped, pr.Stamp = rec.valid, blockio.Stamp{LPA: rec.lpa, Seq: rec.seq, Secure: rec.secure}
 	return pr, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/blockio"
 	"repro/internal/fault"
 	"repro/internal/nand/vth"
 	"repro/internal/sim"
@@ -122,12 +123,12 @@ func (c *Chip) pageLockedAt(rec *pageRec, day float64) bool {
 // append-only discipline 3D NAND imposes.
 //
 // spare, when given (at most one), is the controller's stamp for the
-// page's spare area (see OOBMeta). It rides the same wordline program, so
-// it costs no latency and draws no fault decision of its own, and it
-// lands only when the program succeeds: a failed or power-cut program
-// leaves the page stamp-less, which is the torn-write signature the
-// remount scan keys on.
-func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros, spare ...OOBMeta) (sim.Micros, error) {
+// page's spare area (see blockio.Stamp). It rides the same wordline
+// program, so it costs no latency and draws no fault decision of its own,
+// and it lands only when the program succeeds: a failed or power-cut
+// program leaves the page stamp-less, which is the torn-write signature
+// the remount scan keys on.
+func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros, spare ...blockio.Stamp) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
 	}
@@ -135,7 +136,7 @@ func (c *Chip) Program(a PageAddr, data []byte, now sim.Micros, spare ...OOBMeta
 }
 
 // program is Program on an address that has passed checkAddr.
-func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []OOBMeta) (sim.Micros, error) {
+func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []blockio.Stamp) (sim.Micros, error) {
 	if len(data) > c.geo.PageBytes {
 		return 0, fmt.Errorf("nand: payload %d exceeds page size %d", len(data), c.geo.PageBytes)
 	}
@@ -355,7 +356,7 @@ func (c *Chip) checkPlanes(addrs []PageAddr) error {
 // the first page's stamp, page i carries LPA spare.LPA+i, and the pages
 // that program successfully take consecutive sequence numbers from
 // spare.Seq in address order (a failed page takes none).
-func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, spare ...OOBMeta) (sim.Micros, []error, error) {
+func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, spare ...blockio.Stamp) (sim.Micros, []error, error) {
 	if len(addrs) != len(datas) {
 		return 0, nil, fmt.Errorf("nand: %d addresses but %d payloads", len(addrs), len(datas))
 	}
@@ -364,7 +365,7 @@ func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, sp
 	}
 	c.opCount[OpProgramMulti]++
 	errs := make([]error, len(addrs))
-	var next [1]OOBMeta // the next page's stamp, if any
+	var next [1]blockio.Stamp // the next page's stamp, if any
 	stamp := next[:copy(next[:], spare)]
 	for i, a := range addrs {
 		if _, errs[i] = c.program(a, datas[i], now, stamp); errs[i] == nil {
@@ -468,7 +469,7 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 // all-zero, so copyback cannot be used to exfiltrate locked data. The
 // internal read takes tREAD, the program tPROG; there are no transfer
 // cycles. Copyback is CopybackRun of one page.
-func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (sim.Micros, error) {
+func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...blockio.Stamp) (sim.Micros, error) {
 	pages := [1]int{src.Page}
 	lat, _, err := c.CopybackRun(src.Block, pages[:], dst, now, spare[:min(len(spare), 1)])
 	return lat, err
@@ -487,7 +488,7 @@ func (c *Chip) Copyback(src, dst PageAddr, now sim.Micros, spare ...OOBMeta) (si
 // programmed pAP flag (whose vote the sense reads), its source block
 // stores payloads or has a bAP charge, its destination is bLocked or not
 // at its write pointer, or a fault injector or an armed cut is attached.
-func (c *Chip) CopybackRun(srcBlock int, srcPages []int, dst PageAddr, now sim.Micros, spare []OOBMeta) (sim.Micros, int, error) {
+func (c *Chip) CopybackRun(srcBlock int, srcPages []int, dst PageAddr, now sim.Micros, spare []blockio.Stamp) (sim.Micros, int, error) {
 	for _, pg := range srcPages {
 		// checkAddr's test, inline: it is not inlined itself.
 		if uint(srcBlock) >= uint(len(c.blocks)) || uint(pg) >= uint(c.pagesPerBlock) {

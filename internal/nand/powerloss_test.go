@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/fault"
 )
 
@@ -64,7 +65,7 @@ func TestCutMidProgramTearsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Meta.Valid {
+	if pr.Stamped {
 		t.Fatal("torn write carries an OOB stamp; the controller never regained control")
 	}
 	if !pr.Programmed || !pr.NonZero {
@@ -150,7 +151,7 @@ func TestCutMidBLockLeavesBlockReadable(t *testing.T) {
 func TestCutMidEraseDestroysNothing(t *testing.T) {
 	c, _ := cutChip(t, fault.CutSpec{AfterOps: 1, Op: fault.CutErase})
 	a := PageAddr{Block: 1, Page: 0}
-	if _, err := c.Program(a, pattern(4096, 0x3B), 0, OOBMeta{LPA: 9, Seq: 4, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 0x3B), 0, blockio.Stamp{LPA: 9, Seq: 4, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	pl := catchLoss(func() { mustErase(t, c, 1) })
@@ -164,7 +165,7 @@ func TestCutMidEraseDestroysNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.NonZero || !pr.Meta.Valid || pr.Meta.LPA != 9 {
+	if !pr.NonZero || !pr.Stamped || pr.Stamp.LPA != 9 {
 		t.Fatalf("probe %+v: interrupted erase must leave data and stamp intact", pr)
 	}
 	// Re-armed, the next erase completes once the schedule is spent.
@@ -217,27 +218,27 @@ func TestCutSpecOpFilterAndCounting(t *testing.T) {
 func TestStampLifecycle(t *testing.T) {
 	c := newTestChip(t)
 	a := PageAddr{Block: 0, Page: 0}
-	if _, err := c.Program(a, pattern(4096, 2), 0, OOBMeta{LPA: 5, Seq: 8, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 2), 0, blockio.Stamp{LPA: 5, Seq: 8, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := c.ProbePage(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Meta.Valid || pr.Meta.LPA != 5 || pr.Meta.Seq != 8 || !pr.Meta.Secure {
-		t.Fatalf("probe meta %+v", pr.Meta)
+	if !pr.Stamped || pr.Stamp.LPA != 5 || pr.Stamp.Seq != 8 || !pr.Stamp.Secure {
+		t.Fatalf("probe stamp %+v", pr.Stamp)
 	}
 	mustScrub(t, c, a)
-	if pr, err = c.ProbePage(a, 0); err != nil || pr.Meta.Valid {
+	if pr, err = c.ProbePage(a, 0); err != nil || pr.Stamped {
 		t.Fatalf("scrub left the stamp behind (probe error %v)", err)
 	}
 	mustErase(t, c, 0)
-	if _, err := c.Program(a, pattern(4096, 3), 0, OOBMeta{LPA: 6, Seq: 9}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 3), 0, blockio.Stamp{LPA: 6, Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	mustErase(t, c, 0)
 	mustProgram(t, c, a, pattern(4096, 4))
-	if pr, err = c.ProbePage(a, 0); err != nil || pr.Meta.Valid {
+	if pr, err = c.ProbePage(a, 0); err != nil || pr.Stamped {
 		t.Fatalf("erase left a stale stamp on the reprogrammed page (probe error %v)", err)
 	}
 }
@@ -246,17 +247,21 @@ func TestStampLifecycle(t *testing.T) {
 // ProgramMulti land the spare-area stamp they are given with a successful
 // program, and a failed or power-cut program lands none.
 func TestProgramCommandsStampOnlyOnSuccess(t *testing.T) {
-	meta := func(c *Chip, a PageAddr) OOBMeta {
+	// stamp is a probe's stamp and whether the page carries it.
+	type stamp struct {
+		blockio.Stamp
+		Valid bool
+	}
+	meta := func(c *Chip, a PageAddr) stamp {
 		t.Helper()
 		pr, err := c.ProbePage(a, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pr.Meta
+		return stamp{pr.Stamp, pr.Stamped}
 	}
-	m := OOBMeta{LPA: 7, Seq: 3, Secure: true}
-	want := m
-	want.Valid = true
+	m := blockio.Stamp{LPA: 7, Seq: 3, Secure: true}
+	want := stamp{m, true}
 
 	c := newTestChip(t)
 	src, dst := PageAddr{Block: 0, Page: 0}, PageAddr{Block: 1, Page: 0}
@@ -290,14 +295,14 @@ func TestProgramCommandsStampOnlyOnSuccess(t *testing.T) {
 	pc := newPlaneChip(t)
 	mustProgram(t, pc, PageAddr{Block: 1, Page: 0}, []byte("a"))
 	addrs := []PageAddr{{Block: 0, Page: 0}, {Block: 1, Page: 2}, {Block: 2, Page: 0}, {Block: 3, Page: 0}}
-	_, errs, err := pc.ProgramMulti(addrs[:2], [][]byte{{1}, {2}}, 0, OOBMeta{LPA: 10, Seq: 20})
+	_, errs, err := pc.ProgramMulti(addrs[:2], [][]byte{{1}, {2}}, 0, blockio.Stamp{LPA: 10, Seq: 20})
 	if err != nil || errs[0] != nil || !errors.Is(errs[1], ErrOutOfOrder) {
 		t.Fatalf("ProgramMulti: err %v, page errs %v", err, errs)
 	}
-	if _, errs, err = pc.ProgramMulti(addrs[2:], [][]byte{{3}, {4}}, 0, OOBMeta{LPA: 12, Seq: 21}); err != nil || errs[0] != nil || errs[1] != nil {
+	if _, errs, err = pc.ProgramMulti(addrs[2:], [][]byte{{3}, {4}}, 0, blockio.Stamp{LPA: 12, Seq: 21}); err != nil || errs[0] != nil || errs[1] != nil {
 		t.Fatalf("ProgramMulti: err %v, page errs %v", err, errs)
 	}
-	for i, w := range []OOBMeta{{LPA: 10, Seq: 20, Valid: true}, {}, {LPA: 12, Seq: 21, Valid: true}, {LPA: 13, Seq: 22, Valid: true}} {
+	for i, w := range []stamp{{blockio.Stamp{LPA: 10, Seq: 20}, true}, {}, {blockio.Stamp{LPA: 12, Seq: 21}, true}, {blockio.Stamp{LPA: 13, Seq: 22}, true}} {
 		if i != 1 && meta(pc, addrs[i]) != w {
 			t.Errorf("group page %v: stamp %+v, want %+v", addrs[i], meta(pc, addrs[i]), w)
 		}
@@ -308,7 +313,7 @@ func TestProgramCommandsStampOnlyOnSuccess(t *testing.T) {
 func TestProbeHonoursLockGating(t *testing.T) {
 	c := newTestChip(t)
 	a := PageAddr{Block: 0, Page: 0}
-	if _, err := c.Program(a, pattern(4096, 0x99), 0, OOBMeta{LPA: 3, Seq: 2, Secure: true}); err != nil {
+	if _, err := c.Program(a, pattern(4096, 0x99), 0, blockio.Stamp{LPA: 3, Seq: 2, Secure: true}); err != nil {
 		t.Fatal(err)
 	}
 	mustPLock(t, c, a)
@@ -316,7 +321,7 @@ func TestProbeHonoursLockGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Locked || pr.NonZero || pr.Meta.Valid {
+	if !pr.Locked || pr.NonZero || pr.Stamped {
 		t.Fatalf("probe of locked page leaked state: %+v", pr)
 	}
 }

@@ -28,7 +28,8 @@ type probedCopy struct {
 	page, src ftl.PPA
 	lpa       int64
 	origin    audit.Origin
-	meta      nand.OOBMeta
+	meta      blockio.Stamp
+	stamped   bool
 }
 
 func (c *copyProbe) Enabled() bool                              { return true }
@@ -45,7 +46,7 @@ func (c *copyProbe) Audit(ev audit.Event) {
 	if err != nil {
 		panic(err)
 	}
-	c.copies = append(c.copies, probedCopy{page: p, src: ftl.PPA(ev.Src), lpa: ev.LPA, origin: ev.Origin, meta: pr.Meta})
+	c.copies = append(c.copies, probedCopy{page: p, src: ftl.PPA(ev.Src), lpa: ev.LPA, origin: ev.Origin, meta: pr.Stamp, stamped: pr.Stamped})
 }
 
 // evacuationRun builds a one-chip erSSD device whose first block is full
@@ -53,7 +54,8 @@ func (c *copyProbe) Audit(ev audit.Event) {
 // so trimming LPA 0 evacuates the block's other 23 live pages in one run
 // into the open block. It returns the device, its probe (cleared after
 // the fill) and the written payloads. A device built with traced false
-// has no collector and no probe: its evacuation is one copyback run.
+// has no collector and no probe. Either way its evacuation is one
+// copyback run.
 func evacuationRun(t *testing.T, faults fault.Config, traced bool) (*SSD, *copyProbe, []byte) {
 	t.Helper()
 	cfg := smallConfig(sanitize.ErSSD())
@@ -98,7 +100,7 @@ func checkRunPrefix(t *testing.T, s *SSD, done []probedCopy, victim int) {
 			t.Fatalf("copy %d: page %d registered twice", i, c.page)
 		}
 		seen[c.page] = true
-		if !c.meta.Valid || c.meta.LPA != c.lpa || !c.meta.Secure || c.meta.Seq <= seq {
+		if !c.stamped || c.meta.LPA != c.lpa || !c.meta.Secure || c.meta.Seq <= seq {
 			t.Fatalf("copy %d to page %d: stamp %+v, want LPA %d, secured, seq above %d", i, c.page, c.meta, c.lpa, seq)
 		}
 		seq = c.meta.Seq
@@ -124,12 +126,14 @@ func checkRecovered(t *testing.T, s *SSD, data []byte) {
 	}
 }
 
-// The per-page order of a relocation run: each copied page is stamped
-// and registered before the next page's chip command, so a fault at the
-// first, middle or last page of an erSSD evacuation leaves every earlier
-// copy stamped with increasing sequence numbers and one evacuation copy
-// in the ledger, the faulted destination unstamped, and — after a
-// remount — no secured stale copy readable.
+// The per-page order of a relocation run: each copied page is stamped as
+// it lands and registered in page order, so a fault at the first, middle
+// or last page of an erSSD evacuation leaves every earlier copy stamped
+// with increasing sequence numbers and one evacuation copy in the
+// ledger, the faulted destination unstamped, and — after a remount — no
+// secured stale copy readable. While a power cut is armed the device
+// lands a run a page at a time, so the cut at copy k strikes after the
+// bookkeeping of the k-1 copies before it, traced or not.
 func TestEvacuationCopybackRunOrder(t *testing.T) {
 	const live = 23 // the victim block's pages after the trim of LPA 0
 	positions := map[string]int{"first": 1, "middle": (live + 1) / 2, "last": live}
@@ -158,7 +162,7 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if pr.Programmed && !pr.Meta.Valid {
+					if pr.Programmed && !pr.Stamped {
 						torn = append(torn, p)
 					}
 				}
@@ -170,9 +174,9 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 		}
 	})
 
-	// Without a collector the evacuation is a copyback run, which the
-	// device lands a page at a time while a cut is armed: the cut at copy
-	// k strikes after the bookkeeping of the k-1 copies before it.
+	// Without a collector the evacuation is the same copyback run, landed
+	// a page at a time while the cut is armed: the k-1 copies before the
+	// cut are remapped.
 	t.Run("power cut, no collector", func(t *testing.T) {
 		for name, k := range positions {
 			t.Run(name, func(t *testing.T) {
@@ -229,7 +233,7 @@ func TestEvacuationCopybackRunOrder(t *testing.T) {
 			}
 			found[k] = true
 			checkRunPrefix(t, s, probe.copies[:q], victim)
-			if bad := probe.copies[q]; bad.meta.Valid {
+			if bad := probe.copies[q]; bad.stamped {
 				t.Fatalf("seed %d: failed program at copy %d left stamp %+v on page %d", seed, k, bad.meta, bad.page)
 			}
 			// The retry takes a fresh destination and completes the run.

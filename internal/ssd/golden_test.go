@@ -131,7 +131,10 @@ func deviceDigest(t *testing.T, s *SSD) string {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fmt.Fprintf(h, "%+v\n", pr)
+				// The layout is the probe's before the stamp had a type of
+				// its own, so the pins still hold.
+				fmt.Fprintf(h, "{Programmed:%v Locked:%v NonZero:%v Meta:{LPA:%d Seq:%d Secure:%v Valid:%v}}\n",
+					pr.Programmed, pr.Locked, pr.NonZero, pr.Stamp.LPA, pr.Stamp.Seq, pr.Stamp.Secure, pr.Stamped)
 			}
 		}
 	}

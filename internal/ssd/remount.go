@@ -91,15 +91,7 @@ func (s *SSD) Remount(at sim.Micros) error {
 			if err != nil {
 				return fmt.Errorf("ssd: remount scan page %d of block %d: %w", pg, block, err)
 			}
-			scan.Pages[first+pg] = ftl.PageScan{
-				Programmed: pr.Programmed,
-				Locked:     pr.Locked,
-				HasMeta:    pr.Meta.Valid,
-				LPA:        pr.Meta.LPA,
-				Seq:        pr.Meta.Seq,
-				Secure:     pr.Meta.Secure,
-				NonZero:    pr.NonZero,
-			}
+			scan.Pages[first+pg] = ftl.PageScan(pr)
 		}
 	}
 	f, err := ftl.Restore(s.ftlConfig(), s, s.cfg.Policy, scan, at)

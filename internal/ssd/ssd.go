@@ -156,8 +156,6 @@ type SSD struct {
 	// Multi-plane command scratch buffers (reused across calls).
 	slotScratch []int
 	addrScratch []nand.PageAddr
-	runPages    []int          // a copyback run's source pages, one block's worth
-	runOOB      []nand.OOBMeta // and their stamps
 
 	// cut is the device-wide power-loss schedule shared by every chip
 	// (see ArmPowerCut); dead marks the device unusable after a cut
@@ -209,8 +207,6 @@ func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 		markChipWait: adopt.Zeroed(old.markChipWait, nChips),
 		slotScratch:  adopt.Zeroed(old.slotScratch, 0),
 		addrScratch:  adopt.Zeroed(old.addrScratch, 0),
-		runPages:     adopt.Zeroed(old.runPages, cfg.Chip.PagesPerBlock())[:0],
-		runOOB:       adopt.Zeroed(old.runOOB, cfg.Chip.PagesPerBlock())[:0],
 		latencies:    old.latencies,
 		cut:          fault.NewCutState(),
 	}
@@ -298,11 +294,6 @@ func (s *SSD) addr(p ftl.PPA) (int, nand.PageAddr) {
 	return chip, nand.PageAddr{Block: block, Page: page}
 }
 
-// oob is the chip's form of an FTL spare-area stamp.
-func oob(m ftl.Meta) nand.OOBMeta {
-	return nand.OOBMeta{LPA: m.LPA, Seq: m.Seq, Secure: m.Secure}
-}
-
 // --- ftl.Target implementation ------------------------------------------
 
 // emitChip records a chip-resident operation's Timeline interval.
@@ -329,7 +320,7 @@ func (s *SSD) Read(p ftl.PPA, dep sim.Micros) sim.Micros {
 // Move implements ftl.Target: the cross-chip relocation leg. The payload
 // readPage returns is a view of the source chip's read scratch; it goes
 // straight into Program, which copies it, and never leaves the device.
-func (s *SSD) Move(src, dst ftl.PPA, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
+func (s *SSD) Move(src, dst ftl.PPA, m blockio.Stamp, dep sim.Micros) (sim.Micros, error) {
 	data, readDone := s.readPage(src, dep)
 	return s.Program(dst, data, m, readDone)
 }
@@ -393,9 +384,9 @@ func (s *SSD) retryRead(chip int, p ftl.PPA, a nand.PageAddr, data []byte, err e
 // the chip. An injected program failure still burned the bus and the full
 // tPROG (the chip reported status FAIL only at the end), so the timeline
 // reservation and trace events are identical to a success.
-func (s *SSD) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.Micros, error) {
+func (s *SSD) Program(p ftl.PPA, data []byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, error) {
 	chip, a := s.addr(p)
-	_, err := s.chips[chip].Program(a, data, dep, oob(m))
+	_, err := s.chips[chip].Program(a, data, dep, m)
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: FTL violated flash discipline at %v: %v", a, err))
 	}
@@ -416,26 +407,23 @@ func (s *SSD) Program(p ftl.PPA, data []byte, m ftl.Meta, dep sim.Micros) (sim.M
 }
 
 // CopybackRun implements ftl.Target: internal data moves, tREAD then
-// tPROG each, no bus. One chip reservation of the time the chip reports
-// grants the interval, busy and wait time of one per copy, each depending
-// on the one before. While a power cut is armed it lands one page, so a
-// cut strikes a program whose predecessors' bookkeeping is complete.
-func (s *SSD) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, dep sim.Micros) (sim.Micros, int, error) {
-	chip, srcBlock, srcPage := s.geo.Locate(src[0])
+// tPROG each, no bus. The chip takes the run's pages and stamps as the
+// FTL gathered them, and one chip reservation of the time it reports
+// grants the interval, busy and wait time of one per copy, each
+// depending on the one before. While a power cut is armed it lands one
+// page: under a collector the audit ledger must register each landed
+// copy before the cut strikes the next one, so a cut strikes a program
+// whose predecessors' bookkeeping is complete.
+func (s *SSD) CopybackRun(block int, pages []int, dst ftl.PPA, m []blockio.Stamp, dep sim.Micros) (sim.Micros, sim.Micros, int, error) {
+	chip, srcBlock := s.geo.ChipOfBlock(block), s.geo.BlockInChip(block)
 	chipD, dstBlock, dstPage := s.geo.Locate(dst)
 	if chip != chipD {
 		panic("ssd: copyback across chips")
 	}
 	if s.cut.Armed() {
-		src = src[:1]
+		pages, m = pages[:1], m[:1]
 	}
-	pages, stamps := s.runPages[:0], s.runOOB[:0]
-	for i, p := range src {
-		pages = append(pages, srcPage+int(p-src[0]))
-		stamps = append(stamps, oob(m[i]))
-	}
-	s.runPages, s.runOOB = pages, stamps
-	lat, n, err := s.chips[chip].CopybackRun(srcBlock, pages, nand.PageAddr{Block: dstBlock, Page: dstPage}, dep, stamps)
+	lat, n, err := s.chips[chip].CopybackRun(srcBlock, pages, nand.PageAddr{Block: dstBlock, Page: dstPage}, dep, m)
 	if err != nil && !errors.Is(err, nand.ErrProgramFailed) {
 		panic(fmt.Sprintf("ssd: copyback failed: %v", err))
 	}
@@ -447,7 +435,7 @@ func (s *SSD) CopybackRun(src []ftl.PPA, dst ftl.PPA, m []ftl.Meta, dep sim.Micr
 		s.emitChip(trace.OpCopyback, chip, dst+ftl.PPA((t-start)/each), dep, t, t+each)
 		dep = t + each
 	}
-	return done, n, err
+	return start, done, n, err
 }
 
 // Erase implements ftl.Target.
@@ -541,7 +529,7 @@ func (s *SSD) PLockWL(block, wl int, pages []ftl.PPA, dep sim.Micros) (sim.Micro
 // ProgramGroup implements ftl.Target: a multi-plane program. The
 // per-page transfers serialize on the channel bus, then a single shared
 // tPROG covers every plane's cell activity.
-func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.Micros) (sim.Micros, []error) {
+func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m blockio.Stamp, dep sim.Micros) (sim.Micros, []error) {
 	chip := s.geo.ChipOf(pages[0])
 	addrs := s.addrScratch[:0]
 	for _, p := range pages {
@@ -549,7 +537,7 @@ func (s *SSD) ProgramGroup(pages []ftl.PPA, datas [][]byte, m ftl.Meta, dep sim.
 		addrs = append(addrs, a)
 	}
 	s.addrScratch = addrs
-	_, errs, fatal := s.chips[chip].ProgramMulti(addrs, datas, dep, oob(m))
+	_, errs, fatal := s.chips[chip].ProgramMulti(addrs, datas, dep, m)
 	if fatal != nil {
 		panic(fmt.Sprintf("ssd: FTL violated multi-plane discipline: %v", fatal))
 	}
