@@ -28,7 +28,7 @@ func TestSingleCopyWindow(t *testing.T) {
 	if st.Phases.sum() != st.WindowSumUs {
 		t.Fatalf("phase sum %d != window sum %d", st.Phases.sum(), st.WindowSumUs)
 	}
-	if got := l.TInsec().Max(); got != 300 {
+	if got := l.TInsec().Quantile(1); got != 300 {
 		t.Fatalf("per-copy T_insecure = %v, want 300", got)
 	}
 	if rep := l.Verify(400); !rep.Clean() || rep.Err() != nil {
@@ -139,7 +139,7 @@ func TestFirstInvalidationWinsAndNegativeClamp(t *testing.T) {
 	// Re-invalidating must not reset the window start.
 	l.Record(Event{Kind: KindInvalidate, Page: 1, At: 1500})
 	l.Record(Event{Kind: KindDestroy, Page: 1, Dep: 2000, At: 2000})
-	if got := l.TInsec().Max(); got != 1000 {
+	if got := l.TInsec().Quantile(1); got != 1000 {
 		t.Fatalf("T_insecure = %v, want 1000 (from the FIRST invalidation)", got)
 	}
 	// Negative spans clamp to zero (lock completed before the GC

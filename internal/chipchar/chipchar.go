@@ -186,9 +186,9 @@ type Fig9Combo struct {
 	DisturbRatio float64
 	// FlagSuccess is the single-cell programming success rate (Fig. 9(c)).
 	FlagSuccess float64
-	// RetErrors1y/5y are the expected failed cells out of k after
+	// RetErrors5y is the expected failed cells out of k after 5 years'
 	// retention at 1K P/E (Fig. 9(d)).
-	RetErrors1y, RetErrors5y float64
+	RetErrors5y float64
 	// MajorityFail5y is the probability the k-cell majority flips within
 	// 5 years.
 	MajorityFail5y float64
@@ -235,7 +235,6 @@ func Figure9(cfg Config) Fig9Result {
 			})
 			c.DisturbRatio = disturbed / base
 			c.FlagSuccess = fm.ProgramSuccessProb(v, t)
-			c.RetErrors1y = fm.ExpectedRetentionErrors(vth.FlagCells, v, t, 365, 1000)
 			c.RetErrors5y = fm.ExpectedRetentionErrors(vth.FlagCells, v, t, 5*365, 1000)
 			c.MajorityFail5y = fm.MajorityFailureProb(vth.FlagCells, v, t, 5*365, 1000)
 			switch {
@@ -389,16 +388,12 @@ type Fig12Result struct {
 	// Chosen is the reliable candidate with the shortest tbLock —
 	// combination (ii), vth.BLockPoint.
 	Chosen Fig12Combo
-	// Curves give center Vth vs. days for each candidate (Fig. 12(b)).
-	RetentionDays []float64
-	Curves        map[string][]float64
 }
 
 // Figure12 runs the bLock design-space exploration.
 func Figure12(cfg Config) Fig12Result {
 	s := vth.DefaultSSLModel()
-	days := []float64{1, 10, 100, 365, 1000, 1825, 3650, 10000}
-	res := Fig12Result{RetentionDays: days, Curves: map[string][]float64{}}
+	var res Fig12Result
 	for _, v := range vth.BLockVoltages {
 		for _, t := range vth.BLockLatencies {
 			c := Fig12Combo{V: v, T: t}
@@ -410,11 +405,6 @@ func Figure12(cfg Config) Fig12Result {
 			} else {
 				c.Region = RegionCandidate
 				c.Reliable = c.Center5y >= s.DisableThreshold
-				curve := make([]float64, len(days))
-				for i, d := range days {
-					curve[i] = s.CenterAfter(v, t, d)
-				}
-				res.Curves[comboKey(v, t)] = curve
 			}
 			res.Combos = append(res.Combos, c)
 		}
@@ -441,10 +431,8 @@ type Overhead struct {
 	// FlagCellsPerWL is the spare cells consumed per wordline
 	// (k cells × pages-per-WL).
 	FlagCellsPerWL int
-	// SpareBitsPerWL is the spare capacity of a wordline in cells (the
+	// SpareFraction is the share of the spare area the flags take (the
 	// paper: up to 1 KiB of spare per 16-KiB page).
-	SpareBitsPerWL int
-	// SpareFraction is the share of the spare area the flags take.
 	SpareFraction float64
 	// MajorityTransistors approximates the k-bit majority circuit
 	// (~200 transistors per chip).
@@ -471,7 +459,6 @@ func ComputeOverhead() Overhead {
 	spareCells := spareBytes * 8 * pagesPerWL // spare area spans the WL's pages
 	return Overhead{
 		FlagCellsPerWL:      flagCells,
-		SpareBitsPerWL:      spareCells,
 		SpareFraction:       float64(flagCells) / float64(spareCells),
 		MajorityTransistors: transistorsPerMajority,
 		BridgeTransistors:   dataOutPins,

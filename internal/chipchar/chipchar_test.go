@@ -211,11 +211,18 @@ func TestFigure12DesignSpace(t *testing.T) {
 			t.Errorf("(Vb5,200) center at 1y %.2f, paper predicts < 3V", c.Center1y)
 		}
 	}
-	// Candidate curves decay monotonically.
-	for key, curve := range r.Curves {
-		for i := 1; i < len(curve); i++ {
-			if curve[i] > curve[i-1]+1e-9 {
-				t.Errorf("%s: SSL center rose over time", key)
+	// Candidate curves (Fig. 12(b)) decay monotonically.
+	s := vth.DefaultSSLModel()
+	for _, c := range r.Combos {
+		if c.Region != RegionCandidate {
+			continue
+		}
+		prev := c.ProgrammedCenter
+		for _, d := range []float64{1, 10, 100, 365, 1000, 1825, 3650, 10000} {
+			if now := s.CenterAfter(c.V, c.T, d); now > prev+1e-9 {
+				t.Errorf("%.0fV/%.0fµs: SSL center rose over time", c.V, c.T)
+			} else {
+				prev = now
 			}
 		}
 	}

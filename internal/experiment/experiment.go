@@ -157,10 +157,7 @@ func PolicyByName(name string) (ftl.Policy, error) { return sanitize.ByName(name
 type Run struct {
 	Workload string
 	Policy   string
-	// SecureFraction is the share of files written with the default
-	// (secured) mode; Fig. 14(a)(b) use 1.0.
-	SecureFraction float64
-	Report         ssd.Report
+	Report   ssd.Report
 }
 
 // IOPS is shorthand for the run's throughput.
@@ -202,12 +199,7 @@ func ExecuteTraced(prof workload.Profile, policy ftl.Policy, secureFraction floa
 	if err != nil {
 		return Run{}, err
 	}
-	run := Run{
-		Workload:       prof.Name,
-		Policy:         policy.Name(),
-		SecureFraction: secureFraction,
-		Report:         dev.Report(),
-	}
+	run := Run{Workload: prof.Name, Policy: policy.Name(), Report: dev.Report()}
 	dev.FlushLocks()
 	dev.Close()
 	host.dev = dev

@@ -91,7 +91,6 @@ type FS struct {
 	// reused, so it is an array in idPage-sized pages of File values:
 	// entry (id-1) holds the file, with fs == nil once deleted.
 	byID     [][]File
-	live     int
 	byName   map[string]*File
 	nameOf   map[*File]string // byName inverted
 	nextID   uint64
@@ -184,7 +183,6 @@ func (fs *FS) newFile(flags OpenFlag) *File {
 	}
 	f := fs.slot(id)
 	*f = File{ID: id, Insecure: flags&OInsec != 0, fs: fs}
-	fs.live++
 	if fs.observer != nil {
 		fs.observer.FileCreated(f.ID, f.Insecure)
 	}
@@ -241,7 +239,6 @@ func (fs *FS) Delete(f *File) error {
 		return ErrNotFound
 	}
 	f.fs = nil
-	fs.live--
 	if name, ok := fs.nameOf[f]; ok {
 		delete(fs.byName, name)
 		delete(fs.nameOf, f)

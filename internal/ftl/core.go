@@ -568,10 +568,10 @@ func (f *FTL) invalidate(p PPA) {
 // MarkInvalid finalizes the status-table transition to invalid.
 func (f *FTL) MarkInvalid(p PPA) { f.setStatus(p, PageInvalid) }
 
-// IssuePLock emits a pLock for the page and marks it invalid. The lock
-// occupies the chip but does not gate the host request's completion: the
-// lock manager overlaps locks with foreground work (the status table is
-// updated synchronously, so the FTL's security state is immediate).
+// IssuePLock emits a pLock for a stale page, which the status table
+// already holds invalid. The lock occupies the chip but does not gate the
+// host request's completion: the lock manager overlaps locks with
+// foreground work.
 //
 // A failed pLock cannot be retried — the one-shot pulse spent the flag
 // cells' single program opportunity — so it escalates to a bLock of the
@@ -598,7 +598,6 @@ func (f *FTL) IssuePLock(p PPA) {
 		f.escalateToBLock(block)
 		return
 	}
-	f.setStatus(p, PageInvalid)
 	f.noteDestroyed(p, audit.CausePLock, f.reqStart, done)
 }
 
@@ -631,6 +630,12 @@ func (f *FTL) IssueBLock(block int, pages []PPA) {
 		}
 		return
 	}
+	f.lockBlock(block)
+}
+
+// lockBlock bLocks a fully stale block; a failed bLock falls back to a
+// recovery erase.
+func (f *FTL) lockBlock(block int) {
 	f.stats.BLocks++
 	done, err := f.target.BLock(block, f.reqStart)
 	if err != nil {
@@ -640,7 +645,7 @@ func (f *FTL) IssueBLock(block int, pages []PPA) {
 		return
 	}
 	f.lockedBlocks[block] = true
-	// The bLock disables the whole block, not just the pages this batch
+	// The bLock disables the whole block, not just the pages a batch
 	// asked for: evacuation-stale copies (relocatePage with sanitizeOld
 	// off marks them invalid without pending them) die with it too, so
 	// destruction is reported block-wide — otherwise their audit windows

@@ -78,16 +78,7 @@ func (f *FTL) escalateToBLock(block int) {
 	if f.lockedBlocks[block] || f.retired[block] || !f.BlockFullyStale(block) {
 		return
 	}
-	f.stats.BLocks++
-	done, err := f.target.BLock(block, f.reqStart)
-	if err != nil {
-		f.stats.BLockFailures++
-		f.markFault(trace.OpBLockFail, block, -1, done)
-		f.recoveryErase(block)
-		return
-	}
-	f.lockedBlocks[block] = true
-	f.destroyStale(block, done, audit.CauseBLock, f.reqStart)
+	f.lockBlock(block)
 }
 
 // recoveryErase destroys a block whose locks could not be programmed.
@@ -200,10 +191,14 @@ func (f *FTL) sealBlock(block int) {
 }
 
 // destroyStale fires the destruction hooks for every stale page of a
-// block after a whole-block destruction (bLock or backstop scrub). Both
+// block after a whole-block destruction (bLock or backstop scrub), and
+// does nothing on an untraced run, where the hooks report to no one. Both
 // the recorder and the audit ledger tolerate a later erase firing a
 // destruction again for the same pages.
 func (f *FTL) destroyStale(block int, done sim.Micros, cause audit.Cause, dep sim.Micros) {
+	if !f.traceOn {
+		return
+	}
 	first := f.geo.FirstPPA(block)
 	for i := 0; i < f.geo.PagesPerBlock; i++ {
 		p := first + PPA(i)

@@ -164,9 +164,6 @@ func (s *Sample) rank(k int) float64 {
 	return s.xs[k]
 }
 
-// Max returns the largest value (NaN when empty).
-func (s *Sample) Max() float64 { return s.Quantile(1) }
-
 // FractionAbove reports the fraction of values strictly greater than limit.
 // The paper uses this to report, e.g., "7.4% of RBER values exceed the ECC
 // limit".
@@ -180,27 +177,21 @@ func (s *Sample) FractionAbove(limit float64) float64 {
 	return float64(len(s.xs)-i) / float64(len(s.xs))
 }
 
-// BoxStats is the five-number summary drawn in the paper's box plots, plus
-// the whisker bounds (1.5 IQR convention).
+// BoxStats is the five-number summary drawn in the paper's box plots.
 type BoxStats struct {
 	Min, Q1, Median, Q3, Max float64
-	WhiskerLo, WhiskerHi     float64
 }
 
 // Box computes the box-plot statistics of the sample.
 func (s *Sample) Box() BoxStats {
 	s.ensureSorted() // every quantile below reads the sorted values
-	b := BoxStats{
+	return BoxStats{
 		Min:    s.Quantile(0),
 		Q1:     s.Quantile(0.25),
 		Median: s.Quantile(0.5),
 		Q3:     s.Quantile(0.75),
 		Max:    s.Quantile(1),
 	}
-	iqr := b.Q3 - b.Q1
-	b.WhiskerLo = math.Max(b.Min, b.Q1-1.5*iqr)
-	b.WhiskerHi = math.Min(b.Max, b.Q3+1.5*iqr)
-	return b
 }
 
 // before orders float64s as sort.Float64s does: NaN before every number.
@@ -290,15 +281,12 @@ type Point struct {
 
 // Series is an append-only time series keyed by a logical clock. It is used
 // for the Fig. 4 N_valid/N_invalid(f, t) plots, where t is the logical time
-// that advances by one per 4 KiB host write.
+// that advances by one per 4 KiB host write. The zero value is an empty
+// series.
 type Series struct {
-	Name   string
 	points Log[Point]
 	last   Point // copy of the newest point, so Record never reads the log back
 }
-
-// NewSeries creates a named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
 
 // Record appends an observation. Observations must be recorded with
 // non-decreasing timestamps; violating timestamps are clamped.

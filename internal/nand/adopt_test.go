@@ -58,9 +58,9 @@ func TestNewFromEqualsNew(t *testing.T) {
 			for b := range donor.blocks {
 				wear += donor.blocks[b].peCycles
 			}
-			if stores == 0 || used == 0 || donor.opCount[OpRead] == 0 || wear == 0 || donor.dayOffset == 0 {
-				t.Fatalf("donor is not dirty: %d payload stores, %d flag chunks, %d reads, %d P/E cycles, day %v",
-					stores, used, donor.opCount[OpRead], wear, donor.dayOffset)
+			if stores == 0 || used == 0 || donor.flagsDrawn == 0 || wear == 0 || donor.dayOffset == 0 {
+				t.Fatalf("donor is not dirty: %d payload stores, %d flag chunks, %d flags drawn, %d P/E cycles, day %v",
+					stores, used, donor.flagsDrawn, wear, donor.dayOffset)
 			}
 			fresh, err := New(next.geo, next.opts()...)
 			if err != nil {

@@ -153,30 +153,22 @@ func DefaultTiming() Timing {
 // latencies.
 var timing = DefaultTiming()
 
-// OpKind labels a chip operation for accounting.
+// OpKind names the mutating chip operation a power cut interrupted
+// (PowerLoss.Op).
 type OpKind int
 
 const (
-	OpRead OpKind = iota
-	OpProgram
+	OpProgram OpKind = iota
 	OpErase
 	OpPLock
 	OpBLock
 	OpScrub
-	// OpPLockWL counts batched SBPI pulses (PLockWL); the per-page OpPLock
-	// counter is NOT advanced for the pages such a pulse covers.
+	// OpPLockWL is a batched SBPI pulse (PLockWL).
 	OpPLockWL
-	// OpProgramMulti / OpReadMulti count multi-plane commands; the
-	// per-page OpProgram / OpRead counters still advance once per page.
-	OpProgramMulti
-	OpReadMulti
-	opKinds
 )
 
 func (k OpKind) String() string {
 	switch k {
-	case OpRead:
-		return "read"
 	case OpProgram:
 		return "program"
 	case OpErase:
@@ -189,10 +181,6 @@ func (k OpKind) String() string {
 		return "scrub"
 	case OpPLockWL:
 		return "pLockWL"
-	case OpProgramMulti:
-		return "programMulti"
-	case OpReadMulti:
-		return "readMulti"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
@@ -331,8 +319,6 @@ type Chip struct {
 	// cut, when set, is the device-wide power-loss schedule (see
 	// WithPowerCut); mutating ops check it at pulse start.
 	cut *fault.CutState
-
-	opCount [opKinds]uint64
 
 	// Hot-path scratch and recycle pools. A chip is driven by one
 	// goroutine at a time (the device model serializes operations per

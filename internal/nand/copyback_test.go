@@ -36,7 +36,7 @@ func senseAndProgram(c *Chip, src, dst PageAddr, now sim.Micros, spare []blockio
 // copies made one at a time by their sense and program steps, stopping
 // where one fails, end with the same latency, count, error, power loss,
 // flag draws and media (every page's payload, stamp and lock vote, every
-// block's write pointer and wear, and the op counts).
+// block's write pointer and wear).
 func TestCopybackRunMatchesCopybacks(t *testing.T) {
 	geo := Geometry{Blocks: 8, WLsPerBlock: 8, CellKind: vth.TLC, PageBytes: 64, EnduranceCycles: 1000}
 	ppb := geo.PagesPerBlock()
@@ -153,10 +153,15 @@ func TestCopybackRunMatchesCopybacks(t *testing.T) {
 }
 
 // A run is refused whole, before any page is touched, when one of its
-// addresses is out of range — the last destination included.
+// addresses is out of range — the last destination included. The
+// sources carry pending pAP flags, which a sense would draw.
 func TestCopybackRunRefusesBadAddresses(t *testing.T) {
 	c := newTestChip(t)
 	ppb := c.Geometry().PagesPerBlock()
+	for pg := range 2 {
+		mustProgram(t, c, PageAddr{Block: 0, Page: pg}, []byte("x"))
+		mustPLock(t, c, PageAddr{Block: 0, Page: pg})
+	}
 	for _, tc := range []struct {
 		srcBlock int
 		pages    []int
@@ -170,7 +175,7 @@ func TestCopybackRunRefusesBadAddresses(t *testing.T) {
 		if _, n, err := c.CopybackRun(tc.srcBlock, tc.pages, tc.dst, 0, nil); !errors.Is(err, ErrBadAddress) || n != 0 {
 			t.Errorf("run %v → %v: %d landed, err %v, want ErrBadAddress", tc.pages, tc.dst, n, err)
 		}
-		if c.WritePointer(1) != 0 || c.opCount[OpRead] != 0 {
+		if c.WritePointer(1) != 0 || c.flagsDrawn != 0 {
 			t.Fatalf("run %v → %v touched the chip before refusing it", tc.pages, tc.dst)
 		}
 	}

@@ -102,9 +102,6 @@ func (m *mediaHash) chip(t *testing.T, c *Chip, now sim.Micros) {
 			m.f64(day)
 		}
 	}
-	for k := OpKind(0); k < opKinds; k++ {
-		m.u64(c.opCount[k])
-	}
 }
 
 // runMediaScript drives one seeded random command script against a
@@ -229,8 +226,8 @@ func runMediaScript(t *testing.T, donor *Chip, planes int, seed int64) (string, 
 
 // TestChipMediaGolden pins the chip's observable media state and its
 // stored flag votes over seeded command scripts, so any storage change
-// that moves an RNG draw, a flag's median cell, a lock day, a stamp, a
-// payload byte or an op count fails here. The digests were recorded with
+// that moves an RNG draw, a flag's median cell, a lock day, a stamp or a
+// payload byte fails here. The digests were recorded with
 // the chip still storing all k cells of each flag, the median taken by
 // the test. Each script runs twice: on a new chip, and on a chip
 // built from the one the previous script left behind (NewFrom) — locked,

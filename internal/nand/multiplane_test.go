@@ -70,9 +70,6 @@ func TestProgramMultiSharesOneProg(t *testing.T) {
 	if lat != DefaultTiming().Prog {
 		t.Fatalf("multi-plane program latency %v, want one tPROG (%v)", lat, DefaultTiming().Prog)
 	}
-	if c.opCount[OpProgramMulti] != 1 {
-		t.Fatalf("OpProgramMulti count = %d, want 1", c.opCount[OpProgramMulti])
-	}
 	for i, a := range addrs {
 		if got := mustRead(t, c, a); !bytes.Equal(got, datas[i]) {
 			t.Fatalf("plane %d read-back mismatch", i)

@@ -249,10 +249,12 @@ func TestPLockIsIdempotent(t *testing.T) {
 	c := newTestChip(t)
 	mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
 	mustPLock(t, c, PageAddr{0, 0})
-	before := c.opCount[OpPLock]
-	mustPLock(t, c, PageAddr{0, 0})
-	if c.opCount[OpPLock] != before+1 {
-		t.Fatal("second pLock should still be counted as an operation")
+	before := c.flagsProgrammed
+	if lat, err := c.PLock(PageAddr{0, 0}, 0); err != nil || lat != DefaultTiming().PLock {
+		t.Fatalf("second pLock: %v, %v; want a charged pulse (%v) and no error", lat, err, DefaultTiming().PLock)
+	}
+	if c.flagsProgrammed != before {
+		t.Fatal("second pLock programmed another flag")
 	}
 	if !pageLocked(t, c, PageAddr{0, 0}) {
 		t.Fatal("page must stay locked")
@@ -394,26 +396,6 @@ func TestForensicDumpRespectsLocks(t *testing.T) {
 	for _, b := range dump[1] {
 		if b != 0 {
 			t.Fatal("locked page dump not all-zero")
-		}
-	}
-}
-
-func TestOpCounters(t *testing.T) {
-	c := newTestChip(t)
-	mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
-	mustRead(t, c, PageAddr{0, 0})
-	mustRead(t, c, PageAddr{0, 0})
-	mustPLock(t, c, PageAddr{0, 0})
-	mustBLock(t, c, 0)
-	mustErase(t, c, 0)
-	mustProgram(t, c, PageAddr{0, 0}, []byte("y"))
-	mustScrub(t, c, PageAddr{0, 0})
-	want := map[OpKind]uint64{
-		OpRead: 2, OpProgram: 2, OpErase: 1, OpPLock: 1, OpBLock: 1, OpScrub: 1,
-	}
-	for k, n := range want {
-		if c.opCount[k] != n {
-			t.Errorf("OpCount(%v) = %d, want %d", k, c.opCount[k], n)
 		}
 	}
 }
@@ -605,15 +587,16 @@ func TestCopybackDisciplineErrors(t *testing.T) {
 }
 
 // A destination outside the chip is refused before the source is sensed:
-// the chip counts no read and its state does not change.
+// the source's pending pAP flag, which a sense would draw, stays pending.
 func TestCopybackRejectsBadDestinationBeforeSensing(t *testing.T) {
 	c := newTestChip(t)
 	mustProgram(t, c, PageAddr{0, 0}, []byte("x"))
+	mustPLock(t, c, PageAddr{0, 0})
 	if _, err := c.Copyback(PageAddr{0, 0}, PageAddr{Block: -1}, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("Copyback to block -1: %v, want ErrBadAddress", err)
 	}
-	if n := c.opCount[OpRead]; n != 0 {
-		t.Fatalf("rejected copyback counted %d reads, want 0", n)
+	if c.flagsDrawn != 0 {
+		t.Fatalf("rejected copyback drew %d flags, want 0", c.flagsDrawn)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// sense is the array read every read path shares. It counts the read,
-// runs the bAP then the pAP vote and returns the stored payload: nil when
-// the page is erased, zeros of the payload's length when it is locked.
-// The bytes are the chip's own — its payload store or its read scratch —
-// and valid until the next operation on the chip. The address must have
-// passed checkAddr.
+// sense is the array read every read path shares. It runs the bAP then
+// the pAP vote and returns the stored payload: nil when the page is
+// erased, zeros of the payload's length when it is locked. The bytes are
+// the chip's own — its payload store or its read scratch — and valid
+// until the next operation on the chip. The address must have passed
+// checkAddr.
 //
 // Security semantics (§5.2): a disabled bAP flag fails the sense with
 // ErrBlockLocked, otherwise a disabled pAP flag with ErrPageLocked. The
@@ -24,7 +24,6 @@ import (
 // issued the read — the controller, the internal copyback leg, an
 // attacker's raw dump — learns nothing but the zeros.
 func (c *Chip) sense(a PageAddr, now sim.Micros) ([]byte, error) {
-	c.opCount[OpRead]++
 	blk := &c.blocks[a.Block]
 	day := c.nowDays(now)
 	stored := blk.payload(a.Page)
@@ -150,7 +149,6 @@ func (c *Chip) program(a PageAddr, data []byte, now sim.Micros, spare []blockio.
 		}
 		return 0, fmt.Errorf("%w: page %d before pointer %d", ErrOutOfOrder, a.Page, blk.writePtr)
 	}
-	c.opCount[OpProgram]++
 	var stored []byte
 	if len(data) > 0 {
 		if blk.data == nil {
@@ -194,7 +192,6 @@ func (c *Chip) Erase(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
 		return 0, fmt.Errorf("%w: block %d", ErrBadAddress, blockIdx)
 	}
-	c.opCount[OpErase]++
 	blk := &c.blocks[blockIdx]
 	// An interrupted tBERS destroys nothing: data, flags and SSL state
 	// survive for the remount scan (and the attacker).
@@ -240,7 +237,6 @@ func (c *Chip) PLock(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
 	}
-	c.opCount[OpPLock]++
 	blk := &c.blocks[a.Block]
 	rec := c.rec(a)
 	// A cut mid-pulse leaves the flag cells short of the majority
@@ -286,7 +282,6 @@ func (c *Chip) PLockWL(blockIdx, wl int, slots []int, now sim.Micros) (sim.Micro
 			return 0, fmt.Errorf("%w: WL slot %d", ErrBadAddress, s)
 		}
 	}
-	c.opCount[OpPLockWL]++
 	blk := &c.blocks[blockIdx]
 	base := wl * bits
 	recs := c.blockRecs(blockIdx, c.pagesPerBlock)
@@ -363,7 +358,6 @@ func (c *Chip) ProgramMulti(addrs []PageAddr, datas [][]byte, now sim.Micros, sp
 	if err := c.checkPlanes(addrs); err != nil {
 		return 0, nil, err
 	}
-	c.opCount[OpProgramMulti]++
 	errs := make([]error, len(addrs))
 	var next [1]blockio.Stamp // the next page's stamp, if any
 	stamp := next[:copy(next[:], spare)]
@@ -386,7 +380,6 @@ func (c *Chip) ReadMulti(addrs []PageAddr, now sim.Micros) (sim.Micros, []error,
 	if err := c.checkPlanes(addrs); err != nil {
 		return 0, nil, err
 	}
-	c.opCount[OpReadMulti]++
 	errs := make([]error, len(addrs))
 	for i, a := range addrs {
 		_, errs[i] = c.Read(a, now)
@@ -400,7 +393,6 @@ func (c *Chip) BLock(blockIdx int, now sim.Micros) (sim.Micros, error) {
 	if blockIdx < 0 || blockIdx >= c.geo.Blocks {
 		return 0, fmt.Errorf("%w: block %d", ErrBadAddress, blockIdx)
 	}
-	c.opCount[OpBLock]++
 	blk := &c.blocks[blockIdx]
 	// A cut mid-pulse leaves the SSL cells below the disable
 	// threshold: the block stays readable.
@@ -430,7 +422,6 @@ func (c *Chip) Scrub(a PageAddr, now sim.Micros) (sim.Micros, error) {
 	if err := c.checkAddr(a); err != nil {
 		return 0, err
 	}
-	c.opCount[OpScrub]++
 	blk := &c.blocks[a.Block]
 	// An interrupted scrub reprogram destroys nothing the remount scan
 	// (or the attacker) can't still read: the WL survives intact.
@@ -506,11 +497,9 @@ func (c *Chip) CopybackRun(srcBlock int, srcPages []int, dst PageAddr, now sim.M
 		dstBlk.sslCenter == 0 && dst.Page == dstBlk.writePtr
 	srcRecs, dstRecs := c.blockRecs(srcBlock, c.pagesPerBlock), c.blockRecs(dst.Block, c.pagesPerBlock)
 	each := timing.Read + timing.Prog
-	skipped := 0
 	for i, pg := range srcPages {
 		a := PageAddr{Block: dst.Block, Page: dst.Page + i}
 		if direct && (pg >= srcBlk.flagEnd || srcRecs[pg].flag == 0) {
-			skipped++ // counted as a read and a program below
 			dstBlk.writePtr++
 			if spare != nil {
 				m, rec := &spare[i], &dstRecs[a.Page]
@@ -529,8 +518,6 @@ func (c *Chip) CopybackRun(srcBlock int, srcPages []int, dst PageAddr, now sim.M
 			return 0, i, err
 		}
 	}
-	c.opCount[OpRead] += uint64(skipped)
-	c.opCount[OpProgram] += uint64(skipped)
 	return sim.Micros(len(srcPages)) * each, len(srcPages), nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/nand/nandtest"
 	"repro/internal/sanitize"
+	"repro/internal/sim"
 )
 
 // usedDevice returns a device that has been through everything a run can
@@ -139,16 +140,17 @@ func TestNewFromEqualsNew(t *testing.T) {
 			if !bytes.Equal(rawDump(fresh), rawDump(adopted)) {
 				t.Error("raw dump of the adopted device differs from a new device's")
 			}
-			for _, s := range []*SSD{fresh, adopted} {
+			var markBusy [2][]sim.Micros
+			for i, s := range []*SSD{fresh, adopted} {
 				if err := s.prefill(0.5, true); err != nil {
 					t.Fatal(err)
 				}
-				s.Mark()
+				markBusy[i] = mark(s)
 				for lpa := int64(0); lpa < int64(s.LogicalPages()/2); lpa += 3 {
 					s.mustSubmit(blockio.Request{Op: blockio.OpWrite, LPA: lpa, Pages: 2})
 				}
 			}
-			if deviceDigest(t, fresh) != deviceDigest(t, adopted) {
+			if deviceDigest(t, fresh, markBusy[0]) != deviceDigest(t, adopted, markBusy[1]) {
 				t.Error("the adopted device ends the same workload in another state than a new one")
 			}
 		})

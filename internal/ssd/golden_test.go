@@ -15,6 +15,7 @@ import (
 	"repro/internal/nand/vth"
 	"repro/internal/pintest"
 	"repro/internal/sanitize"
+	"repro/internal/sim"
 )
 
 // goldenCell is one device configuration of the golden device-state
@@ -56,13 +57,14 @@ func (c goldenCell) config() Config {
 // goldenWorkload prefills the device with secured data, then drives a
 // deterministic mix of payload-carrying and timing-only writes, reads
 // and trims — enough invalidations that erSSD evacuates blocks, scrSSD
-// moves wordline siblings and secSSD locks pages and blocks.
-func goldenWorkload(t *testing.T, s *SSD, pageBytes int) {
+// moves wordline siblings and secSSD locks pages and blocks. It returns
+// mark's chip busy times.
+func goldenWorkload(t *testing.T, s *SSD, pageBytes int) []sim.Micros {
 	t.Helper()
 	if err := s.prefill(0.75, true); err != nil {
 		t.Fatal(err)
 	}
-	s.Mark()
+	busy := mark(s)
 	rng := rand.New(rand.NewSource(4242))
 	logical := int64(s.LogicalPages())
 	payload := make([]byte, 3*pageBytes)
@@ -85,6 +87,59 @@ func goldenWorkload(t *testing.T, s *SSD, pageBytes int) {
 		}
 	}
 	s.FlushLocks()
+	return busy
+}
+
+// mark is s.Mark, returning each chip's busy time at the mark, which
+// pinnedReport's per-chip window utilization needs.
+func mark(s *SSD) []sim.Micros {
+	s.Mark()
+	busy := make([]sim.Micros, len(s.chipTL))
+	for i := range s.chipTL {
+		busy[i] = s.chipTL[i].BusyTotal()
+	}
+	return busy
+}
+
+// pinnedReport is Report as it stood when the pins were taken: %+v of it
+// prints what %+v of the report printed then. ErasesFreq, LatencyMax and
+// ChipUtilPer, which nothing outside tests read, left Report; pinned
+// derives them here.
+type pinnedReport struct {
+	Requests                           uint64
+	Elapsed                            sim.Micros
+	IOPS                               float64
+	WAF                                float64
+	Stats                              ftl.Stats
+	ChipUtil                           float64
+	ErasesFreq                         float64
+	ReadRetries                        uint64
+	ReadFailures                       uint64
+	LatencyP50, LatencyP99, LatencyMax float64
+	ChipUtilPer                        []float64
+	ChanUtilPer                        []float64
+	ChipWaitUs                         []float64
+}
+
+// pinned returns s's report in the pinned layout; markBusy is mark's.
+func pinned(s *SSD, markBusy []sim.Micros) pinnedReport {
+	r := s.Report()
+	p := pinnedReport{Requests: r.Requests, Elapsed: r.Elapsed, IOPS: r.IOPS, WAF: r.WAF, Stats: r.Stats,
+		ChipUtil: r.ChipUtil, ReadRetries: r.ReadRetries, ReadFailures: r.ReadFailures,
+		LatencyP50: r.LatencyP50, LatencyP99: r.LatencyP99,
+		ChipUtilPer: make([]float64, len(s.chipTL)), ChanUtilPer: r.ChanUtilPer, ChipWaitUs: r.ChipWaitUs}
+	if r.Stats.HostWrittenPages > 0 {
+		p.ErasesFreq = float64(r.Stats.Erases) / float64(r.Stats.HostWrittenPages) * 1e6
+	}
+	if s.latencies.N() > 0 {
+		p.LatencyMax = s.latencies.Quantile(1)
+	}
+	if r.Elapsed > 0 {
+		for i := range s.chipTL {
+			p.ChipUtilPer[i] = float64(s.chipTL[i].BusyTotal()-markBusy[i]) / float64(r.Elapsed)
+		}
+	}
+	return p
 }
 
 func hashBytes(h hash.Hash, b []byte) {
@@ -101,11 +156,11 @@ func hashBytes(h hash.Hash, b []byte) {
 // deviceDigest hashes everything the device exposes after a run: the
 // report, the FTL counters, the fault census, every logical page, and
 // every chip's lock state, write pointers, wear, forensic dump and OOB
-// stamps.
-func deviceDigest(t *testing.T, s *SSD) string {
+// stamps. markBusy is mark's.
+func deviceDigest(t *testing.T, s *SSD, markBusy []sim.Micros) string {
 	t.Helper()
 	h := sha256.New()
-	rep := s.Report()
+	rep := pinned(s, markBusy)
 	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rep, s.FTL().Stats(), s.FaultCounts())
 	for lpa := int64(0); lpa < int64(s.LogicalPages()); lpa++ {
 		data, err := s.ReadLogical(lpa)
@@ -188,7 +243,7 @@ func TestGoldenDeviceState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				goldenWorkload(t, s, cfg.Chip.PageBytes)
+				markBusy := goldenWorkload(t, s, cfg.Chip.PageBytes)
 				st := s.FTL().Stats()
 				switch {
 				case st.Erases == 0,
@@ -202,7 +257,7 @@ func TestGoldenDeviceState(t *testing.T) {
 					cell.faultRate > 0 && s.FaultCounts().ProgramFails == 0:
 					t.Fatalf("workload does not exercise the cell: stats %+v faults %+v", st, s.FaultCounts())
 				}
-				return s, deviceDigest(t, s)
+				return s, deviceDigest(t, s, markBusy)
 			}
 			fresh, got := run(nil)
 			pins.Check(t, cell.name, got)

@@ -149,7 +149,6 @@ type SSD struct {
 	traceOn bool
 	// Per-resource busy/wait snapshots taken at Mark(), so Report can
 	// expose windowed utilization without touching whole-run counters.
-	markChipBusy []sim.Micros
 	markChanBusy []sim.Micros
 	markChipWait []sim.Micros
 
@@ -202,7 +201,6 @@ func NewFrom(old *SSD, cfg Config) (*SSD, error) {
 		busTL:        adopt.Zeroed(old.busTL, cfg.Channels),
 		chanOf:       adopt.Zeroed(old.chanOf, nChips),
 		window:       adopt.Zeroed(old.window, cfg.QueueDepth),
-		markChipBusy: adopt.Zeroed(old.markChipBusy, nChips),
 		markChanBusy: adopt.Zeroed(old.markChanBusy, cfg.Channels),
 		markChipWait: adopt.Zeroed(old.markChipWait, nChips),
 		slotScratch:  adopt.Zeroed(old.slotScratch, 0),
@@ -706,7 +704,6 @@ func (s *SSD) Mark() {
 	s.markReadFailures = s.readFailures
 	s.latencies.Reset()
 	for i := range s.chipTL {
-		s.markChipBusy[i] = s.chipTL[i].BusyTotal()
 		s.markChipWait[i] = s.chipTL[i].WaitTotal()
 	}
 	for i := range s.busTL {
@@ -716,23 +713,21 @@ func (s *SSD) Mark() {
 
 // Report summarizes the device activity since the last Mark.
 type Report struct {
-	Requests   uint64
-	Elapsed    sim.Micros
-	IOPS       float64
-	WAF        float64
-	Stats      ftl.Stats // deltas since Mark
-	ChipUtil   float64   // whole-run busy ÷ (whole-run makespan × chips), prefill included — Mark does not restart it; ChipUtilPer is the windowed one
-	ErasesFreq float64   // erases per million host pages written
+	Requests uint64
+	Elapsed  sim.Micros
+	IOPS     float64
+	WAF      float64
+	Stats    ftl.Stats // deltas since Mark
+	ChipUtil float64   // whole-run busy ÷ (whole-run makespan × chips), prefill included — Mark does not restart it
 	// ReadRetries and ReadFailures count read-path fault absorption over
 	// the window: re-reads issued for uncorrectable pages, and reads that
 	// stayed uncorrectable after the retry budget.
 	ReadRetries  uint64
 	ReadFailures uint64
 	// Request service-time percentiles over the window, in µs.
-	LatencyP50, LatencyP99, LatencyMax float64
-	// Per-resource busy-time utilization over the measurement window
-	// (busy µs since Mark / window µs).
-	ChipUtilPer []float64
+	LatencyP50, LatencyP99 float64
+	// ChanUtilPer is each channel's busy-time utilization over the
+	// measurement window (busy µs since Mark / window µs).
 	ChanUtilPer []float64
 	// ChipWaitUs is the queueing delay accumulated on each chip's
 	// timeline over the window — the contention signal behind ChipUtil.
@@ -756,7 +751,6 @@ func (s *SSD) Report() Report {
 	}
 	if d.HostWrittenPages > 0 {
 		r.WAF = float64(d.FlashPrograms) / float64(d.HostWrittenPages)
-		r.ErasesFreq = float64(d.Erases) / float64(d.HostWrittenPages) * 1e6
 	}
 	var busy sim.Micros
 	for i := range s.chipTL {
@@ -765,14 +759,10 @@ func (s *SSD) Report() Report {
 	if s.makespan > 0 {
 		r.ChipUtil = float64(busy) / float64(int64(s.makespan)*int64(len(s.chipTL)))
 	}
-	r.ChipUtilPer = make([]float64, len(s.chipTL))
 	r.ChipWaitUs = make([]float64, len(s.chipTL))
 	r.ChanUtilPer = make([]float64, len(s.busTL))
 	for i := range s.chipTL {
 		r.ChipWaitUs[i] = float64(s.chipTL[i].WaitTotal() - s.markChipWait[i])
-		if elapsed > 0 {
-			r.ChipUtilPer[i] = float64(s.chipTL[i].BusyTotal()-s.markChipBusy[i]) / float64(elapsed)
-		}
 	}
 	for i := range s.busTL {
 		if elapsed > 0 {
@@ -782,7 +772,6 @@ func (s *SSD) Report() Report {
 	if s.latencies.N() > 0 {
 		r.LatencyP50 = s.latencies.Quantile(0.5)
 		r.LatencyP99 = s.latencies.Quantile(0.99)
-		r.LatencyMax = s.latencies.Max()
 	}
 	return r
 }

@@ -440,8 +440,8 @@ func TestLatencyPercentiles(t *testing.T) {
 	if r.LatencyP50 <= 0 {
 		t.Fatal("no latency sampled")
 	}
-	if !(r.LatencyP50 <= r.LatencyP99 && r.LatencyP99 <= r.LatencyMax) {
-		t.Fatalf("percentile ordering: p50=%v p99=%v max=%v", r.LatencyP50, r.LatencyP99, r.LatencyMax)
+	if r.LatencyP50 > r.LatencyP99 {
+		t.Fatalf("percentile ordering: p50=%v p99=%v", r.LatencyP50, r.LatencyP99)
 	}
 	// A single-page write cannot complete faster than tPROG.
 	if r.LatencyP50 < float64(nand.DefaultTiming().Prog) {

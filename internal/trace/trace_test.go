@@ -156,7 +156,7 @@ func TestTInsecureWindowPairing(t *testing.T) {
 	if r.ledger.OpenCopies() != 0 {
 		t.Fatalf("open copies = %d after close, want 0", r.ledger.OpenCopies())
 	}
-	if got := r.TInsecure().Max(); got != 1000 {
+	if got := r.TInsecure().Quantile(1); got != 1000 {
 		t.Fatalf("T_insecure = %v, want 1000 (from the FIRST invalidation)", got)
 	}
 	// Destroying a page with no open window is a no-op.
@@ -222,7 +222,7 @@ func TestTInsecureNegativeClampsToZero(t *testing.T) {
 	// clock) after the lock (anchored at the request start) completed.
 	r.Audit(invalidate(3, true, 900))
 	r.Audit(audit.Event{Kind: audit.KindDestroy, Page: 3, Src: audit.NoSrc, LPA: -1, Dep: 500, At: 500})
-	if got := r.TInsecure().Max(); got != 0 {
+	if got := r.TInsecure().Quantile(1); got != 0 {
 		t.Fatalf("negative window = %v, want clamp to 0", got)
 	}
 }

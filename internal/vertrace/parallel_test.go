@@ -100,5 +100,5 @@ func oneGoroutineStudy(t *testing.T, cfg StudyConfig) *StudyResult {
 		t.Fatal(err)
 	}
 	files := tracker.Finish(cfg.CapacityPages * int64(cfg.PageBytes) / 4096)
-	return &StudyResult{Row: Summarize(cfg.Workload.Name, files), Files: files, Watched: watched, DeviceReport: dev.Report()}
+	return &StudyResult{Row: Summarize(cfg.Workload.Name, files), Files: files, Watched: watched}
 }

@@ -48,14 +48,12 @@ type StudyResult struct {
 	Row     Table1Row
 	Files   []FileMetrics
 	Watched []*WatchSeries
-	// DeviceReport is the underlying SSD's activity (for sanity checks).
-	DeviceReport ssd.Report
 }
 
 // tickDevice is the study's SSD as the host stage sees it: a device of
 // the study's capacity whose Submit, on the device stage, advances the
 // tracker's clock by each host write (one tick per 4 KiB) before the SSD
-// runs it. Its Mark does nothing: the report covers the whole run.
+// runs it. Its Mark does nothing: the study reads no device report.
 type tickDevice struct {
 	dev      *ssd.SSD
 	tracker  *Tracker
@@ -123,10 +121,5 @@ func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	}
 	// T_insecure is normalized to the capacity in 4-KiB ticks.
 	files := tracker.Finish(cfg.CapacityPages * int64(cfg.PageBytes) / 4096)
-	return &StudyResult{
-		Row:          Summarize(cfg.Workload.Name, files),
-		Files:        files,
-		Watched:      watched,
-		DeviceReport: dev.Report(),
-	}, nil
+	return &StudyResult{Row: Summarize(cfg.Workload.Name, files), Files: files, Watched: watched}, nil
 }

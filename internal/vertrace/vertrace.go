@@ -12,7 +12,6 @@
 package vertrace
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/audit"
@@ -58,7 +57,6 @@ type Tracker struct {
 
 // WatchSeries is a Fig. 4 time plot pair for one file.
 type WatchSeries struct {
-	FileID  uint64
 	Valid   *metrics.Series
 	Invalid *metrics.Series
 }
@@ -68,11 +66,7 @@ func NewTracker() *Tracker { return &Tracker{} }
 
 // Watch starts recording the Fig. 4 time plots for a file.
 func (t *Tracker) Watch(fileID uint64) *WatchSeries {
-	ws := &WatchSeries{
-		FileID:  fileID,
-		Valid:   metrics.NewSeries(fmt.Sprintf("file%d/valid", fileID)),
-		Invalid: metrics.NewSeries(fmt.Sprintf("file%d/invalid", fileID)),
-	}
+	ws := &WatchSeries{Valid: new(metrics.Series), Invalid: new(metrics.Series)}
 	at(&t.files, fileID).watch = ws
 	return ws
 }
@@ -177,7 +171,6 @@ func (t *Tracker) record(st *fileState) {
 type FileMetrics struct {
 	FileID     uint64
 	MV         bool
-	MaxValid   int64
 	MaxInvalid int64
 	VAF        float64
 	// TInsecure is normalized to capacityTicks (the writes needed to
@@ -206,7 +199,6 @@ func (t *Tracker) Finish(capacityTicks int64) []FileMetrics {
 		m := FileMetrics{
 			FileID:     uint64(id),
 			MV:         fl.mv,
-			MaxValid:   st.maxValid,
 			MaxInvalid: st.maxInvalid,
 			TInsecure:  float64(total) / float64(capacityTicks),
 		}

@@ -217,19 +217,15 @@ func TestStudyEndToEndScaledDown(t *testing.T) {
 	}
 
 	// Finding 2: even UV files accumulate invalid versions through GC
-	// copies (MailServer UV max VAF ≈ 1.0 in the paper).
-	if mail.Row.UV.Files > 0 && mail.Row.UV.VAFMax == 0 {
-		t.Errorf("MailServer UV files show no GC-induced invalid versions")
+	// copies (MailServer UV max VAF ≈ 1.0 in the paper), so the study's
+	// fill and steady phases must be large enough for GC to run.
+	if mail.Row.UV.Files == 0 || mail.Row.UV.VAFMax == 0 {
+		t.Errorf("MailServer UV files show no GC-induced invalid versions; fill/steady phases too small")
 	}
 
 	// Finding 3: T_insecure is nonzero — invalid data lingers.
 	if mail.Row.MV.TInsecMax == 0 || db.Row.MV.TInsecMax == 0 {
 		t.Error("stale data should linger (T_insecure > 0)")
-	}
-
-	// Device sanity: the study runs on a baseline SSD with GC active.
-	if mail.DeviceReport.Stats.GCRuns == 0 {
-		t.Error("study device never ran GC; fill/steady phases too small")
 	}
 }
 

@@ -37,6 +37,13 @@ import (
 //     does not reach its methods: a method of a reached type is reached
 //     when it is used, when an interface method of its name is used, or
 //     when its name is in stdlibMethods.
+//   - reach, for stored state: an unexported, non-embedded struct field
+//     of such a file that non-test code writes (=, op=, ++/--, a key of
+//     a composite literal; an index of the field is the field) is read
+//     by a declaration a main reaches, so neither a test, a test-helper
+//     package nor a seam (below) is a reader, and bench's main is one. A
+//     read that only computes the field's own next value (x.f =
+//     append(x.f, v)) is no read.
 //   - The one exemption is a declaration whose doc carries
 //     testseamDirective: a probe that tests of other packages call, so
 //     export_test.go cannot hold it. A main must not reach it, a test or
@@ -203,7 +210,7 @@ func (m *module) findings() []string {
 			m.lint(f, true, report)
 		}
 	}
-	m.reach(report)
+	m.fields(m.reach(report), report)
 	slices.Sort(out)
 	return out
 }
@@ -295,8 +302,9 @@ func (m *module) use(id *ast.Ident) types.Object {
 }
 
 // reach reports every required def that no main reaches, and every
-// misplaced testseamDirective.
-func (m *module) reach(report func(token.Pos, string)) {
+// misplaced testseamDirective. It returns the declarations a main
+// reaches.
+func (m *module) reach(report func(token.Pos, string)) (live []ast.Node) {
 	defs := map[token.Pos]*def{}
 	methods := map[token.Pos][]token.Pos{} // type -> its methods
 	roots := map[*pkg][]token.Pos{}        // init and main funcs, blank vars
@@ -415,6 +423,9 @@ func (m *module) reach(report func(token.Pos, string)) {
 		rootsOf(p)
 	}
 	closeOver()
+	for pos := range reached {
+		live = append(live, defs[pos].node)
+	}
 
 	// Seams: none reached from a main, each used by a test or helper of
 	// another package, and what they reach is exempt.
@@ -452,6 +463,115 @@ func (m *module) reach(report func(token.Pos, string)) {
 	for pos, d := range defs {
 		if d.required && !reached[pos] {
 			report(pos, "reach: "+d.name+" is reached from no main; delete it or move it to a test file")
+		}
+	}
+	return live
+}
+
+// fields reports every unexported, non-embedded struct field of a
+// required file that non-test code writes and no live declaration reads.
+func (m *module) fields(live []ast.Node, report func(token.Pos, string)) {
+	type field struct {
+		name          string // T.f for a field of the named struct type T
+		written, read bool
+	}
+	fields := map[token.Pos]*field{}
+	var files []*ast.File // non-test code
+	for _, p := range m.pkgs {
+		files = append(files, p.files...)
+		if helper(p.dir) {
+			continue
+		}
+		for _, f := range p.files {
+			typ := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						typ[st] = n.Name.Name + "."
+					}
+				case *ast.StructType:
+					for _, fl := range n.Fields.List {
+						for _, id := range fl.Names {
+							if !id.IsExported() && id.Name != "_" {
+								fields[id.Pos()] = &field{name: typ[n] + id.Name}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	fieldOf := func(id *ast.Ident) *field {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return fields[v.Pos()]
+		}
+		return nil
+	}
+	// target returns the field an assignment to e writes, if any.
+	target := func(e ast.Expr) *ast.Ident {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				return x.Sel
+			default:
+				return nil
+			}
+		}
+	}
+	notRead := map[*ast.Ident]bool{} // the written fields, and uses that only feed them
+	write := func(id *ast.Ident) *field {
+		fl := fieldOf(id)
+		if fl != nil {
+			fl.written, notRead[id] = true, true
+		}
+		return fl
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					id := target(lhs)
+					if id == nil || n.Tok == token.DEFINE {
+						continue
+					}
+					if fl := write(id); fl != nil && len(n.Lhs) == len(n.Rhs) {
+						ast.Inspect(n.Rhs[i], func(r ast.Node) bool {
+							if rid, ok := r.(*ast.Ident); ok && fieldOf(rid) == fl {
+								notRead[rid] = true
+							}
+							return true
+						})
+					}
+				}
+			case *ast.IncDecStmt:
+				if id := target(n.X); id != nil {
+					write(id)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					write(id)
+				}
+			}
+			return true
+		})
+	}
+	for _, d := range live {
+		ast.Inspect(d, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if fl := fieldOf(id); ok && fl != nil && !notRead[id] {
+				fl.read = true
+			}
+			return true
+		})
+	}
+	for pos, fl := range fields {
+		if fl.written && !fl.read {
+			report(pos, "reach: "+fl.name+" is written but read by nothing a main reaches; delete it and what feeds it")
 		}
 	}
 }
@@ -515,6 +635,38 @@ func probe() {}
 			"internal/b/b.go":      "package b",
 			"cmd/x/main.go":        "package main\nimport \"repro/internal/a\"\nfunc main() { a.Reached() }",
 		}, []string{"testseam: OwnTests", "testseam: Reached"}},
+		{"stored state", map[string]any{"internal/a/a.go": `package a
+type inner struct{}
+func (inner) M() {}
+type T struct {
+	inner              // embedded: written by a key, read by none, exempt
+	set, add, lit int  // written by =, by op= alone, by a key alone
+	arr  [2]int        // written through an index
+	grow []int         // read only to compute its own next value
+	tested, helped int // read by a test, through a seam by a helper
+	sel, benched int   // read by a selector, where only bench's main reaches
+	fn  inner          // read through a method value
+}
+func New() *T {
+	t := &T{lit: 1, inner: inner{}}
+	t.set, t.tested, t.helped, t.sel, t.benched = 1, 2, 3, 4, 5
+	t.add += 1
+	t.arr[0]++
+	t.grow = append(t.grow, 1)
+	t.fn = inner{}
+	_ = t.sel
+	m := t.fn.M
+	m()
+	return t
+}
+func (t *T) Benched() int { return t.benched }
+//repro:testseam
+func (t *T) Helped() int { return t.helped }
+`, "internal/a/a_test.go": "package a\nfunc f(t *T) int { return t.tested }",
+			"internal/a/atest/h.go": "package atest\nimport \"repro/internal/a\"\nfunc H(t *a.T) int { return t.Helped() }",
+			"bench/main.go":         "package main\nimport \"repro/internal/a\"\nfunc main() { _ = a.New().Benched() }",
+			"cmd/x/main.go":         "package main\nimport \"repro/internal/a\"\nfunc main() { a.New() }",
+		}, []string{"reach: T.add", "reach: T.arr", "reach: T.grow", "reach: T.helped", "reach: T.lit", "reach: T.set", "reach: T.tested"}},
 	} {
 		var got []string
 		for _, finding := range load(t, c.files).findings() {
