@@ -40,7 +40,9 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -219,43 +221,85 @@ type Event struct {
 	Ladder bool
 }
 
-// copyState is the ledger's entry for one physical page. The zero value
-// is a page holding no registered copy.
-type copyState struct {
-	secret int32
-	state  uint8      // copyNone, copyLive or copyStale
-	openAt sim.Micros // valid when stale: per-copy window open time
-}
+// entry is the ledger's word for one physical page; the zero value is a
+// page holding no registered copy. Its low two bits say what the rest
+// holds. A secret with one live copy and no exposed one lives inline in
+// that copy's entry; any other secret takes a slot, which its copies'
+// entries name.
+type entry uint64
 
 const (
-	copyNone  uint8 = iota
-	copyLive        // registered, still the current version
-	copyStale       // invalidated, not yet destroyed: exposed
+	entryNone   entry = iota
+	entryInline       // the page's secret: LPA above bit 6, origin in bits 3-5, bit 2 closed
+	entryLive         // a live copy of the secret in slot e>>2
+	entryStale        // an exposed copy, its open time in exposures e>>2
 )
 
-// secret is one generation of secured data and its window accounting.
-// Its slot is reused once its last copy is destroyed, so the ledger holds
-// at most as many secrets as were ever alive at once.
+func (e entry) tag() entry   { return e & 3 }
+func (e entry) index() int32 { return int32(e >> 2) }
+
+// inline packs a one-copy secret into a page entry; ok is false when the
+// LPA does not fit the entry's 58 bits, and the secret keeps a slot.
+func inline(lpa int64, origin Origin, closed bool) (e entry, ok bool) {
+	e = entry(lpa)<<6 | entry(origin)<<3 | entryInline
+	if closed {
+		e |= 4
+	}
+	return e, int64(e)>>6 == lpa
+}
+
+// secret is the slot of one generation of secured data that has two or
+// more copies or an exposed one, with its window accounting. A slot is
+// reused once its secret moves back inline or loses its last copy, so the
+// ledger holds at most as many as such secrets were ever alive at once.
 type secret struct {
 	lpa       int64
 	openedAt  sim.Micros // valid while exposed > 0
-	copies    int32      // registered, not yet destroyed; the slot is free at 0
+	copies    int32      // registered, not yet destroyed
 	exposed   int32      // stale, not yet destroyed
+	live      uint32     // XOR of the live copies' pages: the page itself when one is left
 	origin    Origin
 	reopened  bool // current window is a reopening
 	ladderHit bool // a ladder destruction occurred in the current window
 	closed    bool // a window has closed: the next one is a reopening
 }
 
+// exposure is one exposed copy; secret is -1 once the entry is free.
+type exposure struct {
+	openAt sim.Micros // the copy's first invalidation
+	secret int32
+	page   uint32
+}
+
+// table is a free-listed store: put fills a released index first.
+type table[T any] struct {
+	items metrics.Log[T]
+	free  []int32
+}
+
+func (t *table[T]) put(v T) int32 {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		*t.items.At(int(i)) = v
+		return i
+	}
+	t.items.Append(v)
+	return int32(t.items.Len() - 1)
+}
+
+func (t *table[T]) at(i int32) *T { return t.items.At(int(i)) }
+
+func (t *table[T]) release(i int32) { t.free = append(t.free, i) }
+
 // Ledger accumulates provenance events. It is not safe for concurrent
 // use; like the trace Recorder it belongs to exactly one simulated
 // device.
 type Ledger struct {
-	copies  metrics.Log[copyState] // indexed by physical page, extended to the highest page seen
-	staleIn []int32                // exposed copies in each run of metrics.LogChunk pages
-	secrets metrics.Log[secret]
-	free    []int32 // slots of secrets whose every copy is destroyed
-	created int     // secrets ever created
+	pages     metrics.Log[entry] // indexed by physical page, extended to the highest page seen
+	slots     table[secret]
+	exposures table[exposure]
+	created   int // secrets ever created
 
 	tInsec    metrics.Sample // per-copy windows (legacy semantics)
 	tInsecSum sim.Micros     // running total of the per-copy windows
@@ -280,28 +324,45 @@ type Ledger struct {
 // NewLedger builds an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// newSecret stores a secret in a free slot, or a new one, and returns its
-// index.
-func (l *Ledger) newSecret(lpa int64, origin Origin) int32 {
-	l.created++
-	s := secret{lpa: lpa, origin: origin}
-	if n := len(l.free); n > 0 {
-		idx := l.free[n-1]
-		l.free = l.free[:n-1]
-		*l.secrets.At(int(idx)) = s
-		return idx
+// pageAt returns the entry of a physical page, extending the index to
+// cover it.
+func (l *Ledger) pageAt(page uint32) *entry {
+	for l.pages.Len() <= int(page) {
+		l.pages.Append(entryNone)
 	}
-	l.secrets.Append(s)
-	return int32(l.secrets.Len() - 1)
+	return l.pages.At(int(page))
 }
 
-// copyAt returns the entry of a physical page, extending the index to
-// cover it.
-func (l *Ledger) copyAt(page uint32) *copyState {
-	for l.copies.Len() <= int(page) {
-		l.copies.Append(copyState{})
+// slotOf returns the slot of the secret whose copy is on page, moving an
+// inline secret into a new slot; -1 when the page holds no copy.
+func (l *Ledger) slotOf(page uint32) int32 {
+	switch e := *l.pages.At(int(page)); e.tag() {
+	case entryInline:
+		idx := l.slots.put(secret{lpa: int64(e) >> 6, origin: Origin(e >> 3 & 7), closed: e&4 != 0, copies: 1, live: page})
+		*l.pages.At(int(page)) = entryLive | entry(idx)<<2
+		return idx
+	case entryLive:
+		return e.index()
+	case entryStale:
+		return l.exposures.at(e.index()).secret
 	}
-	return l.copies.At(int(page))
+	return -1
+}
+
+// settle releases a slot whose secret lost its last copy, or moves the
+// secret back inline into its one live copy's entry when none is exposed.
+func (l *Ledger) settle(idx int32) {
+	s := l.slots.at(idx)
+	if s.copies == 1 && s.exposed == 0 {
+		e, ok := inline(s.lpa, s.origin, s.closed)
+		if !ok {
+			return
+		}
+		*l.pages.At(int(s.live)) = e
+	} else if s.copies > 0 {
+		return
+	}
+	l.slots.release(idx)
 }
 
 // Record applies one event and reports whether the exposed-copy count
@@ -322,56 +383,70 @@ func (l *Ledger) Record(ev Event) bool {
 }
 
 func (l *Ledger) register(ev Event) {
-	c := l.copyAt(ev.Page)
-	if c.state != copyNone {
+	l.originCounts[ev.Origin]++
+	l.registered++
+	relocation := (ev.Origin == OriginGC || ev.Origin == OriginEvacuate) && ev.Src != NoSrc
+	c := l.pageAt(ev.Page)
+	switch c.tag() {
+	case entryStale:
 		// A physical page can only be reprogrammed after an erase, and an
 		// erase destroys (and deregisters) every copy on the block first —
 		// so a collision means a producer skipped the destruction. Retire
 		// the stale entry as an unattributed destruction to keep the
 		// per-secret books balanced.
 		l.destroy(Event{Kind: KindDestroy, Page: ev.Page, Cause: CauseUnspecified, Dep: ev.At, At: ev.At})
-	}
-	idx := int32(-1)
-	switch ev.Origin {
-	case OriginGC, OriginEvacuate:
-		if ev.Src != NoSrc && int(ev.Src) < l.copies.Len() {
-			if src := l.copies.At(int(ev.Src)); src.state != copyNone {
-				idx = src.secret
-			}
+	case entryInline, entryLive:
+		if relocation && ev.Src == ev.Page {
+			return // the live copy replaces itself in its own secret
+		}
+		// The overwritten live copy leaves its secret; an inline secret
+		// goes with it.
+		old := *c
+		*c = entryNone
+		if old.tag() == entryLive {
+			s := l.slots.at(old.index())
+			s.copies--
+			s.live ^= ev.Page
+			l.settle(old.index())
 		}
 	}
-	if idx < 0 {
-		idx = l.newSecret(ev.LPA, ev.Origin)
+	idx := int32(-1)
+	if relocation && int(ev.Src) < l.pages.Len() {
+		idx = l.slotOf(ev.Src)
 	}
-	*c = copyState{secret: idx, state: copyLive}
-	l.secrets.At(int(idx)).copies++
-	l.originCounts[ev.Origin]++
-	l.registered++
+	if idx < 0 {
+		l.created++
+		if e, ok := inline(ev.LPA, ev.Origin, false); ok {
+			*c = e
+			return
+		}
+		idx = l.slots.put(secret{lpa: ev.LPA, origin: ev.Origin})
+	}
+	s := l.slots.at(idx)
+	s.copies++
+	s.live ^= ev.Page
+	*c = entryLive | entry(idx)<<2
 }
 
 // invalidate marks the copy on page stale, adopting an unregistered page
 // as a single-copy secret. Re-invalidating an already stale copy is a
 // no-op: the first invalidation wins.
 func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
-	c := l.copyAt(page)
-	switch c.state {
-	case copyStale:
+	c := l.pageAt(page)
+	if c.tag() == entryStale {
 		return false
-	case copyNone:
-		c.secret = l.newSecret(-1, OriginUnknown)
+	}
+	idx := l.slotOf(page)
+	if idx < 0 {
+		l.created++
 		l.originCounts[OriginUnknown]++
 		l.registered++
-		l.secrets.At(int(c.secret)).copies++
+		idx = l.slots.put(secret{lpa: -1, origin: OriginUnknown, copies: 1, live: page})
 	}
-	c.state = copyStale
-	c.openAt = at
+	*c = entryStale | entry(l.exposures.put(exposure{openAt: at, secret: idx, page: page}))<<2
 	l.openCopies++
-	g := int(page) / metrics.LogChunk
-	for len(l.staleIn) <= g {
-		l.staleIn = append(l.staleIn, 0)
-	}
-	l.staleIn[g]++
-	s := l.secrets.At(int(c.secret))
+	s := l.slots.at(idx)
+	s.live ^= page
 	s.exposed++
 	if s.exposed == 1 {
 		l.openSecrets++
@@ -383,27 +458,31 @@ func (l *Ledger) invalidate(page uint32, at sim.Micros) bool {
 }
 
 func (l *Ledger) destroy(ev Event) bool {
-	if int(ev.Page) >= l.copies.Len() || l.copies.At(int(ev.Page)).state != copyStale {
+	if int(ev.Page) >= l.pages.Len() || l.pages.At(int(ev.Page)).tag() != entryStale {
 		// Destroying a page with no open window is a no-op (recovery
 		// paths may report the same destruction twice), and live copies
 		// are never destroyed (erase requires a fully stale block).
 		return false
 	}
-	c := l.copies.At(int(ev.Page))
-	d := ev.At - c.openAt
+	c := l.pages.At(int(ev.Page))
+	x := l.exposures.at(c.index())
+	d := ev.At - x.openAt
 	if d < 0 {
 		// A GC relocation can advance the invalidation clock past the
 		// lock's (request-anchored) completion; the stale copy was then
 		// locked before it was ever exposed.
 		d = 0
 	}
+	idx := x.secret
+	x.secret = -1
+	l.exposures.release(c.index())
+	*c = entryNone
 	l.tInsec.Add(float64(d))
 	l.tInsecSum += d
 	l.openCopies--
-	l.staleIn[int(ev.Page)/metrics.LogChunk]--
 	l.causeCounts[ev.Cause]++
 	l.destroyed++
-	s := l.secrets.At(int(c.secret))
+	s := l.slots.at(idx)
 	s.copies--
 	s.exposed--
 	if ev.Ladder {
@@ -414,10 +493,7 @@ func (l *Ledger) destroy(ev Event) bool {
 		l.openSecrets--
 		l.closeWindow(s, ev)
 	}
-	if s.copies == 0 {
-		l.free = append(l.free, c.secret)
-	}
-	*c = copyState{}
+	l.settle(idx)
 	return true
 }
 
@@ -500,26 +576,21 @@ func (l *Ledger) OldestOpen() (at sim.Micros, ok bool) {
 	if l.openCopies == 0 {
 		return 0, false
 	}
-	l.eachStale(func(_ int, c *copyState) {
-		if !ok || c.openAt < at {
-			at, ok = c.openAt, true
+	l.eachExposed(func(x *exposure) {
+		if !ok || x.openAt < at {
+			at, ok = x.openAt, true
 		}
 	})
 	return at, ok
 }
 
-// eachStale calls fn for every exposed copy in page order. It visits only
-// the pages of the chunks that hold one, so a walk costs little while few
-// copies are exposed.
-func (l *Ledger) eachStale(fn func(page int, c *copyState)) {
-	for g, n := range l.staleIn {
-		if n == 0 {
-			continue
-		}
-		for page, end := g*metrics.LogChunk, min((g+1)*metrics.LogChunk, l.copies.Len()); page < end; page++ {
-			if c := l.copies.At(page); c.state == copyStale {
-				fn(page, c)
-			}
+// eachExposed calls fn for every exposed copy. The exposure table holds
+// no more entries than copies were ever exposed at once, so a walk costs
+// little while few are.
+func (l *Ledger) eachExposed(fn func(x *exposure)) {
+	for i := 0; i < l.exposures.items.Len(); i++ {
+		if x := l.exposures.items.At(i); x.secret >= 0 {
+			fn(x)
 		}
 	}
 }
@@ -587,8 +658,8 @@ type Stats struct {
 // Stats summarizes the ledger at the given horizon (OldestOpenUs is the
 // age of the oldest still-open window relative to it). Every field but
 // OldestOpenUs is a running counter, so a periodic emitter pays O(1) per
-// call while no copy is exposed and otherwise one walk of the index chunks
-// that hold an exposed copy.
+// call while no copy is exposed and otherwise one walk of the exposure
+// table.
 func (l *Ledger) Stats(horizon sim.Micros) Stats {
 	st := Stats{
 		Secrets:          l.created,
@@ -666,17 +737,18 @@ func (r VerifyReport) Err() error {
 // in page order.
 func (l *Ledger) Verify(horizon sim.Micros) VerifyReport {
 	rep := VerifyReport{Secrets: l.created, ExposedCopies: l.openCopies, PhaseSumErrors: l.phaseSumErrors}
-	for i := 0; i < l.secrets.Len(); i++ {
-		if l.secrets.At(i).exposed > 0 {
+	for i := 0; i < l.slots.items.Len(); i++ {
+		if l.slots.items.At(i).exposed > 0 {
 			rep.OpenSecrets++
 		}
 	}
-	l.eachStale(func(page int, c *copyState) {
-		s := l.secrets.At(int(c.secret))
+	l.eachExposed(func(x *exposure) {
+		s := l.slots.at(x.secret)
 		rep.Open = append(rep.Open, OpenCopy{
-			Page: uint32(page), LPA: s.lpa, Origin: s.origin.String(), OpenedUs: int64(c.openAt),
+			Page: x.page, LPA: s.lpa, Origin: s.origin.String(), OpenedUs: int64(x.openAt),
 		})
 	})
+	slices.SortFunc(rep.Open, func(a, b OpenCopy) int { return cmp.Compare(a.Page, b.Page) })
 	if at, ok := l.OldestOpen(); ok {
 		if age := horizon - at; age > 0 {
 			rep.OldestOpenUs = int64(age)

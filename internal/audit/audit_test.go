@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"math"
 	"testing"
 )
 
@@ -190,6 +191,26 @@ func TestVerifyReportsOpenCopies(t *testing.T) {
 	st := l.Stats(1000)
 	if st.OldestOpenUs != 750 || st.OpenSecrets != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestWideLPAKeepsItsSlot: an LPA too wide for a page entry keeps its
+// secret in a slot through a relocation chain, so the verifier still
+// reports it exactly.
+func TestWideLPAKeepsItsSlot(t *testing.T) {
+	const lpa = math.MaxInt64
+	l := NewLedger()
+	l.Record(Event{Kind: KindCopy, Page: 1, Src: NoSrc, LPA: lpa, Origin: OriginHost, At: 0})
+	l.Record(Event{Kind: KindCopy, Page: 2, Src: 1, LPA: lpa, Origin: OriginGC, At: 10})
+	l.Record(Event{Kind: KindInvalidate, Page: 1, At: 20})
+	l.Record(Event{Kind: KindDestroy, Page: 1, Cause: CausePLock, Dep: 30, At: 40})
+	l.Record(Event{Kind: KindInvalidate, Page: 2, At: 50})
+	rep := l.Verify(100)
+	if len(rep.Open) != 1 || rep.Open[0].Page != 2 || rep.Open[0].LPA != lpa || rep.Open[0].Origin != "host" {
+		t.Fatalf("open copies = %+v, want page 2 of LPA %d from a host write", rep.Open, int64(lpa))
+	}
+	if st := l.Stats(100); st.Windows != 1 || st.OpenSecrets != 1 {
+		t.Fatalf("stats = %+v, want one closed window and the reopened one open", st)
 	}
 }
 
